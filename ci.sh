@@ -22,6 +22,11 @@ cargo build --release --workspace
 step "cargo test"
 cargo test --workspace -q
 
+step "benchmark crate builds against the library crates and passes its smoke test"
+# benchmark/ is its own workspace, so the steps above never compile it;
+# it calls the fault-sim engine API directly (benchmark/src/trace.rs).
+cargo test --release --offline --manifest-path benchmark/Cargo.toml
+
 step "cargo doc (deny warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
 

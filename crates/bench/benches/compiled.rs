@@ -1,14 +1,14 @@
 //! Criterion benches for the compiled evaluation IR: the interpreted
-//! reference engine vs the [`EvalProgram`]-based engines (serial and
-//! parallel) on the paper's array-multiplier cell — the workload that
+//! reference engine vs the [`EvalProgram`]-based engine (at 1, 2 and 4
+//! threads) on the paper's array-multiplier cell — the workload that
 //! dominates every Table 2 circuit. The reports are bit-identical across
-//! all engines, so the only thing measured is wall clock; EXPERIMENTS.md
+//! all of them, so the only thing measured is wall clock; EXPERIMENTS.md
 //! records the resulting speedups.
 
 use bibs_faultsim::fault::FaultUniverse;
 use bibs_faultsim::par::ParFaultSimulator;
 use bibs_faultsim::reference::ReferenceSimulator;
-use bibs_faultsim::sim::{BlockSim, FaultSimulator};
+use bibs_faultsim::sim::BlockSim;
 use bibs_netlist::builder::NetlistBuilder;
 use bibs_netlist::{EvalProgram, Netlist};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -50,9 +50,9 @@ fn bench_good_eval(c: &mut Criterion) {
         })
     });
     group.bench_function("compiled", |b| {
-        let mut values = program.new_values();
+        let mut values = program.new_values::<1>();
         b.iter(|| {
-            program.eval_good(&mut values, black_box(&words));
+            program.eval_good::<1>(&mut values, black_box(&words));
             black_box(values[nl.outputs()[0].index()])
         })
     });
@@ -60,7 +60,7 @@ fn bench_good_eval(c: &mut Criterion) {
 }
 
 /// Full good+faulty block throughput (the table2 inner loop): interpreted
-/// reference vs compiled serial vs compiled parallel.
+/// reference vs the compiled engine at 1, 2 and 4 threads.
 fn bench_engines(c: &mut Criterion) {
     let nl = multiplier(8);
     let universe = FaultUniverse::collapsed(&nl);
@@ -80,21 +80,9 @@ fn bench_engines(c: &mut Criterion) {
             criterion::BatchSize::SmallInput,
         )
     });
-    group.bench_function("compiled_serial", |b| {
-        b.iter_batched(
-            || {
-                (
-                    FaultSimulator::new(&nl, observable.clone()),
-                    StdRng::seed_from_u64(3),
-                )
-            },
-            |(mut sim, mut rng)| black_box(sim.run_random(&mut rng, 256).detected_count()),
-            criterion::BatchSize::SmallInput,
-        )
-    });
-    for threads in [2usize, 4] {
+    for threads in [1usize, 2, 4] {
         group.bench_with_input(
-            BenchmarkId::new("compiled_parallel", threads),
+            BenchmarkId::new("compiled", threads),
             &threads,
             |b, &threads| {
                 b.iter_batched(

@@ -5,7 +5,8 @@
 use bibs_faultsim::atpg::Atpg;
 use bibs_faultsim::fault::FaultUniverse;
 use bibs_faultsim::par::ParFaultSimulator;
-use bibs_faultsim::sim::{BlockSim, FaultSimulator};
+use bibs_faultsim::sim::BlockSim;
+use bibs_faultsim::source::PatternBlock;
 use bibs_netlist::builder::NetlistBuilder;
 use bibs_netlist::Netlist;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -33,10 +34,10 @@ fn bench_fault_sim_block(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::from_parameter(width), &width, |b, _| {
             let mut rng = StdRng::seed_from_u64(7);
             b.iter_batched(
-                || FaultSimulator::new(&nl, observable.clone()),
+                || ParFaultSimulator::new(&nl, observable.clone()),
                 |mut sim| {
                     let words: Vec<u64> = (0..nl.input_width()).map(|_| rng.gen()).collect();
-                    black_box(sim.apply_block(&words, 64))
+                    black_box(sim.sweep(&[PatternBlock { words, lanes: 64 }], &[64]))
                 },
                 criterion::BatchSize::SmallInput,
             )
@@ -45,9 +46,10 @@ fn bench_fault_sim_block(c: &mut Criterion) {
     group.finish();
 }
 
-/// Serial vs parallel engine on the same 256-pattern random stream over
-/// the 8-bit array multiplier (the c4a4m-scale workload): identical
-/// reports by construction, so the only thing measured is wall clock.
+/// The engine at 1, 2, 4 and 8 threads on the same 256-pattern random
+/// stream over the 8-bit array multiplier (the c4a4m-scale workload):
+/// identical reports by construction, so the only thing measured is wall
+/// clock.
 fn bench_engines(c: &mut Criterion) {
     let nl = multiplier(8);
     let universe = FaultUniverse::collapsed(&nl);
@@ -55,21 +57,9 @@ fn bench_engines(c: &mut Criterion) {
     let (observable, _) = universe.split_by_observability(&program);
     let mut group = c.benchmark_group("fault_sim_engine_mul8_256pat");
     group.sample_size(10);
-    group.bench_function("serial", |b| {
-        b.iter_batched(
-            || {
-                (
-                    FaultSimulator::new(&nl, observable.clone()),
-                    StdRng::seed_from_u64(3),
-                )
-            },
-            |(mut sim, mut rng)| black_box(sim.run_random(&mut rng, 256).detected_count()),
-            criterion::BatchSize::SmallInput,
-        )
-    });
     for threads in [1usize, 2, 4, 8] {
         group.bench_with_input(
-            BenchmarkId::new("parallel", threads),
+            BenchmarkId::new("threads", threads),
             &threads,
             |b, &threads| {
                 b.iter_batched(

@@ -8,8 +8,8 @@
 //!   pipelines, multi-kernel register chains, random gate DAGs) with
 //!   [`gen::SizeReport`] records for scaling curves;
 //! * [`oracle`] — the four differential oracles every corpus circuit is
-//!   pushed through (compiled vs reference evaluation, serial vs
-//!   parallel reports, dominance expansion vs direct simulation, static
+//!   pushed through (compiled vs reference evaluation, one-thread vs
+//!   sharded reports, dominance expansion vs direct simulation, static
 //!   untestability vs exhaustive ground truth);
 //! * [`minimize`] — a greedy structural shrinker that reduces a
 //!   diverging circuit to a local-minimum witness before it is committed

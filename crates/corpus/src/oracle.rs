@@ -6,8 +6,8 @@
 //!
 //! 1. **Eval** — the compiled [`EvalProgram`]'s good-machine words vs the
 //!    gate-walking reference interpreter, on random 64-pattern blocks.
-//! 2. **Parallel** — the serial [`FaultSimulator`] report vs the
-//!    [`ParFaultSimulator`] at 2 and 4 threads on the same seeded stream
+//! 2. **Parallel** — the one-thread [`ParFaultSimulator`] report vs the
+//!    same engine at 2 and 4 threads on the same seeded stream
 //!    (bit-identical `detection()` and `patterns_applied()`).
 //! 3. **Dominance** — exhaustive detection of the full fault universe vs
 //!    simulating only dominance-class representatives and expanding.
@@ -15,20 +15,20 @@
 //!    statically untestable must stay undetected under exhaustive
 //!    simulation.
 //! 5. **Source** — every [`PatternSource`] kind (seeded random, weighted,
-//!    LFSR where the width permits) produces a bit-identical report on
-//!    the serial and parallel engines at 2 and 4 threads, and the
+//!    LFSR where the width permits) produces a bit-identical report at
+//!    1, 2 and 4 threads, and the
 //!    source's own stream digest matches across the runs — the pulled
 //!    streams themselves were identical, not just the verdicts.
 //! 6. **Opt** — the optimizing pass pipeline of [`bibs_netlist::opt`]
 //!    must validate (its built-in CEC proves every pass), and the
 //!    optimized program must produce a bit-identical fault-simulation
-//!    report on the serial and parallel engines — the differential check
-//!    behind `table2 --opt`'s byte-identity claim.
+//!    report at 1, 2 and 4 threads — the differential check behind
+//!    `table2 --opt`'s byte-identity claim.
 //! 7. **Lanes** — wide-word evaluation (256 and 512 lanes via
-//!    `with_lanes`) must reproduce the scalar 64-lane report bit for bit
-//!    on the same seeded stream, serial and parallel, including a
-//!    plateau-stop run that exercises the wide driver's sub-block
-//!    retraction — the differential check behind `table2 --lanes`.
+//!    `with_lanes`) must reproduce the 64-lane report bit for bit on the
+//!    same seeded stream, at 1 and 2 threads, including a plateau-stop
+//!    run that exercises the driver's sub-block retraction — the
+//!    differential check behind `table2 --lanes`.
 //!
 //! Oracles 3 and 4 need exhaustive simulation and only run when the
 //! circuit has at most [`EXHAUSTIVE_PI_LIMIT`] primary-input bits; 1, 2,
@@ -38,7 +38,7 @@
 use bibs_faultsim::fault::{FaultUniverse, StaticFaultAnalysis};
 use bibs_faultsim::par::ParFaultSimulator;
 use bibs_faultsim::reference::ReferenceSimulator;
-use bibs_faultsim::sim::{BlockSim, FaultSimulator};
+use bibs_faultsim::sim::BlockSim;
 use bibs_faultsim::source::{LfsrSource, PatternSource, RandomWords, WeightedRandomSource};
 use bibs_netlist::opt::optimize;
 use bibs_netlist::{EvalProgram, Netlist};
@@ -66,7 +66,7 @@ pub enum Oracle {
     Dominance,
     /// Static untestability prover vs exhaustive simulation.
     Prover,
-    /// Pattern-source streams across serial/parallel engines.
+    /// Pattern-source streams across thread counts.
     Source,
     /// Optimize-then-CEC: validated rewrite, bit-identical reports.
     Opt,
@@ -144,12 +144,12 @@ pub fn check_eval(nl: &Netlist, program: &EvalProgram, seed: u64) -> Vec<Diverge
         }
     };
     let mut rng = StdRng::seed_from_u64(seed ^ 0xE7A1);
-    let mut compiled = program.new_values();
+    let mut compiled = program.new_values::<1>();
     let mut interpreted = vec![0u64; nl.net_count()];
     let mut scratch = Vec::new();
     for block in 0..8 {
         let words: Vec<u64> = (0..nl.input_width()).map(|_| rng.gen()).collect();
-        program.eval_good(&mut compiled, &words);
+        program.eval_good::<1>(&mut compiled, &words);
         bibs_faultsim::reference::eval_good(nl, &order, &words, &mut interpreted, &mut scratch);
         for id in nl.net_ids() {
             if compiled[id.index()] != interpreted[id.index()] {
@@ -168,37 +168,37 @@ pub fn check_eval(nl: &Netlist, program: &EvalProgram, seed: u64) -> Vec<Diverge
     Vec::new()
 }
 
-/// Oracle 2: serial vs parallel reports on the same seeded stream, plus
-/// the reference interpreter on the same stream as ground truth.
+/// Oracle 2: one-thread vs sharded reports on the same seeded stream,
+/// plus the reference interpreter on the same stream as ground truth.
 pub fn check_parallel(nl: &Netlist, seed: u64) -> Vec<Divergence> {
     let faults = FaultUniverse::collapsed(nl).faults().to_vec();
     if faults.is_empty() {
         return Vec::new();
     }
     let mut rng = StdRng::seed_from_u64(seed ^ 0x9A7A);
-    let serial = FaultSimulator::new(nl, faults.clone()).run_random(&mut rng, RANDOM_PATTERNS);
+    let inline = ParFaultSimulator::new(nl, faults.clone()).run_random(&mut rng, RANDOM_PATTERNS);
     let mut rng = StdRng::seed_from_u64(seed ^ 0x9A7A);
     let reference =
         ReferenceSimulator::new(nl, faults.clone()).run_random(&mut rng, RANDOM_PATTERNS);
     let mut out = Vec::new();
-    if serial.detection() != reference.detection()
-        || serial.patterns_applied() != reference.patterns_applied()
+    if inline.detection() != reference.detection()
+        || inline.patterns_applied() != reference.patterns_applied()
     {
         out.push(Divergence {
             oracle: Oracle::Eval,
-            detail: "compiled serial report differs from the reference interpreter".into(),
+            detail: "compiled report differs from the reference interpreter".into(),
         });
     }
     for threads in [2usize, 4] {
         let mut rng = StdRng::seed_from_u64(seed ^ 0x9A7A);
         let par = ParFaultSimulator::with_threads(nl, faults.clone(), threads)
             .run_random(&mut rng, RANDOM_PATTERNS);
-        if par.detection() != serial.detection() {
+        if par.detection() != inline.detection() {
             out.push(Divergence {
                 oracle: Oracle::Parallel,
                 detail: format!("detection vector differs at {threads} thread(s)"),
             });
-        } else if par.patterns_applied() != serial.patterns_applied() {
+        } else if par.patterns_applied() != inline.patterns_applied() {
             out.push(Divergence {
                 oracle: Oracle::Parallel,
                 detail: format!("patterns_applied differs at {threads} thread(s)"),
@@ -208,11 +208,11 @@ pub fn check_parallel(nl: &Netlist, seed: u64) -> Vec<Divergence> {
     out
 }
 
-/// Oracle 5: every pattern-source kind is engine- and thread-count
-/// independent — serial vs parallel (2 and 4 threads) reports are
-/// bit-identical, and the freshly built sources end each run with the
-/// same stream digest (the engines pulled identical streams). These are
-/// explicit comparisons, unlike the `debug_assert`s in
+/// Oracle 5: every pattern-source kind is thread-count independent — the
+/// one-thread report and the 2- and 4-thread reports are bit-identical,
+/// and the freshly built sources end each run with the same stream
+/// digest (every run pulled the identical stream). These are explicit
+/// comparisons, unlike the `debug_assert`s in
 /// [`bibs_faultsim::par::run_source_checked`], so the fuzzer catches
 /// regressions in release builds too.
 pub fn check_source(nl: &Netlist, seed: u64) -> Vec<Divergence> {
@@ -248,22 +248,22 @@ pub fn check_source(nl: &Netlist, seed: u64) -> Vec<Divergence> {
     }
     let mut out = Vec::new();
     for (kind, make) in kinds {
-        let mut serial_source = make();
-        let serial = FaultSimulator::new(nl, faults.clone())
-            .run_source(&mut *serial_source, SOURCE_PATTERNS);
+        let mut inline_source = make();
+        let inline = ParFaultSimulator::new(nl, faults.clone())
+            .run_source(&mut *inline_source, SOURCE_PATTERNS);
         for threads in [2usize, 4] {
             let mut par_source = make();
             let par = ParFaultSimulator::with_threads(nl, faults.clone(), threads)
                 .run_source(&mut *par_source, SOURCE_PATTERNS);
-            if par.detection() != serial.detection()
-                || par.patterns_applied() != serial.patterns_applied()
+            if par.detection() != inline.detection()
+                || par.patterns_applied() != inline.patterns_applied()
             {
                 out.push(Divergence {
                     oracle: Oracle::Source,
                     detail: format!("{kind}: report differs at {threads} thread(s)"),
                 });
             }
-            if par_source.state_digest() != serial_source.state_digest() {
+            if par_source.state_digest() != inline_source.state_digest() {
                 out.push(Divergence {
                     oracle: Oracle::Source,
                     detail: format!("{kind}: stream digest differs at {threads} thread(s)"),
@@ -276,9 +276,9 @@ pub fn check_source(nl: &Netlist, seed: u64) -> Vec<Divergence> {
 
 /// Oracle 6: the optimizing pass pipeline must validate on every corpus
 /// circuit, and the CEC-proven rewrite must be behaviorally invisible to
-/// the fault simulators — the serial engine on the optimized program and
-/// the parallel engine at 2 and 4 threads must reproduce the plain serial
-/// report bit for bit on the same seeded stream.
+/// the fault simulator — the engine on the optimized program at 1, 2 and
+/// 4 threads must reproduce the plain one-thread report bit for bit on
+/// the same seeded stream.
 pub fn check_opt(nl: &Netlist, program: &EvalProgram, seed: u64) -> Vec<Divergence> {
     let opt = match optimize(nl, program) {
         Ok(o) => o,
@@ -296,24 +296,9 @@ pub fn check_opt(nl: &Netlist, program: &EvalProgram, seed: u64) -> Vec<Divergen
         return Vec::new();
     }
     let mut rng = StdRng::seed_from_u64(seed ^ 0x0797);
-    let base = FaultSimulator::new(nl, faults.clone()).run_random(&mut rng, RANDOM_PATTERNS);
+    let base = ParFaultSimulator::new(nl, faults.clone()).run_random(&mut rng, RANDOM_PATTERNS);
     let mut out = Vec::new();
-    let mut rng = StdRng::seed_from_u64(seed ^ 0x0797);
-    let serial = FaultSimulator::with_optimized(nl, &opt, faults.clone())
-        .run_random(&mut rng, RANDOM_PATTERNS);
-    if serial.detection() != base.detection()
-        || serial.patterns_applied() != base.patterns_applied()
-    {
-        out.push(Divergence {
-            oracle: Oracle::Opt,
-            detail: format!(
-                "optimized serial report differs from the plain serial report \
-                 ({} instr(s) saved)",
-                opt.stats().instrs_saved()
-            ),
-        });
-    }
-    for threads in [2usize, 4] {
+    for threads in [1usize, 2, 4] {
         let mut rng = StdRng::seed_from_u64(seed ^ 0x0797);
         let par = ParFaultSimulator::with_optimized(nl, &opt, faults.clone(), threads)
             .run_random(&mut rng, RANDOM_PATTERNS);
@@ -321,7 +306,10 @@ pub fn check_opt(nl: &Netlist, program: &EvalProgram, seed: u64) -> Vec<Divergen
         {
             out.push(Divergence {
                 oracle: Oracle::Opt,
-                detail: format!("optimized report differs at {threads} thread(s)"),
+                detail: format!(
+                    "optimized report differs at {threads} thread(s) ({} instr(s) saved)",
+                    opt.stats().instrs_saved()
+                ),
             });
         }
     }
@@ -329,11 +317,10 @@ pub fn check_opt(nl: &Netlist, program: &EvalProgram, seed: u64) -> Vec<Divergen
 }
 
 /// Oracle 7: wide-word evaluation is report-invisible. Each lane width
-/// (256 and 512) re-runs the scalar baseline's seeded stream through a
-/// `with_lanes`-configured serial engine and the parallel engine at 2
-/// threads and requires bit-identical detection and pattern counts; a
-/// second, plateau-limited run forces the wide driver to stop mid-sweep
-/// and retract sub-blocks the scalar driver would never have applied.
+/// (256 and 512) re-runs the 64-lane baseline's seeded stream at 1 and
+/// 2 threads and requires bit-identical detection and pattern counts; a
+/// second, plateau-limited run forces the driver to stop mid-sweep and
+/// retract sub-blocks a 64-lane run would never have applied.
 pub fn check_lanes(nl: &Netlist, seed: u64) -> Vec<Divergence> {
     let faults = FaultUniverse::collapsed(nl).faults().to_vec();
     if faults.is_empty() {
@@ -341,14 +328,18 @@ pub fn check_lanes(nl: &Netlist, seed: u64) -> Vec<Divergence> {
     }
     let source_seed = seed ^ 0x7A9E;
     let mut src = RandomWords::seeded(source_seed);
-    let full = FaultSimulator::new(nl, faults.clone()).run_source(&mut src, SOURCE_PATTERNS);
+    let full = ParFaultSimulator::new(nl, faults.clone()).run_source(&mut src, SOURCE_PATTERNS);
     let mut src = RandomWords::seeded(source_seed);
-    let stopped =
-        FaultSimulator::new(nl, faults.clone()).run_source_with(&mut src, SOURCE_PATTERNS, 64, 1.0);
+    let stopped = ParFaultSimulator::new(nl, faults.clone()).run_source_with(
+        &mut src,
+        SOURCE_PATTERNS,
+        64,
+        1.0,
+    );
     let mut out = Vec::new();
     for lanes in [256usize, 512] {
         let mut src = RandomWords::seeded(source_seed);
-        let wide = FaultSimulator::new(nl, faults.clone())
+        let wide = ParFaultSimulator::new(nl, faults.clone())
             .with_lanes(lanes)
             .run_source(&mut src, SOURCE_PATTERNS);
         if wide.detection() != full.detection()
@@ -356,7 +347,7 @@ pub fn check_lanes(nl: &Netlist, seed: u64) -> Vec<Divergence> {
         {
             out.push(Divergence {
                 oracle: Oracle::Lanes,
-                detail: format!("serial report differs at {lanes} lanes"),
+                detail: format!("one-thread report differs at {lanes} lanes"),
             });
         }
         let mut src = RandomWords::seeded(source_seed);
@@ -367,11 +358,11 @@ pub fn check_lanes(nl: &Netlist, seed: u64) -> Vec<Divergence> {
         {
             out.push(Divergence {
                 oracle: Oracle::Lanes,
-                detail: format!("parallel report differs at {lanes} lanes (2 threads)"),
+                detail: format!("2-thread report differs at {lanes} lanes"),
             });
         }
         let mut src = RandomWords::seeded(source_seed);
-        let wide_stopped = FaultSimulator::new(nl, faults.clone())
+        let wide_stopped = ParFaultSimulator::new(nl, faults.clone())
             .with_lanes(lanes)
             .run_source_with(&mut src, SOURCE_PATTERNS, 64, 1.0);
         if wide_stopped.detection() != stopped.detection()
@@ -393,9 +384,9 @@ pub fn check_dominance(nl: &Netlist, program: &EvalProgram) -> Vec<Divergence> {
     if universe.is_empty() {
         return Vec::new();
     }
-    let direct = FaultSimulator::new(nl, universe.faults().to_vec()).run_exhaustive();
+    let direct = ParFaultSimulator::new(nl, universe.faults().to_vec()).run_exhaustive();
     let dc = universe.dominance_collapsed(program);
-    let reps = FaultSimulator::new(nl, dc.representative_faults()).run_exhaustive();
+    let reps = ParFaultSimulator::new(nl, dc.representative_faults()).run_exhaustive();
     let expanded = dc.expand_detection(reps.detection());
     if expanded != direct.detection() {
         let bad = expanded
@@ -432,7 +423,7 @@ pub fn check_prover(nl: &Netlist, program: &EvalProgram) -> Vec<Divergence> {
         return Vec::new();
     }
     let faults: Vec<_> = untestable.iter().map(|(f, _)| *f).collect();
-    let report = FaultSimulator::new(nl, faults.clone()).run_exhaustive();
+    let report = ParFaultSimulator::new(nl, faults.clone()).run_exhaustive();
     for (i, det) in report.detection().iter().enumerate() {
         if let Some(pattern) = det {
             return vec![Divergence {

@@ -11,90 +11,8 @@
 //!   cross-check the fault simulator.
 
 use crate::fault::{Fault, FaultSite};
-use bibs_netlist::analysis::Scoap;
-use bibs_netlist::{EvalProgram, GateId, GateKind, NetDriver, NetId, Netlist};
-
-/// Three-valued logic: 0, 1 or unknown.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum V3 {
-    Zero,
-    One,
-    X,
-}
-
-impl V3 {
-    fn from_bool(b: bool) -> V3 {
-        if b {
-            V3::One
-        } else {
-            V3::Zero
-        }
-    }
-
-    fn known(self) -> Option<bool> {
-        match self {
-            V3::Zero => Some(false),
-            V3::One => Some(true),
-            V3::X => None,
-        }
-    }
-
-    fn not(self) -> V3 {
-        match self {
-            V3::Zero => V3::One,
-            V3::One => V3::Zero,
-            V3::X => V3::X,
-        }
-    }
-}
-
-fn eval3(kind: GateKind, inputs: &[V3]) -> V3 {
-    match kind {
-        GateKind::And | GateKind::Nand => {
-            let v = if inputs.contains(&V3::Zero) {
-                V3::Zero
-            } else if inputs.contains(&V3::X) {
-                V3::X
-            } else {
-                V3::One
-            };
-            if kind == GateKind::Nand {
-                v.not()
-            } else {
-                v
-            }
-        }
-        GateKind::Or | GateKind::Nor => {
-            let v = if inputs.contains(&V3::One) {
-                V3::One
-            } else if inputs.contains(&V3::X) {
-                V3::X
-            } else {
-                V3::Zero
-            };
-            if kind == GateKind::Nor {
-                v.not()
-            } else {
-                v
-            }
-        }
-        GateKind::Xor | GateKind::Xnor => {
-            if inputs.contains(&V3::X) {
-                V3::X
-            } else {
-                let parity = inputs.iter().filter(|&&i| i == V3::One).count() % 2 == 1;
-                let v = V3::from_bool(parity);
-                if kind == GateKind::Xnor {
-                    v.not()
-                } else {
-                    v
-                }
-            }
-        }
-        GateKind::Not => inputs[0].not(),
-        GateKind::Buf => inputs[0],
-    }
-}
+use bibs_netlist::analysis::{eval_tv, Scoap, Tv};
+use bibs_netlist::{EvalProgram, GateId, NetDriver, NetId, Netlist};
 
 /// The outcome of PODEM on one fault.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -132,7 +50,8 @@ impl Classification {
 /// over the compiled [`EvalProgram`] schedule: pre-resolved input and
 /// constant slots for initialization and the flat instruction stream for
 /// the 3-valued gate sweep — the same compile-once structure the fault
-/// simulators execute, lifted to the private 3-valued `V3` domain.
+/// simulator executes, lifted to the ternary [`Tv`] domain that the
+/// static analyses share.
 #[derive(Debug)]
 pub struct Atpg<'a> {
     netlist: &'a Netlist,
@@ -143,8 +62,8 @@ pub struct Atpg<'a> {
     /// when *all* inputs must reach a value the hardest one is attacked
     /// first (fail fast), when *any* input suffices the cheapest is taken.
     scoap: Scoap,
-    good: Vec<V3>,
-    faulty: Vec<V3>,
+    good: Vec<Tv>,
+    faulty: Vec<Tv>,
     is_po: Vec<bool>,
     /// Total PODEM backtracks across every [`Atpg::generate`] call on this
     /// generator; exported as the `podem_backtracks` telemetry counter.
@@ -177,8 +96,8 @@ impl<'a> Atpg<'a> {
             program,
             readers,
             scoap,
-            good: vec![V3::X; netlist.net_count()],
-            faulty: vec![V3::X; netlist.net_count()],
+            good: vec![Tv::X; netlist.net_count()],
+            faulty: vec![Tv::X; netlist.net_count()],
             is_po,
             backtracks_total: 0,
         }
@@ -202,7 +121,7 @@ impl<'a> Atpg<'a> {
         };
         let mut best: Option<(u32, NetId)> = None;
         for &i in inputs {
-            if self.good[i.index()] != V3::X {
+            if self.good[i.index()] != Tv::X {
                 continue;
             }
             let cost = cc[i.index()];
@@ -276,7 +195,7 @@ impl<'a> Atpg<'a> {
     /// the compiled program's pre-resolved source lists and instruction
     /// stream.
     fn imply(&mut self, assignment: &[Option<bool>], fault: Fault) {
-        let stuck = V3::from_bool(match fault.site {
+        let stuck = Tv::from_bool(match fault.site {
             FaultSite::Net(_) | FaultSite::GatePin { .. } => fault.stuck_at,
         });
         let fault_slot = match fault.site {
@@ -288,7 +207,7 @@ impl<'a> Atpg<'a> {
             FaultSite::Net(_) => None,
         };
         for (i, &slot) in self.program.input_slots().iter().enumerate() {
-            let v = assignment[i].map_or(V3::X, V3::from_bool);
+            let v = assignment[i].map_or(Tv::X, Tv::from_bool);
             self.good[slot as usize] = v;
             self.faulty[slot as usize] = if fault_slot == Some(slot as usize) {
                 stuck
@@ -297,7 +216,7 @@ impl<'a> Atpg<'a> {
             };
         }
         for &(slot, word) in self.program.const_inits() {
-            let v = V3::from_bool(word != 0);
+            let v = Tv::from_bool(word != 0);
             self.good[slot as usize] = v;
             self.faulty[slot as usize] = if fault_slot == Some(slot as usize) {
                 stuck
@@ -305,38 +224,42 @@ impl<'a> Atpg<'a> {
                 v
             };
         }
-        let mut gbuf: Vec<V3> = Vec::with_capacity(8);
-        let mut fbuf: Vec<V3> = Vec::with_capacity(8);
         for pos in 0..self.program.instr_count() {
             let instr = self.program.instr(pos);
-            gbuf.clear();
-            fbuf.clear();
-            gbuf.extend(instr.operands.iter().map(|&s| self.good[s as usize]));
-            fbuf.extend(instr.operands.iter().map(|&s| self.faulty[s as usize]));
-            if let Some((fi, pin)) = fault_instr {
-                if fi == pos {
-                    fbuf[pin] = stuck;
-                }
-            }
+            let pin = fault_instr.and_then(|(fi, pin)| (fi == pos).then_some(pin));
+            let good = eval_tv(
+                instr.kind,
+                instr.operands.iter().map(|&s| self.good[s as usize]),
+            );
+            let faulty = eval_tv(
+                instr.kind,
+                instr.operands.iter().enumerate().map(|(p, &s)| {
+                    if Some(p) == pin {
+                        stuck
+                    } else {
+                        self.faulty[s as usize]
+                    }
+                }),
+            );
             let out = instr.out as usize;
-            self.good[out] = eval3(instr.kind, &gbuf);
-            let mut fv = eval3(instr.kind, &fbuf);
-            if fault_slot == Some(out) {
-                fv = stuck;
-            }
-            self.faulty[out] = fv;
+            self.good[out] = good;
+            self.faulty[out] = if fault_slot == Some(out) {
+                stuck
+            } else {
+                faulty
+            };
         }
     }
 
     fn error_at(&self, net: NetId) -> bool {
         matches!(
             (self.good[net.index()], self.faulty[net.index()]),
-            (V3::Zero, V3::One) | (V3::One, V3::Zero)
+            (Tv::Zero, Tv::One) | (Tv::One, Tv::Zero)
         )
     }
 
     fn unknown_at(&self, net: NetId) -> bool {
-        self.good[net.index()] == V3::X || self.faulty[net.index()] == V3::X
+        self.good[net.index()] == Tv::X || self.faulty[net.index()] == Tv::X
     }
 
     fn detected(&self) -> bool {
@@ -351,7 +274,7 @@ impl<'a> Atpg<'a> {
             FaultSite::Net(n) => n,
             FaultSite::GatePin { gate, pin } => self.netlist.gate(gate).inputs[pin],
         };
-        match self.good[site_net.index()].known() {
+        match self.good[site_net.index()].constant() {
             Some(v) => Ok(v != fault.stuck_at),
             None => Err(site_net),
         }
@@ -429,7 +352,7 @@ impl<'a> Atpg<'a> {
         loop {
             match self.netlist.driver(net) {
                 NetDriver::Input(i) => {
-                    debug_assert_eq!(self.good[net.index()], V3::X);
+                    debug_assert_eq!(self.good[net.index()], Tv::X);
                     return Some((i, value));
                 }
                 NetDriver::Gate(gid) => {
@@ -500,7 +423,8 @@ impl<'a> Atpg<'a> {
 mod tests {
     use super::*;
     use crate::fault::FaultUniverse;
-    use crate::sim::{BlockSim, FaultSimulator};
+    use crate::par::ParFaultSimulator;
+    use crate::sim::BlockSim;
     use bibs_netlist::builder::NetlistBuilder;
 
     fn adder4() -> Netlist {
@@ -524,7 +448,7 @@ mod tests {
         // Replay every generated test through the fault simulator.
         for (fault, test) in &class.detectable {
             let pattern: Vec<bool> = test.iter().map(|v| v.unwrap_or(false)).collect();
-            let mut sim = FaultSimulator::new(&nl, vec![*fault]);
+            let mut sim = ParFaultSimulator::new(&nl, vec![*fault]);
             let report = sim.run_patterns(&[pattern]);
             assert_eq!(
                 report.detected_count(),
@@ -575,7 +499,7 @@ mod tests {
         let universe = FaultUniverse::collapsed(&nl);
         let mut atpg = Atpg::new(&nl);
         let class = atpg.classify(universe.faults(), 10_000);
-        let mut sim = FaultSimulator::new(&nl, universe.faults().to_vec());
+        let mut sim = ParFaultSimulator::new(&nl, universe.faults().to_vec());
         let report = sim.run_exhaustive();
         assert_eq!(class.detectable_count(), report.detected_count());
     }

@@ -1,8 +1,7 @@
-//! Shared compiled-evaluation helpers for the serial and parallel fault
-//! simulators.
+//! Compiled-evaluation helpers for the fault simulator.
 //!
-//! Both engines *must* compute per-fault detection identically — the
-//! parallel engine's determinism guarantee (bit-identical
+//! Every thread count and lane width *must* compute per-fault detection
+//! identically — the engine's determinism guarantee (bit-identical
 //! [`crate::sim::FaultSimReport`]s) rests on there being exactly one
 //! mapping from faults to [`Patch`]es and one output-difference rule.
 //! Since the compiled-IR refactor the evaluation itself lives in
@@ -36,7 +35,7 @@ pub(crate) fn compile_patch(program: &EvalProgram, fault: Fault) -> Patch {
 /// Faults are always *compiled against the original program* (the fault
 /// universe lives on the netlist), then translated through the rewrite:
 ///
-/// * [`FaultPatch::Direct`] — the default engines' case: one patch on the
+/// * [`FaultPatch::Direct`] — the unoptimized engine's case: one patch on the
 ///   program being run;
 /// * [`FaultPatch::Multi`] — the rewrite maps the fault to a set of
 ///   patches on the optimized program (e.g. a stem fault on a deleted
@@ -90,7 +89,7 @@ pub(crate) fn compile_fault_patches(
 
 /// Checks the engine-construction invariant that [`eval_fault`] relies
 /// on: every [`FaultPatch::Fallback`] needs the original program at hand.
-/// The engines call this once at construction and surface the failure as
+/// The engine calls this once at construction and surface the failure as
 /// a typed [`crate::sim::SimError`] instead of aborting mid-run.
 pub(crate) fn validate_fault_patches(
     patches: &[FaultPatch],
@@ -108,114 +107,59 @@ pub(crate) fn validate_fault_patches(
     }
 }
 
-/// One faulty-machine evaluation: runs `program` (the good-machine
-/// program) for `Direct`/`Multi`, or `fallback` (the pre-rewrite
-/// program; same slot space) for `Fallback`. Returns the instruction
-/// count executed.
+/// One faulty-machine evaluation over a stride-`N` buffer: runs `program`
+/// (the good-machine program) for `Direct`/`Multi`, or `fallback` (the
+/// pre-rewrite program; same slot space) for `Fallback`. `inputs` is the
+/// input-contiguous layout of [`EvalProgram::set_inputs`]. Returns the
+/// lane-normalized executed instruction count.
 ///
 /// `Fallback` without a fallback program is rejected at engine
 /// construction by [`validate_fault_patches`], so it is unreachable here.
 #[inline]
-pub(crate) fn eval_fault(
+pub(crate) fn eval_fault<const N: usize>(
     program: &EvalProgram,
     fallback: Option<&EvalProgram>,
     values: &mut [u64],
-    input_words: &[u64],
+    inputs: &[u64],
     fp: &FaultPatch,
 ) -> u64 {
     match fp {
-        FaultPatch::Direct(p) => program.eval_patched(values, input_words, *p),
-        FaultPatch::Multi(ps) => program.eval_multi_patched(values, input_words, ps),
+        FaultPatch::Direct(p) => program.eval_patched::<N>(values, inputs, *p),
+        FaultPatch::Multi(ps) => program.eval_multi_patched::<N>(values, inputs, ps),
         FaultPatch::Fallback(p) => match fallback {
-            Some(orig) => orig.eval_patched(values, input_words, *p),
+            Some(orig) => orig.eval_patched::<N>(values, inputs, *p),
             None => unreachable!("validate_fault_patches admits Fallback only with a fallback"),
         },
     }
 }
 
-/// Wide [`eval_fault`]: `input_chunks` is the chunk-contiguous wide input
-/// layout of [`EvalProgram::set_inputs_wide`]. Returns the
-/// lane-normalized executed instruction count.
-#[inline]
-pub(crate) fn eval_fault_wide<const N: usize>(
-    program: &EvalProgram,
-    fallback: Option<&EvalProgram>,
-    values: &mut [u64],
-    input_chunks: &[u64],
-    fp: &FaultPatch,
-) -> u64 {
-    match fp {
-        FaultPatch::Direct(p) => program.eval_patched_wide::<N>(values, input_chunks, *p),
-        FaultPatch::Multi(ps) => program.eval_multi_patched_wide::<N>(values, input_chunks, ps),
-        FaultPatch::Fallback(p) => match fallback {
-            Some(orig) => orig.eval_patched_wide::<N>(values, input_chunks, *p),
-            None => unreachable!("validate_fault_patches admits Fallback only with a fallback"),
-        },
-    }
-}
-
-/// The lanes (bit positions) on which the faulty machine's outputs differ
-/// from the good machine's, restricted to `lane_mask`. Slot-indexed
-/// variant for the compiled engines ([`EvalProgram::output_slots`]).
-#[inline]
-pub(crate) fn output_diff(
-    output_slots: &[u32],
-    good: &[u64],
-    faulty: &[u64],
-    lane_mask: u64,
-) -> u64 {
-    let mut diff = 0u64;
-    for &o in output_slots {
-        diff |= good[o as usize] ^ faulty[o as usize];
-    }
-    diff & lane_mask
-}
-
-/// Wide [`output_diff`]: scans the `N` sub-words in lane order and
-/// returns the first `(sub_word, diff_word)` with a surviving masked
-/// difference, or `None` if the fault is undetected in the whole chunk.
+/// The first sub-word on which the faulty machine's outputs differ from
+/// the good machine's: `(sub_word, diff_word)` with the difference
+/// restricted to `masks[sub_word]`, or `None` if the fault is undetected
+/// in the whole sweep. `output_slots` are [`EvalProgram::output_slots`];
 /// `masks[k]` is the valid-lane mask of sub-word `k` (0 for sub-words
-/// past the pattern budget). Taking the *first* differing sub-word is
-/// what makes wide first-detection indices bit-identical to the scalar
-/// engine's.
+/// past the pattern budget). Taking the *first* differing sub-word, and
+/// its lowest lane, is what makes first-detection indices identical at
+/// every lane width.
 #[inline]
-pub(crate) fn output_diff_wide<const N: usize>(
+pub(crate) fn output_diff<const N: usize>(
     output_slots: &[u32],
     good: &[u64],
     faulty: &[u64],
     masks: &[u64; N],
 ) -> Option<(usize, u64)> {
-    for (k, &mask) in masks.iter().enumerate() {
-        if mask == 0 {
-            continue;
-        }
-        let mut diff = 0u64;
-        for &o in output_slots {
-            let i = o as usize * N + k;
-            diff |= good[i] ^ faulty[i];
-        }
-        diff &= mask;
-        if diff != 0 {
-            return Some((k, diff));
+    let mut diff = [0u64; N];
+    for &o in output_slots {
+        let a = o as usize * N;
+        for ((d, g), f) in diff.iter_mut().zip(&good[a..a + N]).zip(&faulty[a..a + N]) {
+            *d |= g ^ f;
         }
     }
-    None
-}
-
-/// Net-index variant of [`output_diff`], used by the reference
-/// interpreter.
-#[inline]
-pub(crate) fn output_diff_nets(
-    outputs: &[usize],
-    good: &[u64],
-    faulty: &[u64],
-    lane_mask: u64,
-) -> u64 {
-    let mut diff = 0u64;
-    for &o in outputs {
-        diff |= good[o] ^ faulty[o];
-    }
-    diff & lane_mask
+    diff.iter()
+        .zip(masks)
+        .map(|(&d, &m)| d & m)
+        .enumerate()
+        .find(|&(_, d)| d != 0)
 }
 
 #[cfg(test)]

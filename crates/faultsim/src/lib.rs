@@ -6,17 +6,19 @@
 //!
 //! * a single-stuck-at **fault model** with structural equivalence
 //!   collapsing ([`fault`]);
-//! * a 64-way parallel-pattern **fault simulator** with fault dropping
-//!   ([`sim`]), plus a multi-threaded engine ([`par`]) that produces
-//!   bit-identical reports (thread count via `BIBS_JOBS` or
-//!   [`par::default_jobs`]); both run on the compiled
-//!   [`bibs_netlist::EvalProgram`] IR, with the original gate-walking
-//!   interpreter preserved as a reference oracle ([`mod@reference`]);
+//! * a parallel-pattern **fault simulator** with fault dropping: one
+//!   engine ([`par::ParFaultSimulator`]) on the compiled
+//!   [`bibs_netlist::EvalProgram`] IR, 64, 256 or 512 patterns per sweep
+//!   on any number of threads (via `BIBS_JOBS` or [`par::default_jobs`]),
+//!   driven through the [`sim::BlockSim`] interface. Reports are
+//!   bit-identical for every thread count and lane width, and the
+//!   original gate-walking interpreter is preserved as a reference
+//!   oracle ([`mod@reference`]);
 //! * pluggable **pattern sources** ([`source`]): the stream an engine
 //!   consumes — pseudorandom words, hardware-faithful LFSRs, weighted
 //!   random, exhaustive counters, stored-seed replays — behind one
 //!   [`source::PatternSource`] trait with clock accounting, driven by the
-//!   shared [`sim::BlockSim::run_source`] driver;
+//!   one [`sim::BlockSim::run_source_with`] driver;
 //! * **PODEM** combinational ATPG ([`atpg`]) to prove faults undetectable —
 //!   which defines the "detectable" universe that the 100 % rows measure.
 //!   (The paper: "only an ATPG system for combinational logic is required",
@@ -35,7 +37,8 @@
 //! ```
 //! use bibs_netlist::builder::NetlistBuilder;
 //! use bibs_faultsim::fault::FaultUniverse;
-//! use bibs_faultsim::sim::{BlockSim, FaultSimulator};
+//! use bibs_faultsim::par::ParFaultSimulator;
+//! use bibs_faultsim::sim::BlockSim;
 //!
 //! # fn main() -> Result<(), bibs_netlist::NetlistError> {
 //! let mut b = NetlistBuilder::new("add2");
@@ -46,10 +49,15 @@
 //! b.output("co", co);
 //! let nl = b.finish()?;
 //!
-//! let faults = FaultUniverse::collapsed(&nl);
-//! let mut sim = FaultSimulator::new(&nl, faults.faults().to_vec());
-//! let report = sim.run_exhaustive();
+//! let faults = FaultUniverse::collapsed(&nl).faults().to_vec();
+//! let report = ParFaultSimulator::new(&nl, faults.clone()).run_exhaustive();
 //! assert_eq!(report.undetected().len(), 0, "an adder has no redundancy");
+//!
+//! // Sharding the fault list across threads never changes the report:
+//! // each fault's detection depends only on the program, the patterns
+//! // and its own patch, and the one driver forms the same sweeps.
+//! let sharded = ParFaultSimulator::with_threads(&nl, faults, 4).run_exhaustive();
+//! assert_eq!(report.detection(), sharded.detection());
 //! # Ok(())
 //! # }
 //! ```
@@ -68,7 +76,7 @@ pub mod stats;
 pub use fault::{DominanceCollapse, Fault, FaultSite, FaultUniverse, StaticFaultAnalysis};
 pub use par::{default_jobs, ParFaultSimulator};
 pub use reference::ReferenceSimulator;
-pub use sim::{BlockSim, FaultSimReport, FaultSimulator, SimError};
+pub use sim::{BlockSim, FaultSimReport, SimError};
 pub use source::{
     ExhaustiveSource, LfsrSource, PatternBlock, PatternSource, RandomWords, SourceDescriptor,
     StoredSeedReplay, WeightedRandomSource,

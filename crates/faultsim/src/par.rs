@@ -1,49 +1,50 @@
-//! Multi-threaded sharded fault simulation.
+//! The compiled fault-simulation engine.
 //!
-//! [`ParFaultSimulator`] shards the *undetected* fault list across
-//! `std::thread::scope` workers. Each block is processed as:
+//! [`ParFaultSimulator`] runs every sweep of the shared [`BlockSim`]
+//! driver as:
 //!
-//! 1. **one** good-machine run of the compiled
-//!    [`EvalProgram`] into a buffer all
-//!    workers share read-only;
-//! 2. workers steal fixed-size chunks of the undetected list off an
-//!    `AtomicUsize` cursor, running the *same* program with each fault's
-//!    pre-compiled [`bibs_netlist::Patch`] into a worker-private
-//!    `faulty` buffer and recording `(position, first-diff-lane)` hits;
-//! 3. the main thread merges the hits and compacts the undetected list.
+//! 1. **one** good-machine run of the compiled [`EvalProgram`] over the
+//!    sweep's `N` 64-lane words (`N` = 1, 4 or 8, set by
+//!    [`ParFaultSimulator::with_lanes`]) into a buffer every shard reads;
+//! 2. the *undetected* fault list evaluated against it, each fault's
+//!    pre-compiled [`bibs_netlist::Patch`] applied to the same program in
+//!    a shard-private `faulty` buffer, recording
+//!    `(position, sub-block, pattern offset)` hits. At one thread (or a
+//!    short list) one shard runs inline on the calling thread; otherwise
+//!    `std::thread::scope` workers steal fixed-size chunks of the list off
+//!    an `AtomicUsize` cursor. Both run the same shard body;
+//! 3. the calling thread merges the hits, and the driver's commit drops
+//!    the detected faults from the list.
 //!
 //! # Determinism
 //!
-//! The parallel report is **bit-identical** to the serial
-//! [`crate::sim::FaultSimulator`]'s, for any thread count, because:
+//! The report is **bit-identical** for any thread count, because:
 //!
-//! * the pattern stream is formed by the shared [`BlockSim`] drivers, so
-//!   both engines draw the same RNG words and schedule the same blocks;
-//! * per-fault detection is a pure function of `(program, block, patch)`
-//!   — one immutable [`EvalProgram`] is shared
-//!   by every worker, so *which* worker evaluates a fault cannot change
-//!   the answer;
-//! * workers touch disjoint positions of the undetected list, so merging
+//! * the pattern stream is formed by the shared [`BlockSim`] driver, so
+//!   every run draws the same source words and schedules the same sweeps;
+//! * per-fault detection is a pure function of `(program, sweep, patch)`
+//!   — one immutable [`EvalProgram`] is shared by every shard, so *which*
+//!   shard evaluates a fault cannot change the answer;
+//! * shards touch disjoint positions of the undetected list, so merging
 //!   their hit lists is order-independent: fault *i*'s first-detection
-//!   index is `patterns_applied + trailing_zeros(diff)` regardless of
-//!   join order;
-//! * fault dropping is block-granular in both engines (a fault detected
-//!   in block *b* is still evaluated by nobody else in block *b* and by
-//!   no one in block *b+1*).
+//!   index is `patterns_applied + offset` regardless of join order;
+//! * fault dropping is sweep-granular (a fault detected in sweep *s* is
+//!   still evaluated by nobody else in sweep *s* and by no one after).
 //!
 //! Work stealing only redistributes *throughput* between shards (visible
 //! in [`SimStats::per_shard_fault_evals`]); it never changes the report.
 //! `tests/par_equivalence.rs` pins this across circuits, seeds and thread
-//! counts.
+//! counts, and `tests/lanes_equivalence.rs` across lane widths.
 
 use crate::eval;
 use crate::fault::Fault;
-use crate::sim::{BlockSim, FaultSimReport, FaultSimulator, SimError};
+use crate::sim::{BlockSim, FaultSimReport, SimError, SweepHits};
 use crate::source::PatternBlock;
 use crate::stats::SimStats;
 use bibs_netlist::opt::OptimizedProgram;
 use bibs_netlist::{EvalProgram, Netlist};
 use bibs_obs::{CounterId, Recorder, ShardCounters};
+use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
@@ -51,14 +52,13 @@ use std::time::Instant;
 /// skew, large enough to keep cursor contention negligible.
 const STEAL_CHUNK: usize = 32;
 
-/// Below this many undetected faults a block is simulated inline on the
+/// Below this many undetected faults a sweep is simulated inline on the
 /// calling thread — spawning would cost more than the work.
 const SERIAL_CUTOFF: usize = 48;
 
-/// One worker shard's outcome for a block: detection hits as
-/// `(undetected-list position, first diff lane)` plus the shard's private
-/// telemetry counters (fault/gate evals, queue pops, wall time).
-type ShardResult = (Vec<(usize, u64)>, ShardCounters);
+/// One detection: `(undetected-list position, sub-block, pattern offset
+/// within the sweep)`.
+type Hit = (usize, usize, u64);
 
 /// Resolves a `BIBS_JOBS`-style value to a worker-thread count: a positive
 /// integer wins, anything else (unset, empty, garbage, zero) falls back to
@@ -91,11 +91,24 @@ pub fn default_jobs() -> usize {
     default_jobs_from(std::env::var("BIBS_JOBS").ok().as_deref())
 }
 
-/// Multi-threaded drop-in replacement for [`FaultSimulator`].
+/// The compiled fault simulator bound to one (combinational) netlist and
+/// one fault list, at any thread count and lane width.
 ///
-/// Construct with [`ParFaultSimulator::new`] (thread count from
-/// [`default_jobs`]) or [`ParFaultSimulator::with_threads`], then drive it
-/// through the [`BlockSim`] trait exactly like the serial engine:
+/// Construction compiles the netlist once (or adopts a caller-supplied
+/// program via [`ParFaultSimulator::with_program`], or a validated
+/// optimizer rewrite via [`ParFaultSimulator::with_optimized`]) and
+/// pre-compiles every fault to its patch-point(s); each sweep is then one
+/// program run for the good machine plus one patched run per undetected
+/// fault. Detected faults are dropped from later sweeps; the per-fault
+/// first-detection pattern index is recorded so coverage-vs-pattern-count
+/// curves (the paper's Table 2 rows 5–8) can be reconstructed exactly.
+/// Reports are bit-identical to the seed interpreter's
+/// ([`crate::reference::ReferenceSimulator`]), pinned by
+/// `tests/compiled_equivalence.rs`.
+///
+/// [`ParFaultSimulator::new`] runs on the calling thread and never spawns;
+/// [`ParFaultSimulator::with_threads`] shards the fault list across
+/// workers. Drive either through the [`BlockSim`] trait:
 ///
 /// ```
 /// use bibs_netlist::builder::NetlistBuilder;
@@ -122,7 +135,7 @@ pub fn default_jobs() -> usize {
 #[derive(Debug)]
 pub struct ParFaultSimulator<'a> {
     netlist: &'a Netlist,
-    /// The compiled program, shared read-only by every worker.
+    /// The compiled program, shared read-only by every shard.
     program: EvalProgram,
     /// The pre-rewrite program when `program` is optimizer-rewritten;
     /// [`eval::FaultPatch::Fallback`] faults evaluate on it.
@@ -132,39 +145,43 @@ pub struct ParFaultSimulator<'a> {
     patches: Vec<eval::FaultPatch>,
     detection: Vec<Option<u64>>,
     /// Indices (into `faults`) of the faults still undetected — the work
-    /// list the workers shard. Compacted after every block.
+    /// list the shards split. Compacted by every commit.
     undetected: Vec<u32>,
-    good: Vec<u64>,
-    /// One faulty-machine buffer per worker, reused across blocks.
-    faulty_bufs: Vec<Vec<u64>>,
-    /// 64-lane words per sweep: 1 (scalar) or 4/8 (`with_lanes`).
+    /// 64-lane words per sweep: 1, 4 or 8 (`with_lanes`).
     lane_words: usize,
-    /// Stride-`lane_words` wide buffers; empty while scalar.
-    good_wide: Vec<u64>,
-    faulty_wide_bufs: Vec<Vec<u64>>,
+    /// The sweep's packed input words (`inputs[i * N + k]` = word `k` of
+    /// input `i`), reused across sweeps.
+    inputs: Vec<u64>,
+    /// The good machine's stride-`lane_words` values.
+    good: Vec<u64>,
+    /// One stride-`lane_words` faulty-machine buffer per worker, reused
+    /// across sweeps.
+    faulty_bufs: Vec<Vec<u64>>,
     patterns_applied: u64,
     threads: usize,
     rec: Recorder,
 }
 
 impl<'a> ParFaultSimulator<'a> {
-    /// Creates a parallel simulator with [`default_jobs`] worker threads.
+    /// Creates a one-thread simulator: every sweep runs inline on the
+    /// calling thread, nothing is spawned.
     ///
     /// # Panics
     ///
-    /// Panics if the netlist is sequential or combinationally cyclic, or
-    /// if the fault list exceeds `u32::MAX` entries.
+    /// Panics if the netlist is sequential (run on the combinational
+    /// equivalent — see the crate docs) or combinationally cyclic, or if
+    /// the fault list exceeds `u32::MAX` entries.
     pub fn new(netlist: &'a Netlist, faults: Vec<Fault>) -> Self {
-        Self::with_threads(netlist, faults, default_jobs())
+        Self::with_threads(netlist, faults, 1)
     }
 
-    /// Creates a parallel simulator with an explicit worker-thread count
-    /// (clamped to at least 1). `with_threads(nl, faults, 1)` behaves
-    /// exactly like the serial engine, inline on the calling thread.
+    /// Creates a simulator with an explicit worker-thread count (clamped
+    /// to at least 1); reports are identical for every count.
     ///
     /// The netlist is compiled to an [`EvalProgram`] here; the compile
-    /// time is recorded in [`SimStats::compile_wall`]. Use
-    /// [`ParFaultSimulator::with_program`] to reuse a compiled program.
+    /// time is recorded as a `"compile"` child span, surfaced through
+    /// [`SimStats::compile_wall`]. Use [`ParFaultSimulator::with_program`]
+    /// to reuse a compiled program.
     ///
     /// # Panics
     ///
@@ -176,9 +193,9 @@ impl<'a> ParFaultSimulator<'a> {
         Self::with_program_recorder(netlist, program, faults, threads, rec)
     }
 
-    /// Creates a parallel simulator around an already-compiled program
-    /// for the same netlist, so callers running many sessions on one
-    /// circuit pay the compile cost once.
+    /// Creates a simulator around an already-compiled program for the
+    /// same netlist, so callers running many sessions on one circuit pay
+    /// the compile cost once.
     ///
     /// # Panics
     ///
@@ -228,8 +245,7 @@ impl<'a> ParFaultSimulator<'a> {
         let threads = threads.max(1);
         let patches = eval::compile_fault_patches(&program, None, &faults);
         let n = faults.len();
-        let good = program.new_values();
-        let faulty_bufs = (0..threads).map(|_| program.new_values()).collect();
+        let good = program.new_values::<1>();
         ParFaultSimulator {
             netlist,
             program,
@@ -238,22 +254,22 @@ impl<'a> ParFaultSimulator<'a> {
             patches,
             detection: vec![None; n],
             undetected: (0..n as u32).collect(),
-            good,
-            faulty_bufs,
             lane_words: 1,
-            good_wide: Vec::new(),
-            faulty_wide_bufs: Vec::new(),
+            inputs: Vec::new(),
+            faulty_bufs: vec![good.clone(); threads],
+            good,
             patterns_applied: 0,
             threads,
             rec,
         }
     }
 
-    /// Reconfigures the engine for wide sweeps — the parallel twin of
-    /// [`FaultSimulator::with_lanes`]: `lanes` is 64 (scalar default),
-    /// 256, or 512. Reports stay bit-identical across lane widths *and*
-    /// thread counts (`tests/lanes_equivalence.rs`). Widening records the
-    /// `lanes` telemetry counter; 64 leaves the scalar path untouched.
+    /// Reconfigures the sweep width: `lanes` is 64 (the default), 256, or
+    /// 512 — 1, 4, or 8 words of 64 patterns per good-machine evaluation,
+    /// with every live fault batched against each (PPSFP). Reports stay
+    /// bit-identical across lane widths *and* thread counts (pinned by
+    /// `tests/lanes_equivalence.rs`). Widening records the `lanes`
+    /// telemetry counter; 64 leaves the telemetry untouched.
     ///
     /// # Panics
     ///
@@ -265,26 +281,30 @@ impl<'a> ParFaultSimulator<'a> {
             "supported lane widths: 64, 256, 512"
         );
         self.lane_words = lanes / 64;
-        if self.lane_words > 1 {
+        if lanes > 64 {
             let root = self.rec.root();
             self.rec.add_to(root, CounterId::Lanes, lanes as u64);
-            self.good_wide = match self.lane_words {
-                4 => self.program.new_values_wide::<4>(),
-                _ => self.program.new_values_wide::<8>(),
-            };
-            self.faulty_wide_bufs = (0..self.threads).map(|_| self.good_wide.clone()).collect();
-        } else {
-            self.good_wide = Vec::new();
-            self.faulty_wide_bufs = Vec::new();
         }
+        self.good = match self.lane_words {
+            1 => self.program.new_values::<1>(),
+            4 => self.program.new_values::<4>(),
+            _ => self.program.new_values::<8>(),
+        };
+        self.faulty_bufs = vec![self.good.clone(); self.threads];
         self
     }
 
-    /// Creates a parallel simulator whose good machine runs the
-    /// **optimized** program of a validated [`OptimizedProgram`]; the
-    /// serial counterpart is [`FaultSimulator::with_optimized`] and the
-    /// report stays bit-identical to it (and to the unoptimized engines)
-    /// for any thread count.
+    /// Creates a simulator whose good machine runs the **optimized**
+    /// program of a validated [`OptimizedProgram`], while the fault list
+    /// stays defined on the original netlist.
+    ///
+    /// Each fault's patch is compiled against the original program, then
+    /// remapped through the rewrite
+    /// ([`OptimizedProgram::remap_patch`]); faults the rewrite cannot
+    /// express faithfully fall back to evaluating the original program
+    /// (sound because the two are equivalence-proven). Reports are
+    /// **bit-identical** to the unoptimized engine's for any thread count
+    /// — pinned by `tests/opt_equivalence.rs`.
     ///
     /// # Panics
     ///
@@ -295,17 +315,15 @@ impl<'a> ParFaultSimulator<'a> {
         faults: Vec<Fault>,
         threads: usize,
     ) -> Self {
-        Self::with_optimized_recorder(
-            netlist,
-            opt,
-            faults,
-            threads,
-            Recorder::new("fault-sim[par]"),
-        )
+        let mut sim = Self::with_program(netlist, opt.optimized().clone(), faults, threads);
+        sim.patches = eval::compile_fault_patches(opt.original(), Some(opt), &sim.faults);
+        sim.fallback = Some(opt.original().clone());
+        eval::validate_fault_patches(&sim.patches, sim.fallback.is_some())
+            .expect("optimized constructors retain the original program");
+        sim
     }
 
-    /// Fallible [`ParFaultSimulator::with_optimized`] — the parallel twin
-    /// of [`FaultSimulator::try_with_optimized`]: validates that every
+    /// Fallible [`ParFaultSimulator::with_optimized`]: validates that every
     /// unmapped (`Fallback`) fault has the original program to evaluate
     /// on, surfacing a violation as a typed [`SimError`] instead of a
     /// mid-run abort.
@@ -313,7 +331,9 @@ impl<'a> ParFaultSimulator<'a> {
     /// # Errors
     ///
     /// Returns [`SimError::MissingFallback`] if an unmapped fault has no
-    /// fallback program.
+    /// fallback program — unreachable through this constructor today (it
+    /// always retains the original program) but kept as the single
+    /// validation point should fallback retention ever become optional.
     pub fn try_with_optimized(
         netlist: &'a Netlist,
         opt: &OptimizedProgram,
@@ -325,299 +345,163 @@ impl<'a> ParFaultSimulator<'a> {
         Ok(sim)
     }
 
-    /// [`ParFaultSimulator::with_optimized`] with a caller-supplied
-    /// telemetry recorder.
-    pub fn with_optimized_recorder(
-        netlist: &'a Netlist,
-        opt: &OptimizedProgram,
-        faults: Vec<Fault>,
-        threads: usize,
-        rec: Recorder,
-    ) -> Self {
-        let mut sim =
-            Self::with_program_recorder(netlist, opt.optimized().clone(), faults, threads, rec);
-        sim.patches = eval::compile_fault_patches(opt.original(), Some(opt), &sim.faults);
-        sim.fallback = Some(opt.original().clone());
-        eval::validate_fault_patches(&sim.patches, sim.fallback.is_some())
-            .expect("optimized constructors retain the original program");
-        sim
-    }
-
     /// The configured worker-thread count.
     pub fn threads(&self) -> usize {
         self.threads
     }
 
-    /// The compiled program shared by the workers.
+    /// The compiled program shared by the shards.
     pub fn program(&self) -> &EvalProgram {
         &self.program
     }
 
     /// The engine's telemetry span tree (root `"fault-sim[par]"`):
-    /// per-block counters on the root, the compile cost as a `"compile"`
+    /// per-sweep counters on the root, the compile cost as a `"compile"`
     /// child, one detail child per worker shard. Graft it into a
     /// pipeline-level recorder with [`Recorder::graft`].
     pub fn recorder(&self) -> &Recorder {
         &self.rec
     }
 
-    /// The monomorphized wide sweep: one wide good-machine evaluation,
-    /// then the undetected list sharded across workers exactly like the
-    /// scalar [`BlockSim::apply_block`], each hit carrying its pattern
-    /// *offset* (`sub-block prefix + lane`) within the sweep. Detections
-    /// merge deterministically; the undetected list is compacted later by
-    /// the commit (the driver may still erase boundary-crossing hits).
-    fn apply_wide<const N: usize>(&mut self, blocks: &[PatternBlock], applied: &[usize]) -> usize {
-        let width = self.netlist.input_width();
+    /// The monomorphized sweep: pack the input words and per-sub-block
+    /// valid-lane masks, evaluate the good machine once, then shard the
+    /// undetected list, each hit carrying its pattern *offset*
+    /// (`sub-block prefix + lane`) within the sweep.
+    fn sweep_n<const N: usize>(&mut self, blocks: &[PatternBlock], applied: &[usize]) -> SweepHits {
+        debug_assert!(blocks.len() <= N && blocks.len() == applied.len());
         let started = Instant::now();
-        let (chunks, masks, prefix) = crate::sim::pack_wide::<N>(blocks, applied, width);
-
-        let good_gate_evals = self
-            .program
-            .eval_good_wide::<N>(&mut self.good_wide, &chunks);
-
-        let program = &self.program;
-        let fallback = self.fallback.as_ref();
-        let patches = &self.patches;
-        let undetected = &self.undetected;
-        let good = &self.good_wide;
-        let output_slots = program.output_slots();
-        let chunks = &chunks;
-        let masks = &masks;
-
-        let shard_results: Vec<ShardResult> = if self.threads <= 1
-            || undetected.len() <= SERIAL_CUTOFF
-        {
-            let buf = &mut self.faulty_wide_bufs[0];
-            let mut hits = Vec::new();
-            let mut shard = ShardCounters::new();
-            let shard_started = Instant::now();
-            for (pos, &fi) in undetected.iter().enumerate() {
-                let fp = &patches[fi as usize];
-                let gate_evals = eval::eval_fault_wide::<N>(program, fallback, buf, chunks, fp);
-                shard.add(CounterId::GateEvals, gate_evals);
-                shard.add(CounterId::FaultEvals, 1);
-                shard.add(CounterId::PatchesApplied, fp.patch_count());
-                if let Some((k, diff)) = eval::output_diff_wide::<N>(output_slots, good, buf, masks)
-                {
-                    hits.push((pos, prefix[k] + diff.trailing_zeros() as u64));
-                }
+        let width = self.netlist.input_width();
+        let mut masks = [0u64; N];
+        let mut prefix = [0u64; N];
+        self.inputs.clear();
+        self.inputs.resize(width * N, 0);
+        for (k, (b, &lanes)) in blocks.iter().zip(applied).enumerate() {
+            for (i, &w) in b.words.iter().enumerate() {
+                self.inputs[i * N + k] = w;
             }
-            shard.wall = shard_started.elapsed();
-            vec![(hits, shard)]
-        } else {
-            let cursor = AtomicUsize::new(0);
-            let cursor = &cursor;
-            std::thread::scope(|s| {
-                let handles: Vec<_> = self
-                    .faulty_wide_bufs
-                    .iter_mut()
-                    .map(|buf| {
-                        s.spawn(move || {
-                            let mut hits: Vec<(usize, u64)> = Vec::new();
-                            let mut shard = ShardCounters::new();
-                            let shard_started = Instant::now();
-                            loop {
-                                let start = cursor.fetch_add(STEAL_CHUNK, Ordering::Relaxed);
-                                if start >= undetected.len() {
-                                    break;
-                                }
-                                shard.add(CounterId::QueuePops, 1);
-                                let end = (start + STEAL_CHUNK).min(undetected.len());
-                                for pos in start..end {
-                                    let fp = &patches[undetected[pos] as usize];
-                                    let gate_evals = eval::eval_fault_wide::<N>(
-                                        program, fallback, buf, chunks, fp,
-                                    );
-                                    shard.add(CounterId::GateEvals, gate_evals);
-                                    shard.add(CounterId::FaultEvals, 1);
-                                    shard.add(CounterId::PatchesApplied, fp.patch_count());
-                                    if let Some((k, diff)) =
-                                        eval::output_diff_wide::<N>(output_slots, good, buf, masks)
-                                    {
-                                        hits.push((pos, prefix[k] + diff.trailing_zeros() as u64));
-                                    }
-                                }
-                            }
-                            shard.wall = shard_started.elapsed();
-                            (hits, shard)
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("fault-sim worker panicked"))
-                    .collect()
-            })
-        };
+            masks[k] = if lanes == 64 { !0 } else { (1u64 << lanes) - 1 };
+            if k + 1 < N {
+                prefix[k + 1] = prefix[k] + lanes as u64;
+            }
+        }
+        let good_gate_evals = self.program.eval_good::<N>(&mut self.good, &self.inputs);
 
+        let shard = Shard {
+            program: &self.program,
+            fallback: self.fallback.as_ref(),
+            patches: &self.patches,
+            undetected: &self.undetected,
+            good: &self.good,
+            inputs: &self.inputs,
+            masks,
+            prefix,
+        };
+        let live = self.undetected.len();
+        // Per-shard hits plus the shard's private telemetry counters.
+        // Shards never touch the recorder — each fills its own
+        // ShardCounters (plain u64 adds), merged below once per sweep.
+        let shard_results: Vec<(Vec<Hit>, ShardCounters)> =
+            if self.threads <= 1 || live <= SERIAL_CUTOFF {
+                let mut all = Some(0..live);
+                vec![shard.run(&mut self.faulty_bufs[0], |_| all.take())]
+            } else {
+                let cursor = AtomicUsize::new(0);
+                let steal = |counters: &mut ShardCounters| {
+                    let start = cursor.fetch_add(STEAL_CHUNK, Ordering::Relaxed);
+                    (start < live).then(|| {
+                        counters.add(CounterId::QueuePops, 1);
+                        start..(start + STEAL_CHUNK).min(live)
+                    })
+                };
+                let (shard, steal) = (&shard, &steal);
+                std::thread::scope(|s| {
+                    let handles: Vec<_> = self
+                        .faulty_bufs
+                        .iter_mut()
+                        .map(|buf| s.spawn(move || shard.run(buf, steal)))
+                        .collect();
+                    handles
+                        .into_iter()
+                        .map(|h| h.join().expect("fault-sim worker panicked"))
+                        .collect()
+                })
+            };
+
+        // Deterministic merge: shards own disjoint positions, and each
+        // hit's detection index depends only on (fault, sweep). Shard
+        // counters merge into the root span plus one detail child per
+        // shard index — the root totals are thread-count-independent.
         let root = self.rec.root();
-        let mut newly = 0usize;
-        for (shard_idx, (hits, shard)) in shard_results.into_iter().enumerate() {
-            self.rec.attach_shard(root, shard_idx as u32, &shard);
-            for (pos, offset) in hits {
+        let mut hits_per_block: SweepHits = Default::default();
+        for (shard_idx, (hits, counters)) in shard_results.into_iter().enumerate() {
+            self.rec.attach_shard(root, shard_idx as u32, &counters);
+            for (pos, k, offset) in hits {
                 let fi = self.undetected[pos] as usize;
                 debug_assert!(self.detection[fi].is_none());
                 self.detection[fi] = Some(self.patterns_applied + offset);
-                newly += 1;
+                hits_per_block[k] += 1;
             }
         }
         self.rec.add_to(root, CounterId::GateEvals, good_gate_evals);
         self.rec.add_to(root, CounterId::GoodEvals, 1);
-        self.rec.add_to(
-            root,
-            CounterId::Blocks,
-            applied.iter().filter(|&&l| l > 0).count() as u64,
-        );
+        self.rec
+            .add_to(root, CounterId::Blocks, blocks.len() as u64);
         self.rec.add_wall(root, started.elapsed());
-        newly
+        hits_per_block
     }
+}
 
-    /// Shared commit logic: erase boundary-crossing detections, count the
-    /// surviving drops, compact the undetected work list, and advance the
-    /// pattern counter.
-    fn commit_wide(&mut self, boundary: u64) {
-        let base = self.patterns_applied;
-        debug_assert!(boundary >= base);
-        let mut dropped = 0u64;
-        for d in &mut self.detection {
-            match *d {
-                Some(p) if p >= boundary => *d = None,
-                Some(p) if p >= base => dropped += 1,
-                _ => {}
+/// What every shard of one sweep reads: the program, the patches, the
+/// undetected list and the good machine's values.
+struct Shard<'s, const N: usize> {
+    program: &'s EvalProgram,
+    fallback: Option<&'s EvalProgram>,
+    patches: &'s [eval::FaultPatch],
+    undetected: &'s [u32],
+    good: &'s [u64],
+    inputs: &'s [u64],
+    /// Valid-lane mask per sub-block.
+    masks: [u64; N],
+    /// Pattern offset of each sub-block within the sweep.
+    prefix: [u64; N],
+}
+
+impl<const N: usize> Shard<'_, N> {
+    /// The shard body: evaluates, in `buf`, the faults at every range of
+    /// undetected-list positions `next` hands out (until it returns
+    /// `None`), and returns a hit per detected fault plus the shard's
+    /// counters.
+    fn run(
+        &self,
+        buf: &mut [u64],
+        mut next: impl FnMut(&mut ShardCounters) -> Option<Range<usize>>,
+    ) -> (Vec<Hit>, ShardCounters) {
+        let started = Instant::now();
+        let mut hits = Vec::new();
+        let mut counters = ShardCounters::new();
+        while let Some(positions) = next(&mut counters) {
+            for pos in positions {
+                let fp = &self.patches[self.undetected[pos] as usize];
+                let gate_evals =
+                    eval::eval_fault::<N>(self.program, self.fallback, buf, self.inputs, fp);
+                counters.add(CounterId::GateEvals, gate_evals);
+                counters.add(CounterId::FaultEvals, 1);
+                counters.add(CounterId::PatchesApplied, fp.patch_count());
+                if let Some((k, diff)) =
+                    eval::output_diff::<N>(self.program.output_slots(), self.good, buf, &self.masks)
+                {
+                    hits.push((pos, k, self.prefix[k] + diff.trailing_zeros() as u64));
+                }
             }
         }
-        let detection = &self.detection;
-        self.undetected
-            .retain(|&fi| detection[fi as usize].is_none());
-        self.patterns_applied = boundary;
-        let root = self.rec.root();
-        self.rec
-            .add_to(root, CounterId::PatternsConsumed, boundary - base);
-        self.rec.add_to(root, CounterId::FaultsDropped, dropped);
+        counters.wall = started.elapsed();
+        (hits, counters)
     }
 }
 
 impl BlockSim for ParFaultSimulator<'_> {
     fn netlist(&self) -> &Netlist {
         self.netlist
-    }
-
-    fn apply_block(&mut self, input_words: &[u64], lanes: usize) -> usize {
-        assert!((1..=64).contains(&lanes), "1..=64 lanes per block");
-        assert_eq!(input_words.len(), self.netlist.input_width());
-        let lane_mask: u64 = if lanes == 64 { !0 } else { (1u64 << lanes) - 1 };
-        let started = Instant::now();
-
-        // Good machine once, shared read-only by every worker.
-        let good_gate_evals = self.program.eval_good(&mut self.good, input_words);
-
-        let program = &self.program;
-        let fallback = self.fallback.as_ref();
-        let patches = &self.patches;
-        let undetected = &self.undetected;
-        let good = &self.good;
-        let output_slots = program.output_slots();
-
-        // Per-shard results: detection hits plus the shard's private
-        // telemetry counters. Workers never touch the recorder — each
-        // fills its own ShardCounters (plain u64 adds), and the owning
-        // thread merges them lock-free after the scope joins.
-        let shard_results: Vec<ShardResult> = if self.threads <= 1
-            || undetected.len() <= SERIAL_CUTOFF
-        {
-            // Inline path on shard 0 — same program, no spawning.
-            let buf = &mut self.faulty_bufs[0];
-            let mut hits = Vec::new();
-            let mut shard = ShardCounters::new();
-            let shard_started = Instant::now();
-            for (pos, &fi) in undetected.iter().enumerate() {
-                let fp = &patches[fi as usize];
-                let gate_evals = eval::eval_fault(program, fallback, buf, input_words, fp);
-                shard.add(CounterId::GateEvals, gate_evals);
-                shard.add(CounterId::FaultEvals, 1);
-                shard.add(CounterId::PatchesApplied, fp.patch_count());
-                let diff = eval::output_diff(output_slots, good, buf, lane_mask);
-                if diff != 0 {
-                    hits.push((pos, diff.trailing_zeros() as u64));
-                }
-            }
-            shard.wall = shard_started.elapsed();
-            vec![(hits, shard)]
-        } else {
-            let cursor = AtomicUsize::new(0);
-            let cursor = &cursor;
-            std::thread::scope(|s| {
-                let handles: Vec<_> = self
-                    .faulty_bufs
-                    .iter_mut()
-                    .map(|buf| {
-                        s.spawn(move || {
-                            let mut hits: Vec<(usize, u64)> = Vec::new();
-                            let mut shard = ShardCounters::new();
-                            let shard_started = Instant::now();
-                            loop {
-                                let start = cursor.fetch_add(STEAL_CHUNK, Ordering::Relaxed);
-                                if start >= undetected.len() {
-                                    break;
-                                }
-                                shard.add(CounterId::QueuePops, 1);
-                                let end = (start + STEAL_CHUNK).min(undetected.len());
-                                for pos in start..end {
-                                    let fp = &patches[undetected[pos] as usize];
-                                    let gate_evals =
-                                        eval::eval_fault(program, fallback, buf, input_words, fp);
-                                    shard.add(CounterId::GateEvals, gate_evals);
-                                    shard.add(CounterId::FaultEvals, 1);
-                                    shard.add(CounterId::PatchesApplied, fp.patch_count());
-                                    let diff =
-                                        eval::output_diff(output_slots, good, buf, lane_mask);
-                                    if diff != 0 {
-                                        hits.push((pos, diff.trailing_zeros() as u64));
-                                    }
-                                }
-                            }
-                            shard.wall = shard_started.elapsed();
-                            (hits, shard)
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("fault-sim worker panicked"))
-                    .collect()
-            })
-        };
-
-        // Deterministic merge: workers own disjoint positions, and each
-        // hit's detection index depends only on (fault, block). Shard
-        // counters merge into the root span plus one detail child per
-        // shard index — the root totals are thread-count-independent.
-        let root = self.rec.root();
-        let mut newly = 0usize;
-        for (shard_idx, (hits, shard)) in shard_results.into_iter().enumerate() {
-            self.rec.attach_shard(root, shard_idx as u32, &shard);
-            for (pos, lane) in hits {
-                let fi = self.undetected[pos] as usize;
-                debug_assert!(self.detection[fi].is_none());
-                self.detection[fi] = Some(self.patterns_applied + lane);
-                newly += 1;
-            }
-        }
-        let detection = &self.detection;
-        self.undetected
-            .retain(|&fi| detection[fi as usize].is_none());
-
-        self.patterns_applied += lanes as u64;
-        self.rec.add_to(root, CounterId::GateEvals, good_gate_evals);
-        self.rec.add_to(root, CounterId::GoodEvals, 1);
-        self.rec.add_to(root, CounterId::Blocks, 1);
-        self.rec
-            .add_to(root, CounterId::PatternsConsumed, lanes as u64);
-        self.rec
-            .add_to(root, CounterId::FaultsDropped, newly as u64);
-        self.rec.add_wall(root, started.elapsed());
-        newly
     }
 
     fn detection(&self) -> &[Option<u64>] {
@@ -641,34 +525,57 @@ impl BlockSim for ParFaultSimulator<'_> {
         self.lane_words
     }
 
-    fn apply_wide_block(&mut self, blocks: &[PatternBlock], applied: &[usize]) -> usize {
+    fn sweep(&mut self, blocks: &[PatternBlock], applied: &[usize]) -> SweepHits {
         match self.lane_words {
-            4 => self.apply_wide::<4>(blocks, applied),
-            8 => self.apply_wide::<8>(blocks, applied),
-            _ => unreachable!("wide sweeps require with_lanes(256|512)"),
+            1 => self.sweep_n::<1>(blocks, applied),
+            4 => self.sweep_n::<4>(blocks, applied),
+            _ => self.sweep_n::<8>(blocks, applied),
         }
     }
 
-    fn commit_wide_block(&mut self, boundary: u64) {
-        self.commit_wide(boundary);
+    /// Drops the faults the sweep detected before `boundary` from the
+    /// undetected list and erases the rest of its detections. Only the
+    /// list is scanned: every fault the sweep detected is still on it.
+    fn commit(&mut self, boundary: u64) {
+        let base = self.patterns_applied;
+        debug_assert!(boundary >= base);
+        let live = self.undetected.len();
+        let detection = &mut self.detection;
+        self.undetected.retain(|&fi| {
+            let d = &mut detection[fi as usize];
+            match *d {
+                Some(p) if p >= boundary => {
+                    *d = None;
+                    true
+                }
+                Some(_) => false,
+                None => true,
+            }
+        });
+        self.patterns_applied = boundary;
+        let root = self.rec.root();
+        self.rec
+            .add_to(root, CounterId::PatternsConsumed, boundary - base);
+        self.rec.add_to(
+            root,
+            CounterId::FaultsDropped,
+            (live - self.undetected.len()) as u64,
+        );
     }
 }
 
-/// Convenience: serial and parallel runs of the same
+/// Convenience: one-thread and `threads`-thread runs of the same
 /// [`PatternSource`](crate::source::PatternSource) stream, asserting (in
 /// debug builds) that they agree — detection indices, pattern counts, and
 /// the two sources'
 /// [`state_digest`](crate::source::PatternSource::state_digest)s.
-/// Returns the parallel report.
+/// Returns the `threads`-thread report.
 ///
 /// A source is stateful and consumed by its driver, so the caller
 /// supplies a *factory* that builds identically-configured instances;
-/// each engine drains its own copy and the digests prove the copies
-/// emitted the same stream. Used by `tests/source_equivalence.rs` and
-/// the corpus differential oracles, so fuzzing exercises every source
-/// through both engines.
-///
-/// [`state_digest`]: crate::source::PatternSource::state_digest
+/// each run drains its own copy and the digests prove the copies emitted
+/// the same stream. The corpus source oracle makes the same comparison
+/// with explicit checks, so it also holds in release builds.
 pub fn run_source_checked<S: crate::source::PatternSource>(
     netlist: &Netlist,
     faults: &[Fault],
@@ -677,22 +584,22 @@ pub fn run_source_checked<S: crate::source::PatternSource>(
     threads: usize,
 ) -> FaultSimReport {
     let mut source_a = make_source();
-    let serial =
-        FaultSimulator::new(netlist, faults.to_vec()).run_source(&mut source_a, max_patterns);
+    let inline =
+        ParFaultSimulator::new(netlist, faults.to_vec()).run_source(&mut source_a, max_patterns);
     let mut source_b = make_source();
-    let par = ParFaultSimulator::with_threads(netlist, faults.to_vec(), threads)
+    let sharded = ParFaultSimulator::with_threads(netlist, faults.to_vec(), threads)
         .run_source(&mut source_b, max_patterns);
-    debug_assert_eq!(serial.detection(), par.detection());
-    debug_assert_eq!(serial.patterns_applied(), par.patterns_applied());
+    debug_assert_eq!(inline.detection(), sharded.detection());
+    debug_assert_eq!(inline.patterns_applied(), sharded.patterns_applied());
     debug_assert_eq!(source_a.state_digest(), source_b.state_digest());
-    par
+    sharded
 }
 
 /// [`run_source_checked`] over the legacy random stream: draws one seed
 /// from `seed_stream` and cross-checks a seeded
-/// [`RandomWords`](crate::source::RandomWords) source through both
-/// engines (the words drawn are bit-identical to the pre-source
-/// `run_random` drivers'). Returns the parallel report.
+/// [`RandomWords`](crate::source::RandomWords) source at one and
+/// `threads` threads (the words drawn are bit-identical to the
+/// pre-source `run_random` drivers'). Returns the `threads`-thread report.
 pub fn run_random_checked(
     netlist: &Netlist,
     faults: &[Fault],
@@ -700,7 +607,7 @@ pub fn run_random_checked(
     max_patterns: u64,
     threads: usize,
 ) -> FaultSimReport {
-    // Both engines must see identical RNG words; a generic Rng cannot be
+    // Both runs must see identical RNG words; a generic Rng cannot be
     // cloned, so draw a seed and derive two identical child sources.
     let seed: u64 = seed_stream.gen();
     run_source_checked(
@@ -731,28 +638,28 @@ mod tests {
     }
 
     #[test]
-    fn parallel_matches_serial_exhaustive() {
+    fn thread_counts_agree_exhaustively() {
         let nl = adder4();
         let faults = FaultUniverse::collapsed(&nl).faults().to_vec();
-        let serial = FaultSimulator::new(&nl, faults.clone()).run_exhaustive();
-        for threads in [1, 2, 4] {
-            let par =
+        let inline = ParFaultSimulator::new(&nl, faults.clone()).run_exhaustive();
+        for threads in [2, 4, 8] {
+            let sharded =
                 ParFaultSimulator::with_threads(&nl, faults.clone(), threads).run_exhaustive();
-            assert_eq!(serial.detection(), par.detection());
-            assert_eq!(serial.patterns_applied(), par.patterns_applied());
+            assert_eq!(inline.detection(), sharded.detection());
+            assert_eq!(inline.patterns_applied(), sharded.patterns_applied());
         }
     }
 
     #[test]
-    fn parallel_matches_serial_random_stream() {
+    fn thread_counts_agree_on_a_random_stream() {
         let nl = adder4();
         let faults = FaultUniverse::collapsed(&nl).faults().to_vec();
         let mut rng = StdRng::seed_from_u64(7);
-        let serial = FaultSimulator::new(&nl, faults.clone()).run_random(&mut rng, 10_000);
+        let inline = ParFaultSimulator::new(&nl, faults.clone()).run_random(&mut rng, 10_000);
         let mut rng = StdRng::seed_from_u64(7);
-        let par = ParFaultSimulator::with_threads(&nl, faults, 3).run_random(&mut rng, 10_000);
-        assert_eq!(serial.detection(), par.detection());
-        assert_eq!(serial.patterns_applied(), par.patterns_applied());
+        let sharded = ParFaultSimulator::with_threads(&nl, faults, 3).run_random(&mut rng, 10_000);
+        assert_eq!(inline.detection(), sharded.detection());
+        assert_eq!(inline.patterns_applied(), sharded.patterns_applied());
     }
 
     #[test]
@@ -801,10 +708,7 @@ mod tests {
             "rewrite should be non-trivial"
         );
 
-        let base = FaultSimulator::new(&nl, faults.clone()).run_exhaustive();
-        let serial = FaultSimulator::with_optimized(&nl, &opt, faults.clone()).run_exhaustive();
-        assert_eq!(base.detection(), serial.detection());
-        assert_eq!(base.patterns_applied(), serial.patterns_applied());
+        let base = ParFaultSimulator::new(&nl, faults.clone()).run_exhaustive();
         for threads in [1, 3] {
             let par = ParFaultSimulator::with_optimized(&nl, &opt, faults.clone(), threads)
                 .run_exhaustive();

@@ -12,7 +12,8 @@
 //! * **oracle**: `tests/compiled_equivalence.rs` asserts the compiled
 //!   engine's [`FaultSimReport`]s are bit-identical to
 //!   [`ReferenceSimulator`]'s across paper kernels, random DAGs, seeds and
-//!   thread counts;
+//!   thread counts, and `tests/lanes_equivalence.rs` drives it one block
+//!   at a time as the independent check of the driver's stop decisions;
 //! * **benchmark baseline**: the criterion benches measure the compiled
 //!   speedup against this implementation;
 //! * **independent re-check**: the `table2` bin's `--engine reference`
@@ -21,9 +22,10 @@
 //! Nothing here should be "improved" — its value is being the unchanged
 //! seed semantics.
 
-use crate::eval::output_diff_nets;
+use crate::eval::output_diff;
 use crate::fault::{Fault, FaultSite};
-use crate::sim::{BlockSim, FaultSimReport};
+use crate::sim::{BlockSim, FaultSimReport, SweepHits};
+use crate::source::PatternBlock;
 use crate::stats::SimStats;
 use bibs_netlist::{GateId, NetDriver, Netlist};
 use bibs_obs::{CounterId, Recorder, ShardCounters};
@@ -107,13 +109,13 @@ pub fn eval_faulty(
     }
 }
 
-/// The serial fault simulator running on the seed interpreter.
+/// The one-thread fault simulator running on the seed interpreter.
 ///
 /// Drop-in [`BlockSim`] peer of the compiled
-/// [`FaultSimulator`](crate::sim::FaultSimulator): same pattern-stream
-/// drivers, same detection rule (`patterns_applied + trailing_zeros(diff)`),
-/// different evaluation machinery. Reports from the two must be
-/// bit-identical on any netlist.
+/// [`ParFaultSimulator`](crate::par::ParFaultSimulator): same
+/// pattern-stream driver (one 64-lane block per sweep), same detection
+/// rule (`patterns_applied + trailing_zeros(diff)`), different evaluation
+/// machinery. Reports from the two must be bit-identical on any netlist.
 #[derive(Debug)]
 pub struct ReferenceSimulator<'a> {
     netlist: &'a Netlist,
@@ -167,10 +169,22 @@ impl BlockSim for ReferenceSimulator<'_> {
         self.netlist
     }
 
-    fn apply_block(&mut self, input_words: &[u64], lanes: usize) -> usize {
-        assert!((1..=64).contains(&lanes), "1..=64 lanes per block");
+    fn lane_words(&self) -> usize {
+        1
+    }
+
+    fn sweep(&mut self, blocks: &[PatternBlock], applied: &[usize]) -> SweepHits {
+        let ([block], [lanes]) = (blocks, applied) else {
+            panic!("the reference interpreter sweeps one block at a time");
+        };
+        assert!((1..=64).contains(lanes), "1..=64 lanes per block");
+        let input_words = &block.words;
         assert_eq!(input_words.len(), self.netlist.input_width());
-        let lane_mask: u64 = if lanes == 64 { !0 } else { (1u64 << lanes) - 1 };
+        let lane_mask: u64 = if *lanes == 64 {
+            !0
+        } else {
+            (1u64 << lanes) - 1
+        };
         let started = Instant::now();
         let mut scratch: Vec<u64> = Vec::with_capacity(8);
 
@@ -183,8 +197,13 @@ impl BlockSim for ReferenceSimulator<'_> {
         );
         let good_gate_evals = self.netlist.gate_count() as u64;
 
-        let outputs: Vec<usize> = self.netlist.outputs().iter().map(|o| o.index()).collect();
-        let mut newly = 0usize;
+        let outputs: Vec<u32> = self
+            .netlist
+            .outputs()
+            .iter()
+            .map(|o| o.index() as u32)
+            .collect();
+        let mut hits: SweepHits = Default::default();
         let mut shard = ShardCounters::new();
         let shard_started = Instant::now();
         for fi in 0..self.faults.len() {
@@ -201,26 +220,38 @@ impl BlockSim for ReferenceSimulator<'_> {
             );
             shard.add(CounterId::GateEvals, self.netlist.gate_count() as u64);
             shard.add(CounterId::FaultEvals, 1);
-            let diff = output_diff_nets(&outputs, &self.good, &self.faulty, lane_mask);
-            if diff != 0 {
-                let lane = diff.trailing_zeros() as u64;
-                self.detection[fi] = Some(self.patterns_applied + lane);
-                newly += 1;
+            if let Some((_, diff)) =
+                output_diff::<1>(&outputs, &self.good, &self.faulty, &[lane_mask])
+            {
+                self.detection[fi] = Some(self.patterns_applied + diff.trailing_zeros() as u64);
+                hits[0] += 1;
             }
         }
         shard.wall = shard_started.elapsed();
-        self.patterns_applied += lanes as u64;
         let root = self.rec.root();
         self.rec.attach_shard(root, 0, &shard);
         self.rec.add_to(root, CounterId::GateEvals, good_gate_evals);
         self.rec.add_to(root, CounterId::GoodEvals, 1);
         self.rec.add_to(root, CounterId::Blocks, 1);
-        self.rec
-            .add_to(root, CounterId::PatternsConsumed, lanes as u64);
-        self.rec
-            .add_to(root, CounterId::FaultsDropped, newly as u64);
         self.rec.add_wall(root, started.elapsed());
-        newly
+        hits
+    }
+
+    fn commit(&mut self, boundary: u64) {
+        let base = self.patterns_applied;
+        let mut dropped = 0u64;
+        for d in &mut self.detection {
+            match *d {
+                Some(p) if p >= boundary => *d = None,
+                Some(p) if p >= base => dropped += 1,
+                _ => {}
+            }
+        }
+        self.patterns_applied = boundary;
+        let root = self.rec.root();
+        self.rec
+            .add_to(root, CounterId::PatternsConsumed, boundary - base);
+        self.rec.add_to(root, CounterId::FaultsDropped, dropped);
     }
 
     fn detection(&self) -> &[Option<u64>] {
@@ -245,7 +276,7 @@ impl BlockSim for ReferenceSimulator<'_> {
 mod tests {
     use super::*;
     use crate::fault::FaultUniverse;
-    use crate::sim::FaultSimulator;
+    use crate::par::ParFaultSimulator;
     use bibs_netlist::builder::NetlistBuilder;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -276,7 +307,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(17);
         let reference = ReferenceSimulator::new(&nl, faults.clone()).run_random(&mut rng, 10_000);
         let mut rng = StdRng::seed_from_u64(17);
-        let compiled = FaultSimulator::new(&nl, faults).run_random(&mut rng, 10_000);
+        let compiled = ParFaultSimulator::new(&nl, faults).run_random(&mut rng, 10_000);
         assert_eq!(reference.detection(), compiled.detection());
         assert_eq!(reference.patterns_applied(), compiled.patterns_applied());
     }

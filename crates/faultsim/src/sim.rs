@@ -1,32 +1,27 @@
 //! Parallel-pattern single-fault-propagation simulation with fault
 //! dropping.
 //!
-//! Two engines share this module's interface:
-//!
-//! * [`FaultSimulator`] — the serial reference engine defined here;
-//! * [`crate::par::ParFaultSimulator`] — the multi-threaded engine, which
-//!   produces **bit-identical** reports (see the `par` module docs for the
-//!   determinism argument).
-//!
-//! The pattern-stream drivers ([`BlockSim::run_source`],
-//! [`BlockSim::run_random`], [`BlockSim::run_exhaustive`], …) are
-//! provided methods of the [`BlockSim`] trait, so both engines consume
-//! streams and schedule blocks *identically by construction*; an engine
-//! only supplies [`BlockSim::apply_block`]. The streams themselves are
-//! pluggable [`PatternSource`]s ([`crate::source`]); the `run_random*`
-//! family is a thin compatibility wrapper over a
-//! [`RandomWords`] source and draws exactly
-//! the words it always drew.
+//! [`BlockSim`] is the engine interface. An engine supplies a *sweep* —
+//! one good-machine evaluation over up to [`MAX_SWEEP_WORDS`] consecutive
+//! 64-lane sub-blocks, then every live fault against it — and a *commit*
+//! that finalizes the sweep at a pattern boundary. The pattern-stream
+//! driver, [`BlockSim::run_source_with`], is provided here **once**, and
+//! every entry point ([`BlockSim::run_source`], [`BlockSim::run_random`],
+//! [`BlockSim::run_exhaustive`], …) reduces to it, so every engine,
+//! thread count and lane width draws the same blocks and stops at the
+//! same pattern by construction. The engines are
+//! [`crate::par::ParFaultSimulator`] (the compiled engine, any thread
+//! count and lane width) and [`crate::reference::ReferenceSimulator`] (the
+//! seed interpreter, one 64-lane word per sweep). The streams themselves
+//! are pluggable [`PatternSource`]s ([`crate::source`]); the `run_random*`
+//! family wraps a [`RandomWords`] source and draws exactly the words it
+//! always drew.
 
-use crate::eval;
 use crate::fault::Fault;
-use crate::source::{PatternBlock, PatternSource, RandomWords};
+use crate::source::{ExhaustiveSource, PatternBlock, PatternList, PatternSource, RandomWords};
 use crate::stats::SimStats;
-use bibs_netlist::opt::OptimizedProgram;
-use bibs_netlist::{EvalProgram, Netlist};
-use bibs_obs::{CounterId, Recorder, ShardCounters};
+use bibs_netlist::Netlist;
 use rand::Rng;
-use std::time::Instant;
 
 /// A typed engine-construction failure.
 ///
@@ -155,27 +150,23 @@ impl FaultSimReport {
     }
 }
 
+/// The most 64-lane sub-blocks one sweep carries (512 lanes).
+pub const MAX_SWEEP_WORDS: usize = 8;
+
+/// Per-sub-block first-detection counts of one sweep: entry `k` is the
+/// number of faults first detected in sub-block `k` (0 past the sweep's
+/// last sub-block).
+pub type SweepHits = [usize; MAX_SWEEP_WORDS];
+
 /// The block-level fault-simulation engine interface.
 ///
-/// Implementors supply [`BlockSim::apply_block`]; the pattern-stream
-/// drivers are provided here **once** so that every engine draws the same
-/// RNG words, forms the same blocks and stops at the same point — the
-/// foundation of the serial/parallel equivalence guarantee.
+/// Implementors supply [`BlockSim::sweep`] and [`BlockSim::commit`]; the
+/// pattern-stream driver is provided here **once** so that every engine
+/// draws the same source blocks and stops at the same pattern — the
+/// foundation of the thread-count and lane-width equivalence guarantee.
 pub trait BlockSim {
     /// The simulated netlist.
     fn netlist(&self) -> &Netlist;
-
-    /// Applies one block of up to 64 patterns.
-    ///
-    /// `input_words[i]` carries the value of primary input *i* across all
-    /// lanes; only the low `lanes` lanes count as patterns. Returns the
-    /// number of newly detected faults.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `input_words` does not match the input width or `lanes`
-    /// is 0 or exceeds 64.
-    fn apply_block(&mut self, input_words: &[u64], lanes: usize) -> usize;
 
     /// First-detection pattern index per fault (current state).
     fn detection(&self) -> &[Option<u64>];
@@ -186,43 +177,27 @@ pub trait BlockSim {
     /// The current report (can be taken mid-run).
     fn report(&self) -> FaultSimReport;
 
-    /// Number of 64-lane words evaluated per sweep: 1 for scalar engines,
-    /// 4 or 8 for engines widened with `with_lanes`.
-    fn lane_words(&self) -> usize {
-        1
-    }
+    /// Number of 64-lane words evaluated per sweep: 1, or 4 or 8 for an
+    /// engine widened with `with_lanes`.
+    fn lane_words(&self) -> usize;
 
-    /// Applies one *wide* sweep of up to [`BlockSim::lane_words`]
-    /// consecutive 64-lane sub-blocks: one good-machine evaluation, then
-    /// every live fault batched against it (PPSFP). `applied[k]` is the
-    /// number of budget-valid lanes of sub-block `k` (0 masks it out
-    /// entirely).
+    /// Applies one sweep of up to [`BlockSim::lane_words`] consecutive
+    /// 64-lane sub-blocks: one good-machine evaluation, then every live
+    /// fault batched against it (PPSFP). `applied[k]` is the number of
+    /// budget-valid lanes of `blocks[k]`; only those lanes count.
     ///
     /// Detections are recorded relative to the *current*
-    /// [`BlockSim::patterns_applied`], but the pattern counter itself is
-    /// **not** advanced — the wide driver re-simulates the scalar
-    /// driver's per-block stop decisions afterwards and finalizes the
-    /// sweep with [`BlockSim::commit_wide_block`]. Returns the number of
-    /// newly detected faults (pre-commit).
-    fn apply_wide_block(&mut self, blocks: &[PatternBlock], applied: &[usize]) -> usize {
-        let _ = (blocks, applied);
-        unimplemented!("wide sweeps require an engine configured via with_lanes")
-    }
+    /// [`BlockSim::patterns_applied`], but the pattern counter is not
+    /// advanced and no fault is dropped until [`BlockSim::commit`].
+    /// Returns how many faults were first detected in each sub-block.
+    fn sweep(&mut self, blocks: &[PatternBlock], applied: &[usize]) -> SweepHits;
 
-    /// Finalizes a wide sweep at pattern index `boundary`: detections at
-    /// or past the boundary are erased (a scalar run would have stopped
-    /// before applying those lanes), faults first detected inside
-    /// `[patterns_applied, boundary)` are dropped, and the pattern
-    /// counter advances to `boundary`.
-    fn commit_wide_block(&mut self, boundary: u64) {
-        let _ = boundary;
-        unimplemented!("wide sweeps require an engine configured via with_lanes")
-    }
-
-    /// Whether every fault in the list has been detected.
-    fn all_detected(&self) -> bool {
-        self.detection().iter().all(|d| d.is_some())
-    }
+    /// Finalizes the last sweep at pattern index `boundary`: detections at
+    /// or past the boundary are erased (the run stopped before applying
+    /// those lanes), faults first detected inside
+    /// `[patterns_applied, boundary)` are dropped, and the pattern counter
+    /// advances to `boundary`.
+    fn commit(&mut self, boundary: u64);
 
     /// Current coverage as a fraction of the simulated fault list (1.0
     /// for an empty list).
@@ -256,7 +231,7 @@ pub trait BlockSim {
     where
         Self: Sized,
     {
-        self.run_random_driver(rng, max_patterns, plateau, 1.0)
+        self.run_source_with(&mut RandomWords::from_rng(rng), max_patterns, plateau, 1.0)
     }
 
     /// Applies random patterns until coverage of the simulated fault list
@@ -272,29 +247,12 @@ pub trait BlockSim {
     where
         Self: Sized,
     {
-        self.run_random_driver(rng, max_patterns, max_patterns, coverage)
-    }
-
-    /// The common random-stream driver behind the three `run_random*`
-    /// entry points: wraps the live RNG in a [`RandomWords`] source and
-    /// hands it to [`BlockSim::run_source_with`]. One RNG word is drawn
-    /// per input per block, in input order — any engine that implements
-    /// `apply_block` correctly is therefore stream-compatible with every
-    /// other, and the words drawn are bit-identical to the pre-source
-    /// drivers'.
-    #[doc(hidden)]
-    fn run_random_driver(
-        &mut self,
-        rng: &mut impl Rng,
-        max_patterns: u64,
-        plateau: u64,
-        target: f64,
-    ) -> FaultSimReport
-    where
-        Self: Sized,
-    {
-        let mut source = RandomWords::from_rng(rng);
-        self.run_source_with(&mut source, max_patterns, plateau, target)
+        self.run_source_with(
+            &mut RandomWords::from_rng(rng),
+            max_patterns,
+            max_patterns,
+            coverage,
+        )
     }
 
     /// Applies patterns from an arbitrary [`PatternSource`] until the
@@ -306,7 +264,7 @@ pub trait BlockSim {
     /// ([`PatternSource::clocks_consumed`]) while the engine tracks
     /// detection indices, and the two stay aligned because blocks are
     /// pulled serially — which also makes any source bit-identical
-    /// across engines and thread counts (`tests/source_equivalence.rs`).
+    /// across thread counts (`tests/source_equivalence.rs`).
     fn run_source(
         &mut self,
         source: &mut (impl PatternSource + ?Sized),
@@ -319,19 +277,33 @@ pub trait BlockSim {
     }
 
     /// [`BlockSim::run_source`] with a detection plateau and a coverage
-    /// target — the generic driver every stream entry point reduces to.
+    /// target — the one driver every stream entry point reduces to.
     ///
     /// Stops when the source runs dry, `max_patterns` is reached,
     /// coverage of the simulated list reaches `target`, or no new fault
-    /// has been detected for `plateau` consecutive patterns. A block
-    /// whose lane count would overshoot `max_patterns` is truncated
-    /// (the source still accounts the full block's clocks, exactly like
-    /// the hardware it models would have).
+    /// has been detected for `plateau` consecutive patterns. The stop
+    /// conditions are checked before every 64-lane block; a block whose
+    /// lane count would overshoot `max_patterns` is truncated (the source
+    /// still accounts the full block's clocks, exactly like the hardware
+    /// it models would have).
+    ///
+    /// Each sweep pulls up to [`BlockSim::lane_words`] blocks, and the
+    /// per-block stop checks between them are *replayed* from the
+    /// sweep's per-sub-block hit counts: the sweep is committed at exactly
+    /// the block boundary where a one-block-at-a-time run would have
+    /// stopped. With sub-word `k` of a wide evaluation equal to a
+    /// one-word evaluation of block `k` (the compiled-kernel contract),
+    /// reports are identical at every lane width. The one observable
+    /// difference is source-side: a wide sweep may pull blocks a
+    /// one-block-at-a-time run never would have, so
+    /// [`PatternSource::patterns_emitted`] / `clocks_consumed` /
+    /// `state_digest` can run ahead on stopped runs (the engine-side
+    /// report is unaffected).
     ///
     /// # Panics
     ///
-    /// Panics if the source's block width disagrees with the netlist's
-    /// input width.
+    /// Panics if a source block's width disagrees with the netlist's
+    /// input width, or a block carries 0 or more than 64 lanes.
     fn run_source_with(
         &mut self,
         source: &mut (impl PatternSource + ?Sized),
@@ -342,609 +314,97 @@ pub trait BlockSim {
     where
         Self: Sized,
     {
-        if self.lane_words() > 1 {
-            return self.run_source_wide(source, max_patterns, plateau, target);
-        }
         let width = self.netlist().input_width();
-        let mut last_detection_at = 0u64;
-        while self.patterns_applied() < max_patterns
-            && self.coverage() < target
-            && self.patterns_applied().saturating_sub(last_detection_at) < plateau
-        {
-            let Some(block) = source.next_block(width) else {
-                break;
-            };
-            assert_eq!(block.words.len(), width, "source block width mismatch");
-            assert!(
-                (1..=64).contains(&block.lanes),
-                "source blocks carry 1..=64 lanes"
-            );
-            let lanes = block
-                .lanes
-                .min((max_patterns - self.patterns_applied()) as usize);
-            if self.apply_block(&block.words, lanes) > 0 {
-                last_detection_at = self.patterns_applied();
-            }
-        }
-        self.report()
-    }
-
-    /// The wide (multi-word) twin of the scalar `run_source_with` loop.
-    ///
-    /// Bit-identity with the scalar driver rests on two pieces: sub-word
-    /// `k` of a wide evaluation equals a scalar evaluation of sub-block
-    /// `k` (the compiled-kernel contract), and the scalar driver's
-    /// per-64-lane stop decisions (max, coverage target, detection
-    /// plateau) are *replayed* after each sweep from the recorded
-    /// detections, truncating the sweep via
-    /// [`BlockSim::commit_wide_block`] at exactly the pattern index where
-    /// a scalar run would have stopped. The one observable difference is
-    /// source-side: a sweep may pull sub-blocks a stopping scalar run
-    /// never would have, so [`PatternSource::patterns_emitted`] /
-    /// `clocks_consumed` / `state_digest` can run ahead on stopped runs
-    /// (the engine-side report is unaffected).
-    #[doc(hidden)]
-    fn run_source_wide(
-        &mut self,
-        source: &mut (impl PatternSource + ?Sized),
-        max_patterns: u64,
-        plateau: u64,
-        target: f64,
-    ) -> FaultSimReport
-    where
-        Self: Sized,
-    {
-        let width = self.netlist().input_width();
-        let n_words = self.lane_words();
         let n_faults = self.detection().len();
-        let cov_of = |det: usize| {
-            if n_faults == 0 {
+        // Whether a run that has applied `applied` patterns, detected
+        // `detected` faults and last detected one at `last_detection_at`
+        // goes on to the next block.
+        let go_on = |applied: u64, detected: usize, last_detection_at: u64| {
+            let coverage = if n_faults == 0 {
                 1.0
             } else {
-                det as f64 / n_faults as f64
-            }
+                detected as f64 / n_faults as f64
+            };
+            applied < max_patterns
+                && coverage < target
+                && applied.saturating_sub(last_detection_at) < plateau
         };
         let mut detected = self.detection().iter().filter(|d| d.is_some()).count();
         let mut last_detection_at = 0u64;
         loop {
             let base = self.patterns_applied();
-            if !(base < max_patterns
-                && cov_of(detected) < target
-                && base.saturating_sub(last_detection_at) < plateau)
-            {
+            if !go_on(base, detected, last_detection_at) {
                 break;
             }
             let remaining = max_patterns - base;
-            let max_words = n_words.min(remaining.div_ceil(64) as usize);
+            let max_words = self.lane_words().min(remaining.div_ceil(64) as usize);
             let blocks = source.next_wide_block(width, max_words);
             if blocks.is_empty() {
                 break;
             }
+            // Only the last block can be ragged or cut by the budget, so
+            // every block keeps at least one lane.
+            let mut applied = [0usize; MAX_SWEEP_WORDS];
+            let applied = &mut applied[..blocks.len()];
             let mut budget = remaining;
-            let mut applied = Vec::with_capacity(blocks.len());
-            for b in &blocks {
+            for (b, lanes) in blocks.iter().zip(applied.iter_mut()) {
                 assert_eq!(b.words.len(), width, "source block width mismatch");
                 assert!(
                     (1..=64).contains(&b.lanes),
                     "source blocks carry 1..=64 lanes"
                 );
-                let l = (b.lanes as u64).min(budget);
-                budget -= l;
-                applied.push(l as usize);
+                *lanes = (b.lanes as u64).min(budget) as usize;
+                budget -= *lanes as u64;
             }
-            self.apply_wide_block(&blocks, &applied);
+            let hits = self.sweep(&blocks, applied);
 
-            // Replay the scalar driver's per-sub-block decisions: bucket
-            // this sweep's detections by sub-block, then walk the
-            // sub-blocks re-checking the stop conditions a scalar run
-            // would have checked between them.
-            let mut prefix = vec![0u64; applied.len() + 1];
-            for (k, &l) in applied.iter().enumerate() {
-                prefix[k + 1] = prefix[k] + l as u64;
-            }
-            let mut per_sub = vec![0usize; applied.len()];
-            for d in self.detection().iter().flatten() {
-                if *d >= base {
-                    let off = *d - base;
-                    per_sub[prefix[1..].partition_point(|&e| e <= off)] += 1;
-                }
-            }
-            let mut pa = base;
-            let mut last_det = last_detection_at;
-            let mut det = detected;
-            let mut boundary = None;
-            for (k, &l) in applied.iter().enumerate() {
-                if l == 0 {
+            // Replay the per-block stop checks: the first block passed the
+            // check above, each later one is checked against the
+            // detections of the blocks before it.
+            let mut boundary = base;
+            for (k, &lanes) in applied.iter().enumerate() {
+                if k > 0 && !go_on(boundary, detected, last_detection_at) {
                     break;
                 }
-                if k > 0
-                    && !(pa < max_patterns
-                        && cov_of(det) < target
-                        && pa.saturating_sub(last_det) < plateau)
-                {
-                    boundary = Some(pa);
-                    break;
-                }
-                pa += l as u64;
-                if per_sub[k] > 0 {
-                    det += per_sub[k];
-                    last_det = pa;
+                boundary += lanes as u64;
+                if hits[k] > 0 {
+                    detected += hits[k];
+                    last_detection_at = boundary;
                 }
             }
-            match boundary {
-                Some(b) => {
-                    self.commit_wide_block(b);
-                    break;
-                }
-                None => {
-                    self.commit_wide_block(pa);
-                    detected = det;
-                    last_detection_at = last_det;
-                }
-            }
+            self.commit(boundary);
         }
         self.report()
     }
 
     /// Applies all `2^w` input patterns (w = input width) from an
-    /// [`ExhaustiveSource`](crate::source::ExhaustiveSource).
+    /// [`ExhaustiveSource`], stopping once every fault is detected.
     ///
     /// # Panics
     ///
     /// Panics if the input width exceeds 24 (exhaustive application would
     /// be unreasonable).
-    fn run_exhaustive(&mut self) -> FaultSimReport {
+    fn run_exhaustive(&mut self) -> FaultSimReport
+    where
+        Self: Sized,
+    {
         let width = self.netlist().input_width();
         assert!(width <= 24, "exhaustive simulation capped at 24 inputs");
-        let mut source = crate::source::ExhaustiveSource::new(width);
-        // Applies every block the counter produces; the historical
-        // semantics (kept bit-for-bit) check completion *after* a block,
-        // so even an empty fault list sees one block.
-        while let Some(block) = source.next_block(width) {
-            self.apply_block(&block.words, block.lanes);
-            if self.all_detected() {
-                break;
-            }
-        }
-        self.report()
+        self.run_source(&mut ExhaustiveSource::new(width), u64::MAX)
     }
 
     /// Applies an explicit pattern sequence (each pattern one `bool` per
-    /// input), in blocks.
-    fn run_patterns(&mut self, patterns: &[Vec<bool>]) -> FaultSimReport {
+    /// input), in blocks of 64, stopping once every fault is detected.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an applied pattern's width differs from the input width.
+    fn run_patterns(&mut self, patterns: &[Vec<bool>]) -> FaultSimReport
+    where
+        Self: Sized,
+    {
         let width = self.netlist().input_width();
-        for chunk in patterns.chunks(64) {
-            let mut words = vec![0u64; width];
-            for (lane, pat) in chunk.iter().enumerate() {
-                assert_eq!(pat.len(), width, "pattern width mismatch");
-                for (i, &bit) in pat.iter().enumerate() {
-                    if bit {
-                        words[i] |= 1u64 << lane;
-                    }
-                }
-            }
-            self.apply_block(&words, chunk.len());
-            if self.all_detected() {
-                break;
-            }
-        }
-        self.report()
-    }
-}
-
-/// The serial fault simulator bound to one (combinational) netlist and
-/// one fault list, running on the compiled [`EvalProgram`].
-///
-/// Construction compiles the netlist once (or adopts a caller-supplied
-/// program via [`FaultSimulator::with_program`], or a validated
-/// optimizer rewrite via [`FaultSimulator::with_optimized`]) and
-/// pre-compiles every fault to its patch-point(s); each block is then one
-/// program run for the good machine plus one patched run per undetected
-/// fault — no driver scans, no scratch refills, no dynamic dispatch.
-///
-/// Patterns are applied in blocks of up to 64 (one per `u64` lane).
-/// Detected faults are dropped from subsequent blocks; the per-fault
-/// first-detection pattern index is recorded so coverage-vs-pattern-count
-/// curves (the paper's Table 2 rows 5–8) can be reconstructed exactly.
-/// Reports are bit-identical to the seed interpreter's
-/// ([`crate::reference::ReferenceSimulator`]), pinned by
-/// `tests/compiled_equivalence.rs`.
-#[derive(Debug)]
-pub struct FaultSimulator<'a> {
-    netlist: &'a Netlist,
-    program: EvalProgram,
-    /// The pre-rewrite program when `program` is optimizer-rewritten;
-    /// [`eval::FaultPatch::Fallback`] faults evaluate on it.
-    fallback: Option<EvalProgram>,
-    faults: Vec<Fault>,
-    /// `patches[i]` = compiled patch-point(s) of fault *i*.
-    patches: Vec<eval::FaultPatch>,
-    /// `detection[i]` = pattern index at which fault *i* was first
-    /// detected.
-    detection: Vec<Option<u64>>,
-    good: Vec<u64>,
-    faulty: Vec<u64>,
-    /// 64-lane words per sweep: 1 (scalar) or 4/8 (`with_lanes`).
-    lane_words: usize,
-    /// Stride-`lane_words` wide buffers; empty while scalar.
-    good_wide: Vec<u64>,
-    faulty_wide: Vec<u64>,
-    patterns_applied: u64,
-    rec: Recorder,
-}
-
-impl<'a> FaultSimulator<'a> {
-    /// Creates a simulator over `netlist` for the given fault list,
-    /// compiling the netlist to an [`EvalProgram`] (the compile time is
-    /// recorded as a `"compile"` child span, surfaced through
-    /// [`SimStats::compile_wall`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the netlist is sequential (run on the combinational
-    /// equivalent — see the crate docs) or combinationally cyclic.
-    pub fn new(netlist: &'a Netlist, faults: Vec<Fault>) -> Self {
-        let mut rec = Recorder::new("fault-sim[serial]");
-        let program =
-            EvalProgram::compile_traced(netlist, &mut rec).expect("acyclic combinational netlist");
-        Self::with_program_recorder(netlist, program, faults, rec)
-    }
-
-    /// Creates a simulator around an already-compiled program for the
-    /// same netlist, so callers running many sessions on one circuit pay
-    /// the compile cost once.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the netlist is sequential or if `program` was not
-    /// compiled from `netlist` (slot count is the cheap proxy checked).
-    pub fn with_program(netlist: &'a Netlist, program: EvalProgram, faults: Vec<Fault>) -> Self {
-        Self::with_program_recorder(netlist, program, faults, Recorder::new("fault-sim[serial]"))
-    }
-
-    /// Creates a simulator whose good machine runs the **optimized**
-    /// program of a validated [`OptimizedProgram`], while the fault list
-    /// stays defined on the original netlist.
-    ///
-    /// Each fault's patch is compiled against the original program, then
-    /// remapped through the rewrite
-    /// ([`OptimizedProgram::remap_patch`]); faults the rewrite cannot
-    /// express faithfully fall back to evaluating the original program
-    /// (sound because the two are equivalence-proven). Reports are
-    /// **bit-identical** to the unoptimized engines' — pinned by
-    /// `tests/opt_equivalence.rs`.
-    ///
-    /// # Panics
-    ///
-    /// Same conditions as [`FaultSimulator::with_program`].
-    pub fn with_optimized(
-        netlist: &'a Netlist,
-        opt: &OptimizedProgram,
-        faults: Vec<Fault>,
-    ) -> Self {
-        Self::with_optimized_recorder(netlist, opt, faults, Recorder::new("fault-sim[serial]"))
-    }
-
-    /// Fallible [`FaultSimulator::with_optimized`]: validates the
-    /// engine's fault-dispatch invariant (every `Fallback` fault patch
-    /// needs the original program at hand) and surfaces a violation as a
-    /// typed [`SimError`] instead of a mid-run abort.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::MissingFallback`] if an unmapped fault has no
-    /// fallback program — unreachable through this constructor today (it
-    /// always retains the original program) but kept as the single
-    /// validation point should fallback retention ever become optional.
-    pub fn try_with_optimized(
-        netlist: &'a Netlist,
-        opt: &OptimizedProgram,
-        faults: Vec<Fault>,
-    ) -> Result<Self, SimError> {
-        let sim = Self::with_optimized(netlist, opt, faults);
-        eval::validate_fault_patches(&sim.patches, sim.fallback.is_some())?;
-        Ok(sim)
-    }
-
-    /// [`FaultSimulator::with_optimized`] with a caller-supplied telemetry
-    /// recorder.
-    pub fn with_optimized_recorder(
-        netlist: &'a Netlist,
-        opt: &OptimizedProgram,
-        faults: Vec<Fault>,
-        rec: Recorder,
-    ) -> Self {
-        let mut sim = Self::with_program_recorder(netlist, opt.optimized().clone(), faults, rec);
-        sim.patches = eval::compile_fault_patches(opt.original(), Some(opt), &sim.faults);
-        sim.fallback = Some(opt.original().clone());
-        eval::validate_fault_patches(&sim.patches, sim.fallback.is_some())
-            .expect("optimized constructors retain the original program");
-        sim
-    }
-
-    /// [`FaultSimulator::with_program`] with a caller-supplied telemetry
-    /// recorder. Pass [`Recorder::disabled`] to measure the recorder's own
-    /// hot-loop overhead (the criterion `obs` bench does exactly that);
-    /// stats derived from a disabled recorder are all-zero.
-    pub fn with_program_recorder(
-        netlist: &'a Netlist,
-        program: EvalProgram,
-        faults: Vec<Fault>,
-        rec: Recorder,
-    ) -> Self {
-        assert_eq!(
-            netlist.dff_count(),
-            0,
-            "fault-simulate the combinational equivalent"
-        );
-        assert_eq!(
-            program.slot_count(),
-            netlist.net_count(),
-            "program/netlist mismatch"
-        );
-        let patches = eval::compile_fault_patches(&program, None, &faults);
-        let n = faults.len();
-        let good = program.new_values();
-        let faulty = program.new_values();
-        FaultSimulator {
-            netlist,
-            program,
-            fallback: None,
-            faults,
-            patches,
-            detection: vec![None; n],
-            good,
-            faulty,
-            lane_words: 1,
-            good_wide: Vec::new(),
-            faulty_wide: Vec::new(),
-            patterns_applied: 0,
-            rec,
-        }
-    }
-
-    /// Reconfigures the engine for wide sweeps: `lanes` is 64 (the scalar
-    /// default), 256, or 512 — 1, 4, or 8 words of 64 patterns per
-    /// good-machine evaluation. The stream drivers then evaluate the good
-    /// machine once per wide sweep and batch every live fault against it
-    /// (PPSFP); reports stay bit-identical to the 64-lane engine's
-    /// (pinned by `tests/lanes_equivalence.rs`). Widening records the
-    /// `lanes` telemetry counter; 64 leaves the scalar path — and its
-    /// telemetry — untouched.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lanes` is not 64, 256, or 512.
-    #[must_use]
-    pub fn with_lanes(mut self, lanes: usize) -> Self {
-        assert!(
-            matches!(lanes, 64 | 256 | 512),
-            "supported lane widths: 64, 256, 512"
-        );
-        self.lane_words = lanes / 64;
-        if self.lane_words > 1 {
-            let root = self.rec.root();
-            self.rec.add_to(root, CounterId::Lanes, lanes as u64);
-            self.good_wide = match self.lane_words {
-                4 => self.program.new_values_wide::<4>(),
-                _ => self.program.new_values_wide::<8>(),
-            };
-            self.faulty_wide = self.good_wide.clone();
-        } else {
-            self.good_wide = Vec::new();
-            self.faulty_wide = Vec::new();
-        }
-        self
-    }
-
-    /// The compiled program driving this simulator.
-    pub fn program(&self) -> &EvalProgram {
-        &self.program
-    }
-
-    /// The engine's telemetry span tree (root `"fault-sim[serial]"`):
-    /// per-block counters on the root, the compile cost as a `"compile"`
-    /// child, the single shard as a detail child. Graft it into a
-    /// pipeline-level recorder with [`Recorder::graft`].
-    pub fn recorder(&self) -> &Recorder {
-        &self.rec
-    }
-
-    /// The monomorphized wide sweep: pack the chunk-contiguous input
-    /// layout and per-sub-word valid-lane masks, evaluate the good
-    /// machine once, then batch every live fault against it.
-    fn apply_wide<const N: usize>(&mut self, blocks: &[PatternBlock], applied: &[usize]) -> usize {
-        let width = self.netlist.input_width();
-        let started = Instant::now();
-        let (chunks, masks, prefix) = pack_wide::<N>(blocks, applied, width);
-
-        let good_gate_evals = self
-            .program
-            .eval_good_wide::<N>(&mut self.good_wide, &chunks);
-
-        let mut shard = ShardCounters::new();
-        let mut newly = 0usize;
-        for fi in 0..self.faults.len() {
-            if self.detection[fi].is_some() {
-                continue;
-            }
-            let gate_evals = eval::eval_fault_wide::<N>(
-                &self.program,
-                self.fallback.as_ref(),
-                &mut self.faulty_wide,
-                &chunks,
-                &self.patches[fi],
-            );
-            shard.add(CounterId::GateEvals, gate_evals);
-            shard.add(CounterId::FaultEvals, 1);
-            shard.add(CounterId::PatchesApplied, self.patches[fi].patch_count());
-            if let Some((k, diff)) = eval::output_diff_wide::<N>(
-                self.program.output_slots(),
-                &self.good_wide,
-                &self.faulty_wide,
-                &masks,
-            ) {
-                self.detection[fi] =
-                    Some(self.patterns_applied + prefix[k] + diff.trailing_zeros() as u64);
-                newly += 1;
-            }
-        }
-
-        let root = self.rec.root();
-        self.rec.add_to(root, CounterId::GateEvals, good_gate_evals);
-        self.rec.add_to(root, CounterId::GoodEvals, 1);
-        self.rec.add_to(
-            root,
-            CounterId::Blocks,
-            applied.iter().filter(|&&l| l > 0).count() as u64,
-        );
-        self.rec.attach_shard(root, 0, &shard);
-        self.rec.add_wall(root, started.elapsed());
-        newly
-    }
-
-    /// Shared commit logic (see [`BlockSim::commit_wide_block`]): erase
-    /// detections at or past `boundary`, count the surviving drops, and
-    /// advance the pattern counter.
-    fn commit_wide(&mut self, boundary: u64) {
-        let base = self.patterns_applied;
-        debug_assert!(boundary >= base);
-        let mut dropped = 0u64;
-        for d in &mut self.detection {
-            match *d {
-                Some(p) if p >= boundary => *d = None,
-                Some(p) if p >= base => dropped += 1,
-                _ => {}
-            }
-        }
-        self.patterns_applied = boundary;
-        let root = self.rec.root();
-        self.rec
-            .add_to(root, CounterId::PatternsConsumed, boundary - base);
-        self.rec.add_to(root, CounterId::FaultsDropped, dropped);
-    }
-}
-
-/// Packs a wide sweep's inputs for the compiled kernels: the
-/// chunk-contiguous input layout (`chunks[i * N + k]` = word `k` of input
-/// `i`), the per-sub-word valid-lane masks, and the per-sub-word pattern
-/// offsets (prefix sums of applied lanes).
-pub(crate) fn pack_wide<const N: usize>(
-    blocks: &[PatternBlock],
-    applied: &[usize],
-    width: usize,
-) -> (Vec<u64>, [u64; N], [u64; N]) {
-    debug_assert!(blocks.len() <= N && blocks.len() == applied.len());
-    let mut chunks = vec![0u64; width * N];
-    let mut masks = [0u64; N];
-    let mut prefix = [0u64; N];
-    for (k, b) in blocks.iter().enumerate() {
-        debug_assert_eq!(b.words.len(), width);
-        for (i, &w) in b.words.iter().enumerate() {
-            chunks[i * N + k] = w;
-        }
-        masks[k] = match applied[k] {
-            0 => 0,
-            64 => !0,
-            l => (1u64 << l) - 1,
-        };
-        if k + 1 < N {
-            prefix[k + 1] = prefix[k] + applied[k] as u64;
-        }
-    }
-    (chunks, masks, prefix)
-}
-
-impl BlockSim for FaultSimulator<'_> {
-    fn netlist(&self) -> &Netlist {
-        self.netlist
-    }
-
-    fn apply_block(&mut self, input_words: &[u64], lanes: usize) -> usize {
-        assert!((1..=64).contains(&lanes), "1..=64 lanes per block");
-        assert_eq!(input_words.len(), self.netlist.input_width());
-        let lane_mask: u64 = if lanes == 64 { !0 } else { (1u64 << lanes) - 1 };
-        let started = Instant::now();
-
-        // Good machine, shared by every fault of the block.
-        let good_gate_evals = self.program.eval_good(&mut self.good, input_words);
-
-        // The fault loop counts into a private ShardCounters (plain u64
-        // adds, no span-stack lookups) that is attached once per block.
-        let mut shard = ShardCounters::new();
-        let mut newly = 0usize;
-        for fi in 0..self.faults.len() {
-            if self.detection[fi].is_some() {
-                continue;
-            }
-            let gate_evals = eval::eval_fault(
-                &self.program,
-                self.fallback.as_ref(),
-                &mut self.faulty,
-                input_words,
-                &self.patches[fi],
-            );
-            shard.add(CounterId::GateEvals, gate_evals);
-            shard.add(CounterId::FaultEvals, 1);
-            shard.add(CounterId::PatchesApplied, self.patches[fi].patch_count());
-            let diff = eval::output_diff(
-                self.program.output_slots(),
-                &self.good,
-                &self.faulty,
-                lane_mask,
-            );
-            if diff != 0 {
-                let lane = diff.trailing_zeros() as u64;
-                self.detection[fi] = Some(self.patterns_applied + lane);
-                newly += 1;
-            }
-        }
-        self.patterns_applied += lanes as u64;
-
-        let root = self.rec.root();
-        self.rec.add_to(root, CounterId::GateEvals, good_gate_evals);
-        self.rec.add_to(root, CounterId::GoodEvals, 1);
-        self.rec.add_to(root, CounterId::Blocks, 1);
-        self.rec
-            .add_to(root, CounterId::PatternsConsumed, lanes as u64);
-        self.rec
-            .add_to(root, CounterId::FaultsDropped, newly as u64);
-        self.rec.attach_shard(root, 0, &shard);
-        self.rec.add_wall(root, started.elapsed());
-        newly
-    }
-
-    fn detection(&self) -> &[Option<u64>] {
-        &self.detection
-    }
-
-    fn patterns_applied(&self) -> u64 {
-        self.patterns_applied
-    }
-
-    fn report(&self) -> FaultSimReport {
-        FaultSimReport {
-            faults: self.faults.clone(),
-            detection: self.detection.clone(),
-            patterns_applied: self.patterns_applied,
-            stats: SimStats::from_recorder(&self.rec, 1),
-        }
-    }
-
-    fn lane_words(&self) -> usize {
-        self.lane_words
-    }
-
-    fn apply_wide_block(&mut self, blocks: &[PatternBlock], applied: &[usize]) -> usize {
-        match self.lane_words {
-            4 => self.apply_wide::<4>(blocks, applied),
-            8 => self.apply_wide::<8>(blocks, applied),
-            _ => unreachable!("wide sweeps require with_lanes(256|512)"),
-        }
-    }
-
-    fn commit_wide_block(&mut self, boundary: u64) {
-        self.commit_wide(boundary);
+        self.run_source(&mut PatternList::new(patterns, width), u64::MAX)
     }
 }
 
@@ -952,6 +412,7 @@ impl BlockSim for FaultSimulator<'_> {
 mod tests {
     use super::*;
     use crate::fault::FaultUniverse;
+    use crate::par::ParFaultSimulator;
     use bibs_netlist::builder::NetlistBuilder;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -970,7 +431,7 @@ mod tests {
     fn adder_reaches_full_coverage_exhaustively() {
         let nl = adder4();
         let faults = FaultUniverse::collapsed(&nl);
-        let mut sim = FaultSimulator::new(&nl, faults.faults().to_vec());
+        let mut sim = ParFaultSimulator::new(&nl, faults.faults().to_vec());
         let report = sim.run_exhaustive();
         assert_eq!(report.undetected().len(), 0);
         assert!((report.coverage() - 1.0).abs() < f64::EPSILON);
@@ -980,7 +441,7 @@ mod tests {
     fn random_matches_exhaustive_detectability() {
         let nl = adder4();
         let faults = FaultUniverse::collapsed(&nl);
-        let mut sim = FaultSimulator::new(&nl, faults.faults().to_vec());
+        let mut sim = ParFaultSimulator::new(&nl, faults.faults().to_vec());
         let mut rng = StdRng::seed_from_u64(42);
         let report = sim.run_random(&mut rng, 100_000);
         assert_eq!(report.undetected().len(), 0);
@@ -990,7 +451,7 @@ mod tests {
     fn detection_indices_are_consistent() {
         let nl = adder4();
         let faults = FaultUniverse::collapsed(&nl);
-        let mut sim = FaultSimulator::new(&nl, faults.faults().to_vec());
+        let mut sim = ParFaultSimulator::new(&nl, faults.faults().to_vec());
         let report = sim.run_exhaustive();
         for d in report.detection().iter().flatten() {
             assert!(*d < report.patterns_applied());
@@ -1011,7 +472,7 @@ mod tests {
         b.output("y", y);
         let nl = b.finish().unwrap();
         let faults = vec![Fault::net_sa0(nl.outputs()[0])];
-        let mut sim = FaultSimulator::new(&nl, faults);
+        let mut sim = ParFaultSimulator::new(&nl, faults);
         let report = sim.run_exhaustive();
         assert_eq!(report.detected_count(), 0);
         assert!(report.patterns_for_detectable_coverage(1.0).is_none());
@@ -1026,7 +487,7 @@ mod tests {
         b.output("y", y);
         let nl = b.finish().unwrap();
         let faults = vec![Fault::net_sa0(nl.outputs()[0])];
-        let mut sim = FaultSimulator::new(&nl, faults);
+        let mut sim = ParFaultSimulator::new(&nl, faults);
         // Only the pattern (1,1) detects y/sa0.
         let report = sim.run_patterns(&[vec![false, false], vec![true, false], vec![true, true]]);
         assert_eq!(report.detection()[0], Some(2));
@@ -1037,7 +498,7 @@ mod tests {
         let nl = adder4();
         let faults = FaultUniverse::collapsed(&nl);
         let total = faults.faults().len();
-        let mut sim = FaultSimulator::new(&nl, faults.faults().to_vec());
+        let mut sim = ParFaultSimulator::new(&nl, faults.faults().to_vec());
         let mut rng = StdRng::seed_from_u64(9);
         let report = sim.run_random_until(&mut rng, 0.5, 100_000);
         // At least half detected, and the engine did not keep going to
@@ -1053,7 +514,7 @@ mod tests {
         let nl = adder4();
         let faults = FaultUniverse::collapsed(&nl);
         let n = faults.faults().len() as u64;
-        let mut sim = FaultSimulator::new(&nl, faults.faults().to_vec());
+        let mut sim = ParFaultSimulator::new(&nl, faults.faults().to_vec());
         let report = sim.run_exhaustive();
         let stats = report.stats();
         assert_eq!(stats.threads, 1);
@@ -1076,6 +537,6 @@ mod tests {
         let r = b.register(&[a]);
         b.output("o", r[0]);
         let nl = b.finish().unwrap();
-        let _ = FaultSimulator::new(&nl, Vec::new());
+        let _ = ParFaultSimulator::new(&nl, Vec::new());
     }
 }

@@ -5,7 +5,7 @@
 //! windows) and how many clock cycles that stream costs. This module
 //! lifts the stream out of the engines: a [`PatternSource`] produces
 //! 64-lane pattern blocks with explicit clock accounting, and the
-//! [`BlockSim`](crate::sim::BlockSim) drivers consume any source the same
+//! [`BlockSim`](crate::sim::BlockSim) driver consumes any source the same
 //! way — so coverage-vs-clocks becomes a first-class axis instead of a
 //! property baked into `run_random*`.
 //!
@@ -23,10 +23,9 @@
 //!   and independent of how many lanes the consumer actually applied.
 //! * **Determinism pinning**: [`PatternSource::state_digest`] folds every
 //!   emitted `(words, lanes)` pair into a 64-bit digest. Two consumers
-//!   that pulled the same blocks hold equal digests, so serial and
-//!   parallel engines (any thread count) can assert they saw the same
-//!   stream — `tests/source_equivalence.rs` pins this for every shipped
-//!   source.
+//!   that pulled the same blocks hold equal digests, so runs at any
+//!   thread count can assert they saw the same stream —
+//!   `tests/source_equivalence.rs` pins this for every shipped source.
 //! * **Self-description**: [`PatternSource::descriptor`] serializes the
 //!   generator's identity (kind, polynomial, seed, RNG family, …) for
 //!   telemetry and JSON exports, so a replay needs no out-of-band notes.
@@ -207,9 +206,10 @@ pub trait PatternSource {
     /// The source's serializable identity.
     fn descriptor(&self) -> SourceDescriptor;
 
-    /// Pulls up to `max_words` consecutive blocks for one wide sweep.
+    /// Pulls up to `max_words` consecutive blocks for one engine sweep
+    /// (one block at 64 lanes).
     ///
-    /// The wide engines rely on every sub-block before the last carrying
+    /// The engine relies on every sub-block before the last carrying
     /// a full 64 lanes (so sub-word `k` starts at pattern offset `64·k`),
     /// which is why the pull stops after the first *ragged* (< 64 lane)
     /// block even mid-stream — [`StoredSeedReplay`] emits ragged blocks
@@ -375,6 +375,55 @@ impl PatternSource for ExhaustiveSource {
 
     fn descriptor(&self) -> SourceDescriptor {
         SourceDescriptor::new("exhaustive").field("width", self.width.to_string())
+    }
+}
+
+/// Explicit patterns (one `bool` per input each) replayed in blocks of
+/// 64: the stream behind
+/// [`BlockSim::run_patterns`](crate::sim::BlockSim::run_patterns).
+#[derive(Debug)]
+pub(crate) struct PatternList<'a> {
+    chunks: std::slice::Chunks<'a, Vec<bool>>,
+    width: usize,
+    emitted: u64,
+    digest: StreamDigest,
+}
+
+impl<'a> PatternList<'a> {
+    /// A source replaying `patterns`, each `width` bits wide.
+    pub(crate) fn new(patterns: &'a [Vec<bool>], width: usize) -> Self {
+        PatternList {
+            chunks: patterns.chunks(64),
+            width,
+            emitted: 0,
+            digest: StreamDigest::default(),
+        }
+    }
+}
+
+impl PatternSource for PatternList<'_> {
+    fn next_block(&mut self, width: usize) -> Option<PatternBlock> {
+        assert_eq!(width, self.width, "source width mismatch");
+        let block = PatternBlock::from_patterns(self.chunks.next()?, width);
+        self.emitted += block.lanes as u64;
+        self.digest.absorb_block(&block);
+        Some(block)
+    }
+
+    fn clocks_consumed(&self) -> u64 {
+        self.emitted
+    }
+
+    fn patterns_emitted(&self) -> u64 {
+        self.emitted
+    }
+
+    fn state_digest(&self) -> u64 {
+        self.digest.value()
+    }
+
+    fn descriptor(&self) -> SourceDescriptor {
+        SourceDescriptor::new("patterns")
     }
 }
 

@@ -14,7 +14,7 @@ use std::time::Duration;
 
 /// Counters collected by a fault-simulation engine over one run.
 ///
-/// The serial engine reports itself as a single shard; the parallel
+/// A one-thread engine reports itself as a single shard; a sharded
 /// engine reports one entry per worker in
 /// [`SimStats::per_shard_fault_evals`], which makes load imbalance (e.g.
 /// from fault dropping) directly visible.
@@ -27,8 +27,9 @@ use std::time::Duration;
 /// counts faulty-machine patch applications.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SimStats {
-    /// Worker threads the engine was configured with (1 for the serial
-    /// engine).
+    /// Worker threads the engine was configured with (1 for an engine
+    /// built with `ParFaultSimulator::new` and for the reference
+    /// interpreter).
     pub threads: usize,
     /// Pattern blocks simulated (each block carries up to 64 patterns).
     pub blocks: u64,
@@ -41,7 +42,7 @@ pub struct SimStats {
     pub per_shard_fault_evals: Vec<u64>,
     /// Faults dropped from simulation after their first detection.
     pub faults_dropped: u64,
-    /// Wall-clock time spent inside `apply_block`.
+    /// Wall-clock time spent inside the engine's sweeps.
     pub wall: Duration,
     /// One-time wall-clock cost of compiling the netlist to an
     /// [`EvalProgram`](bibs_netlist::EvalProgram) (zero for engines that
@@ -69,8 +70,8 @@ pub struct SimStats {
     /// propagation, SCOAP sweeps, dominance collapsing, untestability
     /// proofs). Zero when no pre-analysis ran.
     pub analysis_wall: Duration,
-    /// Simulation lane width: 64 for the scalar engines, 256/512 for
-    /// engines widened via `with_lanes`. [`SimStats::gate_evals`] is
+    /// Simulation lane width: 64 by default (and for the reference
+    /// interpreter), 256/512 for an engine widened via `with_lanes`. [`SimStats::gate_evals`] is
     /// lane-normalized (a wide sweep counts `instructions × lane words`),
     /// so throughput figures stay comparable across widths.
     pub lanes: u64,
@@ -100,7 +101,7 @@ impl SimStats {
     ///   children under the root ([`Recorder::shard_counter`]), one entry
     ///   per configured worker (0 for shards that never reported);
     /// * [`SimStats::wall`] — the root span's accumulated wall clock (the
-    ///   engines add each `apply_block`'s elapsed time explicitly);
+    ///   engines add each sweep's elapsed time explicitly);
     /// * [`SimStats::compile_wall`] / [`SimStats::analysis_wall`] — the
     ///   wall clocks of the `"compile"` / `"analyze"` child spans, zero
     ///   when absent.
@@ -244,8 +245,8 @@ impl fmt::Display for SimStats {
             self.wall.as_secs_f64() * 1e3,
             self.compile_wall.as_secs_f64() * 1e3
         )?;
-        // Only widened runs mention lanes, keeping the scalar engines'
-        // output byte-identical to pre-wide baselines.
+        // Only widened runs mention lanes, keeping 64-lane output
+        // byte-identical to pre-wide baselines.
         if self.lanes > 64 {
             write!(
                 f,

@@ -3,7 +3,8 @@
 
 use bibs_faultsim::atpg::{Atpg, AtpgResult};
 use bibs_faultsim::fault::FaultUniverse;
-use bibs_faultsim::sim::{BlockSim, FaultSimulator};
+use bibs_faultsim::par::ParFaultSimulator;
+use bibs_faultsim::sim::BlockSim;
 use bibs_netlist::Netlist;
 use proptest::prelude::*;
 
@@ -24,13 +25,13 @@ proptest! {
         let mut atpg = Atpg::new(&nl);
         for &fault in universe.faults().iter().take(40) {
             let verdict = atpg.generate(fault, 50_000);
-            let mut sim = FaultSimulator::new(&nl, vec![fault]);
+            let mut sim = ParFaultSimulator::new(&nl, vec![fault]);
             let truth = sim.run_exhaustive().detected_count() == 1;
             match verdict {
                 AtpgResult::Test(t) => {
                     prop_assert!(truth, "PODEM found a test for undetectable {fault}");
                     let pattern: Vec<bool> = t.iter().map(|v| v.unwrap_or(false)).collect();
-                    let mut replay = FaultSimulator::new(&nl, vec![fault]);
+                    let mut replay = ParFaultSimulator::new(&nl, vec![fault]);
                     let rep = replay.run_patterns(&[pattern]);
                     prop_assert_eq!(rep.detected_count(), 1, "test must detect {}", fault);
                 }
@@ -58,9 +59,9 @@ proptest! {
         // Exhaustive detectability fractions: a collapsed representative is
         // detectable iff its class members are; spot-check that collapsed
         // coverage is 100% whenever full coverage is.
-        let mut sim_full = FaultSimulator::new(&nl, full.faults().to_vec());
+        let mut sim_full = ParFaultSimulator::new(&nl, full.faults().to_vec());
         let full_cov = sim_full.run_exhaustive();
-        let mut sim_col = FaultSimulator::new(&nl, collapsed.faults().to_vec());
+        let mut sim_col = ParFaultSimulator::new(&nl, collapsed.faults().to_vec());
         let col_cov = sim_col.run_exhaustive();
         if full_cov.undetected().is_empty() {
             prop_assert!(col_cov.undetected().is_empty());
@@ -75,7 +76,7 @@ proptest! {
         let program = bibs_netlist::EvalProgram::compile(&nl).unwrap();
         let (_, unobservable) = universe.split_by_observability(&program);
         if !unobservable.is_empty() {
-            let mut sim = FaultSimulator::new(&nl, unobservable);
+            let mut sim = ParFaultSimulator::new(&nl, unobservable);
             let report = sim.run_exhaustive();
             prop_assert_eq!(report.detected_count(), 0);
         }
@@ -88,7 +89,7 @@ proptest! {
     fn detection_indices_are_first_detections(nl in netlist_strategy()) {
         let universe = FaultUniverse::collapsed(&nl);
         let faults: Vec<_> = universe.faults().iter().copied().take(10).collect();
-        let mut sim = FaultSimulator::new(&nl, faults.clone());
+        let mut sim = ParFaultSimulator::new(&nl, faults.clone());
         let report = sim.run_exhaustive();
         let width = nl.input_width();
         for (i, det) in report.detection().iter().enumerate() {
@@ -98,7 +99,7 @@ proptest! {
                 let patterns: Vec<Vec<bool>> = (0..=*idx)
                     .map(|p| (0..width).map(|b| (p >> b) & 1 == 1).collect())
                     .collect();
-                let mut replay = FaultSimulator::new(&nl, vec![faults[i]]);
+                let mut replay = ParFaultSimulator::new(&nl, vec![faults[i]]);
                 let rep = replay.run_patterns(&patterns);
                 prop_assert_eq!(rep.detection()[0], Some(*idx));
             }

@@ -5,7 +5,7 @@
 
 use bibs_faultsim::fault::{Fault, FaultUniverse};
 use bibs_faultsim::par::ParFaultSimulator;
-use bibs_faultsim::sim::{BlockSim, FaultSimulator};
+use bibs_faultsim::sim::BlockSim;
 use bibs_netlist::builder::NetlistBuilder;
 use bibs_netlist::Netlist;
 
@@ -33,7 +33,7 @@ fn redundant_netlist() -> Netlist {
 fn fraction_zero_still_demands_one_detection() {
     let nl = adder4();
     let faults = FaultUniverse::collapsed(&nl).faults().to_vec();
-    let report = FaultSimulator::new(&nl, faults).run_exhaustive();
+    let report = ParFaultSimulator::new(&nl, faults).run_exhaustive();
     // fraction 0.0 clamps to "at least one detection": the answer is the
     // earliest first-detection index + 1, and never 0.
     let p0 = report.patterns_for_detectable_coverage(0.0).unwrap();
@@ -48,7 +48,7 @@ fn fraction_zero_still_demands_one_detection() {
 fn fraction_above_one_acts_like_full_coverage() {
     let nl = adder4();
     let faults = FaultUniverse::collapsed(&nl).faults().to_vec();
-    let report = FaultSimulator::new(&nl, faults).run_exhaustive();
+    let report = ParFaultSimulator::new(&nl, faults).run_exhaustive();
     let p100 = report.patterns_for_detectable_coverage(1.0);
     assert_eq!(report.patterns_for_detectable_coverage(1.5), p100);
     assert_eq!(report.patterns_for_detectable_coverage(f64::INFINITY), p100);
@@ -68,9 +68,6 @@ fn empty_fault_list_has_full_coverage_and_no_pattern_count() {
         assert_eq!(report.patterns_for_detectable_coverage(0.995), None);
         assert_eq!(report.patterns_for_detectable_coverage(1.0), None);
     }
-    // The serial engine agrees.
-    let report = FaultSimulator::new(&nl, Vec::new()).run_exhaustive();
-    assert_eq!(report.patterns_for_detectable_coverage(1.0), None);
 }
 
 #[test]
@@ -104,7 +101,7 @@ fn fraction_interpolates_between_detections() {
         Fault::net_sa1(nl.outputs()[0]),
         Fault::net_sa0(nl.outputs()[0]),
     ];
-    let mut sim = FaultSimulator::new(&nl, faults);
+    let mut sim = ParFaultSimulator::new(&nl, faults);
     // Pattern 0 = (0,0) detects sa1; pattern 2 = (1,1) detects sa0.
     let report = sim.run_patterns(&[vec![false, false], vec![true, false], vec![true, true]]);
     assert_eq!(report.detection(), &[Some(0), Some(2)]);

@@ -1,11 +1,10 @@
 //! Cross-source equivalence: every [`PatternSource`] kind must drive the
-//! serial and parallel engines to **bit-identical** reports — same
-//! `detection()` vector, same `patterns_applied()` — for every thread
-//! count, and the sources themselves must end each run with the same
-//! stream digest (the engines pulled identical streams, not merely
-//! equivalent verdicts). This extends the serial/parallel contract of
-//! `par_equivalence.rs` from the legacy random stream to the whole
-//! source family, and pins the satellite guarantees: [`RandomWords`]
+//! engine to **bit-identical** reports — same `detection()` vector, same
+//! `patterns_applied()` — at every thread count, and the sources
+//! themselves must end each run with the same stream digest (every run
+//! pulled the identical stream, not merely equivalent verdicts). This
+//! extends the thread-count contract of `par_equivalence.rs` from the
+//! legacy random stream to the whole source family, and pins the satellite guarantees: [`RandomWords`]
 //! reproduces the legacy `run_random*` entry points exactly (and
 //! documents its xoshiro256** generator in the descriptor), and
 //! [`WeightedRandomSource`]'s bias math behaves at the extremes and at
@@ -13,7 +12,7 @@
 
 use bibs_faultsim::fault::FaultUniverse;
 use bibs_faultsim::par::ParFaultSimulator;
-use bibs_faultsim::sim::{BlockSim, FaultSimulator};
+use bibs_faultsim::sim::BlockSim;
 use bibs_faultsim::source::{
     LfsrSource, PatternSource, RandomWords, StoredSeedReplay, WeightedRandomSource,
 };
@@ -25,7 +24,6 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::HashSet;
 
-const THREADS: [usize; 4] = [1, 2, 4, 8];
 const MAX_PATTERNS: u64 = 4_096;
 
 /// Builds one fresh source of every kind that fits `width` — a new
@@ -54,7 +52,7 @@ fn make_sources(width: usize, seed: u64) -> Vec<(&'static str, Box<dyn PatternSo
     out
 }
 
-/// For every source kind: serial vs parallel at each thread count, with
+/// For every source kind: the one-thread run vs 2, 4 and 8 threads, with
 /// bit-identical reports and matching end-of-run stream digests.
 fn assert_sources_equivalent(netlist: &Netlist, seed: u64) {
     let faults = FaultUniverse::collapsed(netlist).faults().to_vec();
@@ -64,43 +62,43 @@ fn assert_sources_equivalent(netlist: &Netlist, seed: u64) {
         .map(|(k, _)| k)
         .collect();
     for kind in kinds {
-        let mut serial_source = make_sources(width, seed)
+        let mut inline_source = make_sources(width, seed)
             .into_iter()
             .find(|(k, _)| *k == kind)
             .unwrap()
             .1;
-        let serial = FaultSimulator::new(netlist, faults.clone())
-            .run_source(&mut *serial_source, MAX_PATTERNS);
-        for &threads in &THREADS {
-            let mut par_source = make_sources(width, seed)
+        let inline = ParFaultSimulator::new(netlist, faults.clone())
+            .run_source(&mut *inline_source, MAX_PATTERNS);
+        for threads in [2usize, 4, 8] {
+            let mut sharded_source = make_sources(width, seed)
                 .into_iter()
                 .find(|(k, _)| *k == kind)
                 .unwrap()
                 .1;
-            let par = ParFaultSimulator::with_threads(netlist, faults.clone(), threads)
-                .run_source(&mut *par_source, MAX_PATTERNS);
+            let sharded = ParFaultSimulator::with_threads(netlist, faults.clone(), threads)
+                .run_source(&mut *sharded_source, MAX_PATTERNS);
             assert_eq!(
-                serial.detection(),
-                par.detection(),
+                inline.detection(),
+                sharded.detection(),
                 "{kind}: detection mismatch at {threads} thread(s)"
             );
             assert_eq!(
-                serial.patterns_applied(),
-                par.patterns_applied(),
+                inline.patterns_applied(),
+                sharded.patterns_applied(),
                 "{kind}: patterns_applied mismatch at {threads} thread(s)"
             );
             assert_eq!(
-                serial_source.state_digest(),
-                par_source.state_digest(),
+                inline_source.state_digest(),
+                sharded_source.state_digest(),
                 "{kind}: stream digest mismatch at {threads} thread(s)"
             );
             assert_eq!(
-                serial_source.clocks_consumed(),
-                par_source.clocks_consumed()
+                inline_source.clocks_consumed(),
+                sharded_source.clocks_consumed()
             );
             assert_eq!(
-                serial_source.patterns_emitted(),
-                par_source.patterns_emitted()
+                inline_source.patterns_emitted(),
+                sharded_source.patterns_emitted()
             );
         }
     }
@@ -169,10 +167,10 @@ fn random_words_source_reproduces_legacy_run_random() {
         let nl = adder(6);
         let faults = FaultUniverse::collapsed(&nl).faults().to_vec();
         let mut rng = StdRng::seed_from_u64(seed);
-        let legacy = FaultSimulator::new(&nl, faults.clone()).run_random(&mut rng, MAX_PATTERNS);
+        let legacy = ParFaultSimulator::new(&nl, faults.clone()).run_random(&mut rng, MAX_PATTERNS);
         let mut source = RandomWords::seeded(seed);
         let sourced =
-            FaultSimulator::new(&nl, faults.clone()).run_source(&mut source, MAX_PATTERNS);
+            ParFaultSimulator::new(&nl, faults.clone()).run_source(&mut source, MAX_PATTERNS);
         assert_eq!(legacy.detection(), sourced.detection());
         assert_eq!(legacy.patterns_applied(), sourced.patterns_applied());
     }
@@ -238,8 +236,8 @@ proptest! {
         }
     }
 
-    /// Any random netlist, any seed: the whole source family is serial/
-    /// parallel bit-identical with matching stream digests.
+    /// Any random netlist, any seed: the whole source family is
+    /// thread-count invariant with matching stream digests.
     #[test]
     fn random_netlists_agree_on_every_source(
         nl in bibs_netlist::testgen::netlist_strategy_sized(8, 30),
@@ -247,20 +245,20 @@ proptest! {
     ) {
         let faults = FaultUniverse::collapsed(&nl).faults().to_vec();
         let width = nl.input_width();
-        for (kind, mut serial_source) in make_sources(width, seed) {
-            let serial = FaultSimulator::new(&nl, faults.clone())
-                .run_source(&mut *serial_source, 1_024);
+        for (kind, mut inline_source) in make_sources(width, seed) {
+            let inline = ParFaultSimulator::new(&nl, faults.clone())
+                .run_source(&mut *inline_source, 1_024);
             for threads in [2usize, 4] {
-                let mut par_source = make_sources(width, seed)
+                let mut sharded_source = make_sources(width, seed)
                     .into_iter()
                     .find(|(k, _)| *k == kind)
                     .unwrap()
                     .1;
-                let par = ParFaultSimulator::with_threads(&nl, faults.clone(), threads)
-                    .run_source(&mut *par_source, 1_024);
-                prop_assert_eq!(serial.detection(), par.detection());
-                prop_assert_eq!(serial.patterns_applied(), par.patterns_applied());
-                prop_assert_eq!(serial_source.state_digest(), par_source.state_digest());
+                let sharded = ParFaultSimulator::with_threads(&nl, faults.clone(), threads)
+                    .run_source(&mut *sharded_source, 1_024);
+                prop_assert_eq!(inline.detection(), sharded.detection());
+                prop_assert_eq!(inline.patterns_applied(), sharded.patterns_applied());
+                prop_assert_eq!(inline_source.state_digest(), sharded_source.state_digest());
             }
         }
     }

@@ -68,7 +68,6 @@
 use crate::compiled::EvalProgram;
 use crate::netlist::GateKind;
 use std::fmt;
-use std::ops::Not;
 
 /// A ternary logic value: the flat lattice `{0, 1}` plus unknown `X`.
 ///
@@ -111,29 +110,6 @@ impl Tv {
             Tv::X
         }
     }
-
-    fn and(self, other: Tv) -> Tv {
-        match (self, other) {
-            (Tv::Zero, _) | (_, Tv::Zero) => Tv::Zero,
-            (Tv::One, Tv::One) => Tv::One,
-            _ => Tv::X,
-        }
-    }
-
-    fn or(self, other: Tv) -> Tv {
-        match (self, other) {
-            (Tv::One, _) | (_, Tv::One) => Tv::One,
-            (Tv::Zero, Tv::Zero) => Tv::Zero,
-            _ => Tv::X,
-        }
-    }
-
-    fn xor(self, other: Tv) -> Tv {
-        match (self, other) {
-            (Tv::X, _) | (_, Tv::X) => Tv::X,
-            (a, b) => Tv::from_bool(a.constant() != b.constant()),
-        }
-    }
 }
 
 impl std::ops::Not for Tv {
@@ -164,18 +140,47 @@ impl fmt::Display for Tv {
 /// Mirrors [`GateKind::eval_words`] lifted to the `{0, 1, X}` lattice:
 /// controlling values decide the output even when other operands are `X`
 /// (`and(0, X) = 0`), the XOR family is `X` as soon as any operand is `X`.
+/// The scan stops at the first operand that decides the result — a
+/// controlling value, or an `X` into the XOR family.
 pub fn eval_tv(kind: GateKind, ops: impl IntoIterator<Item = Tv>) -> Tv {
-    let mut it = ops.into_iter();
-    match kind {
-        GateKind::And => it.fold(Tv::One, Tv::and),
-        GateKind::Or => it.fold(Tv::Zero, Tv::or),
-        GateKind::Nand => it.fold(Tv::One, Tv::and).not(),
-        GateKind::Nor => it.fold(Tv::Zero, Tv::or).not(),
-        GateKind::Xor => it.fold(Tv::Zero, Tv::xor),
-        GateKind::Xnor => it.fold(Tv::Zero, Tv::xor).not(),
-        GateKind::Not => it.next().unwrap_or(Tv::X).not(),
-        GateKind::Buf => it.next().unwrap_or(Tv::X),
+    let mut ops = ops.into_iter();
+    let v = match kind {
+        GateKind::And | GateKind::Nand => controlled(ops, Tv::Zero),
+        GateKind::Or | GateKind::Nor => controlled(ops, Tv::One),
+        GateKind::Xor | GateKind::Xnor => {
+            let mut parity = false;
+            for t in ops {
+                match t {
+                    Tv::X => return Tv::X,
+                    Tv::One => parity = !parity,
+                    Tv::Zero => {}
+                }
+            }
+            Tv::from_bool(parity)
+        }
+        GateKind::Not | GateKind::Buf => ops.next().unwrap_or(Tv::X),
+    };
+    if kind.is_inverting() {
+        !v
+    } else {
+        v
     }
+}
+
+/// The AND/OR family's scan: `control` anywhere decides the gate;
+/// otherwise any `X` leaves it `X`, and all non-controlling operands give
+/// `!control`.
+fn controlled(ops: impl Iterator<Item = Tv>, control: Tv) -> Tv {
+    let mut out = !control;
+    for t in ops {
+        if t == control {
+            return control;
+        }
+        if t == Tv::X {
+            out = Tv::X;
+        }
+    }
+    out
 }
 
 /// What the analysis may assume about the primary inputs.
@@ -385,9 +390,9 @@ fn patterns_join(program: &EvalProgram, blocks: &[Vec<u64>]) -> Vec<Tv> {
     let n = program.slot_count();
     let mut seen0 = vec![false; n];
     let mut seen1 = vec![false; n];
-    let mut buf = program.new_values();
+    let mut buf = program.new_values::<1>();
     for block in blocks {
-        program.eval_good(&mut buf, block);
+        program.eval_good::<1>(&mut buf, block);
         for (slot, &w) in buf.iter().enumerate() {
             seen0[slot] |= w != !0u64;
             seen1[slot] |= w != 0;
@@ -1203,7 +1208,7 @@ mod tests {
         for &a in &[Tv::Zero, Tv::One, Tv::X] {
             assert_eq!(a.join(a), a);
             assert_eq!(a.join(Tv::X), Tv::X);
-            assert_eq!(a.not().not(), a);
+            assert_eq!(!!a, a);
         }
         assert_eq!(Tv::Zero.join(Tv::One), Tv::X);
         assert_eq!(eval_tv(GateKind::And, [Tv::Zero, Tv::X]), Tv::Zero);

@@ -103,10 +103,10 @@ impl CexWitness {
             .iter()
             .map(|&b| if b { !0u64 } else { 0 })
             .collect();
-        let mut va = a.new_values();
-        let mut vb = b.new_values();
-        a.eval_good(&mut va, &words);
-        b.eval_good(&mut vb, &words);
+        let mut va = a.new_values::<1>();
+        let mut vb = b.new_values::<1>();
+        a.eval_good::<1>(&mut va, &words);
+        b.eval_good::<1>(&mut vb, &words);
         (
             va[a.output_slots()[self.output] as usize] & 1 != 0,
             vb[b.output_slots()[self.output] as usize] & 1 != 0,
@@ -337,8 +337,8 @@ impl<'a> SimPair<'a> {
         SimPair {
             a,
             b,
-            va: a.new_values(),
-            vb: b.new_values(),
+            va: a.new_values::<1>(),
+            vb: b.new_values::<1>(),
             words: vec![0u64; width],
         }
     }
@@ -347,8 +347,8 @@ impl<'a> SimPair<'a> {
     /// outputs over `lanes` lanes. On mismatch returns the witness for the
     /// lowest differing output / lane.
     fn compare_block(&mut self, lanes: u32, only_output: Option<usize>) -> Option<CexWitness> {
-        self.a.eval_good(&mut self.va, &self.words);
-        self.b.eval_good(&mut self.vb, &self.words);
+        self.a.eval_good::<1>(&mut self.va, &self.words);
+        self.b.eval_good::<1>(&mut self.vb, &self.words);
         let mask = if lanes >= 64 {
             !0u64
         } else {

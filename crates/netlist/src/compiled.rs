@@ -23,8 +23,9 @@
 //!   operand to a stuck value. Faulty-machine evaluation is "run the same
 //!   program with one patch applied", not a second bespoke interpreter.
 //!
-//! *Slots* are net indices: slot `i` of a value buffer holds the 64-lane
-//! word of net `NetId::from_index(i)`. This keeps the compiled engine
+//! *Slots* are net indices: slot `i` of a one-word (`N = 1`) value buffer
+//! holds the 64-lane word of net `NetId::from_index(i)`; an `N`-word buffer
+//! holds `N` consecutive words per slot (64·N patterns per evaluation). This keeps the compiled engine
 //! drop-in compatible with everything that indexes values by net, and lets
 //! analysis passes (e.g. the `B007` dead-slot lint) translate slot facts
 //! back to nets trivially.
@@ -35,8 +36,8 @@
 //! gate id), and evaluation is pure dataflow over that schedule, so every
 //! net word computed by [`EvalProgram::run`] is bit-identical to the
 //! classic interpreted walk for *any* valid topological order. The fault
-//! simulators' serial/parallel equivalence contract therefore carries over
-//! unchanged.
+//! simulator's thread-count and lane-width equivalence contract therefore
+//! carries over unchanged.
 //!
 //! # Example
 //!
@@ -54,13 +55,13 @@
 //! let nl = b.finish()?;
 //!
 //! let prog = EvalProgram::compile(&nl)?;
-//! let mut values = prog.new_values();
-//! prog.eval_good(&mut values, &[0b0011, 0b0101]);
+//! let mut values = prog.new_values::<1>();
+//! prog.eval_good::<1>(&mut values, &[0b0011, 0b0101]);
 //! assert_eq!(values[nl.outputs()[0].index()] & 0b1111, 0b0001);
 //!
 //! // Faulty machine: force the AND output stuck-at-1 and re-run.
 //! let patch = prog.patch_net(nl.outputs()[0], true);
-//! prog.eval_patched(&mut values, &[0b0011, 0b0101], patch);
+//! prog.eval_patched::<1>(&mut values, &[0b0011, 0b0101], patch);
 //! assert_eq!(values[nl.outputs()[0].index()] & 0b1111, 0b1111);
 //! # Ok(())
 //! # }
@@ -127,7 +128,7 @@ pub struct Instr<'a> {
 /// A netlist compiled to a flat, allocation-free evaluation program.
 ///
 /// Built once per [`Netlist`] by [`EvalProgram::compile`]; evaluated many
-/// times over caller-owned value buffers (`&mut [u64]`, one 64-lane word
+/// times over caller-owned value buffers (`&mut [u64]`, `N` 64-lane words
 /// per slot) created by [`EvalProgram::new_values`]. The program itself is
 /// immutable and [`Sync`]: one compiled program is shared by every worker
 /// thread of the parallel fault simulator.
@@ -382,60 +383,79 @@ impl EvalProgram {
         readers
     }
 
-    /// A fresh value buffer: all slots zero, then the constant prologue.
-    pub fn new_values(&self) -> Vec<u64> {
-        let mut values = vec![0u64; self.slot_count];
-        self.apply_consts(&mut values);
+    // ------------------------------------------------------------------
+    // Evaluation over stride-N value buffers.
+    //
+    // A value buffer stores N consecutive 64-lane words per slot: slot `s`
+    // occupies `values[s * N .. (s + 1) * N]`, giving 64·N patterns per
+    // evaluation; `N = 1` is the plain one-word-per-slot buffer. `N` is a
+    // const generic, so each width compiles to its own kernel with the
+    // inner `0..N` loops unrolled. Patch words are splatted to all N
+    // sub-words — a stuck-at fault is stuck in every lane — so sub-word
+    // `k` of every slot is bit-identical to an `N = 1` evaluation of input
+    // word `k`, which is what the fault simulator's cross-width report
+    // equivalence rests on.
+    // ------------------------------------------------------------------
+
+    /// A fresh value buffer (`N` words per slot): all slots zero, then
+    /// the constant prologue.
+    pub fn new_values<const N: usize>(&self) -> Vec<u64> {
+        let mut values = vec![0u64; self.slot_count * N];
+        self.apply_consts::<N>(&mut values);
         values
     }
 
-    /// Applies the constant prologue to `values`. Needed after zeroing a
-    /// buffer (e.g. a simulator reset); ordinary evaluation never calls
-    /// this.
-    pub fn apply_consts(&self, values: &mut [u64]) {
+    /// Applies the constant prologue to `values`, splatted into every
+    /// sub-word. Needed after zeroing a buffer (e.g. a simulator reset);
+    /// good-machine evaluation never calls this.
+    pub fn apply_consts<const N: usize>(&self, values: &mut [u64]) {
         for &(slot, word) in &self.const_inits {
-            values[slot as usize] = word;
+            let o = slot as usize * N;
+            values[o..o + N].fill(word);
         }
     }
 
-    /// Writes the primary-input words (one 64-lane word per input, in
-    /// declaration order) into their slots.
+    /// Writes the primary-input words into their slots. The layout is
+    /// input-contiguous: `inputs[i * N + k]` is 64-lane word `k` of
+    /// primary input `i` (at `N = 1`, one word per input in declaration
+    /// order).
     ///
     /// # Panics
     ///
-    /// Panics if `input_words.len()` differs from the input width.
+    /// Panics if `inputs.len()` differs from `N ×` the input width.
     #[inline]
-    pub fn set_inputs(&self, values: &mut [u64], input_words: &[u64]) {
+    pub fn set_inputs<const N: usize>(&self, values: &mut [u64], inputs: &[u64]) {
         assert_eq!(
-            input_words.len(),
-            self.input_slots.len(),
-            "one word per primary input required"
+            inputs.len(),
+            self.input_slots.len() * N,
+            "N words per primary input required"
         );
-        for (&slot, &w) in self.input_slots.iter().zip(input_words) {
-            values[slot as usize] = w;
+        for (&slot, words) in self.input_slots.iter().zip(inputs.chunks_exact(N)) {
+            let o = slot as usize * N;
+            values[o..o + N].copy_from_slice(words);
         }
     }
 
     /// Executes the full instruction stream over `values`.
     ///
     /// Sources (inputs, constants, flip-flop Q slots) are read as-is; set
-    /// them first. Returns the number of instructions executed (the
-    /// gate-evaluation count for throughput accounting).
+    /// them first. Returns the lane-normalized gate-evaluation count
+    /// (`instr_count · N`) for throughput accounting.
     #[inline]
-    pub fn run(&self, values: &mut [u64]) -> u64 {
-        self.exec_range(values, 0, self.ops.len());
-        self.ops.len() as u64
+    pub fn run<const N: usize>(&self, values: &mut [u64]) -> u64 {
+        self.exec_range::<N>(values, 0, self.ops.len());
+        (self.ops.len() * N) as u64
     }
 
     /// Good-machine evaluation: inputs, then the instruction stream.
     ///
     /// Constants are *not* re-applied — they are part of the buffer
-    /// prologue ([`EvalProgram::new_values`]). Returns the number of
-    /// instructions executed.
+    /// prologue ([`EvalProgram::new_values`]). Returns the lane-normalized
+    /// gate-evaluation count.
     #[inline]
-    pub fn eval_good(&self, values: &mut [u64], input_words: &[u64]) -> u64 {
-        self.set_inputs(values, input_words);
-        self.run(values)
+    pub fn eval_good<const N: usize>(&self, values: &mut [u64], inputs: &[u64]) -> u64 {
+        self.set_inputs::<N>(values, inputs);
+        self.run::<N>(values)
     }
 
     /// Faulty-machine evaluation: constant prologue, inputs, then the
@@ -444,41 +464,51 @@ impl EvalProgram {
     /// Re-applying the (typically empty) constant prologue makes the buffer
     /// self-healing: a previous [`Patch::Slot`] on a constant slot is
     /// undone here, so one persistent faulty buffer serves every fault in a
-    /// run. Returns the number of instructions executed.
+    /// run. Returns the lane-normalized executed count.
     #[inline]
-    pub fn eval_patched(&self, values: &mut [u64], input_words: &[u64], patch: Patch) -> u64 {
-        self.apply_consts(values);
-        self.set_inputs(values, input_words);
-        self.run_patched(values, patch)
+    pub fn eval_patched<const N: usize>(
+        &self,
+        values: &mut [u64],
+        inputs: &[u64],
+        patch: Patch,
+    ) -> u64 {
+        self.apply_consts::<N>(values);
+        self.set_inputs::<N>(values, inputs);
+        self.run_patched::<N>(values, patch)
     }
 
-    /// Executes the instruction stream with `patch` applied. Sources must
-    /// already be set. Returns the number of instructions executed.
+    /// Executes the instruction stream with `patch` applied (its stuck
+    /// word splatted to all `N` sub-words). Sources must already be set.
+    /// Returns the lane-normalized executed count.
     #[inline]
-    pub fn run_patched(&self, values: &mut [u64], patch: Patch) -> u64 {
+    pub fn run_patched<const N: usize>(&self, values: &mut [u64], patch: Patch) -> u64 {
         let n = self.ops.len();
-        match patch {
+        let executed = match patch {
             Patch::Slot { slot, word } => {
-                values[slot as usize] = word;
-                self.exec_range(values, 0, n);
-                n as u64
+                let o = slot as usize * N;
+                values[o..o + N].fill(word);
+                self.exec_range::<N>(values, 0, n);
+                n
             }
             Patch::InstrOutput { instr, word } => {
                 let i = instr as usize;
-                self.exec_range(values, 0, i);
-                values[self.out_slot[i] as usize] = word;
-                self.exec_range(values, i + 1, n);
-                (n - 1) as u64
+                self.exec_range::<N>(values, 0, i);
+                let o = self.out_slot[i] as usize * N;
+                values[o..o + N].fill(word);
+                self.exec_range::<N>(values, i + 1, n);
+                n - 1
             }
-            Patch::InstrPin { instr, pin, word } => {
+            Patch::InstrPin { instr, .. } => {
                 let i = instr as usize;
-                self.exec_range(values, 0, i);
-                values[self.out_slot[i] as usize] =
-                    self.eval_instr_pinned(values, i, pin as usize, word);
-                self.exec_range(values, i + 1, n);
-                n as u64
+                self.exec_range::<N>(values, 0, i);
+                let word = self.eval_pinned::<N>(values, i, std::slice::from_ref(&patch));
+                let o = self.out_slot[i] as usize * N;
+                values[o..o + N].copy_from_slice(&word);
+                self.exec_range::<N>(values, i + 1, n);
+                n
             }
-        }
+        };
+        (executed * N) as u64
     }
 
     /// Faulty-machine evaluation with *several* patch-points applied at
@@ -490,37 +520,38 @@ impl EvalProgram {
     /// buffer, a merged duplicate cone) is equivalent to forcing the stuck
     /// value onto every surviving reader pin — a *set* of patches on the
     /// optimized program. An empty `patches` slice is a plain good-machine
-    /// evaluation. Returns the number of instructions executed.
+    /// evaluation. Returns the lane-normalized executed count.
     ///
     /// Instruction-indexed patches must be sorted by ascending instruction;
     /// [`Patch::Slot`] entries may appear anywhere in the slice.
     #[inline]
-    pub fn eval_multi_patched(
+    pub fn eval_multi_patched<const N: usize>(
         &self,
         values: &mut [u64],
-        input_words: &[u64],
+        inputs: &[u64],
         patches: &[Patch],
     ) -> u64 {
-        self.apply_consts(values);
-        self.set_inputs(values, input_words);
-        self.run_multi_patched(values, patches)
+        self.apply_consts::<N>(values);
+        self.set_inputs::<N>(values, inputs);
+        self.run_multi_patched::<N>(values, patches)
     }
 
     /// Executes the instruction stream with every patch in `patches`
-    /// applied. Sources must already be set; instruction-indexed patches
-    /// must be sorted by ascending instruction position ([`Patch::Slot`]
-    /// entries may appear anywhere). Several [`Patch::InstrPin`] entries may
-    /// target distinct pins of the same instruction; a [`Patch::InstrOutput`]
-    /// on an instruction supersedes pin patches on it. Returns the number
-    /// of instructions executed.
-    pub fn run_multi_patched(&self, values: &mut [u64], patches: &[Patch]) -> u64 {
+    /// applied (stuck words splatted). Sources must already be set;
+    /// instruction-indexed patches must be sorted by ascending instruction
+    /// position ([`Patch::Slot`] entries may appear anywhere). Several
+    /// [`Patch::InstrPin`] entries may target distinct pins of the same
+    /// instruction; a [`Patch::InstrOutput`] on an instruction supersedes
+    /// pin patches on it. Returns the lane-normalized executed count.
+    pub fn run_multi_patched<const N: usize>(&self, values: &mut [u64], patches: &[Patch]) -> u64 {
         let n = self.ops.len();
         for p in patches {
             if let Patch::Slot { slot, word } = *p {
-                values[slot as usize] = word;
+                let o = slot as usize * N;
+                values[o..o + N].fill(word);
             }
         }
-        let mut executed = 0u64;
+        let mut executed = 0usize;
         let mut cursor = 0usize;
         let mut k = 0usize;
         while k < patches.len() {
@@ -533,10 +564,11 @@ impl EvalProgram {
                 Patch::InstrPin { instr, .. } => (instr as usize, None),
             };
             debug_assert!(i >= cursor, "instruction patches must be sorted");
-            self.exec_range(values, cursor, i);
-            executed += (i - cursor) as u64;
+            self.exec_range::<N>(values, cursor, i);
+            executed += i - cursor;
+            let o = self.out_slot[i] as usize * N;
             if let Some(word) = forced_out {
-                values[self.out_slot[i] as usize] = word;
+                values[o..o + N].fill(word);
                 k += 1;
             } else {
                 let first = k;
@@ -545,8 +577,8 @@ impl EvalProgram {
                 {
                     k += 1;
                 }
-                values[self.out_slot[i] as usize] =
-                    self.eval_instr_multi_pinned(values, i, &patches[first..k]);
+                let word = self.eval_pinned::<N>(values, i, &patches[first..k]);
+                values[o..o + N].copy_from_slice(&word);
                 executed += 1;
             }
             // Swallow any remaining patches on the same instruction (a
@@ -558,9 +590,9 @@ impl EvalProgram {
             }
             cursor = i + 1;
         }
-        self.exec_range(values, cursor, n);
-        executed += (n - cursor) as u64;
-        executed
+        self.exec_range::<N>(values, cursor, n);
+        executed += n - cursor;
+        (executed * N) as u64
     }
 
     /// Builds the patch-point for a stuck-at fault on `net`.
@@ -627,307 +659,30 @@ impl EvalProgram {
         read
     }
 
-    /// Executes instructions `from..to`.
+    /// Executes instructions `from..to` over a stride-`N` buffer. The
+    /// gate kind is matched once per instruction, outside the `0..N` lane
+    /// loops; Not/Buf read only operand 0.
     #[inline]
-    fn exec_range(&self, values: &mut [u64], from: usize, to: usize) {
-        for i in from..to {
-            let start = self.operand_start[i] as usize;
-            let end = self.operand_start[i + 1] as usize;
-            let out = self.out_slot[i] as usize;
-            // Binary gates dominate real netlists; give them a spanless
-            // fast path before the general fold.
-            let word = if end - start == 2 {
-                let a = values[self.operands[start] as usize];
-                let b = values[self.operands[start + 1] as usize];
-                match self.ops[i] {
-                    GateKind::And => a & b,
-                    GateKind::Or => a | b,
-                    GateKind::Nand => !(a & b),
-                    GateKind::Nor => !(a | b),
-                    GateKind::Xor => a ^ b,
-                    GateKind::Xnor => !(a ^ b),
-                    GateKind::Not => !a,
-                    GateKind::Buf => a,
-                }
-            } else {
-                let span = &self.operands[start..end];
-                match self.ops[i] {
-                    GateKind::And => span.iter().fold(!0u64, |acc, &s| acc & values[s as usize]),
-                    GateKind::Or => span.iter().fold(0u64, |acc, &s| acc | values[s as usize]),
-                    GateKind::Nand => !span.iter().fold(!0u64, |acc, &s| acc & values[s as usize]),
-                    GateKind::Nor => !span.iter().fold(0u64, |acc, &s| acc | values[s as usize]),
-                    GateKind::Xor => span.iter().fold(0u64, |acc, &s| acc ^ values[s as usize]),
-                    GateKind::Xnor => !span.iter().fold(0u64, |acc, &s| acc ^ values[s as usize]),
-                    GateKind::Not => !values[self.operands[start] as usize],
-                    GateKind::Buf => values[self.operands[start] as usize],
-                }
-            };
-            values[out] = word;
-        }
-    }
-
-    /// Evaluates instruction `i` with every pin listed in `pins`
-    /// (a run of [`Patch::InstrPin`] entries on `i`) overridden.
-    fn eval_instr_multi_pinned(&self, values: &[u64], i: usize, pins: &[Patch]) -> u64 {
-        let start = self.operand_start[i] as usize;
-        let end = self.operand_start[i + 1] as usize;
-        let operand = |idx: usize| {
-            for p in pins {
-                if let Patch::InstrPin { pin, word, .. } = *p {
-                    if pin as usize == idx {
-                        return word;
-                    }
-                }
-            }
-            values[self.operands[start + idx] as usize]
-        };
-        let arity = end - start;
-        match self.ops[i] {
-            GateKind::And => (0..arity).fold(!0u64, |acc, idx| acc & operand(idx)),
-            GateKind::Or => (0..arity).fold(0u64, |acc, idx| acc | operand(idx)),
-            GateKind::Nand => !(0..arity).fold(!0u64, |acc, idx| acc & operand(idx)),
-            GateKind::Nor => !(0..arity).fold(0u64, |acc, idx| acc | operand(idx)),
-            GateKind::Xor => (0..arity).fold(0u64, |acc, idx| acc ^ operand(idx)),
-            GateKind::Xnor => !(0..arity).fold(0u64, |acc, idx| acc ^ operand(idx)),
-            GateKind::Not => !operand(0),
-            GateKind::Buf => operand(0),
-        }
-    }
-
-    /// Evaluates instruction `i` with operand `pin` overridden to `word`.
-    fn eval_instr_pinned(&self, values: &[u64], i: usize, pin: usize, word: u64) -> u64 {
-        let start = self.operand_start[i] as usize;
-        let end = self.operand_start[i + 1] as usize;
-        let operand = |idx: usize| {
-            if idx == pin {
-                word
-            } else {
-                values[self.operands[start + idx] as usize]
-            }
-        };
-        let arity = end - start;
-        match self.ops[i] {
-            GateKind::And => (0..arity).fold(!0u64, |acc, idx| acc & operand(idx)),
-            GateKind::Or => (0..arity).fold(0u64, |acc, idx| acc | operand(idx)),
-            GateKind::Nand => !(0..arity).fold(!0u64, |acc, idx| acc & operand(idx)),
-            GateKind::Nor => !(0..arity).fold(0u64, |acc, idx| acc | operand(idx)),
-            GateKind::Xor => (0..arity).fold(0u64, |acc, idx| acc ^ operand(idx)),
-            GateKind::Xnor => !(0..arity).fold(0u64, |acc, idx| acc ^ operand(idx)),
-            GateKind::Not => !operand(0),
-            GateKind::Buf => operand(0),
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Wide (multi-word) evaluation: stride-N flat buffers.
-    //
-    // A wide value buffer stores N consecutive 64-lane words per slot:
-    // slot `s` occupies `values[s * N .. (s + 1) * N]`, giving 64·N
-    // patterns per sweep. `N` is a const generic, so each width compiles
-    // to its own kernel with the inner `0..N` loops unrolled and
-    // auto-vectorized. Patch words are splatted to all N sub-words — a
-    // stuck-at fault is stuck in every lane. Sub-word `k` of every slot
-    // is bit-identical to a scalar evaluation of input word `k`, which is
-    // what the fault simulators' cross-width report equivalence rests on.
-    // ------------------------------------------------------------------
-
-    /// A fresh wide value buffer (`N` words per slot): all slots zero,
-    /// then the constant prologue splatted into every sub-word.
-    pub fn new_values_wide<const N: usize>(&self) -> Vec<u64> {
-        let mut values = vec![0u64; self.slot_count * N];
-        self.apply_consts_wide::<N>(&mut values);
-        values
-    }
-
-    /// Applies the constant prologue to a wide buffer (splatted).
-    pub fn apply_consts_wide<const N: usize>(&self, values: &mut [u64]) {
-        for &(slot, word) in &self.const_inits {
-            let o = slot as usize * N;
-            values[o..o + N].fill(word);
-        }
-    }
-
-    /// Writes the primary-input chunks into their slots. The chunk layout
-    /// is input-contiguous: `input_chunks[i * N + k]` is 64-lane word `k`
-    /// of primary input `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `input_chunks.len()` differs from `N ×` the input width.
-    #[inline]
-    pub fn set_inputs_wide<const N: usize>(&self, values: &mut [u64], input_chunks: &[u64]) {
-        assert_eq!(
-            input_chunks.len(),
-            self.input_slots.len() * N,
-            "N words per primary input required"
-        );
-        for (i, &slot) in self.input_slots.iter().enumerate() {
-            let o = slot as usize * N;
-            values[o..o + N].copy_from_slice(&input_chunks[i * N..i * N + N]);
-        }
-    }
-
-    /// Executes the full instruction stream over a wide buffer. Returns
-    /// the lane-normalized gate-evaluation count (`instr_count · N`).
-    #[inline]
-    pub fn run_wide<const N: usize>(&self, values: &mut [u64]) -> u64 {
-        self.exec_range_wide::<N>(values, 0, self.ops.len());
-        (self.ops.len() * N) as u64
-    }
-
-    /// Wide good-machine evaluation: inputs, then the instruction stream.
-    /// Returns the lane-normalized gate-evaluation count.
-    #[inline]
-    pub fn eval_good_wide<const N: usize>(&self, values: &mut [u64], input_chunks: &[u64]) -> u64 {
-        self.set_inputs_wide::<N>(values, input_chunks);
-        self.run_wide::<N>(values)
-    }
-
-    /// Wide faulty-machine evaluation. The buffer is self-healing exactly
-    /// like [`EvalProgram::eval_patched`]: the constant prologue is
-    /// re-applied so one persistent wide faulty buffer serves every fault.
-    #[inline]
-    pub fn eval_patched_wide<const N: usize>(
-        &self,
-        values: &mut [u64],
-        input_chunks: &[u64],
-        patch: Patch,
-    ) -> u64 {
-        self.apply_consts_wide::<N>(values);
-        self.set_inputs_wide::<N>(values, input_chunks);
-        self.run_patched_wide::<N>(values, patch)
-    }
-
-    /// Executes the instruction stream over a wide buffer with `patch`
-    /// applied (its stuck word splatted to all `N` sub-words). Returns
-    /// the lane-normalized executed count, mirroring
-    /// [`EvalProgram::run_patched`] `× N`.
-    #[inline]
-    pub fn run_patched_wide<const N: usize>(&self, values: &mut [u64], patch: Patch) -> u64 {
-        let n = self.ops.len();
-        match patch {
-            Patch::Slot { slot, word } => {
-                let o = slot as usize * N;
-                values[o..o + N].fill(word);
-                self.exec_range_wide::<N>(values, 0, n);
-                (n * N) as u64
-            }
-            Patch::InstrOutput { instr, word } => {
-                let i = instr as usize;
-                self.exec_range_wide::<N>(values, 0, i);
-                let o = self.out_slot[i] as usize * N;
-                values[o..o + N].fill(word);
-                self.exec_range_wide::<N>(values, i + 1, n);
-                ((n - 1) * N) as u64
-            }
-            Patch::InstrPin { instr, pin, word } => {
-                let i = instr as usize;
-                self.exec_range_wide::<N>(values, 0, i);
-                let chunk = self.eval_instr_pinned_wide::<N>(values, i, pin as usize, word);
-                let o = self.out_slot[i] as usize * N;
-                values[o..o + N].copy_from_slice(&chunk);
-                self.exec_range_wide::<N>(values, i + 1, n);
-                (n * N) as u64
-            }
-        }
-    }
-
-    /// Wide [`EvalProgram::eval_multi_patched`]: constant prologue,
-    /// inputs, then [`EvalProgram::run_multi_patched_wide`].
-    #[inline]
-    pub fn eval_multi_patched_wide<const N: usize>(
-        &self,
-        values: &mut [u64],
-        input_chunks: &[u64],
-        patches: &[Patch],
-    ) -> u64 {
-        self.apply_consts_wide::<N>(values);
-        self.set_inputs_wide::<N>(values, input_chunks);
-        self.run_multi_patched_wide::<N>(values, patches)
-    }
-
-    /// Wide [`EvalProgram::run_multi_patched`]: same patch-slice contract
-    /// (instruction patches sorted ascending, [`Patch::Slot`] anywhere, a
-    /// forced output swallows pin patches on the same instruction), with
-    /// every stuck word splatted. Returns the lane-normalized executed
-    /// count.
-    pub fn run_multi_patched_wide<const N: usize>(
-        &self,
-        values: &mut [u64],
-        patches: &[Patch],
-    ) -> u64 {
-        let n = self.ops.len();
-        for p in patches {
-            if let Patch::Slot { slot, word } = *p {
-                let o = slot as usize * N;
-                values[o..o + N].fill(word);
-            }
-        }
-        let mut executed = 0u64;
-        let mut cursor = 0usize;
-        let mut k = 0usize;
-        while k < patches.len() {
-            let (i, forced_out) = match patches[k] {
-                Patch::Slot { .. } => {
-                    k += 1;
-                    continue;
-                }
-                Patch::InstrOutput { instr, word } => (instr as usize, Some(word)),
-                Patch::InstrPin { instr, .. } => (instr as usize, None),
-            };
-            debug_assert!(i >= cursor, "instruction patches must be sorted");
-            self.exec_range_wide::<N>(values, cursor, i);
-            executed += ((i - cursor) * N) as u64;
-            let o = self.out_slot[i] as usize * N;
-            if let Some(word) = forced_out {
-                values[o..o + N].fill(word);
-                k += 1;
-            } else {
-                let first = k;
-                while k < patches.len()
-                    && matches!(patches[k], Patch::InstrPin { instr, .. } if instr as usize == i)
-                {
-                    k += 1;
-                }
-                let chunk = self.eval_instr_multi_pinned_wide::<N>(values, i, &patches[first..k]);
-                values[o..o + N].copy_from_slice(&chunk);
-                executed += N as u64;
-            }
-            // Swallow any remaining patches on the same instruction (a
-            // forced output makes pin patches on it moot).
-            while k < patches.len()
-                && matches!(patches[k], Patch::InstrPin { instr, .. } | Patch::InstrOutput { instr, .. } if instr as usize == i)
-            {
-                k += 1;
-            }
-            cursor = i + 1;
-        }
-        self.exec_range_wide::<N>(values, cursor, n);
-        executed += ((n - cursor) * N) as u64;
-        executed
-    }
-
-    /// Executes instructions `from..to` over a wide (stride-`N`) buffer.
-    #[inline]
-    fn exec_range_wide<const N: usize>(&self, values: &mut [u64], from: usize, to: usize) {
+    fn exec_range<const N: usize>(&self, values: &mut [u64], from: usize, to: usize) {
+        /// Folds `op` over the operand words, lane by lane. Binary gates
+        /// dominate real netlists, so they skip the operand loop.
         #[inline(always)]
         fn fold<const N: usize>(
             values: &[u64],
             span: &[u32],
             init: u64,
-            invert: bool,
-            f: impl Fn(u64, u64) -> u64,
+            op: impl Fn(u64, u64) -> u64,
         ) -> [u64; N] {
+            if let [x, y] = *span {
+                let (x, y) = (x as usize * N, y as usize * N);
+                let (xs, ys) = (&values[x..x + N], &values[y..y + N]);
+                return std::array::from_fn(|k| op(xs[k], ys[k]));
+            }
             let mut acc = [init; N];
             for &s in span {
-                let o = s as usize * N;
-                for k in 0..N {
-                    acc[k] = f(acc[k], values[o + k]);
-                }
-            }
-            if invert {
-                for w in &mut acc {
-                    *w = !*w;
+                let a = s as usize * N;
+                for (w, &v) in acc.iter_mut().zip(&values[a..a + N]) {
+                    *w = op(*w, v);
                 }
             }
             acc
@@ -936,106 +691,65 @@ impl EvalProgram {
             let start = self.operand_start[i] as usize;
             let end = self.operand_start[i + 1] as usize;
             let span = &self.operands[start..end];
-            // Not/Buf read only operand 0 (matching the scalar kernel) via
-            // a single-operand xor fold: `0 ^ a = a`, inverted for Not.
-            let chunk: [u64; N] = match self.ops[i] {
-                GateKind::And => fold(values, span, !0, false, |a, b| a & b),
-                GateKind::Or => fold(values, span, 0, false, |a, b| a | b),
-                GateKind::Nand => fold(values, span, !0, true, |a, b| a & b),
-                GateKind::Nor => fold(values, span, 0, true, |a, b| a | b),
-                GateKind::Xor => fold(values, span, 0, false, |a, b| a ^ b),
-                GateKind::Xnor => fold(values, span, 0, true, |a, b| a ^ b),
-                GateKind::Not => fold(values, &span[..1], 0, true, |a, b| a ^ b),
-                GateKind::Buf => fold(values, &span[..1], 0, false, |a, b| a ^ b),
+            let word = |s: u32| {
+                let a = s as usize * N;
+                let xs = &values[a..a + N];
+                std::array::from_fn::<u64, N, _>(|k| xs[k])
+            };
+            let acc: [u64; N] = match self.ops[i] {
+                GateKind::And => fold(values, span, !0, |a, b| a & b),
+                GateKind::Or => fold(values, span, 0, |a, b| a | b),
+                GateKind::Xor => fold(values, span, 0, |a, b| a ^ b),
+                GateKind::Nand => fold(values, span, !0, |a, b| a & b).map(|w| !w),
+                GateKind::Nor => fold(values, span, 0, |a, b| a | b).map(|w| !w),
+                GateKind::Xnor => fold(values, span, 0, |a, b| a ^ b).map(|w| !w),
+                GateKind::Not => word(span[0]).map(|w| !w),
+                GateKind::Buf => word(span[0]),
             };
             let o = self.out_slot[i] as usize * N;
-            values[o..o + N].copy_from_slice(&chunk);
+            values[o..o + N].copy_from_slice(&acc);
         }
     }
 
-    /// Shared fold for the wide pinned evaluators: `operand(idx, k)`
-    /// yields sub-word `k` of operand `idx` (post-override).
-    #[inline(always)]
-    fn fold_pinned_wide<const N: usize>(
-        &self,
-        i: usize,
-        arity: usize,
-        operand: impl Fn(usize, usize) -> u64,
-    ) -> [u64; N] {
-        #[inline(always)]
-        fn fold<const N: usize>(
-            arity: usize,
-            init: u64,
-            invert: bool,
-            operand: &impl Fn(usize, usize) -> u64,
-            f: impl Fn(u64, u64) -> u64,
-        ) -> [u64; N] {
-            let mut acc = [init; N];
-            for idx in 0..arity {
-                for (k, a) in acc.iter_mut().enumerate() {
-                    *a = f(*a, operand(idx, k));
-                }
-            }
-            if invert {
-                for w in &mut acc {
-                    *w = !*w;
-                }
-            }
-            acc
-        }
-        match self.ops[i] {
-            GateKind::And => fold(arity, !0, false, &operand, |a, b| a & b),
-            GateKind::Or => fold(arity, 0, false, &operand, |a, b| a | b),
-            GateKind::Nand => fold(arity, !0, true, &operand, |a, b| a & b),
-            GateKind::Nor => fold(arity, 0, true, &operand, |a, b| a | b),
-            GateKind::Xor => fold(arity, 0, false, &operand, |a, b| a ^ b),
-            GateKind::Xnor => fold(arity, 0, true, &operand, |a, b| a ^ b),
-            GateKind::Not => fold(1, 0, true, &operand, |a, b| a ^ b),
-            GateKind::Buf => fold(1, 0, false, &operand, |a, b| a ^ b),
-        }
-    }
-
-    /// Wide [`EvalProgram::eval_instr_pinned`]: operand `pin` overridden
-    /// to the splatted `word` in every sub-word.
-    fn eval_instr_pinned_wide<const N: usize>(
-        &self,
-        values: &[u64],
-        i: usize,
-        pin: usize,
-        word: u64,
-    ) -> [u64; N] {
+    /// Evaluates instruction `i` with every pin named in `pins` (a run of
+    /// [`Patch::InstrPin`] entries on `i`) overridden by its splatted
+    /// stuck word.
+    fn eval_pinned<const N: usize>(&self, values: &[u64], i: usize, pins: &[Patch]) -> [u64; N] {
         let start = self.operand_start[i] as usize;
         let end = self.operand_start[i + 1] as usize;
-        let operand = |idx: usize, k: usize| {
-            if idx == pin {
-                word
-            } else {
-                values[self.operands[start + idx] as usize * N + k]
-            }
-        };
-        self.fold_pinned_wide::<N>(i, end - start, operand)
-    }
-
-    /// Wide [`EvalProgram::eval_instr_multi_pinned`].
-    fn eval_instr_multi_pinned_wide<const N: usize>(
-        &self,
-        values: &[u64],
-        i: usize,
-        pins: &[Patch],
-    ) -> [u64; N] {
-        let start = self.operand_start[i] as usize;
-        let end = self.operand_start[i + 1] as usize;
-        let operand = |idx: usize, k: usize| {
+        let operand = |idx: usize| -> [u64; N] {
             for p in pins {
                 if let Patch::InstrPin { pin, word, .. } = *p {
                     if pin as usize == idx {
-                        return word;
+                        return [word; N];
                     }
                 }
             }
-            values[self.operands[start + idx] as usize * N + k]
+            let a = self.operands[start + idx] as usize * N;
+            let mut w = [0u64; N];
+            w.copy_from_slice(&values[a..a + N]);
+            w
         };
-        self.fold_pinned_wide::<N>(i, end - start, operand)
+        let kind = self.ops[i];
+        let (init, op): (u64, fn(u64, u64) -> u64) = match kind {
+            GateKind::And | GateKind::Nand => (!0, |a, b| a & b),
+            GateKind::Or | GateKind::Nor => (0, |a, b| a | b),
+            // Not/Buf fold their single operand into 0: `0 ^ a = a`.
+            GateKind::Xor | GateKind::Xnor | GateKind::Not | GateKind::Buf => (0, |a, b| a ^ b),
+        };
+        let arity = if kind.is_unary() { 1 } else { end - start };
+        let mut acc = [init; N];
+        for idx in 0..arity {
+            for (w, v) in acc.iter_mut().zip(operand(idx)) {
+                *w = op(*w, v);
+            }
+        }
+        if kind.is_inverting() {
+            for w in &mut acc {
+                *w = !*w;
+            }
+        }
+        acc
     }
 }
 
@@ -1070,8 +784,8 @@ mod tests {
         sim.set_inputs(&words);
         sim.eval_comb();
 
-        let mut values = prog.new_values();
-        prog.eval_good(&mut values, &words);
+        let mut values = prog.new_values::<1>();
+        prog.eval_good::<1>(&mut values, &words);
         for net in nl.net_ids() {
             assert_eq!(values[net.index()], sim.value(net), "net {net}");
         }
@@ -1111,8 +825,8 @@ mod tests {
         let nl = b.finish().unwrap();
         let prog = EvalProgram::compile(&nl).unwrap();
         assert_eq!(prog.const_inits().len(), 1);
-        let mut values = prog.new_values();
-        prog.eval_good(&mut values, &[0b10]);
+        let mut values = prog.new_values::<1>();
+        prog.eval_good::<1>(&mut values, &[0b10]);
         assert_eq!(values[nl.outputs()[0].index()] & 0b11, 0b10);
     }
 
@@ -1124,8 +838,8 @@ mod tests {
         let patch = prog.patch_net(out, false);
         assert!(matches!(patch, Patch::InstrOutput { .. }));
         let words = vec![!0u64; nl.input_width()];
-        let mut values = prog.new_values();
-        prog.eval_patched(&mut values, &words, patch);
+        let mut values = prog.new_values::<1>();
+        prog.eval_patched::<1>(&mut values, &words, patch);
         assert_eq!(values[out.index()], 0);
     }
 
@@ -1163,13 +877,13 @@ mod tests {
             .find(|&g| nl.gate(g).kind == GateKind::And)
             .unwrap();
         let patch = prog.patch_pin(and_gate, 0, true); // pin a stuck-at-1
-        let mut values = prog.new_values();
+        let mut values = prog.new_values::<1>();
         // a=0, b=1 everywhere: good AND = 0, faulty AND = 1; OR stays 1.
-        prog.eval_patched(&mut values, &[0, !0u64], patch);
+        prog.eval_patched::<1>(&mut values, &[0, !0u64], patch);
         assert_eq!(values[nl.outputs()[0].index()], !0u64);
         assert_eq!(values[nl.outputs()[1].index()], !0u64);
         // Good machine for contrast.
-        prog.eval_good(&mut values, &[0, !0u64]);
+        prog.eval_good::<1>(&mut values, &[0, !0u64]);
         assert_eq!(values[nl.outputs()[0].index()], 0);
     }
 
@@ -1187,13 +901,13 @@ mod tests {
             .find(|&n| matches!(nl.driver(n), NetDriver::Const(_)))
             .unwrap();
         let patch = prog.patch_net(const_net, false); // const-1 stuck-at-0
-        let mut values = prog.new_values();
-        prog.eval_patched(&mut values, &[!0u64], patch);
+        let mut values = prog.new_values::<1>();
+        prog.eval_patched::<1>(&mut values, &[!0u64], patch);
         assert_eq!(values[nl.outputs()[0].index()], 0, "fault masks the AND");
         // The next faulty evaluation with a *different* patch must see the
         // healed constant.
         let other = prog.patch_net(nl.outputs()[0], true);
-        prog.eval_patched(&mut values, &[0], other);
+        prog.eval_patched::<1>(&mut values, &[0], other);
         assert_eq!(values[const_net.index()], !0u64, "prologue re-applied");
     }
 
@@ -1206,14 +920,14 @@ mod tests {
         b.output("o", r2[0]);
         let nl = b.finish().unwrap();
         let prog = EvalProgram::compile(&nl).unwrap();
-        let mut values = prog.new_values();
+        let mut values = prog.new_values::<1>();
         let mut capture = Vec::new();
-        prog.eval_good(&mut values, &[!0u64]);
+        prog.eval_good::<1>(&mut values, &[!0u64]);
         prog.clock(&mut values, &mut capture);
-        prog.eval_good(&mut values, &[!0u64]);
+        prog.eval_good::<1>(&mut values, &[!0u64]);
         assert_eq!(values[nl.outputs()[0].index()], 0, "one stage filled");
         prog.clock(&mut values, &mut capture);
-        prog.eval_good(&mut values, &[!0u64]);
+        prog.eval_good::<1>(&mut values, &[!0u64]);
         assert_eq!(values[nl.outputs()[0].index()], !0u64, "two stages");
     }
 
@@ -1249,11 +963,11 @@ mod tests {
         const N: usize = 4;
         let width = nl.input_width();
         let chunks: Vec<u64> = (0..(width * N) as u64).map(pattern_word).collect();
-        let mut wide = prog.new_values_wide::<N>();
-        let wide_evals = prog.eval_good_wide::<N>(&mut wide, &chunks);
-        let mut scalar = prog.new_values();
+        let mut wide = prog.new_values::<N>();
+        let wide_evals = prog.eval_good::<N>(&mut wide, &chunks);
+        let mut scalar = prog.new_values::<1>();
         for k in 0..N {
-            let evals = prog.eval_good(&mut scalar, &scalar_words::<N>(&chunks, width, k));
+            let evals = prog.eval_good::<1>(&mut scalar, &scalar_words::<N>(&chunks, width, k));
             assert_eq!(wide_evals, evals * N as u64, "lane-normalized count");
             for s in 0..prog.slot_count() {
                 assert_eq!(wide[s * N + k], scalar[s], "slot {s} sub-word {k}");
@@ -1289,13 +1003,16 @@ mod tests {
             prog.patch_net(y1, false),
             prog.patch_pin(and_gate, 1, false),
         ];
-        let mut wide = prog.new_values_wide::<N>();
-        let mut scalar = prog.new_values();
+        let mut wide = prog.new_values::<N>();
+        let mut scalar = prog.new_values::<1>();
         for patch in patches {
-            let wide_evals = prog.eval_patched_wide::<N>(&mut wide, &chunks, patch);
+            let wide_evals = prog.eval_patched::<N>(&mut wide, &chunks, patch);
             for k in 0..N {
-                let evals =
-                    prog.eval_patched(&mut scalar, &scalar_words::<N>(&chunks, width, k), patch);
+                let evals = prog.eval_patched::<1>(
+                    &mut scalar,
+                    &scalar_words::<N>(&chunks, width, k),
+                    patch,
+                );
                 assert_eq!(wide_evals, evals * N as u64, "{patch:?}");
                 for s in 0..prog.slot_count() {
                     assert_eq!(wide[s * N + k], scalar[s], "{patch:?} slot {s} word {k}");
@@ -1309,10 +1026,13 @@ mod tests {
             prog.patch_pin(and_gate, 0, true),
             prog.patch_pin(and_gate, 1, true),
         ];
-        let wide_evals = prog.eval_multi_patched_wide::<N>(&mut wide, &chunks, &multi);
+        let wide_evals = prog.eval_multi_patched::<N>(&mut wide, &chunks, &multi);
         for k in 0..N {
-            let evals =
-                prog.eval_multi_patched(&mut scalar, &scalar_words::<N>(&chunks, width, k), &multi);
+            let evals = prog.eval_multi_patched::<1>(
+                &mut scalar,
+                &scalar_words::<N>(&chunks, width, k),
+                &multi,
+            );
             assert_eq!(wide_evals, evals * N as u64);
             for s in 0..prog.slot_count() {
                 assert_eq!(wide[s * N + k], scalar[s], "multi slot {s} word {k}");
@@ -1335,14 +1055,14 @@ mod tests {
             .find(|&n| matches!(nl.driver(n), NetDriver::Const(_)))
             .unwrap();
         let chunks = [!0u64; N];
-        let mut wide = prog.new_values_wide::<N>();
-        prog.eval_patched_wide::<N>(&mut wide, &chunks, prog.patch_net(const_net, false));
+        let mut wide = prog.new_values::<N>();
+        prog.eval_patched::<N>(&mut wide, &chunks, prog.patch_net(const_net, false));
         let o = nl.outputs()[0].index() * N;
         assert!(
             wide[o..o + N].iter().all(|&w| w == 0),
             "fault masks the AND"
         );
-        prog.eval_patched_wide::<N>(&mut wide, &chunks, prog.patch_net(nl.outputs()[0], true));
+        prog.eval_patched::<N>(&mut wide, &chunks, prog.patch_net(nl.outputs()[0], true));
         let c = const_net.index() * N;
         assert!(
             wide[c..c + N].iter().all(|&w| w == !0u64),

@@ -1075,16 +1075,17 @@ mod tests {
             patterns.push(st);
         }
         let outputs = p.output_slots().to_vec();
-        let mut vo = p.new_values();
-        let mut vn = opt.optimized().new_values();
+        let mut vo = p.new_values::<1>();
+        let mut vn = opt.optimized().new_values::<1>();
 
         let mut checked = 0usize;
         let mut unmapped = 0usize;
         let mut try_patch = |patch: Patch| match opt.remap_patch(patch) {
             None => unmapped += 1,
             Some(ps) => {
-                p.eval_patched(&mut vo, &patterns, patch);
-                opt.optimized().eval_multi_patched(&mut vn, &patterns, &ps);
+                p.eval_patched::<1>(&mut vo, &patterns, patch);
+                opt.optimized()
+                    .eval_multi_patched::<1>(&mut vn, &patterns, &ps);
                 for &o in &outputs {
                     assert_eq!(
                         vo[o as usize], vn[o as usize],

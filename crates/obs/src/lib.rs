@@ -426,7 +426,7 @@ impl Recorder {
     }
 
     /// Adds externally measured wall time to span `id` (for stages that
-    /// time themselves, e.g. one `apply_block` call).
+    /// time themselves, e.g. one fault-simulation sweep).
     pub fn add_wall(&mut self, id: SpanId, wall: Duration) {
         if !self.enabled {
             return;

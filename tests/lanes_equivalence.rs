@@ -1,21 +1,25 @@
 //! Acceptance for wide-word (u64×N lane) evaluation: every lane width
-//! (64, 256, 512), engine (serial and parallel at 1/2/4/8 threads) and
-//! optimization setting must reproduce the scalar 64-lane baseline's
-//! `FaultSimReport` bit for bit on the same pattern stream — identical
-//! first-detection indices, identical `patterns_applied`, identical
-//! coverage. This is the contract behind `table2 --lanes` producing
-//! byte-identical JSON while sweeping more patterns per good-machine
-//! evaluation.
+//! (64, 256, 512), thread count (1/2/4/8) and optimization setting must
+//! reproduce a one-block-at-a-time run's `FaultSimReport` bit for bit on
+//! the same pattern stream — identical first-detection indices,
+//! identical `patterns_applied`, identical coverage. This is the
+//! contract behind `table2 --lanes` producing byte-identical JSON while
+//! sweeping more patterns per good-machine evaluation.
 //!
-//! The stop conditions get their own tests: the wide driver replays the
-//! scalar driver's per-64-lane decisions (max-pattern truncation,
-//! coverage target, detection plateau) after each sweep, and ragged
-//! streams (`StoredSeedReplay` reseeds mid-stream, `ExhaustiveSource`
-//! tails) must count only their masked lanes.
+//! The baseline is an independent stop-decision oracle: the reference
+//! interpreter driven one 64-lane block at a time by the per-block stop
+//! loop (max-pattern truncation, coverage target, detection plateau)
+//! written out in this file. The one engine driver instead *replays*
+//! those decisions after each sweep, at every width including 64 lanes,
+//! so comparing it with itself across widths would not catch a replay
+//! bug that every width shares. The stop conditions get their own tests,
+//! and ragged streams (`StoredSeedReplay` reseeds mid-stream,
+//! `ExhaustiveSource` tails) must count only their masked lanes.
 
-use bibs_faultsim::fault::FaultUniverse;
+use bibs_faultsim::fault::{Fault, FaultUniverse};
 use bibs_faultsim::par::ParFaultSimulator;
-use bibs_faultsim::sim::{BlockSim, FaultSimReport, FaultSimulator};
+use bibs_faultsim::reference::ReferenceSimulator;
+use bibs_faultsim::sim::{BlockSim, FaultSimReport};
 use bibs_faultsim::source::{ExhaustiveSource, PatternSource, RandomWords, StoredSeedReplay};
 use bibs_netlist::builder::NetlistBuilder;
 use bibs_netlist::opt::optimize;
@@ -30,24 +34,59 @@ fn assert_same(base: &FaultSimReport, got: &FaultSimReport, what: &str) {
     assert_eq!(
         base.detection(),
         got.detection(),
-        "{what}: detection indices diverged from the scalar baseline"
+        "{what}: detection indices diverged from the one-block baseline"
     );
     assert_eq!(
         base.patterns_applied(),
         got.patterns_applied(),
-        "{what}: patterns_applied diverged from the scalar baseline"
+        "{what}: patterns_applied diverged from the one-block baseline"
     );
     assert_eq!(
         base.coverage(),
         got.coverage(),
-        "{what}: coverage diverged from the scalar baseline"
+        "{what}: coverage diverged from the one-block baseline"
     );
 }
 
-/// Runs the scalar serial engine as the baseline, then every
-/// (lane width × engine × thread count × optimization) combination on a
-/// fresh copy of the same stream and requires bit-identical reports.
-/// Returns the baseline report so callers can pin stop behavior.
+/// The stop-decision oracle: pulls one 64-lane block at a time, checks
+/// every stop condition before each block, truncates the block to the
+/// pattern budget, and applies it through the reference interpreter's
+/// one-block sweep and commit. Nothing is replayed.
+fn one_block_at_a_time(
+    nl: &Netlist,
+    faults: &[Fault],
+    source: &mut impl PatternSource,
+    max_patterns: u64,
+    plateau: u64,
+    target: f64,
+) -> FaultSimReport {
+    let mut sim = ReferenceSimulator::new(nl, faults.to_vec());
+    let width = nl.input_width();
+    let mut last_detection_at = 0u64;
+    while sim.patterns_applied() < max_patterns
+        && sim.coverage() < target
+        && sim.patterns_applied().saturating_sub(last_detection_at) < plateau
+    {
+        let Some(block) = source.next_block(width) else {
+            break;
+        };
+        let lanes = block
+            .lanes
+            .min((max_patterns - sim.patterns_applied()) as usize);
+        let hits = sim.sweep(std::slice::from_ref(&block), &[lanes]);
+        sim.commit(sim.patterns_applied() + lanes as u64);
+        if hits[0] > 0 {
+            last_detection_at = sim.patterns_applied();
+        }
+    }
+    sim.report()
+}
+
+/// Runs the one-block oracle as the baseline, then every
+/// (lane width × thread count × optimization) combination of the engine
+/// on a fresh copy of the same stream and requires bit-identical
+/// reports. Returns the baseline report so callers can pin stop
+/// behavior.
 fn assert_lanes_invisible<S: PatternSource>(
     nl: &Netlist,
     mut make_source: impl FnMut() -> S,
@@ -61,48 +100,37 @@ fn assert_lanes_invisible<S: PatternSource>(
     let program = EvalProgram::compile(&comb).expect("corpus circuits compile");
     let opt = optimize(&comb, &program)
         .unwrap_or_else(|e| panic!("{name}: translation validation failed: {e}"));
-    let mut src = make_source();
-    let base = FaultSimulator::new(&comb, faults.clone()).run_source_with(
-        &mut src,
+    let base = one_block_at_a_time(
+        &comb,
+        &faults,
+        &mut make_source(),
         max_patterns,
         plateau,
         target,
     );
     for lanes in LANE_WIDTHS {
-        let mut src = make_source();
-        let serial = FaultSimulator::new(&comb, faults.clone())
-            .with_lanes(lanes)
-            .run_source_with(&mut src, max_patterns, plateau, target);
-        assert_same(&base, &serial, &format!("{name}: serial @ {lanes} lanes"));
-        let mut src = make_source();
-        let serial_opt = FaultSimulator::with_optimized(&comb, &opt, faults.clone())
-            .with_lanes(lanes)
-            .run_source_with(&mut src, max_patterns, plateau, target);
-        assert_same(
-            &base,
-            &serial_opt,
-            &format!("{name}: serial+opt @ {lanes} lanes"),
-        );
         for threads in THREADS {
             let mut src = make_source();
-            let par = ParFaultSimulator::with_threads(&comb, faults.clone(), threads)
+            let got = ParFaultSimulator::with_threads(&comb, faults.clone(), threads)
                 .with_lanes(lanes)
                 .run_source_with(&mut src, max_patterns, plateau, target);
             assert_same(
                 &base,
-                &par,
-                &format!("{name}: par({threads}) @ {lanes} lanes"),
+                &got,
+                &format!("{name}: {threads} thread(s) @ {lanes} lanes"),
             );
         }
-        let mut src = make_source();
-        let par_opt = ParFaultSimulator::with_optimized(&comb, &opt, faults.clone(), 3)
-            .with_lanes(lanes)
-            .run_source_with(&mut src, max_patterns, plateau, target);
-        assert_same(
-            &base,
-            &par_opt,
-            &format!("{name}: par(3)+opt @ {lanes} lanes"),
-        );
+        for threads in [1usize, 3] {
+            let mut src = make_source();
+            let got = ParFaultSimulator::with_optimized(&comb, &opt, faults.clone(), threads)
+                .with_lanes(lanes)
+                .run_source_with(&mut src, max_patterns, plateau, target);
+            assert_same(
+                &base,
+                &got,
+                &format!("{name}: {threads} thread(s)+opt @ {lanes} lanes"),
+            );
+        }
     }
     base
 }
@@ -211,8 +239,8 @@ fn fuzzed_dags_match_scalar_across_lane_widths() {
 
 #[test]
 fn plateau_stops_replay_identically() {
-    // The plateau fires mid-stream: the wide engines must retract the
-    // sub-blocks a scalar run would never have applied.
+    // The plateau fires mid-stream: wide sweeps must retract the
+    // sub-blocks a one-block run would never have applied.
     let nl = redundant_circuit();
     for plateau in [64u64, 100, 130] {
         let base =
@@ -303,22 +331,22 @@ fn exhaustive_tail_counts_masked_lanes_only() {
 #[test]
 fn run_random_family_routes_through_wide_sweeps() {
     // The `run_random*` wrappers share the `run_source_with` driver, so
-    // a wide-configured engine must reproduce the scalar RNG stream too.
+    // at every width they must reproduce the one-block oracle on the
+    // seeded stream they draw.
     let nl = adder4().combinational_equivalent();
     let faults = FaultUniverse::collapsed(&nl).faults().to_vec();
     let seed = 0x1A4E_0500u64;
+    let oracle = |max_patterns, plateau, target| {
+        let mut src = RandomWords::seeded(seed);
+        one_block_at_a_time(&nl, &faults, &mut src, max_patterns, plateau, target)
+    };
+    let base = oracle(512, 512, 1.0);
+    let plateau_base = oracle(4096, 96, 1.0);
+    let until_base = oracle(4096, 4096, 0.9);
 
-    let mut rng = StdRng::seed_from_u64(seed);
-    let base = FaultSimulator::new(&nl, faults.clone()).run_random(&mut rng, 512);
-    let mut rng = StdRng::seed_from_u64(seed);
-    let plateau_base =
-        FaultSimulator::new(&nl, faults.clone()).run_random_with_plateau(&mut rng, 4096, 96);
-    let mut rng = StdRng::seed_from_u64(seed);
-    let until_base = FaultSimulator::new(&nl, faults.clone()).run_random_until(&mut rng, 0.9, 4096);
-
-    for lanes in [256usize, 512] {
+    for lanes in LANE_WIDTHS {
         let mut rng = StdRng::seed_from_u64(seed);
-        let wide = FaultSimulator::new(&nl, faults.clone())
+        let wide = ParFaultSimulator::new(&nl, faults.clone())
             .with_lanes(lanes)
             .run_random(&mut rng, 512);
         assert_same(&base, &wide, &format!("run_random @ {lanes} lanes"));
@@ -334,7 +362,7 @@ fn run_random_family_routes_through_wide_sweeps() {
         );
 
         let mut rng = StdRng::seed_from_u64(seed);
-        let wide = FaultSimulator::new(&nl, faults.clone())
+        let wide = ParFaultSimulator::new(&nl, faults.clone())
             .with_lanes(lanes)
             .run_random_until(&mut rng, 0.9, 4096);
         assert_same(
@@ -348,25 +376,24 @@ fn run_random_family_routes_through_wide_sweeps() {
 #[test]
 fn source_accounting_matches_scalar_on_non_stopping_runs() {
     // On a run that only ever stops at `max_patterns` (no coverage or
-    // plateau exit), the wide driver pulls exactly the blocks a scalar
-    // run would have, so the *source-side* accounting — patterns
-    // emitted, clocks, stream digest — must agree too. (Stopped runs
-    // may legitimately over-pull; that asymmetry is documented on
+    // plateau exit), a sweep pulls exactly the blocks a one-block run
+    // would have, so the *source-side* accounting — patterns emitted,
+    // clocks, stream digest — must agree too. (Stopped runs may
+    // legitimately over-pull; that asymmetry is documented on
     // `run_source_with`.)
     let nl = redundant_circuit().combinational_equivalent();
     let faults = FaultUniverse::collapsed(&nl).faults().to_vec();
-    let mut scalar_src = RandomWords::seeded(0x1A4E_0600);
-    let base =
-        FaultSimulator::new(&nl, faults.clone()).run_source_with(&mut scalar_src, 256, 256, 1.0);
+    let mut oracle_src = RandomWords::seeded(0x1A4E_0600);
+    let base = one_block_at_a_time(&nl, &faults, &mut oracle_src, 256, 256, 1.0);
     assert_eq!(base.patterns_applied(), 256, "run must exhaust its budget");
-    for lanes in [256usize, 512] {
+    for lanes in LANE_WIDTHS {
         let mut wide_src = RandomWords::seeded(0x1A4E_0600);
-        let wide = FaultSimulator::new(&nl, faults.clone())
+        let wide = ParFaultSimulator::new(&nl, faults.clone())
             .with_lanes(lanes)
             .run_source_with(&mut wide_src, 256, 256, 1.0);
         assert_same(&base, &wide, &format!("accounting run @ {lanes} lanes"));
-        assert_eq!(wide_src.patterns_emitted(), scalar_src.patterns_emitted());
-        assert_eq!(wide_src.clocks_consumed(), scalar_src.clocks_consumed());
-        assert_eq!(wide_src.state_digest(), scalar_src.state_digest());
+        assert_eq!(wide_src.patterns_emitted(), oracle_src.patterns_emitted());
+        assert_eq!(wide_src.clocks_consumed(), oracle_src.clocks_consumed());
+        assert_eq!(wide_src.state_digest(), oracle_src.state_digest());
     }
 }

@@ -5,8 +5,8 @@
 //! the session stream with `session_patterns` and push it through
 //! `run_patterns`. With sources, the same stream arrives through
 //! [`MinTpgSource`] and the generic `run_source` driver — and the two
-//! must agree on every first-detection index, on every engine, at every
-//! thread count, all the way up to the `table2 --source mintpg` surface.
+//! must agree on every first-detection index, at every thread count, all
+//! the way up to the `table2 --source mintpg` surface.
 
 use bibs::session::session_patterns;
 use bibs::source::MinTpgSource;
@@ -17,7 +17,7 @@ use bibs_datapath::elab::elaborate_kernel;
 use bibs_datapath::filters::scaled;
 use bibs_faultsim::fault::FaultUniverse;
 use bibs_faultsim::par::ParFaultSimulator;
-use bibs_faultsim::sim::{BlockSim, FaultSimulator};
+use bibs_faultsim::sim::BlockSim;
 use bibs_faultsim::source::PatternSource;
 use bibs_netlist::Netlist;
 use std::collections::HashSet;
@@ -55,11 +55,11 @@ fn mintpg_source_reproduces_the_session_path_exactly() {
 
     // Pre-source path: collect the session stream, push it as patterns.
     let patterns = session_patterns(&tpg, &structure);
-    let via_patterns = FaultSimulator::new(&comb, faults.clone()).run_patterns(&patterns);
+    let via_patterns = ParFaultSimulator::new(&comb, faults.clone()).run_patterns(&patterns);
 
     // Source path: the same hardware stream through the generic driver.
     let mut source = MinTpgSource::new(&tpg, &structure).expect("single-cone kernel");
-    let via_source = FaultSimulator::new(&comb, faults.clone()).run_source(&mut source, 1 << 20);
+    let via_source = ParFaultSimulator::new(&comb, faults.clone()).run_source(&mut source, 1 << 20);
 
     assert_eq!(
         via_patterns.detection(),
@@ -76,7 +76,7 @@ fn mintpg_source_reproduces_the_session_path_exactly() {
     let warmup = tpg.flip_flop_count() as u64 + u64::from(structure.sequential_depth());
     assert_eq!(source.clocks_consumed(), warmup + (1 << tpg.lfsr_degree()));
 
-    // And the parallel engine agrees at every thread count.
+    // And the sharded engine agrees at every thread count.
     for threads in [2usize, 4, 8] {
         let mut source = MinTpgSource::new(&tpg, &structure).unwrap();
         let par = ParFaultSimulator::with_threads(&comb, faults.clone(), threads)
@@ -91,7 +91,7 @@ fn table2_mintpg_source_matches_the_session_path_end_to_end() {
     let (comb, structure, tpg) = c5a2m_kernel();
     let faults = FaultUniverse::collapsed(&comb).faults().to_vec();
     let patterns = session_patterns(&tpg, &structure);
-    let mut expected: Vec<u64> = FaultSimulator::new(&comb, faults)
+    let mut expected: Vec<u64> = ParFaultSimulator::new(&comb, faults)
         .run_patterns(&patterns)
         .detection()
         .iter()
