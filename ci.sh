@@ -212,6 +212,20 @@ cargo run --release -p bibs-bench --bin table2 -- --only c5a2m --json \
   --lanes 512 > /tmp/bibs-table2-l512.json
 diff /tmp/bibs-table2-compiled.json /tmp/bibs-table2-l512.json
 
+step "all three datapaths: table2 JSON is byte-identical under --engine reference, --lanes 512 and --opt"
+# The c5a2m diffs above never reach c4a4m's 1,520-instruction BIBS
+# kernel, where fault cones are smallest (8% of the program on average)
+# and a bug in the event-driven faulty evaluation's early exit would most
+# likely hide. Each run takes well under a second.
+cargo run --release -p bibs-bench --bin table2 -- --json > /tmp/bibs-table2-all.json
+for opts in "--engine reference" "--lanes 512" "--opt"; do
+  # shellcheck disable=SC2086 # $opts is a flag and its value
+  cargo run --release -p bibs-bench --bin table2 -- --json $opts \
+    > /tmp/bibs-table2-all-alt.json
+  diff /tmp/bibs-table2-all.json /tmp/bibs-table2-all-alt.json
+done
+grep -q '"c4a4m"' /tmp/bibs-table2-all.json
+
 step "wide lanes: telemetry determinism (1 vs 8 worker threads, wall-stripped)"
 BIBS_JOBS=1 cargo run --release -p bibs-bench --bin table2 -- --only c5a2m \
   --lanes 512 --telemetry /tmp/bibs-telemetry-lanes-j1.json > /dev/null

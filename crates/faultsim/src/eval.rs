@@ -11,7 +11,7 @@
 
 use crate::fault::{Fault, FaultSite};
 use bibs_netlist::opt::OptimizedProgram;
-use bibs_netlist::{EvalProgram, Patch};
+use bibs_netlist::{EvalProgram, EventQueue, Patch};
 
 /// Maps a stuck-at fault to its compiled patch-point.
 ///
@@ -107,11 +107,15 @@ pub(crate) fn validate_fault_patches(
     }
 }
 
-/// One faulty-machine evaluation over a stride-`N` buffer: runs `program`
-/// (the good-machine program) for `Direct`/`Multi`, or `fallback` (the
-/// pre-rewrite program; same slot space) for `Fallback`. `inputs` is the
-/// input-contiguous layout of [`EvalProgram::set_inputs`]. Returns the
-/// lane-normalized executed instruction count.
+/// One faulty-machine evaluation against the sweep's good machine:
+/// `Direct` and `Multi` faults run event-driven on `program` (the
+/// good-machine program, [`EvalProgram::eval_events`]); `Fallback` faults
+/// run the whole pre-rewrite program `fallback` (same slot space; the
+/// good buffer lacks the slots the rewrite erased) over `inputs`, the
+/// input-contiguous layout of [`EvalProgram::set_inputs`]. `faulty`
+/// equals `good` on entry and on return. Returns the primary-output
+/// difference words (see [`first_detection`]) and the lane-normalized
+/// count of instructions evaluated.
 ///
 /// `Fallback` without a fallback program is rejected at engine
 /// construction by [`validate_fault_patches`], so it is unreachable here.
@@ -119,15 +123,24 @@ pub(crate) fn validate_fault_patches(
 pub(crate) fn eval_fault<const N: usize>(
     program: &EvalProgram,
     fallback: Option<&EvalProgram>,
-    values: &mut [u64],
+    good: &[u64],
+    faulty: &mut [u64],
     inputs: &[u64],
     fp: &FaultPatch,
-) -> u64 {
+    queue: &mut EventQueue,
+) -> ([u64; N], u64) {
     match fp {
-        FaultPatch::Direct(p) => program.eval_patched::<N>(values, inputs, *p),
-        FaultPatch::Multi(ps) => program.eval_multi_patched::<N>(values, inputs, ps),
+        FaultPatch::Direct(p) => {
+            program.eval_events::<N>(good, faulty, std::slice::from_ref(p), queue)
+        }
+        FaultPatch::Multi(ps) => program.eval_events::<N>(good, faulty, ps, queue),
         FaultPatch::Fallback(p) => match fallback {
-            Some(orig) => orig.eval_patched::<N>(values, inputs, *p),
+            Some(orig) => {
+                let gate_evals = orig.eval_patched::<N>(faulty, inputs, *p);
+                let diff = output_diff_words::<N>(program.output_slots(), good, faulty);
+                faulty.copy_from_slice(good);
+                (diff, gate_evals)
+            }
             None => unreachable!("validate_fault_patches admits Fallback only with a fallback"),
         },
     }
@@ -138,9 +151,7 @@ pub(crate) fn eval_fault<const N: usize>(
 /// restricted to `masks[sub_word]`, or `None` if the fault is undetected
 /// in the whole sweep. `output_slots` are [`EvalProgram::output_slots`];
 /// `masks[k]` is the valid-lane mask of sub-word `k` (0 for sub-words
-/// past the pattern budget). Taking the *first* differing sub-word, and
-/// its lowest lane, is what makes first-detection indices identical at
-/// every lane width.
+/// past the pattern budget).
 #[inline]
 pub(crate) fn output_diff<const N: usize>(
     output_slots: &[u32],
@@ -148,6 +159,16 @@ pub(crate) fn output_diff<const N: usize>(
     faulty: &[u64],
     masks: &[u64; N],
 ) -> Option<(usize, u64)> {
+    first_detection(output_diff_words::<N>(output_slots, good, faulty), masks)
+}
+
+/// The OR of `good ^ faulty` over `output_slots`, per sub-word.
+#[inline]
+fn output_diff_words<const N: usize>(
+    output_slots: &[u32],
+    good: &[u64],
+    faulty: &[u64],
+) -> [u64; N] {
     let mut diff = [0u64; N];
     for &o in output_slots {
         let a = o as usize * N;
@@ -155,6 +176,18 @@ pub(crate) fn output_diff<const N: usize>(
             *d |= g ^ f;
         }
     }
+    diff
+}
+
+/// The first sub-word `k` whose output difference `diff[k]` has a lane
+/// inside `masks[k]`, with that masked word. Taking the *first* differing
+/// sub-word, and its lowest lane, is what makes first-detection indices
+/// identical at every lane width.
+#[inline]
+pub(crate) fn first_detection<const N: usize>(
+    diff: [u64; N],
+    masks: &[u64; N],
+) -> Option<(usize, u64)> {
     diff.iter()
         .zip(masks)
         .map(|(&d, &m)| d & m)

@@ -308,7 +308,6 @@ impl DominanceCollapse {
         // Observer count per slot: operand reads + primary-output reads +
         // flip-flop D reads. A stem with exactly one *operand* observer
         // and no other observation collapses into that pin.
-        let readers = program.slot_readers();
         let mut extra = vec![0usize; program.slot_count()];
         for &o in program.output_slots() {
             extra[o as usize] += 1;
@@ -316,7 +315,8 @@ impl DominanceCollapse {
         for &(_, d) in program.dff_slots() {
             extra[d as usize] += 1;
         }
-        let sole_reader = |slot: usize| -> bool { readers[slot].len() == 1 && extra[slot] == 0 };
+        let sole_reader =
+            |slot: usize| -> bool { program.readers(slot).len() == 1 && extra[slot] == 0 };
 
         for i in 0..program.instr_count() {
             let instr = program.instr(i);

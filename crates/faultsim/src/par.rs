@@ -6,11 +6,14 @@
 //! 1. **one** good-machine run of the compiled [`EvalProgram`] over the
 //!    sweep's `N` 64-lane words (`N` = 1, 4 or 8, set by
 //!    [`ParFaultSimulator::with_lanes`]) into a buffer every shard reads;
-//! 2. the *undetected* fault list evaluated against it, each fault's
-//!    pre-compiled [`bibs_netlist::Patch`] applied to the same program in
-//!    a shard-private `faulty` buffer, recording
-//!    `(position, sub-block, pattern offset)` hits. At one thread (or a
-//!    short list) one shard runs inline on the calling thread; otherwise
+//! 2. the *undetected* fault list evaluated against it, recording
+//!    `(position, sub-block, pattern offset)` hits. Each shard copies the
+//!    good values into its private `faulty` buffer once per sweep, then
+//!    propagates each fault's pre-compiled [`bibs_netlist::Patch`]
+//!    event-driven ([`EvalProgram::eval_events`]): only the instructions
+//!    whose inputs differ from the good machine's are evaluated, and the
+//!    buffer is restored after each fault. At one thread (or a short
+//!    list) one shard runs inline on the calling thread; otherwise
 //!    `std::thread::scope` workers steal fixed-size chunks of the list off
 //!    an `AtomicUsize` cursor. Both run the same shard body;
 //! 3. the calling thread merges the hits, and the driver's commit drops
@@ -42,7 +45,7 @@ use crate::sim::{BlockSim, FaultSimReport, SimError, SweepHits};
 use crate::source::PatternBlock;
 use crate::stats::SimStats;
 use bibs_netlist::opt::OptimizedProgram;
-use bibs_netlist::{EvalProgram, Netlist};
+use bibs_netlist::{EvalProgram, EventQueue, Netlist};
 use bibs_obs::{CounterId, Recorder, ShardCounters};
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -98,8 +101,10 @@ pub fn default_jobs() -> usize {
 /// program via [`ParFaultSimulator::with_program`], or a validated
 /// optimizer rewrite via [`ParFaultSimulator::with_optimized`]) and
 /// pre-compiles every fault to its patch-point(s); each sweep is then one
-/// program run for the good machine plus one patched run per undetected
-/// fault. Detected faults are dropped from later sweeps; the per-fault
+/// program run for the good machine plus one event-driven propagation
+/// per undetected fault, which evaluates only the instructions the
+/// fault's effect reaches (PPSFP: parallel patterns, single-fault
+/// propagation). Detected faults are dropped from later sweeps; the per-fault
 /// first-detection pattern index is recorded so coverage-vs-pattern-count
 /// curves (the paper's Table 2 rows 5–8) can be reconstructed exactly.
 /// Reports are bit-identical to the seed interpreter's
@@ -154,9 +159,9 @@ pub struct ParFaultSimulator<'a> {
     inputs: Vec<u64>,
     /// The good machine's stride-`lane_words` values.
     good: Vec<u64>,
-    /// One stride-`lane_words` faulty-machine buffer per worker, reused
+    /// One faulty-machine buffer and event queue per worker, reused
     /// across sweeps.
-    faulty_bufs: Vec<Vec<u64>>,
+    workers: Vec<Worker>,
     patterns_applied: u64,
     threads: usize,
     rec: Recorder,
@@ -256,7 +261,7 @@ impl<'a> ParFaultSimulator<'a> {
             undetected: (0..n as u32).collect(),
             lane_words: 1,
             inputs: Vec::new(),
-            faulty_bufs: vec![good.clone(); threads],
+            workers: vec![Worker::new(&good); threads],
             good,
             patterns_applied: 0,
             threads,
@@ -290,7 +295,7 @@ impl<'a> ParFaultSimulator<'a> {
             4 => self.program.new_values::<4>(),
             _ => self.program.new_values::<8>(),
         };
-        self.faulty_bufs = vec![self.good.clone(); self.threads];
+        self.workers = vec![Worker::new(&self.good); self.threads];
         self
     }
 
@@ -403,7 +408,7 @@ impl<'a> ParFaultSimulator<'a> {
         let shard_results: Vec<(Vec<Hit>, ShardCounters)> =
             if self.threads <= 1 || live <= SERIAL_CUTOFF {
                 let mut all = Some(0..live);
-                vec![shard.run(&mut self.faulty_bufs[0], |_| all.take())]
+                vec![shard.run(&mut self.workers[0], |_| all.take())]
             } else {
                 let cursor = AtomicUsize::new(0);
                 let steal = |counters: &mut ShardCounters| {
@@ -416,9 +421,9 @@ impl<'a> ParFaultSimulator<'a> {
                 let (shard, steal) = (&shard, &steal);
                 std::thread::scope(|s| {
                     let handles: Vec<_> = self
-                        .faulty_bufs
+                        .workers
                         .iter_mut()
-                        .map(|buf| s.spawn(move || shard.run(buf, steal)))
+                        .map(|worker| s.spawn(move || shard.run(worker, steal)))
                         .collect();
                     handles
                         .into_iter()
@@ -451,6 +456,23 @@ impl<'a> ParFaultSimulator<'a> {
     }
 }
 
+/// One worker's private state: a stride-`lane_words` faulty-machine
+/// buffer and the event queue its propagations work in.
+#[derive(Debug, Clone)]
+struct Worker {
+    faulty: Vec<u64>,
+    queue: EventQueue,
+}
+
+impl Worker {
+    fn new(good: &[u64]) -> Worker {
+        Worker {
+            faulty: good.to_vec(),
+            queue: EventQueue::default(),
+        }
+    }
+}
+
 /// What every shard of one sweep reads: the program, the patches, the
 /// undetected list and the good machine's values.
 struct Shard<'s, const N: usize> {
@@ -467,30 +489,36 @@ struct Shard<'s, const N: usize> {
 }
 
 impl<const N: usize> Shard<'_, N> {
-    /// The shard body: evaluates, in `buf`, the faults at every range of
-    /// undetected-list positions `next` hands out (until it returns
-    /// `None`), and returns a hit per detected fault plus the shard's
-    /// counters.
+    /// The shard body: syncs the worker's faulty buffer from the good
+    /// machine, evaluates the faults at every range of undetected-list
+    /// positions `next` hands out (until it returns `None`), and returns a
+    /// hit per detected fault plus the shard's counters.
     fn run(
         &self,
-        buf: &mut [u64],
+        worker: &mut Worker,
         mut next: impl FnMut(&mut ShardCounters) -> Option<Range<usize>>,
     ) -> (Vec<Hit>, ShardCounters) {
         let started = Instant::now();
         let mut hits = Vec::new();
         let mut counters = ShardCounters::new();
+        worker.faulty.copy_from_slice(self.good);
         while let Some(positions) = next(&mut counters) {
             for pos in positions {
                 let fp = &self.patches[self.undetected[pos] as usize];
-                let gate_evals =
-                    eval::eval_fault::<N>(self.program, self.fallback, buf, self.inputs, fp);
+                let (diff, gate_evals) = eval::eval_fault::<N>(
+                    self.program,
+                    self.fallback,
+                    self.good,
+                    &mut worker.faulty,
+                    self.inputs,
+                    fp,
+                    &mut worker.queue,
+                );
                 counters.add(CounterId::GateEvals, gate_evals);
                 counters.add(CounterId::FaultEvals, 1);
                 counters.add(CounterId::PatchesApplied, fp.patch_count());
-                if let Some((k, diff)) =
-                    eval::output_diff::<N>(self.program.output_slots(), self.good, buf, &self.masks)
-                {
-                    hits.push((pos, k, self.prefix[k] + diff.trailing_zeros() as u64));
+                if let Some((k, word)) = eval::first_detection(diff, &self.masks) {
+                    hits.push((pos, k, self.prefix[k] + word.trailing_zeros() as u64));
                 }
             }
         }

@@ -22,8 +22,8 @@ use std::time::Duration;
 /// Since the compiled-IR refactor the stats also expose the
 /// compile-vs-run split: [`SimStats::compile_wall`] is the one-time cost
 /// of building the [`EvalProgram`](bibs_netlist::EvalProgram),
-/// [`SimStats::gate_evals`] counts executed instructions (the
-/// hardware-meaningful throughput unit) and [`SimStats::patches_applied`]
+/// [`SimStats::gate_evals`] counts instructions actually evaluated (the
+/// hardware-meaningful unit of work) and [`SimStats::patches_applied`]
 /// counts faulty-machine patch applications.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SimStats {
@@ -49,8 +49,13 @@ pub struct SimStats {
     /// reuse a caller-supplied program, and for the reference
     /// interpreter).
     pub compile_wall: Duration,
-    /// Total gate evaluations (compiled instructions executed, or
-    /// interpreted gate visits) across good and faulty machines.
+    /// Total gate evaluations (compiled instructions actually evaluated,
+    /// or interpreted gate visits) across good and faulty machines. The
+    /// compiled engine runs the whole program per good-machine sweep but
+    /// only the instructions a fault's effect reaches per faulty machine
+    /// ([`EvalProgram::eval_events`](bibs_netlist::EvalProgram::eval_events)),
+    /// so the reference interpreter, which runs whole programs, counts
+    /// several times more for the same report.
     pub gate_evals: u64,
     /// Fault patch-points applied (one per faulty-machine evaluation in
     /// the compiled engines; zero in the reference interpreter).
@@ -162,11 +167,17 @@ impl SimStats {
         self.fault_evals as f64 / secs
     }
 
-    /// Gate evaluations per wall-clock second — the hot-path throughput
-    /// figure the compiled IR optimizes; 0.0 before any time has elapsed.
+    /// Gate evaluations per wall-clock second; 0.0 before any time has
+    /// elapsed.
     ///
     /// Each of the 64 lanes carries an independent pattern, so the
-    /// per-pattern gate throughput is 64× this number.
+    /// per-pattern gate throughput is 64× this number. This is a rate of
+    /// work, not of results: a faulty machine evaluates only the
+    /// instructions its fault's effect reaches, and each costs a bitset
+    /// pop, a comparison with the good value and reader scheduling on
+    /// top of the gate itself, so a run that finishes sooner can show a
+    /// lower rate. Compare runs by wall time or
+    /// [`SimStats::fault_evals_per_second`], not by this rate.
     pub fn gate_evals_per_second(&self) -> f64 {
         let secs = self.wall.as_secs_f64();
         if secs <= 0.0 {

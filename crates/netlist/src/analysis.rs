@@ -370,9 +370,8 @@ pub fn ternary_analyze_with(
     propagate(program, &mut values, &split_from, 0);
 
     if options.split_rounds > 0 {
-        let readers = program.slot_readers();
         for _ in 0..options.split_rounds {
-            let refined = split_round(program, &mut values, &mut split_from, &readers);
+            let refined = split_round(program, &mut values, &mut split_from);
             // Push split-derived constants through the whole stream.
             propagate(program, &mut values, &split_from, 0);
             if refined == 0 {
@@ -410,22 +409,18 @@ fn patterns_join(program: &EvalProgram, blocks: &[Vec<u64>]) -> Vec<Tv> {
 
 /// One round of single-stem case splitting. Returns how many slots gained
 /// a constant.
-fn split_round(
-    program: &EvalProgram,
-    values: &mut [Tv],
-    split_from: &mut [Option<u32>],
-    readers: &[Vec<(u32, u32)>],
-) -> usize {
+fn split_round(program: &EvalProgram, values: &mut [Tv], split_from: &mut [Option<u32>]) -> usize {
     let mut refined = 0usize;
     let mut b0 = Vec::new();
     let mut b1 = Vec::new();
     for stem in 0..values.len() {
-        if values[stem] != Tv::X || readers[stem].len() < 2 {
+        let readers = program.readers(stem);
+        if values[stem] != Tv::X || readers.len() < 2 {
             continue;
         }
         // `readers` lists occurrences in schedule order, so the first
         // entry is the earliest instruction that can change.
-        let first = readers[stem][0].0 as usize;
+        let first = readers[0].0 as usize;
         b0.clear();
         b0.extend_from_slice(values);
         b0[stem] = Tv::Zero;
@@ -1124,7 +1119,7 @@ impl<'a> Prover<'a> {
             steps.push("…".into());
             return;
         }
-        let readers = self.program.slot_readers();
+        let readers = self.program.readers(slot);
         let observed_directly = self
             .program
             .output_slots()
@@ -1141,11 +1136,11 @@ impl<'a> Prover<'a> {
             ));
             return;
         }
-        if readers[slot].is_empty() {
+        if readers.is_empty() {
             steps.push(format!("n{slot} has no readers: a dead cone"));
             return;
         }
-        for &(i, p) in readers[slot].iter().take(3) {
+        for &(i, p) in readers.iter().take(3) {
             self.explain_pin_co(i as usize, p as usize, depth + 1, steps);
         }
     }

@@ -18,10 +18,15 @@
 //! * pre-resolved initialization lists: primary-input slots in declaration
 //!   order ([`EvalProgram::input_slots`]) and constant prologue words
 //!   ([`EvalProgram::const_inits`]) — evaluation never scans drivers;
+//! * a fanout index ([`EvalProgram::readers`]): the `(instruction, pin)`
+//!   pairs that read each slot, one entry per operand;
 //! * **fault patch-points**: for any net or gate pin, a [`Patch`] that
 //!   forces the corresponding slot, instruction output, or instruction
 //!   operand to a stuck value. Faulty-machine evaluation is "run the same
-//!   program with one patch applied", not a second bespoke interpreter.
+//!   program with the patch applied", not a second bespoke interpreter —
+//!   either the whole program ([`EvalProgram::eval_patched`]) or, from a
+//!   buffer holding the good machine's values, only the instructions the
+//!   fault's effect reaches ([`EvalProgram::eval_events`]).
 //!
 //! *Slots* are net indices: slot `i` of a one-word (`N = 1`) value buffer
 //! holds the 64-lane word of net `NetId::from_index(i)`; an `N`-word buffer
@@ -162,6 +167,155 @@ pub struct EvalProgram {
     pub(crate) output_slots: Vec<u32>,
     /// Number of value-buffer slots (= net count).
     pub(crate) slot_count: usize,
+    /// Fanout index (CSR): the readers of slot `s` are
+    /// `readers[reader_start[s]..reader_start[s + 1]]`.
+    reader_start: Vec<u32>,
+    /// `(instruction, pin)` operand occurrences grouped by slot, in
+    /// schedule order within each slot.
+    readers: Vec<(u32, u32)>,
+    /// Whether each slot is a primary output.
+    is_output: Vec<bool>,
+}
+
+/// An instruction stream under construction, in schedule order.
+/// [`Stream::finish`] is the one constructor of [`EvalProgram`]: both
+/// [`EvalProgram::compile`] and the optimizer's rebuild (`crate::opt`)
+/// push their schedule through it, so every index derived from the
+/// stream (level ranges, slot and gate maps, the fanout index) is built
+/// in one place.
+pub(crate) struct Stream {
+    ops: Vec<GateKind>,
+    operand_start: Vec<u32>,
+    operands: Vec<u32>,
+    out_slot: Vec<u32>,
+    levels: Vec<(u32, u32)>,
+    level: Option<u32>,
+    instr_of_gate: Vec<u32>,
+    gate_of_instr: Vec<GateId>,
+    instr_of_slot: Vec<u32>,
+}
+
+impl Stream {
+    /// An empty stream over `slot_count` slots for a netlist of
+    /// `gate_count` gates.
+    pub(crate) fn new(gate_count: usize, slot_count: usize) -> Stream {
+        let mut operand_start = Vec::with_capacity(gate_count + 1);
+        operand_start.push(0);
+        Stream {
+            ops: Vec::with_capacity(gate_count),
+            operand_start,
+            operands: Vec::new(),
+            out_slot: Vec::with_capacity(gate_count),
+            levels: Vec::new(),
+            level: None,
+            instr_of_gate: vec![NO_INSTR; gate_count],
+            gate_of_instr: Vec::with_capacity(gate_count),
+            instr_of_slot: vec![NO_INSTR; slot_count],
+        }
+    }
+
+    /// Appends the instruction compiled from `gate` and returns its
+    /// position. Levels must arrive in non-decreasing order.
+    pub(crate) fn push(
+        &mut self,
+        kind: GateKind,
+        operands: impl IntoIterator<Item = u32>,
+        out: u32,
+        gate: GateId,
+        level: u32,
+    ) -> u32 {
+        let pos = self.ops.len() as u32;
+        self.ops.push(kind);
+        self.operands.extend(operands);
+        self.operand_start.push(self.operands.len() as u32);
+        self.out_slot.push(out);
+        self.instr_of_gate[gate.index()] = pos;
+        self.gate_of_instr.push(gate);
+        self.instr_of_slot[out as usize] = pos;
+        if self.level == Some(level) {
+            self.levels.last_mut().expect("non-empty").1 += 1;
+        } else {
+            debug_assert!(
+                self.level.is_none_or(|l| l < level),
+                "levels must not decrease"
+            );
+            self.levels.push((pos, pos + 1));
+            self.level = Some(level);
+        }
+        pos
+    }
+
+    /// Completes the program with its source and output lists and builds
+    /// the fanout index.
+    pub(crate) fn finish(
+        self,
+        input_slots: Vec<u32>,
+        const_inits: Vec<(u32, u64)>,
+        dff_slots: Vec<(u32, u32)>,
+        output_slots: Vec<u32>,
+    ) -> EvalProgram {
+        let slot_count = self.instr_of_slot.len();
+        let mut reader_start = vec![0u32; slot_count + 1];
+        for &s in &self.operands {
+            reader_start[s as usize + 1] += 1;
+        }
+        for s in 0..slot_count {
+            reader_start[s + 1] += reader_start[s];
+        }
+        let mut fill = reader_start.clone();
+        let mut readers = vec![(0u32, 0u32); self.operands.len()];
+        for i in 0..self.ops.len() {
+            let span = self.operand_start[i] as usize..self.operand_start[i + 1] as usize;
+            for (pin, &s) in self.operands[span].iter().enumerate() {
+                readers[fill[s as usize] as usize] = (i as u32, pin as u32);
+                fill[s as usize] += 1;
+            }
+        }
+        let mut is_output = vec![false; slot_count];
+        for &s in &output_slots {
+            is_output[s as usize] = true;
+        }
+        EvalProgram {
+            ops: self.ops,
+            operand_start: self.operand_start,
+            operands: self.operands,
+            out_slot: self.out_slot,
+            levels: self.levels,
+            instr_of_gate: self.instr_of_gate,
+            gate_of_instr: self.gate_of_instr,
+            instr_of_slot: self.instr_of_slot,
+            input_slots,
+            const_inits,
+            dff_slots,
+            output_slots,
+            slot_count,
+            reader_start,
+            readers,
+            is_output,
+        }
+    }
+}
+
+/// Reusable scratch for [`EvalProgram::eval_events`]: the pending
+/// instructions (one bit each, scanned in schedule order) and the slots
+/// the current evaluation wrote. Empty between calls; one queue serves
+/// any program and grows on first use.
+#[derive(Debug, Clone, Default)]
+pub struct EventQueue {
+    pending: Vec<u64>,
+    /// One past the highest `pending` word ever set in this evaluation.
+    end: usize,
+    touched: Vec<u32>,
+}
+
+impl EventQueue {
+    /// Marks instruction `instr` pending (idempotent).
+    #[inline]
+    fn schedule(&mut self, instr: u32) {
+        let w = instr as usize / 64;
+        self.pending[w] |= 1u64 << (instr % 64);
+        self.end = self.end.max(w + 1);
+    }
 }
 
 impl EvalProgram {
@@ -200,31 +354,17 @@ impl EvalProgram {
         let mut sched: Vec<u32> = (0..gate_count as u32).collect();
         sched.sort_unstable_by_key(|&g| (level[g as usize], g));
 
-        let mut ops = Vec::with_capacity(gate_count);
-        let mut operand_start = Vec::with_capacity(gate_count + 1);
-        let mut operands = Vec::new();
-        let mut out_slot = Vec::with_capacity(gate_count);
-        let mut instr_of_gate = vec![NO_INSTR; gate_count];
-        let mut gate_of_instr = Vec::with_capacity(gate_count);
-        let mut instr_of_slot = vec![NO_INSTR; slot_count];
-        let mut levels: Vec<(u32, u32)> = Vec::new();
-
-        operand_start.push(0u32);
-        for (pos, &g) in sched.iter().enumerate() {
+        let mut stream = Stream::new(gate_count, slot_count);
+        for &g in &sched {
             let gid = GateId::from_index(g as usize);
             let gate = netlist.gate(gid);
-            ops.push(gate.kind);
-            operands.extend(gate.inputs.iter().map(|i| i.index() as u32));
-            operand_start.push(operands.len() as u32);
-            out_slot.push(gate.output.index() as u32);
-            instr_of_gate[g as usize] = pos as u32;
-            gate_of_instr.push(gid);
-            instr_of_slot[gate.output.index()] = pos as u32;
-            if level[g as usize] as usize + 1 == levels.len() {
-                levels.last_mut().expect("non-empty").1 += 1;
-            } else {
-                levels.push((pos as u32, pos as u32 + 1));
-            }
+            stream.push(
+                gate.kind,
+                gate.inputs.iter().map(|i| i.index() as u32),
+                gate.output.index() as u32,
+                gid,
+                level[g as usize],
+            );
         }
 
         let input_slots = netlist.inputs().iter().map(|n| n.index() as u32).collect();
@@ -240,22 +380,7 @@ impl EvalProgram {
             .map(|ff| (ff.q.index() as u32, ff.d.index() as u32))
             .collect();
         let output_slots = netlist.outputs().iter().map(|n| n.index() as u32).collect();
-
-        Ok(EvalProgram {
-            ops,
-            operand_start,
-            operands,
-            out_slot,
-            levels,
-            instr_of_gate,
-            gate_of_instr,
-            instr_of_slot,
-            input_slots,
-            const_inits,
-            dff_slots,
-            output_slots,
-            slot_count,
-        })
+        Ok(stream.finish(input_slots, const_inits, dff_slots, output_slots))
     }
 
     /// [`EvalProgram::compile`] wrapped in a telemetry span: records a
@@ -363,24 +488,23 @@ impl EvalProgram {
         }
     }
 
-    /// Per-slot operand occurrences: for each slot, the `(instruction,
-    /// pin)` pairs that read it as a gate operand, in schedule order.
+    /// The operand occurrences of `slot`: the `(instruction, pin)` pairs
+    /// that read it as a gate operand, in schedule order.
     ///
-    /// This is the reader-side dual of [`EvalProgram::instr_of_slot`]:
-    /// analysis passes use it to count fanout branches and to enumerate
-    /// the observation paths of a net without re-walking the [`Netlist`].
-    /// Primary-output and flip-flop-D reads are *not* included — see
-    /// [`EvalProgram::output_slots`] / [`EvalProgram::dff_slots`].
-    pub fn slot_readers(&self) -> Vec<Vec<(u32, u32)>> {
-        let mut readers: Vec<Vec<(u32, u32)>> = vec![Vec::new(); self.slot_count];
-        for i in 0..self.instr_count() {
-            let start = self.operand_start[i] as usize;
-            let end = self.operand_start[i + 1] as usize;
-            for (pin, &s) in self.operands[start..end].iter().enumerate() {
-                readers[s as usize].push((i as u32, pin as u32));
-            }
-        }
-        readers
+    /// This is the reader-side dual of [`EvalProgram::instr_of_slot`],
+    /// compiled once per program (one entry per operand): analysis passes
+    /// use it to count fanout branches and to enumerate a net's
+    /// observation paths without re-walking the [`Netlist`], and
+    /// [`EvalProgram::eval_events`] to schedule the instructions a changed
+    /// value reaches. Primary-output and flip-flop-D reads are *not*
+    /// included — see [`EvalProgram::output_slots`] /
+    /// [`EvalProgram::dff_slots`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `slot >= slot_count()`.
+    pub fn readers(&self, slot: usize) -> &[(u32, u32)] {
+        &self.readers[self.reader_start[slot] as usize..self.reader_start[slot + 1] as usize]
     }
 
     // ------------------------------------------------------------------
@@ -463,8 +587,11 @@ impl EvalProgram {
     ///
     /// Re-applying the (typically empty) constant prologue makes the buffer
     /// self-healing: a previous [`Patch::Slot`] on a constant slot is
-    /// undone here, so one persistent faulty buffer serves every fault in a
-    /// run. Returns the lane-normalized executed count.
+    /// undone here, so one persistent faulty buffer serves every
+    /// whole-program faulty run (the optimizer's fallback faults, the
+    /// sequential simulator, the validators). The fault simulator's
+    /// per-fault path is [`EvalProgram::eval_events`]. Returns the
+    /// lane-normalized executed count.
     #[inline]
     pub fn eval_patched<const N: usize>(
         &self,
@@ -472,9 +599,7 @@ impl EvalProgram {
         inputs: &[u64],
         patch: Patch,
     ) -> u64 {
-        self.apply_consts::<N>(values);
-        self.set_inputs::<N>(values, inputs);
-        self.run_patched::<N>(values, patch)
+        self.eval_multi_patched::<N>(values, inputs, std::slice::from_ref(&patch))
     }
 
     /// Executes the instruction stream with `patch` applied (its stuck
@@ -482,33 +607,7 @@ impl EvalProgram {
     /// Returns the lane-normalized executed count.
     #[inline]
     pub fn run_patched<const N: usize>(&self, values: &mut [u64], patch: Patch) -> u64 {
-        let n = self.ops.len();
-        let executed = match patch {
-            Patch::Slot { slot, word } => {
-                let o = slot as usize * N;
-                values[o..o + N].fill(word);
-                self.exec_range::<N>(values, 0, n);
-                n
-            }
-            Patch::InstrOutput { instr, word } => {
-                let i = instr as usize;
-                self.exec_range::<N>(values, 0, i);
-                let o = self.out_slot[i] as usize * N;
-                values[o..o + N].fill(word);
-                self.exec_range::<N>(values, i + 1, n);
-                n - 1
-            }
-            Patch::InstrPin { instr, .. } => {
-                let i = instr as usize;
-                self.exec_range::<N>(values, 0, i);
-                let word = self.eval_pinned::<N>(values, i, std::slice::from_ref(&patch));
-                let o = self.out_slot[i] as usize * N;
-                values[o..o + N].copy_from_slice(&word);
-                self.exec_range::<N>(values, i + 1, n);
-                n
-            }
-        };
-        (executed * N) as u64
+        self.run_multi_patched::<N>(values, std::slice::from_ref(&patch))
     }
 
     /// Faulty-machine evaluation with *several* patch-points applied at
@@ -555,44 +654,152 @@ impl EvalProgram {
         let mut cursor = 0usize;
         let mut k = 0usize;
         while k < patches.len() {
-            let (i, forced_out) = match patches[k] {
-                Patch::Slot { .. } => {
-                    k += 1;
-                    continue;
-                }
-                Patch::InstrOutput { instr, word } => (instr as usize, Some(word)),
-                Patch::InstrPin { instr, .. } => (instr as usize, None),
+            let Some(i) = patch_instr(&patches[k]) else {
+                k += 1;
+                continue;
             };
             debug_assert!(i >= cursor, "instruction patches must be sorted");
             self.exec_range::<N>(values, cursor, i);
             executed += i - cursor;
+            let end = patch_run_end(patches, k, i);
+            let (word, evaluated) = self.patched_word::<N>(values, i, &patches[k..end]);
             let o = self.out_slot[i] as usize * N;
-            if let Some(word) = forced_out {
-                values[o..o + N].fill(word);
-                k += 1;
-            } else {
-                let first = k;
-                while k < patches.len()
-                    && matches!(patches[k], Patch::InstrPin { instr, .. } if instr as usize == i)
-                {
-                    k += 1;
-                }
-                let word = self.eval_pinned::<N>(values, i, &patches[first..k]);
-                values[o..o + N].copy_from_slice(&word);
-                executed += 1;
-            }
-            // Swallow any remaining patches on the same instruction (a
-            // forced output makes pin patches on it moot).
-            while k < patches.len()
-                && matches!(patches[k], Patch::InstrPin { instr, .. } | Patch::InstrOutput { instr, .. } if instr as usize == i)
-            {
-                k += 1;
-            }
+            values[o..o + N].copy_from_slice(&word);
+            executed += usize::from(evaluated);
+            k = end;
             cursor = i + 1;
         }
         self.exec_range::<N>(values, cursor, n);
         executed += n - cursor;
         (executed * N) as u64
+    }
+
+    /// Event-driven faulty-machine evaluation: runs the faulty machine of
+    /// `patches` only where it differs from the good machine, and returns
+    /// its primary-output difference.
+    ///
+    /// `good` holds the good machine's stride-`N` values for the current
+    /// inputs ([`EvalProgram::eval_good`]); `faulty` must equal `good` on
+    /// entry, and equals it again on return. The call forces the patch
+    /// sites, then evaluates pending instructions in schedule order. An
+    /// instruction is pending when it is patched or reads a slot whose
+    /// `N`-word value differs from the good machine's, so each runs at
+    /// most once (readers follow their operands' writers) and the call
+    /// stops when nothing is pending. It then restores every slot it
+    /// wrote from `good`.
+    ///
+    /// Returns `(diff, gate_evals)`: `diff[k]` is the OR of
+    /// `good ^ faulty` over the primary outputs in sub-word `k`, equal to
+    /// what [`EvalProgram::eval_multi_patched`] followed by a comparison
+    /// of every output would give; `gate_evals` is the lane-normalized
+    /// count of instructions actually evaluated (a forced output is not
+    /// evaluated). `patches` follow [`EvalProgram::run_multi_patched`]'s
+    /// rules, and [`Patch::Slot`] entries name distinct source slots.
+    /// `queue` is scratch and is empty again on return.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a buffer is shorter than `N × slot_count()` words.
+    pub fn eval_events<const N: usize>(
+        &self,
+        good: &[u64],
+        faulty: &mut [u64],
+        patches: &[Patch],
+        queue: &mut EventQueue,
+    ) -> ([u64; N], u64) {
+        let words = self.ops.len().div_ceil(64);
+        if queue.pending.len() < words {
+            queue.pending.resize(words, 0);
+        }
+        let mut diff = [0u64; N];
+        for p in patches {
+            match *p {
+                Patch::Slot { slot, word } => {
+                    debug_assert_eq!(self.instr_of_slot[slot as usize], NO_INSTR);
+                    let s = slot as usize;
+                    if self.settle::<N>(s, [word; N], good, faulty, queue, &mut diff) {
+                        for &(r, _) in self.readers(s) {
+                            queue.schedule(r);
+                        }
+                    }
+                }
+                Patch::InstrOutput { instr, .. } | Patch::InstrPin { instr, .. } => {
+                    queue.schedule(instr);
+                }
+            }
+        }
+        let mut evaluated = 0usize;
+        let (mut w, mut k) = (0usize, 0usize);
+        while w < queue.end {
+            // The word being scanned stays in a register: readers that
+            // fall in it (always at higher bits) join `bits` directly.
+            let mut bits = std::mem::take(&mut queue.pending[w]);
+            while bits != 0 {
+                let i = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                // Instructions pop in ascending order, so one cursor walks
+                // the sorted patches alongside.
+                while k < patches.len() && patch_instr(&patches[k]).is_none_or(|pi| pi < i) {
+                    k += 1;
+                }
+                let word = if k < patches.len() && patch_instr(&patches[k]) == Some(i) {
+                    let (word, ran) = self.patched_word::<N>(faulty, i, &patches[k..]);
+                    evaluated += usize::from(ran);
+                    word
+                } else {
+                    evaluated += 1;
+                    self.eval_instr::<N>(i, |_, s| load::<N>(faulty, s))
+                };
+                let out = self.out_slot[i] as usize;
+                if self.settle::<N>(out, word, good, faulty, queue, &mut diff) {
+                    for &(r, _) in self.readers(out) {
+                        if r as usize / 64 == w {
+                            bits |= 1 << (r % 64);
+                        } else {
+                            queue.schedule(r);
+                        }
+                    }
+                }
+            }
+            w += 1;
+        }
+        for &s in &queue.touched {
+            let o = s as usize * N;
+            faulty[o..o + N].copy_from_slice(&good[o..o + N]);
+        }
+        queue.touched.clear();
+        queue.end = 0;
+        (diff, (evaluated * N) as u64)
+    }
+
+    /// Settles `slot` at `word` during [`EvalProgram::eval_events`]: a
+    /// value equal to the good machine's is dropped; a differing one is
+    /// written, recorded for restoration and folded into `diff` if the
+    /// slot is a primary output. Returns whether the value differs, i.e.
+    /// whether the slot's readers must be scheduled.
+    #[inline(always)]
+    fn settle<const N: usize>(
+        &self,
+        slot: usize,
+        word: [u64; N],
+        good: &[u64],
+        faulty: &mut [u64],
+        queue: &mut EventQueue,
+        diff: &mut [u64; N],
+    ) -> bool {
+        let g = load::<N>(good, slot as u32);
+        if g == word {
+            return false;
+        }
+        let o = slot * N;
+        faulty[o..o + N].copy_from_slice(&word);
+        queue.touched.push(slot as u32);
+        if self.is_output[slot] {
+            for ((d, gw), fw) in diff.iter_mut().zip(g).zip(word) {
+                *d |= gw ^ fw;
+            }
+        }
+        true
     }
 
     /// Builds the patch-point for a stuck-at fault on `net`.
@@ -659,98 +866,117 @@ impl EvalProgram {
         read
     }
 
-    /// Executes instructions `from..to` over a stride-`N` buffer. The
-    /// gate kind is matched once per instruction, outside the `0..N` lane
-    /// loops; Not/Buf read only operand 0.
+    /// Executes instructions `from..to` over a stride-`N` buffer.
     #[inline]
     fn exec_range<const N: usize>(&self, values: &mut [u64], from: usize, to: usize) {
-        /// Folds `op` over the operand words, lane by lane. Binary gates
-        /// dominate real netlists, so they skip the operand loop.
-        #[inline(always)]
-        fn fold<const N: usize>(
-            values: &[u64],
-            span: &[u32],
-            init: u64,
-            op: impl Fn(u64, u64) -> u64,
-        ) -> [u64; N] {
-            if let [x, y] = *span {
-                let (x, y) = (x as usize * N, y as usize * N);
-                let (xs, ys) = (&values[x..x + N], &values[y..y + N]);
-                return std::array::from_fn(|k| op(xs[k], ys[k]));
-            }
-            let mut acc = [init; N];
-            for &s in span {
-                let a = s as usize * N;
-                for (w, &v) in acc.iter_mut().zip(&values[a..a + N]) {
-                    *w = op(*w, v);
-                }
-            }
-            acc
-        }
         for i in from..to {
-            let start = self.operand_start[i] as usize;
-            let end = self.operand_start[i + 1] as usize;
-            let span = &self.operands[start..end];
-            let word = |s: u32| {
-                let a = s as usize * N;
-                let xs = &values[a..a + N];
-                std::array::from_fn::<u64, N, _>(|k| xs[k])
-            };
-            let acc: [u64; N] = match self.ops[i] {
-                GateKind::And => fold(values, span, !0, |a, b| a & b),
-                GateKind::Or => fold(values, span, 0, |a, b| a | b),
-                GateKind::Xor => fold(values, span, 0, |a, b| a ^ b),
-                GateKind::Nand => fold(values, span, !0, |a, b| a & b).map(|w| !w),
-                GateKind::Nor => fold(values, span, 0, |a, b| a | b).map(|w| !w),
-                GateKind::Xnor => fold(values, span, 0, |a, b| a ^ b).map(|w| !w),
-                GateKind::Not => word(span[0]).map(|w| !w),
-                GateKind::Buf => word(span[0]),
-            };
+            let acc = self.eval_instr::<N>(i, |_, s| load::<N>(values, s));
             let o = self.out_slot[i] as usize * N;
             values[o..o + N].copy_from_slice(&acc);
         }
     }
 
-    /// Evaluates instruction `i` with every pin named in `pins` (a run of
-    /// [`Patch::InstrPin`] entries on `i`) overridden by its splatted
-    /// stuck word.
-    fn eval_pinned<const N: usize>(&self, values: &[u64], i: usize, pins: &[Patch]) -> [u64; N] {
-        let start = self.operand_start[i] as usize;
-        let end = self.operand_start[i + 1] as usize;
-        let operand = |idx: usize| -> [u64; N] {
-            for p in pins {
-                if let Patch::InstrPin { pin, word, .. } = *p {
-                    if pin as usize == idx {
-                        return [word; N];
-                    }
+    /// Instruction `i`'s output word, with operand `pin` (reading slot
+    /// `s`) fetched as `operand(pin, s)`: the one per-instruction body
+    /// behind every evaluation entry point. The gate kind is matched once
+    /// per instruction, outside the `0..N` lane loops; Not/Buf read only
+    /// operand 0.
+    #[inline(always)]
+    fn eval_instr<const N: usize>(
+        &self,
+        i: usize,
+        operand: impl Fn(usize, u32) -> [u64; N],
+    ) -> [u64; N] {
+        /// Folds `op` over the operand words, lane by lane. Binary gates
+        /// dominate real netlists, so they skip the operand loop.
+        #[inline(always)]
+        fn fold<const N: usize>(
+            span: &[u32],
+            operand: &impl Fn(usize, u32) -> [u64; N],
+            init: u64,
+            op: impl Fn(u64, u64) -> u64,
+        ) -> [u64; N] {
+            if let [x, y] = *span {
+                let (a, b) = (operand(0, x), operand(1, y));
+                return std::array::from_fn(|k| op(a[k], b[k]));
+            }
+            let mut acc = [init; N];
+            for (pin, &s) in span.iter().enumerate() {
+                for (w, v) in acc.iter_mut().zip(operand(pin, s)) {
+                    *w = op(*w, v);
                 }
             }
-            let a = self.operands[start + idx] as usize * N;
-            let mut w = [0u64; N];
-            w.copy_from_slice(&values[a..a + N]);
-            w
-        };
-        let kind = self.ops[i];
-        let (init, op): (u64, fn(u64, u64) -> u64) = match kind {
-            GateKind::And | GateKind::Nand => (!0, |a, b| a & b),
-            GateKind::Or | GateKind::Nor => (0, |a, b| a | b),
-            // Not/Buf fold their single operand into 0: `0 ^ a = a`.
-            GateKind::Xor | GateKind::Xnor | GateKind::Not | GateKind::Buf => (0, |a, b| a ^ b),
-        };
-        let arity = if kind.is_unary() { 1 } else { end - start };
-        let mut acc = [init; N];
-        for idx in 0..arity {
-            for (w, v) in acc.iter_mut().zip(operand(idx)) {
-                *w = op(*w, v);
-            }
+            acc
         }
-        if kind.is_inverting() {
-            for w in &mut acc {
-                *w = !*w;
-            }
+        let span =
+            &self.operands[self.operand_start[i] as usize..self.operand_start[i + 1] as usize];
+        match self.ops[i] {
+            GateKind::And => fold(span, &operand, !0, |a, b| a & b),
+            GateKind::Or => fold(span, &operand, 0, |a, b| a | b),
+            GateKind::Xor => fold(span, &operand, 0, |a, b| a ^ b),
+            GateKind::Nand => fold(span, &operand, !0, |a, b| a & b).map(|w| !w),
+            GateKind::Nor => fold(span, &operand, 0, |a, b| a | b).map(|w| !w),
+            GateKind::Xnor => fold(span, &operand, 0, |a, b| a ^ b).map(|w| !w),
+            GateKind::Not => operand(0, span[0]).map(|w| !w),
+            GateKind::Buf => operand(0, span[0]),
         }
-        acc
     }
+
+    /// The output word of patched instruction `i`, where `run` starts
+    /// with the patches on `i`: the stuck word if any of them forces the
+    /// output, otherwise `i` evaluated with every [`Patch::InstrPin`]
+    /// override among them (the first entry for a pin wins). The flag
+    /// says whether the instruction was evaluated.
+    fn patched_word<const N: usize>(
+        &self,
+        values: &[u64],
+        i: usize,
+        run: &[Patch],
+    ) -> ([u64; N], bool) {
+        let run = &run[..patch_run_end(run, 0, i)];
+        for p in run {
+            if let Patch::InstrOutput { word, .. } = *p {
+                return ([word; N], false);
+            }
+        }
+        let word = self.eval_instr::<N>(i, |idx, s| {
+            run.iter()
+                .find_map(|p| match *p {
+                    Patch::InstrPin { pin, word, .. } if pin as usize == idx => Some([word; N]),
+                    _ => None,
+                })
+                .unwrap_or_else(|| load::<N>(values, s))
+        });
+        (word, true)
+    }
+}
+
+/// Slot `s`'s `N` words of a stride-`N` buffer.
+#[inline(always)]
+fn load<const N: usize>(values: &[u64], s: u32) -> [u64; N] {
+    let a = s as usize * N;
+    let xs = &values[a..a + N];
+    std::array::from_fn(|k| xs[k])
+}
+
+/// The instruction an instruction-indexed patch targets; `None` for a
+/// [`Patch::Slot`].
+#[inline]
+fn patch_instr(p: &Patch) -> Option<usize> {
+    match *p {
+        Patch::Slot { .. } => None,
+        Patch::InstrOutput { instr, .. } | Patch::InstrPin { instr, .. } => Some(instr as usize),
+    }
+}
+
+/// The end of the run of patches on instruction `i` that starts at
+/// `patches[k]`.
+#[inline]
+fn patch_run_end(patches: &[Patch], k: usize, i: usize) -> usize {
+    k + patches[k..]
+        .iter()
+        .take_while(|p| patch_instr(p) == Some(i))
+        .count()
 }
 
 #[cfg(test)]
@@ -1068,6 +1294,225 @@ mod tests {
             wide[c..c + N].iter().all(|&w| w == !0u64),
             "prologue healed"
         );
+    }
+
+    /// The whole-program oracle for [`EvalProgram::eval_events`] on
+    /// `good`'s inputs: the primary-output difference of
+    /// [`EvalProgram::eval_multi_patched`], and the lane-normalized count
+    /// of instructions an event-driven run must evaluate — every one not
+    /// output-forced that is pin-patched or reads a slot whose faulty
+    /// value differs from the good one.
+    fn whole_program_oracle<const N: usize>(
+        prog: &EvalProgram,
+        good: &[u64],
+        inputs: &[u64],
+        patches: &[Patch],
+    ) -> ([u64; N], u64) {
+        let mut whole = prog.new_values::<N>();
+        prog.eval_multi_patched::<N>(&mut whole, inputs, patches);
+        let differs = |s: u32| {
+            let a = s as usize * N;
+            good[a..a + N] != whole[a..a + N]
+        };
+        let mut diff = [0u64; N];
+        for &o in prog.output_slots() {
+            for (k, d) in diff.iter_mut().enumerate() {
+                *d |= good[o as usize * N + k] ^ whole[o as usize * N + k];
+            }
+        }
+        let patched = |i: usize, forced: bool| {
+            patches.iter().any(|p| match *p {
+                Patch::InstrOutput { instr, .. } => forced && instr as usize == i,
+                Patch::InstrPin { instr, .. } => !forced && instr as usize == i,
+                Patch::Slot { .. } => false,
+            })
+        };
+        let evaluated = (0..prog.instr_count())
+            .filter(|&i| {
+                !patched(i, true)
+                    && (patched(i, false) || prog.instr(i).operands.iter().any(|&s| differs(s)))
+            })
+            .count();
+        (diff, (evaluated * N) as u64)
+    }
+
+    /// Checks every patch set in `sets` through `eval_events` at width
+    /// `N` against the whole-program oracle — the difference word and the
+    /// exact work — and that the faulty buffer is back to the good values
+    /// after each call.
+    fn assert_events_match<const N: usize>(prog: &EvalProgram, sets: &[Vec<Patch>]) {
+        let width = prog.input_slots().len();
+        let chunks: Vec<u64> = (0..(width * N) as u64).map(pattern_word).collect();
+        let mut good = prog.new_values::<N>();
+        prog.eval_good::<N>(&mut good, &chunks);
+        let mut faulty = good.clone();
+        let mut queue = EventQueue::default();
+        for set in sets {
+            let want = whole_program_oracle::<N>(prog, &good, &chunks, set);
+            let got = prog.eval_events::<N>(&good, &mut faulty, set, &mut queue);
+            assert_eq!(got, want, "{set:?} at N = {N}");
+            assert!(faulty == good, "{set:?} left the faulty buffer dirty");
+        }
+    }
+
+    /// Every single stuck-at patch of `nl`: both polarities of every
+    /// net stem and every gate pin.
+    fn all_single_patches(nl: &Netlist, prog: &EvalProgram) -> Vec<Vec<Patch>> {
+        let mut sets = Vec::new();
+        for stuck in [false, true] {
+            for net in nl.net_ids() {
+                sets.push(vec![prog.patch_net(net, stuck)]);
+            }
+            for g in nl.gate_ids() {
+                for pin in 0..nl.gate(g).inputs.len() {
+                    sets.push(vec![prog.patch_pin(g, pin, stuck)]);
+                }
+            }
+        }
+        sets
+    }
+
+    fn shared_fanout() -> Netlist {
+        // Shared fanout, a constant, reconvergence and an output that is
+        // also read by a gate.
+        let mut b = NetlistBuilder::new("events");
+        let a = b.input("a");
+        let c = b.input("b");
+        let d = b.input("d");
+        let one = b.const1();
+        let y0 = b.and2(a, c);
+        let y1 = b.or2(a, one);
+        let y2 = b.gate(GateKind::Xor, &[y0, y1]);
+        let y3 = b.gate(GateKind::Nand, &[y2, d, a]);
+        let y4 = b.not(y0);
+        b.output("y2", y2);
+        b.output("y0", y0);
+        b.output("y3", y3);
+        b.output("y4", y4);
+        b.finish().unwrap()
+    }
+
+    /// A 5×5 array multiplier: over 64 instructions, so the pending
+    /// bitset spans several words.
+    fn multiplier5() -> Netlist {
+        let mut b = NetlistBuilder::new("mul5");
+        let a = b.input_word("a", 5);
+        let c = b.input_word("b", 5);
+        let p = b.array_multiplier(&a, &c, 10);
+        b.output_word("p", &p);
+        b.finish().unwrap()
+    }
+
+    #[test]
+    fn eval_events_matches_whole_program_for_every_single_fault() {
+        for nl in [adder4(), shared_fanout(), multiplier5()] {
+            let prog = EvalProgram::compile(&nl).unwrap();
+            let sets = all_single_patches(&nl, &prog);
+            assert_events_match::<1>(&prog, &sets);
+            assert_events_match::<4>(&prog, &sets);
+            assert_events_match::<8>(&prog, &sets);
+        }
+    }
+
+    #[test]
+    fn eval_events_matches_whole_program_for_patch_sets() {
+        let nl = shared_fanout();
+        let prog = EvalProgram::compile(&nl).unwrap();
+        let gate = |kind| nl.gate_ids().find(|&g| nl.gate(g).kind == kind).unwrap();
+        let (and, xor, nand) = (
+            gate(GateKind::And),
+            gate(GateKind::Xor),
+            gate(GateKind::Nand),
+        );
+        let out = |g: GateId| prog.instr_of_gate(g) as u32;
+        let sets = vec![
+            // The empty set is the good machine.
+            vec![],
+            // A slot force plus two pin overrides on one gate.
+            vec![
+                prog.patch_net(nl.inputs()[0], false),
+                prog.patch_pin(and, 0, true),
+                prog.patch_pin(and, 1, true),
+            ],
+            // Pins on gates at different levels, the later one a reader
+            // of the earlier one's output.
+            vec![prog.patch_pin(and, 1, false), prog.patch_pin(xor, 0, true)],
+            // A forced output supersedes a pin patch on the same gate,
+            // and stays forced when its inputs change.
+            vec![
+                prog.patch_net(nl.inputs()[0], true),
+                Patch::InstrOutput {
+                    instr: out(nand),
+                    word: 0,
+                },
+                Patch::InstrPin {
+                    instr: out(nand),
+                    pin: 1,
+                    word: !0,
+                },
+            ],
+        ];
+        assert_events_match::<1>(&prog, &sets);
+        assert_events_match::<4>(&prog, &sets);
+        assert_events_match::<8>(&prog, &sets);
+    }
+
+    #[test]
+    fn eval_events_stops_where_the_difference_dies() {
+        // y = a AND b feeds a chain of three inverters; b stuck-at-1
+        // changes nothing while a = 0, so only the AND is evaluated.
+        let mut b = NetlistBuilder::new("masked");
+        let a = b.input("a");
+        let c = b.input("b");
+        let y = b.and2(a, c);
+        let n1 = b.not(y);
+        let n2 = b.not(n1);
+        let n3 = b.not(n2);
+        b.output("z", n3);
+        let nl = b.finish().unwrap();
+        let prog = EvalProgram::compile(&nl).unwrap();
+        let mut queue = EventQueue::default();
+        let patch = prog.patch_net(c, true);
+
+        let mut good = prog.new_values::<1>();
+        prog.eval_good::<1>(&mut good, &[0, 0]);
+        let mut faulty = good.clone();
+        let (diff, evals) = prog.eval_events::<1>(&good, &mut faulty, &[patch], &mut queue);
+        assert_eq!((diff, evals), ([0], 1), "masked at the AND");
+        assert_eq!(faulty, good);
+
+        // With a = 1 in the low 8 lanes the difference runs the chain.
+        prog.eval_good::<1>(&mut good, &[0xFF, 0]);
+        faulty.copy_from_slice(&good);
+        let (diff, evals) = prog.eval_events::<1>(&good, &mut faulty, &[patch], &mut queue);
+        assert_eq!((diff, evals), ([0xFF], 4));
+        assert_eq!(faulty, good);
+
+        // A forced output equal to the good value evaluates nothing.
+        let quiet = prog.patch_net(y, false);
+        let (diff, evals) = prog.eval_events::<1>(&good, &mut faulty, &[quiet], &mut queue);
+        assert_eq!((diff, evals), ([0], 0));
+    }
+
+    #[test]
+    fn readers_index_every_operand_in_schedule_order() {
+        let nl = shared_fanout();
+        let prog = EvalProgram::compile(&nl).unwrap();
+        // The optimizer's rebuild derives the index through the same
+        // constructor; `a OR 1` folds, so the rebuild has work to do.
+        let opt = crate::opt::optimize(&nl, &prog).unwrap();
+        assert!(opt.optimized().instr_count() < prog.instr_count());
+        for p in [&prog, opt.optimized()] {
+            let mut expect: Vec<Vec<(u32, u32)>> = vec![Vec::new(); p.slot_count()];
+            for (i, ins) in p.instrs().enumerate() {
+                for (pin, &s) in ins.operands.iter().enumerate() {
+                    expect[s as usize].push((i as u32, pin as u32));
+                }
+            }
+            for (slot, want) in expect.iter().enumerate() {
+                assert_eq!(p.readers(slot), &want[..], "slot {slot}");
+            }
+        }
     }
 
     #[test]

@@ -47,7 +47,7 @@ pub mod verilog;
 
 mod netlist;
 
-pub use compiled::{EvalProgram, Instr, Patch};
+pub use compiled::{EvalProgram, EventQueue, Instr, Patch};
 pub use netlist::{
     Dff, DffId, Gate, GateId, GateKind, Net, NetDriver, NetId, Netlist, NetlistError,
 };

@@ -53,7 +53,7 @@
 
 use crate::analysis::{ternary_analyze, PiAssumption};
 use crate::cec::{self, CecResult, CexWitness};
-use crate::compiled::{EvalProgram, Patch, NO_INSTR};
+use crate::compiled::{EvalProgram, Patch, Stream, NO_INSTR};
 use crate::netlist::{GateKind, Netlist};
 use std::collections::{HashMap, HashSet};
 
@@ -338,58 +338,32 @@ impl Rewrite {
         let mut order = kept;
         order.sort_unstable_by_key(|&i| (lvl[i], p.gate_of_instr[i].index()));
 
-        let mut ops = Vec::with_capacity(order.len());
-        let mut operand_start = Vec::with_capacity(order.len() + 1);
-        let mut operands = Vec::new();
-        let mut out_slot = Vec::with_capacity(order.len());
-        let mut instr_of_gate = vec![NO_INSTR; p.instr_of_gate.len()];
-        let mut gate_of_instr = Vec::with_capacity(order.len());
-        let mut instr_of_slot = vec![NO_INSTR; p.slot_count()];
-        let mut levels: Vec<(u32, u32)> = Vec::new();
+        let mut stream = Stream::new(p.instr_of_gate.len(), p.slot_count());
         let mut instr_map = vec![NO_INSTR; n];
-
-        operand_start.push(0u32);
-        for (pos, &i) in order.iter().enumerate() {
+        for &i in &order {
             let start = p.operand_start[i] as usize;
             let end = p.operand_start[i + 1] as usize;
-            ops.push(self.kinds[i]);
-            operands.extend(
+            instr_map[i] = stream.push(
+                self.kinds[i],
                 p.operands[start..end]
                     .iter()
                     .map(|&o| self.subst[o as usize]),
+                p.out_slot[i],
+                p.gate_of_instr[i],
+                lvl[i],
             );
-            operand_start.push(operands.len() as u32);
-            out_slot.push(p.out_slot[i]);
-            instr_of_gate[p.gate_of_instr[i].index()] = pos as u32;
-            gate_of_instr.push(p.gate_of_instr[i]);
-            instr_of_slot[p.out_slot[i] as usize] = pos as u32;
-            if lvl[i] as usize + 1 == levels.len() {
-                levels.last_mut().expect("non-empty").1 += 1;
-            } else {
-                levels.push((pos as u32, pos as u32 + 1));
-            }
-            instr_map[i] = pos as u32;
         }
 
         let mut const_inits = p.const_inits.clone();
         const_inits.extend(self.new_consts.iter().copied());
         const_inits.sort_unstable_by_key(|&(s, _)| s);
 
-        let new_p = EvalProgram {
-            ops,
-            operand_start,
-            operands,
-            out_slot,
-            levels,
-            instr_of_gate,
-            gate_of_instr,
-            instr_of_slot,
-            input_slots: p.input_slots.clone(),
+        let new_p = stream.finish(
+            p.input_slots.clone(),
             const_inits,
-            dff_slots: p.dff_slots.clone(),
-            output_slots: p.output_slots.clone(),
-            slot_count: p.slot_count(),
-        };
+            p.dff_slots.clone(),
+            p.output_slots.clone(),
+        );
         (new_p, instr_map)
     }
 }
@@ -501,7 +475,6 @@ fn const_fold(p: &EvalProgram) -> PassResult {
 /// the chain root and the buffers deleted.
 fn copy_forward(p: &EvalProgram) -> PassResult {
     let po = po_slots(p);
-    let readers = p.slot_readers();
     let mut rw = Rewrite::identity(p);
     let mut rules = default_rules(p.instr_count());
     let mut removed: Vec<usize> = Vec::new();
@@ -525,7 +498,7 @@ fn copy_forward(p: &EvalProgram) -> PassResult {
     let mut pins_of: HashMap<usize, Vec<(u32, u32)>> = HashMap::new();
     for &i in removed.iter().rev() {
         let mut pins = Vec::new();
-        for &(r, pin) in &readers[p.out_slot[i] as usize] {
+        for &(r, pin) in p.readers(p.out_slot[i] as usize) {
             if rw.remove[r as usize] {
                 pins.extend(pins_of[&(r as usize)].iter().copied());
             } else {
@@ -563,7 +536,6 @@ fn symmetric(kind: GateKind) -> bool {
 /// `(kind, operands)` collapse onto the first scheduled one.
 fn cse(p: &EvalProgram) -> PassResult {
     let po = po_slots(p);
-    let readers = p.slot_readers();
     let mut rw = Rewrite::identity(p);
     let mut rules = default_rules(p.instr_count());
     let mut table: HashMap<(GateKind, Vec<u32>), usize> = HashMap::new();
@@ -607,10 +579,20 @@ fn cse(p: &EvalProgram) -> PassResult {
     // *original* readers where those all survived; pin faults (and stems
     // with deleted readers, or on output-driving representatives whose
     // environment observation a pin set cannot express) fall back to the
-    // original program.
+    // original program. So does a stem read by a representative: its
+    // output now also drives the readers of the duplicates it absorbed,
+    // which the original fault never reached.
+    let stem_rule = |slot: u32| {
+        let readers = p.readers(slot as usize);
+        if readers.iter().any(|&(r, _)| reps.contains(&(r as usize))) {
+            Rule::Unmapped
+        } else {
+            pins_rule(readers, &instr_map)
+        }
+    };
     for &i in &merged {
         rules[i] = InstrRules {
-            out: pins_rule(&readers[p.out_slot[i] as usize], &instr_map),
+            out: stem_rule(p.out_slot[i]),
             pin: Rule::Unmapped,
         };
     }
@@ -618,7 +600,7 @@ fn cse(p: &EvalProgram) -> PassResult {
         let out = if po.contains(&p.out_slot[rep]) {
             Rule::Unmapped
         } else {
-            pins_rule(&readers[p.out_slot[rep] as usize], &instr_map)
+            stem_rule(p.out_slot[rep])
         };
         rules[rep] = InstrRules {
             out,
@@ -655,7 +637,6 @@ fn complement(kind: GateKind) -> GateKind {
 /// copy-forward round deletes.
 fn inv_fuse(p: &EvalProgram) -> PassResult {
     let po = po_slots(p);
-    let readers = p.slot_readers();
     let mut rw = Rewrite::identity(p);
     let mut rules = default_rules(p.instr_count());
     let mut touched: HashSet<usize> = HashSet::new();
@@ -675,7 +656,7 @@ fn inv_fuse(p: &EvalProgram) -> PassResult {
         if touched.contains(&g) || touched.contains(&i) {
             continue;
         }
-        if readers[src as usize].len() != 1 || po.contains(&src) {
+        if p.readers(src as usize).len() != 1 || po.contains(&src) {
             continue;
         }
         rw.kinds[g] = complement(p.ops[g]);
@@ -1043,26 +1024,12 @@ mod tests {
         assert_same_function(&p, opt.optimized());
     }
 
-    #[test]
-    fn remapped_faults_match_original_behavior() {
-        // Every (net stem, gate pin) stuck-at fault either remaps to a
-        // patch set whose faulty outputs equal the original program's, or
-        // reports itself unmappable.
-        let (nl, p) = build(|b| {
-            let a = b.input_word("a", 3);
-            let c = b.input_word("b", 3);
-            let (s, co) = b.ripple_carry_adder(&a, &c, None);
-            // Redundant logic to exercise CSE + fold + a buffer chain.
-            let dup = b.and2(a[0], c[0]);
-            let buf = b.gate(GateKind::Buf, &[dup]);
-            let buf2 = b.gate(GateKind::Buf, &[buf]);
-            let n = b.not(buf2);
-            let extra = b.or2(n, s[0]);
-            b.output_word("s", &s);
-            b.output("co", co);
-            b.output("x", extra);
-        });
-        let opt = optimize(&nl, &p).unwrap();
+    /// Checks every (net stem, gate pin) stuck-at fault of `nl`: it either
+    /// remaps to a patch set whose faulty outputs equal the original
+    /// program's, or reports itself unmappable. Returns `(checked,
+    /// unmapped)`.
+    fn assert_remaps_faithful(nl: &Netlist, p: &EvalProgram) -> (usize, usize) {
+        let opt = optimize(nl, p).unwrap();
         assert!(opt.stats().instrs_saved() > 0);
 
         let width = nl.input_width();
@@ -1108,11 +1075,51 @@ mod tests {
             }
         }
         assert!(checked > 0, "some faults must remap");
+        (checked, unmapped)
+    }
+
+    #[test]
+    fn remapped_faults_match_original_behavior() {
+        let (nl, p) = build(|b| {
+            let a = b.input_word("a", 3);
+            let c = b.input_word("b", 3);
+            let (s, co) = b.ripple_carry_adder(&a, &c, None);
+            // Redundant logic to exercise CSE + fold + a buffer chain.
+            let dup = b.and2(a[0], c[0]);
+            let buf = b.gate(GateKind::Buf, &[dup]);
+            let buf2 = b.gate(GateKind::Buf, &[buf]);
+            let n = b.not(buf2);
+            let extra = b.or2(n, s[0]);
+            b.output_word("s", &s);
+            b.output("co", co);
+            b.output("x", extra);
+        });
+        let (checked, unmapped) = assert_remaps_faithful(&nl, &p);
         // The fallback set should be the minority.
         assert!(
             unmapped < checked,
             "unmapped {unmapped} vs checked {checked}"
         );
+    }
+
+    #[test]
+    fn remapped_faults_stay_faithful_through_cascaded_cse() {
+        // CSE merges `d2` into `d1`, then the dead `x2` (reading `d2`)
+        // absorbs its duplicate `x1`: a stem fault on `d2` must not become
+        // a pin force on `x2`, whose output now also drives `y`.
+        let (nl, p) = build(|b| {
+            let a = b.input("a");
+            let c = b.input("c");
+            let d = b.input("d");
+            let e = b.input("e");
+            let d1 = b.and2(e, d);
+            let d2 = b.and2(d, e);
+            let _x2 = b.gate(GateKind::Xnor, &[c, d2]);
+            let x1 = b.gate(GateKind::Xnor, &[c, d1]);
+            let y = b.gate(GateKind::Nor, &[a, x1]);
+            b.output("y", y);
+        });
+        assert_remaps_faithful(&nl, &p);
     }
 
     #[test]

@@ -46,8 +46,12 @@ use std::time::{Duration, Instant};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(usize)]
 pub enum CounterId {
-    /// Compiled instructions executed (or interpreted gate visits) across
-    /// good and faulty machines — the hardware-meaningful throughput unit.
+    /// Compiled instructions actually evaluated (or interpreted gate
+    /// visits) across good and faulty machines, lane-normalized — the
+    /// hardware-meaningful unit of work. The compiled engine evaluates
+    /// the whole program once per good-machine sweep but only each
+    /// fault's event-driven cone per faulty machine, so this counts the
+    /// work done, not program size × evaluations.
     GateEvals,
     /// Good-machine evaluations (one per pattern block).
     GoodEvals,
