@@ -312,11 +312,14 @@ for f in /tmp/bibs-fuzz-seeds/seq/*.bench; do
   diff "$f" "corpus/seq/$(basename "$f")"
 done
 
-step "fuzz smoke (200 seeded cases through the seven differential oracles)"
+step "fuzz smoke (200 seeded cases through the eight differential oracles)"
 # Time-boxed; a divergence writes a minimized fixture to
 # corpus/regressions/ and fails the run. Oracle 7 (lanes) cross-checks
 # wide 256/512-lane sweeps against the scalar engine on every case,
 # including a plateau-stop run that exercises sub-block retraction.
+# Oracle 8 (podem) checks every PODEM verdict against exhaustive
+# simulation in release, where PODEM's debug-build implication check is
+# compiled out.
 timeout 300 cargo run --release -p bibs-corpus --bin bibs-fuzz -- --smoke \
   --cases 200 | tee /tmp/bibs-fuzz-smoke.txt
 grep -q "0 divergence(s)" /tmp/bibs-fuzz-smoke.txt

@@ -524,7 +524,8 @@ pub fn kernel_fault_stats(
 ///   counters on its root, one detail child per worker shard);
 /// * `"expand"` — representative→universe detection expansion
 ///   (dominance mode only);
-/// * `"atpg"` — the PODEM sweep with the `podem_backtracks` counter.
+/// * `"atpg"` — PODEM on the survivors, with the `podem_faults`,
+///   `podem_backtracks` and `podem_evals` counters.
 ///
 /// Every exported counter is detection-deterministic: identical for any
 /// thread count and collapse-independent where the numbers are.

@@ -7,10 +7,12 @@
 //!   multipliers up to 64 bits, the paper's filter datapaths, deep DFF
 //!   pipelines, multi-kernel register chains, random gate DAGs) with
 //!   [`gen::SizeReport`] records for scaling curves;
-//! * [`oracle`] — the four differential oracles every corpus circuit is
+//! * [`oracle`] — the eight differential oracles every corpus circuit is
 //!   pushed through (compiled vs reference evaluation, one-thread vs
 //!   sharded reports, dominance expansion vs direct simulation, static
-//!   untestability vs exhaustive ground truth);
+//!   untestability vs exhaustive ground truth, pattern sources across
+//!   thread counts, optimized vs plain reports, wide vs 64-lane reports,
+//!   PODEM verdicts vs exhaustive ground truth);
 //! * [`minimize`] — a greedy structural shrinker that reduces a
 //!   diverging circuit to a local-minimum witness before it is committed
 //!   as a regression fixture.

@@ -1,4 +1,4 @@
-//! The seven differential oracles the fuzzer cross-checks per circuit.
+//! The eight differential oracles the fuzzer cross-checks per circuit.
 //!
 //! Each oracle pits two implementations (or one implementation and a
 //! ground truth) against each other on the same circuit and reports a
@@ -29,12 +29,19 @@
 //!    same seeded stream, at 1 and 2 threads, including a plateau-stop
 //!    run that exercises the driver's sub-block retraction — the
 //!    differential check behind `table2 --lanes`.
+//! 8. **Podem** — every PODEM verdict on the collapsed fault universe
+//!    must hold under exhaustive simulation: a test detects its fault
+//!    when replayed, a redundant fault is never detected, and no search
+//!    aborts under Table 2's backtrack limit — the check behind the
+//!    100 %-coverage rows, run in release where PODEM's debug-build
+//!    implication check is off.
 //!
-//! Oracles 3 and 4 need exhaustive simulation and only run when the
+//! Oracles 3, 4 and 8 need exhaustive simulation and only run when the
 //! circuit has at most [`EXHAUSTIVE_PI_LIMIT`] primary-input bits; 1, 2,
 //! 5, 6 and 7 run on everything. Sequential circuits are checked on their
 //! [`combinational_equivalent`](Netlist::combinational_equivalent).
 
+use bibs_faultsim::atpg::{Atpg, AtpgResult};
 use bibs_faultsim::fault::{FaultUniverse, StaticFaultAnalysis};
 use bibs_faultsim::par::ParFaultSimulator;
 use bibs_faultsim::reference::ReferenceSimulator;
@@ -46,8 +53,14 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::fmt;
 
-/// Largest primary-input width the exhaustive oracles (3 and 4) accept.
+/// Largest primary-input width the exhaustive oracles (3, 4 and 8)
+/// accept.
 pub const EXHAUSTIVE_PI_LIMIT: usize = 16;
+
+/// PODEM's backtrack limit for oracle 8: Table 2's default. A complete
+/// search over at most [`EXHAUSTIVE_PI_LIMIT`] inputs takes at most
+/// `2^16 - 1` backtracks, so an abort under it is a divergence.
+const PODEM_BACKTRACK_LIMIT: usize = 100_000;
 
 /// Random patterns per stream for the non-exhaustive oracles.
 const RANDOM_PATTERNS: u64 = 1_024;
@@ -72,6 +85,8 @@ pub enum Oracle {
     Opt,
     /// Wide-word (256/512-lane) vs scalar 64-lane reports.
     Lanes,
+    /// PODEM verdicts vs exhaustive simulation.
+    Podem,
 }
 
 impl fmt::Display for Oracle {
@@ -84,6 +99,7 @@ impl fmt::Display for Oracle {
             Oracle::Source => "source",
             Oracle::Opt => "opt",
             Oracle::Lanes => "lanes",
+            Oracle::Podem => "podem",
         })
     }
 }
@@ -128,6 +144,7 @@ pub fn check_all(netlist: &Netlist, seed: u64) -> Vec<Divergence> {
     if nl.input_width() <= EXHAUSTIVE_PI_LIMIT {
         out.extend(check_dominance(&nl, &program));
         out.extend(check_prover(&nl, &program));
+        out.extend(check_podem(&nl));
     }
     out
 }
@@ -432,6 +449,43 @@ pub fn check_prover(nl: &Netlist, program: &EvalProgram) -> Vec<Divergence> {
                     "fault {} proven untestable ({}) but detected at pattern {pattern}",
                     faults[i], untestable[i].1.witness
                 ),
+            }];
+        }
+    }
+    Vec::new()
+}
+
+/// Oracle 8: PODEM's verdict on every collapsed fault holds under
+/// exhaustive simulation. A test must detect its fault when replayed with
+/// its don't-cares filled either way; a redundant fault must stay
+/// undetected over all `2^PI` patterns; an abort under Table 2's limit of
+/// 100,000 backtracks is itself a divergence.
+pub fn check_podem(nl: &Netlist) -> Vec<Divergence> {
+    let faults = FaultUniverse::collapsed(nl).faults().to_vec();
+    if faults.is_empty() {
+        return Vec::new();
+    }
+    let truth = ParFaultSimulator::new(nl, faults.clone()).run_exhaustive();
+    let mut atpg = Atpg::new(nl);
+    for (&fault, detection) in faults.iter().zip(truth.detection()) {
+        let wrong = match atpg.generate(fault, PODEM_BACKTRACK_LIMIT) {
+            AtpgResult::Test(test) => [false, true].into_iter().find_map(|fill| {
+                let pattern: Vec<bool> = test.iter().map(|v| v.unwrap_or(fill)).collect();
+                let replay = ParFaultSimulator::new(nl, vec![fault]).run_patterns(&[pattern]);
+                (replay.detected_count() == 0)
+                    .then(|| format!("PODEM's test {test:?} misses it with don't-cares at {fill}"))
+            }),
+            AtpgResult::Redundant => detection.map(|pattern| {
+                format!("PODEM proved it redundant but pattern {pattern} detects it")
+            }),
+            AtpgResult::Aborted => Some(format!(
+                "PODEM aborted after {PODEM_BACKTRACK_LIMIT} backtracks"
+            )),
+        };
+        if let Some(detail) = wrong {
+            return vec![Divergence {
+                oracle: Oracle::Podem,
+                detail: format!("fault {fault}: {detail}"),
             }];
         }
     }

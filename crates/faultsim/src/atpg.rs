@@ -9,10 +9,29 @@
 //!   must be proven so and excluded;
 //! * deterministic test generation for individual faults, used by tests to
 //!   cross-check the fault simulator.
+//!
+//! The search runs on the compiled [`EvalProgram`], in the ternary [`Tv`]
+//! domain the static analyses share, and each decision costs only the
+//! part of the circuit it can change:
+//!
+//! * **Event-driven implication.** Both machines' values persist across
+//!   the decisions and backtracks for one fault. Implication diffs the
+//!   primary-input assignment against the one it last implied and
+//!   re-evaluates, in schedule order, only the readers
+//!   ([`EvalProgram::readers`]) of inputs whose value changed and of
+//!   instructions whose good or faulty output changed. The whole program
+//!   is swept once per fault, to load it; debug builds sweep it again
+//!   after every implication and require the same values.
+//! * **The D-frontier inside the fault's cone.** Only gates in the
+//!   fault's static fanout cone can read an error, so the frontier is
+//!   searched there, in gate-id order — the order of a scan over every
+//!   gate, which is what keeps each decision, and so each backtrack count
+//!   and test vector, the same as that scan's. Debug builds repeat the
+//!   scan over every gate and require the same pick.
 
 use crate::fault::{Fault, FaultSite};
 use bibs_netlist::analysis::{eval_tv, Scoap, Tv};
-use bibs_netlist::{EvalProgram, GateId, NetDriver, NetId, Netlist};
+use bibs_netlist::{EvalProgram, NetDriver, NetId, Netlist};
 
 /// The outcome of PODEM on one fault.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -44,30 +63,59 @@ impl Classification {
     }
 }
 
+/// Where the loaded fault forces the faulty machine.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Forced {
+    /// A net fault: the faulty machine holds the stuck value in this slot.
+    Slot(usize),
+    /// A pin fault: only this operand of this instruction reads it.
+    Pin { instr: usize, pin: usize },
+}
+
 /// A PODEM test generator bound to one combinational netlist.
 ///
-/// The forward implication walk ([`Atpg::generate`]'s inner loop) runs
-/// over the compiled [`EvalProgram`] schedule: pre-resolved input and
-/// constant slots for initialization and the flat instruction stream for
-/// the 3-valued gate sweep — the same compile-once structure the fault
-/// simulator executes, lifted to the ternary [`Tv`] domain that the
-/// static analyses share.
+/// [`Atpg::generate`] loads a fault with one whole-program ternary sweep
+/// of both machines, then implies each decision and backtrack event-driven
+/// over the compiled [`EvalProgram`]: a pending bitset over instructions,
+/// seeded with the readers of the primary inputs whose value changed and
+/// scanned in schedule order, stopping where neither machine's output
+/// changes. The D-frontier and X-path searches walk the same fanout index
+/// ([`EvalProgram::readers`]) inside the fault's static cone. Their
+/// buffers are allocated once per generator, not per fault or decision.
 #[derive(Debug)]
 pub struct Atpg<'a> {
     netlist: &'a Netlist,
     program: EvalProgram,
-    /// Gates reading each net.
-    readers: Vec<Vec<GateId>>,
     /// Structural SCOAP costs used to order objective/backtrace choices:
     /// when *all* inputs must reach a value the hardest one is attacked
     /// first (fail fast), when *any* input suffices the cheapest is taken.
     scoap: Scoap,
     good: Vec<Tv>,
     faulty: Vec<Tv>,
-    is_po: Vec<bool>,
+    /// The loaded fault's stuck value and site (placeholders until
+    /// [`Atpg::generate`] loads one).
+    stuck: Tv,
+    forced: Forced,
+    /// The assignment `good` and `faulty` are the implication of.
+    implied: Vec<Option<bool>>,
+    /// Instructions awaiting re-evaluation, one bit each; all clear
+    /// between implications.
+    pending: Vec<u64>,
+    /// The loaded fault's static fanout cone: the instructions that can
+    /// read an error, in gate-id order.
+    cone: Vec<u32>,
+    /// Per-slot visit marks of the cone and X-path walks: a slot is
+    /// visited by the current walk when its mark equals `stamp`.
+    seen: Vec<u32>,
+    stamp: u32,
+    /// The walks' stack of slots.
+    walk: Vec<u32>,
     /// Total PODEM backtracks across every [`Atpg::generate`] call on this
     /// generator; exported as the `podem_backtracks` telemetry counter.
     backtracks_total: u64,
+    /// Total ternary instruction evaluations by implication (the loading
+    /// sweeps included); exported as the `podem_evals` telemetry counter.
+    evals_total: u64,
 }
 
 impl<'a> Atpg<'a> {
@@ -80,26 +128,24 @@ impl<'a> Atpg<'a> {
     pub fn new(netlist: &'a Netlist) -> Self {
         assert_eq!(netlist.dff_count(), 0, "PODEM is combinational-only");
         let program = EvalProgram::compile(netlist).expect("acyclic netlist");
-        let mut readers = vec![Vec::new(); netlist.net_count()];
-        for gid in netlist.gate_ids() {
-            for &i in &netlist.gate(gid).inputs {
-                readers[i.index()].push(gid);
-            }
-        }
-        let mut is_po = vec![false; netlist.net_count()];
-        for &o in netlist.outputs() {
-            is_po[o.index()] = true;
-        }
         let scoap = Scoap::compute(&program);
+        let slots = program.slot_count();
         Atpg {
             netlist,
-            program,
-            readers,
             scoap,
-            good: vec![Tv::X; netlist.net_count()],
-            faulty: vec![Tv::X; netlist.net_count()],
-            is_po,
+            good: vec![Tv::X; slots],
+            faulty: vec![Tv::X; slots],
+            stuck: Tv::X,
+            forced: Forced::Slot(usize::MAX),
+            implied: vec![None; netlist.input_width()],
+            pending: vec![0; program.instr_count().div_ceil(64)],
+            cone: Vec::new(),
+            seen: vec![0; slots],
+            stamp: 0,
+            walk: Vec::new(),
+            program,
             backtracks_total: 0,
+            evals_total: 0,
         }
     }
 
@@ -108,23 +154,24 @@ impl<'a> Atpg<'a> {
         self.backtracks_total
     }
 
-    /// Picks the X-valued input to drive toward `value`. `hardest` selects
-    /// the maximum-controllability input (all inputs must reach `value`,
-    /// so failing fast on the hardest prunes the search); otherwise the
-    /// minimum (any input suffices). Ties resolve to the lowest pin index,
-    /// keeping the search deterministic.
-    fn pick_x_input(&self, inputs: &[NetId], value: bool, hardest: bool) -> Option<NetId> {
+    /// Picks the X-valued input slot to drive toward `value`. `hardest`
+    /// selects the maximum-controllability input (all inputs must reach
+    /// `value`, so failing fast on the hardest prunes the search);
+    /// otherwise the minimum (any input suffices). Ties resolve to the
+    /// lowest pin index, keeping the search deterministic.
+    fn pick_x_input(&self, inputs: &[u32], value: bool, hardest: bool) -> Option<usize> {
         let cc = if value {
             &self.scoap.cc1
         } else {
             &self.scoap.cc0
         };
-        let mut best: Option<(u32, NetId)> = None;
-        for &i in inputs {
-            if self.good[i.index()] != Tv::X {
+        let mut best: Option<(u32, usize)> = None;
+        for &s in inputs {
+            let s = s as usize;
+            if self.good[s] != Tv::X {
                 continue;
             }
-            let cost = cc[i.index()];
+            let cost = cc[s];
             let better = match best {
                 None => true,
                 Some((b, _)) => {
@@ -136,14 +183,15 @@ impl<'a> Atpg<'a> {
                 }
             };
             if better {
-                best = Some((cost, i));
+                best = Some((cost, s));
             }
         }
-        best.map(|(_, i)| i)
+        best.map(|(_, s)| s)
     }
 
     /// Runs PODEM for one fault with the given backtrack limit.
     pub fn generate(&mut self, fault: Fault, backtrack_limit: usize) -> AtpgResult {
+        self.load(fault);
         let width = self.netlist.input_width();
         let mut assignment: Vec<Option<bool>> = vec![None; width];
         // Decision stack: (pi index, value, alternative already tried).
@@ -151,14 +199,14 @@ impl<'a> Atpg<'a> {
         let mut backtracks = 0usize;
 
         loop {
-            self.imply(&assignment, fault);
+            self.imply(&assignment);
             if self.detected() {
                 return AtpgResult::Test(assignment);
             }
             let objective = self.objective(fault);
             match objective {
-                Some((net, value)) => {
-                    if let Some((pi, v)) = self.backtrace(net, value) {
+                Some((slot, value)) => {
+                    if let Some((pi, v)) = self.backtrace(slot, value) {
                         assignment[pi] = Some(v);
                         stack.push((pi, v, false));
                         continue;
@@ -191,189 +239,336 @@ impl<'a> Atpg<'a> {
         }
     }
 
-    /// Forward-simulates both machines from the PI assignment, walking
-    /// the compiled program's pre-resolved source lists and instruction
-    /// stream.
-    fn imply(&mut self, assignment: &[Option<bool>], fault: Fault) {
-        let stuck = Tv::from_bool(match fault.site {
-            FaultSite::Net(_) | FaultSite::GatePin { .. } => fault.stuck_at,
-        });
-        let fault_slot = match fault.site {
-            FaultSite::Net(n) => Some(n.index()),
-            FaultSite::GatePin { .. } => None,
+    /// Loads `fault`: resolves its site, implies the empty assignment with
+    /// one whole-program sweep and collects the fault's fanout cone — the
+    /// readers reachable from the faulty net, or from the faulted gate's
+    /// output for a pin fault.
+    fn load(&mut self, fault: Fault) {
+        self.stuck = Tv::from_bool(fault.stuck_at);
+        let start = match fault.site {
+            FaultSite::Net(n) => {
+                self.forced = Forced::Slot(n.index());
+                n.index()
+            }
+            FaultSite::GatePin { gate, pin } => {
+                let instr = self.program.instr_of_gate(gate);
+                self.forced = Forced::Pin { instr, pin };
+                self.program.instr(instr).out as usize
+            }
         };
-        let fault_instr = match fault.site {
-            FaultSite::GatePin { gate, pin } => Some((self.program.instr_of_gate(gate), pin)),
-            FaultSite::Net(_) => None,
-        };
-        for (i, &slot) in self.program.input_slots().iter().enumerate() {
-            let v = assignment[i].map_or(Tv::X, Tv::from_bool);
-            self.good[slot as usize] = v;
-            self.faulty[slot as usize] = if fault_slot == Some(slot as usize) {
-                stuck
-            } else {
-                v
-            };
+        self.implied.fill(None);
+        self.sweep();
+        self.evals_total += self.program.instr_count() as u64;
+
+        self.cone.clear();
+        self.next_stamp();
+        self.seen[start] = self.stamp;
+        self.walk.clear();
+        self.walk.push(start as u32);
+        while let Some(s) = self.walk.pop() {
+            for &(r, _) in self.program.readers(s as usize) {
+                let out = self.program.instr(r as usize).out as usize;
+                if self.seen[out] != self.stamp {
+                    self.seen[out] = self.stamp;
+                    self.walk.push(out as u32);
+                    self.cone.push(r);
+                }
+            }
         }
-        for &(slot, word) in self.program.const_inits() {
-            let v = Tv::from_bool(word != 0);
-            self.good[slot as usize] = v;
-            self.faulty[slot as usize] = if fault_slot == Some(slot as usize) {
-                stuck
-            } else {
-                v
-            };
+        let program = &self.program;
+        self.cone
+            .sort_unstable_by_key(|&i| program.instr(i as usize).gate);
+    }
+
+    /// Starts a new walk: afterwards no slot is marked visited.
+    fn next_stamp(&mut self) {
+        self.stamp = self.stamp.wrapping_add(1);
+        if self.stamp == 0 {
+            self.seen.fill(0);
+            self.stamp = 1;
         }
-        for pos in 0..self.program.instr_count() {
-            let instr = self.program.instr(pos);
-            let pin = fault_instr.and_then(|(fi, pin)| (fi == pos).then_some(pin));
-            let good = eval_tv(
-                instr.kind,
-                instr.operands.iter().map(|&s| self.good[s as usize]),
-            );
-            let faulty = eval_tv(
+    }
+
+    /// The faulty machine's value of source slot `s` whose good value is
+    /// `v`.
+    fn source_faulty(&self, s: usize, v: Tv) -> Tv {
+        if self.forced == Forced::Slot(s) {
+            self.stuck
+        } else {
+            v
+        }
+    }
+
+    /// Instruction `i`'s output slot and its good and faulty values over
+    /// the current operand values.
+    #[inline]
+    fn eval(&self, i: usize) -> (usize, Tv, Tv) {
+        let instr = self.program.instr(i);
+        let out = instr.out as usize;
+        let good = eval_tv(
+            instr.kind,
+            instr.operands.iter().map(|&s| self.good[s as usize]),
+        );
+        let faulty = match self.forced {
+            Forced::Slot(s) if s == out => self.stuck,
+            Forced::Pin { instr: fi, pin } if fi == i => eval_tv(
                 instr.kind,
                 instr.operands.iter().enumerate().map(|(p, &s)| {
-                    if Some(p) == pin {
-                        stuck
+                    if p == pin {
+                        self.stuck
                     } else {
                         self.faulty[s as usize]
                     }
                 }),
-            );
-            let out = instr.out as usize;
+            ),
+            _ => eval_tv(
+                instr.kind,
+                instr.operands.iter().map(|&s| self.faulty[s as usize]),
+            ),
+        };
+        (out, good, faulty)
+    }
+
+    /// Implies `implied` over the whole program, from all-X buffers.
+    fn sweep(&mut self) {
+        self.good.fill(Tv::X);
+        self.faulty.fill(Tv::X);
+        for (i, &slot) in self.program.input_slots().iter().enumerate() {
+            let (s, v) = (slot as usize, self.implied[i].map_or(Tv::X, Tv::from_bool));
+            self.good[s] = v;
+            self.faulty[s] = self.source_faulty(s, v);
+        }
+        for &(slot, word) in self.program.const_inits() {
+            let (s, v) = (slot as usize, Tv::from_bool(word != 0));
+            self.good[s] = v;
+            self.faulty[s] = self.source_faulty(s, v);
+        }
+        for i in 0..self.program.instr_count() {
+            let (out, good, faulty) = self.eval(i);
             self.good[out] = good;
-            self.faulty[out] = if fault_slot == Some(out) {
-                stuck
-            } else {
-                faulty
-            };
+            self.faulty[out] = faulty;
         }
     }
 
-    fn error_at(&self, net: NetId) -> bool {
+    /// Implies `assignment`, event-driven from the last implied one: the
+    /// readers of every input whose value changed are marked pending, and
+    /// pending instructions are evaluated in schedule order. An output
+    /// that changes in either machine marks its own readers, which always
+    /// come later, so each instruction runs at most once; where neither
+    /// machine's output changes, propagation stops.
+    fn imply(&mut self, assignment: &[Option<bool>]) {
+        // Pending bitset words `lo..hi` may be nonzero.
+        let (mut lo, mut hi) = (usize::MAX, 0);
+        for (i, &slot) in self.program.input_slots().iter().enumerate() {
+            if assignment[i] == self.implied[i] {
+                continue;
+            }
+            self.implied[i] = assignment[i];
+            let (s, v) = (slot as usize, assignment[i].map_or(Tv::X, Tv::from_bool));
+            self.good[s] = v;
+            self.faulty[s] = self.source_faulty(s, v);
+            for &(r, _) in self.program.readers(s) {
+                let w = r as usize / 64;
+                self.pending[w] |= 1 << (r % 64);
+                lo = lo.min(w);
+                hi = hi.max(w + 1);
+            }
+        }
+        let (mut w, mut evaluated) = (lo, 0);
+        while w < hi {
+            // As in `EvalProgram::eval_events`, the scanned word stays in
+            // a register and readers that fall in it join it directly.
+            let mut bits = std::mem::take(&mut self.pending[w]);
+            while bits != 0 {
+                let i = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                evaluated += 1;
+                let (out, good, faulty) = self.eval(i);
+                if good == self.good[out] && faulty == self.faulty[out] {
+                    continue;
+                }
+                self.good[out] = good;
+                self.faulty[out] = faulty;
+                for &(r, _) in self.program.readers(out) {
+                    let rw = r as usize / 64;
+                    if rw == w {
+                        bits |= 1 << (r % 64);
+                    } else {
+                        self.pending[rw] |= 1 << (r % 64);
+                        hi = hi.max(rw + 1);
+                    }
+                }
+            }
+            w += 1;
+        }
+        self.evals_total += evaluated;
+        #[cfg(debug_assertions)]
+        self.check_implication();
+    }
+
+    /// Debug builds re-imply the assignment with a whole-program sweep and
+    /// require the event-driven values to match it slot for slot.
+    #[cfg(debug_assertions)]
+    fn check_implication(&mut self) {
+        let (good, faulty) = (self.good.clone(), self.faulty.clone());
+        self.sweep();
+        if let Some(s) =
+            (0..good.len()).find(|&s| good[s] != self.good[s] || faulty[s] != self.faulty[s])
+        {
+            panic!(
+                "event-driven implication left slot {s} at ({:?}, {:?}); a full sweep gives ({:?}, {:?})",
+                good[s], faulty[s], self.good[s], self.faulty[s]
+            );
+        }
+    }
+
+    fn error_at(&self, slot: usize) -> bool {
         matches!(
-            (self.good[net.index()], self.faulty[net.index()]),
+            (self.good[slot], self.faulty[slot]),
             (Tv::Zero, Tv::One) | (Tv::One, Tv::Zero)
         )
     }
 
-    fn unknown_at(&self, net: NetId) -> bool {
-        self.good[net.index()] == Tv::X || self.faulty[net.index()] == Tv::X
+    fn unknown_at(&self, slot: usize) -> bool {
+        self.good[slot] == Tv::X || self.faulty[slot] == Tv::X
     }
 
     fn detected(&self) -> bool {
-        self.netlist.outputs().iter().any(|&o| self.error_at(o))
+        self.program
+            .output_slots()
+            .iter()
+            .any(|&o| self.error_at(o as usize))
     }
 
-    /// The signal whose good value activates the fault, and the activation
-    /// state: `Ok(true)` activated, `Ok(false)` impossible, `Err(net)` still
-    /// unknown.
-    fn activation(&self, fault: Fault) -> Result<bool, NetId> {
-        let site_net = match fault.site {
+    /// The slot whose good value activates the fault, and the activation
+    /// state: `Ok(true)` activated, `Ok(false)` impossible, `Err(slot)`
+    /// still unknown.
+    fn activation(&self, fault: Fault) -> Result<bool, usize> {
+        let site = match fault.site {
             FaultSite::Net(n) => n,
             FaultSite::GatePin { gate, pin } => self.netlist.gate(gate).inputs[pin],
         };
-        match self.good[site_net.index()].constant() {
+        match self.good[site.index()].constant() {
             Some(v) => Ok(v != fault.stuck_at),
-            None => Err(site_net),
+            None => Err(site.index()),
         }
     }
 
-    /// Picks the next objective `(net, value)` in the good machine, or
+    /// Picks the next objective `(slot, value)` in the good machine, or
     /// `None` at a dead end (conflict / empty D-frontier / no X-path).
-    fn objective(&self, fault: Fault) -> Option<(NetId, bool)> {
+    fn objective(&mut self, fault: Fault) -> Option<(usize, bool)> {
         match self.activation(fault) {
-            Err(net) => return Some((net, !fault.stuck_at)),
+            Err(slot) => return Some((slot, !fault.stuck_at)),
             Ok(false) => return None, // fault can no longer be activated
             Ok(true) => {}
         }
-        // Fault is activated. Find the D-frontier and check X-paths.
-        let mut frontier: Vec<GateId> = Vec::new();
-        // For a pin fault the error lives on the pin, not on any net, so
-        // the faulted gate itself joins the frontier while its output is
-        // still unknown.
-        if let FaultSite::GatePin { gate, .. } = fault.site {
-            if self.unknown_at(self.netlist.gate(gate).output) {
-                frontier.push(gate);
+        // Fault is activated. The target is the first D-frontier gate
+        // with an X-path to a primary output. For a pin fault the error
+        // lives on the pin, not on any net, so the faulted gate itself
+        // leads the frontier while its output is still unknown; then come
+        // the cone's gates whose output is unknown and that read an
+        // error, in gate-id order.
+        let mut target = None;
+        if let Forced::Pin { instr, .. } = self.forced {
+            let out = self.program.instr(instr).out as usize;
+            if self.unknown_at(out) && self.x_path(out) {
+                target = Some(instr);
             }
         }
-        for gid in self.netlist.gate_ids() {
-            let gate = self.netlist.gate(gid);
-            if self.unknown_at(gate.output) && gate.inputs.iter().any(|&i| self.error_at(i)) {
-                frontier.push(gid);
-            }
-        }
-        // Error may also sit directly on an unobserved net that still has an
-        // X-path through frontier gates; if the frontier is empty and no PO
-        // shows the error, we are stuck.
-        if frontier.is_empty() {
-            return None;
-        }
-        // X-path check: from each frontier gate output, can unknown nets
-        // reach a PO?
-        let has_path = |start: NetId| -> bool {
-            let mut seen = vec![false; self.netlist.net_count()];
-            let mut stack = vec![start];
-            seen[start.index()] = true;
-            while let Some(n) = stack.pop() {
-                if self.is_po[n.index()] {
-                    return true;
-                }
-                for &g in &self.readers[n.index()] {
-                    let out = self.netlist.gate(g).output;
-                    if !seen[out.index()] && self.unknown_at(out) {
-                        seen[out.index()] = true;
-                        stack.push(out);
-                    }
+        if target.is_none() {
+            for k in 0..self.cone.len() {
+                let i = self.cone[k] as usize;
+                if self.frontier_with_x_path(i) {
+                    target = Some(i);
+                    break;
                 }
             }
-            false
-        };
-        let gate = frontier
-            .iter()
-            .copied()
-            .find(|&g| has_path(self.netlist.gate(g).output))?;
+            #[cfg(debug_assertions)]
+            self.check_frontier(target);
+        }
         // Objective: set one X input of the chosen frontier gate to the
         // non-controlling value so the error propagates. All side pins
         // will eventually need the value, so attack the hardest (highest
         // SCOAP controllability) first.
-        let g = self.netlist.gate(gate);
-        let (value, hardest) = match g.kind.controlling_value() {
+        let instr = self.program.instr(target?);
+        let (value, hardest) = match instr.kind.controlling_value() {
             Some(c) => (!c, true),
             None => (false, false), // XOR-family: any settled value works
         };
-        let x_input = self.pick_x_input(&g.inputs, value, hardest)?;
+        let x_input = self.pick_x_input(instr.operands, value, hardest)?;
         Some((x_input, value))
     }
 
+    /// Whether instruction `i` is a D-frontier gate (its output unknown,
+    /// an error on an operand) with an X-path from its output.
+    fn frontier_with_x_path(&mut self, i: usize) -> bool {
+        let instr = self.program.instr(i);
+        let out = instr.out as usize;
+        self.unknown_at(out)
+            && instr.operands.iter().any(|&s| self.error_at(s as usize))
+            && self.x_path(out)
+    }
+
+    /// Debug builds repeat the frontier search over every gate in gate-id
+    /// order and require it to pick `target` too: the cone must hold
+    /// every gate that can read an error, in the same order.
+    #[cfg(debug_assertions)]
+    fn check_frontier(&mut self, target: Option<usize>) {
+        let full = self
+            .netlist
+            .gate_ids()
+            .find(|&g| self.frontier_with_x_path(self.program.instr_of_gate(g)))
+            .map(|g| self.program.instr_of_gate(g));
+        assert_eq!(
+            full, target,
+            "the cone's D-frontier search picked another gate"
+        );
+    }
+
+    /// Whether unknown slots lead from `start` to a primary output: the
+    /// X-path check of a frontier gate's output.
+    fn x_path(&mut self, start: usize) -> bool {
+        self.next_stamp();
+        self.seen[start] = self.stamp;
+        self.walk.clear();
+        self.walk.push(start as u32);
+        while let Some(s) = self.walk.pop() {
+            if self.program.is_output(s as usize) {
+                return true;
+            }
+            for &(r, _) in self.program.readers(s as usize) {
+                let out = self.program.instr(r as usize).out as usize;
+                if self.seen[out] != self.stamp && self.unknown_at(out) {
+                    self.seen[out] = self.stamp;
+                    self.walk.push(out as u32);
+                }
+            }
+        }
+        false
+    }
+
     /// Walks an objective back to an unassigned primary input.
-    fn backtrace(&self, mut net: NetId, mut value: bool) -> Option<(usize, bool)> {
+    fn backtrace(&self, mut slot: usize, mut value: bool) -> Option<(usize, bool)> {
         loop {
-            match self.netlist.driver(net) {
+            match self.netlist.driver(NetId::from_index(slot)) {
                 NetDriver::Input(i) => {
-                    debug_assert_eq!(self.good[net.index()], Tv::X);
+                    debug_assert_eq!(self.good[slot], Tv::X);
                     return Some((i, value));
                 }
                 NetDriver::Gate(gid) => {
-                    let gate = self.netlist.gate(gid);
+                    let instr = self.program.instr(self.program.instr_of_gate(gid));
                     // Remove the gate's output inversion.
-                    let inner = if gate.kind.is_inverting() {
-                        !value
-                    } else {
-                        value
-                    };
+                    let inner = value != instr.kind.is_inverting();
                     // SCOAP-guided branch choice: when `inner` is the
                     // controlling value, any single input suffices — take
                     // the cheapest; when it is the non-controlling value,
                     // every input must reach it — take the hardest first.
-                    let hardest = match gate.kind.controlling_value() {
+                    let hardest = match instr.kind.controlling_value() {
                         Some(c) => inner != c,
                         None => false, // XOR-family / unary: cheapest pin
                     };
-                    let x_input = self.pick_x_input(&gate.inputs, inner, hardest)?;
+                    slot = self.pick_x_input(instr.operands, inner, hardest)?;
                     value = inner;
-                    net = x_input;
                 }
                 NetDriver::Const(_) | NetDriver::Dff(_) | NetDriver::Floating => return None,
             }
@@ -398,8 +593,9 @@ impl<'a> Atpg<'a> {
     }
 
     /// [`Atpg::classify`] wrapped in an `"atpg"` telemetry span: records
-    /// the span's wall time, the faults attempted as `fault_evals` and the
-    /// PODEM backtracks taken by this call as `podem_backtracks`.
+    /// the span's wall time and, for this call, the faults attempted as
+    /// `podem_faults`, the backtracks taken as `podem_backtracks` and the
+    /// ternary instructions implication evaluated as `podem_evals`.
     pub fn classify_traced(
         &mut self,
         faults: &[Fault],
@@ -407,13 +603,14 @@ impl<'a> Atpg<'a> {
         rec: &mut bibs_obs::Recorder,
     ) -> Classification {
         let span = rec.enter("atpg");
-        let before = self.backtracks_total;
+        let (backtracks, evals) = (self.backtracks_total, self.evals_total);
         let out = self.classify(faults, backtrack_limit);
-        rec.add(bibs_obs::CounterId::FaultEvals, faults.len() as u64);
+        rec.add(bibs_obs::CounterId::PodemFaults, faults.len() as u64);
         rec.add(
             bibs_obs::CounterId::PodemBacktracks,
-            self.backtracks_total - before,
+            self.backtracks_total - backtracks,
         );
+        rec.add(bibs_obs::CounterId::PodemEvals, self.evals_total - evals);
         rec.exit(span);
         out
     }

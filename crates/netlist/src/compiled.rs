@@ -507,6 +507,16 @@ impl EvalProgram {
         &self.readers[self.reader_start[slot] as usize..self.reader_start[slot + 1] as usize]
     }
 
+    /// Whether `slot` is a primary output (listed in
+    /// [`EvalProgram::output_slots`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `slot >= slot_count()`.
+    pub fn is_output(&self, slot: usize) -> bool {
+        self.is_output[slot]
+    }
+
     // ------------------------------------------------------------------
     // Evaluation over stride-N value buffers.
     //

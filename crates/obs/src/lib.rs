@@ -71,6 +71,11 @@ pub enum CounterId {
     QueuePops,
     /// PODEM backtracks across all targeted faults.
     PodemBacktracks,
+    /// Faults PODEM attempted.
+    PodemFaults,
+    /// Ternary instructions PODEM's implication evaluated, good and faulty
+    /// machine together (the once-per-fault loading sweep included).
+    PodemEvals,
     /// Size of the uncollapsed-or-equiv fault universe a kernel run
     /// accounts for.
     UniverseFaults,
@@ -121,7 +126,7 @@ pub enum CounterId {
 }
 
 /// Number of counters — the fixed length of every [`Counters`] array.
-pub const COUNTER_COUNT: usize = 27;
+pub const COUNTER_COUNT: usize = 29;
 
 impl CounterId {
     /// Every counter, in export order.
@@ -135,6 +140,8 @@ impl CounterId {
         CounterId::PatternsConsumed,
         CounterId::QueuePops,
         CounterId::PodemBacktracks,
+        CounterId::PodemFaults,
+        CounterId::PodemEvals,
         CounterId::UniverseFaults,
         CounterId::SimulatedFaults,
         CounterId::UntestableStatic,
@@ -167,6 +174,8 @@ impl CounterId {
             CounterId::PatternsConsumed => "patterns_consumed",
             CounterId::QueuePops => "queue_pops",
             CounterId::PodemBacktracks => "podem_backtracks",
+            CounterId::PodemFaults => "podem_faults",
+            CounterId::PodemEvals => "podem_evals",
             CounterId::UniverseFaults => "universe_faults",
             CounterId::SimulatedFaults => "simulated_faults",
             CounterId::UntestableStatic => "untestable_static",
