@@ -31,7 +31,8 @@ use bibs_faultsim::par::{default_jobs, ParFaultSimulator};
 use bibs_faultsim::reference::ReferenceSimulator;
 use bibs_faultsim::sim::BlockSim;
 use bibs_faultsim::source::{
-    LfsrSource, PatternSource, RandomWords, StoredSeedReplay, WeightedRandomSource,
+    LfsrSource, PatternBlock, PatternSource, RandomWords, SourceDescriptor, StoredSeedReplay,
+    WeightedRandomSource,
 };
 use bibs_faultsim::stats::SimStats;
 use bibs_netlist::opt::{optimize_traced, OptStats};
@@ -41,7 +42,7 @@ use bibs_rtl::{Circuit, VertexKind};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::HashSet;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Which TDM to apply.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -304,6 +305,46 @@ pub fn build_source(
     }
 }
 
+/// A source whose pulls are timed. [`BlockSim::run_source_with`] pulls
+/// blocks between sweeps, outside the engine's `fault-sim[...]` span, so
+/// a traced run charges this time to the `source[...]` span instead.
+struct TimedSource<'a> {
+    inner: &'a mut dyn PatternSource,
+    wall: Duration,
+}
+
+impl PatternSource for TimedSource<'_> {
+    fn next_block(&mut self, width: usize) -> Option<PatternBlock> {
+        let start = Instant::now();
+        let block = self.inner.next_block(width);
+        self.wall += start.elapsed();
+        block
+    }
+
+    fn next_wide_block(&mut self, width: usize, max_words: usize) -> Vec<PatternBlock> {
+        let start = Instant::now();
+        let blocks = self.inner.next_wide_block(width, max_words);
+        self.wall += start.elapsed();
+        blocks
+    }
+
+    fn clocks_consumed(&self) -> u64 {
+        self.inner.clocks_consumed()
+    }
+
+    fn patterns_emitted(&self) -> u64 {
+        self.inner.patterns_emitted()
+    }
+
+    fn state_digest(&self) -> u64 {
+        self.inner.state_digest()
+    }
+
+    fn descriptor(&self) -> SourceDescriptor {
+        self.inner.descriptor()
+    }
+}
+
 /// The coverage-vs-clocks record of a non-uniform pattern source's run on
 /// one kernel (carried in [`KernelFaultStats::source`] and emitted in the
 /// JSON). All three fields are detection-deterministic: blocks are pulled
@@ -522,6 +563,8 @@ pub fn kernel_fault_stats(
 /// * `"collapse"` — dominance-class construction (dominance mode only);
 /// * the engine's own `fault-sim[...]` tree, grafted verbatim (per-block
 ///   counters on its root, one detail child per worker shard);
+/// * `"source[SPEC]"` — with a pattern source, its `patterns_emitted` and
+///   `source_clocks` counters and the wall time of its pulls;
 /// * `"expand"` — representative→universe detection expansion
 ///   (dominance mode only);
 /// * `"atpg"` — PODEM on the survivors, with the `podem_faults`,
@@ -650,6 +693,17 @@ pub fn kernel_fault_stats_traced(
                 kernel,
             )
             .unwrap_or_else(|e| panic!("cannot build pattern source '{spec}': {e}"));
+            // Untraced runs pull from the source directly, so the timed
+            // path pays nothing for this.
+            let mut timed = TimedSource {
+                inner: &mut *source,
+                wall: Duration::ZERO,
+            };
+            let pulled: &mut dyn PatternSource = if rec.is_enabled() {
+                &mut timed
+            } else {
+                &mut *timed.inner
+            };
             let report = match options.engine {
                 Engine::Compiled => {
                     let mut sim = match &optimized {
@@ -665,7 +719,7 @@ pub fn kernel_fault_stats_traced(
                     }
                     .with_lanes(options.lanes);
                     let report = sim.run_source_with(
-                        &mut *source,
+                        &mut *pulled,
                         options.max_patterns,
                         options.plateau,
                         1.0,
@@ -677,7 +731,7 @@ pub fn kernel_fault_stats_traced(
                 Engine::Reference => {
                     let mut sim = ReferenceSimulator::new(&comb, sim_faults);
                     let report = sim.run_source_with(
-                        &mut *source,
+                        &mut *pulled,
                         options.max_patterns,
                         options.plateau,
                         1.0,
@@ -687,7 +741,10 @@ pub fn kernel_fault_stats_traced(
                     report
                 }
             };
+            let pull_wall = timed.wall;
             rec.scope(format!("source[{spec}]"), |rec| {
+                let span = rec.current();
+                rec.add_wall(span, pull_wall);
                 rec.add(CounterId::PatternsEmitted, source.patterns_emitted());
                 rec.add(CounterId::SourceClocks, source.clocks_consumed());
             });

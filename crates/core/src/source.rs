@@ -1,56 +1,55 @@
 //! The paper's novel TPG as a pluggable pattern source.
 //!
-//! [`MinTpgSource`] wraps a [`TpgSimulator`] behind
-//! [`bibs_faultsim::source::PatternSource`], so the hardware-faithful
-//! generator the paper builds (Procedures SC_TPG/MC_TPG, optionally
-//! degree-minimized by [`crate::mintpg::minimize_degree`]) can drive the
+//! [`MinTpgSource`] puts the hardware generator the paper builds
+//! (Procedures SC_TPG/MC_TPG, optionally degree-minimized by
+//! [`crate::mintpg::minimize_degree`]) behind
+//! [`bibs_faultsim::source::PatternSource`], so it drives the
 //! fault-simulation engines directly — the coverage-vs-clocks axis the
 //! BIBS methodology is about, measured with the same drivers as every
 //! other source.
 //!
 //! The emitted stream is exactly the session stream of
-//! [`crate::session::session_patterns`] (which is now a thin collector
-//! over this source): warm-up shifts that fill the TPG's extension
-//! flip-flops (charged to the clock budget, emitting nothing), the
-//! `2^M − 1` aligned cone views of the maximal sequence, and the
-//! appended all-zero pattern — the complete-LFSR remedy (ref \[15\]).
+//! [`crate::session::session_patterns`] (which is a thin collector over
+//! this source): warm-up shifts that fill the TPG's extension flip-flops
+//! (charged to the clock budget, emitting nothing), the `2^M − 1` aligned
+//! cone views of the maximal sequence, and the appended all-zero pattern —
+//! the complete-LFSR remedy (ref \[15\]).
+//!
+//! Every input the cone sees is the TPG's one type-1 LFSR sequence at a
+//! fixed offset (label plus sequential length, minus the first LFSR
+//! label), so the source is an [`LfsrSource`] read at those offsets and
+//! builds each 64-lane block as one sequence window per input. The
+//! cycle-accurate [`TpgSimulator`](crate::tpg::TpgSimulator) is the
+//! bit-serial model the tests compare it with.
 
 use crate::structure::GeneralizedStructure;
-use crate::tpg::{TpgDesign, TpgSimulator};
-use bibs_faultsim::source::{PatternBlock, PatternSource, SourceDescriptor, StreamDigest};
+use crate::tpg::TpgDesign;
+use bibs_faultsim::source::{LfsrSource, PatternBlock, PatternSource, SourceDescriptor};
 
 /// A [`PatternSource`] emitting one full functionally-exhaustive session
 /// of the paper's TPG for a single-cone kernel.
 #[derive(Debug)]
 pub struct MinTpgSource {
-    sim: TpgSimulator,
+    lfsr: LfsrSource,
     structure_name: String,
-    width: usize,
-    degree: u32,
-    polynomial: String,
-    warmup: u64,
-    /// Patterns still to come from the maximal sequence.
-    period_left: u64,
-    zero_pending: bool,
-    emitted: u64,
-    clocks: u64,
-    digest: StreamDigest,
 }
 
 impl MinTpgSource {
-    /// Builds the source for a designed TPG: constructs the cycle-accurate
-    /// simulator and performs the warm-up shifts
-    /// (`flip_flop_count + sequential_depth` cycles, charged to
-    /// [`clocks_consumed`] before the first pattern).
+    /// Builds the source for a designed TPG from its reset state (LFSR
+    /// `00…01`, extension all zero, as in
+    /// [`TpgSimulator::new`](crate::tpg::TpgSimulator::new)) and performs
+    /// the warm-up shifts (`flip_flop_count + sequential_depth` cycles,
+    /// charged to [`clocks_consumed`] before the first pattern).
     ///
     /// [`clocks_consumed`]: PatternSource::clocks_consumed
     ///
     /// # Errors
     ///
     /// Fails for multi-cone structures (the emitted pattern is the single
-    /// cone's aligned view; a multi-cone kernel has no one stream), for
-    /// degrees above 63 (the period counter is a `u64`), and for designs
-    /// without a characteristic polynomial.
+    /// cone's aligned view; a multi-cone kernel has no one stream), for a
+    /// cone that does not read every register, for degrees above 63 (the
+    /// period counter is a `u64`), for designs without a characteristic
+    /// polynomial, and for a cone offset below the first LFSR label.
     pub fn new(design: &TpgDesign, structure: &GeneralizedStructure) -> Result<Self, String> {
         if !structure.is_single_cone() {
             return Err(format!(
@@ -59,99 +58,75 @@ impl MinTpgSource {
                 structure.cones.len()
             ));
         }
-        if design.lfsr_degree() > 63 {
+        let degree = design.lfsr_degree();
+        if degree > 63 {
+            return Err(format!("TPG source capped at degree 63, got {degree}"));
+        }
+        let poly = design
+            .polynomial()
+            .ok_or_else(|| format!("no polynomial for degree {degree}"))?;
+        let first = design.first_lfsr_label();
+        let offsets = design
+            .cone_offsets(0)
+            .into_iter()
+            .map(|o| {
+                usize::try_from(o - first)
+                    .map_err(|_| format!("cone offset {o} precedes the first LFSR label {first}"))
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        let width = structure.total_width() as usize;
+        if offsets.len() != width {
             return Err(format!(
-                "TPG source capped at degree 63, got {}",
-                design.lfsr_degree()
+                "the cone reads {} of the structure's {width} input bits",
+                offsets.len()
             ));
         }
-        let polynomial = design
-            .polynomial()
-            .ok_or_else(|| format!("no polynomial for degree {}", design.lfsr_degree()))?
-            .to_string();
-        let mut sim = TpgSimulator::new(design);
         let warmup = design.flip_flop_count() as u64 + structure.sequential_depth() as u64;
-        for _ in 0..warmup {
-            sim.step();
-        }
         Ok(MinTpgSource {
-            sim,
+            lfsr: LfsrSource::with_offsets(poly, offsets, 1 << (degree - 1)).warmed_up(warmup),
             structure_name: structure.name.clone(),
-            width: structure.total_width() as usize,
-            degree: design.lfsr_degree(),
-            polynomial,
-            warmup,
-            period_left: (1u64 << design.lfsr_degree()) - 1,
-            zero_pending: true,
-            emitted: 0,
-            clocks: warmup,
-            digest: StreamDigest::default(),
         })
     }
 
     /// The designed LFSR degree `M`.
     pub fn degree(&self) -> u32 {
-        self.degree
+        self.lfsr.polynomial().degree()
     }
 }
 
 impl PatternSource for MinTpgSource {
     fn next_block(&mut self, width: usize) -> Option<PatternBlock> {
-        assert_eq!(width, self.width, "source width mismatch");
-        if self.period_left == 0 && !self.zero_pending {
-            return None;
-        }
-        let mut words = vec![0u64; width];
-        let mut lanes = 0usize;
-        while lanes < 64 && self.period_left > 0 {
-            for (i, bit) in self.sim.cone_view(0).iter().enumerate() {
-                if bit {
-                    words[i] |= 1u64 << lanes;
-                }
-            }
-            self.sim.step();
-            self.period_left -= 1;
-            self.clocks += 1;
-            lanes += 1;
-        }
-        if lanes < 64 && self.period_left == 0 && self.zero_pending {
-            // The appended all-zero pattern: its lane is already zero.
-            self.zero_pending = false;
-            self.clocks += 1;
-            lanes += 1;
-        }
-        let block = PatternBlock { words, lanes };
-        self.emitted += lanes as u64;
-        self.digest.absorb_block(&block);
-        Some(block)
+        self.lfsr.next_block(width)
     }
 
     fn clocks_consumed(&self) -> u64 {
-        self.clocks
+        self.lfsr.clocks_consumed()
     }
 
     fn patterns_emitted(&self) -> u64 {
-        self.emitted
+        self.lfsr.patterns_emitted()
     }
 
     fn state_digest(&self) -> u64 {
-        self.digest.value()
+        self.lfsr.state_digest()
     }
 
     fn descriptor(&self) -> SourceDescriptor {
+        let lfsr = self.lfsr.descriptor();
+        let field = |key| lfsr.get(key).unwrap_or_default().to_string();
         SourceDescriptor::new("mintpg")
             .field("structure", self.structure_name.clone())
-            .field("polynomial", self.polynomial.clone())
-            .field("degree", self.degree.to_string())
-            .field("width", self.width.to_string())
-            .field("warmup", self.warmup.to_string())
+            .field("polynomial", field("polynomial"))
+            .field("degree", field("degree"))
+            .field("width", field("width"))
+            .field("warmup", field("warmup"))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tpg::sc_tpg;
+    use crate::tpg::{sc_tpg, TpgSimulator};
 
     fn adder_structure() -> (GeneralizedStructure, TpgDesign) {
         let s = GeneralizedStructure::single_cone("add", &[("Ra", 3, 0), ("Rb", 3, 0)]);

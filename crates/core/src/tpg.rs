@@ -309,6 +309,12 @@ pub fn sc_tpg(structure: &GeneralizedStructure) -> TpgDesign {
 /// register contents at the current cycle and the pattern each cone
 /// observes (register contents at `t − d_{i,x}`, reconstructed through the
 /// label/offset correspondence that balance guarantees).
+///
+/// It clocks one cycle at a time and is the bit-serial reference model of
+/// the TPG. [`MinTpgSource`](crate::source::MinTpgSource) emits the same
+/// cone view 64 cycles at a time, as windows of the LFSR sequence
+/// ([`SequenceWindows`](bibs_lfsr::fsr::SequenceWindows)), and is tested
+/// against this simulator block for block.
 #[derive(Debug, Clone)]
 pub struct TpgSimulator {
     design: TpgDesign,
@@ -653,6 +659,18 @@ mod tests {
         let design = sc_tpg(&example2());
         let sim = TpgSimulator::new(&design);
         assert_eq!(sim.cone_view(0).len(), 12);
+    }
+
+    #[test]
+    fn tpg_source_rejects_offsets_before_the_lfsr() {
+        // mc_tpg never places a cone offset below the first LFSR label; a
+        // design that does gets an error from the source, not a panic.
+        let s = GeneralizedStructure::single_cone("ex4", &[("R1", 4, 0), ("R2", 4, 5)]);
+        let mut design = sc_tpg(&s);
+        assert!(crate::source::MinTpgSource::new(&design, &s).is_ok());
+        design.label_offset = 2;
+        let err = crate::source::MinTpgSource::new(&design, &s).unwrap_err();
+        assert!(err.contains("precedes the first LFSR label"), "{err}");
     }
 
     #[test]

@@ -36,8 +36,15 @@
 //! all-zero remedy), [`WeightedRandomSource`] (per-PI bias vectors), and
 //! [`StoredSeedReplay`] (committed reseeding schedules). The paper's own
 //! TPG lives in `bibs_core::source::MinTpgSource`, behind the same trait.
+//!
+//! The counter and the LFSR build whole words per block, never one bit per
+//! lane. Every input of an LFSR (and of the paper's TPG, which is an
+//! [`LfsrSource`] read at its cone's offsets) is the LFSR's one output
+//! sequence at a fixed offset, so a block is one 64-bit window of that
+//! sequence per input ([`SequenceWindows`]); the bit-serial
+//! [`bibs_lfsr::fsr::Lfsr`] is the reference model the tests compare with.
 
-use bibs_lfsr::fsr::{Lfsr, LfsrKind};
+use bibs_lfsr::fsr::SequenceWindows;
 use bibs_lfsr::poly::{primitive_polynomial, Polynomial};
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
@@ -313,6 +320,10 @@ impl<R: RngCore> PatternSource for RandomWords<R> {
 
 /// Counts through all `2^width` input patterns in ascending order (lane
 /// *k* of a block carries pattern `base + k`).
+///
+/// Blocks start at multiples of 64, so each word has a closed form: input
+/// *i* < 6 is the fixed lane pattern of bit *i* of the lane index, and
+/// input *i* ≥ 6 is constant across the block, bit *i* of `base`.
 #[derive(Debug)]
 pub struct ExhaustiveSource {
     width: usize,
@@ -338,6 +349,16 @@ impl ExhaustiveSource {
     }
 }
 
+/// `LANE_INDEX_BITS[i]` has lane *k* set iff bit *i* of *k* is set.
+const LANE_INDEX_BITS: [u64; 6] = [
+    0xAAAA_AAAA_AAAA_AAAA,
+    0xCCCC_CCCC_CCCC_CCCC,
+    0xF0F0_F0F0_F0F0_F0F0,
+    0xFF00_FF00_FF00_FF00,
+    0xFFFF_0000_FFFF_0000,
+    0xFFFF_FFFF_0000_0000,
+];
+
 impl PatternSource for ExhaustiveSource {
     fn next_block(&mut self, width: usize) -> Option<PatternBlock> {
         assert_eq!(width, self.width, "source width mismatch");
@@ -345,15 +366,14 @@ impl PatternSource for ExhaustiveSource {
             return None;
         }
         let lanes = 64u64.min(self.total - self.next) as usize;
-        let mut words = vec![0u64; width];
-        for lane in 0..lanes {
-            let pat = self.next + lane as u64;
-            for (i, w) in words.iter_mut().enumerate() {
-                if (pat >> i) & 1 == 1 {
-                    *w |= 1u64 << lane;
-                }
-            }
-        }
+        let mask = u64::MAX >> (64 - lanes);
+        let words = (0..width)
+            .map(|i| match LANE_INDEX_BITS.get(i) {
+                Some(&bits) => bits & mask,
+                None if (self.next >> i) & 1 == 1 => mask,
+                None => 0,
+            })
+            .collect();
         self.next += lanes as u64;
         let block = PatternBlock { words, lanes };
         self.digest.absorb_block(&block);
@@ -431,15 +451,22 @@ impl PatternSource for PatternList<'_> {
 /// stages `1..=width`, one shift per clock, over the full `2^M − 1`
 /// period, followed by the single all-zero pattern a plain maximal LFSR
 /// cannot produce — the paper's complete-LFSR remedy (ref \[15\]).
+///
+/// Input *i* reads stage *i + 1*, which is the LFSR's output sequence at
+/// offset *i*, so each block is built word-parallel as one window of that
+/// sequence per input ([`SequenceWindows`]). [`LfsrSource::with_offsets`]
+/// reads other offsets, including ones past the last stage; the paper's
+/// TPG (`bibs_core::source::MinTpgSource`) is this source read at its
+/// cone's offsets.
 #[derive(Debug)]
 pub struct LfsrSource {
-    lfsr: Lfsr,
+    windows: SequenceWindows,
+    poly: Polynomial,
     width: usize,
     seed: u64,
     warmup: u64,
     /// Patterns still to come from the maximal sequence.
     period_left: u64,
-    zero_pending: bool,
     emitted: u64,
     clocks: u64,
     digest: StreamDigest,
@@ -477,34 +504,45 @@ impl LfsrSource {
     /// Panics if `width` is 0 or exceeds the polynomial degree, or the
     /// degree exceeds 64.
     pub fn with_polynomial(poly: &Polynomial, width: usize, seed: u64) -> Self {
-        let degree = poly.degree();
-        assert!(degree <= 64, "LFSR source degree capped at 64");
         assert!(
-            (1..=degree as usize).contains(&width),
+            (1..=poly.degree() as usize).contains(&width),
             "pattern width must be 1..=degree"
         );
-        let mask = if degree == 64 {
-            !0u64
-        } else {
-            (1u64 << degree) - 1
-        };
-        let mut state = seed & mask;
+        Self::with_offsets(poly, (0..width).collect(), seed)
+    }
+
+    /// An LFSR source whose input *i* reads the output sequence at
+    /// `offsets[i]`: stage `offsets[i] + 1`, or for an offset of at least
+    /// the degree, a flip-flop of a shift-register extension after the
+    /// last stage that starts all zero. The seed is used as in
+    /// [`LfsrSource::with_polynomial`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `offsets` is empty, or the degree is 0 or exceeds 64.
+    pub fn with_offsets(poly: &Polynomial, offsets: Vec<usize>, seed: u64) -> Self {
+        let degree = poly.degree();
+        assert!(
+            (1..=64).contains(&degree),
+            "LFSR source degree must be 1..=64"
+        );
+        assert!(!offsets.is_empty(), "LFSR source needs at least one input");
+        let mut state = seed & (u64::MAX >> (64 - degree));
         if state == 0 {
             state = 1;
         }
-        let lfsr = Lfsr::with_seed_u64(poly, LfsrKind::Type1, state);
         let period_left = if degree == 64 {
             u64::MAX
         } else {
             (1u64 << degree) - 1
         };
         LfsrSource {
-            lfsr,
-            width,
+            width: offsets.len(),
+            windows: SequenceWindows::new(poly, state, offsets),
+            poly: poly.clone(),
             seed: state,
             warmup: 0,
             period_left,
-            zero_pending: true,
             emitted: 0,
             clocks: 0,
             digest: StreamDigest::default(),
@@ -517,9 +555,7 @@ impl LfsrSource {
     ///
     /// [`clocks_consumed`]: PatternSource::clocks_consumed
     pub fn warmed_up(mut self, steps: u64) -> Self {
-        for _ in 0..steps {
-            self.lfsr.step();
-        }
+        self.windows.advance(steps);
         self.warmup += steps;
         self.clocks += steps;
         self
@@ -527,38 +563,30 @@ impl LfsrSource {
 
     /// The characteristic polynomial driving this source.
     pub fn polynomial(&self) -> &Polynomial {
-        self.lfsr.polynomial()
+        &self.poly
     }
 }
 
 impl PatternSource for LfsrSource {
     fn next_block(&mut self, width: usize) -> Option<PatternBlock> {
         assert_eq!(width, self.width, "source width mismatch");
-        if self.period_left == 0 && !self.zero_pending {
+        if self.period_left == 0 {
             return None;
         }
-        let mut words = vec![0u64; width];
-        let mut lanes = 0usize;
-        while lanes < 64 && self.period_left > 0 {
-            for (i, w) in words.iter_mut().enumerate() {
-                if self.lfsr.stage(i + 1) {
-                    *w |= 1u64 << lanes;
-                }
-            }
-            self.lfsr.step();
-            self.period_left -= 1;
+        let lanes = self.period_left.min(64) as usize;
+        let mut block = PatternBlock {
+            words: self.windows.next_block(lanes),
+            lanes,
+        };
+        self.period_left -= lanes as u64;
+        self.clocks += lanes as u64;
+        if self.period_left == 0 {
+            // The appended all-zero pattern. The period 2^M − 1 is odd, so
+            // its last block is ragged and the next lane is free and zero.
+            block.lanes += 1;
             self.clocks += 1;
-            lanes += 1;
         }
-        if lanes < 64 && self.period_left == 0 && self.zero_pending {
-            // The appended all-zero pattern: its lane is already zero.
-            self.zero_pending = false;
-            self.clocks += 1;
-            lanes += 1;
-        }
-        debug_assert!(lanes > 0);
-        let block = PatternBlock { words, lanes };
-        self.emitted += lanes as u64;
+        self.emitted += block.lanes as u64;
         self.digest.absorb_block(&block);
         Some(block)
     }
@@ -930,6 +958,28 @@ mod tests {
         assert_eq!(seen.len(), 128);
         assert_eq!(src.patterns_emitted(), 128);
         assert_eq!(src.clocks_consumed(), 128);
+    }
+
+    #[test]
+    fn exhaustive_source_matches_the_bit_loop() {
+        for width in 0..=12 {
+            let mut src = ExhaustiveSource::new(width);
+            let mut base = 0u64;
+            while let Some(block) = src.next_block(width) {
+                let lanes = 64u64.min((1 << width) - base) as usize;
+                let mut words = vec![0u64; width];
+                for lane in 0..lanes {
+                    let pattern = base + lane as u64;
+                    for (i, word) in words.iter_mut().enumerate() {
+                        *word |= ((pattern >> i) & 1) << lane;
+                    }
+                }
+                assert_eq!(block, PatternBlock { words, lanes }, "width {width}");
+                base += lanes as u64;
+            }
+            assert_eq!(base, 1 << width);
+            assert_eq!(src.patterns_emitted(), 1 << width);
+        }
     }
 
     #[test]

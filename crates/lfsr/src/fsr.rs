@@ -214,6 +214,151 @@ impl Iterator for Lfsr {
     }
 }
 
+/// A type-1 LFSR read through fixed offsets into its output sequence, one
+/// 64-clock block at a time.
+///
+/// By the shift property, stage *i* of a type-1 LFSR holds the output
+/// sequence `a` at offset `i − 1`: stage 1 holds `a_t` at clock `t`, stage
+/// *i* holds `a_{t−i+1}`. A plain shift register chained after the last
+/// stage continues the same sequence at larger offsets. So a block of 64
+/// consecutive patterns, read at offset `o`, is one 64-bit window of the
+/// sequence: lane *p* is `a_{t+p−o}`.
+///
+/// The register is a `u64` (degree ≤ 64). The last `⌈max offset / 64⌉`
+/// words of the sequence are kept beside it, and values older than the
+/// initial register read as zero, like an extension that starts cleared.
+/// The bit-serial [`Lfsr`] and [`ShiftRegister`] are the reference models
+/// this is tested against.
+///
+/// # Example
+///
+/// ```
+/// use bibs_lfsr::fsr::{Lfsr, LfsrKind, SequenceWindows};
+/// use bibs_lfsr::poly::primitive_polynomial;
+///
+/// let p = primitive_polynomial(5).expect("in table");
+/// let mut windows = SequenceWindows::new(&p, 0b1, vec![0, 3]);
+/// let mut lfsr = Lfsr::with_seed_u64(&p, LfsrKind::Type1, 0b1);
+/// let words = windows.next_block(64);
+/// for lane in 0..64 {
+///     assert_eq!((words[0] >> lane) & 1 == 1, lfsr.stage(1));
+///     assert_eq!((words[1] >> lane) & 1 == 1, lfsr.stage(4));
+///     lfsr.step();
+/// }
+/// ```
+#[derive(Debug, Clone)]
+pub struct SequenceWindows {
+    /// Stage *i* at bit *i − 1*, so bit *i* holds `a_{t−i}`.
+    state: u64,
+    /// Tapped stages, as in [`Lfsr`].
+    taps: u64,
+    /// The low `degree` bits.
+    stages: u64,
+    /// `history[k]` holds `a_{t−64(k+1)} ..= a_{t−64k−1}`, oldest in bit 0.
+    history: Vec<u64>,
+    offsets: Vec<usize>,
+}
+
+impl SequenceWindows {
+    /// Starts from register `state` (stage *i* at bit *i − 1*, as in
+    /// [`Lfsr::with_seed_u64`]; bits above the degree are ignored), with
+    /// all older sequence values zero, reading one word per offset.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the degree is 0 or exceeds 64.
+    pub fn new(poly: &Polynomial, state: u64, offsets: Vec<usize>) -> Self {
+        let degree = poly.degree();
+        assert!(
+            (1..=64).contains(&degree),
+            "sequence windows need degree 1..=64"
+        );
+        let stages = u64::MAX >> (64 - degree);
+        let taps = poly
+            .tap_stages()
+            .iter()
+            .fold(0u64, |m, &s| m | 1 << (s - 1));
+        let state = state & stages;
+        let depth = offsets.iter().max().map_or(0, |&o| o.div_ceil(64));
+        let mut history = vec![0u64; depth];
+        if let Some(newest) = history.first_mut() {
+            // Stages 2..=degree hold a_{t−1}, a_{t−2}, …: bit order reversed.
+            *newest = (state >> 1).reverse_bits();
+        }
+        SequenceWindows {
+            state,
+            taps,
+            stages,
+            history,
+            offsets,
+        }
+    }
+
+    /// Clocks the register `clocks` times, emitting nothing.
+    pub fn advance(&mut self, mut clocks: u64) {
+        while clocks > 0 {
+            let n = clocks.min(64) as usize;
+            let seq = self.clock(n);
+            self.shift_in(seq, n);
+            clocks -= n as u64;
+        }
+    }
+
+    /// Clocks the register `lanes` times and returns one word per offset:
+    /// lane *p* of offset `o`'s word is `a_{t+p−o}`, and lanes `lanes..64`
+    /// are zero.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lanes` is not in `1..=64`.
+    pub fn next_block(&mut self, lanes: usize) -> Vec<u64> {
+        assert!((1..=64).contains(&lanes), "a block has 1..=64 lanes");
+        let seq = self.clock(lanes);
+        let mask = u64::MAX >> (64 - lanes);
+        let word = |k: usize| if k == 0 { seq } else { self.history[k - 1] };
+        let words = self
+            .offsets
+            .iter()
+            .map(|&o| {
+                let (k, r) = (o / 64, o % 64);
+                let window = if r == 0 {
+                    word(k)
+                } else {
+                    word(k) << r | word(k + 1) >> (64 - r)
+                };
+                window & mask
+            })
+            .collect();
+        self.shift_in(seq, lanes);
+        words
+    }
+
+    /// Clocks `n` (1..=64) times; bit *p* of the result is `a_{t+p}`.
+    fn clock(&mut self, n: usize) -> u64 {
+        let mut seq = 0u64;
+        for p in 0..n {
+            seq |= (self.state & 1) << p;
+            let fb = u64::from((self.state & self.taps).count_ones() & 1);
+            self.state = (self.state << 1 | fb) & self.stages;
+        }
+        seq
+    }
+
+    /// Moves the history on by the `n` (1..=64) values of `seq`.
+    fn shift_in(&mut self, seq: u64, n: usize) {
+        let mut newer = seq;
+        for word in &mut self.history {
+            let older = *word;
+            *word = if n == 64 {
+                newer
+            } else {
+                older >> n | newer << (64 - n)
+            };
+            newer = older;
+        }
+    }
+}
+
 /// A complete feedback shift register (Wang–McCluskey, ref \[15\] of the
 /// paper): a type-1 LFSR modified with a NOR term so the cycle includes the
 /// all-0 state, giving period `2^n` instead of `2^n − 1`.
@@ -438,6 +583,41 @@ mod tests {
         }
         assert!(!l.state().is_zero(), "nonzero orbit stays nonzero");
         assert_eq!(l.width(), 72);
+    }
+
+    #[test]
+    fn sequence_windows_match_an_lfsr_with_a_shift_register_extension() {
+        // Offset o < 7 is stage o + 1; offset o ≥ 7 is extension stage o − 7.
+        let p = primitive_polynomial(7).unwrap();
+        let offsets = vec![0, 3, 6, 7, 63, 64, 70, 130];
+        let mut windows = SequenceWindows::new(&p, 0b101_1001, offsets.clone());
+        let mut lfsr = Lfsr::with_seed_u64(&p, LfsrKind::Type1, 0b101_1001);
+        let mut ext = ShiftRegister::new(124);
+        let clock = |lfsr: &mut Lfsr, ext: &mut ShiftRegister| {
+            ext.shift(lfsr.stage(7));
+            lfsr.step();
+        };
+        windows.advance(100);
+        for _ in 0..100 {
+            clock(&mut lfsr, &mut ext);
+        }
+        for lanes in [64, 17, 64, 1, 64, 64, 63] {
+            let words = windows.next_block(lanes);
+            for lane in 0..lanes {
+                for (&o, &w) in offsets.iter().zip(&words) {
+                    let bit = if o < 7 {
+                        lfsr.stage(o + 1)
+                    } else {
+                        ext.stage(o - 7)
+                    };
+                    assert_eq!((w >> lane) & 1 == 1, bit, "offset {o}, lane {lane}");
+                }
+                clock(&mut lfsr, &mut ext);
+            }
+            if lanes < 64 {
+                assert!(words.iter().all(|&w| w >> lanes == 0), "lanes past {lanes}");
+            }
+        }
     }
 
     #[test]

@@ -11,6 +11,9 @@
 //!   table is trusted on faith;
 //! * [`fsr::Lfsr`] — type-1 (external/Fibonacci) and type-2
 //!   (internal/Galois) LFSRs of arbitrary width;
+//! * [`fsr::SequenceWindows`] — a type-1 LFSR read at fixed offsets into
+//!   its output sequence, 64 clocks per step: the word-parallel kernel of
+//!   the LFSR and TPG pattern sources;
 //! * [`fsr::CompleteLfsr`] — the Wang–McCluskey complete feedback shift
 //!   register that also visits the all-0 state (ref \[15\] of the paper);
 //! * [`fsr::ShiftRegister`] — the plain shift-register segments SC_TPG and
