@@ -137,6 +137,22 @@ step "telemetry perf-regression gate (perfdiff vs committed BENCH_table2.json)"
 cargo run --release -p bibs-bench --bin perfdiff -- \
   BENCH_table2.json /tmp/bibs-telemetry-j8.json
 
+step "retired faults: c5a2m's BIBS kernel stops sweeping the good machine once PODEM retires its survivors"
+# PODEM proves the kernel's two survivors redundant 1,024 patterns after
+# its last detection; the rest of the 100,000-pattern plateau still
+# applies every block but evaluates nothing. A prover that retired
+# nothing would leave good_evals equal to blocks. The BIBS column comes
+# first, so the first fault-sim span is its one kernel's.
+sim_span=$(grep -o '"label":"fault-sim\[par\]","wall_ns":[0-9]*,"counters":{[^}]*}' \
+  /tmp/bibs-telemetry-j8.json | head -1)
+span_counter() { printf '%s' "$sim_span" | grep -o "\"$1\":[0-9]*" | grep -o '[0-9]*$'; }
+good=$(span_counter good_evals)
+blocks=$(span_counter blocks)
+retired=$(span_counter faults_retired || true)
+echo "BIBS c5a2m kernel 0: ${good} good-machine sweeps over ${blocks} blocks, ${retired:-0} faults retired"
+test -n "$good" && test -n "$blocks" && test -n "$retired"
+test "$good" -lt "$blocks" && test "$retired" -gt 0
+
 step "pattern sources: --source random JSON is byte-identical to the legacy path"
 # The same seeded stream drawn through the PatternSource layer must not
 # change a byte of the detection-deterministic JSON.
@@ -333,14 +349,15 @@ for f in /tmp/bibs-fuzz-seeds/seq/*.bench; do
   diff "$f" "corpus/seq/$(basename "$f")"
 done
 
-step "fuzz smoke (200 seeded cases through the eight differential oracles)"
+step "fuzz smoke (200 seeded cases through the nine differential oracles)"
 # Time-boxed; a divergence writes a minimized fixture to
 # corpus/regressions/ and fails the run. Oracle 7 (lanes) cross-checks
 # wide 256/512-lane sweeps against the scalar engine on every case,
 # including a plateau-stop run that exercises sub-block retraction.
 # Oracle 8 (podem) checks every PODEM verdict against exhaustive
 # simulation in release, where PODEM's debug-build implication check is
-# compiled out.
+# compiled out. Oracle 9 (retire) requires runs that retire PODEM-proved
+# faults mid-run to reproduce the plain run at every lane width.
 timeout 300 cargo run --release -p bibs-corpus --bin bibs-fuzz -- --smoke \
   --cases 200 | tee /tmp/bibs-fuzz-smoke.txt
 grep -q "0 divergence(s)" /tmp/bibs-fuzz-smoke.txt

@@ -231,19 +231,16 @@ fn main() {
     let all = columns
         .iter()
         .flat_map(|(b, k)| b.kernel_stats.iter().chain(&k.kernel_stats));
-    let (mut evals, mut gate_evals, mut blocks, mut wall, mut compile) = (
-        0u64,
-        0u64,
-        0u64,
-        std::time::Duration::ZERO,
-        std::time::Duration::ZERO,
-    );
+    let (mut evals, mut gate_evals, mut blocks, mut sweeps, mut retired) = (0u64, 0, 0, 0, 0);
+    let (mut wall, mut compile) = (std::time::Duration::ZERO, std::time::Duration::ZERO);
     let (mut universe, mut simulated, mut untestable) = (0u64, 0u64, 0u64);
     let mut analysis = std::time::Duration::ZERO;
     for s in all {
         evals += s.sim.fault_evals;
         gate_evals += s.sim.gate_evals;
         blocks += s.sim.blocks;
+        sweeps += s.sim.good_evals;
+        retired += s.sim.faults_retired;
         wall += s.sim.wall;
         compile += s.sim.compile_wall;
         universe += s.sim.universe_faults;
@@ -253,7 +250,8 @@ fn main() {
     }
     let secs = wall.as_secs_f64();
     println!(
-        "fault-sim engine: {evals} faulty-machine evals over {blocks} blocks in {:.2} s \
+        "fault-sim engine: {evals} faulty-machine evals over {blocks} blocks \
+         ({sweeps} good-machine sweeps, {retired} faults retired by PODEM) in {:.2} s \
          ({:.0}/s, {:.2e} gate evals/s, {:.1} ms compile, {} thread(s), {} engine)",
         secs,
         if secs > 0.0 { evals as f64 / secs } else { 0.0 },

@@ -25,11 +25,11 @@ use bibs_core::source::MinTpgSource;
 use bibs_core::structure::GeneralizedStructure;
 use bibs_core::tpg::sc_tpg;
 use bibs_datapath::elab::elaborate_kernel;
-use bibs_faultsim::atpg::Atpg;
+use bibs_faultsim::atpg::Verdicts;
 use bibs_faultsim::fault::{DominanceCollapse, Fault, FaultUniverse, StaticFaultAnalysis};
 use bibs_faultsim::par::{default_jobs, ParFaultSimulator};
 use bibs_faultsim::reference::ReferenceSimulator;
-use bibs_faultsim::sim::BlockSim;
+use bibs_faultsim::sim::{BlockSim, Stop};
 use bibs_faultsim::source::{
     LfsrSource, PatternBlock, PatternSource, RandomWords, SourceDescriptor, StoredSeedReplay,
     WeightedRandomSource,
@@ -39,8 +39,6 @@ use bibs_netlist::opt::{optimize_traced, OptStats};
 use bibs_netlist::EvalProgram;
 use bibs_obs::{CounterId, Recorder, TraceMode};
 use bibs_rtl::{Circuit, VertexKind};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use std::collections::HashSet;
 use std::time::{Duration, Instant};
 
@@ -227,7 +225,7 @@ impl std::fmt::Display for SourceSpec {
 /// Builds the [`PatternSource`] a [`SourceSpec`] names for one kernel.
 ///
 /// `width` must be the kernel's combinational-equivalent input width (what
-/// [`BlockSim::run_source_with`] will request per block); `seed` is the
+/// [`BlockSim::run`] will request per block); `seed` is the
 /// kernel-personalized RNG seed. [`SourceSpec::MinTpg`] extracts the
 /// kernel's [`GeneralizedStructure`] and designs an SC_TPG for it; when
 /// the structure is multi-cone, unbalanced, or its total width disagrees
@@ -305,7 +303,7 @@ pub fn build_source(
     }
 }
 
-/// A source whose pulls are timed. [`BlockSim::run_source_with`] pulls
+/// A source whose pulls are timed. [`BlockSim::run`] pulls
 /// blocks between sweeps, outside the engine's `fault-sim[...]` span, so
 /// a traced run charges this time to the `source[...]` span instead.
 struct TimedSource<'a> {
@@ -445,7 +443,10 @@ pub struct Table2Options {
     /// Cap on random patterns per kernel.
     pub max_patterns: u64,
     /// Stop simulating a kernel once this many consecutive patterns bring
-    /// no new detection (the survivors go to PODEM).
+    /// no new detection. The survivors go to PODEM; with a plateau longer
+    /// than [`PROVE_AFTER`](bibs_faultsim::sim::PROVE_AFTER), PODEM sees
+    /// them mid-run and the ones it proves redundant stop being
+    /// simulated.
     pub plateau: u64,
     /// PODEM backtrack limit.
     pub backtrack_limit: usize,
@@ -538,11 +539,19 @@ pub fn apply_tdm(circuit: &Circuit, tdm: Tdm) -> (Circuit, BilboDesign, Vec<Kern
 ///   functional-equivalence classes and only representatives are
 ///   simulated.
 /// * **Phase 1 — random simulation** with fault dropping and a detection
-///   plateau. Per-representative results are expanded back through the
-///   class map, so every downstream number is collapse-independent.
+///   plateau. Once the stream has gone
+///   [`PROVE_AFTER`](bibs_faultsim::sim::PROVE_AFTER) patterns without a
+///   detection, the compiled engine hands its live faults to PODEM once
+///   and stops simulating the ones PODEM proves redundant; the rest of
+///   the plateau still pulls and applies every block, so the report and
+///   the source's accounting are the plain run's. Per-representative
+///   results are expanded back through the class map, so every
+///   downstream number is collapse-independent.
 /// * **Phase 2 — PODEM** rules on the (expanded) survivors only — proving
 ///   them redundant, finding a test (rare random-resistant faults,
-///   reported as `unreached`), or aborting (excluded and reported).
+///   reported as `unreached`), or aborting (excluded and reported). A
+///   survivor PODEM already decided in Phase 1 keeps that verdict; the
+///   generator is built the first time either phase needs it.
 pub fn kernel_fault_stats(
     circuit: &Circuit,
     design: &BilboDesign,
@@ -567,8 +576,11 @@ pub fn kernel_fault_stats(
 ///   `source_clocks` counters and the wall time of its pulls;
 /// * `"expand"` — representative→universe detection expansion
 ///   (dominance mode only);
-/// * `"atpg"` — PODEM on the survivors, with the `podem_faults`,
-///   `podem_backtracks` and `podem_evals` counters.
+/// * `"atpg"` — all of the kernel's PODEM work, Phase 1's included (its
+///   wall is added to the span's), with the `podem_faults` (each fault
+///   searched counted once), `podem_backtracks` and `podem_evals`
+///   counters. The engine's span carries `faults_retired` when Phase 1
+///   retired any; its wall is sweep time only.
 ///
 /// Every exported counter is detection-deterministic: identical for any
 /// thread count and collapse-independent where the numbers are.
@@ -637,130 +649,100 @@ pub fn kernel_fault_stats_traced(
     // collapse mode (a block brings a new detection iff it first-detects
     // some class representative). The engine records itself; its whole
     // span tree is grafted under the kernel's span afterwards. With no
-    // `--source` the pre-source seeded-RNG path runs unchanged (and
-    // recorder-silent); with one, the chosen [`PatternSource`] drives the
-    // same generic driver and its coverage-vs-clocks accounting lands in
-    // a `source[...]` telemetry span and (for non-uniform sources) in the
-    // JSON.
+    // `--source` the seeded-RNG stream runs recorder-silent; with one,
+    // the chosen [`PatternSource`] drives the same driver and its
+    // coverage-vs-clocks accounting lands in a `source[...]` telemetry
+    // span and (for non-uniform sources) in the JSON.
+    //
+    // The compiled engine runs with PODEM as its prover: once the stream
+    // has gone `PROVE_AFTER` patterns without a detection, the faults
+    // PODEM proves redundant leave the live list, and the sweeps that
+    // carry none stop evaluating the good machine. A redundant fault is
+    // never detected, so the report is the plain run's. The reference
+    // engine, the oracle, runs the plain driver.
     let kernel_seed = options.seed ^ kernel.input_edges.len() as u64;
-    let mut source_run = None;
-    let report = match &options.source {
-        None => {
-            let mut rng = StdRng::seed_from_u64(kernel_seed);
-            match options.engine {
-                Engine::Compiled => {
-                    let mut sim = match &optimized {
-                        Some(opt) => {
-                            ParFaultSimulator::with_optimized(&comb, opt, sim_faults, options.jobs)
-                        }
-                        None => ParFaultSimulator::with_program(
-                            &comb,
-                            program.clone(),
-                            sim_faults,
-                            options.jobs,
-                        ),
-                    }
-                    .with_lanes(options.lanes);
-                    let report = sim.run_random_with_plateau(
-                        &mut rng,
-                        options.max_patterns,
-                        options.plateau,
-                    );
-                    let cur = rec.current();
-                    rec.graft(cur, sim.recorder());
-                    report
+    let mut source: Box<dyn PatternSource> = match &options.source {
+        None => Box::new(RandomWords::seeded(kernel_seed)),
+        Some(spec) => build_source(
+            spec,
+            kernel_seed,
+            comb.input_width(),
+            circuit,
+            design,
+            kernel,
+        )
+        .unwrap_or_else(|e| panic!("cannot build pattern source '{spec}': {e}")),
+    };
+    // Only a traced run with a `--source` times its pulls; every other
+    // run pulls from the source directly.
+    let mut timed = TimedSource {
+        inner: &mut *source,
+        wall: Duration::ZERO,
+    };
+    let pulled: &mut dyn PatternSource = if options.source.is_some() && rec.is_enabled() {
+        &mut timed
+    } else {
+        &mut *timed.inner
+    };
+    let stop = Stop {
+        plateau: options.plateau,
+        ..Stop::after(options.max_patterns)
+    };
+    let mut verdicts = Verdicts::new(&comb, options.backtrack_limit);
+    let report = match options.engine {
+        Engine::Compiled => {
+            let mut sim = match &optimized {
+                Some(opt) => {
+                    ParFaultSimulator::with_optimized(&comb, opt, sim_faults, options.jobs)
                 }
-                Engine::Reference => {
-                    let mut sim = ReferenceSimulator::new(&comb, sim_faults);
-                    let report = sim.run_random_with_plateau(
-                        &mut rng,
-                        options.max_patterns,
-                        options.plateau,
-                    );
-                    let cur = rec.current();
-                    rec.graft(cur, sim.recorder());
-                    report
-                }
+                None => ParFaultSimulator::with_program(
+                    &comb,
+                    program.clone(),
+                    sim_faults,
+                    options.jobs,
+                ),
             }
+            .with_lanes(options.lanes);
+            let mut prove = |f| verdicts.proves_redundant(f);
+            let report = sim.run(
+                &mut *pulled,
+                Stop {
+                    prover: Some(&mut prove),
+                    ..stop
+                },
+            );
+            let cur = rec.current();
+            rec.graft(cur, sim.recorder());
+            report
         }
-        Some(spec) => {
-            let mut source = build_source(
-                spec,
-                kernel_seed,
-                comb.input_width(),
-                circuit,
-                design,
-                kernel,
-            )
-            .unwrap_or_else(|e| panic!("cannot build pattern source '{spec}': {e}"));
-            // Untraced runs pull from the source directly, so the timed
-            // path pays nothing for this.
-            let mut timed = TimedSource {
-                inner: &mut *source,
-                wall: Duration::ZERO,
-            };
-            let pulled: &mut dyn PatternSource = if rec.is_enabled() {
-                &mut timed
-            } else {
-                &mut *timed.inner
-            };
-            let report = match options.engine {
-                Engine::Compiled => {
-                    let mut sim = match &optimized {
-                        Some(opt) => {
-                            ParFaultSimulator::with_optimized(&comb, opt, sim_faults, options.jobs)
-                        }
-                        None => ParFaultSimulator::with_program(
-                            &comb,
-                            program.clone(),
-                            sim_faults,
-                            options.jobs,
-                        ),
-                    }
-                    .with_lanes(options.lanes);
-                    let report = sim.run_source_with(
-                        &mut *pulled,
-                        options.max_patterns,
-                        options.plateau,
-                        1.0,
-                    );
-                    let cur = rec.current();
-                    rec.graft(cur, sim.recorder());
-                    report
-                }
-                Engine::Reference => {
-                    let mut sim = ReferenceSimulator::new(&comb, sim_faults);
-                    let report = sim.run_source_with(
-                        &mut *pulled,
-                        options.max_patterns,
-                        options.plateau,
-                        1.0,
-                    );
-                    let cur = rec.current();
-                    rec.graft(cur, sim.recorder());
-                    report
-                }
-            };
-            let pull_wall = timed.wall;
-            rec.scope(format!("source[{spec}]"), |rec| {
-                let span = rec.current();
-                rec.add_wall(span, pull_wall);
-                rec.add(CounterId::PatternsEmitted, source.patterns_emitted());
-                rec.add(CounterId::SourceClocks, source.clocks_consumed());
-            });
-            // `random` reproduces the legacy stream, so it also keeps the
-            // legacy JSON (byte-identical — a CI gate); every other source
-            // reports its coverage-vs-clocks record.
-            if *spec != SourceSpec::Random {
-                source_run = Some(SourceRun {
-                    descriptor_json: source.descriptor().to_json(),
-                    clocks: source.clocks_consumed(),
-                    emitted: source.patterns_emitted(),
-                });
-            }
+        Engine::Reference => {
+            let mut sim = ReferenceSimulator::new(&comb, sim_faults);
+            let report = sim.run(&mut *pulled, stop);
+            let cur = rec.current();
+            rec.graft(cur, sim.recorder());
             report
         }
     };
+    let pull_wall = timed.wall;
+    let mut source_run = None;
+    if let Some(spec) = &options.source {
+        rec.scope(format!("source[{spec}]"), |rec| {
+            let span = rec.current();
+            rec.add_wall(span, pull_wall);
+            rec.add(CounterId::PatternsEmitted, source.patterns_emitted());
+            rec.add(CounterId::SourceClocks, source.clocks_consumed());
+        });
+        // `random` reproduces the legacy stream, so it also keeps the
+        // legacy JSON (byte-identical — a CI gate); every other source
+        // reports its coverage-vs-clocks record.
+        if *spec != SourceSpec::Random {
+            source_run = Some(SourceRun {
+                descriptor_json: source.descriptor().to_json(),
+                clocks: source.clocks_consumed(),
+                emitted: source.patterns_emitted(),
+            });
+        }
+    }
 
     // Expand per-representative detections back over `to_sim` so the
     // survivors (and every reported number) are collapse-independent.
@@ -769,15 +751,23 @@ pub fn kernel_fault_stats_traced(
         None => report.detection().to_vec(),
     };
 
-    // Phase 2: PODEM on the survivors, in universe order.
+    // Phase 2: PODEM on the survivors, in universe order. A survivor the
+    // prover already searched keeps its verdict; the rest (dominance
+    // class members that were not representatives, or every survivor of
+    // a run that never called the prover) are searched now. The span
+    // holds all of the kernel's PODEM work, the prover's included.
     let survivors: Vec<Fault> = to_sim
         .iter()
         .zip(&detection)
         .filter(|(_, d)| d.is_none())
         .map(|(&f, _)| f)
         .collect();
-    let mut atpg = Atpg::new(&comb);
-    let class = atpg.classify_traced(&survivors, options.backtrack_limit, rec);
+    let prover_wall = verdicts.wall();
+    let atpg = rec.enter("atpg");
+    let class = verdicts.classify(&survivors);
+    verdicts.record(rec);
+    rec.add_wall(atpg, prover_wall);
+    rec.exit(atpg);
 
     let mut detection_indices: Vec<u64> = detection.iter().flatten().copied().collect();
     detection_indices.sort_unstable();

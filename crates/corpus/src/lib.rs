@@ -7,12 +7,13 @@
 //!   multipliers up to 64 bits, the paper's filter datapaths, deep DFF
 //!   pipelines, multi-kernel register chains, random gate DAGs) with
 //!   [`gen::SizeReport`] records for scaling curves;
-//! * [`oracle`] — the eight differential oracles every corpus circuit is
+//! * [`oracle`] — the nine differential oracles every corpus circuit is
 //!   pushed through (compiled vs reference evaluation, one-thread vs
 //!   sharded reports, dominance expansion vs direct simulation, static
 //!   untestability vs exhaustive ground truth, pattern sources across
 //!   thread counts, optimized vs plain reports, wide vs 64-lane reports,
-//!   PODEM verdicts vs exhaustive ground truth);
+//!   PODEM verdicts vs exhaustive ground truth, runs that retire
+//!   PODEM-proved faults vs plain runs);
 //! * [`minimize`] — a greedy structural shrinker that reduces a
 //!   diverging circuit to a local-minimum witness before it is committed
 //!   as a regression fixture.

@@ -1,4 +1,4 @@
-//! The eight differential oracles the fuzzer cross-checks per circuit.
+//! The nine differential oracles the fuzzer cross-checks per circuit.
 //!
 //! Each oracle pits two implementations (or one implementation and a
 //! ground truth) against each other on the same circuit and reports a
@@ -35,17 +35,23 @@
 //!    aborts under Table 2's backtrack limit — the check behind the
 //!    100 %-coverage rows, run in release where PODEM's debug-build
 //!    implication check is off.
+//! 9. **Retire** — a run whose driver hands its live faults to PODEM
+//!    after [`PROVE_AFTER`](bibs_faultsim::sim::PROVE_AFTER) patterns
+//!    without a detection, and stops simulating the ones proved
+//!    redundant, must reproduce the plain run's report bit for bit at 64,
+//!    256 and 512 lanes and at 1 and 2 threads — the check behind
+//!    `table2`'s mid-run retirement.
 //!
 //! Oracles 3, 4 and 8 need exhaustive simulation and only run when the
 //! circuit has at most [`EXHAUSTIVE_PI_LIMIT`] primary-input bits; 1, 2,
-//! 5, 6 and 7 run on everything. Sequential circuits are checked on their
+//! 5, 6, 7 and 9 run on everything. Sequential circuits are checked on their
 //! [`combinational_equivalent`](Netlist::combinational_equivalent).
 
-use bibs_faultsim::atpg::{Atpg, AtpgResult};
+use bibs_faultsim::atpg::{Atpg, AtpgResult, Verdicts};
 use bibs_faultsim::fault::{FaultUniverse, StaticFaultAnalysis};
 use bibs_faultsim::par::ParFaultSimulator;
 use bibs_faultsim::reference::ReferenceSimulator;
-use bibs_faultsim::sim::BlockSim;
+use bibs_faultsim::sim::{BlockSim, Stop};
 use bibs_faultsim::source::{LfsrSource, PatternSource, RandomWords, WeightedRandomSource};
 use bibs_netlist::opt::optimize;
 use bibs_netlist::{EvalProgram, Netlist};
@@ -57,7 +63,7 @@ use std::fmt;
 /// accept.
 pub const EXHAUSTIVE_PI_LIMIT: usize = 16;
 
-/// PODEM's backtrack limit for oracle 8: Table 2's default. A complete
+/// PODEM's backtrack limit for oracles 8 and 9: Table 2's default. A complete
 /// search over at most [`EXHAUSTIVE_PI_LIMIT`] inputs takes at most
 /// `2^16 - 1` backtracks, so an abort under it is a divergence.
 const PODEM_BACKTRACK_LIMIT: usize = 100_000;
@@ -67,6 +73,13 @@ const RANDOM_PATTERNS: u64 = 1_024;
 
 /// Pattern budget per source kind for the source oracle.
 const SOURCE_PATTERNS: u64 = 256;
+
+/// Pattern budget and detection plateau of the retire oracle's runs. The
+/// plateau is longer than
+/// [`PROVE_AFTER`](bibs_faultsim::sim::PROVE_AFTER), so the prover runs
+/// whenever a fault outlives the detections by that many patterns.
+const RETIRE_PATTERNS: u64 = 4_096;
+const RETIRE_PLATEAU: u64 = 2_048;
 
 /// Which oracle flagged a disagreement.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -87,6 +100,8 @@ pub enum Oracle {
     Lanes,
     /// PODEM verdicts vs exhaustive simulation.
     Podem,
+    /// Runs that retire PODEM-proved faults vs plain runs.
+    Retire,
 }
 
 impl fmt::Display for Oracle {
@@ -100,6 +115,7 @@ impl fmt::Display for Oracle {
             Oracle::Opt => "opt",
             Oracle::Lanes => "lanes",
             Oracle::Podem => "podem",
+            Oracle::Retire => "retire",
         })
     }
 }
@@ -141,6 +157,7 @@ pub fn check_all(netlist: &Netlist, seed: u64) -> Vec<Divergence> {
     out.extend(check_source(&nl, seed));
     out.extend(check_opt(&nl, &program, seed));
     out.extend(check_lanes(&nl, seed));
+    out.extend(check_retire(&nl, &program, seed));
     if nl.input_width() <= EXHAUSTIVE_PI_LIMIT {
         out.extend(check_dominance(&nl, &program));
         out.extend(check_prover(&nl, &program));
@@ -389,6 +406,57 @@ pub fn check_lanes(nl: &Netlist, seed: u64) -> Vec<Divergence> {
                 oracle: Oracle::Lanes,
                 detail: format!("plateau-stop report differs at {lanes} lanes"),
             });
+        }
+    }
+    out
+}
+
+/// Oracle 9: retiring PODEM-proved faults mid-run is report-invisible.
+/// A plain run and runs whose prover is PODEM at Table 2's backtrack
+/// limit, at each lane width and at 1 and 2 threads, draw the same
+/// seeded stream and must agree on detection and `patterns_applied`.
+/// Like Table 2, the runs simulate only the faults with a path to an
+/// output: PODEM can prove an unobservable fault redundant only by
+/// exhausting every assignment that activates it.
+pub fn check_retire(nl: &Netlist, program: &EvalProgram, seed: u64) -> Vec<Divergence> {
+    let (faults, _) = FaultUniverse::collapsed(nl).split_by_observability(program);
+    if faults.is_empty() {
+        return Vec::new();
+    }
+    let source_seed = seed ^ 0x9E71;
+    let stop = || Stop {
+        plateau: RETIRE_PLATEAU,
+        ..Stop::after(RETIRE_PATTERNS)
+    };
+    let plain = ParFaultSimulator::new(nl, faults.clone())
+        .run(&mut RandomWords::seeded(source_seed), stop());
+    // One verdict per fault, shared by the six runs.
+    let mut verdicts = Verdicts::new(nl, PODEM_BACKTRACK_LIMIT);
+    let mut out = Vec::new();
+    for lanes in [64usize, 256, 512] {
+        for threads in [1usize, 2] {
+            let mut prove = |f| verdicts.proves_redundant(f);
+            let proving = ParFaultSimulator::with_threads(nl, faults.clone(), threads)
+                .with_lanes(lanes)
+                .run(
+                    &mut RandomWords::seeded(source_seed),
+                    Stop {
+                        prover: Some(&mut prove),
+                        ..stop()
+                    },
+                );
+            if proving.detection() != plain.detection()
+                || proving.patterns_applied() != plain.patterns_applied()
+            {
+                out.push(Divergence {
+                    oracle: Oracle::Retire,
+                    detail: format!(
+                        "report differs at {threads} thread(s) @ {lanes} lanes \
+                         ({} fault(s) retired)",
+                        proving.stats().faults_retired
+                    ),
+                });
+            }
         }
     }
     out

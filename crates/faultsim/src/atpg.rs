@@ -6,7 +6,9 @@
 //!
 //! * **redundancy identification** — the Table 2 "100 % fault coverage"
 //!   rows count *detectable* faults, so undetectable (redundant) faults
-//!   must be proven so and excluded;
+//!   must be proven so and excluded. [`Verdicts`] keeps each fault's
+//!   verdict, so the proof can retire a fault from fault simulation
+//!   mid-run and still decide its Table 2 class afterwards;
 //! * deterministic test generation for individual faults, used by tests to
 //!   cross-check the fault simulator.
 //!
@@ -32,6 +34,9 @@
 use crate::fault::{Fault, FaultSite};
 use bibs_netlist::analysis::{eval_tv, Scoap, Tv};
 use bibs_netlist::{EvalProgram, NetDriver, NetId, Netlist};
+use bibs_obs::{CounterId, Recorder};
+use std::collections::hash_map::{Entry, HashMap};
+use std::time::{Duration, Instant};
 
 /// The outcome of PODEM on one fault.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -60,6 +65,23 @@ impl Classification {
     /// Number of faults proven or presumed detectable (tests found).
     pub fn detectable_count(&self) -> usize {
         self.detectable.len()
+    }
+
+    /// Sorts each fault into the class of its verdict, keeping order.
+    fn collect(verdicts: impl Iterator<Item = (Fault, AtpgResult)>) -> Self {
+        let mut out = Classification {
+            detectable: Vec::new(),
+            redundant: Vec::new(),
+            aborted: Vec::new(),
+        };
+        for (f, verdict) in verdicts {
+            match verdict {
+                AtpgResult::Test(t) => out.detectable.push((f, t)),
+                AtpgResult::Redundant => out.redundant.push(f),
+                AtpgResult::Aborted => out.aborted.push(f),
+            }
+        }
+        out
     }
 }
 
@@ -577,42 +599,84 @@ impl<'a> Atpg<'a> {
 
     /// Classifies every fault in `faults`.
     pub fn classify(&mut self, faults: &[Fault], backtrack_limit: usize) -> Classification {
-        let mut out = Classification {
-            detectable: Vec::new(),
-            redundant: Vec::new(),
-            aborted: Vec::new(),
-        };
-        for &f in faults {
-            match self.generate(f, backtrack_limit) {
-                AtpgResult::Test(t) => out.detectable.push((f, t)),
-                AtpgResult::Redundant => out.redundant.push(f),
-                AtpgResult::Aborted => out.aborted.push(f),
-            }
+        Classification::collect(
+            faults
+                .iter()
+                .map(|&f| (f, self.generate(f, backtrack_limit))),
+        )
+    }
+}
+
+/// PODEM at most once per fault: an [`Atpg`] built on first use, and
+/// every verdict it has returned, kept by fault.
+///
+/// A fault-sim run's prover ([`crate::sim::Stop::prover`]) and the
+/// classification of the run's survivors share one of these, so a fault
+/// the prover decided is not searched again, and a run that never asks
+/// builds no generator. [`Atpg::generate`] reloads per fault, so a
+/// verdict and its backtrack and evaluation counts do not depend on the
+/// order faults are asked in.
+#[derive(Debug)]
+pub struct Verdicts<'a> {
+    netlist: &'a Netlist,
+    backtrack_limit: usize,
+    atpg: Option<Atpg<'a>>,
+    kept: HashMap<Fault, AtpgResult>,
+    wall: Duration,
+}
+
+impl<'a> Verdicts<'a> {
+    /// No verdicts yet; searches on `netlist` will use `backtrack_limit`.
+    pub fn new(netlist: &'a Netlist, backtrack_limit: usize) -> Self {
+        Verdicts {
+            netlist,
+            backtrack_limit,
+            atpg: None,
+            kept: HashMap::new(),
+            wall: Duration::ZERO,
         }
-        out
     }
 
-    /// [`Atpg::classify`] wrapped in an `"atpg"` telemetry span: records
-    /// the span's wall time and, for this call, the faults attempted as
-    /// `podem_faults`, the backtracks taken as `podem_backtracks` and the
-    /// ternary instructions implication evaluated as `podem_evals`.
-    pub fn classify_traced(
-        &mut self,
-        faults: &[Fault],
-        backtrack_limit: usize,
-        rec: &mut bibs_obs::Recorder,
-    ) -> Classification {
-        let span = rec.enter("atpg");
-        let (backtracks, evals) = (self.backtracks_total, self.evals_total);
-        let out = self.classify(faults, backtrack_limit);
-        rec.add(bibs_obs::CounterId::PodemFaults, faults.len() as u64);
-        rec.add(
-            bibs_obs::CounterId::PodemBacktracks,
-            self.backtracks_total - backtracks,
-        );
-        rec.add(bibs_obs::CounterId::PodemEvals, self.evals_total - evals);
-        rec.exit(span);
-        out
+    /// PODEM's verdict on `fault`: the kept one, or a new search.
+    pub fn verdict(&mut self, fault: Fault) -> &AtpgResult {
+        match self.kept.entry(fault) {
+            Entry::Occupied(kept) => kept.into_mut(),
+            Entry::Vacant(slot) => {
+                let started = Instant::now();
+                let atpg = self.atpg.get_or_insert_with(|| Atpg::new(self.netlist));
+                let verdict = atpg.generate(fault, self.backtrack_limit);
+                self.wall += started.elapsed();
+                slot.insert(verdict)
+            }
+        }
+    }
+
+    /// Whether PODEM proves `fault` redundant — the prover a fault-sim
+    /// run retires faults with.
+    pub fn proves_redundant(&mut self, fault: Fault) -> bool {
+        *self.verdict(fault) == AtpgResult::Redundant
+    }
+
+    /// Classifies every fault in `faults`, reusing kept verdicts.
+    pub fn classify(&mut self, faults: &[Fault]) -> Classification {
+        Classification::collect(faults.iter().map(|&f| (f, self.verdict(f).clone())))
+    }
+
+    /// Wall time spent searching so far, building the generator included.
+    pub fn wall(&self) -> Duration {
+        self.wall
+    }
+
+    /// Adds every search so far to the current span of `rec`: the faults
+    /// searched as `podem_faults`, their backtracks as `podem_backtracks`
+    /// and the ternary instructions implication evaluated as
+    /// `podem_evals`.
+    pub fn record(&self, rec: &mut Recorder) {
+        rec.add(CounterId::PodemFaults, self.kept.len() as u64);
+        if let Some(atpg) = &self.atpg {
+            rec.add(CounterId::PodemBacktracks, atpg.backtracks_total);
+            rec.add(CounterId::PodemEvals, atpg.evals_total);
+        }
     }
 }
 

@@ -18,9 +18,11 @@
 //!   consumes — pseudorandom words, hardware-faithful LFSRs, weighted
 //!   random, exhaustive counters, stored-seed replays — behind one
 //!   [`source::PatternSource`] trait with clock accounting, driven by the
-//!   one [`sim::BlockSim::run_source_with`] driver;
+//!   one [`sim::BlockSim::run`] driver;
 //! * **PODEM** combinational ATPG ([`atpg`]) to prove faults undetectable —
-//!   which defines the "detectable" universe that the 100 % rows measure.
+//!   which defines the "detectable" universe that the 100 % rows measure,
+//!   and, as the driver's mid-run prover, takes the faults it proves
+//!   redundant out of fault simulation.
 //!   (The paper: "only an ATPG system for combinational logic is required",
 //!   thanks to balanced kernels being 1-step functionally testable.)
 //! * a sequential (time-frame) fault simulator ([`seq`]) that measures

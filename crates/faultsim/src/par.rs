@@ -19,6 +19,10 @@
 //! 3. the calling thread merges the hits, and the driver's commit drops
 //!    the detected faults from the list.
 //!
+//! A driver prover's verdicts take faults off the list too
+//! ([`BlockSim::retire`]); once the list is empty a sweep only counts its
+//! blocks, with no good-machine run.
+//!
 //! # Determinism
 //!
 //! The report is **bit-identical** for any thread count, because:
@@ -374,6 +378,13 @@ impl<'a> ParFaultSimulator<'a> {
     /// (`sub-block prefix + lane`) within the sweep.
     fn sweep_n<const N: usize>(&mut self, blocks: &[PatternBlock], applied: &[usize]) -> SweepHits {
         debug_assert!(blocks.len() <= N && blocks.len() == applied.len());
+        let root = self.rec.root();
+        self.rec
+            .add_to(root, CounterId::Blocks, blocks.len() as u64);
+        if self.undetected.is_empty() {
+            // Every fault is detected or retired: nothing to evaluate.
+            return SweepHits::default();
+        }
         let started = Instant::now();
         let width = self.netlist.input_width();
         let mut masks = [0u64; N];
@@ -436,7 +447,6 @@ impl<'a> ParFaultSimulator<'a> {
         // hit's detection index depends only on (fault, sweep). Shard
         // counters merge into the root span plus one detail child per
         // shard index — the root totals are thread-count-independent.
-        let root = self.rec.root();
         let mut hits_per_block: SweepHits = Default::default();
         for (shard_idx, (hits, counters)) in shard_results.into_iter().enumerate() {
             self.rec.attach_shard(root, shard_idx as u32, &counters);
@@ -449,8 +459,6 @@ impl<'a> ParFaultSimulator<'a> {
         }
         self.rec.add_to(root, CounterId::GateEvals, good_gate_evals);
         self.rec.add_to(root, CounterId::GoodEvals, 1);
-        self.rec
-            .add_to(root, CounterId::Blocks, blocks.len() as u64);
         self.rec.add_wall(root, started.elapsed());
         hits_per_block
     }
@@ -589,6 +597,21 @@ impl BlockSim for ParFaultSimulator<'_> {
             CounterId::FaultsDropped,
             (live - self.undetected.len()) as u64,
         );
+    }
+
+    /// Drops the faults `prover` proves undetectable from the undetected
+    /// list, asking it in fault-list order.
+    fn retire(&mut self, prover: &mut dyn FnMut(Fault) -> bool) -> usize {
+        let live = self.undetected.len();
+        let faults = &self.faults;
+        self.undetected.retain(|&fi| !prover(faults[fi as usize]));
+        let retired = live - self.undetected.len();
+        if retired > 0 {
+            let root = self.rec.root();
+            self.rec
+                .add_to(root, CounterId::FaultsRetired, retired as u64);
+        }
+        retired
     }
 }
 

@@ -116,12 +116,16 @@ pub fn eval_faulty(
 /// pattern-stream driver (one 64-lane block per sweep), same detection
 /// rule (`patterns_applied + trailing_zeros(diff)`), different evaluation
 /// machinery. Reports from the two must be bit-identical on any netlist.
+/// Faults a driver's prover retires are marked and skipped by later
+/// sweeps.
 #[derive(Debug)]
 pub struct ReferenceSimulator<'a> {
     netlist: &'a Netlist,
     order: Vec<GateId>,
     faults: Vec<Fault>,
     detection: Vec<Option<u64>>,
+    /// Faults a prover retired ([`BlockSim::retire`]); sweeps skip them.
+    retired: Vec<bool>,
     good: Vec<u64>,
     faulty: Vec<u64>,
     patterns_applied: u64,
@@ -149,6 +153,7 @@ impl<'a> ReferenceSimulator<'a> {
             order,
             faults,
             detection: vec![None; n],
+            retired: vec![false; n],
             good: vec![0u64; netlist.net_count()],
             faulty: vec![0u64; netlist.net_count()],
             patterns_applied: 0,
@@ -185,6 +190,13 @@ impl BlockSim for ReferenceSimulator<'_> {
         } else {
             (1u64 << lanes) - 1
         };
+        let root = self.rec.root();
+        self.rec.add_to(root, CounterId::Blocks, 1);
+        let mut hits: SweepHits = Default::default();
+        let live = |fi: usize| self.detection[fi].is_none() && !self.retired[fi];
+        if !(0..self.faults.len()).any(live) {
+            return hits;
+        }
         let started = Instant::now();
         let mut scratch: Vec<u64> = Vec::with_capacity(8);
 
@@ -203,11 +215,10 @@ impl BlockSim for ReferenceSimulator<'_> {
             .iter()
             .map(|o| o.index() as u32)
             .collect();
-        let mut hits: SweepHits = Default::default();
         let mut shard = ShardCounters::new();
         let shard_started = Instant::now();
         for fi in 0..self.faults.len() {
-            if self.detection[fi].is_some() {
+            if self.detection[fi].is_some() || self.retired[fi] {
                 continue;
             }
             eval_faulty(
@@ -228,11 +239,9 @@ impl BlockSim for ReferenceSimulator<'_> {
             }
         }
         shard.wall = shard_started.elapsed();
-        let root = self.rec.root();
         self.rec.attach_shard(root, 0, &shard);
         self.rec.add_to(root, CounterId::GateEvals, good_gate_evals);
         self.rec.add_to(root, CounterId::GoodEvals, 1);
-        self.rec.add_to(root, CounterId::Blocks, 1);
         self.rec.add_wall(root, started.elapsed());
         hits
     }
@@ -252,6 +261,22 @@ impl BlockSim for ReferenceSimulator<'_> {
         self.rec
             .add_to(root, CounterId::PatternsConsumed, boundary - base);
         self.rec.add_to(root, CounterId::FaultsDropped, dropped);
+    }
+
+    fn retire(&mut self, prover: &mut dyn FnMut(Fault) -> bool) -> usize {
+        let mut retired = 0;
+        for (fi, &fault) in self.faults.iter().enumerate() {
+            if self.detection[fi].is_none() && !self.retired[fi] && prover(fault) {
+                self.retired[fi] = true;
+                retired += 1;
+            }
+        }
+        if retired > 0 {
+            let root = self.rec.root();
+            self.rec
+                .add_to(root, CounterId::FaultsRetired, retired as u64);
+        }
+        retired
     }
 
     fn detection(&self) -> &[Option<u64>] {

@@ -3,19 +3,28 @@
 //!
 //! [`BlockSim`] is the engine interface. An engine supplies a *sweep* —
 //! one good-machine evaluation over up to [`MAX_SWEEP_WORDS`] consecutive
-//! 64-lane sub-blocks, then every live fault against it — and a *commit*
-//! that finalizes the sweep at a pattern boundary. The pattern-stream
-//! driver, [`BlockSim::run_source_with`], is provided here **once**, and
-//! every entry point ([`BlockSim::run_source`], [`BlockSim::run_random`],
-//! [`BlockSim::run_exhaustive`], …) reduces to it, so every engine,
-//! thread count and lane width draws the same blocks and stops at the
-//! same pattern by construction. The engines are
+//! 64-lane sub-blocks, then every live fault against it — a *commit*
+//! that finalizes the sweep at a pattern boundary, and a *retire* that
+//! takes faults a prover has shown undetectable off the live list. The
+//! pattern-stream driver, [`BlockSim::run`], is provided here **once**,
+//! and every entry point ([`BlockSim::run_source_with`],
+//! [`BlockSim::run_random`], [`BlockSim::run_exhaustive`], …) reduces to
+//! it, so every engine, thread count and lane width draws the same blocks
+//! and stops at the same pattern by construction. The engines are
 //! [`crate::par::ParFaultSimulator`] (the compiled engine, any thread
 //! count and lane width) and [`crate::reference::ReferenceSimulator`] (the
 //! seed interpreter, one 64-lane word per sweep). The streams themselves
 //! are pluggable [`PatternSource`]s ([`crate::source`]); the `run_random*`
 //! family wraps a [`RandomWords`] source and draws exactly the words it
 //! always drew.
+//!
+//! A run's [`Stop`] may carry a prover. Once the run has gone
+//! [`PROVE_AFTER`] patterns without a detection, the driver hands the
+//! live faults to it once and the engine retires the ones it proves
+//! undetectable; a sweep with no live fault left skips the good machine.
+//! A proved-undetectable fault is never detected, so the report, the
+//! stop and the source's accounting stay exactly those of a run without
+//! the prover.
 
 use crate::fault::Fault;
 use crate::source::{ExhaustiveSource, PatternBlock, PatternList, PatternSource, RandomWords};
@@ -158,9 +167,54 @@ pub const MAX_SWEEP_WORDS: usize = 8;
 /// last sub-block).
 pub type SweepHits = [usize; MAX_SWEEP_WORDS];
 
+/// Patterns a run goes without a detection before [`BlockSim::run`]
+/// calls its [`Stop::prover`]: short next to Table 2's 100,000-pattern
+/// plateau, and well past the last random detection on the paper's
+/// datapaths (by pattern 64–384), so the faults the prover sees are
+/// mostly the ones it can prove. A run whose plateau is at most this long
+/// stops first, so it never calls the prover.
+pub const PROVE_AFTER: u64 = 1024;
+
+/// When [`BlockSim::run`] stops, and the prover it may call on the way.
+///
+/// The run stops when the source runs dry, `max_patterns` is reached,
+/// coverage of the simulated list reaches `target`, or no new fault has
+/// been detected for `plateau` consecutive patterns.
+/// [`Stop::after`] sets only the pattern cap.
+pub struct Stop<'p> {
+    /// Cap on applied patterns.
+    pub max_patterns: u64,
+    /// Consecutive patterns without a new detection that end the run.
+    pub plateau: u64,
+    /// Coverage of the simulated fault list (a fraction in `0..=1`) that
+    /// ends the run.
+    pub target: f64,
+    /// Called at most once per run, with each live fault in turn,
+    /// before the first sweep at which the run has gone [`PROVE_AFTER`]
+    /// patterns without a detection; `true` means the fault is proved
+    /// undetectable and the engine stops simulating it
+    /// ([`BlockSim::retire`]). A prover that returns `true` for a
+    /// detectable fault makes the report wrong.
+    pub prover: Option<&'p mut dyn FnMut(Fault) -> bool>,
+}
+
+impl Stop<'_> {
+    /// Stops only at `max_patterns` (or when the source runs dry or every
+    /// fault is detected), with no prover.
+    pub fn after(max_patterns: u64) -> Self {
+        Stop {
+            max_patterns,
+            plateau: max_patterns,
+            target: 1.0,
+            prover: None,
+        }
+    }
+}
+
 /// The block-level fault-simulation engine interface.
 ///
-/// Implementors supply [`BlockSim::sweep`] and [`BlockSim::commit`]; the
+/// Implementors supply [`BlockSim::sweep`], [`BlockSim::commit`] and
+/// [`BlockSim::retire`]; the
 /// pattern-stream driver is provided here **once** so that every engine
 /// draws the same source blocks and stops at the same pattern — the
 /// foundation of the thread-count and lane-width equivalence guarantee.
@@ -183,8 +237,9 @@ pub trait BlockSim {
 
     /// Applies one sweep of up to [`BlockSim::lane_words`] consecutive
     /// 64-lane sub-blocks: one good-machine evaluation, then every live
-    /// fault batched against it (PPSFP). `applied[k]` is the number of
-    /// budget-valid lanes of `blocks[k]`; only those lanes count.
+    /// fault batched against it (PPSFP); with no live fault the sweep
+    /// evaluates nothing. `applied[k]` is the number of budget-valid
+    /// lanes of `blocks[k]`; only those lanes count.
     ///
     /// Detections are recorded relative to the *current*
     /// [`BlockSim::patterns_applied`], but the pattern counter is not
@@ -198,6 +253,11 @@ pub trait BlockSim {
     /// `[patterns_applied, boundary)` are dropped, and the pattern counter
     /// advances to `boundary`.
     fn commit(&mut self, boundary: u64);
+
+    /// Hands each live fault to `prover` and stops simulating the ones it
+    /// returns `true` for. Records no detection: a retired fault stays
+    /// undetected in every later report. Returns how many were retired.
+    fn retire(&mut self, prover: &mut dyn FnMut(Fault) -> bool) -> usize;
 
     /// Current coverage as a fraction of the simulated fault list (1.0
     /// for an empty list).
@@ -215,7 +275,7 @@ pub trait BlockSim {
     where
         Self: Sized,
     {
-        self.run_random_with_plateau(rng, max_patterns, max_patterns)
+        self.run(&mut RandomWords::from_rng(rng), Stop::after(max_patterns))
     }
 
     /// Like [`BlockSim::run_random`], but also stops once no new fault
@@ -273,19 +333,39 @@ pub trait BlockSim {
     where
         Self: Sized,
     {
-        self.run_source_with(source, max_patterns, max_patterns, 1.0)
+        self.run(source, Stop::after(max_patterns))
     }
 
-    /// [`BlockSim::run_source`] with a detection plateau and a coverage
-    /// target — the one driver every stream entry point reduces to.
+    /// [`BlockSim::run`] with a detection plateau and a coverage target
+    /// and no prover.
+    fn run_source_with(
+        &mut self,
+        source: &mut (impl PatternSource + ?Sized),
+        max_patterns: u64,
+        plateau: u64,
+        target: f64,
+    ) -> FaultSimReport
+    where
+        Self: Sized,
+    {
+        self.run(
+            source,
+            Stop {
+                plateau,
+                target,
+                ..Stop::after(max_patterns)
+            },
+        )
+    }
+
+    /// The one driver every stream entry point reduces to: applies
+    /// blocks from `source` until `stop` says to stop, and returns the
+    /// report.
     ///
-    /// Stops when the source runs dry, `max_patterns` is reached,
-    /// coverage of the simulated list reaches `target`, or no new fault
-    /// has been detected for `plateau` consecutive patterns. The stop
-    /// conditions are checked before every 64-lane block; a block whose
-    /// lane count would overshoot `max_patterns` is truncated (the source
-    /// still accounts the full block's clocks, exactly like the hardware
-    /// it models would have).
+    /// The stop conditions are checked before every 64-lane block; a
+    /// block whose lane count would overshoot `max_patterns` is truncated
+    /// (the source still accounts the full block's clocks, exactly like
+    /// the hardware it models would have).
     ///
     /// Each sweep pulls up to [`BlockSim::lane_words`] blocks, and the
     /// per-block stop checks between them are *replayed* from the
@@ -300,20 +380,26 @@ pub trait BlockSim {
     /// `state_digest` can run ahead on stopped runs (the engine-side
     /// report is unaffected).
     ///
+    /// With a [`Stop::prover`], the first sweep that starts
+    /// [`PROVE_AFTER`] or more patterns after the last detection, while
+    /// some fault is undetected, is preceded by one [`BlockSim::retire`].
+    /// Retiring changes which faults a sweep evaluates, never which
+    /// blocks are pulled or where the run stops.
+    ///
     /// # Panics
     ///
     /// Panics if a source block's width disagrees with the netlist's
     /// input width, or a block carries 0 or more than 64 lanes.
-    fn run_source_with(
-        &mut self,
-        source: &mut (impl PatternSource + ?Sized),
-        max_patterns: u64,
-        plateau: u64,
-        target: f64,
-    ) -> FaultSimReport
+    fn run(&mut self, source: &mut (impl PatternSource + ?Sized), stop: Stop<'_>) -> FaultSimReport
     where
         Self: Sized,
     {
+        let Stop {
+            max_patterns,
+            plateau,
+            target,
+            mut prover,
+        } = stop;
         let width = self.netlist().input_width();
         let n_faults = self.detection().len();
         // Whether a run that has applied `applied` patterns, detected
@@ -335,6 +421,11 @@ pub trait BlockSim {
             let base = self.patterns_applied();
             if !go_on(base, detected, last_detection_at) {
                 break;
+            }
+            if detected < n_faults && base.saturating_sub(last_detection_at) >= PROVE_AFTER {
+                if let Some(prover) = prover.take() {
+                    self.retire(prover);
+                }
             }
             let remaining = max_patterns - base;
             let max_words = self.lane_words().min(remaining.div_ceil(64) as usize);

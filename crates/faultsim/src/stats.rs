@@ -31,10 +31,12 @@ pub struct SimStats {
     /// built with `ParFaultSimulator::new` and for the reference
     /// interpreter).
     pub threads: usize,
-    /// Pattern blocks simulated (each block carries up to 64 patterns).
+    /// Pattern blocks applied (each block carries up to 64 patterns),
+    /// including those of sweeps with no live fault left.
     pub blocks: u64,
-    /// Good-machine evaluations (one per block — the evaluation is shared
-    /// across all faults of the block).
+    /// Good-machine evaluations: one per sweep that still has a live
+    /// fault (the evaluation is shared across all faults of the sweep's
+    /// 1, 4 or 8 blocks).
     pub good_evals: u64,
     /// Total faulty-machine evaluations across all shards.
     pub fault_evals: u64,
@@ -42,6 +44,9 @@ pub struct SimStats {
     pub per_shard_fault_evals: Vec<u64>,
     /// Faults dropped from simulation after their first detection.
     pub faults_dropped: u64,
+    /// Faults a mid-run prover proved undetectable and the engine
+    /// stopped simulating ([`crate::sim::BlockSim::retire`]).
+    pub faults_retired: u64,
     /// Wall-clock time spent inside the engine's sweeps.
     pub wall: Duration,
     /// One-time wall-clock cost of compiling the netlist to an
@@ -100,7 +105,8 @@ impl SimStats {
     /// * totals — root counters ([`CounterId::Blocks`],
     ///   [`CounterId::GoodEvals`], [`CounterId::FaultEvals`],
     ///   [`CounterId::GateEvals`], [`CounterId::PatchesApplied`],
-    ///   [`CounterId::FaultsDropped`], [`CounterId::UniverseFaults`],
+    ///   [`CounterId::FaultsDropped`], [`CounterId::FaultsRetired`],
+    ///   [`CounterId::UniverseFaults`],
     ///   [`CounterId::SimulatedFaults`], [`CounterId::UntestableStatic`]);
     /// * [`SimStats::per_shard_fault_evals`] — the per-shard *detail*
     ///   children under the root ([`Recorder::shard_counter`]), one entry
@@ -124,6 +130,7 @@ impl SimStats {
                 .map(|i| rec.shard_counter(root, i as u32, CounterId::FaultEvals))
                 .collect(),
             faults_dropped: c.get(CounterId::FaultsDropped),
+            faults_retired: c.get(CounterId::FaultsRetired),
             wall: rec.span_wall(root),
             compile_wall: rec
                 .find(root, "compile")

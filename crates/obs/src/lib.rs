@@ -53,7 +53,8 @@ pub enum CounterId {
     /// fault's event-driven cone per faulty machine, so this counts the
     /// work done, not program size × evaluations.
     GateEvals,
-    /// Good-machine evaluations (one per pattern block).
+    /// Good-machine evaluations: one per sweep (1, 4 or 8 pattern blocks)
+    /// that still has a live fault.
     GoodEvals,
     /// Faulty-machine evaluations across all shards.
     FaultEvals,
@@ -62,7 +63,8 @@ pub enum CounterId {
     PatchesApplied,
     /// Faults dropped from simulation after first detection.
     FaultsDropped,
-    /// Pattern blocks simulated (up to 64 patterns each).
+    /// Pattern blocks applied (up to 64 patterns each), including those
+    /// of sweeps with no live fault left, which evaluate nothing.
     Blocks,
     /// Patterns consumed from the stream (lanes, not blocks).
     PatternsConsumed,
@@ -123,10 +125,14 @@ pub enum CounterId {
     /// 64-lane default — scalar runs never emit it, keeping their
     /// telemetry byte-identical to pre-wide baselines.
     Lanes,
+    /// Faults a mid-run prover proved undetectable and the engine stopped
+    /// simulating. Recorded only when nonzero, so runs that retire
+    /// nothing keep their telemetry unchanged.
+    FaultsRetired,
 }
 
 /// Number of counters — the fixed length of every [`Counters`] array.
-pub const COUNTER_COUNT: usize = 29;
+pub const COUNTER_COUNT: usize = 30;
 
 impl CounterId {
     /// Every counter, in export order.
@@ -160,6 +166,7 @@ impl CounterId {
         CounterId::OptInstrsSaved,
         CounterId::OptRewrites,
         CounterId::Lanes,
+        CounterId::FaultsRetired,
     ];
 
     /// The stable snake_case name used in JSON exports and trace output.
@@ -194,6 +201,7 @@ impl CounterId {
             CounterId::OptInstrsSaved => "opt_instrs_saved",
             CounterId::OptRewrites => "opt_rewrites",
             CounterId::Lanes => "lanes",
+            CounterId::FaultsRetired => "faults_retired",
         }
     }
 
