@@ -24,12 +24,9 @@
 //! `--source random|lfsr|mintpg|weighted|replay:FILE` additionally
 //! fault-simulates each kernel with the chosen pattern source under a
 //! bounded budget and prints the coverage-vs-clocks estimate (detectable
-//! faults reached, patterns emitted, hardware clock cycles). `--opt` runs
-//! those simulations on the CEC-validated optimized program (see
-//! `bibs_netlist::opt`) — results are identical by construction, only
-//! faster. `--lanes 64|256|512` sets the evaluation width for those
-//! simulations (wide PPSFP sweeps; identical results, higher
-//! gate-evals/s).
+//! faults reached, patterns emitted, hardware clock cycles).
+//! `--lanes 64|256|512` sets the evaluation width for those simulations
+//! (wide PPSFP sweeps; identical results, higher gate-evals/s).
 
 use bibs_bench::{kernel_fault_stats_traced, SourceSpec, Table2Options, Telemetry};
 use bibs_core::bibs::{self, BibsOptions};
@@ -60,13 +57,6 @@ fn main() -> ExitCode {
         args.remove(i);
         p
     });
-    let opt = args
-        .iter()
-        .position(|a| a == "--opt")
-        .map(|i| {
-            args.remove(i);
-        })
-        .is_some();
     let lanes = args
         .iter()
         .position(|a| a == "--lanes")
@@ -105,7 +95,7 @@ fn main() -> ExitCode {
     let Some(path) = args.first() else {
         eprintln!(
             "usage: bits <circuit.{{ckt,bench}}> [--tdm bibs|ka85] [--source SPEC] \
-             [--opt] [--lanes 64|256|512] [--telemetry out.json]"
+             [--lanes 64|256|512] [--telemetry out.json]"
         );
         return ExitCode::FAILURE;
     };
@@ -133,7 +123,7 @@ fn main() -> ExitCode {
     };
     let telemetry = Telemetry::new(telemetry_path);
     let mut rec = telemetry.recorder("bits");
-    let outcome = run(&circuit, tdm, source.as_ref(), opt, lanes, &mut rec);
+    let outcome = run(&circuit, tdm, source.as_ref(), lanes, &mut rec);
     if let Err(e) = telemetry.emit(&mut rec) {
         eprintln!("bits: {e}");
         return ExitCode::FAILURE;
@@ -151,7 +141,6 @@ fn run(
     circuit: &Circuit,
     tdm: &str,
     source: Option<&SourceSpec>,
-    opt: bool,
     lanes: usize,
     rec: &mut Recorder,
 ) -> Result<(), Box<dyn std::error::Error>> {
@@ -276,7 +265,6 @@ fn run(
                 plateau: 65_536,
                 backtrack_limit: 1_000,
                 source: Some(spec.clone()),
-                opt,
                 lanes,
                 ..Table2Options::default()
             };

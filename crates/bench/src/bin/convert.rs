@@ -4,8 +4,9 @@
 //!
 //! `INPUT` is a circuit file (`.ckt`, `.bench`, `.v`) or a built-in
 //! datapath spec `NAME[@WIDTH]` (`c5a2m`, `c3a2m`, `c4a4m`; default
-//! width 8). `OUTPUT` is a file path whose extension selects the target
-//! format, or `-:EXT` to print that format on stdout:
+//! width 8; a zero or non-numeric width is a usage error, exit 2).
+//! `OUTPUT` is a file path whose extension selects the target format, or
+//! `-:EXT` to print that format on stdout:
 //!
 //! * `.ckt` — canonical RTL text (only when the input has an RTL view:
 //!   a `.ckt` file, a `.bench` with an `# rtl:` sidecar, or a built-in);
@@ -18,11 +19,18 @@
 //! byte-identical output, and `.bench` output is a print→parse→print
 //! fixpoint (CI diffs this for c5a2m).
 
+use bibs_datapath::filters::try_scaled;
 use bibs_datapath::front::{self, LoadedCircuit};
 use bibs_netlist::{bench, verilog};
 
 fn usage() -> ! {
     eprintln!("usage: convert (FILE|NAME[@WIDTH]) (OUT.ckt|OUT.bench|OUT.v|-:EXT)");
+    std::process::exit(2);
+}
+
+/// A one-line usage error: a bad datapath width.
+fn usage_error(msg: impl std::fmt::Display) -> ! {
+    eprintln!("convert: {msg} (usage: NAME[@WIDTH] with a positive WIDTH)");
     std::process::exit(2);
 }
 
@@ -36,20 +44,16 @@ fn load_input(spec: &str) -> LoadedCircuit {
     if path.exists() {
         return front::load_path(path).unwrap_or_else(|e| fail(e));
     }
-    let (name, width) = match spec.split_once('@') {
-        Some((n, w)) => (
-            n,
-            w.parse()
-                .unwrap_or_else(|_| fail(format!("bad width in '{spec}'"))),
-        ),
-        None => (spec, 8),
-    };
+    let (name, width) = spec.split_once('@').unwrap_or((spec, "8"));
     if !["c5a2m", "c3a2m", "c4a4m"].contains(&name) {
         fail(format!(
             "'{spec}' is neither a file nor a built-in (c5a2m, c3a2m, c4a4m)"
         ));
     }
-    let circuit = bibs_datapath::filters::scaled(name, width);
+    let Ok(width) = width.parse() else {
+        usage_error(format!("bad width in '{spec}'"));
+    };
+    let circuit = try_scaled(name, width).unwrap_or_else(|e| usage_error(e));
     let netlist = bibs_datapath::elab::elaborate_whole(&circuit)
         .unwrap_or_else(|e| fail(e))
         .netlist;

@@ -3,18 +3,18 @@
 //! detectable faults) for BIBS and \[3\] on one circuit.
 //!
 //! Run with `cargo run --release -p bibs-bench --bin coverage --
-//! [circuit] [width] [--opt] [--lanes 64|256|512]
+//! [circuit] [width] [--lanes 64|256|512]
 //! [--collapse equiv|dominance|none]
 //! [--source random|lfsr|mintpg|weighted|replay:FILE]
 //! [--telemetry OUT.json]`
 //! (defaults: c5a2m, width 4, equiv). `circuit` is a built-in name
 //! (`c5a2m`, `c3a2m`, `c4a4m`) or a circuit file — `.ckt`, or `.bench`
-//! with an `# rtl:` sidecar; `width` applies to built-ins only. Pipe to
+//! with an `# rtl:` sidecar; `width`, a positive integer, applies to
+//! built-ins only. An unknown name, a bad width or an unknown flag is a
+//! usage error (exit 2). Pipe to
 //! a file and plot. `--source` swaps the per-kernel pattern stream for a
 //! hardware-faithful source (the curve's x-axis stays pattern counts;
-//! the per-kernel clock budget goes to stderr). `--opt` fault-simulates
-//! each kernel's validator-proven optimized program (the CSV is
-//! byte-identical; only throughput changes). `--lanes 256|512` widens the
+//! the per-kernel clock budget goes to stderr). `--lanes 256|512` widens the
 //! evaluation word for the PPSFP wide sweeps (the CSV is byte-identical;
 //! only gate-evals/s changes). Per-kernel
 //! engine stats — including the collapse ratio, statically-untestable
@@ -26,20 +26,23 @@
 use bibs_bench::{
     apply_tdm, kernel_fault_stats_traced, CollapseMode, SourceSpec, Table2Options, Tdm, Telemetry,
 };
-use bibs_datapath::filters::scaled;
+use bibs_datapath::filters::try_scaled;
+
+/// Prints a one-line usage error and exits with status 2.
+fn usage_error(msg: impl std::fmt::Display) -> ! {
+    eprintln!("coverage: {msg} (usage: coverage [CIRCUIT] [WIDTH] [OPTIONS])");
+    std::process::exit(2);
+}
 
 fn main() {
     let mut positional: Vec<String> = Vec::new();
     let mut collapse = CollapseMode::Equiv;
     let mut source: Option<SourceSpec> = None;
-    let mut opt = false;
     let mut lanes: usize = 64;
     let mut telemetry_path: Option<std::path::PathBuf> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
-        if arg == "--opt" {
-            opt = true;
-        } else if arg == "--lanes" {
+        if arg == "--lanes" {
             let value = args.next().unwrap_or_default();
             lanes = match value.parse() {
                 Ok(l @ (64 | 256 | 512)) => l,
@@ -70,12 +73,19 @@ fn main() {
                 eprintln!("--telemetry needs an output path");
                 std::process::exit(2);
             })));
+        } else if arg.starts_with("--") || positional.len() == 2 {
+            usage_error(format!("unknown argument '{arg}'"));
         } else {
             positional.push(arg);
         }
     }
     let name = positional.first().map(String::as_str).unwrap_or("c5a2m");
-    let width: u32 = positional.get(1).and_then(|s| s.parse().ok()).unwrap_or(4);
+    let width: u32 = match positional.get(1) {
+        None => 4,
+        Some(w) => w
+            .parse()
+            .unwrap_or_else(|_| usage_error(format!("bad width '{w}'"))),
+    };
     // A path to an existing file loads through the format front door (and
     // must carry an RTL view for the TDM comparison); anything else names
     // a built-in datapath.
@@ -94,12 +104,11 @@ fn main() {
             std::process::exit(2);
         })
     } else {
-        scaled(name, width)
+        try_scaled(name, width).unwrap_or_else(|e| usage_error(e))
     };
     let options = Table2Options {
         collapse,
         source,
-        opt,
         lanes,
         ..Table2Options::default()
     };

@@ -5,12 +5,13 @@
 //!
 //! Run with `cargo run --release -p bibs-bench --bin table2`.
 //!
-//! Usage: `table2 [WIDTH] [--json] [--opt] [--lanes 64|256|512]
+//! Usage: `table2 [WIDTH] [--json] [--lanes 64|256|512]
 //! [--engine compiled|reference] [--collapse equiv|dominance|none]
 //! [--source random|lfsr|mintpg|weighted|replay:FILE] [--only NAME]
 //! [--circuit PATH] [--telemetry OUT.json]`
 //!
-//! * `WIDTH` — word width (default 8; the paper's width);
+//! * `WIDTH` — word width, a positive integer (default 8; the paper's
+//!   width);
 //! * `--circuit PATH` — run on a circuit file instead of the built-in
 //!   datapaths: `.ckt`, or `.bench` carrying an `# rtl:` sidecar (a
 //!   plain gate-level `.bench` has no register-transfer view and is
@@ -35,10 +36,6 @@
 //!   good-machine sweep per wide block); the JSON stays byte-identical (a
 //!   CI gate diffs all three widths) while gate-evals/s rises — a `lanes`
 //!   counter lands in the telemetry export;
-//! * `--opt` — run the optimizing pass pipeline over each kernel's
-//!   compiled program and fault-simulate the validated rewrite; the JSON
-//!   stays byte-identical (a CI gate diffs it) while `gate_evals` drops —
-//!   per-pass statistics land in the telemetry export's `optimize` span;
 //! * `--only NAME` — restrict to one circuit (`c5a2m`, `c3a2m`, `c4a4m`);
 //! * `--telemetry OUT.json` — write the hierarchical span tree (stage
 //!   wall clocks plus deterministic counters, schema `bibs-telemetry/1`)
@@ -53,7 +50,7 @@ use bibs_bench::{
     render_table2, table2_column_traced, table2_json, CollapseMode, Engine, SourceSpec,
     Table2Options, Tdm, Telemetry,
 };
-use bibs_datapath::filters::scaled;
+use bibs_datapath::filters::try_scaled;
 
 fn main() {
     let mut width: u32 = 8;
@@ -61,7 +58,6 @@ fn main() {
     let mut engine = Engine::Compiled;
     let mut collapse = CollapseMode::Equiv;
     let mut source: Option<SourceSpec> = None;
-    let mut opt = false;
     let mut lanes: usize = 64;
     let mut only: Option<String> = None;
     let mut circuit_path: Option<std::path::PathBuf> = None;
@@ -70,7 +66,6 @@ fn main() {
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--json" => json = true,
-            "--opt" => opt = true,
             "--lanes" => {
                 let value = args.next().unwrap_or_default();
                 lanes = match value.parse() {
@@ -138,21 +133,9 @@ fn main() {
         engine,
         collapse,
         source,
-        opt,
         lanes,
         ..Table2Options::default()
     };
-    eprintln!(
-        "fault-simulating with the {} engine on {} worker thread(s) (set BIBS_JOBS to override), \
-         collapse mode {}, source {}",
-        options.engine,
-        options.jobs,
-        options.collapse,
-        options
-            .source
-            .as_ref()
-            .map_or_else(|| "default".to_string(), |s| s.to_string())
-    );
     let circuits: Vec<bibs_rtl::Circuit> = if let Some(path) = &circuit_path {
         let loaded = bibs_datapath::front::load_path(path).unwrap_or_else(|e| {
             eprintln!("cannot load {}: {e}", path.display());
@@ -179,8 +162,27 @@ fn main() {
             eprintln!("--only matched no circuit (expected one of c5a2m, c3a2m, c4a4m)");
             std::process::exit(2);
         }
-        names.into_iter().map(|n| scaled(n, width)).collect()
+        names
+            .into_iter()
+            .map(|n| {
+                try_scaled(n, width).unwrap_or_else(|e| {
+                    eprintln!("table2: {e} (usage: table2 [WIDTH] [OPTIONS])");
+                    std::process::exit(2);
+                })
+            })
+            .collect()
     };
+    eprintln!(
+        "fault-simulating with the {} engine on {} worker thread(s) (set BIBS_JOBS to override), \
+         collapse mode {}, source {}",
+        options.engine,
+        options.jobs,
+        options.collapse,
+        options
+            .source
+            .as_ref()
+            .map_or_else(|| "default".to_string(), |s| s.to_string())
+    );
     let telemetry = Telemetry::new(telemetry_path);
     let mut rec = telemetry.recorder("table2");
     let mut columns = Vec::new();

@@ -35,7 +35,6 @@ use bibs_faultsim::source::{
     WeightedRandomSource,
 };
 use bibs_faultsim::stats::SimStats;
-use bibs_netlist::opt::{optimize_traced, OptStats};
 use bibs_netlist::EvalProgram;
 use bibs_obs::{CounterId, Recorder, TraceMode};
 use bibs_rtl::{Circuit, VertexKind};
@@ -384,10 +383,11 @@ pub struct KernelFaultStats {
     /// the random phase (`None` for the legacy path and
     /// [`SourceSpec::Random`], whose JSON stays byte-identical).
     pub source: Option<SourceRun>,
-    /// Optimizer statistics when `--opt` rewrote the simulated program
-    /// (`None` otherwise). Diagnostics only — never part of the Table 2
-    /// JSON, which stays byte-identical under `--opt` by construction.
-    pub opt: Option<OptStats>,
+    /// Always `None`: there is no optimizer. The field remains only
+    /// because the benchmark crate (`benchmark/src/trace.rs`) builds this
+    /// struct with `opt: None`; the next change to the benchmark deletes
+    /// it.
+    pub opt: Option<std::convert::Infallible>,
 }
 
 impl KernelFaultStats {
@@ -468,13 +468,10 @@ pub struct Table2Options {
     /// change the stream and add per-kernel `source`/`source_clocks`/
     /// `source_patterns` fields to the JSON.
     pub source: Option<SourceSpec>,
-    /// Run the optimizing pass pipeline ([`bibs_netlist::opt`]) over each
-    /// kernel's compiled program and fault-simulate the validated rewrite
-    /// (`--opt`). Detection results are bit-identical (the translation
-    /// validator proves every pass); only `gate_evals` and wall-clock
-    /// drop. [`Engine::Reference`] ignores the flag — the interpreter
-    /// walks the netlist, not the program.
-    pub opt: bool,
+    /// Not a setting: `()` has one value. The field remains only because
+    /// the benchmark crate (`benchmark/src/workload.rs`) compares it
+    /// against the default; the next change to the benchmark deletes it.
+    pub opt: (),
     /// Evaluation width in lanes (`--lanes`): 64 (the scalar default),
     /// 256 or 512. Widths past 64 run the PPSFP wide sweeps — one
     /// good-machine evaluation per 4- or 8-word block — and add a
@@ -496,7 +493,7 @@ impl Default for Table2Options {
             engine: Engine::Compiled,
             collapse: CollapseMode::Equiv,
             source: None,
-            opt: false,
+            opt: (),
             lanes: 64,
         }
     }
@@ -627,22 +624,6 @@ pub fn kernel_fault_stats_traced(
     let simulated_faults = sim_faults.len() as u64;
     rec.add(CounterId::SimulatedFaults, simulated_faults);
 
-    // `--opt`: rewrite the program the *simulators* run through the
-    // validated pass pipeline. Analysis, collapsing and PODEM above and
-    // below stay on the original program, so every classification number
-    // is --opt-invariant; the validator proves detection is too. A
-    // refuted rewrite is a hard abort carrying the counterexample — never
-    // silently simulated. The reference interpreter walks the netlist
-    // directly, so the flag is a no-op there.
-    let optimized =
-        if options.opt && options.engine == Engine::Compiled {
-            Some(optimize_traced(&comb, &program, rec).unwrap_or_else(|e| {
-                panic!("--opt aborted: {e} (kernel '{}')", elab.netlist.name())
-            }))
-        } else {
-            None
-        };
-
     // Phase 1: pattern simulation with fault dropping and a detection
     // plateau. Engines are interchangeable: the report is bit-identical
     // either way, and the plateau fires at the same block in every
@@ -691,18 +672,9 @@ pub fn kernel_fault_stats_traced(
     let mut verdicts = Verdicts::new(&comb, options.backtrack_limit);
     let report = match options.engine {
         Engine::Compiled => {
-            let mut sim = match &optimized {
-                Some(opt) => {
-                    ParFaultSimulator::with_optimized(&comb, opt, sim_faults, options.jobs)
-                }
-                None => ParFaultSimulator::with_program(
-                    &comb,
-                    program.clone(),
-                    sim_faults,
-                    options.jobs,
-                ),
-            }
-            .with_lanes(options.lanes);
+            let mut sim =
+                ParFaultSimulator::with_program(&comb, program.clone(), sim_faults, options.jobs)
+                    .with_lanes(options.lanes);
             let mut prove = |f| verdicts.proves_redundant(f);
             let report = sim.run(
                 &mut *pulled,
@@ -788,7 +760,7 @@ pub fn kernel_fault_stats_traced(
         detection_indices,
         sim,
         source: source_run,
-        opt: optimized.map(|o| o.stats().clone()),
+        opt: None,
     }
 }
 

@@ -1,20 +1,13 @@
 //! Differential fuzzer over the synthetic corpus.
 //!
 //! `bibs-fuzz --smoke` runs N seeded circuits (on-disk `corpus/*.bench`
-//! seeds first, then generated family instances) through the nine
+//! seeds first, then generated family instances) through the eight
 //! differential oracles; any divergence is minimized and committed to
 //! `corpus/regressions/` as a `.bench` fixture, and the run exits
 //! nonzero. `bibs-fuzz --regressions` replays every committed fixture —
 //! the permanent gate that past failures stay fixed. `bibs-fuzz --sizes`
 //! prints the scaling-suite size reports, and `--write-seeds`
 //! (re)generates the committed `corpus/*.bench` seed files.
-//!
-//! `bibs-fuzz --cec A.bench B.bench` runs the standalone combinational
-//! equivalence checker on two netlists: exit 0 with the proof statistics
-//! when they are equivalent, exit 1 printing a named counterexample
-//! (replayed through both programs) when they are not — the CI gate for
-//! the committed adversarial fixtures uses this to prove the validator
-//! actually rejects broken rewrites.
 
 use bibs_corpus::gen::{scaling_suite, size_report, Family};
 use bibs_corpus::{fixture_seed, load_corpus, oracle, write_regression};
@@ -70,8 +63,8 @@ const SEQ_SEED_FAMILIES: [Family; 5] = [
 
 fn usage() -> ! {
     eprintln!(
-        "usage: bibs-fuzz (--smoke | --regressions | --sizes | --write-seeds \
-         | --cec A.bench B.bench) [--cases N] [--seed S] [--corpus DIR]"
+        "usage: bibs-fuzz (--smoke | --regressions | --sizes | --write-seeds) \
+         [--cases N] [--seed S] [--corpus DIR]"
     );
     std::process::exit(2);
 }
@@ -81,7 +74,6 @@ enum Mode {
     Regressions,
     Sizes,
     WriteSeeds,
-    Cec(PathBuf, PathBuf),
 }
 
 fn main() -> ExitCode {
@@ -96,11 +88,6 @@ fn main() -> ExitCode {
             "--regressions" => mode = Some(Mode::Regressions),
             "--sizes" => mode = Some(Mode::Sizes),
             "--write-seeds" => mode = Some(Mode::WriteSeeds),
-            "--cec" => {
-                let a = args.next().map(PathBuf::from).unwrap_or_else(|| usage());
-                let b = args.next().map(PathBuf::from).unwrap_or_else(|| usage());
-                mode = Some(Mode::Cec(a, b));
-            }
             "--cases" => {
                 cases = args
                     .next()
@@ -127,7 +114,6 @@ fn main() -> ExitCode {
             ExitCode::SUCCESS
         }
         Some(Mode::WriteSeeds) => write_seeds(&corpus_dir),
-        Some(Mode::Cec(a, b)) => cec(&a, &b),
         None => usage(),
     }
 }
@@ -263,79 +249,6 @@ fn smoke(cases: usize, seed: u64, corpus_dir: &Path) -> ExitCode {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE
-    }
-}
-
-/// Standalone CEC driver: loads two `.bench` netlists, compiles their
-/// combinational equivalents and asks [`bibs_netlist::cec::check`] whether
-/// they implement the same function. A refutation prints the witness with
-/// input/output names taken from the first netlist and replays it through
-/// both programs so the mismatch is demonstrated, not just asserted.
-fn cec(path_a: &Path, path_b: &Path) -> ExitCode {
-    use bibs_netlist::cec::{check, CecResult};
-    use bibs_netlist::EvalProgram;
-
-    fn load(path: &Path) -> Result<(Netlist, EvalProgram), String> {
-        let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
-        let nl = bibs_netlist::bench::from_text(&text)
-            .map_err(|e| format!("{}: {e}", path.display()))?;
-        let comb = nl.combinational_equivalent();
-        let program = EvalProgram::compile(&comb)
-            .map_err(|e| format!("{}: does not compile: {e}", path.display()))?;
-        Ok((comb, program))
-    }
-
-    let ((nl_a, prog_a), (_nl_b, prog_b)) = match (load(path_a), load(path_b)) {
-        (Ok(a), Ok(b)) => (a, b),
-        (Err(e), _) | (_, Err(e)) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    match check(&prog_a, &prog_b) {
-        CecResult::Proven(stats) => {
-            println!(
-                "bibs-fuzz: equivalent — {} output(s) proven ({} structural, \
-                 {} exhaustive, {} classes, {} patterns{})",
-                stats.outputs,
-                stats.structural,
-                stats.exhaustive,
-                stats.classes,
-                stats.patterns,
-                if stats.whole_space {
-                    ", whole input space swept"
-                } else {
-                    ""
-                }
-            );
-            ExitCode::SUCCESS
-        }
-        CecResult::Refuted(w) => {
-            println!("bibs-fuzz: NOT equivalent — counterexample:");
-            println!("  {}", w.render(&nl_a));
-            let (got_a, got_b) = w.replay(&prog_a, &prog_b);
-            println!(
-                "  replayed: {} -> {}, {} -> {}",
-                path_a.display(),
-                u8::from(got_a),
-                path_b.display(),
-                u8::from(got_b)
-            );
-            ExitCode::FAILURE
-        }
-        CecResult::Unknown { unproven, stats } => {
-            println!(
-                "bibs-fuzz: UNKNOWN — {} of {} output(s) neither proven nor \
-                 refuted within budget",
-                unproven.len(),
-                stats.outputs
-            );
-            ExitCode::FAILURE
-        }
-        CecResult::Incompatible(why) => {
-            println!("bibs-fuzz: INCOMPATIBLE — {why}");
-            ExitCode::FAILURE
-        }
     }
 }
 

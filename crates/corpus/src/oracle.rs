@@ -1,4 +1,4 @@
-//! The nine differential oracles the fuzzer cross-checks per circuit.
+//! The eight differential oracles the fuzzer cross-checks per circuit.
 //!
 //! Each oracle pits two implementations (or one implementation and a
 //! ground truth) against each other on the same circuit and reports a
@@ -19,32 +19,27 @@
 //!    1, 2 and 4 threads, and the
 //!    source's own stream digest matches across the runs — the pulled
 //!    streams themselves were identical, not just the verdicts.
-//! 6. **Opt** — the optimizing pass pipeline of [`bibs_netlist::opt`]
-//!    must validate (its built-in CEC proves every pass), and the
-//!    optimized program must produce a bit-identical fault-simulation
-//!    report at 1, 2 and 4 threads — the differential check behind
-//!    `table2 --opt`'s byte-identity claim.
-//! 7. **Lanes** — wide-word evaluation (256 and 512 lanes via
+//! 6. **Lanes** — wide-word evaluation (256 and 512 lanes via
 //!    `with_lanes`) must reproduce the 64-lane report bit for bit on the
 //!    same seeded stream, at 1 and 2 threads, including a plateau-stop
 //!    run that exercises the driver's sub-block retraction — the
 //!    differential check behind `table2 --lanes`.
-//! 8. **Podem** — every PODEM verdict on the collapsed fault universe
+//! 7. **Podem** — every PODEM verdict on the collapsed fault universe
 //!    must hold under exhaustive simulation: a test detects its fault
 //!    when replayed, a redundant fault is never detected, and no search
 //!    aborts under Table 2's backtrack limit — the check behind the
 //!    100 %-coverage rows, run in release where PODEM's debug-build
 //!    implication check is off.
-//! 9. **Retire** — a run whose driver hands its live faults to PODEM
+//! 8. **Retire** — a run whose driver hands its live faults to PODEM
 //!    after [`PROVE_AFTER`](bibs_faultsim::sim::PROVE_AFTER) patterns
 //!    without a detection, and stops simulating the ones proved
 //!    redundant, must reproduce the plain run's report bit for bit at 64,
 //!    256 and 512 lanes and at 1 and 2 threads — the check behind
 //!    `table2`'s mid-run retirement.
 //!
-//! Oracles 3, 4 and 8 need exhaustive simulation and only run when the
+//! Oracles 3, 4 and 7 need exhaustive simulation and only run when the
 //! circuit has at most [`EXHAUSTIVE_PI_LIMIT`] primary-input bits; 1, 2,
-//! 5, 6, 7 and 9 run on everything. Sequential circuits are checked on their
+//! 5, 6 and 8 run on everything. Sequential circuits are checked on their
 //! [`combinational_equivalent`](Netlist::combinational_equivalent).
 
 use bibs_faultsim::atpg::{Atpg, AtpgResult, Verdicts};
@@ -53,17 +48,16 @@ use bibs_faultsim::par::ParFaultSimulator;
 use bibs_faultsim::reference::ReferenceSimulator;
 use bibs_faultsim::sim::{BlockSim, Stop};
 use bibs_faultsim::source::{LfsrSource, PatternSource, RandomWords, WeightedRandomSource};
-use bibs_netlist::opt::optimize;
 use bibs_netlist::{EvalProgram, Netlist};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::fmt;
 
-/// Largest primary-input width the exhaustive oracles (3, 4 and 8)
+/// Largest primary-input width the exhaustive oracles (3, 4 and 7)
 /// accept.
 pub const EXHAUSTIVE_PI_LIMIT: usize = 16;
 
-/// PODEM's backtrack limit for oracles 8 and 9: Table 2's default. A complete
+/// PODEM's backtrack limit for oracles 7 and 8: Table 2's default. A complete
 /// search over at most [`EXHAUSTIVE_PI_LIMIT`] inputs takes at most
 /// `2^16 - 1` backtracks, so an abort under it is a divergence.
 const PODEM_BACKTRACK_LIMIT: usize = 100_000;
@@ -94,8 +88,6 @@ pub enum Oracle {
     Prover,
     /// Pattern-source streams across thread counts.
     Source,
-    /// Optimize-then-CEC: validated rewrite, bit-identical reports.
-    Opt,
     /// Wide-word (256/512-lane) vs scalar 64-lane reports.
     Lanes,
     /// PODEM verdicts vs exhaustive simulation.
@@ -112,7 +104,6 @@ impl fmt::Display for Oracle {
             Oracle::Dominance => "dominance",
             Oracle::Prover => "prover",
             Oracle::Source => "source",
-            Oracle::Opt => "opt",
             Oracle::Lanes => "lanes",
             Oracle::Podem => "podem",
             Oracle::Retire => "retire",
@@ -155,7 +146,6 @@ pub fn check_all(netlist: &Netlist, seed: u64) -> Vec<Divergence> {
     out.extend(check_eval(&nl, &program, seed));
     out.extend(check_parallel(&nl, seed));
     out.extend(check_source(&nl, seed));
-    out.extend(check_opt(&nl, &program, seed));
     out.extend(check_lanes(&nl, seed));
     out.extend(check_retire(&nl, &program, seed));
     if nl.input_width() <= EXHAUSTIVE_PI_LIMIT {
@@ -308,49 +298,7 @@ pub fn check_source(nl: &Netlist, seed: u64) -> Vec<Divergence> {
     out
 }
 
-/// Oracle 6: the optimizing pass pipeline must validate on every corpus
-/// circuit, and the CEC-proven rewrite must be behaviorally invisible to
-/// the fault simulator — the engine on the optimized program at 1, 2 and
-/// 4 threads must reproduce the plain one-thread report bit for bit on
-/// the same seeded stream.
-pub fn check_opt(nl: &Netlist, program: &EvalProgram, seed: u64) -> Vec<Divergence> {
-    let opt = match optimize(nl, program) {
-        Ok(o) => o,
-        Err(e) => {
-            // The validator refuted (or could not prove) a pass — the
-            // exact disagreement the oracle exists to catch.
-            return vec![Divergence {
-                oracle: Oracle::Opt,
-                detail: format!("{e}"),
-            }];
-        }
-    };
-    let faults = FaultUniverse::collapsed(nl).faults().to_vec();
-    if faults.is_empty() {
-        return Vec::new();
-    }
-    let mut rng = StdRng::seed_from_u64(seed ^ 0x0797);
-    let base = ParFaultSimulator::new(nl, faults.clone()).run_random(&mut rng, RANDOM_PATTERNS);
-    let mut out = Vec::new();
-    for threads in [1usize, 2, 4] {
-        let mut rng = StdRng::seed_from_u64(seed ^ 0x0797);
-        let par = ParFaultSimulator::with_optimized(nl, &opt, faults.clone(), threads)
-            .run_random(&mut rng, RANDOM_PATTERNS);
-        if par.detection() != base.detection() || par.patterns_applied() != base.patterns_applied()
-        {
-            out.push(Divergence {
-                oracle: Oracle::Opt,
-                detail: format!(
-                    "optimized report differs at {threads} thread(s) ({} instr(s) saved)",
-                    opt.stats().instrs_saved()
-                ),
-            });
-        }
-    }
-    out
-}
-
-/// Oracle 7: wide-word evaluation is report-invisible. Each lane width
+/// Oracle 6: wide-word evaluation is report-invisible. Each lane width
 /// (256 and 512) re-runs the 64-lane baseline's seeded stream at 1 and
 /// 2 threads and requires bit-identical detection and pattern counts; a
 /// second, plateau-limited run forces the driver to stop mid-sweep and
@@ -411,7 +359,7 @@ pub fn check_lanes(nl: &Netlist, seed: u64) -> Vec<Divergence> {
     out
 }
 
-/// Oracle 9: retiring PODEM-proved faults mid-run is report-invisible.
+/// Oracle 8: retiring PODEM-proved faults mid-run is report-invisible.
 /// A plain run and runs whose prover is PODEM at Table 2's backtrack
 /// limit, at each lane width and at 1 and 2 threads, draw the same
 /// seeded stream and must agree on detection and `patterns_applied`.
@@ -523,7 +471,7 @@ pub fn check_prover(nl: &Netlist, program: &EvalProgram) -> Vec<Divergence> {
     Vec::new()
 }
 
-/// Oracle 8: PODEM's verdict on every collapsed fault holds under
+/// Oracle 7: PODEM's verdict on every collapsed fault holds under
 /// exhaustive simulation. A test must detect its fault when replayed with
 /// its don't-cares filled either way; a redundant fault must stay
 /// undetected over all `2^PI` patterns; an abort under Table 2's limit of

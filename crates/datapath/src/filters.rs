@@ -20,28 +20,61 @@ fn mul(b: &mut CircuitBuilder, name: &str) -> VertexId {
     b.logic_fn(name, LogicFunction::Mul { out_width: WIDTH })
 }
 
+/// Why [`try_scaled`] cannot build a datapath.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ScaleError {
+    /// The name is not one of `c5a2m`, `c3a2m`, `c4a4m`.
+    UnknownCircuit(String),
+    /// The word width is zero.
+    ZeroWidth,
+}
+
+impl std::fmt::Display for ScaleError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ScaleError::UnknownCircuit(name) => write!(
+                f,
+                "unknown datapath '{name}' (expected c5a2m, c3a2m or c4a4m)"
+            ),
+            ScaleError::ZeroWidth => write!(f, "the word width must be positive"),
+        }
+    }
+}
+
+impl std::error::Error for ScaleError {}
+
 /// Rebuilds one of the three Table 1 circuits at a different word width
 /// (used by fast tests; the paper's experiments are all at [`WIDTH`] = 8).
 ///
 /// The structure — register count, balance, kernel decomposition — is
 /// width-independent; only gate counts and pattern counts scale.
 ///
+/// # Errors
+///
+/// [`ScaleError::UnknownCircuit`] if `name` is not one of `"c5a2m"`,
+/// `"c3a2m"`, `"c4a4m"`; [`ScaleError::ZeroWidth`] if `width == 0`.
+pub fn try_scaled(name: &str, width: u32) -> Result<Circuit, ScaleError> {
+    let base = match name {
+        "c5a2m" => c5a2m(),
+        "c3a2m" => c3a2m(),
+        "c4a4m" => c4a4m(),
+        other => return Err(ScaleError::UnknownCircuit(other.to_string())),
+    };
+    match width {
+        0 => Err(ScaleError::ZeroWidth),
+        WIDTH => Ok(base),
+        _ => Ok(rescale(&base, width)),
+    }
+}
+
+/// [`try_scaled`] for names and widths the caller knows are valid.
+///
 /// # Panics
 ///
 /// Panics if `width == 0` or `name` is not one of `"c5a2m"`, `"c3a2m"`,
 /// `"c4a4m"`.
 pub fn scaled(name: &str, width: u32) -> Circuit {
-    assert!(width > 0, "width must be positive");
-    let base = match name {
-        "c5a2m" => c5a2m(),
-        "c3a2m" => c3a2m(),
-        "c4a4m" => c4a4m(),
-        other => panic!("unknown filter circuit {other:?}"),
-    };
-    if width == WIDTH {
-        return base;
-    }
-    rescale(&base, width)
+    try_scaled(name, width).unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// Copies a circuit with every register width replaced by `width`.
@@ -508,5 +541,16 @@ mod tests {
             })
             .count();
         assert_eq!(io_regs, 9, "8 PI + 1 PO registers for BIBS");
+    }
+
+    #[test]
+    fn try_scaled_rejects_unknown_names_and_zero_width() {
+        assert_eq!(
+            try_scaled("foo", 4).unwrap_err(),
+            ScaleError::UnknownCircuit("foo".into())
+        );
+        assert_eq!(try_scaled("c5a2m", 0).unwrap_err(), ScaleError::ZeroWidth);
+        assert_eq!(try_scaled("c5a2m", WIDTH).unwrap(), c5a2m());
+        assert_eq!(try_scaled("c3a2m", 3).unwrap().name(), "c3a2m_w3");
     }
 }

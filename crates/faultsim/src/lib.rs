@@ -78,7 +78,7 @@ pub mod stats;
 pub use fault::{DominanceCollapse, Fault, FaultSite, FaultUniverse, StaticFaultAnalysis};
 pub use par::{default_jobs, ParFaultSimulator};
 pub use reference::ReferenceSimulator;
-pub use sim::{BlockSim, FaultSimReport, SimError};
+pub use sim::{BlockSim, FaultSimReport};
 pub use source::{
     ExhaustiveSource, LfsrSource, PatternBlock, PatternSource, RandomWords, SourceDescriptor,
     StoredSeedReplay, WeightedRandomSource,

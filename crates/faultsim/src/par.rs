@@ -45,11 +45,10 @@
 
 use crate::eval;
 use crate::fault::Fault;
-use crate::sim::{BlockSim, FaultSimReport, SimError, SweepHits};
+use crate::sim::{BlockSim, FaultSimReport, SweepHits};
 use crate::source::PatternBlock;
 use crate::stats::SimStats;
-use bibs_netlist::opt::OptimizedProgram;
-use bibs_netlist::{EvalProgram, EventQueue, Netlist};
+use bibs_netlist::{EvalProgram, EventQueue, Netlist, Patch};
 use bibs_obs::{CounterId, Recorder, ShardCounters};
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -102,12 +101,11 @@ pub fn default_jobs() -> usize {
 /// one fault list, at any thread count and lane width.
 ///
 /// Construction compiles the netlist once (or adopts a caller-supplied
-/// program via [`ParFaultSimulator::with_program`], or a validated
-/// optimizer rewrite via [`ParFaultSimulator::with_optimized`]) and
-/// pre-compiles every fault to its patch-point(s); each sweep is then one
-/// program run for the good machine plus one event-driven propagation
-/// per undetected fault, which evaluates only the instructions the
-/// fault's effect reaches (PPSFP: parallel patterns, single-fault
+/// program via [`ParFaultSimulator::with_program`]) and pre-compiles
+/// every fault to its one patch-point; each sweep is then one program
+/// run for the good machine plus one event-driven propagation per
+/// undetected fault, which evaluates only the instructions the fault's
+/// effect reaches (PPSFP: parallel patterns, single-fault
 /// propagation). Detected faults are dropped from later sweeps; the per-fault
 /// first-detection pattern index is recorded so coverage-vs-pattern-count
 /// curves (the paper's Table 2 rows 5–8) can be reconstructed exactly.
@@ -146,12 +144,9 @@ pub struct ParFaultSimulator<'a> {
     netlist: &'a Netlist,
     /// The compiled program, shared read-only by every shard.
     program: EvalProgram,
-    /// The pre-rewrite program when `program` is optimizer-rewritten;
-    /// [`eval::FaultPatch::Fallback`] faults evaluate on it.
-    fallback: Option<EvalProgram>,
     faults: Vec<Fault>,
-    /// `patches[i]` = compiled patch-point(s) of fault *i*.
-    patches: Vec<eval::FaultPatch>,
+    /// `patches[i]` = compiled patch-point of fault *i*.
+    patches: Vec<Patch>,
     detection: Vec<Option<u64>>,
     /// Indices (into `faults`) of the faults still undetected — the work
     /// list the shards split. Compacted by every commit.
@@ -252,13 +247,15 @@ impl<'a> ParFaultSimulator<'a> {
             "fault list exceeds u32 index space"
         );
         let threads = threads.max(1);
-        let patches = eval::compile_fault_patches(&program, None, &faults);
+        let patches = faults
+            .iter()
+            .map(|&f| eval::compile_patch(&program, f))
+            .collect();
         let n = faults.len();
         let good = program.new_values::<1>();
         ParFaultSimulator {
             netlist,
             program,
-            fallback: None,
             faults,
             patches,
             detection: vec![None; n],
@@ -301,57 +298,6 @@ impl<'a> ParFaultSimulator<'a> {
         };
         self.workers = vec![Worker::new(&self.good); self.threads];
         self
-    }
-
-    /// Creates a simulator whose good machine runs the **optimized**
-    /// program of a validated [`OptimizedProgram`], while the fault list
-    /// stays defined on the original netlist.
-    ///
-    /// Each fault's patch is compiled against the original program, then
-    /// remapped through the rewrite
-    /// ([`OptimizedProgram::remap_patch`]); faults the rewrite cannot
-    /// express faithfully fall back to evaluating the original program
-    /// (sound because the two are equivalence-proven). Reports are
-    /// **bit-identical** to the unoptimized engine's for any thread count
-    /// — pinned by `tests/opt_equivalence.rs`.
-    ///
-    /// # Panics
-    ///
-    /// Same conditions as [`ParFaultSimulator::with_program`].
-    pub fn with_optimized(
-        netlist: &'a Netlist,
-        opt: &OptimizedProgram,
-        faults: Vec<Fault>,
-        threads: usize,
-    ) -> Self {
-        let mut sim = Self::with_program(netlist, opt.optimized().clone(), faults, threads);
-        sim.patches = eval::compile_fault_patches(opt.original(), Some(opt), &sim.faults);
-        sim.fallback = Some(opt.original().clone());
-        eval::validate_fault_patches(&sim.patches, sim.fallback.is_some())
-            .expect("optimized constructors retain the original program");
-        sim
-    }
-
-    /// Fallible [`ParFaultSimulator::with_optimized`]: validates that every
-    /// unmapped (`Fallback`) fault has the original program to evaluate
-    /// on, surfacing a violation as a typed [`SimError`] instead of a
-    /// mid-run abort.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::MissingFallback`] if an unmapped fault has no
-    /// fallback program — unreachable through this constructor today (it
-    /// always retains the original program) but kept as the single
-    /// validation point should fallback retention ever become optional.
-    pub fn try_with_optimized(
-        netlist: &'a Netlist,
-        opt: &OptimizedProgram,
-        faults: Vec<Fault>,
-        threads: usize,
-    ) -> Result<Self, SimError> {
-        let sim = Self::with_optimized(netlist, opt, faults, threads);
-        eval::validate_fault_patches(&sim.patches, sim.fallback.is_some())?;
-        Ok(sim)
     }
 
     /// The configured worker-thread count.
@@ -404,11 +350,9 @@ impl<'a> ParFaultSimulator<'a> {
 
         let shard = Shard {
             program: &self.program,
-            fallback: self.fallback.as_ref(),
             patches: &self.patches,
             undetected: &self.undetected,
             good: &self.good,
-            inputs: &self.inputs,
             masks,
             prefix,
         };
@@ -485,11 +429,9 @@ impl Worker {
 /// undetected list and the good machine's values.
 struct Shard<'s, const N: usize> {
     program: &'s EvalProgram,
-    fallback: Option<&'s EvalProgram>,
-    patches: &'s [eval::FaultPatch],
+    patches: &'s [Patch],
     undetected: &'s [u32],
     good: &'s [u64],
-    inputs: &'s [u64],
     /// Valid-lane mask per sub-block.
     masks: [u64; N],
     /// Pattern offset of each sub-block within the sweep.
@@ -512,19 +454,14 @@ impl<const N: usize> Shard<'_, N> {
         worker.faulty.copy_from_slice(self.good);
         while let Some(positions) = next(&mut counters) {
             for pos in positions {
-                let fp = &self.patches[self.undetected[pos] as usize];
-                let (diff, gate_evals) = eval::eval_fault::<N>(
-                    self.program,
-                    self.fallback,
+                let (diff, gate_evals) = self.program.eval_events::<N>(
                     self.good,
                     &mut worker.faulty,
-                    self.inputs,
-                    fp,
+                    self.patches[self.undetected[pos] as usize],
                     &mut worker.queue,
                 );
                 counters.add(CounterId::GateEvals, gate_evals);
                 counters.add(CounterId::FaultEvals, 1);
-                counters.add(CounterId::PatchesApplied, fp.patch_count());
                 if let Some((k, word)) = eval::first_detection(diff, &self.masks) {
                     hits.push((pos, k, self.prefix[k] + word.trailing_zeros() as u64));
                 }
@@ -727,45 +664,6 @@ mod tests {
             stats.fault_evals
         );
         assert_eq!(stats.faults_dropped, report.detected_count() as u64);
-    }
-
-    #[test]
-    fn optimized_engines_match_default_report() {
-        use bibs_netlist::GateKind;
-        // Redundancy on purpose: a buffer chain, a duplicated cone and an
-        // inverter the optimizer will fuse — so the rewrite is non-trivial.
-        let mut b = NetlistBuilder::new("redundant");
-        let a = b.input_word("a", 3);
-        let c = b.input_word("b", 3);
-        let (s, co) = b.ripple_carry_adder(&a, &c, None);
-        let mut buf = s[0];
-        for _ in 0..3 {
-            buf = b.gate(GateKind::Buf, &[buf]);
-        }
-        let d1 = b.and2(a[1], c[1]);
-        let d2 = b.and2(c[1], a[1]);
-        let n = b.not(d1);
-        b.output("y0", buf);
-        b.output("y1", d2);
-        b.output("y2", n);
-        b.output("co", co);
-        let nl = b.finish().unwrap();
-
-        let faults = FaultUniverse::collapsed(&nl).faults().to_vec();
-        let program = EvalProgram::compile(&nl).unwrap();
-        let opt = bibs_netlist::opt::optimize(&nl, &program).unwrap();
-        assert!(
-            opt.stats().instrs_saved() > 0,
-            "rewrite should be non-trivial"
-        );
-
-        let base = ParFaultSimulator::new(&nl, faults.clone()).run_exhaustive();
-        for threads in [1, 3] {
-            let par = ParFaultSimulator::with_optimized(&nl, &opt, faults.clone(), threads)
-                .run_exhaustive();
-            assert_eq!(base.detection(), par.detection());
-            assert_eq!(base.patterns_applied(), par.patterns_applied());
-        }
     }
 
     #[test]

@@ -32,36 +32,6 @@ use crate::stats::SimStats;
 use bibs_netlist::Netlist;
 use rand::Rng;
 
-/// A typed engine-construction failure.
-///
-/// The engines validate their invariants at construction (via the
-/// `try_*` constructors) instead of aborting mid-run from a violated
-/// internal `expect`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SimError {
-    /// A fault's patch could not be remapped onto the optimized program
-    /// (a `Fallback` fault patch) but no fallback (original) program is
-    /// available to evaluate it on.
-    MissingFallback {
-        /// Index into the engine's fault list of the first offending
-        /// fault.
-        fault_index: usize,
-    },
-}
-
-impl std::fmt::Display for SimError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            SimError::MissingFallback { fault_index } => write!(
-                f,
-                "fault {fault_index} is unmapped by the rewrite and no fallback program is available"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for SimError {}
-
 /// The outcome of a fault simulation run.
 #[derive(Debug, Clone)]
 pub struct FaultSimReport {

@@ -23,8 +23,7 @@ use std::time::Duration;
 /// compile-vs-run split: [`SimStats::compile_wall`] is the one-time cost
 /// of building the [`EvalProgram`](bibs_netlist::EvalProgram),
 /// [`SimStats::gate_evals`] counts instructions actually evaluated (the
-/// hardware-meaningful unit of work) and [`SimStats::patches_applied`]
-/// counts faulty-machine patch applications.
+/// hardware-meaningful unit of work).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SimStats {
     /// Worker threads the engine was configured with (1 for an engine
@@ -62,9 +61,6 @@ pub struct SimStats {
     /// so the reference interpreter, which runs whole programs, counts
     /// several times more for the same report.
     pub gate_evals: u64,
-    /// Fault patch-points applied (one per faulty-machine evaluation in
-    /// the compiled engines; zero in the reference interpreter).
-    pub patches_applied: u64,
     /// Size of the fault universe the run accounts for (before any
     /// dominance collapsing or static-untestability skipping). Zero when
     /// the caller did not run the pre-analysis pipeline.
@@ -104,8 +100,8 @@ impl SimStats {
     ///
     /// * totals — root counters ([`CounterId::Blocks`],
     ///   [`CounterId::GoodEvals`], [`CounterId::FaultEvals`],
-    ///   [`CounterId::GateEvals`], [`CounterId::PatchesApplied`],
-    ///   [`CounterId::FaultsDropped`], [`CounterId::FaultsRetired`],
+    ///   [`CounterId::GateEvals`], [`CounterId::FaultsDropped`],
+    ///   [`CounterId::FaultsRetired`],
     ///   [`CounterId::UniverseFaults`],
     ///   [`CounterId::SimulatedFaults`], [`CounterId::UntestableStatic`]);
     /// * [`SimStats::per_shard_fault_evals`] — the per-shard *detail*
@@ -137,7 +133,6 @@ impl SimStats {
                 .map(|s| rec.span_wall(s))
                 .unwrap_or(Duration::ZERO),
             gate_evals: c.get(CounterId::GateEvals),
-            patches_applied: c.get(CounterId::PatchesApplied),
             universe_faults: c.get(CounterId::UniverseFaults),
             simulated_faults: c.get(CounterId::SimulatedFaults),
             untestable_static: c.get(CounterId::UntestableStatic),
@@ -249,7 +244,7 @@ impl fmt::Display for SimStats {
         write!(
             f,
             "{} thread(s), {} block(s), {} fault evals ({:.0}/s, imbalance {:.2}), \
-             {:.2e} gate evals ({:.2e}/s), {} patches, {} dropped, {:.1} ms \
+             {:.2e} gate evals ({:.2e}/s), {} dropped, {:.1} ms \
              (+{:.2} ms compile)",
             self.threads,
             self.blocks,
@@ -258,7 +253,6 @@ impl fmt::Display for SimStats {
             self.shard_imbalance(),
             self.gate_evals as f64,
             self.gate_evals_per_second(),
-            self.patches_applied,
             self.faults_dropped,
             self.wall.as_secs_f64() * 1e3,
             self.compile_wall.as_secs_f64() * 1e3
@@ -396,11 +390,9 @@ mod tests {
         let mut s0 = ShardCounters::new();
         s0.add(C::FaultEvals, 8);
         s0.add(C::GateEvals, 80);
-        s0.add(C::PatchesApplied, 8);
         let mut s1 = ShardCounters::new();
         s1.add(C::FaultEvals, 4);
         s1.add(C::GateEvals, 40);
-        s1.add(C::PatchesApplied, 4);
         rec.attach_shard(root, 0, &s0);
         rec.attach_shard(root, 1, &s1);
         rec.add_wall(root, Duration::from_millis(5));
@@ -412,7 +404,6 @@ mod tests {
         assert_eq!(stats.fault_evals, 12);
         assert_eq!(stats.per_shard_fault_evals, vec![8, 4]);
         assert_eq!(stats.gate_evals, 150);
-        assert_eq!(stats.patches_applied, 12);
         assert_eq!(stats.faults_dropped, 2);
         assert_eq!(stats.wall, Duration::from_millis(5));
         assert!(stats.compile_wall <= stats.wall.max(Duration::from_secs(1)));

@@ -15,8 +15,8 @@
 //!
 //! The last proptest pins the per-fault kernel the engine runs on:
 //! [`EvalProgram::eval_events`] must give the same primary-output
-//! difference as a whole-program patched run, for every single patch and
-//! every optimizer patch set, and leave the faulty buffer clean.
+//! difference as a whole-program patched run, for every single patch,
+//! and leave the faulty buffer clean.
 
 use bibs_faultsim::fault::{Fault, FaultSite, FaultUniverse};
 use bibs_faultsim::par::ParFaultSimulator;
@@ -227,23 +227,19 @@ proptest! {
     }
 }
 
-/// The whole-program oracle: after [`EvalProgram::eval_patched`] (one
-/// patch) or [`EvalProgram::eval_multi_patched`] (a set), the OR of
-/// `good ^ faulty` over the primary outputs, and the lane-normalized
-/// count of instructions an event-driven run must evaluate — every one
-/// not output-forced that is pin-patched or reads a slot whose faulty
-/// value differs from the good one.
+/// The whole-program oracle: after [`EvalProgram::eval_patched`], the
+/// OR of `good ^ faulty` over the primary outputs, and the
+/// lane-normalized count of instructions an event-driven run must
+/// evaluate — every one not output-forced that is pin-patched or reads a
+/// slot whose faulty value differs from the good one.
 fn whole_program_oracle<const N: usize>(
     program: &EvalProgram,
     good: &[u64],
     inputs: &[u64],
-    patches: &[Patch],
+    patch: Patch,
 ) -> ([u64; N], u64) {
     let mut faulty = program.new_values::<N>();
-    match patches {
-        [single] => program.eval_patched::<N>(&mut faulty, inputs, *single),
-        _ => program.eval_multi_patched::<N>(&mut faulty, inputs, patches),
-    };
+    program.eval_patched::<N>(&mut faulty, inputs, patch);
     let differs = |s: u32| {
         let a = s as usize * N;
         good[a..a + N] != faulty[a..a + N]
@@ -258,16 +254,9 @@ fn whole_program_oracle<const N: usize>(
             *d |= g ^ f;
         }
     }
-    let forced = |i: usize| {
-        patches
-            .iter()
-            .any(|p| matches!(*p, Patch::InstrOutput { instr, .. } if instr as usize == i))
-    };
-    let pinned = |i: usize| {
-        patches
-            .iter()
-            .any(|p| matches!(*p, Patch::InstrPin { instr, .. } if instr as usize == i))
-    };
+    let forced =
+        |i: usize| matches!(patch, Patch::InstrOutput { instr, .. } if instr as usize == i);
+    let pinned = |i: usize| matches!(patch, Patch::InstrPin { instr, .. } if instr as usize == i);
     let evaluated = (0..program.instr_count())
         .filter(|&i| {
             !forced(i) && (pinned(i) || program.instr(i).operands.iter().any(|&s| differs(s)))
@@ -276,12 +265,12 @@ fn whole_program_oracle<const N: usize>(
     (diff, (evaluated * N) as u64)
 }
 
-/// Runs every patch set through [`EvalProgram::eval_events`] at width `N`
-/// on one random sweep and compares the difference word and the exact
-/// work with the whole-program oracle.
+/// Runs every patch through [`EvalProgram::eval_events`] at width `N` on
+/// one random sweep and compares the difference word and the exact work
+/// with the whole-program oracle.
 fn assert_events_match<const N: usize>(
     program: &EvalProgram,
-    sets: &[Vec<Patch>],
+    patches: &[Patch],
     seed: u64,
 ) -> Result<(), TestCaseError> {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -292,11 +281,11 @@ fn assert_events_match<const N: usize>(
     program.eval_good::<N>(&mut good, &inputs);
     let mut faulty = good.clone();
     let mut queue = EventQueue::default();
-    for set in sets {
-        let want = whole_program_oracle::<N>(program, &good, &inputs, set);
-        let got = program.eval_events::<N>(&good, &mut faulty, set, &mut queue);
-        prop_assert_eq!(got, want, "{:?} at N = {}", set, N);
-        prop_assert!(faulty == good, "{:?} left the faulty buffer dirty", set);
+    for &patch in patches {
+        let want = whole_program_oracle::<N>(program, &good, &inputs, patch);
+        let got = program.eval_events::<N>(&good, &mut faulty, patch, &mut queue);
+        prop_assert_eq!(got, want, "{:?} at N = {}", patch, N);
+        prop_assert!(faulty == good, "{:?} left the faulty buffer dirty", patch);
     }
     Ok(())
 }
@@ -305,42 +294,20 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Every fault of the full (uncollapsed) universe, as a single patch
-    /// on the compiled program and as the patch set the optimizer's remap
-    /// gives it on the rewritten program, at N = 1, 4 and 8. Random DAGs
-    /// seldom give the remap a multi-patch set, so every slot's
-    /// reader-pin set (the shape a forwarded buffer's stem fault remaps
-    /// to) is checked on the compiled program too.
+    /// on the compiled program, at N = 1, 4 and 8.
     #[test]
     fn event_driven_eval_matches_whole_program(nl in netlist_strategy(), seed: u64) {
         let program = EvalProgram::compile(&nl).unwrap();
-        let opt = bibs_netlist::opt::optimize(&nl, &program).unwrap();
-        let mut on_program = Vec::new();
-        let mut on_optimized = Vec::new();
-        for fault in FaultUniverse::full(&nl).faults() {
-            let patch = match fault.site {
+        let patches: Vec<Patch> = FaultUniverse::full(&nl)
+            .faults()
+            .iter()
+            .map(|fault| match fault.site {
                 FaultSite::Net(n) => program.patch_net(n, fault.stuck_at),
                 FaultSite::GatePin { gate, pin } => program.patch_pin(gate, pin, fault.stuck_at),
-            };
-            on_program.push(vec![patch]);
-            on_optimized.extend(opt.remap_patch(patch));
-        }
-        for slot in 0..program.slot_count() {
-            for word in [0, !0] {
-                on_program.push(
-                    program
-                        .readers(slot)
-                        .iter()
-                        .map(|&(instr, pin)| Patch::InstrPin { instr, pin, word })
-                        .collect(),
-                );
-            }
-        }
-        assert_events_match::<1>(&program, &on_program, seed)?;
-        assert_events_match::<4>(&program, &on_program, seed)?;
-        assert_events_match::<8>(&program, &on_program, seed)?;
-        let optimized = opt.optimized();
-        assert_events_match::<1>(optimized, &on_optimized, seed)?;
-        assert_events_match::<4>(optimized, &on_optimized, seed)?;
-        assert_events_match::<8>(optimized, &on_optimized, seed)?;
+            })
+            .collect();
+        assert_events_match::<1>(&program, &patches, seed)?;
+        assert_events_match::<4>(&program, &patches, seed)?;
+        assert_events_match::<8>(&program, &patches, seed)?;
     }
 }

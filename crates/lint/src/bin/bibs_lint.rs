@@ -81,7 +81,6 @@ fn usage() {
                                 SARIF schema and exit (0 ok, 1 invalid)\n\
            --telemetry FILE     write per-file lint spans as telemetry JSON\n\
            --semantic           also run the semantic passes (B04x)\n\
-           --optimizer          also run the optimizer passes (B07x)\n\
            --deny warnings      promote warn-level findings to deny\n\
            --deny CODE          force CODE to deny severity\n\
            --warn CODE          force CODE to warn severity\n\
@@ -161,7 +160,6 @@ fn main() -> ExitCode {
                 return ExitCode::SUCCESS;
             }
             "--semantic" => config.semantic = true,
-            "--optimizer" => config.optimizer = true,
             "--check-sarif" => {
                 i += 1;
                 let Some(path) = args.get(i) else {

@@ -226,28 +226,6 @@ pub const CODES: &[CodeInfo] = &[
         summary: "pattern-source width disagrees with the kernel's input width",
         default_severity: Severity::Deny,
     },
-    // B07x — optimizer/translation-validation checks (`opt_pass`, gated by
-    // `LintConfig::optimizer` / the binary's --optimizer flag).
-    CodeInfo {
-        code: "B070",
-        summary: "gate-driven net the optimizer's const-fold pass proves constant",
-        default_severity: Severity::Warn,
-    },
-    CodeInfo {
-        code: "B071",
-        summary: "duplicated logic cone found by structural-hash CSE",
-        default_severity: Severity::Warn,
-    },
-    CodeInfo {
-        code: "B072",
-        summary: "optimizer and translation validator disagree (refuted rewrite)",
-        default_severity: Severity::Deny,
-    },
-    CodeInfo {
-        code: "B073",
-        summary: "fault patch-point unmapped by the optimizer rewrite",
-        default_severity: Severity::Allow,
-    },
 ];
 
 /// Looks up the registry entry for `code`.
@@ -295,12 +273,6 @@ pub struct LintConfig {
     /// compiled IR (`--semantic`). Off by default: the passes run
     /// whole-netlist dataflow sweeps per kernel.
     pub semantic: bool,
-    /// Also run the optimizer passes (B07x) — fold-provable constants,
-    /// CSE-duplicated cones, the full optimize-then-validate pipeline
-    /// (B072 on a refuted rewrite) and unmapped fault patch-points
-    /// (`--optimizer`). Off by default: the pass optimizes and
-    /// equivalence-checks every netlist it lints.
-    pub optimizer: bool,
 }
 
 impl LintConfig {

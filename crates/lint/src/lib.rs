@@ -48,7 +48,6 @@ pub mod design_pass;
 pub mod diag;
 pub mod fingerprint;
 pub mod netlist_pass;
-pub mod opt_pass;
 pub mod rtl_pass;
 pub mod sarif;
 pub mod semantic_pass;
@@ -61,7 +60,6 @@ pub use design_pass::lint_design;
 pub use diag::{code_info, CodeInfo, Diagnostic, LintConfig, Report, Severity, CODES};
 pub use fingerprint::{apply_baseline, fingerprint, parse_baseline, write_baseline};
 pub use netlist_pass::lint_netlist;
-pub use opt_pass::lint_netlist_opt;
 pub use rtl_pass::lint_circuit;
 pub use sarif::{check_sarif, to_sarif};
 pub use semantic_pass::{lint_netlist_semantic, lint_semantic};
@@ -106,9 +104,6 @@ pub fn lint_full(circuit: &Circuit, config: &LintConfig) -> Report {
             circuit.name(),
             config,
         ));
-        if config.optimizer {
-            report.merge(lint_netlist_opt(&elab.netlist, circuit.name(), config));
-        }
     }
     report
 }
@@ -161,9 +156,6 @@ pub fn lint_bench_text(origin: &str, text: &str, config: &LintConfig) -> Report 
                     report.merge(lint_netlist_semantic(loaded.netlist(), origin, config));
                 }
                 report.merge(lint_netlist_seq(loaded.netlist(), origin, config));
-                if config.optimizer {
-                    report.merge(lint_netlist_opt(loaded.netlist(), origin, config));
-                }
                 report
             }
         },
@@ -193,9 +185,6 @@ pub fn lint_verilog_text(origin: &str, text: &str, config: &LintConfig) -> Repor
                 report.merge(lint_netlist_semantic(loaded.netlist(), origin, config));
             }
             report.merge(lint_netlist_seq(loaded.netlist(), origin, config));
-            if config.optimizer {
-                report.merge(lint_netlist_opt(loaded.netlist(), origin, config));
-            }
             report
         }
         Err(e) => {

@@ -75,10 +75,8 @@
 use crate::netlist::{GateId, GateKind, NetDriver, NetId, Netlist, NetlistError};
 
 /// Sentinel in [`EvalProgram`]'s slot-to-instruction map for slots that are
-/// sources (inputs, constants, flip-flop Q) rather than gate outputs. The
-/// optimizer (`crate::opt`) reuses it as the "instruction removed" marker in
-/// rewrite maps.
-pub(crate) const NO_INSTR: u32 = u32::MAX;
+/// sources (inputs, constants, flip-flop Q) rather than gate outputs.
+const NO_INSTR: u32 = u32::MAX;
 
 /// A fault patch-point: the single edit that turns a good-machine program
 /// run into a faulty-machine run.
@@ -140,33 +138,33 @@ pub struct Instr<'a> {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EvalProgram {
     /// Opcode per instruction.
-    pub(crate) ops: Vec<GateKind>,
+    ops: Vec<GateKind>,
     /// Operand span starts; span of instruction `i` is
     /// `operand_start[i]..operand_start[i + 1]` (length `instr_count + 1`).
-    pub(crate) operand_start: Vec<u32>,
+    operand_start: Vec<u32>,
     /// Shared operand arena: slot indices, grouped per instruction.
-    pub(crate) operands: Vec<u32>,
+    operands: Vec<u32>,
     /// Output slot per instruction.
-    pub(crate) out_slot: Vec<u32>,
+    out_slot: Vec<u32>,
     /// Instruction ranges per level: all instructions inside one range
     /// depend only on earlier levels.
-    pub(crate) levels: Vec<(u32, u32)>,
+    levels: Vec<(u32, u32)>,
     /// Gate → instruction position.
-    pub(crate) instr_of_gate: Vec<u32>,
+    instr_of_gate: Vec<u32>,
     /// Instruction position → source gate.
-    pub(crate) gate_of_instr: Vec<GateId>,
+    gate_of_instr: Vec<GateId>,
     /// Slot → instruction writing it, or [`NO_INSTR`] for source slots.
-    pub(crate) instr_of_slot: Vec<u32>,
+    instr_of_slot: Vec<u32>,
     /// Primary-input slots in declaration order.
-    pub(crate) input_slots: Vec<u32>,
+    input_slots: Vec<u32>,
     /// Constant prologue: `(slot, word)` pairs applied once per buffer.
-    pub(crate) const_inits: Vec<(u32, u64)>,
+    const_inits: Vec<(u32, u64)>,
     /// Flip-flop `(q, d)` slot pairs, in [`Netlist::dffs`] order.
-    pub(crate) dff_slots: Vec<(u32, u32)>,
+    dff_slots: Vec<(u32, u32)>,
     /// Primary-output slots in declaration order.
-    pub(crate) output_slots: Vec<u32>,
+    output_slots: Vec<u32>,
     /// Number of value-buffer slots (= net count).
-    pub(crate) slot_count: usize,
+    slot_count: usize,
     /// Fanout index (CSR): the readers of slot `s` are
     /// `readers[reader_start[s]..reader_start[s + 1]]`.
     reader_start: Vec<u32>,
@@ -175,125 +173,6 @@ pub struct EvalProgram {
     readers: Vec<(u32, u32)>,
     /// Whether each slot is a primary output.
     is_output: Vec<bool>,
-}
-
-/// An instruction stream under construction, in schedule order.
-/// [`Stream::finish`] is the one constructor of [`EvalProgram`]: both
-/// [`EvalProgram::compile`] and the optimizer's rebuild (`crate::opt`)
-/// push their schedule through it, so every index derived from the
-/// stream (level ranges, slot and gate maps, the fanout index) is built
-/// in one place.
-pub(crate) struct Stream {
-    ops: Vec<GateKind>,
-    operand_start: Vec<u32>,
-    operands: Vec<u32>,
-    out_slot: Vec<u32>,
-    levels: Vec<(u32, u32)>,
-    level: Option<u32>,
-    instr_of_gate: Vec<u32>,
-    gate_of_instr: Vec<GateId>,
-    instr_of_slot: Vec<u32>,
-}
-
-impl Stream {
-    /// An empty stream over `slot_count` slots for a netlist of
-    /// `gate_count` gates.
-    pub(crate) fn new(gate_count: usize, slot_count: usize) -> Stream {
-        let mut operand_start = Vec::with_capacity(gate_count + 1);
-        operand_start.push(0);
-        Stream {
-            ops: Vec::with_capacity(gate_count),
-            operand_start,
-            operands: Vec::new(),
-            out_slot: Vec::with_capacity(gate_count),
-            levels: Vec::new(),
-            level: None,
-            instr_of_gate: vec![NO_INSTR; gate_count],
-            gate_of_instr: Vec::with_capacity(gate_count),
-            instr_of_slot: vec![NO_INSTR; slot_count],
-        }
-    }
-
-    /// Appends the instruction compiled from `gate` and returns its
-    /// position. Levels must arrive in non-decreasing order.
-    pub(crate) fn push(
-        &mut self,
-        kind: GateKind,
-        operands: impl IntoIterator<Item = u32>,
-        out: u32,
-        gate: GateId,
-        level: u32,
-    ) -> u32 {
-        let pos = self.ops.len() as u32;
-        self.ops.push(kind);
-        self.operands.extend(operands);
-        self.operand_start.push(self.operands.len() as u32);
-        self.out_slot.push(out);
-        self.instr_of_gate[gate.index()] = pos;
-        self.gate_of_instr.push(gate);
-        self.instr_of_slot[out as usize] = pos;
-        if self.level == Some(level) {
-            self.levels.last_mut().expect("non-empty").1 += 1;
-        } else {
-            debug_assert!(
-                self.level.is_none_or(|l| l < level),
-                "levels must not decrease"
-            );
-            self.levels.push((pos, pos + 1));
-            self.level = Some(level);
-        }
-        pos
-    }
-
-    /// Completes the program with its source and output lists and builds
-    /// the fanout index.
-    pub(crate) fn finish(
-        self,
-        input_slots: Vec<u32>,
-        const_inits: Vec<(u32, u64)>,
-        dff_slots: Vec<(u32, u32)>,
-        output_slots: Vec<u32>,
-    ) -> EvalProgram {
-        let slot_count = self.instr_of_slot.len();
-        let mut reader_start = vec![0u32; slot_count + 1];
-        for &s in &self.operands {
-            reader_start[s as usize + 1] += 1;
-        }
-        for s in 0..slot_count {
-            reader_start[s + 1] += reader_start[s];
-        }
-        let mut fill = reader_start.clone();
-        let mut readers = vec![(0u32, 0u32); self.operands.len()];
-        for i in 0..self.ops.len() {
-            let span = self.operand_start[i] as usize..self.operand_start[i + 1] as usize;
-            for (pin, &s) in self.operands[span].iter().enumerate() {
-                readers[fill[s as usize] as usize] = (i as u32, pin as u32);
-                fill[s as usize] += 1;
-            }
-        }
-        let mut is_output = vec![false; slot_count];
-        for &s in &output_slots {
-            is_output[s as usize] = true;
-        }
-        EvalProgram {
-            ops: self.ops,
-            operand_start: self.operand_start,
-            operands: self.operands,
-            out_slot: self.out_slot,
-            levels: self.levels,
-            instr_of_gate: self.instr_of_gate,
-            gate_of_instr: self.gate_of_instr,
-            instr_of_slot: self.instr_of_slot,
-            input_slots,
-            const_inits,
-            dff_slots,
-            output_slots,
-            slot_count,
-            reader_start,
-            readers,
-            is_output,
-        }
-    }
 }
 
 /// Reusable scratch for [`EvalProgram::eval_events`]: the pending
@@ -353,34 +232,87 @@ impl EvalProgram {
         // Deterministic levelized schedule: (level, gate id).
         let mut sched: Vec<u32> = (0..gate_count as u32).collect();
         sched.sort_unstable_by_key(|&g| (level[g as usize], g));
+        let mut start = 0u32;
+        let levels = sched
+            .chunk_by(|&a, &b| level[a as usize] == level[b as usize])
+            .map(|run| {
+                start += run.len() as u32;
+                (start - run.len() as u32, start)
+            })
+            .collect();
 
-        let mut stream = Stream::new(gate_count, slot_count);
-        for &g in &sched {
+        let mut ops = Vec::with_capacity(gate_count);
+        let mut operand_start = Vec::with_capacity(gate_count + 1);
+        operand_start.push(0);
+        let mut operands = Vec::new();
+        let mut out_slot = Vec::with_capacity(gate_count);
+        let mut instr_of_gate = vec![NO_INSTR; gate_count];
+        let mut gate_of_instr = Vec::with_capacity(gate_count);
+        let mut instr_of_slot = vec![NO_INSTR; slot_count];
+        for (pos, &g) in sched.iter().enumerate() {
             let gid = GateId::from_index(g as usize);
             let gate = netlist.gate(gid);
-            stream.push(
-                gate.kind,
-                gate.inputs.iter().map(|i| i.index() as u32),
-                gate.output.index() as u32,
-                gid,
-                level[g as usize],
-            );
+            ops.push(gate.kind);
+            operands.extend(gate.inputs.iter().map(|i| i.index() as u32));
+            operand_start.push(operands.len() as u32);
+            out_slot.push(gate.output.index() as u32);
+            instr_of_gate[g as usize] = pos as u32;
+            gate_of_instr.push(gid);
+            instr_of_slot[gate.output.index()] = pos as u32;
         }
 
-        let input_slots = netlist.inputs().iter().map(|n| n.index() as u32).collect();
+        // Fanout index: count each slot's readers, prefix-sum, then fill
+        // in schedule order.
+        let mut reader_start = vec![0u32; slot_count + 1];
+        for &s in &operands {
+            reader_start[s as usize + 1] += 1;
+        }
+        for s in 0..slot_count {
+            reader_start[s + 1] += reader_start[s];
+        }
+        let mut fill = reader_start.clone();
+        let mut readers = vec![(0u32, 0u32); operands.len()];
+        for i in 0..ops.len() {
+            let span = operand_start[i] as usize..operand_start[i + 1] as usize;
+            for (pin, &s) in operands[span].iter().enumerate() {
+                readers[fill[s as usize] as usize] = (i as u32, pin as u32);
+                fill[s as usize] += 1;
+            }
+        }
+
         let mut const_inits = Vec::new();
         for net in netlist.net_ids() {
             if let NetDriver::Const(v) = netlist.driver(net) {
                 const_inits.push((net.index() as u32, if v { !0u64 } else { 0 }));
             }
         }
-        let dff_slots = netlist
-            .dffs()
-            .iter()
-            .map(|ff| (ff.q.index() as u32, ff.d.index() as u32))
-            .collect();
-        let output_slots = netlist.outputs().iter().map(|n| n.index() as u32).collect();
-        Ok(stream.finish(input_slots, const_inits, dff_slots, output_slots))
+        let output_slots: Vec<u32> = netlist.outputs().iter().map(|n| n.index() as u32).collect();
+        let mut is_output = vec![false; slot_count];
+        for &s in &output_slots {
+            is_output[s as usize] = true;
+        }
+        Ok(EvalProgram {
+            ops,
+            operand_start,
+            operands,
+            out_slot,
+            levels,
+            instr_of_gate,
+            gate_of_instr,
+            instr_of_slot,
+            input_slots: netlist.inputs().iter().map(|n| n.index() as u32).collect(),
+            const_inits,
+            dff_slots: netlist
+                .dffs()
+                .iter()
+                .map(|ff| (ff.q.index() as u32, ff.d.index() as u32))
+                .collect(),
+            output_slots,
+            slot_count,
+            reader_start,
+            readers,
+            is_output,
+        })
     }
 
     /// [`EvalProgram::compile`] wrapped in a telemetry span: records a
@@ -598,10 +530,10 @@ impl EvalProgram {
     /// Re-applying the (typically empty) constant prologue makes the buffer
     /// self-healing: a previous [`Patch::Slot`] on a constant slot is
     /// undone here, so one persistent faulty buffer serves every
-    /// whole-program faulty run (the optimizer's fallback faults, the
-    /// sequential simulator, the validators). The fault simulator's
-    /// per-fault path is [`EvalProgram::eval_events`]. Returns the
-    /// lane-normalized executed count.
+    /// whole-program faulty run (the sequential simulator, the test
+    /// oracles). The fault simulator's per-fault path is
+    /// [`EvalProgram::eval_events`]. Returns the lane-normalized executed
+    /// count.
     #[inline]
     pub fn eval_patched<const N: usize>(
         &self,
@@ -609,89 +541,40 @@ impl EvalProgram {
         inputs: &[u64],
         patch: Patch,
     ) -> u64 {
-        self.eval_multi_patched::<N>(values, inputs, std::slice::from_ref(&patch))
+        self.apply_consts::<N>(values);
+        self.set_inputs::<N>(values, inputs);
+        self.run_patched::<N>(values, patch)
     }
 
     /// Executes the instruction stream with `patch` applied (its stuck
     /// word splatted to all `N` sub-words). Sources must already be set.
     /// Returns the lane-normalized executed count.
-    #[inline]
     pub fn run_patched<const N: usize>(&self, values: &mut [u64], patch: Patch) -> u64 {
-        self.run_multi_patched::<N>(values, std::slice::from_ref(&patch))
-    }
-
-    /// Faulty-machine evaluation with *several* patch-points applied at
-    /// once: constant prologue, inputs, then
-    /// [`EvalProgram::run_multi_patched`].
-    ///
-    /// This is the evaluation entry the optimizer's fault remapping needs:
-    /// a single stuck-at fault on a net that a rewrite erased (a forwarded
-    /// buffer, a merged duplicate cone) is equivalent to forcing the stuck
-    /// value onto every surviving reader pin — a *set* of patches on the
-    /// optimized program. An empty `patches` slice is a plain good-machine
-    /// evaluation. Returns the lane-normalized executed count.
-    ///
-    /// Instruction-indexed patches must be sorted by ascending instruction;
-    /// [`Patch::Slot`] entries may appear anywhere in the slice.
-    #[inline]
-    pub fn eval_multi_patched<const N: usize>(
-        &self,
-        values: &mut [u64],
-        inputs: &[u64],
-        patches: &[Patch],
-    ) -> u64 {
-        self.apply_consts::<N>(values);
-        self.set_inputs::<N>(values, inputs);
-        self.run_multi_patched::<N>(values, patches)
-    }
-
-    /// Executes the instruction stream with every patch in `patches`
-    /// applied (stuck words splatted). Sources must already be set;
-    /// instruction-indexed patches must be sorted by ascending instruction
-    /// position ([`Patch::Slot`] entries may appear anywhere). Several
-    /// [`Patch::InstrPin`] entries may target distinct pins of the same
-    /// instruction; a [`Patch::InstrOutput`] on an instruction supersedes
-    /// pin patches on it. Returns the lane-normalized executed count.
-    pub fn run_multi_patched<const N: usize>(&self, values: &mut [u64], patches: &[Patch]) -> u64 {
         let n = self.ops.len();
-        for p in patches {
-            if let Patch::Slot { slot, word } = *p {
+        let i = match patch {
+            Patch::Slot { slot, word } => {
                 let o = slot as usize * N;
                 values[o..o + N].fill(word);
+                return self.run::<N>(values);
             }
-        }
-        let mut executed = 0usize;
-        let mut cursor = 0usize;
-        let mut k = 0usize;
-        while k < patches.len() {
-            let Some(i) = patch_instr(&patches[k]) else {
-                k += 1;
-                continue;
-            };
-            debug_assert!(i >= cursor, "instruction patches must be sorted");
-            self.exec_range::<N>(values, cursor, i);
-            executed += i - cursor;
-            let end = patch_run_end(patches, k, i);
-            let (word, evaluated) = self.patched_word::<N>(values, i, &patches[k..end]);
-            let o = self.out_slot[i] as usize * N;
-            values[o..o + N].copy_from_slice(&word);
-            executed += usize::from(evaluated);
-            k = end;
-            cursor = i + 1;
-        }
-        self.exec_range::<N>(values, cursor, n);
-        executed += n - cursor;
-        (executed * N) as u64
+            Patch::InstrOutput { instr, .. } | Patch::InstrPin { instr, .. } => instr as usize,
+        };
+        self.exec_range::<N>(values, 0, i);
+        let (word, evaluated) = self.patched_word::<N>(values, i, patch);
+        let o = self.out_slot[i] as usize * N;
+        values[o..o + N].copy_from_slice(&word);
+        self.exec_range::<N>(values, i + 1, n);
+        ((n - 1 + usize::from(evaluated)) * N) as u64
     }
 
     /// Event-driven faulty-machine evaluation: runs the faulty machine of
-    /// `patches` only where it differs from the good machine, and returns
+    /// `patch` only where it differs from the good machine, and returns
     /// its primary-output difference.
     ///
     /// `good` holds the good machine's stride-`N` values for the current
     /// inputs ([`EvalProgram::eval_good`]); `faulty` must equal `good` on
     /// entry, and equals it again on return. The call forces the patch
-    /// sites, then evaluates pending instructions in schedule order. An
+    /// site, then evaluates pending instructions in schedule order. An
     /// instruction is pending when it is patched or reads a slot whose
     /// `N`-word value differs from the good machine's, so each runs at
     /// most once (readers follow their operands' writers) and the call
@@ -700,12 +583,10 @@ impl EvalProgram {
     ///
     /// Returns `(diff, gate_evals)`: `diff[k]` is the OR of
     /// `good ^ faulty` over the primary outputs in sub-word `k`, equal to
-    /// what [`EvalProgram::eval_multi_patched`] followed by a comparison
-    /// of every output would give; `gate_evals` is the lane-normalized
-    /// count of instructions actually evaluated (a forced output is not
-    /// evaluated). `patches` follow [`EvalProgram::run_multi_patched`]'s
-    /// rules, and [`Patch::Slot`] entries name distinct source slots.
-    /// `queue` is scratch and is empty again on return.
+    /// what [`EvalProgram::eval_patched`] followed by a comparison of
+    /// every output would give; `gate_evals` is the lane-normalized count
+    /// of instructions actually evaluated (a forced output is not
+    /// evaluated). `queue` is scratch and is empty again on return.
     ///
     /// # Panics
     ///
@@ -714,7 +595,7 @@ impl EvalProgram {
         &self,
         good: &[u64],
         faulty: &mut [u64],
-        patches: &[Patch],
+        patch: Patch,
         queue: &mut EventQueue,
     ) -> ([u64; N], u64) {
         let words = self.ops.len().div_ceil(64);
@@ -722,24 +603,26 @@ impl EvalProgram {
             queue.pending.resize(words, 0);
         }
         let mut diff = [0u64; N];
-        for p in patches {
-            match *p {
-                Patch::Slot { slot, word } => {
-                    debug_assert_eq!(self.instr_of_slot[slot as usize], NO_INSTR);
-                    let s = slot as usize;
-                    if self.settle::<N>(s, [word; N], good, faulty, queue, &mut diff) {
-                        for &(r, _) in self.readers(s) {
-                            queue.schedule(r);
-                        }
+        // The instruction the patch overrides; a source-slot patch is
+        // forced here and overrides none.
+        let patched = match patch {
+            Patch::Slot { slot, word } => {
+                debug_assert_eq!(self.instr_of_slot[slot as usize], NO_INSTR);
+                let s = slot as usize;
+                if self.settle::<N>(s, [word; N], good, faulty, queue, &mut diff) {
+                    for &(r, _) in self.readers(s) {
+                        queue.schedule(r);
                     }
                 }
-                Patch::InstrOutput { instr, .. } | Patch::InstrPin { instr, .. } => {
-                    queue.schedule(instr);
-                }
+                usize::MAX
             }
-        }
+            Patch::InstrOutput { instr, .. } | Patch::InstrPin { instr, .. } => {
+                queue.schedule(instr);
+                instr as usize
+            }
+        };
         let mut evaluated = 0usize;
-        let (mut w, mut k) = (0usize, 0usize);
+        let mut w = 0usize;
         while w < queue.end {
             // The word being scanned stays in a register: readers that
             // fall in it (always at higher bits) join `bits` directly.
@@ -747,13 +630,8 @@ impl EvalProgram {
             while bits != 0 {
                 let i = w * 64 + bits.trailing_zeros() as usize;
                 bits &= bits - 1;
-                // Instructions pop in ascending order, so one cursor walks
-                // the sorted patches alongside.
-                while k < patches.len() && patch_instr(&patches[k]).is_none_or(|pi| pi < i) {
-                    k += 1;
-                }
-                let word = if k < patches.len() && patch_instr(&patches[k]) == Some(i) {
-                    let (word, ran) = self.patched_word::<N>(faulty, i, &patches[k..]);
+                let word = if i == patched {
+                    let (word, ran) = self.patched_word::<N>(faulty, i, patch);
                     evaluated += usize::from(ran);
                     word
                 } else {
@@ -932,32 +810,30 @@ impl EvalProgram {
         }
     }
 
-    /// The output word of patched instruction `i`, where `run` starts
-    /// with the patches on `i`: the stuck word if any of them forces the
-    /// output, otherwise `i` evaluated with every [`Patch::InstrPin`]
-    /// override among them (the first entry for a pin wins). The flag
-    /// says whether the instruction was evaluated.
+    /// The output word of instruction `i` under `patch`, which targets
+    /// it: the stuck word if the patch forces the output, otherwise `i`
+    /// evaluated with the patch's operand override. The flag says whether
+    /// the instruction was evaluated.
     fn patched_word<const N: usize>(
         &self,
         values: &[u64],
         i: usize,
-        run: &[Patch],
+        patch: Patch,
     ) -> ([u64; N], bool) {
-        let run = &run[..patch_run_end(run, 0, i)];
-        for p in run {
-            if let Patch::InstrOutput { word, .. } = *p {
-                return ([word; N], false);
+        match patch {
+            Patch::InstrOutput { word, .. } => ([word; N], false),
+            Patch::InstrPin { pin, word, .. } => {
+                let word = self.eval_instr::<N>(i, |idx, s| {
+                    if idx == pin as usize {
+                        [word; N]
+                    } else {
+                        load::<N>(values, s)
+                    }
+                });
+                (word, true)
             }
+            Patch::Slot { .. } => (self.eval_instr::<N>(i, |_, s| load::<N>(values, s)), true),
         }
-        let word = self.eval_instr::<N>(i, |idx, s| {
-            run.iter()
-                .find_map(|p| match *p {
-                    Patch::InstrPin { pin, word, .. } if pin as usize == idx => Some([word; N]),
-                    _ => None,
-                })
-                .unwrap_or_else(|| load::<N>(values, s))
-        });
-        (word, true)
     }
 }
 
@@ -967,26 +843,6 @@ fn load<const N: usize>(values: &[u64], s: u32) -> [u64; N] {
     let a = s as usize * N;
     let xs = &values[a..a + N];
     std::array::from_fn(|k| xs[k])
-}
-
-/// The instruction an instruction-indexed patch targets; `None` for a
-/// [`Patch::Slot`].
-#[inline]
-fn patch_instr(p: &Patch) -> Option<usize> {
-    match *p {
-        Patch::Slot { .. } => None,
-        Patch::InstrOutput { instr, .. } | Patch::InstrPin { instr, .. } => Some(instr as usize),
-    }
-}
-
-/// The end of the run of patches on instruction `i` that starts at
-/// `patches[k]`.
-#[inline]
-fn patch_run_end(patches: &[Patch], k: usize, i: usize) -> usize {
-    k + patches[k..]
-        .iter()
-        .take_while(|p| patch_instr(p) == Some(i))
-        .count()
 }
 
 #[cfg(test)]
@@ -1213,8 +1069,8 @@ mod tests {
 
     #[test]
     fn wide_patched_eval_matches_scalar_per_subword() {
-        // Exercise all three patch kinds, plus a multi-patch slice, on a
-        // circuit with shared fanout and a constant.
+        // Exercise all three patch kinds on a circuit with shared fanout
+        // and a constant.
         let mut b = NetlistBuilder::new("widepatch");
         let a = b.input("a");
         let c = b.input("b");
@@ -1255,25 +1111,6 @@ mod tests {
                 }
             }
         }
-
-        // Multi-patch: a slot force plus two pin overrides on one gate.
-        let multi = [
-            prog.patch_net(a, false),
-            prog.patch_pin(and_gate, 0, true),
-            prog.patch_pin(and_gate, 1, true),
-        ];
-        let wide_evals = prog.eval_multi_patched::<N>(&mut wide, &chunks, &multi);
-        for k in 0..N {
-            let evals = prog.eval_multi_patched::<1>(
-                &mut scalar,
-                &scalar_words::<N>(&chunks, width, k),
-                &multi,
-            );
-            assert_eq!(wide_evals, evals * N as u64);
-            for s in 0..prog.slot_count() {
-                assert_eq!(wide[s * N + k], scalar[s], "multi slot {s} word {k}");
-            }
-        }
     }
 
     #[test]
@@ -1308,18 +1145,18 @@ mod tests {
 
     /// The whole-program oracle for [`EvalProgram::eval_events`] on
     /// `good`'s inputs: the primary-output difference of
-    /// [`EvalProgram::eval_multi_patched`], and the lane-normalized count
-    /// of instructions an event-driven run must evaluate — every one not
+    /// [`EvalProgram::eval_patched`], and the lane-normalized count of
+    /// instructions an event-driven run must evaluate — every one not
     /// output-forced that is pin-patched or reads a slot whose faulty
     /// value differs from the good one.
     fn whole_program_oracle<const N: usize>(
         prog: &EvalProgram,
         good: &[u64],
         inputs: &[u64],
-        patches: &[Patch],
+        patch: Patch,
     ) -> ([u64; N], u64) {
         let mut whole = prog.new_values::<N>();
-        prog.eval_multi_patched::<N>(&mut whole, inputs, patches);
+        prog.eval_patched::<N>(&mut whole, inputs, patch);
         let differs = |s: u32| {
             let a = s as usize * N;
             good[a..a + N] != whole[a..a + N]
@@ -1330,12 +1167,10 @@ mod tests {
                 *d |= good[o as usize * N + k] ^ whole[o as usize * N + k];
             }
         }
-        let patched = |i: usize, forced: bool| {
-            patches.iter().any(|p| match *p {
-                Patch::InstrOutput { instr, .. } => forced && instr as usize == i,
-                Patch::InstrPin { instr, .. } => !forced && instr as usize == i,
-                Patch::Slot { .. } => false,
-            })
+        let patched = |i: usize, forced: bool| match patch {
+            Patch::InstrOutput { instr, .. } => forced && instr as usize == i,
+            Patch::InstrPin { instr, .. } => !forced && instr as usize == i,
+            Patch::Slot { .. } => false,
         };
         let evaluated = (0..prog.instr_count())
             .filter(|&i| {
@@ -1346,40 +1181,40 @@ mod tests {
         (diff, (evaluated * N) as u64)
     }
 
-    /// Checks every patch set in `sets` through `eval_events` at width
-    /// `N` against the whole-program oracle — the difference word and the
+    /// Checks every patch in `patches` through `eval_events` at width `N`
+    /// against the whole-program oracle — the difference word and the
     /// exact work — and that the faulty buffer is back to the good values
     /// after each call.
-    fn assert_events_match<const N: usize>(prog: &EvalProgram, sets: &[Vec<Patch>]) {
+    fn assert_events_match<const N: usize>(prog: &EvalProgram, patches: &[Patch]) {
         let width = prog.input_slots().len();
         let chunks: Vec<u64> = (0..(width * N) as u64).map(pattern_word).collect();
         let mut good = prog.new_values::<N>();
         prog.eval_good::<N>(&mut good, &chunks);
         let mut faulty = good.clone();
         let mut queue = EventQueue::default();
-        for set in sets {
-            let want = whole_program_oracle::<N>(prog, &good, &chunks, set);
-            let got = prog.eval_events::<N>(&good, &mut faulty, set, &mut queue);
-            assert_eq!(got, want, "{set:?} at N = {N}");
-            assert!(faulty == good, "{set:?} left the faulty buffer dirty");
+        for &patch in patches {
+            let want = whole_program_oracle::<N>(prog, &good, &chunks, patch);
+            let got = prog.eval_events::<N>(&good, &mut faulty, patch, &mut queue);
+            assert_eq!(got, want, "{patch:?} at N = {N}");
+            assert!(faulty == good, "{patch:?} left the faulty buffer dirty");
         }
     }
 
     /// Every single stuck-at patch of `nl`: both polarities of every
     /// net stem and every gate pin.
-    fn all_single_patches(nl: &Netlist, prog: &EvalProgram) -> Vec<Vec<Patch>> {
-        let mut sets = Vec::new();
+    fn all_single_patches(nl: &Netlist, prog: &EvalProgram) -> Vec<Patch> {
+        let mut patches = Vec::new();
         for stuck in [false, true] {
             for net in nl.net_ids() {
-                sets.push(vec![prog.patch_net(net, stuck)]);
+                patches.push(prog.patch_net(net, stuck));
             }
             for g in nl.gate_ids() {
                 for pin in 0..nl.gate(g).inputs.len() {
-                    sets.push(vec![prog.patch_pin(g, pin, stuck)]);
+                    patches.push(prog.patch_pin(g, pin, stuck));
                 }
             }
         }
-        sets
+        patches
     }
 
     fn shared_fanout() -> Netlist {
@@ -1417,54 +1252,11 @@ mod tests {
     fn eval_events_matches_whole_program_for_every_single_fault() {
         for nl in [adder4(), shared_fanout(), multiplier5()] {
             let prog = EvalProgram::compile(&nl).unwrap();
-            let sets = all_single_patches(&nl, &prog);
-            assert_events_match::<1>(&prog, &sets);
-            assert_events_match::<4>(&prog, &sets);
-            assert_events_match::<8>(&prog, &sets);
+            let patches = all_single_patches(&nl, &prog);
+            assert_events_match::<1>(&prog, &patches);
+            assert_events_match::<4>(&prog, &patches);
+            assert_events_match::<8>(&prog, &patches);
         }
-    }
-
-    #[test]
-    fn eval_events_matches_whole_program_for_patch_sets() {
-        let nl = shared_fanout();
-        let prog = EvalProgram::compile(&nl).unwrap();
-        let gate = |kind| nl.gate_ids().find(|&g| nl.gate(g).kind == kind).unwrap();
-        let (and, xor, nand) = (
-            gate(GateKind::And),
-            gate(GateKind::Xor),
-            gate(GateKind::Nand),
-        );
-        let out = |g: GateId| prog.instr_of_gate(g) as u32;
-        let sets = vec![
-            // The empty set is the good machine.
-            vec![],
-            // A slot force plus two pin overrides on one gate.
-            vec![
-                prog.patch_net(nl.inputs()[0], false),
-                prog.patch_pin(and, 0, true),
-                prog.patch_pin(and, 1, true),
-            ],
-            // Pins on gates at different levels, the later one a reader
-            // of the earlier one's output.
-            vec![prog.patch_pin(and, 1, false), prog.patch_pin(xor, 0, true)],
-            // A forced output supersedes a pin patch on the same gate,
-            // and stays forced when its inputs change.
-            vec![
-                prog.patch_net(nl.inputs()[0], true),
-                Patch::InstrOutput {
-                    instr: out(nand),
-                    word: 0,
-                },
-                Patch::InstrPin {
-                    instr: out(nand),
-                    pin: 1,
-                    word: !0,
-                },
-            ],
-        ];
-        assert_events_match::<1>(&prog, &sets);
-        assert_events_match::<4>(&prog, &sets);
-        assert_events_match::<8>(&prog, &sets);
     }
 
     #[test]
@@ -1487,20 +1279,20 @@ mod tests {
         let mut good = prog.new_values::<1>();
         prog.eval_good::<1>(&mut good, &[0, 0]);
         let mut faulty = good.clone();
-        let (diff, evals) = prog.eval_events::<1>(&good, &mut faulty, &[patch], &mut queue);
+        let (diff, evals) = prog.eval_events::<1>(&good, &mut faulty, patch, &mut queue);
         assert_eq!((diff, evals), ([0], 1), "masked at the AND");
         assert_eq!(faulty, good);
 
         // With a = 1 in the low 8 lanes the difference runs the chain.
         prog.eval_good::<1>(&mut good, &[0xFF, 0]);
         faulty.copy_from_slice(&good);
-        let (diff, evals) = prog.eval_events::<1>(&good, &mut faulty, &[patch], &mut queue);
+        let (diff, evals) = prog.eval_events::<1>(&good, &mut faulty, patch, &mut queue);
         assert_eq!((diff, evals), ([0xFF], 4));
         assert_eq!(faulty, good);
 
         // A forced output equal to the good value evaluates nothing.
         let quiet = prog.patch_net(y, false);
-        let (diff, evals) = prog.eval_events::<1>(&good, &mut faulty, &[quiet], &mut queue);
+        let (diff, evals) = prog.eval_events::<1>(&good, &mut faulty, quiet, &mut queue);
         assert_eq!((diff, evals), ([0], 0));
     }
 
@@ -1508,20 +1300,14 @@ mod tests {
     fn readers_index_every_operand_in_schedule_order() {
         let nl = shared_fanout();
         let prog = EvalProgram::compile(&nl).unwrap();
-        // The optimizer's rebuild derives the index through the same
-        // constructor; `a OR 1` folds, so the rebuild has work to do.
-        let opt = crate::opt::optimize(&nl, &prog).unwrap();
-        assert!(opt.optimized().instr_count() < prog.instr_count());
-        for p in [&prog, opt.optimized()] {
-            let mut expect: Vec<Vec<(u32, u32)>> = vec![Vec::new(); p.slot_count()];
-            for (i, ins) in p.instrs().enumerate() {
-                for (pin, &s) in ins.operands.iter().enumerate() {
-                    expect[s as usize].push((i as u32, pin as u32));
-                }
+        let mut expect: Vec<Vec<(u32, u32)>> = vec![Vec::new(); prog.slot_count()];
+        for (i, ins) in prog.instrs().enumerate() {
+            for (pin, &s) in ins.operands.iter().enumerate() {
+                expect[s as usize].push((i as u32, pin as u32));
             }
-            for (slot, want) in expect.iter().enumerate() {
-                assert_eq!(p.readers(slot), &want[..], "slot {slot}");
-            }
+        }
+        for (slot, want) in expect.iter().enumerate() {
+            assert_eq!(prog.readers(slot), &want[..], "slot {slot}");
         }
     }
 

@@ -35,10 +35,8 @@
 pub mod analysis;
 pub mod bench;
 pub mod builder;
-pub mod cec;
 pub mod compiled;
 pub mod export;
-pub mod opt;
 pub mod seqanalysis;
 pub mod sim;
 #[cfg(feature = "testing")]

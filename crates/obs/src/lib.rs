@@ -58,9 +58,6 @@ pub enum CounterId {
     GoodEvals,
     /// Faulty-machine evaluations across all shards.
     FaultEvals,
-    /// Fault patch-points applied (one per faulty-machine evaluation in
-    /// the compiled engines).
-    PatchesApplied,
     /// Faults dropped from simulation after first detection.
     FaultsDropped,
     /// Pattern blocks applied (up to 64 patterns each), including those
@@ -114,12 +111,6 @@ pub enum CounterId {
     /// shifts + one per pattern + reseed loads) — the denominator of the
     /// coverage-vs-clocks axis.
     SourceClocks,
-    /// Instructions eliminated by accepted optimizer passes (cumulative
-    /// over the pass pipeline — the per-evaluation saving).
-    OptInstrsSaved,
-    /// Individual rewrites performed by accepted optimizer passes
-    /// (instructions folded, forwarded, merged, fused or deleted).
-    OptRewrites,
     /// Simulation lane width (64·words per sweep) of a wide-configured
     /// engine. Recorded once at configuration, only when widened past the
     /// 64-lane default — scalar runs never emit it, keeping their
@@ -132,7 +123,7 @@ pub enum CounterId {
 }
 
 /// Number of counters — the fixed length of every [`Counters`] array.
-pub const COUNTER_COUNT: usize = 30;
+pub const COUNTER_COUNT: usize = 27;
 
 impl CounterId {
     /// Every counter, in export order.
@@ -140,7 +131,6 @@ impl CounterId {
         CounterId::GateEvals,
         CounterId::GoodEvals,
         CounterId::FaultEvals,
-        CounterId::PatchesApplied,
         CounterId::FaultsDropped,
         CounterId::Blocks,
         CounterId::PatternsConsumed,
@@ -163,8 +153,6 @@ impl CounterId {
         CounterId::LintFindings,
         CounterId::PatternsEmitted,
         CounterId::SourceClocks,
-        CounterId::OptInstrsSaved,
-        CounterId::OptRewrites,
         CounterId::Lanes,
         CounterId::FaultsRetired,
     ];
@@ -175,7 +163,6 @@ impl CounterId {
             CounterId::GateEvals => "gate_evals",
             CounterId::GoodEvals => "good_evals",
             CounterId::FaultEvals => "fault_evals",
-            CounterId::PatchesApplied => "patches_applied",
             CounterId::FaultsDropped => "faults_dropped",
             CounterId::Blocks => "blocks",
             CounterId::PatternsConsumed => "patterns_consumed",
@@ -198,8 +185,6 @@ impl CounterId {
             CounterId::LintFindings => "lint_findings",
             CounterId::PatternsEmitted => "patterns_emitted",
             CounterId::SourceClocks => "source_clocks",
-            CounterId::OptInstrsSaved => "opt_instrs_saved",
-            CounterId::OptRewrites => "opt_rewrites",
             CounterId::Lanes => "lanes",
             CounterId::FaultsRetired => "faults_retired",
         }

@@ -1,6 +1,5 @@
 //! Acceptance for wide-word (u64×N lane) evaluation: every lane width
-//! (64, 256, 512), thread count (1/2/4/8) and optimization setting must
-//! reproduce a one-block-at-a-time run's `FaultSimReport` bit for bit on
+//! (64, 256, 512) and thread count (1/2/4/8) must reproduce a one-block-at-a-time run's `FaultSimReport` bit for bit on
 //! the same pattern stream — identical first-detection indices,
 //! identical `patterns_applied`, identical coverage. This is the
 //! contract behind `table2 --lanes` producing byte-identical JSON while
@@ -22,8 +21,7 @@ use bibs_faultsim::reference::ReferenceSimulator;
 use bibs_faultsim::sim::{BlockSim, FaultSimReport};
 use bibs_faultsim::source::{ExhaustiveSource, PatternSource, RandomWords, StoredSeedReplay};
 use bibs_netlist::builder::NetlistBuilder;
-use bibs_netlist::opt::optimize;
-use bibs_netlist::{EvalProgram, GateKind, NetId, Netlist};
+use bibs_netlist::{GateKind, NetId, Netlist};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -83,7 +81,7 @@ fn one_block_at_a_time(
 }
 
 /// Runs the one-block oracle as the baseline, then every
-/// (lane width × thread count × optimization) combination of the engine
+/// (lane width × thread count) combination of the engine
 /// on a fresh copy of the same stream and requires bit-identical
 /// reports. Returns the baseline report so callers can pin stop
 /// behavior.
@@ -97,9 +95,6 @@ fn assert_lanes_invisible<S: PatternSource>(
     let comb = nl.combinational_equivalent();
     let name = comb.name().to_string();
     let faults = FaultUniverse::collapsed(&comb).faults().to_vec();
-    let program = EvalProgram::compile(&comb).expect("corpus circuits compile");
-    let opt = optimize(&comb, &program)
-        .unwrap_or_else(|e| panic!("{name}: translation validation failed: {e}"));
     let base = one_block_at_a_time(
         &comb,
         &faults,
@@ -120,23 +115,12 @@ fn assert_lanes_invisible<S: PatternSource>(
                 &format!("{name}: {threads} thread(s) @ {lanes} lanes"),
             );
         }
-        for threads in [1usize, 3] {
-            let mut src = make_source();
-            let got = ParFaultSimulator::with_optimized(&comb, &opt, faults.clone(), threads)
-                .with_lanes(lanes)
-                .run_source_with(&mut src, max_patterns, plateau, target);
-            assert_same(
-                &base,
-                &got,
-                &format!("{name}: {threads} thread(s)+opt @ {lanes} lanes"),
-            );
-        }
     }
     base
 }
 
-/// The redundancy-rich circuit from the optimizer tests: undetectable
-/// faults keep coverage below 1.0 forever, which makes it the right
+/// A redundancy-rich circuit: undetectable faults keep coverage below
+/// 1.0 forever, which makes it the right
 /// vehicle for plateau and max-pattern stop pinning (the run never ends
 /// early on the coverage side).
 fn redundant_circuit() -> Netlist {
@@ -169,8 +153,7 @@ fn adder4() -> Netlist {
     b.finish().unwrap()
 }
 
-/// A seeded random DAG over the full gate alphabet (same population as
-/// `tests/opt_equivalence.rs`, different seeds).
+/// A seeded random DAG over the full gate alphabet.
 fn random_dag(seed: u64, inputs: usize, ops: usize) -> Netlist {
     const KINDS: [GateKind; 8] = [
         GateKind::And,

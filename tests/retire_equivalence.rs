@@ -86,13 +86,12 @@ fn assert_same_run(plain: &Run, proving: &Run, what: &str) {
 }
 
 /// The deterministic counters of a run (everything but its walls).
-fn counters(s: &SimStats) -> [u64; 7] {
+fn counters(s: &SimStats) -> [u64; 6] {
     [
         s.blocks,
         s.good_evals,
         s.fault_evals,
         s.gate_evals,
-        s.patches_applied,
         s.faults_dropped,
         s.faults_retired,
     ]
