@@ -98,27 +98,6 @@ cargo run --release -p bibs-bench --bin table2 -- --only c5a2m --json \
 diff /tmp/bibs-table2-compiled.json /tmp/bibs-table2-reference.json
 grep -q '"detection_indices"' /tmp/bibs-table2-compiled.json
 
-step "dominance collapse equivalence (table2 c5a2m, byte-identical JSON)"
-# Simulating only dominance-class representatives and expanding through
-# the class map must reproduce the equiv-collapsed run's JSON byte for
-# byte (the compiled-engine run above used the default equiv collapse).
-cargo run --release -p bibs-bench --bin table2 -- --only c5a2m --json \
-  --collapse dominance > /tmp/bibs-table2-dominance.json
-diff /tmp/bibs-table2-compiled.json /tmp/bibs-table2-dominance.json
-
-step "dominance collapse simulates strictly fewer faults (width 4)"
-sim_count() {
-  sed -n 's/^static analysis ([a-z]* mode): \([0-9]*\)\/[0-9]* faults simulated.*/\1/p' "$1"
-}
-cargo run --release -p bibs-bench --bin table2 -- 4 --only c5a2m \
-  --collapse equiv > /tmp/bibs-table2-eqw4.txt
-cargo run --release -p bibs-bench --bin table2 -- 4 --only c5a2m \
-  --collapse dominance > /tmp/bibs-table2-domw4.txt
-eq_sim=$(sim_count /tmp/bibs-table2-eqw4.txt)
-dom_sim=$(sim_count /tmp/bibs-table2-domw4.txt)
-echo "equiv simulates $eq_sim faults, dominance simulates $dom_sim"
-test -n "$eq_sim" && test -n "$dom_sim" && test "$dom_sim" -lt "$eq_sim"
-
 step "telemetry determinism (table2 c5a2m: 1 vs 8 worker threads, wall-stripped)"
 # The exported counters are detection-deterministic: two runs under
 # different thread counts must emit identical span trees and counter
@@ -288,8 +267,9 @@ fi
 no_panic /tmp/bibs-table2-badreplay.txt
 # A bad datapath name or width, or a removed flag, is a usage error:
 # exit 2 with a message, never a panic (exit 101).
-for bad in "table2 0" "table2 --opt" "coverage c5a2m 0" "coverage foo" \
-  "coverage c5a2m x" "convert c5a2m@0 -:bench"; do
+for bad in "table2 0" "table2 --opt" "table2 --collapse dominance" \
+  "coverage c5a2m 0" "coverage foo" "coverage c5a2m x" \
+  "coverage c5a2m 4 --collapse none" "convert c5a2m@0 -:bench"; do
   read -ra cmd <<< "$bad"
   status=0
   cargo run --release -q -p bibs-bench --bin "${cmd[0]}" -- "${cmd[@]:1}" \
@@ -328,14 +308,14 @@ for f in /tmp/bibs-fuzz-seeds/seq/*.bench; do
   diff "$f" "corpus/seq/$(basename "$f")"
 done
 
-step "fuzz smoke (200 seeded cases through the eight differential oracles)"
+step "fuzz smoke (200 seeded cases through the seven differential oracles)"
 # Time-boxed; a divergence writes a minimized fixture to
-# corpus/regressions/ and fails the run. Oracle 6 (lanes) cross-checks
+# corpus/regressions/ and fails the run. Oracle 5 (lanes) cross-checks
 # wide 256/512-lane sweeps against the scalar engine on every case,
 # including a plateau-stop run that exercises sub-block retraction.
-# Oracle 7 (podem) checks every PODEM verdict against exhaustive
+# Oracle 6 (podem) checks every PODEM verdict against exhaustive
 # simulation in release, where PODEM's debug-build implication check is
-# compiled out. Oracle 8 (retire) requires runs that retire PODEM-proved
+# compiled out. Oracle 7 (retire) requires runs that retire PODEM-proved
 # faults mid-run to reproduce the plain run at every lane width.
 timeout 300 cargo run --release -p bibs-corpus --bin bibs-fuzz -- --smoke \
   --cases 200 | tee /tmp/bibs-fuzz-smoke.txt

@@ -4,10 +4,9 @@
 //!
 //! Run with `cargo run --release -p bibs-bench --bin coverage --
 //! [circuit] [width] [--lanes 64|256|512]
-//! [--collapse equiv|dominance|none]
 //! [--source random|lfsr|mintpg|weighted|replay:FILE]
 //! [--telemetry OUT.json]`
-//! (defaults: c5a2m, width 4, equiv). `circuit` is a built-in name
+//! (defaults: c5a2m, width 4). `circuit` is a built-in name
 //! (`c5a2m`, `c3a2m`, `c4a4m`) or a circuit file — `.ckt`, or `.bench`
 //! with an `# rtl:` sidecar; `width`, a positive integer, applies to
 //! built-ins only. An unknown name, a bad width or an unknown flag is a
@@ -20,12 +19,9 @@
 //! engine stats — including the collapse ratio, statically-untestable
 //! count and analysis wall — go to stderr; `BIBS_JOBS` sets the
 //! worker-thread count; `BIBS_TRACE=spans|counters` prints the telemetry
-//! tree or aggregate counters to stderr. The CSV is byte-identical across
-//! collapse modes.
+//! tree or aggregate counters to stderr.
 
-use bibs_bench::{
-    apply_tdm, kernel_fault_stats_traced, CollapseMode, SourceSpec, Table2Options, Tdm, Telemetry,
-};
+use bibs_bench::{apply_tdm, kernel_fault_stats_traced, SourceSpec, Table2Options, Tdm, Telemetry};
 use bibs_datapath::filters::try_scaled;
 
 /// Prints a one-line usage error and exits with status 2.
@@ -36,7 +32,6 @@ fn usage_error(msg: impl std::fmt::Display) -> ! {
 
 fn main() {
     let mut positional: Vec<String> = Vec::new();
-    let mut collapse = CollapseMode::Equiv;
     let mut source: Option<SourceSpec> = None;
     let mut lanes: usize = 64;
     let mut telemetry_path: Option<std::path::PathBuf> = None;
@@ -51,12 +46,6 @@ fn main() {
                     std::process::exit(2);
                 }
             };
-        } else if arg == "--collapse" {
-            let value = args.next().unwrap_or_default();
-            collapse = value.parse().unwrap_or_else(|e| {
-                eprintln!("{e}");
-                std::process::exit(2);
-            });
         } else if arg == "--source" {
             let value = args.next().unwrap_or_default();
             let spec: SourceSpec = value.parse().unwrap_or_else(|e| {
@@ -107,7 +96,6 @@ fn main() {
         try_scaled(name, width).unwrap_or_else(|e| usage_error(e))
     };
     let options = Table2Options {
-        collapse,
         source,
         lanes,
         ..Table2Options::default()

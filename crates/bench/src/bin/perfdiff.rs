@@ -10,9 +10,9 @@
 //!
 //! * **Hard equality** on everything detection-deterministic: the schema
 //!   string, the span-tree shape (labels, child order) and every exported
-//!   counter value. These are bit-identical across thread counts, engines
-//!   and collapse modes by construction, so *any* drift is a behavioural
-//!   regression and fails the gate.
+//!   counter value. These are bit-identical across thread counts by
+//!   construction, so *any* drift is a behavioural regression and fails
+//!   the gate.
 //! * **Tolerance** on wall clocks: a span whose baseline wall is at least
 //!   `--min-wall-ms` (default 50) may grow up to `--tolerance`×
 //!   (default 5.0) before the gate fails. Wall times are the only

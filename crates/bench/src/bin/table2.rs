@@ -6,7 +6,7 @@
 //! Run with `cargo run --release -p bibs-bench --bin table2`.
 //!
 //! Usage: `table2 [WIDTH] [--json] [--lanes 64|256|512]
-//! [--engine compiled|reference] [--collapse equiv|dominance|none]
+//! [--engine compiled|reference]
 //! [--source random|lfsr|mintpg|weighted|replay:FILE] [--only NAME]
 //! [--circuit PATH] [--telemetry OUT.json]`
 //!
@@ -21,10 +21,6 @@
 //!   stdout (used by CI to diff the two engines byte-for-byte);
 //! * `--engine` — fault-simulation engine (default `compiled`; the
 //!   `reference` interpreter produces bit-identical results, slower);
-//! * `--collapse` — fault-universe collapsing mode (default `equiv`;
-//!   `dominance` additionally merges functional-equivalence classes over
-//!   the compiled IR and simulates representatives only — the JSON stays
-//!   byte-identical; `none` simulates the full uncollapsed universe);
 //! * `--source` — pattern source for the per-kernel random phase (omitted:
 //!   the legacy seeded-RNG path; `random` reproduces it byte-for-byte
 //!   through the source layer; `lfsr`, `mintpg`, `weighted` and
@@ -44,11 +40,11 @@
 //!
 //! Fault simulation runs on `BIBS_JOBS` worker threads (default: all
 //! cores); the results — and every exported telemetry counter — are
-//! bit-identical for any thread count, engine, and collapse mode.
+//! bit-identical for any thread count and engine.
 
 use bibs_bench::{
-    render_table2, table2_column_traced, table2_json, CollapseMode, Engine, SourceSpec,
-    Table2Options, Tdm, Telemetry,
+    render_table2, table2_column_traced, table2_json, Engine, SourceSpec, Table2Options, Tdm,
+    Telemetry,
 };
 use bibs_datapath::filters::try_scaled;
 
@@ -56,7 +52,6 @@ fn main() {
     let mut width: u32 = 8;
     let mut json = false;
     let mut engine = Engine::Compiled;
-    let mut collapse = CollapseMode::Equiv;
     let mut source: Option<SourceSpec> = None;
     let mut lanes: usize = 64;
     let mut only: Option<String> = None;
@@ -85,13 +80,6 @@ fn main() {
             "--engine" => {
                 let value = args.next().unwrap_or_default();
                 engine = value.parse().unwrap_or_else(|e| {
-                    eprintln!("{e}");
-                    std::process::exit(2);
-                });
-            }
-            "--collapse" => {
-                let value = args.next().unwrap_or_default();
-                collapse = value.parse().unwrap_or_else(|e| {
                     eprintln!("{e}");
                     std::process::exit(2);
                 });
@@ -131,7 +119,6 @@ fn main() {
     }
     let options = Table2Options {
         engine,
-        collapse,
         source,
         lanes,
         ..Table2Options::default()
@@ -174,10 +161,9 @@ fn main() {
     };
     eprintln!(
         "fault-simulating with the {} engine on {} worker thread(s) (set BIBS_JOBS to override), \
-         collapse mode {}, source {}",
+         source {}",
         options.engine,
         options.jobs,
-        options.collapse,
         options
             .source
             .as_ref()
@@ -267,9 +253,8 @@ fn main() {
         options.engine
     );
     println!(
-        "static analysis ({} mode): {simulated}/{universe} faults simulated \
+        "static analysis: {simulated}/{universe} faults simulated \
          (collapse {:.3}), {untestable} statically untestable, {:.1} ms analysis",
-        options.collapse,
         if universe > 0 {
             simulated as f64 / universe as f64
         } else {

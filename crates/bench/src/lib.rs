@@ -26,7 +26,7 @@ use bibs_core::structure::GeneralizedStructure;
 use bibs_core::tpg::sc_tpg;
 use bibs_datapath::elab::elaborate_kernel;
 use bibs_faultsim::atpg::Verdicts;
-use bibs_faultsim::fault::{DominanceCollapse, Fault, FaultUniverse, StaticFaultAnalysis};
+use bibs_faultsim::fault::{Fault, FaultUniverse, StaticFaultAnalysis};
 use bibs_faultsim::par::{default_jobs, ParFaultSimulator};
 use bibs_faultsim::reference::ReferenceSimulator;
 use bibs_faultsim::sim::{BlockSim, Stop};
@@ -95,55 +95,6 @@ impl std::fmt::Display for Engine {
         match self {
             Engine::Compiled => write!(f, "compiled"),
             Engine::Reference => write!(f, "reference"),
-        }
-    }
-}
-
-/// How aggressively the fault universe is collapsed before simulation.
-///
-/// Every mode produces **byte-identical** Table 2 JSON: dominance classes
-/// are functional equivalences, so per-representative detection results
-/// expand exactly back to the full list (see
-/// [`DominanceCollapse::expand_detection`]). The mode only changes how
-/// many faulty machines the engine actually simulates
-/// ([`SimStats::simulated_faults`] vs [`SimStats::universe_faults`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CollapseMode {
-    /// Structural local-equivalence collapsing
-    /// ([`FaultUniverse::collapsed`]) — the PR 1 baseline.
-    #[default]
-    Equiv,
-    /// Local equivalence plus transitive dominance-class collapsing over
-    /// the compiled IR ([`FaultUniverse::dominance_collapsed`]): only
-    /// class representatives are simulated and results are expanded
-    /// through the recorded representative map.
-    Dominance,
-    /// No collapsing at all ([`FaultUniverse::full`]) — the reference
-    /// point for measuring what collapsing buys.
-    None,
-}
-
-impl std::str::FromStr for CollapseMode {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "equiv" => Ok(CollapseMode::Equiv),
-            "dominance" => Ok(CollapseMode::Dominance),
-            "none" => Ok(CollapseMode::None),
-            other => Err(format!(
-                "unknown collapse mode '{other}' (expected 'equiv', 'dominance' or 'none')"
-            )),
-        }
-    }
-}
-
-impl std::fmt::Display for CollapseMode {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            CollapseMode::Equiv => write!(f, "equiv"),
-            CollapseMode::Dominance => write!(f, "dominance"),
-            CollapseMode::None => write!(f, "none"),
         }
     }
 }
@@ -458,10 +409,10 @@ pub struct Table2Options {
     /// Fault-simulation engine for the random phase. The results are
     /// bit-identical across engines (see [`Engine`]).
     pub engine: Engine,
-    /// Fault-universe collapsing mode. The results are bit-identical
-    /// across modes (see [`CollapseMode`]); only
-    /// [`SimStats::simulated_faults`] and wall-clock change.
-    pub collapse: CollapseMode,
+    /// Not a setting: `()` has one value. The field remains only because
+    /// the benchmark crate (`benchmark/src/workload.rs`) compares it
+    /// against the default; the next change to the benchmark deletes it.
+    pub collapse: (),
     /// Pattern source for the random phase. `None` (the default) is the
     /// legacy seeded-RNG path; [`SourceSpec::Random`] reproduces it
     /// byte-for-byte through the [`PatternSource`] layer; other specs
@@ -491,7 +442,7 @@ impl Default for Table2Options {
             backtrack_limit: 100_000,
             jobs: default_jobs(),
             engine: Engine::Compiled,
-            collapse: CollapseMode::Equiv,
+            collapse: (),
             source: None,
             opt: (),
             lanes: 64,
@@ -525,26 +476,22 @@ pub fn apply_tdm(circuit: &Circuit, tdm: Tdm) -> (Circuit, BilboDesign, Vec<Kern
 
 /// Fault-classifies and fault-simulates one kernel.
 ///
-/// Three-phase flow:
+/// Three-phase flow over one fault list, the kernel's
+/// [`FaultUniverse::collapsed`] universe:
 ///
 /// * **Phase 0 — static analysis** (timed into
 ///   [`SimStats::analysis_wall`]): the backward observability sweep drops
 ///   faults with no path to an output; the semantic prover
 ///   ([`StaticFaultAnalysis`]) then proves further faults untestable under
-///   the ternary lattice (counted in [`SimStats::untestable_static`]); in
-///   [`CollapseMode::Dominance`] the remainder is collapsed into
-///   functional-equivalence classes and only representatives are
-///   simulated.
+///   the ternary lattice (counted in [`SimStats::untestable_static`]).
 /// * **Phase 1 — random simulation** with fault dropping and a detection
 ///   plateau. Once the stream has gone
 ///   [`PROVE_AFTER`](bibs_faultsim::sim::PROVE_AFTER) patterns without a
 ///   detection, the compiled engine hands its live faults to PODEM once
 ///   and stops simulating the ones PODEM proves redundant; the rest of
 ///   the plateau still pulls and applies every block, so the report and
-///   the source's accounting are the plain run's. Per-representative
-///   results are expanded back through the class map, so every
-///   downstream number is collapse-independent.
-/// * **Phase 2 — PODEM** rules on the (expanded) survivors only — proving
+///   the source's accounting are the plain run's.
+/// * **Phase 2 — PODEM** rules on the survivors only — proving
 ///   them redundant, finding a test (rare random-resistant faults,
 ///   reported as `unreached`), or aborting (excluded and reported). A
 ///   survivor PODEM already decided in Phase 1 keeps that verdict; the
@@ -566,13 +513,10 @@ pub fn kernel_fault_stats(
 ///   `"ternary"` / `"scoap"` sub-spans and the `case_splits` counter),
 ///   carrying the `universe_faults` / `untestable_static` /
 ///   `simulated_faults` counters;
-/// * `"collapse"` — dominance-class construction (dominance mode only);
 /// * the engine's own `fault-sim[...]` tree, grafted verbatim (per-block
 ///   counters on its root, one detail child per worker shard);
 /// * `"source[SPEC]"` — with a pattern source, its `patterns_emitted` and
 ///   `source_clocks` counters and the wall time of its pulls;
-/// * `"expand"` — representative→universe detection expansion
-///   (dominance mode only);
 /// * `"atpg"` — all of the kernel's PODEM work, Phase 1's included (its
 ///   wall is added to the span's), with the `podem_faults` (each fault
 ///   searched counted once), `podem_backtracks` and `podem_evals`
@@ -580,7 +524,7 @@ pub fn kernel_fault_stats(
 ///   retired any; its wall is sweep time only.
 ///
 /// Every exported counter is detection-deterministic: identical for any
-/// thread count and collapse-independent where the numbers are.
+/// thread count.
 pub fn kernel_fault_stats_traced(
     circuit: &Circuit,
     design: &BilboDesign,
@@ -592,16 +536,12 @@ pub fn kernel_fault_stats_traced(
     let kernel_set: HashSet<_> = kernel.vertices.iter().copied().collect();
     let elab = elaborate_kernel(circuit, &kernel_set, &cut).expect("kernel elaborates");
     let comb = elab.netlist.combinational_equivalent();
-    let universe = match options.collapse {
-        CollapseMode::None => FaultUniverse::full(&comb),
-        CollapseMode::Equiv | CollapseMode::Dominance => FaultUniverse::collapsed(&comb),
-    };
+    let universe = FaultUniverse::collapsed(&comb);
 
     // Phase 0: static analysis over the compiled IR, timed as a unit.
     // Observability: faults with no net path to a PO (the truncated
     // multipliers' upper halves) are redundant outright. The semantic
-    // prover then removes further statically-untestable faults, and
-    // dominance mode collapses what is left into functional classes.
+    // prover then removes further statically-untestable faults.
     let analysis_start = Instant::now();
     let program = EvalProgram::compile_traced(&comb, rec).expect("kernel equivalents are acyclic");
     let analyze = rec.enter("analyze");
@@ -611,29 +551,18 @@ pub fn kernel_fault_stats_traced(
     rec.add(CounterId::UniverseFaults, universe.len() as u64);
     rec.add(CounterId::UntestableStatic, untestable.len() as u64);
     rec.exit(analyze);
-    let classes = match options.collapse {
-        CollapseMode::Dominance => Some(DominanceCollapse::build_traced(&to_sim, &program, rec)),
-        CollapseMode::Equiv | CollapseMode::None => None,
-    };
     let analysis_wall = analysis_start.elapsed();
-
-    let sim_faults = match &classes {
-        Some(dc) => dc.representative_faults(),
-        None => to_sim.clone(),
-    };
-    let simulated_faults = sim_faults.len() as u64;
+    let simulated_faults = to_sim.len() as u64;
     rec.add(CounterId::SimulatedFaults, simulated_faults);
 
     // Phase 1: pattern simulation with fault dropping and a detection
     // plateau. Engines are interchangeable: the report is bit-identical
-    // either way, and the plateau fires at the same block in every
-    // collapse mode (a block brings a new detection iff it first-detects
-    // some class representative). The engine records itself; its whole
-    // span tree is grafted under the kernel's span afterwards. With no
-    // `--source` the seeded-RNG stream runs recorder-silent; with one,
-    // the chosen [`PatternSource`] drives the same driver and its
-    // coverage-vs-clocks accounting lands in a `source[...]` telemetry
-    // span and (for non-uniform sources) in the JSON.
+    // either way. The engine records itself; its whole span tree is
+    // grafted under the kernel's span afterwards. With no `--source` the
+    // seeded-RNG stream runs recorder-silent; with one, the chosen
+    // [`PatternSource`] drives the same driver and its coverage-vs-clocks
+    // accounting lands in a `source[...]` telemetry span and (for
+    // non-uniform sources) in the JSON.
     //
     // The compiled engine runs with PODEM as its prover: once the stream
     // has gone `PROVE_AFTER` patterns without a detection, the faults
@@ -672,9 +601,13 @@ pub fn kernel_fault_stats_traced(
     let mut verdicts = Verdicts::new(&comb, options.backtrack_limit);
     let report = match options.engine {
         Engine::Compiled => {
-            let mut sim =
-                ParFaultSimulator::with_program(&comb, program.clone(), sim_faults, options.jobs)
-                    .with_lanes(options.lanes);
+            let mut sim = ParFaultSimulator::with_program(
+                &comb,
+                program.clone(),
+                to_sim.clone(),
+                options.jobs,
+            )
+            .with_lanes(options.lanes);
             let mut prove = |f| verdicts.proves_redundant(f);
             let report = sim.run(
                 &mut *pulled,
@@ -688,7 +621,7 @@ pub fn kernel_fault_stats_traced(
             report
         }
         Engine::Reference => {
-            let mut sim = ReferenceSimulator::new(&comb, sim_faults);
+            let mut sim = ReferenceSimulator::new(&comb, to_sim.clone());
             let report = sim.run(&mut *pulled, stop);
             let cur = rec.current();
             rec.graft(cur, sim.recorder());
@@ -716,21 +649,14 @@ pub fn kernel_fault_stats_traced(
         }
     }
 
-    // Expand per-representative detections back over `to_sim` so the
-    // survivors (and every reported number) are collapse-independent.
-    let detection: Vec<Option<u64>> = match &classes {
-        Some(dc) => dc.expand_detection_traced(report.detection(), rec),
-        None => report.detection().to_vec(),
-    };
-
     // Phase 2: PODEM on the survivors, in universe order. A survivor the
-    // prover already searched keeps its verdict; the rest (dominance
-    // class members that were not representatives, or every survivor of
-    // a run that never called the prover) are searched now. The span
-    // holds all of the kernel's PODEM work, the prover's included.
+    // prover already searched keeps its verdict; the rest are searched
+    // now. The span holds all of the kernel's PODEM work, the prover's
+    // included.
+    let detection = report.detection();
     let survivors: Vec<Fault> = to_sim
         .iter()
-        .zip(&detection)
+        .zip(detection)
         .filter(|(_, d)| d.is_none())
         .map(|(&f, _)| f)
         .collect();
@@ -1128,71 +1054,6 @@ mod tests {
             table2_column(&c, Tdm::Ka85, &reference),
         )]);
         assert_eq!(jc, jr, "engine choice must not change any reported number");
-    }
-
-    /// Dominance collapsing must be invisible in the detection-deterministic
-    /// JSON (classes are functional equivalences, expansion is exact) while
-    /// strictly shrinking the simulated fault list. `none` mode grows the
-    /// universe, so only its accounting invariants are checked.
-    #[test]
-    fn collapse_modes_agree_on_scaled_c5a2m_json() {
-        let c = scaled("c5a2m", 3);
-        let base = Table2Options {
-            max_patterns: 200_000,
-            ..Table2Options::default()
-        };
-        let run = |collapse: CollapseMode| {
-            (
-                table2_column(
-                    &c,
-                    Tdm::Bibs,
-                    &Table2Options {
-                        collapse,
-                        ..base.clone()
-                    },
-                ),
-                table2_column(
-                    &c,
-                    Tdm::Ka85,
-                    &Table2Options {
-                        collapse,
-                        ..base.clone()
-                    },
-                ),
-            )
-        };
-        let equiv = run(CollapseMode::Equiv);
-        let dom = run(CollapseMode::Dominance);
-        assert_eq!(
-            table2_json(std::slice::from_ref(&equiv)),
-            table2_json(std::slice::from_ref(&dom)),
-            "collapse mode must not change any reported number"
-        );
-        // Dominance never simulates more faults than equiv, and strictly
-        // fewer in aggregate (some tiny kernels have nothing to merge).
-        let (mut e_total, mut d_total) = (0u64, 0u64);
-        for (e, d) in equiv
-            .0
-            .kernel_stats
-            .iter()
-            .chain(&equiv.1.kernel_stats)
-            .zip(dom.0.kernel_stats.iter().chain(&dom.1.kernel_stats))
-        {
-            assert_eq!(e.sim.universe_faults, d.sim.universe_faults);
-            assert!(d.sim.simulated_faults <= e.sim.simulated_faults);
-            e_total += e.sim.simulated_faults;
-            d_total += d.sim.simulated_faults;
-        }
-        assert!(
-            d_total < e_total,
-            "dominance must shrink in aggregate: {d_total} vs {e_total}"
-        );
-        // ...and the full universe satisfies the same accounting identity.
-        let (fb, _) = run(CollapseMode::None);
-        for s in &fb.kernel_stats {
-            assert_eq!(s.detected + s.unreached, s.detectable());
-            assert!(s.sim.universe_faults >= equiv.0.kernel_stats[0].sim.universe_faults);
-        }
     }
 
     #[test]

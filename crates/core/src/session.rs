@@ -110,24 +110,6 @@ pub fn golden_signature(
     }
 }
 
-/// [`golden_signature`] recorded under a `"session"` telemetry span: the
-/// span's wall time plus one `misr_cycles` count per session clock cycle
-/// (`2^M − 1 + d` plus the appended all-zero pattern) and one
-/// `sessions_scheduled` tick.
-pub fn golden_signature_traced(
-    design: &TpgDesign,
-    structure: &GeneralizedStructure,
-    comb: &Netlist,
-    rec: &mut bibs_obs::Recorder,
-) -> GoldenSession {
-    let span = rec.enter("session");
-    let golden = golden_signature(design, structure, comb);
-    rec.add(bibs_obs::CounterId::MisrCycles, golden.cycles as u64);
-    rec.add(bibs_obs::CounterId::SessionsScheduled, 1);
-    rec.exit(span);
-    golden
-}
-
 /// Whether the session's signature exposes `fault`: runs the same stream
 /// through the faulty kernel and compares signatures (so MISR aliasing, if
 /// it strikes, counts as an escape).
@@ -238,27 +220,6 @@ mod tests {
         let g2 = golden_signature(&design, &s, &comb);
         assert_eq!(g1.signature, g2.signature);
         assert_eq!(g1.cycles, 1 << 6, "2^M - 1 LFSR patterns plus all-zero");
-    }
-
-    #[test]
-    fn traced_session_records_cycles_and_matches_untraced() {
-        let (s, design, comb) = adder_kernel();
-        let mut rec = bibs_obs::Recorder::new("test");
-        let traced = golden_signature_traced(&design, &s, &comb, &mut rec);
-        let plain = golden_signature(&design, &s, &comb);
-        assert_eq!(traced.signature, plain.signature);
-        let root = rec.root();
-        let session = rec.find(root, "session").expect("session span");
-        assert_eq!(
-            rec.span_counters(session)
-                .get(bibs_obs::CounterId::MisrCycles),
-            traced.cycles as u64
-        );
-        assert_eq!(
-            rec.span_counters(session)
-                .get(bibs_obs::CounterId::SessionsScheduled),
-            1
-        );
     }
 
     #[test]

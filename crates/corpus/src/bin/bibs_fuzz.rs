@@ -1,7 +1,7 @@
 //! Differential fuzzer over the synthetic corpus.
 //!
 //! `bibs-fuzz --smoke` runs N seeded circuits (on-disk `corpus/*.bench`
-//! seeds first, then generated family instances) through the eight
+//! seeds first, then generated family instances) through the seven
 //! differential oracles; any divergence is minimized and committed to
 //! `corpus/regressions/` as a `.bench` fixture, and the run exits
 //! nonzero. `bibs-fuzz --regressions` replays every committed fixture —
@@ -19,7 +19,7 @@ const DEFAULT_CASES: usize = 200;
 const DEFAULT_SEED: u64 = 0xB1B5;
 
 /// The committed seed circuits: one representative per family, small
-/// enough that every oracle (including the exhaustive three) applies.
+/// enough that every oracle (including the exhaustive two) applies.
 const SEED_FAMILIES: [Family; 8] = [
     Family::Adder { width: 4 },
     Family::Multiplier { width: 3 },

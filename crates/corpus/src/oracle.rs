@@ -1,4 +1,4 @@
-//! The eight differential oracles the fuzzer cross-checks per circuit.
+//! The seven differential oracles the fuzzer cross-checks per circuit.
 //!
 //! Each oracle pits two implementations (or one implementation and a
 //! ground truth) against each other on the same circuit and reports a
@@ -9,37 +9,35 @@
 //! 2. **Parallel** — the one-thread [`ParFaultSimulator`] report vs the
 //!    same engine at 2 and 4 threads on the same seeded stream
 //!    (bit-identical `detection()` and `patterns_applied()`).
-//! 3. **Dominance** — exhaustive detection of the full fault universe vs
-//!    simulating only dominance-class representatives and expanding.
-//! 4. **Prover** — every fault the [`StaticFaultAnalysis`] rules
+//! 3. **Prover** — every fault the [`StaticFaultAnalysis`] rules
 //!    statically untestable must stay undetected under exhaustive
 //!    simulation.
-//! 5. **Source** — every [`PatternSource`] kind (seeded random, weighted,
+//! 4. **Source** — every [`PatternSource`] kind (seeded random, weighted,
 //!    LFSR where the width permits) produces a bit-identical report at
 //!    1, 2 and 4 threads, and the
 //!    source's own stream digest matches across the runs — the pulled
 //!    streams themselves were identical, not just the verdicts.
-//! 6. **Lanes** — wide-word evaluation (256 and 512 lanes via
+//! 5. **Lanes** — wide-word evaluation (256 and 512 lanes via
 //!    `with_lanes`) must reproduce the 64-lane report bit for bit on the
 //!    same seeded stream, at 1 and 2 threads, including a plateau-stop
 //!    run that exercises the driver's sub-block retraction — the
 //!    differential check behind `table2 --lanes`.
-//! 7. **Podem** — every PODEM verdict on the collapsed fault universe
+//! 6. **Podem** — every PODEM verdict on the collapsed fault universe
 //!    must hold under exhaustive simulation: a test detects its fault
 //!    when replayed, a redundant fault is never detected, and no search
 //!    aborts under Table 2's backtrack limit — the check behind the
 //!    100 %-coverage rows, run in release where PODEM's debug-build
 //!    implication check is off.
-//! 8. **Retire** — a run whose driver hands its live faults to PODEM
+//! 7. **Retire** — a run whose driver hands its live faults to PODEM
 //!    after [`PROVE_AFTER`](bibs_faultsim::sim::PROVE_AFTER) patterns
 //!    without a detection, and stops simulating the ones proved
 //!    redundant, must reproduce the plain run's report bit for bit at 64,
 //!    256 and 512 lanes and at 1 and 2 threads — the check behind
 //!    `table2`'s mid-run retirement.
 //!
-//! Oracles 3, 4 and 7 need exhaustive simulation and only run when the
+//! Oracles 3 and 6 need exhaustive simulation and only run when the
 //! circuit has at most [`EXHAUSTIVE_PI_LIMIT`] primary-input bits; 1, 2,
-//! 5, 6 and 8 run on everything. Sequential circuits are checked on their
+//! 4, 5 and 7 run on everything. Sequential circuits are checked on their
 //! [`combinational_equivalent`](Netlist::combinational_equivalent).
 
 use bibs_faultsim::atpg::{Atpg, AtpgResult, Verdicts};
@@ -53,11 +51,10 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::fmt;
 
-/// Largest primary-input width the exhaustive oracles (3, 4 and 7)
-/// accept.
+/// Largest primary-input width the exhaustive oracles (3 and 6) accept.
 pub const EXHAUSTIVE_PI_LIMIT: usize = 16;
 
-/// PODEM's backtrack limit for oracles 7 and 8: Table 2's default. A complete
+/// PODEM's backtrack limit for oracles 6 and 7: Table 2's default. A complete
 /// search over at most [`EXHAUSTIVE_PI_LIMIT`] inputs takes at most
 /// `2^16 - 1` backtracks, so an abort under it is a divergence.
 const PODEM_BACKTRACK_LIMIT: usize = 100_000;
@@ -82,8 +79,6 @@ pub enum Oracle {
     Eval,
     /// Serial vs parallel fault-simulation reports.
     Parallel,
-    /// Dominance-collapsed vs full fault universe.
-    Dominance,
     /// Static untestability prover vs exhaustive simulation.
     Prover,
     /// Pattern-source streams across thread counts.
@@ -101,7 +96,6 @@ impl fmt::Display for Oracle {
         f.write_str(match self {
             Oracle::Eval => "eval",
             Oracle::Parallel => "parallel",
-            Oracle::Dominance => "dominance",
             Oracle::Prover => "prover",
             Oracle::Source => "source",
             Oracle::Lanes => "lanes",
@@ -149,7 +143,6 @@ pub fn check_all(netlist: &Netlist, seed: u64) -> Vec<Divergence> {
     out.extend(check_lanes(&nl, seed));
     out.extend(check_retire(&nl, &program, seed));
     if nl.input_width() <= EXHAUSTIVE_PI_LIMIT {
-        out.extend(check_dominance(&nl, &program));
         out.extend(check_prover(&nl, &program));
         out.extend(check_podem(&nl));
     }
@@ -232,13 +225,12 @@ pub fn check_parallel(nl: &Netlist, seed: u64) -> Vec<Divergence> {
     out
 }
 
-/// Oracle 5: every pattern-source kind is thread-count independent — the
+/// Oracle 4: every pattern-source kind is thread-count independent — the
 /// one-thread report and the 2- and 4-thread reports are bit-identical,
 /// and the freshly built sources end each run with the same stream
-/// digest (every run pulled the identical stream). These are explicit
-/// comparisons, unlike the `debug_assert`s in
-/// [`bibs_faultsim::par::run_source_checked`], so the fuzzer catches
-/// regressions in release builds too.
+/// digest (every run pulled the identical stream). The comparisons are
+/// explicit checks, so the fuzzer catches regressions in release builds
+/// too.
 pub fn check_source(nl: &Netlist, seed: u64) -> Vec<Divergence> {
     let faults = FaultUniverse::collapsed(nl).faults().to_vec();
     if faults.is_empty() {
@@ -298,7 +290,7 @@ pub fn check_source(nl: &Netlist, seed: u64) -> Vec<Divergence> {
     out
 }
 
-/// Oracle 6: wide-word evaluation is report-invisible. Each lane width
+/// Oracle 5: wide-word evaluation is report-invisible. Each lane width
 /// (256 and 512) re-runs the 64-lane baseline's seeded stream at 1 and
 /// 2 threads and requires bit-identical detection and pattern counts; a
 /// second, plateau-limited run forces the driver to stop mid-sweep and
@@ -359,7 +351,7 @@ pub fn check_lanes(nl: &Netlist, seed: u64) -> Vec<Divergence> {
     out
 }
 
-/// Oracle 8: retiring PODEM-proved faults mid-run is report-invisible.
+/// Oracle 7: retiring PODEM-proved faults mid-run is report-invisible.
 /// A plain run and runs whose prover is PODEM at Table 2's backtrack
 /// limit, at each lane width and at 1 and 2 threads, draw the same
 /// seeded stream and must agree on detection and `patterns_applied`.
@@ -410,40 +402,7 @@ pub fn check_retire(nl: &Netlist, program: &EvalProgram, seed: u64) -> Vec<Diver
     out
 }
 
-/// Oracle 3: dominance-collapsed representatives expand to exactly the
-/// full universe's exhaustive detection vector.
-pub fn check_dominance(nl: &Netlist, program: &EvalProgram) -> Vec<Divergence> {
-    let universe = FaultUniverse::full(nl);
-    if universe.is_empty() {
-        return Vec::new();
-    }
-    let direct = ParFaultSimulator::new(nl, universe.faults().to_vec()).run_exhaustive();
-    let dc = universe.dominance_collapsed(program);
-    let reps = ParFaultSimulator::new(nl, dc.representative_faults()).run_exhaustive();
-    let expanded = dc.expand_detection(reps.detection());
-    if expanded != direct.detection() {
-        let bad = expanded
-            .iter()
-            .zip(direct.detection())
-            .position(|(a, b)| a != b)
-            .unwrap_or(0);
-        return vec![Divergence {
-            oracle: Oracle::Dominance,
-            detail: format!(
-                "fault {} ({}): expanded {:?} != direct {:?} ({} reps for {} faults)",
-                bad,
-                universe.faults()[bad],
-                expanded[bad],
-                direct.detection()[bad],
-                dc.rep_count(),
-                dc.universe_len()
-            ),
-        }];
-    }
-    Vec::new()
-}
-
-/// Oracle 4: statically-proven-untestable faults are never detected
+/// Oracle 3: statically-proven-untestable faults are never detected
 /// exhaustively.
 pub fn check_prover(nl: &Netlist, program: &EvalProgram) -> Vec<Divergence> {
     let universe = FaultUniverse::full(nl);
@@ -471,7 +430,7 @@ pub fn check_prover(nl: &Netlist, program: &EvalProgram) -> Vec<Divergence> {
     Vec::new()
 }
 
-/// Oracle 7: PODEM's verdict on every collapsed fault holds under
+/// Oracle 6: PODEM's verdict on every collapsed fault holds under
 /// exhaustive simulation. A test must detect its fault when replayed with
 /// its don't-cares filled either way; a redundant fault must stay
 /// undetected over all `2^PI` patterns; an abort under Table 2's limit of

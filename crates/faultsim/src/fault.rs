@@ -1,12 +1,11 @@
 //! The single-stuck-at fault model, structural equivalence collapsing,
-//! dominance-style class collapsing over the compiled IR, and the static
-//! untestability bridge from [`bibs_netlist::analysis`] to [`Fault`]s.
+//! and the static untestability bridge from [`bibs_netlist::analysis`] to
+//! [`Fault`]s.
 
 use bibs_netlist::analysis::{
     observable_mask, ternary_analyze, PiAssumption, Prover, Scoap, SiteVerdict, TernaryAbs,
 };
 use bibs_netlist::{EvalProgram, GateId, GateKind, NetDriver, NetId, Netlist};
-use std::collections::HashMap;
 use std::fmt;
 
 /// Where a stuck-at fault sits.
@@ -230,262 +229,6 @@ impl FaultUniverse {
             }
         })
     }
-
-    /// Collapses this universe into functional-equivalence classes over
-    /// the compiled schedule (see [`DominanceCollapse::build`]); the
-    /// returned map lets reports be expanded back to this universe.
-    pub fn dominance_collapsed(&self, program: &EvalProgram) -> DominanceCollapse {
-        DominanceCollapse::build(&self.faults, program)
-    }
-}
-
-/// Functional-equivalence fault classes over a compiled program, with a
-/// representative→class map for expanding per-representative results back
-/// to the full list.
-///
-/// Built by merging faults whose *faulty circuits are identical functions*
-/// (so their detection history under any pattern stream is identical
-/// pattern-for-pattern — the expansion is exact, not approximate):
-///
-/// * a controlling-value pin fault forces the gate output exactly like the
-///   corresponding output stem fault (`and.in_p/sa0 ≡ out/sa0`,
-///   `nand.in_p/sa0 ≡ out/sa1`, OR/NOR dually);
-/// * a pin fault on a NOT/BUF forces the output for both polarities;
-/// * a stem read by exactly one observer (a single gate pin, no primary
-///   output, no flip-flop D) is indistinguishable from that pin
-///   (`stem/sa-v ≡ pin/sa-v`), which also closes the chain rule for
-///   already-collapsed universes whose pin faults were dropped.
-///
-/// The classes are the transitive closure of those rules (a union-find
-/// over the fault list); each class is simulated once through its
-/// representative — the member with the smallest universe index.
-#[derive(Debug, Clone)]
-pub struct DominanceCollapse {
-    /// The universe this collapse was built over.
-    faults: Vec<Fault>,
-    /// Universe index → universe index of the class representative.
-    rep_of: Vec<u32>,
-    /// Sorted universe indices of the representatives.
-    reps: Vec<u32>,
-    /// Class members per representative (parallel to `reps`), each sorted.
-    members: Vec<Vec<u32>>,
-}
-
-impl DominanceCollapse {
-    /// Builds the equivalence classes for `faults` over `program`.
-    ///
-    /// The list may be any subset of the full universe (full, collapsed,
-    /// or a filtered survivor list) — rules only merge faults that are
-    /// both present.
-    pub fn build(faults: &[Fault], program: &EvalProgram) -> DominanceCollapse {
-        let index: HashMap<Fault, u32> = faults
-            .iter()
-            .enumerate()
-            .map(|(i, &f)| (f, i as u32))
-            .collect();
-
-        // Union-find with the minimum universe index as representative.
-        let mut parent: Vec<u32> = (0..faults.len() as u32).collect();
-        fn find(parent: &mut [u32], mut i: u32) -> u32 {
-            while parent[i as usize] != i {
-                parent[i as usize] = parent[parent[i as usize] as usize];
-                i = parent[i as usize];
-            }
-            i
-        }
-        let union = |parent: &mut [u32], a: Fault, b: Fault| {
-            let (Some(&ia), Some(&ib)) = (index.get(&a), index.get(&b)) else {
-                return;
-            };
-            let (ra, rb) = (find(parent, ia), find(parent, ib));
-            if ra != rb {
-                // Smaller index becomes the root ⇒ representative = min.
-                let (lo, hi) = if ra < rb { (ra, rb) } else { (rb, ra) };
-                parent[hi as usize] = lo;
-            }
-        };
-
-        // Observer count per slot: operand reads + primary-output reads +
-        // flip-flop D reads. A stem with exactly one *operand* observer
-        // and no other observation collapses into that pin.
-        let mut extra = vec![0usize; program.slot_count()];
-        for &o in program.output_slots() {
-            extra[o as usize] += 1;
-        }
-        for &(_, d) in program.dff_slots() {
-            extra[d as usize] += 1;
-        }
-        let sole_reader =
-            |slot: usize| -> bool { program.readers(slot).len() == 1 && extra[slot] == 0 };
-
-        for i in 0..program.instr_count() {
-            let instr = program.instr(i);
-            let inv = instr.kind.is_inverting();
-            let out = NetId::from_index(instr.out as usize);
-            let ctrl = instr.kind.controlling_value();
-            for (pin, &s) in instr.operands.iter().enumerate() {
-                let slot = s as usize;
-                let stem = NetId::from_index(slot);
-                // Fanout-free connection: stem ≡ pin, both polarities.
-                if sole_reader(slot) {
-                    for v in [false, true] {
-                        union(
-                            &mut parent,
-                            Fault::net(stem, v),
-                            Fault::pin(instr.gate, pin, v),
-                        );
-                    }
-                }
-                // Controlling-value pin ≡ output stem.
-                if let Some(c) = ctrl {
-                    union(
-                        &mut parent,
-                        Fault::pin(instr.gate, pin, c),
-                        Fault::net(out, c ^ inv),
-                    );
-                    if sole_reader(slot) {
-                        // Chain rule for lists whose pin faults were
-                        // dropped by equivalence collapsing.
-                        union(&mut parent, Fault::net(stem, c), Fault::net(out, c ^ inv));
-                    }
-                }
-                // NOT/BUF forward everything: pin ≡ output, both values.
-                if instr.kind.is_unary() {
-                    for v in [false, true] {
-                        union(
-                            &mut parent,
-                            Fault::pin(instr.gate, pin, v),
-                            Fault::net(out, v ^ inv),
-                        );
-                        if sole_reader(slot) {
-                            union(&mut parent, Fault::net(stem, v), Fault::net(out, v ^ inv));
-                        }
-                    }
-                }
-            }
-        }
-
-        let rep_of: Vec<u32> = (0..faults.len() as u32)
-            .map(|i| find(&mut parent, i))
-            .collect();
-        let mut reps: Vec<u32> = rep_of.clone();
-        reps.sort_unstable();
-        reps.dedup();
-        let mut members: Vec<Vec<u32>> = vec![Vec::new(); reps.len()];
-        for (i, &r) in rep_of.iter().enumerate() {
-            let pos = reps.binary_search(&r).expect("rep present");
-            members[pos].push(i as u32);
-        }
-
-        DominanceCollapse {
-            faults: faults.to_vec(),
-            rep_of,
-            reps,
-            members,
-        }
-    }
-
-    /// [`DominanceCollapse::build`] recorded as a `"collapse"` telemetry
-    /// span: the span's wall time plus the `dominance_classes` counter
-    /// (one per equivalence class produced). The input size is *not*
-    /// re-counted here — the pipeline's `universe_faults` counter already
-    /// covers it.
-    pub fn build_traced(
-        faults: &[Fault],
-        program: &EvalProgram,
-        rec: &mut bibs_obs::Recorder,
-    ) -> DominanceCollapse {
-        let span = rec.enter("collapse");
-        let collapse = DominanceCollapse::build(faults, program);
-        rec.add(
-            bibs_obs::CounterId::DominanceClasses,
-            collapse.rep_count() as u64,
-        );
-        rec.exit(span);
-        collapse
-    }
-
-    /// The universe the collapse was built over.
-    pub fn faults(&self) -> &[Fault] {
-        &self.faults
-    }
-
-    /// Number of faults in the universe.
-    pub fn universe_len(&self) -> usize {
-        self.faults.len()
-    }
-
-    /// Number of equivalence classes (faults that must be simulated).
-    pub fn rep_count(&self) -> usize {
-        self.reps.len()
-    }
-
-    /// The representative faults, in universe order — the list to hand to
-    /// a fault simulator.
-    pub fn representative_faults(&self) -> Vec<Fault> {
-        self.reps.iter().map(|&r| self.faults[r as usize]).collect()
-    }
-
-    /// The universe index of the representative of fault `idx`.
-    pub fn rep_of(&self, idx: usize) -> usize {
-        self.rep_of[idx] as usize
-    }
-
-    /// The universe indices forming the class of representative number
-    /// `rep_pos` (position into [`DominanceCollapse::representative_faults`]).
-    pub fn class_members(&self, rep_pos: usize) -> &[u32] {
-        &self.members[rep_pos]
-    }
-
-    /// Expands a per-representative detection vector (aligned with
-    /// [`DominanceCollapse::representative_faults`]) back to the full
-    /// universe: every class member inherits its representative's result.
-    ///
-    /// Exact because class members have identical faulty functions — the
-    /// first detecting pattern index is shared by the whole class.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rep_detection.len() != rep_count()`.
-    pub fn expand_detection(&self, rep_detection: &[Option<u64>]) -> Vec<Option<u64>> {
-        assert_eq!(
-            rep_detection.len(),
-            self.reps.len(),
-            "one detection entry per representative required"
-        );
-        self.rep_of
-            .iter()
-            .map(|&r| {
-                let pos = self.reps.binary_search(&r).expect("rep present");
-                rep_detection[pos]
-            })
-            .collect()
-    }
-
-    /// [`DominanceCollapse::expand_detection`] recorded as an `"expand"`
-    /// telemetry span with the `faults_expanded` counter (one per universe
-    /// fault receiving a result).
-    pub fn expand_detection_traced(
-        &self,
-        rep_detection: &[Option<u64>],
-        rec: &mut bibs_obs::Recorder,
-    ) -> Vec<Option<u64>> {
-        let span = rec.enter("expand");
-        let full = self.expand_detection(rep_detection);
-        rec.add(bibs_obs::CounterId::FaultsExpanded, full.len() as u64);
-        rec.exit(span);
-        full
-    }
-
-    /// Fraction of the universe that still needs simulation
-    /// (`rep_count / universe_len`; `1.0` for an empty universe).
-    pub fn shrink_ratio(&self) -> f64 {
-        if self.faults.is_empty() {
-            1.0
-        } else {
-            self.reps.len() as f64 / self.faults.len() as f64
-        }
-    }
 }
 
 /// Bridge from the semantic analyses in [`bibs_netlist::analysis`] to the
@@ -507,8 +250,8 @@ pub struct StaticFaultAnalysis {
 }
 
 impl StaticFaultAnalysis {
-    /// Runs the ternary analysis (all-X primary inputs, default case-split
-    /// budget) and the constant-seeded SCOAP sweeps over `program`.
+    /// Runs the ternary analysis (all-X primary inputs, one case-split
+    /// round) and the constant-seeded SCOAP sweeps over `program`.
     pub fn new(program: &EvalProgram) -> Self {
         let abs = ternary_analyze(program, &PiAssumption::AllX);
         let scoap = Scoap::compute_with(program, Some(&abs));
@@ -519,12 +262,7 @@ impl StaticFaultAnalysis {
     /// recorded as `"ternary"` / `"scoap"` telemetry spans (plus the
     /// `case_splits` counter) under the recorder's current span.
     pub fn new_traced(program: &EvalProgram, rec: &mut bibs_obs::Recorder) -> Self {
-        let abs = bibs_netlist::analysis::ternary_analyze_traced(
-            program,
-            &PiAssumption::AllX,
-            Default::default(),
-            rec,
-        );
+        let abs = bibs_netlist::analysis::ternary_analyze_traced(program, &PiAssumption::AllX, rec);
         let scoap = Scoap::compute_traced(program, Some(&abs), rec);
         StaticFaultAnalysis { abs, scoap }
     }
@@ -641,81 +379,6 @@ mod tests {
         // XOR has no controlling value; only the fanout-free rule fires,
         // collapsing pin faults into PI stems: a,b,y stems ×2 = 6.
         assert_eq!(u.len(), 6);
-    }
-
-    #[test]
-    fn dominance_merges_and_checkpoint_classes() {
-        // Full universe of a 2-input AND: the classic checkpoint classes.
-        let nl = small_and();
-        let prog = EvalProgram::compile(&nl).unwrap();
-        let u = FaultUniverse::full(&nl);
-        let dc = u.dominance_collapsed(&prog);
-        assert_eq!(dc.universe_len(), 10);
-        // {a/sa0, b/sa0, y/sa0, p0/sa0, p1/sa0}, {a/sa1, p0/sa1},
-        // {b/sa1, p1/sa1}, {y/sa1}.
-        assert_eq!(dc.rep_count(), 4);
-        let sizes: Vec<usize> = (0..dc.rep_count())
-            .map(|r| dc.class_members(r).len())
-            .collect();
-        let mut sorted = sizes.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, vec![1, 2, 2, 5]);
-        // Representative = smallest universe index of its class.
-        for r in 0..dc.rep_count() {
-            let members = dc.class_members(r);
-            let rep_idx = dc.rep_of(members[0] as usize);
-            assert_eq!(rep_idx as u32, *members.iter().min().unwrap());
-        }
-    }
-
-    #[test]
-    fn dominance_chain_rule_on_collapsed_universe() {
-        // On the equivalence-collapsed list the pin faults are gone; the
-        // chain rule must still merge a/sa0 ≡ b/sa0 ≡ y/sa0 directly.
-        let nl = small_and();
-        let prog = EvalProgram::compile(&nl).unwrap();
-        let u = FaultUniverse::collapsed(&nl);
-        assert_eq!(u.len(), 6);
-        let dc = u.dominance_collapsed(&prog);
-        assert_eq!(dc.rep_count(), 4);
-        let reps = dc.representative_faults();
-        assert!(reps.iter().all(|f| matches!(f.site, FaultSite::Net(_))));
-    }
-
-    #[test]
-    fn dominance_expand_detection_is_exact_per_class() {
-        let nl = small_and();
-        let prog = EvalProgram::compile(&nl).unwrap();
-        let u = FaultUniverse::collapsed(&nl);
-        let dc = u.dominance_collapsed(&prog);
-        let rep_det: Vec<Option<u64>> = (0..dc.rep_count() as u64).map(Some).collect();
-        let full = dc.expand_detection(&rep_det);
-        assert_eq!(full.len(), u.len());
-        for (i, &d) in full.iter().enumerate() {
-            let rep = dc.rep_of(i);
-            let pos = dc
-                .representative_faults()
-                .iter()
-                .position(|&f| f == u.faults()[rep])
-                .unwrap();
-            assert_eq!(d, rep_det[pos]);
-        }
-    }
-
-    #[test]
-    fn dominance_does_not_merge_xor_or_fanout_stems() {
-        // XOR has no controlling value and fanout stems observe >1 pin:
-        // no class may merge beyond the fanout-free pin rule.
-        let mut b = NetlistBuilder::new("x");
-        let a = b.input("a");
-        let c = b.input("b");
-        let y = b.xor2(a, c);
-        b.output("y", y);
-        let nl = b.finish().unwrap();
-        let prog = EvalProgram::compile(&nl).unwrap();
-        let u = FaultUniverse::collapsed(&nl);
-        let dc = u.dominance_collapsed(&prog);
-        assert_eq!(dc.rep_count(), u.len(), "nothing to merge on XOR stems");
     }
 
     #[test]

@@ -75,7 +75,7 @@ pub mod sim;
 pub mod source;
 pub mod stats;
 
-pub use fault::{DominanceCollapse, Fault, FaultSite, FaultUniverse, StaticFaultAnalysis};
+pub use fault::{Fault, FaultSite, FaultUniverse, StaticFaultAnalysis};
 pub use par::{default_jobs, ParFaultSimulator};
 pub use reference::ReferenceSimulator;
 pub use sim::{BlockSim, FaultSimReport};

@@ -552,61 +552,6 @@ impl BlockSim for ParFaultSimulator<'_> {
     }
 }
 
-/// Convenience: one-thread and `threads`-thread runs of the same
-/// [`PatternSource`](crate::source::PatternSource) stream, asserting (in
-/// debug builds) that they agree — detection indices, pattern counts, and
-/// the two sources'
-/// [`state_digest`](crate::source::PatternSource::state_digest)s.
-/// Returns the `threads`-thread report.
-///
-/// A source is stateful and consumed by its driver, so the caller
-/// supplies a *factory* that builds identically-configured instances;
-/// each run drains its own copy and the digests prove the copies emitted
-/// the same stream. The corpus source oracle makes the same comparison
-/// with explicit checks, so it also holds in release builds.
-pub fn run_source_checked<S: crate::source::PatternSource>(
-    netlist: &Netlist,
-    faults: &[Fault],
-    mut make_source: impl FnMut() -> S,
-    max_patterns: u64,
-    threads: usize,
-) -> FaultSimReport {
-    let mut source_a = make_source();
-    let inline =
-        ParFaultSimulator::new(netlist, faults.to_vec()).run_source(&mut source_a, max_patterns);
-    let mut source_b = make_source();
-    let sharded = ParFaultSimulator::with_threads(netlist, faults.to_vec(), threads)
-        .run_source(&mut source_b, max_patterns);
-    debug_assert_eq!(inline.detection(), sharded.detection());
-    debug_assert_eq!(inline.patterns_applied(), sharded.patterns_applied());
-    debug_assert_eq!(source_a.state_digest(), source_b.state_digest());
-    sharded
-}
-
-/// [`run_source_checked`] over the legacy random stream: draws one seed
-/// from `seed_stream` and cross-checks a seeded
-/// [`RandomWords`](crate::source::RandomWords) source at one and
-/// `threads` threads (the words drawn are bit-identical to the
-/// pre-source `run_random` drivers'). Returns the `threads`-thread report.
-pub fn run_random_checked(
-    netlist: &Netlist,
-    faults: &[Fault],
-    seed_stream: &mut impl rand::Rng,
-    max_patterns: u64,
-    threads: usize,
-) -> FaultSimReport {
-    // Both runs must see identical RNG words; a generic Rng cannot be
-    // cloned, so draw a seed and derive two identical child sources.
-    let seed: u64 = seed_stream.gen();
-    run_source_checked(
-        netlist,
-        faults,
-        || crate::source::RandomWords::seeded(seed),
-        max_patterns,
-        threads,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -664,15 +609,6 @@ mod tests {
             stats.fault_evals
         );
         assert_eq!(stats.faults_dropped, report.detected_count() as u64);
-    }
-
-    #[test]
-    fn run_random_checked_self_checks() {
-        let nl = adder4();
-        let faults = FaultUniverse::collapsed(&nl).faults().to_vec();
-        let mut rng = StdRng::seed_from_u64(11);
-        let report = run_random_checked(&nl, &faults, &mut rng, 50_000, 2);
-        assert_eq!(report.undetected().len(), 0);
     }
 
     #[test]

@@ -61,20 +61,20 @@ pub struct SimStats {
     /// so the reference interpreter, which runs whole programs, counts
     /// several times more for the same report.
     pub gate_evals: u64,
-    /// Size of the fault universe the run accounts for (before any
-    /// dominance collapsing or static-untestability skipping). Zero when
+    /// Size of the fault universe the run accounts for (before the
+    /// observability split and static-untestability skipping). Zero when
     /// the caller did not run the pre-analysis pipeline.
     pub universe_faults: u64,
-    /// Faults actually handed to the simulation engine (dominance-class
-    /// representatives minus statically untestable faults). Equals
+    /// Faults actually handed to the simulation engine (the observable
+    /// faults minus the statically untestable ones). Equals
     /// `universe_faults` when no pre-analysis ran.
     pub simulated_faults: u64,
     /// Faults proven statically untestable by the semantic analysis and
     /// skipped without simulating a single pattern.
     pub untestable_static: u64,
-    /// Wall-clock time spent in the semantic pre-analysis (ternary
-    /// propagation, SCOAP sweeps, dominance collapsing, untestability
-    /// proofs). Zero when no pre-analysis ran.
+    /// Wall-clock time spent in the semantic pre-analysis (observability
+    /// sweep, ternary propagation, SCOAP sweeps, untestability proofs).
+    /// Zero when no pre-analysis ran.
     pub analysis_wall: Duration,
     /// Simulation lane width: 64 by default (and for the reference
     /// interpreter), 256/512 for an engine widened via `with_lanes`. [`SimStats::gate_evals`] is
@@ -190,7 +190,7 @@ impl SimStats {
 
     /// Fraction of the fault universe that was actually simulated
     /// (`simulated_faults / universe_faults`) — the end-to-end shrink from
-    /// dominance collapsing plus static-untestability skipping.
+    /// the observability split plus static-untestability skipping.
     ///
     /// Always a finite value in `0.0..=1.0`: a zero-fault universe (no
     /// pre-analysis, or a kernel with literally nothing to test) reports

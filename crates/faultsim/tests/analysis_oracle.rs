@@ -1,7 +1,7 @@
 //! Correctness oracle for the semantic analyses: every static claim the
 //! analysis layer makes is cross-checked against exhaustive simulation.
 //!
-//! Three invariants, each checked on small builtins (ripple-carry adders
+//! Two invariants, each checked on small builtins (ripple-carry adders
 //! up to 8 bits, the kernels BIBS extracts from `circuits/fig4.ckt` and
 //! the Figure 9 datapath) plus a deterministic family of ~30 random gate
 //! DAGs and a proptest:
@@ -9,10 +9,7 @@
 //! 1. **Zero false "untestable" claims** — no fault the
 //!    [`StaticFaultAnalysis`] prover rules statically untestable is ever
 //!    detected by exhaustive simulation of the full fault universe;
-//! 2. **Exact dominance expansion** — simulating only dominance-class
-//!    representatives and expanding through the representative map
-//!    reproduces the full universe's detection vector *bit for bit*;
-//! 3. **Sound ternary constants** — every net the ternary abstraction
+//! 2. **Sound ternary constants** — every net the ternary abstraction
 //!    proves constant under a random primary-input pinning really holds
 //!    that value in 64-way concrete simulation of random pinned blocks.
 
@@ -127,31 +124,6 @@ fn static_untestable_faults_are_never_detected_exhaustively() {
     assert!(verdicts > 0, "corpus produced no untestable verdicts");
 }
 
-/// Invariant 2: dominance expansion reproduces the full universe's
-/// detection vector exactly, for both the full and the equivalence-
-/// collapsed starting lists.
-#[test]
-fn dominance_expansion_is_exact_on_exhaustive_streams() {
-    let mut merged_anywhere = false;
-    for nl in corpus() {
-        let program = EvalProgram::compile(&nl).expect("corpus is combinational");
-        for universe in [FaultUniverse::full(&nl), FaultUniverse::collapsed(&nl)] {
-            let direct = ParFaultSimulator::new(&nl, universe.faults().to_vec()).run_exhaustive();
-            let dc = universe.dominance_collapsed(&program);
-            merged_anywhere |= dc.rep_count() < dc.universe_len();
-            let reps = ParFaultSimulator::new(&nl, dc.representative_faults()).run_exhaustive();
-            let expanded = dc.expand_detection(reps.detection());
-            assert_eq!(
-                expanded,
-                direct.detection().to_vec(),
-                "{}: dominance expansion diverged from direct simulation",
-                nl.name()
-            );
-        }
-    }
-    assert!(merged_anywhere, "corpus never exercised a dominance merge");
-}
-
 /// Evaluates `program` on `blocks` random 64-lane input blocks honouring
 /// `pins` and asserts that each slot claimed constant holds its value in
 /// every lane of every block.
@@ -188,7 +160,7 @@ fn check_constants_against_simulation(
     }
 }
 
-/// Invariant 3 (deterministic sweep): ternary constants under all-X and
+/// Invariant 2 (deterministic sweep): ternary constants under all-X and
 /// under every-PI-pinned agree with concrete simulation on the corpus.
 #[test]
 fn ternary_constants_agree_with_simulation_on_corpus() {
@@ -208,7 +180,7 @@ fn ternary_constants_agree_with_simulation_on_corpus() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Invariant 3 (random): on random DAGs under random partial pinnings,
+    /// Invariant 2 (random): on random DAGs under random partial pinnings,
     /// every ternary constant claim survives random 64-lane simulation.
     #[test]
     fn ternary_constants_sound_under_random_pinnings(

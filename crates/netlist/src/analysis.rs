@@ -192,31 +192,6 @@ pub enum PiAssumption {
     /// Some primary inputs are pinned to fixed values (`Some(v)`), the
     /// rest free (`None`). One entry per input in declaration order.
     Pinned(Vec<Option<bool>>),
-    /// Only the given concrete pattern blocks are reachable (e.g. the
-    /// pattern space a TPG can emit). Each block holds one 64-lane word
-    /// per primary input in declaration order; **all 64 lanes count** —
-    /// duplicate a lane to pad shorter sets. The abstract value of every
-    /// slot is the exact join over these evaluations, so constants proved
-    /// in this mode hold only while the stimulus stays inside the set.
-    /// Combinational programs only.
-    Patterns(Vec<Vec<u64>>),
-}
-
-/// Options controlling [`ternary_analyze_with`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AnalysisOptions {
-    /// How many rounds of single-stem 0/1 case splitting to run after the
-    /// initial propagation (each round scans every `X`-valued slot with at
-    /// least two operand readers). `0` disables the bounded-implication
-    /// step; the default is `1`, which already proves all reconvergent
-    /// single-stem redundancies (`xor(f, f)`, `and(a, not a)`, …).
-    pub split_rounds: usize,
-}
-
-impl Default for AnalysisOptions {
-    fn default() -> Self {
-        AnalysisOptions { split_rounds: 1 }
-    }
 }
 
 /// The result of ternary abstract interpretation: one [`Tv`] per slot,
@@ -292,12 +267,7 @@ fn propagate(program: &EvalProgram, values: &mut [Tv], split_from: &[Option<u32>
     }
 }
 
-/// Ternary abstract interpretation with default [`AnalysisOptions`].
-pub fn ternary_analyze(program: &EvalProgram, assumption: &PiAssumption) -> TernaryAbs {
-    ternary_analyze_with(program, assumption, AnalysisOptions::default())
-}
-
-/// [`ternary_analyze_with`] wrapped in a telemetry span.
+/// [`ternary_analyze`] wrapped in a telemetry span.
 ///
 /// Records a `"ternary"` child span on `rec` holding the wall time and the
 /// deterministic [`CounterId::CaseSplits`](bibs_obs::CounterId::CaseSplits)
@@ -305,11 +275,10 @@ pub fn ternary_analyze(program: &EvalProgram, assumption: &PiAssumption) -> Tern
 pub fn ternary_analyze_traced(
     program: &EvalProgram,
     assumption: &PiAssumption,
-    options: AnalysisOptions,
     rec: &mut bibs_obs::Recorder,
 ) -> TernaryAbs {
     let span = rec.enter("ternary");
-    let abs = ternary_analyze_with(program, assumption, options);
+    let abs = ternary_analyze(program, assumption);
     rec.add(bibs_obs::CounterId::CaseSplits, abs.split_count() as u64);
     rec.exit(span);
     abs
@@ -319,37 +288,22 @@ pub fn ternary_analyze_traced(
 ///
 /// Sources are seeded from `assumption` (inputs), the constant prologue
 /// (tied nets) and `X` (flip-flop Q slots — unknown state); then the
-/// stream is propagated forward, followed by `options.split_rounds` rounds
-/// of single-stem case splitting: every `X`-valued slot read by two or
-/// more operand pins is assumed `0` and `1` in turn, the downstream suffix
-/// re-evaluated under each assumption, and the branch results joined. A
-/// non-`X` join is a proven constant (recorded with the stem as witness
-/// provenance) even though plain propagation saw only `X`.
+/// stream is propagated forward, followed by one round of single-stem
+/// case splitting: every `X`-valued slot read by two or more operand pins
+/// is assumed `0` and `1` in turn, the downstream suffix re-evaluated
+/// under each assumption, and the branch results joined. A non-`X` join
+/// is a proven constant (recorded with the stem as witness provenance)
+/// even though plain propagation saw only `X`. One round already proves
+/// every reconvergent single-stem redundancy (`xor(f, f)`,
+/// `and(a, not a)`, …).
 ///
 /// # Panics
 ///
-/// Panics in [`PiAssumption::Patterns`] mode if the program has flip-flops
-/// (concrete joins need a combinational program) or a block's width
-/// differs from the input count.
-pub fn ternary_analyze_with(
-    program: &EvalProgram,
-    assumption: &PiAssumption,
-    options: AnalysisOptions,
-) -> TernaryAbs {
+/// Panics in [`PiAssumption::Pinned`] mode if the assumption does not
+/// have one entry per primary input.
+pub fn ternary_analyze(program: &EvalProgram, assumption: &PiAssumption) -> TernaryAbs {
     let n = program.slot_count();
     let mut split_from: Vec<Option<u32>> = vec![None; n];
-
-    if let PiAssumption::Patterns(blocks) = assumption {
-        assert!(
-            program.dff_slots().is_empty(),
-            "PiAssumption::Patterns requires a combinational program"
-        );
-        return TernaryAbs {
-            values: patterns_join(program, blocks),
-            split_from,
-        };
-    }
-
     let mut values = vec![Tv::X; n];
     for &(slot, word) in program.const_inits() {
         values[slot as usize] = Tv::from_bool(word != 0);
@@ -368,43 +322,11 @@ pub fn ternary_analyze_with(
     }
 
     propagate(program, &mut values, &split_from, 0);
-
-    if options.split_rounds > 0 {
-        for _ in 0..options.split_rounds {
-            let refined = split_round(program, &mut values, &mut split_from);
-            // Push split-derived constants through the whole stream.
-            propagate(program, &mut values, &split_from, 0);
-            if refined == 0 {
-                break;
-            }
-        }
-    }
+    split_round(program, &mut values, &mut split_from);
+    // Push split-derived constants through the whole stream.
+    propagate(program, &mut values, &split_from, 0);
 
     TernaryAbs { values, split_from }
-}
-
-/// Exact netwise join over concrete 64-lane evaluations of each pattern
-/// block.
-fn patterns_join(program: &EvalProgram, blocks: &[Vec<u64>]) -> Vec<Tv> {
-    let n = program.slot_count();
-    let mut seen0 = vec![false; n];
-    let mut seen1 = vec![false; n];
-    let mut buf = program.new_values::<1>();
-    for block in blocks {
-        program.eval_good::<1>(&mut buf, block);
-        for (slot, &w) in buf.iter().enumerate() {
-            seen0[slot] |= w != !0u64;
-            seen1[slot] |= w != 0;
-        }
-    }
-    (0..n)
-        .map(|s| match (seen0[s], seen1[s]) {
-            (true, false) => Tv::Zero,
-            (false, true) => Tv::One,
-            // No blocks at all: everything is unknown, not constant-both.
-            _ => Tv::X,
-        })
-        .collect()
 }
 
 /// One round of single-stem case splitting. Returns how many slots gained
@@ -1247,14 +1169,6 @@ mod tests {
         assert_eq!(abs.value(z.index()), Tv::Zero);
         assert_eq!(abs.split_stem(y.index()), Some(a.index()));
         assert_eq!(abs.split_stem(z.index()), Some(a.index()));
-        // With splitting disabled both stay X.
-        let plain = ternary_analyze_with(
-            &prog,
-            &PiAssumption::AllX,
-            AnalysisOptions { split_rounds: 0 },
-        );
-        assert_eq!(plain.value(y.index()), Tv::X);
-        assert_eq!(plain.value(z.index()), Tv::X);
     }
 
     #[test]
@@ -1269,30 +1183,6 @@ mod tests {
         let abs = ternary_analyze(&prog, &PiAssumption::Pinned(vec![Some(false), None]));
         assert_eq!(abs.value(y.index()), Tv::Zero);
         let abs = ternary_analyze(&prog, &PiAssumption::Pinned(vec![Some(true), None]));
-        assert_eq!(abs.value(y.index()), Tv::X);
-    }
-
-    #[test]
-    fn patterns_mode_is_exact_join() {
-        let mut b = NetlistBuilder::new("t");
-        let a = b.input("a");
-        let c = b.input("b");
-        let y = b.xor2(a, c);
-        b.output("y", y);
-        let nl = b.finish().unwrap();
-        let prog = compile(&nl);
-        // Reachable space: a == b in every lane => y always 0.
-        let abs = ternary_analyze(
-            &prog,
-            &PiAssumption::Patterns(vec![vec![0, 0], vec![!0u64, !0u64]]),
-        );
-        assert_eq!(abs.value(y.index()), Tv::Zero);
-        assert_eq!(abs.value(a.index()), Tv::X, "a itself sees both values");
-        // Full space: y unknown.
-        let abs = ternary_analyze(
-            &prog,
-            &PiAssumption::Patterns(vec![vec![0b01, 0b11], vec![0, 0]]),
-        );
         assert_eq!(abs.value(y.index()), Tv::X);
     }
 

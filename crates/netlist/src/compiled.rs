@@ -383,6 +383,10 @@ impl EvalProgram {
     /// # Panics
     ///
     /// Panics if `i >= instr_count()`.
+    // Inlinable from any codegen unit: the ternary analysis's case-split
+    // loop reads one instruction per stem and instruction, and whether it
+    // lands in this function's unit depends on how the crate is split.
+    #[inline]
     pub fn instr(&self, i: usize) -> Instr<'_> {
         let span = self.operand_start[i] as usize..self.operand_start[i + 1] as usize;
         Instr {

@@ -2,10 +2,10 @@
 //! plus monotonic **counters**, collected per pipeline stage and exported
 //! as machine-readable JSON.
 //!
-//! Every stage of the pipeline — `compile → analyze → collapse →
-//! fault-sim[shard k] → expand → atpg → schedule → session/MISR` — records
-//! into a [`Recorder`]: a small arena of [`Span`]s, each carrying a label,
-//! an accumulated wall-clock duration and a fixed-size [`Counters`] array.
+//! Every stage of the pipeline — `compile → analyze → fault-sim[shard k]
+//! → atpg → schedule → verify` — records into a [`Recorder`]: a small
+//! arena of [`Span`]s, each carrying a label, an accumulated wall-clock
+//! duration and a fixed-size [`Counters`] array.
 //! The design goals, in order:
 //!
 //! 1. **Allocation-free hot loops.** A counter bump is a single add into a
@@ -75,26 +75,20 @@ pub enum CounterId {
     /// Ternary instructions PODEM's implication evaluated, good and faulty
     /// machine together (the once-per-fault loading sweep included).
     PodemEvals,
-    /// Size of the uncollapsed-or-equiv fault universe a kernel run
+    /// Size of the (equivalence-collapsed) fault universe a kernel run
     /// accounts for.
     UniverseFaults,
     /// Faults actually handed to the simulation engine after static
-    /// analysis and collapsing.
+    /// analysis.
     SimulatedFaults,
     /// Faults proven statically untestable and skipped.
     UntestableStatic,
-    /// Dominance classes built by the collapse stage.
-    DominanceClasses,
-    /// Detection entries recovered by expanding class representatives.
-    FaultsExpanded,
     /// Instructions in a compiled `EvalProgram`.
     Instructions,
     /// Value slots in a compiled `EvalProgram`.
     Slots,
     /// Reconvergent-stem case splits performed by the ternary analysis.
     CaseSplits,
-    /// MISR absorb cycles executed by a BIST session.
-    MisrCycles,
     /// TPG cones exhaustively verified.
     ConesVerified,
     /// Test sessions produced by the scheduler.
@@ -123,7 +117,7 @@ pub enum CounterId {
 }
 
 /// Number of counters — the fixed length of every [`Counters`] array.
-pub const COUNTER_COUNT: usize = 27;
+pub const COUNTER_COUNT: usize = 24;
 
 impl CounterId {
     /// Every counter, in export order.
@@ -141,12 +135,9 @@ impl CounterId {
         CounterId::UniverseFaults,
         CounterId::SimulatedFaults,
         CounterId::UntestableStatic,
-        CounterId::DominanceClasses,
-        CounterId::FaultsExpanded,
         CounterId::Instructions,
         CounterId::Slots,
         CounterId::CaseSplits,
-        CounterId::MisrCycles,
         CounterId::ConesVerified,
         CounterId::SessionsScheduled,
         CounterId::KernelsScheduled,
@@ -173,12 +164,9 @@ impl CounterId {
             CounterId::UniverseFaults => "universe_faults",
             CounterId::SimulatedFaults => "simulated_faults",
             CounterId::UntestableStatic => "untestable_static",
-            CounterId::DominanceClasses => "dominance_classes",
-            CounterId::FaultsExpanded => "faults_expanded",
             CounterId::Instructions => "instructions",
             CounterId::Slots => "slots",
             CounterId::CaseSplits => "case_splits",
-            CounterId::MisrCycles => "misr_cycles",
             CounterId::ConesVerified => "cones_verified",
             CounterId::SessionsScheduled => "sessions_scheduled",
             CounterId::KernelsScheduled => "kernels_scheduled",
