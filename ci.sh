@@ -218,6 +218,24 @@ for opts in "--engine reference" "--lanes 512"; do
 done
 grep -q '"c4a4m"' /tmp/bibs-table2-all.json
 
+step "redundant fixture: table2 JSON is byte-identical under --engine reference and --lanes 512, and PODEM retires the provably redundant faults"
+# circuits/redundant_mux.ckt computes a - a, which only case analysis on
+# a reconvergent stem proves constant. No static prover runs before
+# simulation, so its 103 provably untestable faults must leave the live
+# list through PODEM retirement, and the report must not change.
+cargo run --release -p bibs-bench --bin table2 -- --circuit circuits/redundant_mux.ckt \
+  --json --telemetry /tmp/bibs-telemetry-redundant.json > /tmp/bibs-table2-redundant.json
+for opts in "--engine reference" "--lanes 512"; do
+  # shellcheck disable=SC2086 # $opts is a flag and its value
+  cargo run --release -p bibs-bench --bin table2 -- --circuit circuits/redundant_mux.ckt \
+    --json $opts > /tmp/bibs-table2-redundant-alt.json
+  diff /tmp/bibs-table2-redundant.json /tmp/bibs-table2-redundant-alt.json
+done
+retired=$(grep -o '"faults_retired":[0-9]*' /tmp/bibs-telemetry-redundant.json \
+  | grep -o '[0-9]*$' | awk '{ s += $1 } END { print s + 0 }')
+echo "redundant_mux: ${retired} faults retired by PODEM"
+test "$retired" -ge 103
+
 step "wide lanes: telemetry determinism (1 vs 8 worker threads, wall-stripped)"
 BIBS_JOBS=1 cargo run --release -p bibs-bench --bin table2 -- --only c5a2m \
   --lanes 512 --telemetry /tmp/bibs-telemetry-lanes-j1.json > /dev/null
@@ -265,11 +283,17 @@ if cargo run --release -p bibs-bench --bin table2 -- --only c5a2m \
   exit 1
 fi
 no_panic /tmp/bibs-table2-badreplay.txt
-# A bad datapath name or width, or a removed flag, is a usage error:
-# exit 2 with a message, never a panic (exit 101).
+# A bad datapath name or width, a removed flag, or a pattern source that
+# cannot drive a kernel (an LFSR past 64 inputs, directly or as mintpg's
+# fallback; a replay schedule declared for another width) is a usage
+# error: exit 2 with a message, never a panic (exit 101).
+printf 'width 5\n0x51B51994 256\n' > /tmp/bibs-width5.seeds
 for bad in "table2 0" "table2 --opt" "table2 --collapse dominance" \
   "coverage c5a2m 0" "coverage foo" "coverage c5a2m x" \
-  "coverage c5a2m 4 --collapse none" "convert c5a2m@0 -:bench"; do
+  "coverage c5a2m 4 --collapse none" "convert c5a2m@0 -:bench" \
+  "table2 16 --only c4a4m --source lfsr" "table2 12 --only c4a4m --source mintpg" \
+  "coverage c4a4m 16 --source lfsr" \
+  "table2 --only c5a2m --source replay:/tmp/bibs-width5.seeds"; do
   read -ra cmd <<< "$bad"
   status=0
   cargo run --release -q -p bibs-bench --bin "${cmd[0]}" -- "${cmd[@]:1}" \

@@ -20,9 +20,8 @@ fn multiplier(width: usize) -> Netlist {
     b.finish().expect("multiplier is well-formed")
 }
 
-/// The individual static sweeps on the mul8 cell: each runs once per
-/// kernel per table2 column, so single-sweep cost bounds the analysis
-/// overhead reported in `SimStats::analysis_wall`.
+/// The individual static sweeps on the mul8 cell: `bibs-lint --semantic`
+/// and fuzz oracle 3 run each once per netlist.
 fn bench_sweeps(c: &mut Criterion) {
     let nl = multiplier(8);
     let program = EvalProgram::compile(&nl).expect("acyclic");
@@ -49,9 +48,9 @@ fn bench_sweeps(c: &mut Criterion) {
     group.finish();
 }
 
-/// Partitioning the observable fault list into simulated and statically
-/// untestable faults: the per-kernel front-end pass the table2 pipeline
-/// runs before simulating.
+/// Partitioning the observable fault list into undecided and statically
+/// untestable faults: one verdict per fault, as `bibs-lint --semantic`
+/// asks for B042.
 fn bench_partition(c: &mut Criterion) {
     let nl = multiplier(8);
     let program = EvalProgram::compile(&nl).expect("acyclic");

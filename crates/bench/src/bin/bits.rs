@@ -24,11 +24,13 @@
 //! `--source random|lfsr|mintpg|weighted|replay:FILE` additionally
 //! fault-simulates each kernel with the chosen pattern source under a
 //! bounded budget and prints the coverage-vs-clocks estimate (detectable
-//! faults reached, patterns emitted, hardware clock cycles).
+//! faults reached, patterns emitted, hardware clock cycles). A source
+//! that cannot drive a kernel (an LFSR past 64 inputs, a replay schedule
+//! declared for another width) stops the flow with exit code 2.
 //! `--lanes 64|256|512` sets the evaluation width for those simulations
 //! (wide PPSFP sweeps; identical results, higher gate-evals/s).
 
-use bibs_bench::{kernel_fault_stats_traced, SourceSpec, Table2Options, Telemetry};
+use bibs_bench::{kernel_fault_stats, SourceSpec, Table2Options, Telemetry};
 use bibs_core::bibs::{self, BibsOptions};
 use bibs_core::controller;
 use bibs_core::delay::maximal_delay;
@@ -268,9 +270,16 @@ fn run(
                 lanes,
                 ..Table2Options::default()
             };
-            let stats = rec.scope(format!("source-coverage[kernel {i}]"), |rec| {
-                kernel_fault_stats_traced(&circuit, &design, kernel, &opts, rec)
-            });
+            let stats = rec
+                .scope(format!("source-coverage[kernel {i}]"), |rec| {
+                    kernel_fault_stats(&circuit, &design, kernel, &opts, rec)
+                })
+                .unwrap_or_else(|e| {
+                    // A source that cannot drive the kernel is a usage
+                    // error, like a malformed `--source`.
+                    eprintln!("bits: {e}");
+                    std::process::exit(2);
+                });
             match &stats.source {
                 Some(run) => println!(
                     "  source '{spec}': {}/{} detectable faults in {} patterns, {} clocks — {}",

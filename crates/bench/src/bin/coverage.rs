@@ -15,13 +15,14 @@
 //! hardware-faithful source (the curve's x-axis stays pattern counts;
 //! the per-kernel clock budget goes to stderr). `--lanes 256|512` widens the
 //! evaluation word for the PPSFP wide sweeps (the CSV is byte-identical;
-//! only gate-evals/s changes). Per-kernel
-//! engine stats — including the collapse ratio, statically-untestable
-//! count and analysis wall — go to stderr; `BIBS_JOBS` sets the
+//! only gate-evals/s changes); a source that cannot drive a kernel (an
+//! LFSR past 64 inputs, a replay schedule recorded for another width) is
+//! a usage error too. Per-kernel engine stats — including the collapse
+//! ratio and analysis wall — go to stderr; `BIBS_JOBS` sets the
 //! worker-thread count; `BIBS_TRACE=spans|counters` prints the telemetry
 //! tree or aggregate counters to stderr.
 
-use bibs_bench::{apply_tdm, kernel_fault_stats_traced, SourceSpec, Table2Options, Tdm, Telemetry};
+use bibs_bench::{apply_tdm, kernel_fault_stats, SourceSpec, Table2Options, Tdm, Telemetry};
 use bibs_datapath::filters::try_scaled;
 
 /// Prints a one-line usage error and exits with status 2.
@@ -113,9 +114,14 @@ fn main() {
         let mut offset = 0u64;
         let mut detectable = 0usize;
         for (i, kernel) in kernels.iter().enumerate() {
-            let stats = rec.scope(format!("kernel {i}[{tdm}]"), |rec| {
-                kernel_fault_stats_traced(&circuit, &design, kernel, &options, rec)
-            });
+            let stats = rec
+                .scope(format!("kernel {i}[{tdm}]"), |rec| {
+                    kernel_fault_stats(&circuit, &design, kernel, &options, rec)
+                })
+                .unwrap_or_else(|e| {
+                    eprintln!("coverage: {e}");
+                    std::process::exit(2);
+                });
             eprintln!("{tdm} kernel sim: {}", stats.sim);
             if let Some(run) = &stats.source {
                 eprintln!(

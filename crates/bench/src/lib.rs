@@ -26,7 +26,7 @@ use bibs_core::structure::GeneralizedStructure;
 use bibs_core::tpg::sc_tpg;
 use bibs_datapath::elab::elaborate_kernel;
 use bibs_faultsim::atpg::Verdicts;
-use bibs_faultsim::fault::{Fault, FaultUniverse, StaticFaultAnalysis};
+use bibs_faultsim::fault::{Fault, FaultUniverse};
 use bibs_faultsim::par::{default_jobs, ParFaultSimulator};
 use bibs_faultsim::reference::ReferenceSimulator;
 use bibs_faultsim::sim::{BlockSim, Stop};
@@ -474,16 +474,16 @@ pub fn apply_tdm(circuit: &Circuit, tdm: Tdm) -> (Circuit, BilboDesign, Vec<Kern
     (circuit, design, ks)
 }
 
-/// Fault-classifies and fault-simulates one kernel.
+/// Fault-classifies and fault-simulates one kernel, recording the flow
+/// into a pipeline-level telemetry [`Recorder`] under its current span
+/// ([`Recorder::disabled`] records nothing).
 ///
 /// Three-phase flow over one fault list, the kernel's
 /// [`FaultUniverse::collapsed`] universe:
 ///
-/// * **Phase 0 — static analysis** (timed into
+/// * **Phase 0 — observability split** (timed with the compile into
 ///   [`SimStats::analysis_wall`]): the backward observability sweep drops
-///   faults with no path to an output; the semantic prover
-///   ([`StaticFaultAnalysis`]) then proves further faults untestable under
-///   the ternary lattice (counted in [`SimStats::untestable_static`]).
+///   faults with no path to an output. They are redundant outright.
 /// * **Phase 1 — random simulation** with fault dropping and a detection
 ///   plateau. Once the stream has gone
 ///   [`PROVE_AFTER`](bibs_faultsim::sim::PROVE_AFTER) patterns without a
@@ -496,23 +496,13 @@ pub fn apply_tdm(circuit: &Circuit, tdm: Tdm) -> (Circuit, BilboDesign, Vec<Kern
 ///   reported as `unreached`), or aborting (excluded and reported). A
 ///   survivor PODEM already decided in Phase 1 keeps that verdict; the
 ///   generator is built the first time either phase needs it.
-pub fn kernel_fault_stats(
-    circuit: &Circuit,
-    design: &BilboDesign,
-    kernel: &Kernel,
-    options: &Table2Options,
-) -> KernelFaultStats {
-    kernel_fault_stats_traced(circuit, design, kernel, options, &mut Recorder::disabled())
-}
-
-/// [`kernel_fault_stats`] with the whole three-phase flow recorded into a
-/// pipeline-level telemetry [`Recorder`] under its current span:
+///
+/// Spans recorded:
 ///
 /// * `"compile"` — the netlist→IR compile (instruction/slot counters);
-/// * `"analyze"` — observability split plus the semantic prover (with
-///   `"ternary"` / `"scoap"` sub-spans and the `case_splits` counter),
-///   carrying the `universe_faults` / `untestable_static` /
-///   `simulated_faults` counters;
+/// * `"analyze"` — the observability split, carrying the
+///   `universe_faults` counter (the kernel's span carries
+///   `simulated_faults`);
 /// * the engine's own `fault-sim[...]` tree, grafted verbatim (per-block
 ///   counters on its root, one detail child per worker shard);
 /// * `"source[SPEC]"` — with a pattern source, its `patterns_emitted` and
@@ -525,31 +515,33 @@ pub fn kernel_fault_stats(
 ///
 /// Every exported counter is detection-deterministic: identical for any
 /// thread count.
-pub fn kernel_fault_stats_traced(
+///
+/// # Errors
+///
+/// Returns the message of [`build_source`]'s failure when
+/// `options.source` cannot drive this kernel (an LFSR wider than 64
+/// inputs, a replay schedule recorded for another width).
+pub fn kernel_fault_stats(
     circuit: &Circuit,
     design: &BilboDesign,
     kernel: &Kernel,
     options: &Table2Options,
     rec: &mut Recorder,
-) -> KernelFaultStats {
+) -> Result<KernelFaultStats, String> {
     let cut: HashSet<_> = design.bilbo.iter().chain(&design.cbilbo).copied().collect();
     let kernel_set: HashSet<_> = kernel.vertices.iter().copied().collect();
     let elab = elaborate_kernel(circuit, &kernel_set, &cut).expect("kernel elaborates");
     let comb = elab.netlist.combinational_equivalent();
     let universe = FaultUniverse::collapsed(&comb);
 
-    // Phase 0: static analysis over the compiled IR, timed as a unit.
-    // Observability: faults with no net path to a PO (the truncated
-    // multipliers' upper halves) are redundant outright. The semantic
-    // prover then removes further statically-untestable faults.
+    // Phase 0: compile, then drop the faults with no net path to a PO
+    // (the truncated multipliers' upper halves): they are redundant
+    // outright. Timed as a unit.
     let analysis_start = Instant::now();
     let program = EvalProgram::compile_traced(&comb, rec).expect("kernel equivalents are acyclic");
     let analyze = rec.enter("analyze");
-    let (observable, unobservable) = universe.split_by_observability(&program);
-    let sfa = StaticFaultAnalysis::new_traced(&program, rec);
-    let (to_sim, untestable) = sfa.partition(&program, &observable);
+    let (to_sim, unobservable) = universe.split_by_observability(&program);
     rec.add(CounterId::UniverseFaults, universe.len() as u64);
-    rec.add(CounterId::UntestableStatic, untestable.len() as u64);
     rec.exit(analyze);
     let analysis_wall = analysis_start.elapsed();
     let simulated_faults = to_sim.len() as u64;
@@ -581,7 +573,7 @@ pub fn kernel_fault_stats_traced(
             design,
             kernel,
         )
-        .unwrap_or_else(|e| panic!("cannot build pattern source '{spec}': {e}")),
+        .map_err(|e| format!("cannot build pattern source '{spec}': {e}"))?,
     };
     // Only a traced run with a `--source` times its pulls; every other
     // run pulls from the source directly.
@@ -674,12 +666,11 @@ pub fn kernel_fault_stats_traced(
     let mut sim = report.stats().clone();
     sim.universe_faults = universe.len() as u64;
     sim.simulated_faults = simulated_faults;
-    sim.untestable_static = untestable.len() as u64;
     sim.analysis_wall = analysis_wall;
 
-    KernelFaultStats {
+    Ok(KernelFaultStats {
         faults: universe.len(),
-        redundant: unobservable.len() + untestable.len() + class.redundant.len(),
+        redundant: unobservable.len() + class.redundant.len(),
         aborted: class.aborted.len(),
         unreached: class.detectable.len(),
         detected,
@@ -687,37 +678,47 @@ pub fn kernel_fault_stats_traced(
         sim,
         source: source_run,
         opt: None,
-    }
+    })
 }
 
 /// Runs the full Table 2 pipeline for one circuit under one TDM.
+///
+/// # Panics
+///
+/// When `options.source` cannot drive one of the kernels; the message is
+/// [`table2_column_traced`]'s error.
 pub fn table2_column(circuit: &Circuit, tdm: Tdm, options: &Table2Options) -> Table2Column {
     table2_column_traced(circuit, tdm, options, &mut Recorder::disabled())
+        .unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// [`table2_column`] recorded into a pipeline-level telemetry
 /// [`Recorder`]: one `"column[TDM circuit]"` span per call holding the
 /// `"schedule"` span and one `"kernel N"` span per kernel (each the full
-/// [`kernel_fault_stats_traced`] tree).
+/// [`kernel_fault_stats`] tree).
+///
+/// # Errors
+///
+/// The first kernel's [`kernel_fault_stats`] error.
 pub fn table2_column_traced(
     circuit: &Circuit,
     tdm: Tdm,
     options: &Table2Options,
     rec: &mut Recorder,
-) -> Table2Column {
+) -> Result<Table2Column, String> {
     let column = rec.enter(format!("column[{tdm} {}]", circuit.name()));
     let (circuit, design, ks) = apply_tdm(circuit, tdm);
     let sessions: Vec<TestSession> = schedule_traced(&design, &ks, rec);
-    let stats: Vec<KernelFaultStats> = ks
+    let stats: Result<Vec<KernelFaultStats>, String> = ks
         .iter()
         .enumerate()
         .map(|(i, k)| {
             rec.scope(format!("kernel {i}"), |rec| {
-                kernel_fault_stats_traced(&circuit, &design, k, options, rec)
+                kernel_fault_stats(&circuit, &design, k, options, rec)
             })
         })
         .collect();
-    let out = table2_assemble(tdm, &circuit, &design, &ks, &sessions, stats);
+    let out = stats.map(|stats| table2_assemble(tdm, &circuit, &design, &ks, &sessions, stats));
     rec.exit(column);
     out
 }

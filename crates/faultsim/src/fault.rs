@@ -236,10 +236,10 @@ impl FaultUniverse {
 /// SCOAP sweeps once, then answers static-untestability queries per
 /// [`Fault`].
 ///
-/// The engines and the bench pipeline share this wiring point: faults with
-/// a [`SiteVerdict`] are provably undetectable by *any* pattern and can be
-/// skipped without simulating anything (counted in
-/// [`SimStats::untestable_static`](crate::stats::SimStats::untestable_static)).
+/// Faults with a [`SiteVerdict`] are provably undetectable by *any*
+/// pattern. `bibs-lint --semantic` reports them, and fuzz oracle 3 checks
+/// the verdicts against exhaustive simulation. The Table 2 pipeline does
+/// not run it: PODEM retires every fault it proves there.
 ///
 /// Soundness: every verdict carries a witness (implication chain) and the
 /// underlying lattice only over-approximates, so a verdict is a proof —
@@ -255,15 +255,6 @@ impl StaticFaultAnalysis {
     pub fn new(program: &EvalProgram) -> Self {
         let abs = ternary_analyze(program, &PiAssumption::AllX);
         let scoap = Scoap::compute_with(program, Some(&abs));
-        StaticFaultAnalysis { abs, scoap }
-    }
-
-    /// [`StaticFaultAnalysis::new`] with the ternary and SCOAP phases
-    /// recorded as `"ternary"` / `"scoap"` telemetry spans (plus the
-    /// `case_splits` counter) under the recorder's current span.
-    pub fn new_traced(program: &EvalProgram, rec: &mut bibs_obs::Recorder) -> Self {
-        let abs = bibs_netlist::analysis::ternary_analyze_traced(program, &PiAssumption::AllX, rec);
-        let scoap = Scoap::compute_traced(program, Some(&abs), rec);
         StaticFaultAnalysis { abs, scoap }
     }
 

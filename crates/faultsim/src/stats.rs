@@ -62,18 +62,15 @@ pub struct SimStats {
     /// several times more for the same report.
     pub gate_evals: u64,
     /// Size of the fault universe the run accounts for (before the
-    /// observability split and static-untestability skipping). Zero when
-    /// the caller did not run the pre-analysis pipeline.
+    /// observability split). Zero when the caller did not run the
+    /// pre-analysis pipeline.
     pub universe_faults: u64,
     /// Faults actually handed to the simulation engine (the observable
-    /// faults minus the statically untestable ones). Equals
-    /// `universe_faults` when no pre-analysis ran.
+    /// ones). Equals `universe_faults` when no pre-analysis ran.
     pub simulated_faults: u64,
-    /// Faults proven statically untestable by the semantic analysis and
-    /// skipped without simulating a single pattern.
-    pub untestable_static: u64,
-    /// Wall-clock time spent in the semantic pre-analysis (observability
-    /// sweep, ternary propagation, SCOAP sweeps, untestability proofs).
+    /// Wall-clock time spent before simulation. The Table 2 pipeline
+    /// times the compile to the evaluation IR plus the observability
+    /// split; [`SimStats::from_recorder`] reads the `"analyze"` span.
     /// Zero when no pre-analysis ran.
     pub analysis_wall: Duration,
     /// Simulation lane width: 64 by default (and for the reference
@@ -103,7 +100,7 @@ impl SimStats {
     ///   [`CounterId::GateEvals`], [`CounterId::FaultsDropped`],
     ///   [`CounterId::FaultsRetired`],
     ///   [`CounterId::UniverseFaults`],
-    ///   [`CounterId::SimulatedFaults`], [`CounterId::UntestableStatic`]);
+    ///   [`CounterId::SimulatedFaults`]);
     /// * [`SimStats::per_shard_fault_evals`] — the per-shard *detail*
     ///   children under the root ([`Recorder::shard_counter`]), one entry
     ///   per configured worker (0 for shards that never reported);
@@ -135,7 +132,6 @@ impl SimStats {
             gate_evals: c.get(CounterId::GateEvals),
             universe_faults: c.get(CounterId::UniverseFaults),
             simulated_faults: c.get(CounterId::SimulatedFaults),
-            untestable_static: c.get(CounterId::UntestableStatic),
             analysis_wall: rec
                 .find(root, "analyze")
                 .map(|s| rec.span_wall(s))
@@ -270,12 +266,10 @@ impl fmt::Display for SimStats {
         if self.universe_faults > 0 {
             write!(
                 f,
-                "; {}/{} faults simulated (collapse {:.3}, {} untestable, \
-                 analysis {:.2} ms)",
+                "; {}/{} faults simulated (collapse {:.3}, analysis {:.2} ms)",
                 self.simulated_faults,
                 self.universe_faults,
                 self.collapse_ratio(),
-                self.untestable_static,
                 self.analysis_wall.as_secs_f64() * 1e3
             )?;
         }
@@ -453,12 +447,11 @@ mod tests {
         assert_eq!(s.collapse_ratio(), 1.0, "no pre-analysis");
         s.universe_faults = 200;
         s.simulated_faults = 120;
-        s.untestable_static = 5;
         s.analysis_wall = Duration::from_millis(2);
         assert!((s.collapse_ratio() - 0.6).abs() < 1e-9);
         let line = s.to_string();
         assert!(line.contains("120/200 faults simulated"));
         assert!(line.contains("collapse 0.600"));
-        assert!(line.contains("5 untestable"));
+        assert!(line.contains("analysis 2.00 ms"));
     }
 }

@@ -239,13 +239,6 @@ impl TernaryAbs {
             .enumerate()
             .filter_map(|(s, v)| v.constant().map(|c| (s, c)))
     }
-
-    /// How many slots owe their constant to a 0/1 case split (the bounded
-    /// implication step) rather than plain propagation. Deterministic for
-    /// a given program + assumption, so it doubles as a telemetry counter.
-    pub fn split_count(&self) -> usize {
-        self.split_from.iter().filter(|s| s.is_some()).count()
-    }
 }
 
 /// Runs one forward pass over `program` starting at instruction `from`,
@@ -265,23 +258,6 @@ fn propagate(program: &EvalProgram, values: &mut [Tv], split_from: &[Option<u32>
         }
         values[out] = v;
     }
-}
-
-/// [`ternary_analyze`] wrapped in a telemetry span.
-///
-/// Records a `"ternary"` child span on `rec` holding the wall time and the
-/// deterministic [`CounterId::CaseSplits`](bibs_obs::CounterId::CaseSplits)
-/// count (slots proved constant by the bounded implication step).
-pub fn ternary_analyze_traced(
-    program: &EvalProgram,
-    assumption: &PiAssumption,
-    rec: &mut bibs_obs::Recorder,
-) -> TernaryAbs {
-    let span = rec.enter("ternary");
-    let abs = ternary_analyze(program, assumption);
-    rec.add(bibs_obs::CounterId::CaseSplits, abs.split_count() as u64);
-    rec.exit(span);
-    abs
 }
 
 /// Ternary abstract interpretation over the compiled instruction stream.
@@ -533,21 +509,6 @@ impl Scoap {
         }
 
         Scoap { cc0, cc1, co }
-    }
-
-    /// [`Scoap::compute_with`] wrapped in a telemetry span.
-    ///
-    /// Records a `"scoap"` child span on `rec` holding the wall time of
-    /// the two sweeps.
-    pub fn compute_traced(
-        program: &EvalProgram,
-        abs: Option<&TernaryAbs>,
-        rec: &mut bibs_obs::Recorder,
-    ) -> Scoap {
-        let span = rec.enter("scoap");
-        let scoap = Scoap::compute_with(program, abs);
-        rec.exit(span);
-        scoap
     }
 
     /// The observability of a *pin fault site*: the cost of propagating a

@@ -78,17 +78,13 @@ pub enum CounterId {
     /// Size of the (equivalence-collapsed) fault universe a kernel run
     /// accounts for.
     UniverseFaults,
-    /// Faults actually handed to the simulation engine after static
-    /// analysis.
+    /// Faults actually handed to the simulation engine after the
+    /// observability split.
     SimulatedFaults,
-    /// Faults proven statically untestable and skipped.
-    UntestableStatic,
     /// Instructions in a compiled `EvalProgram`.
     Instructions,
     /// Value slots in a compiled `EvalProgram`.
     Slots,
-    /// Reconvergent-stem case splits performed by the ternary analysis.
-    CaseSplits,
     /// TPG cones exhaustively verified.
     ConesVerified,
     /// Test sessions produced by the scheduler.
@@ -117,7 +113,7 @@ pub enum CounterId {
 }
 
 /// Number of counters — the fixed length of every [`Counters`] array.
-pub const COUNTER_COUNT: usize = 24;
+pub const COUNTER_COUNT: usize = 22;
 
 impl CounterId {
     /// Every counter, in export order.
@@ -134,10 +130,8 @@ impl CounterId {
         CounterId::PodemEvals,
         CounterId::UniverseFaults,
         CounterId::SimulatedFaults,
-        CounterId::UntestableStatic,
         CounterId::Instructions,
         CounterId::Slots,
-        CounterId::CaseSplits,
         CounterId::ConesVerified,
         CounterId::SessionsScheduled,
         CounterId::KernelsScheduled,
@@ -163,10 +157,8 @@ impl CounterId {
             CounterId::PodemEvals => "podem_evals",
             CounterId::UniverseFaults => "universe_faults",
             CounterId::SimulatedFaults => "simulated_faults",
-            CounterId::UntestableStatic => "untestable_static",
             CounterId::Instructions => "instructions",
             CounterId::Slots => "slots",
-            CounterId::CaseSplits => "case_splits",
             CounterId::ConesVerified => "cones_verified",
             CounterId::SessionsScheduled => "sessions_scheduled",
             CounterId::KernelsScheduled => "kernels_scheduled",
@@ -853,13 +845,13 @@ mod tests {
     fn scope_closes_on_return() {
         let mut rec = Recorder::new("r");
         let out = rec.scope("inner", |r| {
-            r.add(CounterId::CaseSplits, 3);
+            r.add(CounterId::ConesVerified, 3);
             42
         });
         assert_eq!(out, 42);
         assert_eq!(rec.current(), rec.root());
         let inner = rec.find(rec.root(), "inner").unwrap();
-        assert_eq!(rec.span_counters(inner).get(CounterId::CaseSplits), 3);
+        assert_eq!(rec.span_counters(inner).get(CounterId::ConesVerified), 3);
     }
 
     #[test]

@@ -10,9 +10,15 @@
 //! datapaths, plus four hand-built circuits that pin the prover's rules:
 //! a `Test` verdict keeps its fault live, an `Aborted` one does too, an
 //! all-redundant live list still stops at the plain run's pattern, and a
-//! plateau no longer than [`PROVE_AFTER`] never calls the prover.
+//! plateau no longer than [`PROVE_AFTER`] never calls the prover. Last,
+//! the whole Table 2 pipeline runs on `circuits/redundant_mux.ckt`, whose
+//! redundancy only case analysis on a reconvergent stem proves: PODEM
+//! retirement must leave its report equal to the reference engine's.
 
-use bibs_bench::{apply_tdm, build_source, SourceSpec, Tdm};
+use bibs_bench::{
+    apply_tdm, build_source, table2_column, table2_json, Engine, SourceSpec, Table2Column,
+    Table2Options, Tdm,
+};
 use bibs_datapath::elab::elaborate_kernel;
 use bibs_datapath::filters::scaled;
 use bibs_faultsim::atpg::{AtpgResult, Verdicts};
@@ -486,4 +492,54 @@ fn a_short_plateau_never_calls_the_prover() {
             }
         }
     }
+}
+
+/// (e) The Table 2 pipeline on the one shipped circuit with redundancy
+/// beyond the observability split: `SUB` computes `a - a`. No static
+/// prover runs, so those faults are simulated until PODEM proves them
+/// redundant and retires them. The fault accounting and the JSON must
+/// equal the reference engine's, which never retires anything.
+#[test]
+fn table2_on_the_redundant_fixture_matches_the_reference_engine() {
+    let path = std::path::Path::new("circuits/redundant_mux.ckt");
+    let loaded = bibs_datapath::front::load_path(path).expect("the fixture loads");
+    let circuit = loaded.circuit().expect("the fixture is RTL");
+    let columns = |engine| {
+        let options = Table2Options {
+            engine,
+            ..Table2Options::default()
+        };
+        (
+            table2_column(circuit, Tdm::Bibs, &options),
+            table2_column(circuit, Tdm::Ka85, &options),
+        )
+    };
+    let compiled = columns(Engine::Compiled);
+    let sums = |c: &Table2Column| {
+        let mut sum = (0, 0, 0);
+        for (k, s) in c.kernel_stats.iter().enumerate() {
+            assert_eq!((s.aborted, s.unreached), (0, 0), "{} kernel {k}", c.tdm);
+            sum = (
+                sum.0 + s.faults,
+                sum.1 + s.redundant,
+                sum.2 + s.detectable(),
+            );
+        }
+        sum
+    };
+    assert_eq!(
+        sums(&compiled.0),
+        (204, 91, 113),
+        "BIBS faults/redundant/detectable"
+    );
+    assert_eq!(
+        sums(&compiled.1),
+        (196, 68, 128),
+        "[3] faults/redundant/detectable"
+    );
+    assert_eq!(
+        table2_json(&[compiled]),
+        table2_json(&[columns(Engine::Reference)]),
+        "retiring PODEM-proved faults must not change the report"
+    );
 }

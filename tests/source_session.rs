@@ -118,10 +118,10 @@ fn table2_mintpg_source_matches_the_session_path_end_to_end() {
         "the kernel is single-cone, so no LFSR fallback: {}",
         run.descriptor_json
     );
-    // table2's static analysis pre-drops untestable faults, so the driver
-    // reaches full coverage of the simulated list before the session runs
-    // dry and stops pulling blocks early — emitted is a block multiple
-    // within the session length.
+    // table2's observability split leaves out the faults with no path to
+    // an output, so the driver reaches full coverage of the simulated list
+    // before the session runs dry and stops pulling blocks early — emitted
+    // is a block multiple within the session length.
     assert!(run.emitted > 0 && run.emitted <= patterns.len() as u64);
     assert_eq!(run.emitted % 64, 0, "sources emit full 64-lane blocks");
 
