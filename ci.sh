@@ -108,9 +108,6 @@ BIBS_JOBS=8 cargo run --release -p bibs-bench --bin table2 -- --only c5a2m \
   --telemetry /tmp/bibs-telemetry-j8.json > /dev/null
 strip_wall() { sed 's/"wall_ns":[0-9]*,//g' "$1"; }
 diff <(strip_wall /tmp/bibs-telemetry-j1.json) <(strip_wall /tmp/bibs-telemetry-j8.json)
-# The 512-lane gate below compares its gate_evals with this run's.
-first_counter() { grep -o "\"$2\":[0-9]*" "$1" | head -1 | grep -o '[0-9]*$'; }
-default_ge=$(first_counter /tmp/bibs-telemetry-j8.json gate_evals)
 
 step "telemetry perf-regression gate (perfdiff vs committed BENCH_table2.json)"
 # The baseline predates the PatternSource refactor, and perfdiff compares
@@ -193,73 +190,31 @@ BIBS_JOBS=8 cargo run --release -p bibs-bench --bin table2 -- 7 --source mintpg 
 diff /tmp/bibs-table2-mintpg-j1.json /tmp/bibs-table2-mintpg-j8.json
 grep -q '"kind":"mintpg"' /tmp/bibs-table2-mintpg-j8.json
 
-step "wide lanes: table2 --lanes JSON is byte-identical (c5a2m, full width)"
-# Wide-word PPSFP evaluation must be report-invisible: one good-machine
-# sweep per 256/512-lane block, same detection-deterministic JSON to the
-# byte as the scalar 64-lane run.
-cargo run --release -p bibs-bench --bin table2 -- --only c5a2m --json \
-  --lanes 256 > /tmp/bibs-table2-l256.json
-diff /tmp/bibs-table2-compiled.json /tmp/bibs-table2-l256.json
-cargo run --release -p bibs-bench --bin table2 -- --only c5a2m --json \
-  --lanes 512 > /tmp/bibs-table2-l512.json
-diff /tmp/bibs-table2-compiled.json /tmp/bibs-table2-l512.json
-
-step "all three datapaths: table2 JSON is byte-identical under --engine reference and --lanes 512"
+step "all three datapaths: table2 JSON is byte-identical under --engine reference"
 # The c5a2m diffs above never reach c4a4m's 1,520-instruction BIBS
 # kernel, where fault cones are smallest (8% of the program on average)
 # and a bug in the event-driven faulty evaluation's early exit would most
 # likely hide. Each run takes well under a second.
 cargo run --release -p bibs-bench --bin table2 -- --json > /tmp/bibs-table2-all.json
-for opts in "--engine reference" "--lanes 512"; do
-  # shellcheck disable=SC2086 # $opts is a flag and its value
-  cargo run --release -p bibs-bench --bin table2 -- --json $opts \
-    > /tmp/bibs-table2-all-alt.json
-  diff /tmp/bibs-table2-all.json /tmp/bibs-table2-all-alt.json
-done
+cargo run --release -p bibs-bench --bin table2 -- --json --engine reference \
+  > /tmp/bibs-table2-all-alt.json
+diff /tmp/bibs-table2-all.json /tmp/bibs-table2-all-alt.json
 grep -q '"c4a4m"' /tmp/bibs-table2-all.json
 
-step "redundant fixture: table2 JSON is byte-identical under --engine reference and --lanes 512, and PODEM retires the provably redundant faults"
+step "redundant fixture: table2 JSON is byte-identical under --engine reference, and PODEM retires the provably redundant faults"
 # circuits/redundant_mux.ckt computes a - a, which only case analysis on
 # a reconvergent stem proves constant. No static prover runs before
 # simulation, so its 103 provably untestable faults must leave the live
 # list through PODEM retirement, and the report must not change.
 cargo run --release -p bibs-bench --bin table2 -- --circuit circuits/redundant_mux.ckt \
   --json --telemetry /tmp/bibs-telemetry-redundant.json > /tmp/bibs-table2-redundant.json
-for opts in "--engine reference" "--lanes 512"; do
-  # shellcheck disable=SC2086 # $opts is a flag and its value
-  cargo run --release -p bibs-bench --bin table2 -- --circuit circuits/redundant_mux.ckt \
-    --json $opts > /tmp/bibs-table2-redundant-alt.json
-  diff /tmp/bibs-table2-redundant.json /tmp/bibs-table2-redundant-alt.json
-done
+cargo run --release -p bibs-bench --bin table2 -- --circuit circuits/redundant_mux.ckt \
+  --json --engine reference > /tmp/bibs-table2-redundant-alt.json
+diff /tmp/bibs-table2-redundant.json /tmp/bibs-table2-redundant-alt.json
 retired=$(grep -o '"faults_retired":[0-9]*' /tmp/bibs-telemetry-redundant.json \
   | grep -o '[0-9]*$' | awk '{ s += $1 } END { print s + 0 }')
 echo "redundant_mux: ${retired} faults retired by PODEM"
 test "$retired" -ge 103
-
-step "wide lanes: telemetry determinism (1 vs 8 worker threads, wall-stripped)"
-BIBS_JOBS=1 cargo run --release -p bibs-bench --bin table2 -- --only c5a2m \
-  --lanes 512 --telemetry /tmp/bibs-telemetry-lanes-j1.json > /dev/null
-BIBS_JOBS=8 cargo run --release -p bibs-bench --bin table2 -- --only c5a2m \
-  --lanes 512 --telemetry /tmp/bibs-telemetry-lanes-j8.json > /dev/null
-diff <(strip_wall /tmp/bibs-telemetry-lanes-j1.json) \
-     <(strip_wall /tmp/bibs-telemetry-lanes-j8.json)
-grep -q '"lanes":512' /tmp/bibs-telemetry-lanes-j8.json
-
-step "wide lanes: perf gate vs committed BENCH_table2_lanes.json"
-# The baseline records the 512-lane run's counters — including the
-# lane-normalized gate_evals (higher than scalar: a fault detected early
-# in a sweep still rides out the whole wide block) and the lanes marker.
-cargo run --release -p bibs-bench --bin perfdiff -- \
-  BENCH_table2_lanes.json /tmp/bibs-telemetry-lanes-j8.json
-# And the wide sweeps must actually deliver: gate-evals per second on the
-# same machine, back to back, strictly greater than the scalar run's.
-lanes_ge=$(first_counter /tmp/bibs-telemetry-lanes-j8.json gate_evals)
-lanes_wall=$(wall_of /tmp/bibs-telemetry-lanes-j8.json)
-scalar_ge=$default_ge
-scalar_wall=$(wall_of /tmp/bibs-telemetry-j8.json)
-echo "gate-evals/s: scalar ${scalar_ge}/${scalar_wall} ns, 512 lanes ${lanes_ge}/${lanes_wall} ns"
-test -n "$lanes_ge" && test -n "$lanes_wall"
-test $(( lanes_ge * scalar_wall )) -gt $(( scalar_ge * lanes_wall ))
 
 step "bench bins exit nonzero on bad input (no panics)"
 # `set -e` ignores a failing `! cmd`, so the check is a function whose
@@ -283,12 +238,14 @@ if cargo run --release -p bibs-bench --bin table2 -- --only c5a2m \
   exit 1
 fi
 no_panic /tmp/bibs-table2-badreplay.txt
-# A bad datapath name or width, a removed flag, or a pattern source that
-# cannot drive a kernel (an LFSR past 64 inputs, directly or as mintpg's
-# fallback; a replay schedule declared for another width) is a usage
-# error: exit 2 with a message, never a panic (exit 101).
+# A bad datapath name or width, a removed flag, a bad bits argument, or a
+# pattern source that cannot drive a kernel (an LFSR past 64 inputs,
+# directly or as mintpg's fallback; a replay schedule declared for another
+# width) is a usage error: exit 2 with a message, never a panic (exit 101).
 printf 'width 5\n0x51B51994 256\n' > /tmp/bibs-width5.seeds
 for bad in "table2 0" "table2 --opt" "table2 --collapse dominance" \
+  "table2 --lanes 256" "coverage c5a2m 4 --lanes 512" \
+  "bits circuits/mac.ckt --lanes 256" "bits circuits/mac.ckt --tdm foo" \
   "coverage c5a2m 0" "coverage foo" "coverage c5a2m x" \
   "coverage c5a2m 4 --collapse none" "convert c5a2m@0 -:bench" \
   "table2 16 --only c4a4m --source lfsr" "table2 12 --only c4a4m --source mintpg" \
@@ -332,15 +289,13 @@ for f in /tmp/bibs-fuzz-seeds/seq/*.bench; do
   diff "$f" "corpus/seq/$(basename "$f")"
 done
 
-step "fuzz smoke (200 seeded cases through the seven differential oracles)"
+step "fuzz smoke (200 seeded cases through the six differential oracles)"
 # Time-boxed; a divergence writes a minimized fixture to
-# corpus/regressions/ and fails the run. Oracle 5 (lanes) cross-checks
-# wide 256/512-lane sweeps against the scalar engine on every case,
-# including a plateau-stop run that exercises sub-block retraction.
-# Oracle 6 (podem) checks every PODEM verdict against exhaustive
-# simulation in release, where PODEM's debug-build implication check is
-# compiled out. Oracle 7 (retire) requires runs that retire PODEM-proved
-# faults mid-run to reproduce the plain run at every lane width.
+# corpus/regressions/ and fails the run. Oracle 5 (podem) checks every
+# PODEM verdict against exhaustive simulation in release, where PODEM's
+# debug-build implication check is compiled out. Oracle 6 (retire)
+# requires runs that retire PODEM-proved faults mid-run to reproduce the
+# plain run at 1 and 2 threads.
 timeout 300 cargo run --release -p bibs-corpus --bin bibs-fuzz -- --smoke \
   --cases 200 | tee /tmp/bibs-fuzz-smoke.txt
 grep -q "0 divergence(s)" /tmp/bibs-fuzz-smoke.txt

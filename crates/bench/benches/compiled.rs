@@ -50,9 +50,9 @@ fn bench_good_eval(c: &mut Criterion) {
         })
     });
     group.bench_function("compiled", |b| {
-        let mut values = program.new_values::<1>();
+        let mut values = program.new_values();
         b.iter(|| {
-            program.eval_good::<1>(&mut values, black_box(&words));
+            program.eval_good(&mut values, black_box(&words));
             black_box(values[nl.outputs()[0].index()])
         })
     });

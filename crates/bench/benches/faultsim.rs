@@ -37,7 +37,7 @@ fn bench_fault_sim_block(c: &mut Criterion) {
                 || ParFaultSimulator::new(&nl, observable.clone()),
                 |mut sim| {
                     let words: Vec<u64> = (0..nl.input_width()).map(|_| rng.gen()).collect();
-                    black_box(sim.sweep(&[PatternBlock { words, lanes: 64 }], &[64]))
+                    black_box(sim.apply(&PatternBlock { words, lanes: 64 }, 64))
                 },
                 criterion::BatchSize::SmallInput,
             )

@@ -27,8 +27,11 @@
 //! faults reached, patterns emitted, hardware clock cycles). A source
 //! that cannot drive a kernel (an LFSR past 64 inputs, a replay schedule
 //! declared for another width) stops the flow with exit code 2.
-//! `--lanes 64|256|512` sets the evaluation width for those simulations
-//! (wide PPSFP sweeps; identical results, higher gate-evals/s).
+//!
+//! Flags may come before or after the circuit path. An unknown flag, a
+//! flag without its value, a `--tdm` other than `bibs` or `ka85`, a
+//! second circuit path or none is a usage error: one line on stderr, exit
+//! code 2.
 
 use bibs_bench::{kernel_fault_stats, SourceSpec, Table2Options, Telemetry};
 use bibs_core::bibs::{self, BibsOptions};
@@ -48,67 +51,55 @@ use bibs_obs::Recorder;
 use bibs_rtl::{Circuit, VertexKind};
 use std::process::ExitCode;
 
+/// Prints a one-line usage error and exits with status 2.
+fn usage_error(msg: impl std::fmt::Display) -> ! {
+    eprintln!(
+        "bits: {msg} (usage: bits <circuit.{{ckt,bench}}> [--tdm bibs|ka85] \
+         [--source SPEC] [--telemetry out.json])"
+    );
+    std::process::exit(2);
+}
+
+/// The value after `flag`, or a usage error if there is none.
+fn flag_value(flag: &str, args: &mut impl Iterator<Item = String>) -> String {
+    args.next()
+        .unwrap_or_else(|| usage_error(format!("{flag} needs a value")))
+}
+
 fn main() -> ExitCode {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let telemetry_path = args.iter().position(|a| a == "--telemetry").map(|i| {
-        if i + 1 >= args.len() {
-            eprintln!("bits: --telemetry needs an output path");
-            std::process::exit(2);
-        }
-        let p = std::path::PathBuf::from(args.remove(i + 1));
-        args.remove(i);
-        p
-    });
-    let lanes = args
-        .iter()
-        .position(|a| a == "--lanes")
-        .map(|i| {
-            if i + 1 >= args.len() {
-                eprintln!("bits: --lanes needs a value");
-                std::process::exit(2);
-            }
-            let value = args.remove(i + 1);
-            args.remove(i);
-            match value.parse() {
-                Ok(l @ (64 | 256 | 512)) => l,
-                _ => {
-                    eprintln!("bits: --lanes expects 64, 256 or 512 (got '{value}')");
-                    std::process::exit(2);
+    let mut path: Option<String> = None;
+    let mut tdm = String::from("bibs");
+    let mut source: Option<SourceSpec> = None;
+    let mut telemetry_path: Option<std::path::PathBuf> = None;
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--tdm" => {
+                tdm = flag_value(&arg, &mut args);
+                if !matches!(tdm.as_str(), "bibs" | "ka85") {
+                    usage_error(format!("--tdm expects bibs or ka85 (got '{tdm}')"));
                 }
             }
-        })
-        .unwrap_or(64);
-    let source = args.iter().position(|a| a == "--source").map(|i| {
-        if i + 1 >= args.len() {
-            eprintln!("bits: --source needs a value");
-            std::process::exit(2);
+            "--source" => {
+                let spec: SourceSpec = flag_value(&arg, &mut args)
+                    .parse()
+                    .unwrap_or_else(|e| usage_error(e));
+                if let Err(e) = spec.preflight() {
+                    usage_error(e);
+                }
+                source = Some(spec);
+            }
+            "--telemetry" => telemetry_path = Some(flag_value(&arg, &mut args).into()),
+            flag if flag.starts_with("--") => usage_error(format!("unknown argument '{flag}'")),
+            _ if path.is_some() => usage_error(format!("unexpected argument '{arg}'")),
+            _ => path = Some(arg),
         }
-        let spec: SourceSpec = args.remove(i + 1).parse().unwrap_or_else(|e| {
-            eprintln!("bits: {e}");
-            std::process::exit(2);
-        });
-        if let Err(e) = spec.preflight() {
-            eprintln!("bits: {e}");
-            std::process::exit(2);
-        }
-        args.remove(i);
-        spec
-    });
-    let Some(path) = args.first() else {
-        eprintln!(
-            "usage: bits <circuit.{{ckt,bench}}> [--tdm bibs|ka85] [--source SPEC] \
-             [--lanes 64|256|512] [--telemetry out.json]"
-        );
-        return ExitCode::FAILURE;
+    }
+    let Some(path) = path else {
+        usage_error("missing circuit path");
     };
-    let tdm = args
-        .iter()
-        .position(|a| a == "--tdm")
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
-        .unwrap_or("bibs");
 
-    let loaded = match bibs_datapath::front::load_path(std::path::Path::new(path)) {
+    let loaded = match bibs_datapath::front::load_path(std::path::Path::new(&path)) {
         Ok(l) => l,
         Err(e) => {
             eprintln!("bits: {e}");
@@ -125,7 +116,7 @@ fn main() -> ExitCode {
     };
     let telemetry = Telemetry::new(telemetry_path);
     let mut rec = telemetry.recorder("bits");
-    let outcome = run(&circuit, tdm, source.as_ref(), lanes, &mut rec);
+    let outcome = run(&circuit, &tdm, source.as_ref(), &mut rec);
     if let Err(e) = telemetry.emit(&mut rec) {
         eprintln!("bits: {e}");
         return ExitCode::FAILURE;
@@ -143,7 +134,6 @@ fn run(
     circuit: &Circuit,
     tdm: &str,
     source: Option<&SourceSpec>,
-    lanes: usize,
     rec: &mut Recorder,
 ) -> Result<(), Box<dyn std::error::Error>> {
     println!("== BITS flow for circuit {} ==", circuit.name());
@@ -267,7 +257,6 @@ fn run(
                 plateau: 65_536,
                 backtrack_limit: 1_000,
                 source: Some(spec.clone()),
-                lanes,
                 ..Table2Options::default()
             };
             let stats = rec

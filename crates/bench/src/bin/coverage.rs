@@ -3,8 +3,7 @@
 //! detectable faults) for BIBS and \[3\] on one circuit.
 //!
 //! Run with `cargo run --release -p bibs-bench --bin coverage --
-//! [circuit] [width] [--lanes 64|256|512]
-//! [--source random|lfsr|mintpg|weighted|replay:FILE]
+//! [circuit] [width] [--source random|lfsr|mintpg|weighted|replay:FILE]
 //! [--telemetry OUT.json]`
 //! (defaults: c5a2m, width 4). `circuit` is a built-in name
 //! (`c5a2m`, `c3a2m`, `c4a4m`) or a circuit file — `.ckt`, or `.bench`
@@ -13,11 +12,9 @@
 //! usage error (exit 2). Pipe to
 //! a file and plot. `--source` swaps the per-kernel pattern stream for a
 //! hardware-faithful source (the curve's x-axis stays pattern counts;
-//! the per-kernel clock budget goes to stderr). `--lanes 256|512` widens the
-//! evaluation word for the PPSFP wide sweeps (the CSV is byte-identical;
-//! only gate-evals/s changes); a source that cannot drive a kernel (an
-//! LFSR past 64 inputs, a replay schedule recorded for another width) is
-//! a usage error too. Per-kernel engine stats — including the collapse
+//! the per-kernel clock budget goes to stderr); a source that cannot
+//! drive a kernel (an LFSR past 64 inputs, a replay schedule recorded for
+//! another width) is a usage error too. Per-kernel engine stats — including the collapse
 //! ratio and analysis wall — go to stderr; `BIBS_JOBS` sets the
 //! worker-thread count; `BIBS_TRACE=spans|counters` prints the telemetry
 //! tree or aggregate counters to stderr.
@@ -34,20 +31,10 @@ fn usage_error(msg: impl std::fmt::Display) -> ! {
 fn main() {
     let mut positional: Vec<String> = Vec::new();
     let mut source: Option<SourceSpec> = None;
-    let mut lanes: usize = 64;
     let mut telemetry_path: Option<std::path::PathBuf> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
-        if arg == "--lanes" {
-            let value = args.next().unwrap_or_default();
-            lanes = match value.parse() {
-                Ok(l @ (64 | 256 | 512)) => l,
-                _ => {
-                    eprintln!("--lanes expects 64, 256 or 512 (got '{value}')");
-                    std::process::exit(2);
-                }
-            };
-        } else if arg == "--source" {
+        if arg == "--source" {
             let value = args.next().unwrap_or_default();
             let spec: SourceSpec = value.parse().unwrap_or_else(|e| {
                 eprintln!("{e}");
@@ -98,7 +85,6 @@ fn main() {
     };
     let options = Table2Options {
         source,
-        lanes,
         ..Table2Options::default()
     };
 

@@ -5,8 +5,7 @@
 //!
 //! Run with `cargo run --release -p bibs-bench --bin table2`.
 //!
-//! Usage: `table2 [WIDTH] [--json] [--lanes 64|256|512]
-//! [--engine compiled|reference]
+//! Usage: `table2 [WIDTH] [--json] [--engine compiled|reference]
 //! [--source random|lfsr|mintpg|weighted|replay:FILE] [--only NAME]
 //! [--circuit PATH] [--telemetry OUT.json]`
 //!
@@ -29,11 +28,6 @@
 //!   coverage-vs-clocks axis). A source that cannot drive a kernel (an
 //!   LFSR past 64 inputs, also as `mintpg`'s fallback; a replay schedule
 //!   declared for another width) is a usage error (exit 2);
-//! * `--lanes` — evaluation width in lanes (default 64). 256 and 512 run
-//!   the PPSFP wide sweeps (4 or 8 u64 words per evaluation, one
-//!   good-machine sweep per wide block); the JSON stays byte-identical (a
-//!   CI gate diffs all three widths) while gate-evals/s rises — a `lanes`
-//!   counter lands in the telemetry export;
 //! * `--only NAME` — restrict to one circuit (`c5a2m`, `c3a2m`, `c4a4m`);
 //! * `--telemetry OUT.json` — write the hierarchical span tree (stage
 //!   wall clocks plus deterministic counters, schema `bibs-telemetry/1`)
@@ -58,7 +52,6 @@ fn main() {
     let mut json = false;
     let mut engine = Engine::Compiled;
     let mut source: Option<SourceSpec> = None;
-    let mut lanes: usize = 64;
     let mut only: Option<String> = None;
     let mut circuit_path: Option<std::path::PathBuf> = None;
     let mut telemetry_path: Option<std::path::PathBuf> = None;
@@ -66,16 +59,6 @@ fn main() {
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--json" => json = true,
-            "--lanes" => {
-                let value = args.next().unwrap_or_default();
-                lanes = match value.parse() {
-                    Ok(l @ (64 | 256 | 512)) => l,
-                    _ => {
-                        eprintln!("--lanes expects 64, 256 or 512 (got '{value}')");
-                        std::process::exit(2);
-                    }
-                };
-            }
             "--telemetry" => {
                 telemetry_path = Some(std::path::PathBuf::from(args.next().unwrap_or_else(|| {
                     eprintln!("--telemetry needs an output path");
@@ -125,7 +108,6 @@ fn main() {
     let options = Table2Options {
         engine,
         source,
-        lanes,
         ..Table2Options::default()
     };
     let circuits: Vec<bibs_rtl::Circuit> = if let Some(path) = &circuit_path {

@@ -254,7 +254,7 @@ pub fn build_source(
 }
 
 /// A source whose pulls are timed. [`BlockSim::run`] pulls
-/// blocks between sweeps, outside the engine's `fault-sim[...]` span, so
+/// blocks between applies, outside the engine's `fault-sim[...]` span, so
 /// a traced run charges this time to the `source[...]` span instead.
 struct TimedSource<'a> {
     inner: &'a mut dyn PatternSource,
@@ -267,13 +267,6 @@ impl PatternSource for TimedSource<'_> {
         let block = self.inner.next_block(width);
         self.wall += start.elapsed();
         block
-    }
-
-    fn next_wide_block(&mut self, width: usize, max_words: usize) -> Vec<PatternBlock> {
-        let start = Instant::now();
-        let blocks = self.inner.next_wide_block(width, max_words);
-        self.wall += start.elapsed();
-        blocks
     }
 
     fn clocks_consumed(&self) -> u64 {
@@ -423,13 +416,13 @@ pub struct Table2Options {
     /// the benchmark crate (`benchmark/src/workload.rs`) compares it
     /// against the default; the next change to the benchmark deletes it.
     pub opt: (),
-    /// Evaluation width in lanes (`--lanes`): 64 (the scalar default),
-    /// 256 or 512. Widths past 64 run the PPSFP wide sweeps — one
-    /// good-machine evaluation per 4- or 8-word block — and add a
-    /// `lanes` telemetry counter; detection results are bit-identical at
-    /// every width, only `gate_evals`-per-second and wall-clock change.
-    /// [`Engine::Reference`] ignores the setting — the interpreter is
-    /// always 64-lane.
+    /// Not a setting: always 64, the one block width. The field remains
+    /// only because the benchmark crate (`benchmark/src/trace.rs` and
+    /// `benchmark/src/workload.rs`) reads it; the next change to the
+    /// benchmark deletes it. With [`Engine::Compiled`],
+    /// [`kernel_fault_stats`] still passes it to
+    /// [`ParFaultSimulator::with_lanes`], so any other value panics
+    /// instead of being ignored; [`Engine::Reference`] ignores it.
     pub lanes: usize,
 }
 
@@ -511,7 +504,7 @@ pub fn apply_tdm(circuit: &Circuit, tdm: Tdm) -> (Circuit, BilboDesign, Vec<Kern
 ///   wall is added to the span's), with the `podem_faults` (each fault
 ///   searched counted once), `podem_backtracks` and `podem_evals`
 ///   counters. The engine's span carries `faults_retired` when Phase 1
-///   retired any; its wall is sweep time only.
+///   retired any; its wall is block-evaluation time only.
 ///
 /// Every exported counter is detection-deterministic: identical for any
 /// thread count.
@@ -558,8 +551,8 @@ pub fn kernel_fault_stats(
     //
     // The compiled engine runs with PODEM as its prover: once the stream
     // has gone `PROVE_AFTER` patterns without a detection, the faults
-    // PODEM proves redundant leave the live list, and the sweeps that
-    // carry none stop evaluating the good machine. A redundant fault is
+    // PODEM proves redundant leave the live list, and once none is left
+    // the blocks stop evaluating the good machine. A redundant fault is
     // never detected, so the report is the plain run's. The reference
     // engine, the oracle, runs the plain driver.
     let kernel_seed = options.seed ^ kernel.input_edges.len() as u64;

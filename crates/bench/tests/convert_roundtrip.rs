@@ -21,7 +21,7 @@ fn convert(input: &str, output: &str) {
 /// output words.
 fn eval_words(nl: &Netlist, frames: usize) -> Vec<Vec<u64>> {
     let program = EvalProgram::compile(nl).expect("round-trip netlist compiles");
-    let mut values = program.new_values::<1>();
+    let mut values = program.new_values();
     let mut capture = Vec::new();
     let mut out = Vec::new();
     let mut seed = 0x0123_4567_89AB_CDEFu64;
@@ -34,7 +34,7 @@ fn eval_words(nl: &Netlist, frames: usize) -> Vec<Vec<u64>> {
                 seed
             })
             .collect();
-        program.eval_good::<1>(&mut values, &inputs);
+        program.eval_good(&mut values, &inputs);
         out.push(
             program
                 .output_slots()

@@ -7,10 +7,10 @@
 //!   multipliers up to 64 bits, the paper's filter datapaths, deep DFF
 //!   pipelines, multi-kernel register chains, random gate DAGs) with
 //!   [`gen::SizeReport`] records for scaling curves;
-//! * [`oracle`] — the seven differential oracles every corpus circuit is
+//! * [`oracle`] — the six differential oracles every corpus circuit is
 //!   pushed through (compiled vs reference evaluation, one-thread vs
 //!   sharded reports, static untestability vs exhaustive ground truth,
-//!   pattern sources across thread counts, wide vs 64-lane reports,
+//!   pattern sources across thread counts,
 //!   PODEM verdicts vs exhaustive ground truth, runs that retire
 //!   PODEM-proved faults vs plain runs);
 //! * [`minimize`] — a greedy structural shrinker that reduces a

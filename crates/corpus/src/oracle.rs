@@ -1,4 +1,4 @@
-//! The seven differential oracles the fuzzer cross-checks per circuit.
+//! The six differential oracles the fuzzer cross-checks per circuit.
 //!
 //! Each oracle pits two implementations (or one implementation and a
 //! ground truth) against each other on the same circuit and reports a
@@ -17,27 +17,21 @@
 //!    1, 2 and 4 threads, and the
 //!    source's own stream digest matches across the runs — the pulled
 //!    streams themselves were identical, not just the verdicts.
-//! 5. **Lanes** — wide-word evaluation (256 and 512 lanes via
-//!    `with_lanes`) must reproduce the 64-lane report bit for bit on the
-//!    same seeded stream, at 1 and 2 threads, including a plateau-stop
-//!    run that exercises the driver's sub-block retraction — the
-//!    differential check behind `table2 --lanes`.
-//! 6. **Podem** — every PODEM verdict on the collapsed fault universe
+//! 5. **Podem** — every PODEM verdict on the collapsed fault universe
 //!    must hold under exhaustive simulation: a test detects its fault
 //!    when replayed, a redundant fault is never detected, and no search
 //!    aborts under Table 2's backtrack limit — the check behind the
 //!    100 %-coverage rows, run in release where PODEM's debug-build
 //!    implication check is off.
-//! 7. **Retire** — a run whose driver hands its live faults to PODEM
+//! 6. **Retire** — a run whose driver hands its live faults to PODEM
 //!    after [`PROVE_AFTER`](bibs_faultsim::sim::PROVE_AFTER) patterns
 //!    without a detection, and stops simulating the ones proved
-//!    redundant, must reproduce the plain run's report bit for bit at 64,
-//!    256 and 512 lanes and at 1 and 2 threads — the check behind
-//!    `table2`'s mid-run retirement.
+//!    redundant, must reproduce the plain run's report bit for bit at 1
+//!    and 2 threads — the check behind `table2`'s mid-run retirement.
 //!
-//! Oracles 3 and 6 need exhaustive simulation and only run when the
+//! Oracles 3 and 5 need exhaustive simulation and only run when the
 //! circuit has at most [`EXHAUSTIVE_PI_LIMIT`] primary-input bits; 1, 2,
-//! 4, 5 and 7 run on everything. Sequential circuits are checked on their
+//! 4 and 6 run on everything. Sequential circuits are checked on their
 //! [`combinational_equivalent`](Netlist::combinational_equivalent).
 
 use bibs_faultsim::atpg::{Atpg, AtpgResult, Verdicts};
@@ -51,10 +45,10 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::fmt;
 
-/// Largest primary-input width the exhaustive oracles (3 and 6) accept.
+/// Largest primary-input width the exhaustive oracles (3 and 5) accept.
 pub const EXHAUSTIVE_PI_LIMIT: usize = 16;
 
-/// PODEM's backtrack limit for oracles 6 and 7: Table 2's default. A complete
+/// PODEM's backtrack limit for oracles 5 and 6: Table 2's default. A complete
 /// search over at most [`EXHAUSTIVE_PI_LIMIT`] inputs takes at most
 /// `2^16 - 1` backtracks, so an abort under it is a divergence.
 const PODEM_BACKTRACK_LIMIT: usize = 100_000;
@@ -83,8 +77,6 @@ pub enum Oracle {
     Prover,
     /// Pattern-source streams across thread counts.
     Source,
-    /// Wide-word (256/512-lane) vs scalar 64-lane reports.
-    Lanes,
     /// PODEM verdicts vs exhaustive simulation.
     Podem,
     /// Runs that retire PODEM-proved faults vs plain runs.
@@ -98,7 +90,6 @@ impl fmt::Display for Oracle {
             Oracle::Parallel => "parallel",
             Oracle::Prover => "prover",
             Oracle::Source => "source",
-            Oracle::Lanes => "lanes",
             Oracle::Podem => "podem",
             Oracle::Retire => "retire",
         })
@@ -140,7 +131,6 @@ pub fn check_all(netlist: &Netlist, seed: u64) -> Vec<Divergence> {
     out.extend(check_eval(&nl, &program, seed));
     out.extend(check_parallel(&nl, seed));
     out.extend(check_source(&nl, seed));
-    out.extend(check_lanes(&nl, seed));
     out.extend(check_retire(&nl, &program, seed));
     if nl.input_width() <= EXHAUSTIVE_PI_LIMIT {
         out.extend(check_prover(&nl, &program));
@@ -161,12 +151,12 @@ pub fn check_eval(nl: &Netlist, program: &EvalProgram, seed: u64) -> Vec<Diverge
         }
     };
     let mut rng = StdRng::seed_from_u64(seed ^ 0xE7A1);
-    let mut compiled = program.new_values::<1>();
+    let mut compiled = program.new_values();
     let mut interpreted = vec![0u64; nl.net_count()];
     let mut scratch = Vec::new();
     for block in 0..8 {
         let words: Vec<u64> = (0..nl.input_width()).map(|_| rng.gen()).collect();
-        program.eval_good::<1>(&mut compiled, &words);
+        program.eval_good(&mut compiled, &words);
         bibs_faultsim::reference::eval_good(nl, &order, &words, &mut interpreted, &mut scratch);
         for id in nl.net_ids() {
             if compiled[id.index()] != interpreted[id.index()] {
@@ -290,71 +280,10 @@ pub fn check_source(nl: &Netlist, seed: u64) -> Vec<Divergence> {
     out
 }
 
-/// Oracle 5: wide-word evaluation is report-invisible. Each lane width
-/// (256 and 512) re-runs the 64-lane baseline's seeded stream at 1 and
-/// 2 threads and requires bit-identical detection and pattern counts; a
-/// second, plateau-limited run forces the driver to stop mid-sweep and
-/// retract sub-blocks a 64-lane run would never have applied.
-pub fn check_lanes(nl: &Netlist, seed: u64) -> Vec<Divergence> {
-    let faults = FaultUniverse::collapsed(nl).faults().to_vec();
-    if faults.is_empty() {
-        return Vec::new();
-    }
-    let source_seed = seed ^ 0x7A9E;
-    let mut src = RandomWords::seeded(source_seed);
-    let full = ParFaultSimulator::new(nl, faults.clone()).run_source(&mut src, SOURCE_PATTERNS);
-    let mut src = RandomWords::seeded(source_seed);
-    let stopped = ParFaultSimulator::new(nl, faults.clone()).run_source_with(
-        &mut src,
-        SOURCE_PATTERNS,
-        64,
-        1.0,
-    );
-    let mut out = Vec::new();
-    for lanes in [256usize, 512] {
-        let mut src = RandomWords::seeded(source_seed);
-        let wide = ParFaultSimulator::new(nl, faults.clone())
-            .with_lanes(lanes)
-            .run_source(&mut src, SOURCE_PATTERNS);
-        if wide.detection() != full.detection()
-            || wide.patterns_applied() != full.patterns_applied()
-        {
-            out.push(Divergence {
-                oracle: Oracle::Lanes,
-                detail: format!("one-thread report differs at {lanes} lanes"),
-            });
-        }
-        let mut src = RandomWords::seeded(source_seed);
-        let par = ParFaultSimulator::with_threads(nl, faults.clone(), 2)
-            .with_lanes(lanes)
-            .run_source(&mut src, SOURCE_PATTERNS);
-        if par.detection() != full.detection() || par.patterns_applied() != full.patterns_applied()
-        {
-            out.push(Divergence {
-                oracle: Oracle::Lanes,
-                detail: format!("2-thread report differs at {lanes} lanes"),
-            });
-        }
-        let mut src = RandomWords::seeded(source_seed);
-        let wide_stopped = ParFaultSimulator::new(nl, faults.clone())
-            .with_lanes(lanes)
-            .run_source_with(&mut src, SOURCE_PATTERNS, 64, 1.0);
-        if wide_stopped.detection() != stopped.detection()
-            || wide_stopped.patterns_applied() != stopped.patterns_applied()
-        {
-            out.push(Divergence {
-                oracle: Oracle::Lanes,
-                detail: format!("plateau-stop report differs at {lanes} lanes"),
-            });
-        }
-    }
-    out
-}
-
-/// Oracle 7: retiring PODEM-proved faults mid-run is report-invisible.
+/// Oracle 6: retiring PODEM-proved faults mid-run is report-invisible.
 /// A plain run and runs whose prover is PODEM at Table 2's backtrack
-/// limit, at each lane width and at 1 and 2 threads, draw the same
-/// seeded stream and must agree on detection and `patterns_applied`.
+/// limit, at 1 and 2 threads, draw the same seeded stream and must agree
+/// on detection and `patterns_applied`.
 /// Like Table 2, the runs simulate only the faults with a path to an
 /// output: PODEM can prove an unobservable fault redundant only by
 /// exhausting every assignment that activates it.
@@ -370,33 +299,28 @@ pub fn check_retire(nl: &Netlist, program: &EvalProgram, seed: u64) -> Vec<Diver
     };
     let plain = ParFaultSimulator::new(nl, faults.clone())
         .run(&mut RandomWords::seeded(source_seed), stop());
-    // One verdict per fault, shared by the six runs.
+    // One verdict per fault, shared by the two runs.
     let mut verdicts = Verdicts::new(nl, PODEM_BACKTRACK_LIMIT);
     let mut out = Vec::new();
-    for lanes in [64usize, 256, 512] {
-        for threads in [1usize, 2] {
-            let mut prove = |f| verdicts.proves_redundant(f);
-            let proving = ParFaultSimulator::with_threads(nl, faults.clone(), threads)
-                .with_lanes(lanes)
-                .run(
-                    &mut RandomWords::seeded(source_seed),
-                    Stop {
-                        prover: Some(&mut prove),
-                        ..stop()
-                    },
-                );
-            if proving.detection() != plain.detection()
-                || proving.patterns_applied() != plain.patterns_applied()
-            {
-                out.push(Divergence {
-                    oracle: Oracle::Retire,
-                    detail: format!(
-                        "report differs at {threads} thread(s) @ {lanes} lanes \
-                         ({} fault(s) retired)",
-                        proving.stats().faults_retired
-                    ),
-                });
-            }
+    for threads in [1usize, 2] {
+        let mut prove = |f| verdicts.proves_redundant(f);
+        let proving = ParFaultSimulator::with_threads(nl, faults.clone(), threads).run(
+            &mut RandomWords::seeded(source_seed),
+            Stop {
+                prover: Some(&mut prove),
+                ..stop()
+            },
+        );
+        if proving.detection() != plain.detection()
+            || proving.patterns_applied() != plain.patterns_applied()
+        {
+            out.push(Divergence {
+                oracle: Oracle::Retire,
+                detail: format!(
+                    "report differs at {threads} thread(s) ({} fault(s) retired)",
+                    proving.stats().faults_retired
+                ),
+            });
         }
     }
     out
@@ -430,7 +354,7 @@ pub fn check_prover(nl: &Netlist, program: &EvalProgram) -> Vec<Divergence> {
     Vec::new()
 }
 
-/// Oracle 6: PODEM's verdict on every collapsed fault holds under
+/// Oracle 5: PODEM's verdict on every collapsed fault holds under
 /// exhaustive simulation. A test must detect its fault when replayed with
 /// its don't-cares filled either way; a redundant fault must stay
 /// undetected over all `2^PI` patterns; an abort under Table 2's limit of

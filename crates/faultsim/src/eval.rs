@@ -1,9 +1,9 @@
 //! Compiled-evaluation helpers for the fault simulator.
 //!
-//! Every thread count and lane width *must* compute per-fault detection
+//! Every engine and thread count *must* compute per-fault detection
 //! identically — the engine's determinism guarantee (bit-identical
 //! [`crate::sim::FaultSimReport`]s) rests on there being exactly one
-//! mapping from faults to [`Patch`]es and one output-difference rule.
+//! mapping from faults to [`Patch`]es and one detection rule.
 //! Since the compiled-IR refactor the evaluation itself lives in
 //! [`bibs_netlist::EvalProgram`]; this module supplies the fault-model
 //! glue. The seed AST-walking interpreter survives in
@@ -28,41 +28,28 @@ pub(crate) fn compile_patch(program: &EvalProgram, fault: Fault) -> Patch {
     }
 }
 
-/// The first sub-word on which the faulty machine's outputs differ from
-/// the good machine's: `(sub_word, diff_word)` with the difference
-/// restricted to `masks[sub_word]`, or `None` if the fault is undetected
-/// in the whole sweep. `output_slots` are [`EvalProgram::output_slots`];
-/// `masks[k]` is the valid-lane mask of sub-word `k` (0 for sub-words
-/// past the pattern budget).
+/// The OR of `good ^ faulty` over the primary outputs: the lanes on
+/// which the faulty machine's outputs differ from the good machine's.
+/// `output_slots` index one word per slot.
 #[inline]
-pub(crate) fn output_diff<const N: usize>(
-    output_slots: &[u32],
-    good: &[u64],
-    faulty: &[u64],
-    masks: &[u64; N],
-) -> Option<(usize, u64)> {
-    let mut diff = [0u64; N];
-    for &o in output_slots {
-        let a = o as usize * N;
-        for ((d, g), f) in diff.iter_mut().zip(&good[a..a + N]).zip(&faulty[a..a + N]) {
-            *d |= g ^ f;
-        }
-    }
-    first_detection(diff, masks)
+pub(crate) fn output_diff(output_slots: &[u32], good: &[u64], faulty: &[u64]) -> u64 {
+    output_slots
+        .iter()
+        .fold(0, |d, &o| d | (good[o as usize] ^ faulty[o as usize]))
 }
 
-/// The first sub-word `k` whose output difference `diff[k]` has a lane
-/// inside `masks[k]`, with that masked word. Taking the *first* differing
-/// sub-word, and its lowest lane, is what makes first-detection indices
-/// identical at every lane width.
+/// The valid-lane mask of a block whose first `lanes` lanes (1..=64)
+/// are applied.
 #[inline]
-pub(crate) fn first_detection<const N: usize>(
-    diff: [u64; N],
-    masks: &[u64; N],
-) -> Option<(usize, u64)> {
-    diff.iter()
-        .zip(masks)
-        .map(|(&d, &m)| d & m)
-        .enumerate()
-        .find(|&(_, d)| d != 0)
+pub(crate) fn lane_mask(lanes: usize) -> u64 {
+    u64::MAX >> (64 - lanes)
+}
+
+/// The lowest lane of the output difference `diff` inside `mask` — the
+/// offset within the block of the first pattern that detects the fault —
+/// or `None` if no valid lane differs.
+#[inline]
+pub(crate) fn first_detection(diff: u64, mask: u64) -> Option<u64> {
+    let hit = diff & mask;
+    (hit != 0).then(|| u64::from(hit.trailing_zeros()))
 }

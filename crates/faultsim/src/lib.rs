@@ -8,10 +8,10 @@
 //!   collapsing ([`fault`]);
 //! * a parallel-pattern **fault simulator** with fault dropping: one
 //!   engine ([`par::ParFaultSimulator`]) on the compiled
-//!   [`bibs_netlist::EvalProgram`] IR, 64, 256 or 512 patterns per sweep
-//!   on any number of threads (via `BIBS_JOBS` or [`par::default_jobs`]),
-//!   driven through the [`sim::BlockSim`] interface. Reports are
-//!   bit-identical for every thread count and lane width, and the
+//!   [`bibs_netlist::EvalProgram`] IR, one 64-pattern block per
+//!   good-machine evaluation on any number of threads (via `BIBS_JOBS` or
+//!   [`par::default_jobs`]), driven through the [`sim::BlockSim`]
+//!   interface. Reports are bit-identical for every thread count, and the
 //!   original gate-walking interpreter is preserved as a reference
 //!   oracle ([`mod@reference`]);
 //! * pluggable **pattern sources** ([`source`]): the stream an engine
@@ -57,7 +57,7 @@
 //!
 //! // Sharding the fault list across threads never changes the report:
 //! // each fault's detection depends only on the program, the patterns
-//! // and its own patch, and the one driver forms the same sweeps.
+//! // and its own patch, and the one driver applies the same blocks.
 //! let sharded = ParFaultSimulator::with_threads(&nl, faults, 4).run_exhaustive();
 //! assert_eq!(report.detection(), sharded.detection());
 //! # Ok(())

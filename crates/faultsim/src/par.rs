@@ -1,51 +1,51 @@
 //! The compiled fault-simulation engine.
 //!
-//! [`ParFaultSimulator`] runs every sweep of the shared [`BlockSim`]
+//! [`ParFaultSimulator`] applies every block of the shared [`BlockSim`]
 //! driver as:
 //!
 //! 1. **one** good-machine run of the compiled [`EvalProgram`] over the
-//!    sweep's `N` 64-lane words (`N` = 1, 4 or 8, set by
-//!    [`ParFaultSimulator::with_lanes`]) into a buffer every shard reads;
+//!    block's 64-lane input words into a buffer every shard reads;
 //! 2. the *undetected* fault list evaluated against it, recording
-//!    `(position, sub-block, pattern offset)` hits. Each shard copies the
-//!    good values into its private `faulty` buffer once per sweep, then
-//!    propagates each fault's pre-compiled [`bibs_netlist::Patch`]
-//!    event-driven ([`EvalProgram::eval_events`]): only the instructions
+//!    `(position, lane)` hits. Each shard copies the good values into its
+//!    private `faulty` buffer once per block, then propagates each
+//!    fault's pre-compiled [`bibs_netlist::Patch`] event-driven
+//!    ([`EvalProgram::eval_events`]): only the instructions
 //!    whose inputs differ from the good machine's are evaluated, and the
 //!    buffer is restored after each fault. At one thread (or a short
 //!    list) one shard runs inline on the calling thread; otherwise
 //!    `std::thread::scope` workers steal fixed-size chunks of the list off
 //!    an `AtomicUsize` cursor. Both run the same shard body;
-//! 3. the calling thread merges the hits, and the driver's commit drops
-//!    the detected faults from the list.
+//! 3. the calling thread merges the hits and drops the detected faults
+//!    from the list.
 //!
 //! A driver prover's verdicts take faults off the list too
-//! ([`BlockSim::retire`]); once the list is empty a sweep only counts its
-//! blocks, with no good-machine run.
+//! ([`BlockSim::retire`]); once the list is empty a block is only
+//! counted, with no good-machine run.
 //!
 //! # Determinism
 //!
 //! The report is **bit-identical** for any thread count, because:
 //!
 //! * the pattern stream is formed by the shared [`BlockSim`] driver, so
-//!   every run draws the same source words and schedules the same sweeps;
-//! * per-fault detection is a pure function of `(program, sweep, patch)`
+//!   every run draws the same source words and applies the same blocks;
+//! * per-fault detection is a pure function of `(program, block, patch)`
 //!   — one immutable [`EvalProgram`] is shared by every shard, so *which*
 //!   shard evaluates a fault cannot change the answer;
 //! * shards touch disjoint positions of the undetected list, so merging
 //!   their hit lists is order-independent: fault *i*'s first-detection
-//!   index is `patterns_applied + offset` regardless of join order;
-//! * fault dropping is sweep-granular (a fault detected in sweep *s* is
-//!   still evaluated by nobody else in sweep *s* and by no one after).
+//!   index is `patterns_applied + lane` regardless of join order;
+//! * fault dropping is block-granular (a fault detected in block *b* is
+//!   evaluated by nobody else in block *b* and by no one after).
 //!
 //! Work stealing only redistributes *throughput* between shards (visible
 //! in [`SimStats::per_shard_fault_evals`]); it never changes the report.
 //! `tests/par_equivalence.rs` pins this across circuits, seeds and thread
-//! counts, and `tests/lanes_equivalence.rs` across lane widths.
+//! counts, and `tests/lanes_equivalence.rs` against a one-block-at-a-time
+//! stop oracle.
 
 use crate::eval;
 use crate::fault::Fault;
-use crate::sim::{BlockSim, FaultSimReport, SweepHits};
+use crate::sim::{BlockSim, FaultSimReport};
 use crate::source::PatternBlock;
 use crate::stats::SimStats;
 use bibs_netlist::{EvalProgram, EventQueue, Netlist, Patch};
@@ -58,13 +58,12 @@ use std::time::Instant;
 /// skew, large enough to keep cursor contention negligible.
 const STEAL_CHUNK: usize = 32;
 
-/// Below this many undetected faults a sweep is simulated inline on the
+/// Below this many undetected faults a block is simulated inline on the
 /// calling thread — spawning would cost more than the work.
 const SERIAL_CUTOFF: usize = 48;
 
-/// One detection: `(undetected-list position, sub-block, pattern offset
-/// within the sweep)`.
-type Hit = (usize, usize, u64);
+/// One detection: `(undetected-list position, lane within the block)`.
+type Hit = (usize, u64);
 
 /// Resolves a `BIBS_JOBS`-style value to a worker-thread count: a positive
 /// integer wins, anything else (unset, empty, garbage, zero) falls back to
@@ -98,15 +97,15 @@ pub fn default_jobs() -> usize {
 }
 
 /// The compiled fault simulator bound to one (combinational) netlist and
-/// one fault list, at any thread count and lane width.
+/// one fault list, at any thread count.
 ///
 /// Construction compiles the netlist once (or adopts a caller-supplied
 /// program via [`ParFaultSimulator::with_program`]) and pre-compiles
-/// every fault to its one patch-point; each sweep is then one program
+/// every fault to its one patch-point; each block is then one program
 /// run for the good machine plus one event-driven propagation per
 /// undetected fault, which evaluates only the instructions the fault's
 /// effect reaches (PPSFP: parallel patterns, single-fault
-/// propagation). Detected faults are dropped from later sweeps; the per-fault
+/// propagation). Detected faults are dropped from later blocks; the per-fault
 /// first-detection pattern index is recorded so coverage-vs-pattern-count
 /// curves (the paper's Table 2 rows 5–8) can be reconstructed exactly.
 /// Reports are bit-identical to the seed interpreter's
@@ -149,17 +148,12 @@ pub struct ParFaultSimulator<'a> {
     patches: Vec<Patch>,
     detection: Vec<Option<u64>>,
     /// Indices (into `faults`) of the faults still undetected — the work
-    /// list the shards split. Compacted by every commit.
+    /// list the shards split. Compacted by every block that detects.
     undetected: Vec<u32>,
-    /// 64-lane words per sweep: 1, 4 or 8 (`with_lanes`).
-    lane_words: usize,
-    /// The sweep's packed input words (`inputs[i * N + k]` = word `k` of
-    /// input `i`), reused across sweeps.
-    inputs: Vec<u64>,
-    /// The good machine's stride-`lane_words` values.
+    /// The good machine's values for the current block.
     good: Vec<u64>,
     /// One faulty-machine buffer and event queue per worker, reused
-    /// across sweeps.
+    /// across blocks.
     workers: Vec<Worker>,
     patterns_applied: u64,
     threads: usize,
@@ -167,7 +161,7 @@ pub struct ParFaultSimulator<'a> {
 }
 
 impl<'a> ParFaultSimulator<'a> {
-    /// Creates a one-thread simulator: every sweep runs inline on the
+    /// Creates a one-thread simulator: every block runs inline on the
     /// calling thread, nothing is spawned.
     ///
     /// # Panics
@@ -252,7 +246,7 @@ impl<'a> ParFaultSimulator<'a> {
             .map(|&f| eval::compile_patch(&program, f))
             .collect();
         let n = faults.len();
-        let good = program.new_values::<1>();
+        let good = program.new_values();
         ParFaultSimulator {
             netlist,
             program,
@@ -260,8 +254,6 @@ impl<'a> ParFaultSimulator<'a> {
             patches,
             detection: vec![None; n],
             undetected: (0..n as u32).collect(),
-            lane_words: 1,
-            inputs: Vec::new(),
             workers: vec![Worker::new(&good); threads],
             good,
             patterns_applied: 0,
@@ -270,33 +262,17 @@ impl<'a> ParFaultSimulator<'a> {
         }
     }
 
-    /// Reconfigures the sweep width: `lanes` is 64 (the default), 256, or
-    /// 512 — 1, 4, or 8 words of 64 patterns per good-machine evaluation,
-    /// with every live fault batched against each (PPSFP). Reports stay
-    /// bit-identical across lane widths *and* thread counts (pinned by
-    /// `tests/lanes_equivalence.rs`). Widening records the `lanes`
-    /// telemetry counter; 64 leaves the telemetry untouched.
+    /// Checks that `lanes` is 64, the engine's one block width, and
+    /// returns the simulator unchanged. Not a setting: it remains only
+    /// because the benchmark crate (`benchmark/src/trace.rs`) calls it;
+    /// the next change to the benchmark deletes it.
     ///
     /// # Panics
     ///
-    /// Panics if `lanes` is not 64, 256, or 512.
+    /// Panics if `lanes` is not 64.
     #[must_use]
-    pub fn with_lanes(mut self, lanes: usize) -> Self {
-        assert!(
-            matches!(lanes, 64 | 256 | 512),
-            "supported lane widths: 64, 256, 512"
-        );
-        self.lane_words = lanes / 64;
-        if lanes > 64 {
-            let root = self.rec.root();
-            self.rec.add_to(root, CounterId::Lanes, lanes as u64);
-        }
-        self.good = match self.lane_words {
-            1 => self.program.new_values::<1>(),
-            4 => self.program.new_values::<4>(),
-            _ => self.program.new_values::<8>(),
-        };
-        self.workers = vec![Worker::new(&self.good); self.threads];
+    pub fn with_lanes(self, lanes: usize) -> Self {
+        assert_eq!(lanes, 64, "the engine applies one 64-lane block at a time");
         self
     }
 
@@ -311,55 +287,33 @@ impl<'a> ParFaultSimulator<'a> {
     }
 
     /// The engine's telemetry span tree (root `"fault-sim[par]"`):
-    /// per-sweep counters on the root, the compile cost as a `"compile"`
+    /// per-block counters on the root, the compile cost as a `"compile"`
     /// child, one detail child per worker shard. Graft it into a
     /// pipeline-level recorder with [`Recorder::graft`].
     pub fn recorder(&self) -> &Recorder {
         &self.rec
     }
 
-    /// The monomorphized sweep: pack the input words and per-sub-block
-    /// valid-lane masks, evaluate the good machine once, then shard the
-    /// undetected list, each hit carrying its pattern *offset*
-    /// (`sub-block prefix + lane`) within the sweep.
-    fn sweep_n<const N: usize>(&mut self, blocks: &[PatternBlock], applied: &[usize]) -> SweepHits {
-        debug_assert!(blocks.len() <= N && blocks.len() == applied.len());
-        let root = self.rec.root();
-        self.rec
-            .add_to(root, CounterId::Blocks, blocks.len() as u64);
-        if self.undetected.is_empty() {
-            // Every fault is detected or retired: nothing to evaluate.
-            return SweepHits::default();
-        }
+    /// Evaluates the good machine once on `block`, then shards the
+    /// undetected list against it; each detected fault gets its index
+    /// (`patterns_applied + lane`, only lanes under `mask` count) and
+    /// leaves the list. Returns how many were detected.
+    fn simulate_block(&mut self, block: &PatternBlock, mask: u64) -> usize {
         let started = Instant::now();
-        let width = self.netlist.input_width();
-        let mut masks = [0u64; N];
-        let mut prefix = [0u64; N];
-        self.inputs.clear();
-        self.inputs.resize(width * N, 0);
-        for (k, (b, &lanes)) in blocks.iter().zip(applied).enumerate() {
-            for (i, &w) in b.words.iter().enumerate() {
-                self.inputs[i * N + k] = w;
-            }
-            masks[k] = if lanes == 64 { !0 } else { (1u64 << lanes) - 1 };
-            if k + 1 < N {
-                prefix[k + 1] = prefix[k] + lanes as u64;
-            }
-        }
-        let good_gate_evals = self.program.eval_good::<N>(&mut self.good, &self.inputs);
+        let root = self.rec.root();
+        let good_gate_evals = self.program.eval_good(&mut self.good, &block.words);
 
         let shard = Shard {
             program: &self.program,
             patches: &self.patches,
             undetected: &self.undetected,
             good: &self.good,
-            masks,
-            prefix,
+            mask,
         };
         let live = self.undetected.len();
         // Per-shard hits plus the shard's private telemetry counters.
         // Shards never touch the recorder — each fills its own
-        // ShardCounters (plain u64 adds), merged below once per sweep.
+        // ShardCounters (plain u64 adds), merged below once per block.
         let shard_results: Vec<(Vec<Hit>, ShardCounters)> =
             if self.threads <= 1 || live <= SERIAL_CUTOFF {
                 let mut all = Some(0..live);
@@ -388,28 +342,35 @@ impl<'a> ParFaultSimulator<'a> {
             };
 
         // Deterministic merge: shards own disjoint positions, and each
-        // hit's detection index depends only on (fault, sweep). Shard
+        // hit's detection index depends only on (fault, block). Shard
         // counters merge into the root span plus one detail child per
         // shard index — the root totals are thread-count-independent.
-        let mut hits_per_block: SweepHits = Default::default();
+        let mut detected = 0;
         for (shard_idx, (hits, counters)) in shard_results.into_iter().enumerate() {
             self.rec.attach_shard(root, shard_idx as u32, &counters);
-            for (pos, k, offset) in hits {
+            for (pos, lane) in hits {
                 let fi = self.undetected[pos] as usize;
                 debug_assert!(self.detection[fi].is_none());
-                self.detection[fi] = Some(self.patterns_applied + offset);
-                hits_per_block[k] += 1;
+                self.detection[fi] = Some(self.patterns_applied + lane);
+                detected += 1;
             }
+        }
+        if detected > 0 {
+            let detection = &self.detection;
+            self.undetected
+                .retain(|&fi| detection[fi as usize].is_none());
         }
         self.rec.add_to(root, CounterId::GateEvals, good_gate_evals);
         self.rec.add_to(root, CounterId::GoodEvals, 1);
+        self.rec
+            .add_to(root, CounterId::FaultsDropped, detected as u64);
         self.rec.add_wall(root, started.elapsed());
-        hits_per_block
+        detected
     }
 }
 
-/// One worker's private state: a stride-`lane_words` faulty-machine
-/// buffer and the event queue its propagations work in.
+/// One worker's private state: a faulty-machine buffer and the event
+/// queue its propagations work in.
 #[derive(Debug, Clone)]
 struct Worker {
     faulty: Vec<u64>,
@@ -425,20 +386,18 @@ impl Worker {
     }
 }
 
-/// What every shard of one sweep reads: the program, the patches, the
-/// undetected list and the good machine's values.
-struct Shard<'s, const N: usize> {
+/// What every shard of one block reads: the program, the patches, the
+/// undetected list, the good machine's values and the valid lanes.
+struct Shard<'s> {
     program: &'s EvalProgram,
     patches: &'s [Patch],
     undetected: &'s [u32],
     good: &'s [u64],
-    /// Valid-lane mask per sub-block.
-    masks: [u64; N],
-    /// Pattern offset of each sub-block within the sweep.
-    prefix: [u64; N],
+    /// Valid-lane mask of the block.
+    mask: u64,
 }
 
-impl<const N: usize> Shard<'_, N> {
+impl Shard<'_> {
     /// The shard body: syncs the worker's faulty buffer from the good
     /// machine, evaluates the faults at every range of undetected-list
     /// positions `next` hands out (until it returns `None`), and returns a
@@ -454,7 +413,7 @@ impl<const N: usize> Shard<'_, N> {
         worker.faulty.copy_from_slice(self.good);
         while let Some(positions) = next(&mut counters) {
             for pos in positions {
-                let (diff, gate_evals) = self.program.eval_events::<N>(
+                let (diff, gate_evals) = self.program.eval_events(
                     self.good,
                     &mut worker.faulty,
                     self.patches[self.undetected[pos] as usize],
@@ -462,8 +421,8 @@ impl<const N: usize> Shard<'_, N> {
                 );
                 counters.add(CounterId::GateEvals, gate_evals);
                 counters.add(CounterId::FaultEvals, 1);
-                if let Some((k, word)) = eval::first_detection(diff, &self.masks) {
-                    hits.push((pos, k, self.prefix[k] + word.trailing_zeros() as u64));
+                if let Some(lane) = eval::first_detection(diff, self.mask) {
+                    hits.push((pos, lane));
                 }
             }
         }
@@ -494,46 +453,19 @@ impl BlockSim for ParFaultSimulator<'_> {
         )
     }
 
-    fn lane_words(&self) -> usize {
-        self.lane_words
-    }
-
-    fn sweep(&mut self, blocks: &[PatternBlock], applied: &[usize]) -> SweepHits {
-        match self.lane_words {
-            1 => self.sweep_n::<1>(blocks, applied),
-            4 => self.sweep_n::<4>(blocks, applied),
-            _ => self.sweep_n::<8>(blocks, applied),
-        }
-    }
-
-    /// Drops the faults the sweep detected before `boundary` from the
-    /// undetected list and erases the rest of its detections. Only the
-    /// list is scanned: every fault the sweep detected is still on it.
-    fn commit(&mut self, boundary: u64) {
-        let base = self.patterns_applied;
-        debug_assert!(boundary >= base);
-        let live = self.undetected.len();
-        let detection = &mut self.detection;
-        self.undetected.retain(|&fi| {
-            let d = &mut detection[fi as usize];
-            match *d {
-                Some(p) if p >= boundary => {
-                    *d = None;
-                    true
-                }
-                Some(_) => false,
-                None => true,
-            }
-        });
-        self.patterns_applied = boundary;
+    fn apply(&mut self, block: &PatternBlock, lanes: usize) -> usize {
         let root = self.rec.root();
+        self.rec.add_to(root, CounterId::Blocks, 1);
         self.rec
-            .add_to(root, CounterId::PatternsConsumed, boundary - base);
-        self.rec.add_to(
-            root,
-            CounterId::FaultsDropped,
-            (live - self.undetected.len()) as u64,
-        );
+            .add_to(root, CounterId::PatternsConsumed, lanes as u64);
+        let detected = if self.undetected.is_empty() {
+            // Every fault is detected or retired: nothing to evaluate.
+            0
+        } else {
+            self.simulate_block(block, eval::lane_mask(lanes))
+        };
+        self.patterns_applied += lanes as u64;
+        detected
     }
 
     /// Drops the faults `prover` proves undetectable from the undetected

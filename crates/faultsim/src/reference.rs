@@ -22,9 +22,9 @@
 //! Nothing here should be "improved" — its value is being the unchanged
 //! seed semantics.
 
-use crate::eval::output_diff;
+use crate::eval::{first_detection, lane_mask, output_diff};
 use crate::fault::{Fault, FaultSite};
-use crate::sim::{BlockSim, FaultSimReport, SweepHits};
+use crate::sim::{BlockSim, FaultSimReport};
 use crate::source::PatternBlock;
 use crate::stats::SimStats;
 use bibs_netlist::{GateId, NetDriver, Netlist};
@@ -113,18 +113,18 @@ pub fn eval_faulty(
 ///
 /// Drop-in [`BlockSim`] peer of the compiled
 /// [`ParFaultSimulator`](crate::par::ParFaultSimulator): same
-/// pattern-stream driver (one 64-lane block per sweep), same detection
-/// rule (`patterns_applied + trailing_zeros(diff)`), different evaluation
+/// pattern-stream driver, same detection rule
+/// (`patterns_applied + trailing_zeros(diff)`), different evaluation
 /// machinery. Reports from the two must be bit-identical on any netlist.
 /// Faults a driver's prover retires are marked and skipped by later
-/// sweeps.
+/// blocks.
 #[derive(Debug)]
 pub struct ReferenceSimulator<'a> {
     netlist: &'a Netlist,
     order: Vec<GateId>,
     faults: Vec<Fault>,
     detection: Vec<Option<u64>>,
-    /// Faults a prover retired ([`BlockSim::retire`]); sweeps skip them.
+    /// Faults a prover retired ([`BlockSim::retire`]); blocks skip them.
     retired: Vec<bool>,
     good: Vec<u64>,
     faulty: Vec<u64>,
@@ -174,28 +174,20 @@ impl BlockSim for ReferenceSimulator<'_> {
         self.netlist
     }
 
-    fn lane_words(&self) -> usize {
-        1
-    }
-
-    fn sweep(&mut self, blocks: &[PatternBlock], applied: &[usize]) -> SweepHits {
-        let ([block], [lanes]) = (blocks, applied) else {
-            panic!("the reference interpreter sweeps one block at a time");
-        };
-        assert!((1..=64).contains(lanes), "1..=64 lanes per block");
+    fn apply(&mut self, block: &PatternBlock, lanes: usize) -> usize {
+        assert!((1..=64).contains(&lanes), "1..=64 lanes per block");
         let input_words = &block.words;
         assert_eq!(input_words.len(), self.netlist.input_width());
-        let lane_mask: u64 = if *lanes == 64 {
-            !0
-        } else {
-            (1u64 << lanes) - 1
-        };
+        let mask = lane_mask(lanes);
+        let base = self.patterns_applied;
+        self.patterns_applied += lanes as u64;
         let root = self.rec.root();
         self.rec.add_to(root, CounterId::Blocks, 1);
-        let mut hits: SweepHits = Default::default();
+        self.rec
+            .add_to(root, CounterId::PatternsConsumed, lanes as u64);
         let live = |fi: usize| self.detection[fi].is_none() && !self.retired[fi];
         if !(0..self.faults.len()).any(live) {
-            return hits;
+            return 0;
         }
         let started = Instant::now();
         let mut scratch: Vec<u64> = Vec::with_capacity(8);
@@ -215,6 +207,7 @@ impl BlockSim for ReferenceSimulator<'_> {
             .iter()
             .map(|o| o.index() as u32)
             .collect();
+        let mut detected = 0;
         let mut shard = ShardCounters::new();
         let shard_started = Instant::now();
         for fi in 0..self.faults.len() {
@@ -231,36 +224,20 @@ impl BlockSim for ReferenceSimulator<'_> {
             );
             shard.add(CounterId::GateEvals, self.netlist.gate_count() as u64);
             shard.add(CounterId::FaultEvals, 1);
-            if let Some((_, diff)) =
-                output_diff::<1>(&outputs, &self.good, &self.faulty, &[lane_mask])
-            {
-                self.detection[fi] = Some(self.patterns_applied + diff.trailing_zeros() as u64);
-                hits[0] += 1;
+            let diff = output_diff(&outputs, &self.good, &self.faulty);
+            if let Some(lane) = first_detection(diff, mask) {
+                self.detection[fi] = Some(base + lane);
+                detected += 1;
             }
         }
         shard.wall = shard_started.elapsed();
         self.rec.attach_shard(root, 0, &shard);
         self.rec.add_to(root, CounterId::GateEvals, good_gate_evals);
         self.rec.add_to(root, CounterId::GoodEvals, 1);
-        self.rec.add_wall(root, started.elapsed());
-        hits
-    }
-
-    fn commit(&mut self, boundary: u64) {
-        let base = self.patterns_applied;
-        let mut dropped = 0u64;
-        for d in &mut self.detection {
-            match *d {
-                Some(p) if p >= boundary => *d = None,
-                Some(p) if p >= base => dropped += 1,
-                _ => {}
-            }
-        }
-        self.patterns_applied = boundary;
-        let root = self.rec.root();
         self.rec
-            .add_to(root, CounterId::PatternsConsumed, boundary - base);
-        self.rec.add_to(root, CounterId::FaultsDropped, dropped);
+            .add_to(root, CounterId::FaultsDropped, detected as u64);
+        self.rec.add_wall(root, started.elapsed());
+        detected
     }
 
     fn retire(&mut self, prover: &mut dyn FnMut(Fault) -> bool) -> usize {

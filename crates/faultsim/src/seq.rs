@@ -101,16 +101,16 @@ impl<'a> SequentialFaultSim<'a> {
         for (i, &slot) in self.program.input_slots().iter().enumerate() {
             values[slot as usize] = if vector[i] { !0u64 } else { 0 };
         }
-        self.program.apply_consts::<1>(values);
+        self.program.apply_consts(values);
         for (i, &(q, _)) in self.program.dff_slots().iter().enumerate() {
             values[q as usize] = state[i];
         }
         match patch {
             None => {
-                self.program.run::<1>(values);
+                self.program.run(values);
             }
             Some(p) => {
-                self.program.run_patched::<1>(values, p);
+                self.program.run_patched(values, p);
             }
         }
     }

@@ -1,27 +1,25 @@
 //! Parallel-pattern single-fault-propagation simulation with fault
 //! dropping.
 //!
-//! [`BlockSim`] is the engine interface. An engine supplies a *sweep* —
-//! one good-machine evaluation over up to [`MAX_SWEEP_WORDS`] consecutive
-//! 64-lane sub-blocks, then every live fault against it — a *commit*
-//! that finalizes the sweep at a pattern boundary, and a *retire* that
-//! takes faults a prover has shown undetectable off the live list. The
+//! [`BlockSim`] is the engine interface. An engine supplies an *apply* —
+//! one good-machine evaluation of a 64-lane block, then every live fault
+//! against it, dropping the faults it detects — and a *retire* that takes
+//! faults a prover has shown undetectable off the live list. The
 //! pattern-stream driver, [`BlockSim::run`], is provided here **once**,
 //! and every entry point ([`BlockSim::run_source_with`],
 //! [`BlockSim::run_random`], [`BlockSim::run_exhaustive`], …) reduces to
-//! it, so every engine, thread count and lane width draws the same blocks
-//! and stops at the same pattern by construction. The engines are
+//! it, so every engine and thread count draws the same blocks and stops
+//! at the same pattern by construction. The engines are
 //! [`crate::par::ParFaultSimulator`] (the compiled engine, any thread
-//! count and lane width) and [`crate::reference::ReferenceSimulator`] (the
-//! seed interpreter, one 64-lane word per sweep). The streams themselves
-//! are pluggable [`PatternSource`]s ([`crate::source`]); the `run_random*`
-//! family wraps a [`RandomWords`] source and draws exactly the words it
-//! always drew.
+//! count) and [`crate::reference::ReferenceSimulator`] (the seed
+//! interpreter). The streams themselves are pluggable [`PatternSource`]s
+//! ([`crate::source`]); the `run_random*` family wraps a [`RandomWords`]
+//! source and draws exactly the words it always drew.
 //!
 //! A run's [`Stop`] may carry a prover. Once the run has gone
 //! [`PROVE_AFTER`] patterns without a detection, the driver hands the
 //! live faults to it once and the engine retires the ones it proves
-//! undetectable; a sweep with no live fault left skips the good machine.
+//! undetectable; a block with no live fault left skips the good machine.
 //! A proved-undetectable fault is never detected, so the report, the
 //! stop and the source's accounting stay exactly those of a run without
 //! the prover.
@@ -129,14 +127,6 @@ impl FaultSimReport {
     }
 }
 
-/// The most 64-lane sub-blocks one sweep carries (512 lanes).
-pub const MAX_SWEEP_WORDS: usize = 8;
-
-/// Per-sub-block first-detection counts of one sweep: entry `k` is the
-/// number of faults first detected in sub-block `k` (0 past the sweep's
-/// last sub-block).
-pub type SweepHits = [usize; MAX_SWEEP_WORDS];
-
 /// Patterns a run goes without a detection before [`BlockSim::run`]
 /// calls its [`Stop::prover`]: short next to Table 2's 100,000-pattern
 /// plateau, and well past the last random detection on the paper's
@@ -160,7 +150,7 @@ pub struct Stop<'p> {
     /// ends the run.
     pub target: f64,
     /// Called at most once per run, with each live fault in turn,
-    /// before the first sweep at which the run has gone [`PROVE_AFTER`]
+    /// before the first block at which the run has gone [`PROVE_AFTER`]
     /// patterns without a detection; `true` means the fault is proved
     /// undetectable and the engine stops simulating it
     /// ([`BlockSim::retire`]). A prover that returns `true` for a
@@ -183,11 +173,10 @@ impl Stop<'_> {
 
 /// The block-level fault-simulation engine interface.
 ///
-/// Implementors supply [`BlockSim::sweep`], [`BlockSim::commit`] and
-/// [`BlockSim::retire`]; the
+/// Implementors supply [`BlockSim::apply`] and [`BlockSim::retire`]; the
 /// pattern-stream driver is provided here **once** so that every engine
 /// draws the same source blocks and stops at the same pattern — the
-/// foundation of the thread-count and lane-width equivalence guarantee.
+/// foundation of the thread-count and engine equivalence guarantee.
 pub trait BlockSim {
     /// The simulated netlist.
     fn netlist(&self) -> &Netlist;
@@ -201,28 +190,14 @@ pub trait BlockSim {
     /// The current report (can be taken mid-run).
     fn report(&self) -> FaultSimReport;
 
-    /// Number of 64-lane words evaluated per sweep: 1, or 4 or 8 for an
-    /// engine widened with `with_lanes`.
-    fn lane_words(&self) -> usize;
-
-    /// Applies one sweep of up to [`BlockSim::lane_words`] consecutive
-    /// 64-lane sub-blocks: one good-machine evaluation, then every live
-    /// fault batched against it (PPSFP); with no live fault the sweep
-    /// evaluates nothing. `applied[k]` is the number of budget-valid
-    /// lanes of `blocks[k]`; only those lanes count.
-    ///
-    /// Detections are recorded relative to the *current*
-    /// [`BlockSim::patterns_applied`], but the pattern counter is not
-    /// advanced and no fault is dropped until [`BlockSim::commit`].
-    /// Returns how many faults were first detected in each sub-block.
-    fn sweep(&mut self, blocks: &[PatternBlock], applied: &[usize]) -> SweepHits;
-
-    /// Finalizes the last sweep at pattern index `boundary`: detections at
-    /// or past the boundary are erased (the run stopped before applying
-    /// those lanes), faults first detected inside
-    /// `[patterns_applied, boundary)` are dropped, and the pattern counter
-    /// advances to `boundary`.
-    fn commit(&mut self, boundary: u64);
+    /// Applies the first `lanes` lanes (1..=64) of `block`: one
+    /// good-machine evaluation, then every live fault against it (PPSFP);
+    /// with no live fault the block evaluates nothing. A fault first
+    /// detected in lane `k` gets the detection index
+    /// `patterns_applied + k` and is dropped from later blocks; the
+    /// pattern counter then advances by `lanes`. Returns how many faults
+    /// the block first detected.
+    fn apply(&mut self, block: &PatternBlock, lanes: usize) -> usize;
 
     /// Hands each live fault to `prover` and stops simulating the ones it
     /// returns `true` for. Records no detection: a retired fault stays
@@ -328,32 +303,22 @@ pub trait BlockSim {
         )
     }
 
-    /// The one driver every stream entry point reduces to: applies
-    /// blocks from `source` until `stop` says to stop, and returns the
-    /// report.
+    /// The one driver every stream entry point reduces to: pulls blocks
+    /// from `source` one at a time until `stop` says to stop, and returns
+    /// the report.
     ///
-    /// The stop conditions are checked before every 64-lane block; a
+    /// The stop conditions are checked before every block, and a block
+    /// is pulled only to be applied, so the source's
+    /// [`PatternSource::clocks_consumed`], `patterns_emitted` and
+    /// `state_digest` account for exactly the blocks the run applied. A
     /// block whose lane count would overshoot `max_patterns` is truncated
     /// (the source still accounts the full block's clocks, exactly like
     /// the hardware it models would have).
     ///
-    /// Each sweep pulls up to [`BlockSim::lane_words`] blocks, and the
-    /// per-block stop checks between them are *replayed* from the
-    /// sweep's per-sub-block hit counts: the sweep is committed at exactly
-    /// the block boundary where a one-block-at-a-time run would have
-    /// stopped. With sub-word `k` of a wide evaluation equal to a
-    /// one-word evaluation of block `k` (the compiled-kernel contract),
-    /// reports are identical at every lane width. The one observable
-    /// difference is source-side: a wide sweep may pull blocks a
-    /// one-block-at-a-time run never would have, so
-    /// [`PatternSource::patterns_emitted`] / `clocks_consumed` /
-    /// `state_digest` can run ahead on stopped runs (the engine-side
-    /// report is unaffected).
-    ///
-    /// With a [`Stop::prover`], the first sweep that starts
+    /// With a [`Stop::prover`], the first block that starts
     /// [`PROVE_AFTER`] or more patterns after the last detection, while
     /// some fault is undetected, is preceded by one [`BlockSim::retire`].
-    /// Retiring changes which faults a sweep evaluates, never which
+    /// Retiring changes which faults a block evaluates, never which
     /// blocks are pulled or where the run stops.
     ///
     /// # Panics
@@ -372,68 +337,38 @@ pub trait BlockSim {
         } = stop;
         let width = self.netlist().input_width();
         let n_faults = self.detection().len();
-        // Whether a run that has applied `applied` patterns, detected
-        // `detected` faults and last detected one at `last_detection_at`
-        // goes on to the next block.
-        let go_on = |applied: u64, detected: usize, last_detection_at: u64| {
+        let mut detected = self.detection().iter().filter(|d| d.is_some()).count();
+        let mut last_detection_at = 0u64;
+        loop {
+            let applied = self.patterns_applied();
             let coverage = if n_faults == 0 {
                 1.0
             } else {
                 detected as f64 / n_faults as f64
             };
-            applied < max_patterns
-                && coverage < target
-                && applied.saturating_sub(last_detection_at) < plateau
-        };
-        let mut detected = self.detection().iter().filter(|d| d.is_some()).count();
-        let mut last_detection_at = 0u64;
-        loop {
-            let base = self.patterns_applied();
-            if !go_on(base, detected, last_detection_at) {
+            let idle = applied.saturating_sub(last_detection_at);
+            if !(applied < max_patterns && coverage < target && idle < plateau) {
                 break;
             }
-            if detected < n_faults && base.saturating_sub(last_detection_at) >= PROVE_AFTER {
+            if detected < n_faults && idle >= PROVE_AFTER {
                 if let Some(prover) = prover.take() {
                     self.retire(prover);
                 }
             }
-            let remaining = max_patterns - base;
-            let max_words = self.lane_words().min(remaining.div_ceil(64) as usize);
-            let blocks = source.next_wide_block(width, max_words);
-            if blocks.is_empty() {
+            let Some(block) = source.next_block(width) else {
                 break;
+            };
+            assert_eq!(block.words.len(), width, "source block width mismatch");
+            assert!(
+                (1..=64).contains(&block.lanes),
+                "source blocks carry 1..=64 lanes"
+            );
+            let lanes = (block.lanes as u64).min(max_patterns - applied) as usize;
+            let hits = self.apply(&block, lanes);
+            if hits > 0 {
+                detected += hits;
+                last_detection_at = self.patterns_applied();
             }
-            // Only the last block can be ragged or cut by the budget, so
-            // every block keeps at least one lane.
-            let mut applied = [0usize; MAX_SWEEP_WORDS];
-            let applied = &mut applied[..blocks.len()];
-            let mut budget = remaining;
-            for (b, lanes) in blocks.iter().zip(applied.iter_mut()) {
-                assert_eq!(b.words.len(), width, "source block width mismatch");
-                assert!(
-                    (1..=64).contains(&b.lanes),
-                    "source blocks carry 1..=64 lanes"
-                );
-                *lanes = (b.lanes as u64).min(budget) as usize;
-                budget -= *lanes as u64;
-            }
-            let hits = self.sweep(&blocks, applied);
-
-            // Replay the per-block stop checks: the first block passed the
-            // check above, each later one is checked against the
-            // detections of the blocks before it.
-            let mut boundary = base;
-            for (k, &lanes) in applied.iter().enumerate() {
-                if k > 0 && !go_on(boundary, detected, last_detection_at) {
-                    break;
-                }
-                boundary += lanes as u64;
-                if hits[k] > 0 {
-                    detected += hits[k];
-                    last_detection_at = boundary;
-                }
-            }
-            self.commit(boundary);
         }
         self.report()
     }

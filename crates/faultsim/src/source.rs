@@ -21,6 +21,10 @@
 //!   producing everything emitted so far — warm-up shifts, one cycle per
 //!   pattern, reseed loads. It is monotone in the number of blocks pulled
 //!   and independent of how many lanes the consumer actually applied.
+//!   The [`BlockSim`](crate::sim::BlockSim) driver pulls a block only to
+//!   apply it, one block per good-machine evaluation, so after any run —
+//!   stopped by a plateau, a coverage target or a budget, or drained —
+//!   the accounting covers exactly the blocks the run applied.
 //! * **Determinism pinning**: [`PatternSource::state_digest`] folds every
 //!   emitted `(words, lanes)` pair into a 64-bit digest. Two consumers
 //!   that pulled the same blocks hold equal digests, so runs at any
@@ -212,32 +216,6 @@ pub trait PatternSource {
 
     /// The source's serializable identity.
     fn descriptor(&self) -> SourceDescriptor;
-
-    /// Pulls up to `max_words` consecutive blocks for one engine sweep
-    /// (one block at 64 lanes).
-    ///
-    /// The engine relies on every sub-block before the last carrying
-    /// a full 64 lanes (so sub-word `k` starts at pattern offset `64·k`),
-    /// which is why the pull stops after the first *ragged* (< 64 lane)
-    /// block even mid-stream — [`StoredSeedReplay`] emits ragged blocks
-    /// at reseed boundaries, not just at end-of-stream. Clock accounting
-    /// and the stream digest advance exactly as if the blocks had been
-    /// pulled one [`PatternSource::next_block`] at a time; an empty
-    /// result means the source is exhausted.
-    fn next_wide_block(&mut self, width: usize, max_words: usize) -> Vec<PatternBlock> {
-        let mut out = Vec::with_capacity(max_words);
-        while out.len() < max_words {
-            let Some(block) = self.next_block(width) else {
-                break;
-            };
-            let ragged = block.lanes < 64;
-            out.push(block);
-            if ragged {
-                break;
-            }
-        }
-        out
-    }
 }
 
 /// The legacy pseudorandom stream behind `run_random*`: one `u64` word

@@ -31,11 +31,10 @@ pub struct SimStats {
     /// interpreter).
     pub threads: usize,
     /// Pattern blocks applied (each block carries up to 64 patterns),
-    /// including those of sweeps with no live fault left.
+    /// including those with no live fault left.
     pub blocks: u64,
-    /// Good-machine evaluations: one per sweep that still has a live
-    /// fault (the evaluation is shared across all faults of the sweep's
-    /// 1, 4 or 8 blocks).
+    /// Good-machine evaluations: one per block that still has a live
+    /// fault (the evaluation is shared across all faults of the block).
     pub good_evals: u64,
     /// Total faulty-machine evaluations across all shards.
     pub fault_evals: u64,
@@ -46,7 +45,7 @@ pub struct SimStats {
     /// Faults a mid-run prover proved undetectable and the engine
     /// stopped simulating ([`crate::sim::BlockSim::retire`]).
     pub faults_retired: u64,
-    /// Wall-clock time spent inside the engine's sweeps.
+    /// Wall-clock time spent evaluating blocks inside the engine.
     pub wall: Duration,
     /// One-time wall-clock cost of compiling the netlist to an
     /// [`EvalProgram`](bibs_netlist::EvalProgram) (zero for engines that
@@ -55,7 +54,7 @@ pub struct SimStats {
     pub compile_wall: Duration,
     /// Total gate evaluations (compiled instructions actually evaluated,
     /// or interpreted gate visits) across good and faulty machines. The
-    /// compiled engine runs the whole program per good-machine sweep but
+    /// compiled engine runs the whole program per good-machine block but
     /// only the instructions a fault's effect reaches per faulty machine
     /// ([`EvalProgram::eval_events`](bibs_netlist::EvalProgram::eval_events)),
     /// so the reference interpreter, which runs whole programs, counts
@@ -73,11 +72,6 @@ pub struct SimStats {
     /// split; [`SimStats::from_recorder`] reads the `"analyze"` span.
     /// Zero when no pre-analysis ran.
     pub analysis_wall: Duration,
-    /// Simulation lane width: 64 by default (and for the reference
-    /// interpreter), 256/512 for an engine widened via `with_lanes`. [`SimStats::gate_evals`] is
-    /// lane-normalized (a wide sweep counts `instructions × lane words`),
-    /// so throughput figures stay comparable across widths.
-    pub lanes: u64,
 }
 
 impl SimStats {
@@ -86,7 +80,6 @@ impl SimStats {
         SimStats {
             threads,
             per_shard_fault_evals: vec![0; threads],
-            lanes: 64,
             ..SimStats::default()
         }
     }
@@ -105,7 +98,7 @@ impl SimStats {
     ///   children under the root ([`Recorder::shard_counter`]), one entry
     ///   per configured worker (0 for shards that never reported);
     /// * [`SimStats::wall`] — the root span's accumulated wall clock (the
-    ///   engines add each sweep's elapsed time explicitly);
+    ///   engines add each block's elapsed time explicitly);
     /// * [`SimStats::compile_wall`] / [`SimStats::analysis_wall`] — the
     ///   wall clocks of the `"compile"` / `"analyze"` child spans, zero
     ///   when absent.
@@ -136,23 +129,7 @@ impl SimStats {
                 .find(root, "analyze")
                 .map(|s| rec.span_wall(s))
                 .unwrap_or(Duration::ZERO),
-            // Scalar engines never record the counter; absent means the
-            // 64-lane default.
-            lanes: match c.get(CounterId::Lanes) {
-                0 => 64,
-                l => l,
-            },
         }
-    }
-
-    /// Faulty-machine evaluations per good-machine sweep — the PPSFP
-    /// batching figure (how many faults each wide good evaluation was
-    /// amortized over); 0.0 before any sweep ran.
-    pub fn faults_per_sweep(&self) -> f64 {
-        if self.good_evals == 0 {
-            return 0.0;
-        }
-        self.fault_evals as f64 / self.good_evals as f64
     }
 
     /// Faulty-machine evaluations per wall-clock second (the engine's
@@ -253,16 +230,6 @@ impl fmt::Display for SimStats {
             self.wall.as_secs_f64() * 1e3,
             self.compile_wall.as_secs_f64() * 1e3
         )?;
-        // Only widened runs mention lanes, keeping 64-lane output
-        // byte-identical to pre-wide baselines.
-        if self.lanes > 64 {
-            write!(
-                f,
-                "; {} lanes ({:.1} faults/sweep)",
-                self.lanes,
-                self.faults_per_sweep()
-            )?;
-        }
         if self.universe_faults > 0 {
             write!(
                 f,
@@ -409,36 +376,6 @@ mod tests {
         let empty = SimStats::from_recorder(&Recorder::disabled(), 1);
         assert_eq!(empty.fault_evals, 0);
         assert_eq!(empty.per_shard_fault_evals, vec![0]);
-    }
-
-    #[test]
-    fn lanes_default_and_wide_display() {
-        // new() and a recorder without the lanes counter both report the
-        // scalar 64-lane default, and the Display line stays free of any
-        // lanes mention (byte-compat with pre-wide output).
-        let s = SimStats::new(1);
-        assert_eq!(s.lanes, 64);
-        assert!(!s.to_string().contains("lanes"));
-        let rec = bibs_obs::Recorder::new("fault-sim[serial]");
-        assert_eq!(SimStats::from_recorder(&rec, 1).lanes, 64);
-        // A widened engine surfaces the width and the PPSFP ratio.
-        let mut rec = bibs_obs::Recorder::new("fault-sim[serial]");
-        let root = rec.root();
-        rec.add_to(root, CounterId::Lanes, 512);
-        rec.add_to(root, CounterId::GoodEvals, 2);
-        let mut sh = bibs_obs::ShardCounters::new();
-        sh.add(CounterId::FaultEvals, 10);
-        rec.attach_shard(root, 0, &sh);
-        let s = SimStats::from_recorder(&rec, 1);
-        assert_eq!(s.lanes, 512);
-        assert!((s.faults_per_sweep() - 5.0).abs() < 1e-9);
-        assert!(s.to_string().contains("512 lanes (5.0 faults/sweep)"));
-    }
-
-    #[test]
-    fn faults_per_sweep_guards_zero_sweeps() {
-        let s = SimStats::new(1);
-        assert_eq!(s.faults_per_sweep(), 0.0);
     }
 
     #[test]

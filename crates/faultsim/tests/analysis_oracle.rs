@@ -137,7 +137,7 @@ fn check_constants_against_simulation(
     let abs = ternary_analyze(&program, &PiAssumption::Pinned(pins.to_vec()));
     let claims: Vec<(usize, bool)> = abs.constants().collect();
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut values = program.new_values::<1>();
+    let mut values = program.new_values();
     let mut inputs = vec![0u64; program.input_slots().len()];
     for _ in 0..blocks {
         for (w, pin) in inputs.iter_mut().zip(pins) {
@@ -147,7 +147,7 @@ fn check_constants_against_simulation(
                 None => rng.gen(),
             };
         }
-        program.eval_good::<1>(&mut values, &inputs);
+        program.eval_good(&mut values, &inputs);
         for &(slot, value) in &claims {
             let want = if value { !0u64 } else { 0u64 };
             assert_eq!(

@@ -63,12 +63,12 @@ fn assert_good_machine_matches(netlist: &Netlist, seed: u64) {
     let program = EvalProgram::compile(netlist).expect("acyclic");
     let order = netlist.levelize().expect("acyclic");
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut compiled = program.new_values::<1>();
+    let mut compiled = program.new_values();
     let mut interpreted = vec![0u64; netlist.net_count()];
     let mut scratch = Vec::new();
     for _ in 0..16 {
         let words: Vec<u64> = (0..netlist.input_width()).map(|_| rng.gen()).collect();
-        program.eval_good::<1>(&mut compiled, &words);
+        program.eval_good(&mut compiled, &words);
         bibs_faultsim::reference::eval_good(
             netlist,
             &order,
@@ -228,32 +228,23 @@ proptest! {
 }
 
 /// The whole-program oracle: after [`EvalProgram::eval_patched`], the
-/// OR of `good ^ faulty` over the primary outputs, and the
-/// lane-normalized count of instructions an event-driven run must
-/// evaluate — every one not output-forced that is pin-patched or reads a
-/// slot whose faulty value differs from the good one.
-fn whole_program_oracle<const N: usize>(
+/// OR of `good ^ faulty` over the primary outputs, and the count of
+/// instructions an event-driven run must evaluate — every one not
+/// output-forced that is pin-patched or reads a slot whose faulty value
+/// differs from the good one.
+fn whole_program_oracle(
     program: &EvalProgram,
     good: &[u64],
     inputs: &[u64],
     patch: Patch,
-) -> ([u64; N], u64) {
-    let mut faulty = program.new_values::<N>();
-    program.eval_patched::<N>(&mut faulty, inputs, patch);
-    let differs = |s: u32| {
-        let a = s as usize * N;
-        good[a..a + N] != faulty[a..a + N]
-    };
-    let mut diff = [0u64; N];
-    for &o in program.output_slots() {
-        let a = o as usize * N;
-        for (d, (g, f)) in diff
-            .iter_mut()
-            .zip(good[a..a + N].iter().zip(&faulty[a..a + N]))
-        {
-            *d |= g ^ f;
-        }
-    }
+) -> (u64, u64) {
+    let mut faulty = program.new_values();
+    program.eval_patched(&mut faulty, inputs, patch);
+    let differs = |s: u32| good[s as usize] != faulty[s as usize];
+    let diff = program
+        .output_slots()
+        .iter()
+        .fold(0, |d, &o| d | (good[o as usize] ^ faulty[o as usize]));
     let forced =
         |i: usize| matches!(patch, Patch::InstrOutput { instr, .. } if instr as usize == i);
     let pinned = |i: usize| matches!(patch, Patch::InstrPin { instr, .. } if instr as usize == i);
@@ -262,29 +253,29 @@ fn whole_program_oracle<const N: usize>(
             !forced(i) && (pinned(i) || program.instr(i).operands.iter().any(|&s| differs(s)))
         })
         .count();
-    (diff, (evaluated * N) as u64)
+    (diff, evaluated as u64)
 }
 
-/// Runs every patch through [`EvalProgram::eval_events`] at width `N` on
-/// one random sweep and compares the difference word and the exact work
-/// with the whole-program oracle.
-fn assert_events_match<const N: usize>(
+/// Runs every patch through [`EvalProgram::eval_events`] on one random
+/// block and compares the difference word and the exact work with the
+/// whole-program oracle.
+fn assert_events_match(
     program: &EvalProgram,
     patches: &[Patch],
     seed: u64,
 ) -> Result<(), TestCaseError> {
     let mut rng = StdRng::seed_from_u64(seed);
-    let inputs: Vec<u64> = (0..program.input_slots().len() * N)
+    let inputs: Vec<u64> = (0..program.input_slots().len())
         .map(|_| rng.gen())
         .collect();
-    let mut good = program.new_values::<N>();
-    program.eval_good::<N>(&mut good, &inputs);
+    let mut good = program.new_values();
+    program.eval_good(&mut good, &inputs);
     let mut faulty = good.clone();
     let mut queue = EventQueue::default();
     for &patch in patches {
-        let want = whole_program_oracle::<N>(program, &good, &inputs, patch);
-        let got = program.eval_events::<N>(&good, &mut faulty, patch, &mut queue);
-        prop_assert_eq!(got, want, "{:?} at N = {}", patch, N);
+        let want = whole_program_oracle(program, &good, &inputs, patch);
+        let got = program.eval_events(&good, &mut faulty, patch, &mut queue);
+        prop_assert_eq!(got, want, "{:?}", patch);
         prop_assert!(faulty == good, "{:?} left the faulty buffer dirty", patch);
     }
     Ok(())
@@ -294,7 +285,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Every fault of the full (uncollapsed) universe, as a single patch
-    /// on the compiled program, at N = 1, 4 and 8.
+    /// on the compiled program.
     #[test]
     fn event_driven_eval_matches_whole_program(nl in netlist_strategy(), seed: u64) {
         let program = EvalProgram::compile(&nl).unwrap();
@@ -306,8 +297,6 @@ proptest! {
                 FaultSite::GatePin { gate, pin } => program.patch_pin(gate, pin, fault.stuck_at),
             })
             .collect();
-        assert_events_match::<1>(&program, &patches, seed)?;
-        assert_events_match::<4>(&program, &patches, seed)?;
-        assert_events_match::<8>(&program, &patches, seed)?;
+        assert_events_match(&program, &patches, seed)?;
     }
 }

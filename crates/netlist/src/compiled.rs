@@ -28,9 +28,8 @@
 //!   buffer holding the good machine's values, only the instructions the
 //!   fault's effect reaches ([`EvalProgram::eval_events`]).
 //!
-//! *Slots* are net indices: slot `i` of a one-word (`N = 1`) value buffer
-//! holds the 64-lane word of net `NetId::from_index(i)`; an `N`-word buffer
-//! holds `N` consecutive words per slot (64·N patterns per evaluation). This keeps the compiled engine
+//! *Slots* are net indices: slot `i` of a value buffer holds the 64-lane
+//! word of net `NetId::from_index(i)`. This keeps the compiled engine
 //! drop-in compatible with everything that indexes values by net, and lets
 //! analysis passes (e.g. the `B007` dead-slot lint) translate slot facts
 //! back to nets trivially.
@@ -41,8 +40,8 @@
 //! gate id), and evaluation is pure dataflow over that schedule, so every
 //! net word computed by [`EvalProgram::run`] is bit-identical to the
 //! classic interpreted walk for *any* valid topological order. The fault
-//! simulator's thread-count and lane-width equivalence contract therefore
-//! carries over unchanged.
+//! simulator's thread-count equivalence contract therefore carries over
+//! unchanged.
 //!
 //! # Example
 //!
@@ -60,13 +59,13 @@
 //! let nl = b.finish()?;
 //!
 //! let prog = EvalProgram::compile(&nl)?;
-//! let mut values = prog.new_values::<1>();
-//! prog.eval_good::<1>(&mut values, &[0b0011, 0b0101]);
+//! let mut values = prog.new_values();
+//! prog.eval_good(&mut values, &[0b0011, 0b0101]);
 //! assert_eq!(values[nl.outputs()[0].index()] & 0b1111, 0b0001);
 //!
 //! // Faulty machine: force the AND output stuck-at-1 and re-run.
 //! let patch = prog.patch_net(nl.outputs()[0], true);
-//! prog.eval_patched::<1>(&mut values, &[0b0011, 0b0101], patch);
+//! prog.eval_patched(&mut values, &[0b0011, 0b0101], patch);
 //! assert_eq!(values[nl.outputs()[0].index()] & 0b1111, 0b1111);
 //! # Ok(())
 //! # }
@@ -131,7 +130,7 @@ pub struct Instr<'a> {
 /// A netlist compiled to a flat, allocation-free evaluation program.
 ///
 /// Built once per [`Netlist`] by [`EvalProgram::compile`]; evaluated many
-/// times over caller-owned value buffers (`&mut [u64]`, `N` 64-lane words
+/// times over caller-owned value buffers (`&mut [u64]`, one 64-lane word
 /// per slot) created by [`EvalProgram::new_values`]. The program itself is
 /// immutable and [`Sync`]: one compiled program is shared by every worker
 /// thread of the parallel fault simulator.
@@ -454,78 +453,68 @@ impl EvalProgram {
     }
 
     // ------------------------------------------------------------------
-    // Evaluation over stride-N value buffers.
+    // Evaluation over value buffers.
     //
-    // A value buffer stores N consecutive 64-lane words per slot: slot `s`
-    // occupies `values[s * N .. (s + 1) * N]`, giving 64·N patterns per
-    // evaluation; `N = 1` is the plain one-word-per-slot buffer. `N` is a
-    // const generic, so each width compiles to its own kernel with the
-    // inner `0..N` loops unrolled. Patch words are splatted to all N
-    // sub-words — a stuck-at fault is stuck in every lane — so sub-word
-    // `k` of every slot is bit-identical to an `N = 1` evaluation of input
-    // word `k`, which is what the fault simulator's cross-width report
-    // equivalence rests on.
+    // A value buffer holds one 64-lane word per slot: slot `s` is
+    // `values[s]`, 64 patterns per evaluation. A patch's stuck word is
+    // all-zero or all-one — a stuck-at fault is stuck in every lane.
     // ------------------------------------------------------------------
 
-    /// A fresh value buffer (`N` words per slot): all slots zero, then
-    /// the constant prologue.
-    pub fn new_values<const N: usize>(&self) -> Vec<u64> {
-        let mut values = vec![0u64; self.slot_count * N];
-        self.apply_consts::<N>(&mut values);
+    /// A fresh value buffer (one word per slot): all slots zero, then the
+    /// constant prologue.
+    pub fn new_values(&self) -> Vec<u64> {
+        let mut values = vec![0u64; self.slot_count];
+        self.apply_consts(&mut values);
         values
     }
 
-    /// Applies the constant prologue to `values`, splatted into every
-    /// sub-word. Needed after zeroing a buffer (e.g. a simulator reset);
-    /// good-machine evaluation never calls this.
-    pub fn apply_consts<const N: usize>(&self, values: &mut [u64]) {
+    /// Applies the constant prologue to `values`. Needed after zeroing a
+    /// buffer (e.g. a simulator reset); good-machine evaluation never
+    /// calls this.
+    pub fn apply_consts(&self, values: &mut [u64]) {
         for &(slot, word) in &self.const_inits {
-            let o = slot as usize * N;
-            values[o..o + N].fill(word);
+            values[slot as usize] = word;
         }
     }
 
-    /// Writes the primary-input words into their slots. The layout is
-    /// input-contiguous: `inputs[i * N + k]` is 64-lane word `k` of
-    /// primary input `i` (at `N = 1`, one word per input in declaration
-    /// order).
+    /// Writes the primary-input words into their slots: `inputs[i]` is
+    /// the 64-lane word of primary input `i`, in declaration order.
     ///
     /// # Panics
     ///
-    /// Panics if `inputs.len()` differs from `N ×` the input width.
+    /// Panics if `inputs.len()` differs from the input width.
     #[inline]
-    pub fn set_inputs<const N: usize>(&self, values: &mut [u64], inputs: &[u64]) {
+    pub fn set_inputs(&self, values: &mut [u64], inputs: &[u64]) {
         assert_eq!(
             inputs.len(),
-            self.input_slots.len() * N,
-            "N words per primary input required"
+            self.input_slots.len(),
+            "one word per primary input required"
         );
-        for (&slot, words) in self.input_slots.iter().zip(inputs.chunks_exact(N)) {
-            let o = slot as usize * N;
-            values[o..o + N].copy_from_slice(words);
+        for (&slot, &word) in self.input_slots.iter().zip(inputs) {
+            values[slot as usize] = word;
         }
     }
 
     /// Executes the full instruction stream over `values`.
     ///
     /// Sources (inputs, constants, flip-flop Q slots) are read as-is; set
-    /// them first. Returns the lane-normalized gate-evaluation count
-    /// (`instr_count · N`) for throughput accounting.
+    /// them first. Returns the gate-evaluation count (`instr_count`) for
+    /// throughput accounting.
     #[inline]
-    pub fn run<const N: usize>(&self, values: &mut [u64]) -> u64 {
-        self.exec_range::<N>(values, 0, self.ops.len());
-        (self.ops.len() * N) as u64
+    pub fn run(&self, values: &mut [u64]) -> u64 {
+        self.exec_range(values, 0, self.ops.len());
+        self.ops.len() as u64
     }
 
     /// Good-machine evaluation: inputs, then the instruction stream.
     ///
     /// Constants are *not* re-applied — they are part of the buffer
-    /// prologue ([`EvalProgram::new_values`]). Returns the lane-normalized
+    /// prologue ([`EvalProgram::new_values`]). Returns the
     /// gate-evaluation count.
     #[inline]
-    pub fn eval_good<const N: usize>(&self, values: &mut [u64], inputs: &[u64]) -> u64 {
-        self.set_inputs::<N>(values, inputs);
-        self.run::<N>(values)
+    pub fn eval_good(&self, values: &mut [u64], inputs: &[u64]) -> u64 {
+        self.set_inputs(values, inputs);
+        self.run(values)
     }
 
     /// Faulty-machine evaluation: constant prologue, inputs, then the
@@ -536,84 +525,77 @@ impl EvalProgram {
     /// undone here, so one persistent faulty buffer serves every
     /// whole-program faulty run (the sequential simulator, the test
     /// oracles). The fault simulator's per-fault path is
-    /// [`EvalProgram::eval_events`]. Returns the lane-normalized executed
-    /// count.
+    /// [`EvalProgram::eval_events`]. Returns the executed count.
     #[inline]
-    pub fn eval_patched<const N: usize>(
-        &self,
-        values: &mut [u64],
-        inputs: &[u64],
-        patch: Patch,
-    ) -> u64 {
-        self.apply_consts::<N>(values);
-        self.set_inputs::<N>(values, inputs);
-        self.run_patched::<N>(values, patch)
+    pub fn eval_patched(&self, values: &mut [u64], inputs: &[u64], patch: Patch) -> u64 {
+        self.apply_consts(values);
+        self.set_inputs(values, inputs);
+        self.run_patched(values, patch)
     }
 
-    /// Executes the instruction stream with `patch` applied (its stuck
-    /// word splatted to all `N` sub-words). Sources must already be set.
-    /// Returns the lane-normalized executed count.
-    pub fn run_patched<const N: usize>(&self, values: &mut [u64], patch: Patch) -> u64 {
+    /// Executes the instruction stream with `patch` applied. Sources must
+    /// already be set. Returns the executed count.
+    pub fn run_patched(&self, values: &mut [u64], patch: Patch) -> u64 {
         let n = self.ops.len();
         let i = match patch {
             Patch::Slot { slot, word } => {
-                let o = slot as usize * N;
-                values[o..o + N].fill(word);
-                return self.run::<N>(values);
+                values[slot as usize] = word;
+                return self.run(values);
             }
             Patch::InstrOutput { instr, .. } | Patch::InstrPin { instr, .. } => instr as usize,
         };
-        self.exec_range::<N>(values, 0, i);
-        let (word, evaluated) = self.patched_word::<N>(values, i, patch);
-        let o = self.out_slot[i] as usize * N;
-        values[o..o + N].copy_from_slice(&word);
-        self.exec_range::<N>(values, i + 1, n);
-        ((n - 1 + usize::from(evaluated)) * N) as u64
+        self.exec_range(values, 0, i);
+        let (word, evaluated) = self.patched_word(values, i, patch);
+        values[self.out_slot[i] as usize] = word;
+        self.exec_range(values, i + 1, n);
+        (n - 1 + usize::from(evaluated)) as u64
     }
 
     /// Event-driven faulty-machine evaluation: runs the faulty machine of
     /// `patch` only where it differs from the good machine, and returns
     /// its primary-output difference.
     ///
-    /// `good` holds the good machine's stride-`N` values for the current
-    /// inputs ([`EvalProgram::eval_good`]); `faulty` must equal `good` on
-    /// entry, and equals it again on return. The call forces the patch
-    /// site, then evaluates pending instructions in schedule order. An
-    /// instruction is pending when it is patched or reads a slot whose
-    /// `N`-word value differs from the good machine's, so each runs at
-    /// most once (readers follow their operands' writers) and the call
-    /// stops when nothing is pending. It then restores every slot it
-    /// wrote from `good`.
+    /// `good` holds the good machine's values for the current inputs
+    /// ([`EvalProgram::eval_good`]); `faulty` must equal `good` on entry,
+    /// and equals it again on return. The call forces the patch site, then
+    /// evaluates pending instructions in schedule order. An instruction is
+    /// pending when it is patched or reads a slot whose value differs from
+    /// the good machine's, so each runs at most once (readers follow their
+    /// operands' writers) and the call stops when nothing is pending. It
+    /// then restores every slot it wrote from `good`.
     ///
-    /// Returns `(diff, gate_evals)`: `diff[k]` is the OR of
-    /// `good ^ faulty` over the primary outputs in sub-word `k`, equal to
-    /// what [`EvalProgram::eval_patched`] followed by a comparison of
-    /// every output would give; `gate_evals` is the lane-normalized count
-    /// of instructions actually evaluated (a forced output is not
-    /// evaluated). `queue` is scratch and is empty again on return.
+    /// Returns `(diff, gate_evals)`: `diff` is the OR of `good ^ faulty`
+    /// over the primary outputs, equal to what
+    /// [`EvalProgram::eval_patched`] followed by a comparison of every
+    /// output would give; `gate_evals` is the count of instructions
+    /// actually evaluated (a forced output is not evaluated). `queue` is
+    /// scratch and is empty again on return.
     ///
     /// # Panics
     ///
-    /// Panics if a buffer is shorter than `N × slot_count()` words.
-    pub fn eval_events<const N: usize>(
+    /// Panics if a buffer is shorter than `slot_count()` words.
+    // Deliberately not `#[inline]`: with the hint LLVM inlines this body
+    // into the fault simulator's shard loop, and the `topoff` benchmark
+    // workload ran ~8% slower per eval.
+    pub fn eval_events(
         &self,
         good: &[u64],
         faulty: &mut [u64],
         patch: Patch,
         queue: &mut EventQueue,
-    ) -> ([u64; N], u64) {
+    ) -> (u64, u64) {
         let words = self.ops.len().div_ceil(64);
         if queue.pending.len() < words {
             queue.pending.resize(words, 0);
         }
-        let mut diff = [0u64; N];
+        let mut diff = 0u64;
         // The instruction the patch overrides; a source-slot patch is
         // forced here and overrides none.
         let patched = match patch {
             Patch::Slot { slot, word } => {
                 debug_assert_eq!(self.instr_of_slot[slot as usize], NO_INSTR);
                 let s = slot as usize;
-                if self.settle::<N>(s, [word; N], good, faulty, queue, &mut diff) {
+                if self.settle(s, word, good, faulty, queue, &mut diff) {
                     for &(r, _) in self.readers(s) {
                         queue.schedule(r);
                     }
@@ -635,15 +617,15 @@ impl EvalProgram {
                 let i = w * 64 + bits.trailing_zeros() as usize;
                 bits &= bits - 1;
                 let word = if i == patched {
-                    let (word, ran) = self.patched_word::<N>(faulty, i, patch);
+                    let (word, ran) = self.patched_word(faulty, i, patch);
                     evaluated += usize::from(ran);
                     word
                 } else {
                     evaluated += 1;
-                    self.eval_instr::<N>(i, |_, s| load::<N>(faulty, s))
+                    self.eval_instr(i, |_, s| faulty[s as usize])
                 };
                 let out = self.out_slot[i] as usize;
-                if self.settle::<N>(out, word, good, faulty, queue, &mut diff) {
+                if self.settle(out, word, good, faulty, queue, &mut diff) {
                     for &(r, _) in self.readers(out) {
                         if r as usize / 64 == w {
                             bits |= 1 << (r % 64);
@@ -656,12 +638,11 @@ impl EvalProgram {
             w += 1;
         }
         for &s in &queue.touched {
-            let o = s as usize * N;
-            faulty[o..o + N].copy_from_slice(&good[o..o + N]);
+            faulty[s as usize] = good[s as usize];
         }
         queue.touched.clear();
         queue.end = 0;
-        (diff, (evaluated * N) as u64)
+        (diff, evaluated as u64)
     }
 
     /// Settles `slot` at `word` during [`EvalProgram::eval_events`]: a
@@ -670,26 +651,23 @@ impl EvalProgram {
     /// slot is a primary output. Returns whether the value differs, i.e.
     /// whether the slot's readers must be scheduled.
     #[inline(always)]
-    fn settle<const N: usize>(
+    fn settle(
         &self,
         slot: usize,
-        word: [u64; N],
+        word: u64,
         good: &[u64],
         faulty: &mut [u64],
         queue: &mut EventQueue,
-        diff: &mut [u64; N],
+        diff: &mut u64,
     ) -> bool {
-        let g = load::<N>(good, slot as u32);
+        let g = good[slot];
         if g == word {
             return false;
         }
-        let o = slot * N;
-        faulty[o..o + N].copy_from_slice(&word);
+        faulty[slot] = word;
         queue.touched.push(slot as u32);
         if self.is_output[slot] {
-            for ((d, gw), fw) in diff.iter_mut().zip(g).zip(word) {
-                *d |= gw ^ fw;
-            }
+            *diff |= g ^ word;
         }
         true
     }
@@ -758,47 +736,35 @@ impl EvalProgram {
         read
     }
 
-    /// Executes instructions `from..to` over a stride-`N` buffer.
+    /// Executes instructions `from..to` over `values`.
     #[inline]
-    fn exec_range<const N: usize>(&self, values: &mut [u64], from: usize, to: usize) {
+    fn exec_range(&self, values: &mut [u64], from: usize, to: usize) {
         for i in from..to {
-            let acc = self.eval_instr::<N>(i, |_, s| load::<N>(values, s));
-            let o = self.out_slot[i] as usize * N;
-            values[o..o + N].copy_from_slice(&acc);
+            let word = self.eval_instr(i, |_, s| values[s as usize]);
+            values[self.out_slot[i] as usize] = word;
         }
     }
 
     /// Instruction `i`'s output word, with operand `pin` (reading slot
     /// `s`) fetched as `operand(pin, s)`: the one per-instruction body
-    /// behind every evaluation entry point. The gate kind is matched once
-    /// per instruction, outside the `0..N` lane loops; Not/Buf read only
-    /// operand 0.
+    /// behind every evaluation entry point. Not/Buf read only operand 0.
     #[inline(always)]
-    fn eval_instr<const N: usize>(
-        &self,
-        i: usize,
-        operand: impl Fn(usize, u32) -> [u64; N],
-    ) -> [u64; N] {
-        /// Folds `op` over the operand words, lane by lane. Binary gates
-        /// dominate real netlists, so they skip the operand loop.
+    fn eval_instr(&self, i: usize, operand: impl Fn(usize, u32) -> u64) -> u64 {
+        /// Folds `op` over the operand words. Binary gates dominate real
+        /// netlists, so they skip the operand loop.
         #[inline(always)]
-        fn fold<const N: usize>(
+        fn fold(
             span: &[u32],
-            operand: &impl Fn(usize, u32) -> [u64; N],
+            operand: &impl Fn(usize, u32) -> u64,
             init: u64,
             op: impl Fn(u64, u64) -> u64,
-        ) -> [u64; N] {
+        ) -> u64 {
             if let [x, y] = *span {
-                let (a, b) = (operand(0, x), operand(1, y));
-                return std::array::from_fn(|k| op(a[k], b[k]));
+                return op(operand(0, x), operand(1, y));
             }
-            let mut acc = [init; N];
-            for (pin, &s) in span.iter().enumerate() {
-                for (w, v) in acc.iter_mut().zip(operand(pin, s)) {
-                    *w = op(*w, v);
-                }
-            }
-            acc
+            span.iter()
+                .enumerate()
+                .fold(init, |acc, (pin, &s)| op(acc, operand(pin, s)))
         }
         let span =
             &self.operands[self.operand_start[i] as usize..self.operand_start[i + 1] as usize];
@@ -806,10 +772,10 @@ impl EvalProgram {
             GateKind::And => fold(span, &operand, !0, |a, b| a & b),
             GateKind::Or => fold(span, &operand, 0, |a, b| a | b),
             GateKind::Xor => fold(span, &operand, 0, |a, b| a ^ b),
-            GateKind::Nand => fold(span, &operand, !0, |a, b| a & b).map(|w| !w),
-            GateKind::Nor => fold(span, &operand, 0, |a, b| a | b).map(|w| !w),
-            GateKind::Xnor => fold(span, &operand, 0, |a, b| a ^ b).map(|w| !w),
-            GateKind::Not => operand(0, span[0]).map(|w| !w),
+            GateKind::Nand => !fold(span, &operand, !0, |a, b| a & b),
+            GateKind::Nor => !fold(span, &operand, 0, |a, b| a | b),
+            GateKind::Xnor => !fold(span, &operand, 0, |a, b| a ^ b),
+            GateKind::Not => !operand(0, span[0]),
             GateKind::Buf => operand(0, span[0]),
         }
     }
@@ -818,35 +784,22 @@ impl EvalProgram {
     /// it: the stuck word if the patch forces the output, otherwise `i`
     /// evaluated with the patch's operand override. The flag says whether
     /// the instruction was evaluated.
-    fn patched_word<const N: usize>(
-        &self,
-        values: &[u64],
-        i: usize,
-        patch: Patch,
-    ) -> ([u64; N], bool) {
+    fn patched_word(&self, values: &[u64], i: usize, patch: Patch) -> (u64, bool) {
         match patch {
-            Patch::InstrOutput { word, .. } => ([word; N], false),
+            Patch::InstrOutput { word, .. } => (word, false),
             Patch::InstrPin { pin, word, .. } => {
-                let word = self.eval_instr::<N>(i, |idx, s| {
+                let word = self.eval_instr(i, |idx, s| {
                     if idx == pin as usize {
-                        [word; N]
+                        word
                     } else {
-                        load::<N>(values, s)
+                        values[s as usize]
                     }
                 });
                 (word, true)
             }
-            Patch::Slot { .. } => (self.eval_instr::<N>(i, |_, s| load::<N>(values, s)), true),
+            Patch::Slot { .. } => (self.eval_instr(i, |_, s| values[s as usize]), true),
         }
     }
-}
-
-/// Slot `s`'s `N` words of a stride-`N` buffer.
-#[inline(always)]
-fn load<const N: usize>(values: &[u64], s: u32) -> [u64; N] {
-    let a = s as usize * N;
-    let xs = &values[a..a + N];
-    std::array::from_fn(|k| xs[k])
 }
 
 #[cfg(test)]
@@ -880,8 +833,8 @@ mod tests {
         sim.set_inputs(&words);
         sim.eval_comb();
 
-        let mut values = prog.new_values::<1>();
-        prog.eval_good::<1>(&mut values, &words);
+        let mut values = prog.new_values();
+        prog.eval_good(&mut values, &words);
         for net in nl.net_ids() {
             assert_eq!(values[net.index()], sim.value(net), "net {net}");
         }
@@ -921,8 +874,8 @@ mod tests {
         let nl = b.finish().unwrap();
         let prog = EvalProgram::compile(&nl).unwrap();
         assert_eq!(prog.const_inits().len(), 1);
-        let mut values = prog.new_values::<1>();
-        prog.eval_good::<1>(&mut values, &[0b10]);
+        let mut values = prog.new_values();
+        prog.eval_good(&mut values, &[0b10]);
         assert_eq!(values[nl.outputs()[0].index()] & 0b11, 0b10);
     }
 
@@ -934,8 +887,8 @@ mod tests {
         let patch = prog.patch_net(out, false);
         assert!(matches!(patch, Patch::InstrOutput { .. }));
         let words = vec![!0u64; nl.input_width()];
-        let mut values = prog.new_values::<1>();
-        prog.eval_patched::<1>(&mut values, &words, patch);
+        let mut values = prog.new_values();
+        prog.eval_patched(&mut values, &words, patch);
         assert_eq!(values[out.index()], 0);
     }
 
@@ -973,13 +926,13 @@ mod tests {
             .find(|&g| nl.gate(g).kind == GateKind::And)
             .unwrap();
         let patch = prog.patch_pin(and_gate, 0, true); // pin a stuck-at-1
-        let mut values = prog.new_values::<1>();
+        let mut values = prog.new_values();
         // a=0, b=1 everywhere: good AND = 0, faulty AND = 1; OR stays 1.
-        prog.eval_patched::<1>(&mut values, &[0, !0u64], patch);
+        prog.eval_patched(&mut values, &[0, !0u64], patch);
         assert_eq!(values[nl.outputs()[0].index()], !0u64);
         assert_eq!(values[nl.outputs()[1].index()], !0u64);
         // Good machine for contrast.
-        prog.eval_good::<1>(&mut values, &[0, !0u64]);
+        prog.eval_good(&mut values, &[0, !0u64]);
         assert_eq!(values[nl.outputs()[0].index()], 0);
     }
 
@@ -997,13 +950,13 @@ mod tests {
             .find(|&n| matches!(nl.driver(n), NetDriver::Const(_)))
             .unwrap();
         let patch = prog.patch_net(const_net, false); // const-1 stuck-at-0
-        let mut values = prog.new_values::<1>();
-        prog.eval_patched::<1>(&mut values, &[!0u64], patch);
+        let mut values = prog.new_values();
+        prog.eval_patched(&mut values, &[!0u64], patch);
         assert_eq!(values[nl.outputs()[0].index()], 0, "fault masks the AND");
         // The next faulty evaluation with a *different* patch must see the
         // healed constant.
         let other = prog.patch_net(nl.outputs()[0], true);
-        prog.eval_patched::<1>(&mut values, &[0], other);
+        prog.eval_patched(&mut values, &[0], other);
         assert_eq!(values[const_net.index()], !0u64, "prologue re-applied");
     }
 
@@ -1016,14 +969,14 @@ mod tests {
         b.output("o", r2[0]);
         let nl = b.finish().unwrap();
         let prog = EvalProgram::compile(&nl).unwrap();
-        let mut values = prog.new_values::<1>();
+        let mut values = prog.new_values();
         let mut capture = Vec::new();
-        prog.eval_good::<1>(&mut values, &[!0u64]);
+        prog.eval_good(&mut values, &[!0u64]);
         prog.clock(&mut values, &mut capture);
-        prog.eval_good::<1>(&mut values, &[!0u64]);
+        prog.eval_good(&mut values, &[!0u64]);
         assert_eq!(values[nl.outputs()[0].index()], 0, "one stage filled");
         prog.clock(&mut values, &mut capture);
-        prog.eval_good::<1>(&mut values, &[!0u64]);
+        prog.eval_good(&mut values, &[!0u64]);
         assert_eq!(values[nl.outputs()[0].index()], !0u64, "two stages");
     }
 
@@ -1048,129 +1001,25 @@ mod tests {
         i.wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(17) ^ 0xA5A5
     }
 
-    fn scalar_words<const N: usize>(chunks: &[u64], width: usize, k: usize) -> Vec<u64> {
-        (0..width).map(|i| chunks[i * N + k]).collect()
-    }
-
-    #[test]
-    fn wide_good_eval_matches_scalar_per_subword() {
-        let nl = adder4();
-        let prog = EvalProgram::compile(&nl).unwrap();
-        const N: usize = 4;
-        let width = nl.input_width();
-        let chunks: Vec<u64> = (0..(width * N) as u64).map(pattern_word).collect();
-        let mut wide = prog.new_values::<N>();
-        let wide_evals = prog.eval_good::<N>(&mut wide, &chunks);
-        let mut scalar = prog.new_values::<1>();
-        for k in 0..N {
-            let evals = prog.eval_good::<1>(&mut scalar, &scalar_words::<N>(&chunks, width, k));
-            assert_eq!(wide_evals, evals * N as u64, "lane-normalized count");
-            for s in 0..prog.slot_count() {
-                assert_eq!(wide[s * N + k], scalar[s], "slot {s} sub-word {k}");
-            }
-        }
-    }
-
-    #[test]
-    fn wide_patched_eval_matches_scalar_per_subword() {
-        // Exercise all three patch kinds on a circuit with shared fanout
-        // and a constant.
-        let mut b = NetlistBuilder::new("widepatch");
-        let a = b.input("a");
-        let c = b.input("b");
-        let one = b.const1();
-        let y0 = b.and2(a, c);
-        let y1 = b.or2(a, one);
-        let y2 = b.gate(GateKind::Xor, &[y0, y1]);
-        b.output("y2", y2);
-        b.output("y0", y0);
-        let nl = b.finish().unwrap();
-        let prog = EvalProgram::compile(&nl).unwrap();
-        const N: usize = 8;
-        let width = nl.input_width();
-        let chunks: Vec<u64> = (0..(width * N) as u64).map(pattern_word).collect();
-
-        let and_gate = nl
-            .gate_ids()
-            .find(|&g| nl.gate(g).kind == GateKind::And)
-            .unwrap();
-        let patches = [
-            prog.patch_net(a, true),
-            prog.patch_net(y1, false),
-            prog.patch_pin(and_gate, 1, false),
-        ];
-        let mut wide = prog.new_values::<N>();
-        let mut scalar = prog.new_values::<1>();
-        for patch in patches {
-            let wide_evals = prog.eval_patched::<N>(&mut wide, &chunks, patch);
-            for k in 0..N {
-                let evals = prog.eval_patched::<1>(
-                    &mut scalar,
-                    &scalar_words::<N>(&chunks, width, k),
-                    patch,
-                );
-                assert_eq!(wide_evals, evals * N as u64, "{patch:?}");
-                for s in 0..prog.slot_count() {
-                    assert_eq!(wide[s * N + k], scalar[s], "{patch:?} slot {s} word {k}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn wide_buffer_self_heals_const_slots() {
-        let mut b = NetlistBuilder::new("c");
-        let a = b.input("a");
-        let one = b.const1();
-        let y = b.and2(a, one);
-        b.output("y", y);
-        let nl = b.finish().unwrap();
-        let prog = EvalProgram::compile(&nl).unwrap();
-        const N: usize = 4;
-        let const_net = nl
-            .net_ids()
-            .find(|&n| matches!(nl.driver(n), NetDriver::Const(_)))
-            .unwrap();
-        let chunks = [!0u64; N];
-        let mut wide = prog.new_values::<N>();
-        prog.eval_patched::<N>(&mut wide, &chunks, prog.patch_net(const_net, false));
-        let o = nl.outputs()[0].index() * N;
-        assert!(
-            wide[o..o + N].iter().all(|&w| w == 0),
-            "fault masks the AND"
-        );
-        prog.eval_patched::<N>(&mut wide, &chunks, prog.patch_net(nl.outputs()[0], true));
-        let c = const_net.index() * N;
-        assert!(
-            wide[c..c + N].iter().all(|&w| w == !0u64),
-            "prologue healed"
-        );
-    }
-
     /// The whole-program oracle for [`EvalProgram::eval_events`] on
     /// `good`'s inputs: the primary-output difference of
-    /// [`EvalProgram::eval_patched`], and the lane-normalized count of
-    /// instructions an event-driven run must evaluate — every one not
-    /// output-forced that is pin-patched or reads a slot whose faulty
-    /// value differs from the good one.
-    fn whole_program_oracle<const N: usize>(
+    /// [`EvalProgram::eval_patched`], and the count of instructions an
+    /// event-driven run must evaluate — every one not output-forced that
+    /// is pin-patched or reads a slot whose faulty value differs from the
+    /// good one.
+    fn whole_program_oracle(
         prog: &EvalProgram,
         good: &[u64],
         inputs: &[u64],
         patch: Patch,
-    ) -> ([u64; N], u64) {
-        let mut whole = prog.new_values::<N>();
-        prog.eval_patched::<N>(&mut whole, inputs, patch);
-        let differs = |s: u32| {
-            let a = s as usize * N;
-            good[a..a + N] != whole[a..a + N]
-        };
-        let mut diff = [0u64; N];
-        for &o in prog.output_slots() {
-            for (k, d) in diff.iter_mut().enumerate() {
-                *d |= good[o as usize * N + k] ^ whole[o as usize * N + k];
-            }
-        }
+    ) -> (u64, u64) {
+        let mut whole = prog.new_values();
+        prog.eval_patched(&mut whole, inputs, patch);
+        let differs = |s: u32| good[s as usize] != whole[s as usize];
+        let diff = prog
+            .output_slots()
+            .iter()
+            .fold(0, |d, &o| d | (good[o as usize] ^ whole[o as usize]));
         let patched = |i: usize, forced: bool| match patch {
             Patch::InstrOutput { instr, .. } => forced && instr as usize == i,
             Patch::InstrPin { instr, .. } => !forced && instr as usize == i,
@@ -1182,24 +1031,24 @@ mod tests {
                     && (patched(i, false) || prog.instr(i).operands.iter().any(|&s| differs(s)))
             })
             .count();
-        (diff, (evaluated * N) as u64)
+        (diff, evaluated as u64)
     }
 
-    /// Checks every patch in `patches` through `eval_events` at width `N`
-    /// against the whole-program oracle — the difference word and the
-    /// exact work — and that the faulty buffer is back to the good values
-    /// after each call.
-    fn assert_events_match<const N: usize>(prog: &EvalProgram, patches: &[Patch]) {
+    /// Checks every patch in `patches` through `eval_events` against the
+    /// whole-program oracle — the difference word and the exact work —
+    /// and that the faulty buffer is back to the good values after each
+    /// call.
+    fn assert_events_match(prog: &EvalProgram, patches: &[Patch]) {
         let width = prog.input_slots().len();
-        let chunks: Vec<u64> = (0..(width * N) as u64).map(pattern_word).collect();
-        let mut good = prog.new_values::<N>();
-        prog.eval_good::<N>(&mut good, &chunks);
+        let inputs: Vec<u64> = (0..width as u64).map(pattern_word).collect();
+        let mut good = prog.new_values();
+        prog.eval_good(&mut good, &inputs);
         let mut faulty = good.clone();
         let mut queue = EventQueue::default();
         for &patch in patches {
-            let want = whole_program_oracle::<N>(prog, &good, &chunks, patch);
-            let got = prog.eval_events::<N>(&good, &mut faulty, patch, &mut queue);
-            assert_eq!(got, want, "{patch:?} at N = {N}");
+            let want = whole_program_oracle(prog, &good, &inputs, patch);
+            let got = prog.eval_events(&good, &mut faulty, patch, &mut queue);
+            assert_eq!(got, want, "{patch:?}");
             assert!(faulty == good, "{patch:?} left the faulty buffer dirty");
         }
     }
@@ -1257,9 +1106,7 @@ mod tests {
         for nl in [adder4(), shared_fanout(), multiplier5()] {
             let prog = EvalProgram::compile(&nl).unwrap();
             let patches = all_single_patches(&nl, &prog);
-            assert_events_match::<1>(&prog, &patches);
-            assert_events_match::<4>(&prog, &patches);
-            assert_events_match::<8>(&prog, &patches);
+            assert_events_match(&prog, &patches);
         }
     }
 
@@ -1280,24 +1127,24 @@ mod tests {
         let mut queue = EventQueue::default();
         let patch = prog.patch_net(c, true);
 
-        let mut good = prog.new_values::<1>();
-        prog.eval_good::<1>(&mut good, &[0, 0]);
+        let mut good = prog.new_values();
+        prog.eval_good(&mut good, &[0, 0]);
         let mut faulty = good.clone();
-        let (diff, evals) = prog.eval_events::<1>(&good, &mut faulty, patch, &mut queue);
-        assert_eq!((diff, evals), ([0], 1), "masked at the AND");
+        let (diff, evals) = prog.eval_events(&good, &mut faulty, patch, &mut queue);
+        assert_eq!((diff, evals), (0, 1), "masked at the AND");
         assert_eq!(faulty, good);
 
         // With a = 1 in the low 8 lanes the difference runs the chain.
-        prog.eval_good::<1>(&mut good, &[0xFF, 0]);
+        prog.eval_good(&mut good, &[0xFF, 0]);
         faulty.copy_from_slice(&good);
-        let (diff, evals) = prog.eval_events::<1>(&good, &mut faulty, patch, &mut queue);
-        assert_eq!((diff, evals), ([0xFF], 4));
+        let (diff, evals) = prog.eval_events(&good, &mut faulty, patch, &mut queue);
+        assert_eq!((diff, evals), (0xFF, 4));
         assert_eq!(faulty, good);
 
         // A forced output equal to the good value evaluates nothing.
         let quiet = prog.patch_net(y, false);
-        let (diff, evals) = prog.eval_events::<1>(&good, &mut faulty, quiet, &mut queue);
-        assert_eq!((diff, evals), ([0], 0));
+        let (diff, evals) = prog.eval_events(&good, &mut faulty, quiet, &mut queue);
+        assert_eq!((diff, evals), (0, 0));
     }
 
     #[test]

@@ -36,7 +36,6 @@ pub mod analysis;
 pub mod bench;
 pub mod builder;
 pub mod compiled;
-pub mod export;
 pub mod seqanalysis;
 pub mod sim;
 #[cfg(feature = "testing")]

@@ -272,9 +272,9 @@ pub struct Netlist {
 impl Netlist {
     /// Assembles a netlist from raw parts and validates it.
     ///
-    /// Primarily for deserializers (e.g. the [`crate::export`] text
-    /// format); prefer [`crate::builder::NetlistBuilder`] for construction
-    /// in code.
+    /// Primarily for tooling that rebuilds a netlist from edited parts
+    /// (e.g. the fuzz corpus minimizer); prefer
+    /// [`crate::builder::NetlistBuilder`] for construction in code.
     ///
     /// # Errors
     ///

@@ -494,8 +494,8 @@ fn paired_run(
     frames: usize,
 ) -> Option<(usize, usize)> {
     let mut rng = seed;
-    let mut a = program.new_values::<1>();
-    let mut b = program.new_values::<1>();
+    let mut a = program.new_values();
+    let mut b = program.new_values();
     for (f, &(q, _)) in program.dff_slots().iter().enumerate() {
         let w = splitmix64(&mut rng);
         a[q as usize] = w;
@@ -508,10 +508,10 @@ fn paired_run(
         for w in inputs.iter_mut() {
             *w = splitmix64(&mut rng);
         }
-        program.set_inputs::<1>(&mut a, &inputs);
-        program.set_inputs::<1>(&mut b, &inputs);
-        program.run::<1>(&mut a);
-        program.run::<1>(&mut b);
+        program.set_inputs(&mut a, &inputs);
+        program.set_inputs(&mut b, &inputs);
+        program.run(&mut a);
+        program.run(&mut b);
         for (oi, &os) in program.output_slots().iter().enumerate() {
             if a[os as usize] != b[os as usize] {
                 return Some((frame, oi));

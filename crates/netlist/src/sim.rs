@@ -110,7 +110,7 @@ impl<'a> PatternSim<'a> {
     pub fn new(netlist: &'a Netlist) -> Self {
         let program =
             EvalProgram::compile(netlist).expect("netlist must be combinationally acyclic");
-        let values = program.new_values::<1>();
+        let values = program.new_values();
         PatternSim {
             netlist,
             program,
@@ -133,7 +133,7 @@ impl<'a> PatternSim<'a> {
             netlist.net_count(),
             "program/netlist mismatch"
         );
-        let values = program.new_values::<1>();
+        let values = program.new_values();
         PatternSim {
             netlist,
             program,
@@ -162,7 +162,7 @@ impl<'a> PatternSim<'a> {
                 got: words.len(),
             });
         }
-        self.program.set_inputs::<1>(&mut self.values, words);
+        self.program.set_inputs(&mut self.values, words);
         Ok(())
     }
 
@@ -198,7 +198,7 @@ impl<'a> PatternSim<'a> {
     /// [`PatternSim::reset`]); flip-flop Q values come from current state;
     /// primary inputs from the last [`PatternSim::set_inputs`] call.
     pub fn eval_comb(&mut self) {
-        self.program.run::<1>(&mut self.values);
+        self.program.run(&mut self.values);
     }
 
     /// Advances every flip-flop: Q ← D in all lanes.
@@ -232,7 +232,7 @@ impl<'a> PatternSim<'a> {
     /// constant prologue.
     pub fn reset(&mut self) {
         self.values.iter_mut().for_each(|v| *v = 0);
-        self.program.apply_consts::<1>(&mut self.values);
+        self.program.apply_consts(&mut self.values);
     }
 
     /// Extracts lane `lane` of an output bus as an integer (bit *i* of the

@@ -14,7 +14,7 @@ fn netlist_strategy() -> impl Strategy<Value = Netlist> {
 /// 64-pattern blocks — the functional fingerprint round-trips must keep.
 fn eval_words(nl: &Netlist, salt: u64) -> Vec<u64> {
     let program = EvalProgram::compile(nl).expect("round-trip subjects compile");
-    let mut values = program.new_values::<1>();
+    let mut values = program.new_values();
     let mut state = salt ^ 0x5DEE_CE66_D1CE_5EED;
     let mut out = Vec::new();
     for _ in 0..4 {
@@ -26,7 +26,7 @@ fn eval_words(nl: &Netlist, salt: u64) -> Vec<u64> {
                 state
             })
             .collect();
-        program.eval_good::<1>(&mut values, &words);
+        program.eval_good(&mut values, &words);
         out.extend(nl.outputs().iter().map(|o| values[o.index()]));
     }
     out
@@ -91,10 +91,10 @@ fn full_adder_survives_both_round_trips() {
 
     // And the semantics are actually a full adder: exhaustive check.
     let program = EvalProgram::compile(&nl).unwrap();
-    let mut values = program.new_values::<1>();
+    let mut values = program.new_values();
     // Bit position p of each word encodes input pattern p (3 inputs -> 8).
     let words = vec![0b10101010u64, 0b11001100, 0b11110000];
-    program.eval_good::<1>(&mut values, &words);
+    program.eval_good(&mut values, &words);
     for p in 0..8u32 {
         let (ai, bi, ci) = (p & 1, (p >> 1) & 1, (p >> 2) & 1);
         let sum = ai + bi + ci;

@@ -47,21 +47,21 @@ use std::time::{Duration, Instant};
 #[repr(usize)]
 pub enum CounterId {
     /// Compiled instructions actually evaluated (or interpreted gate
-    /// visits) across good and faulty machines, lane-normalized — the
-    /// hardware-meaningful unit of work. The compiled engine evaluates
-    /// the whole program once per good-machine sweep but only each
+    /// visits) across good and faulty machines, one per 64-lane word —
+    /// the hardware-meaningful unit of work. The compiled engine evaluates
+    /// the whole program once per 64-lane block but only each
     /// fault's event-driven cone per faulty machine, so this counts the
     /// work done, not program size × evaluations.
     GateEvals,
-    /// Good-machine evaluations: one per sweep (1, 4 or 8 pattern blocks)
-    /// that still has a live fault.
+    /// Good-machine evaluations: one per 64-lane pattern block that
+    /// still has a live fault.
     GoodEvals,
     /// Faulty-machine evaluations across all shards.
     FaultEvals,
     /// Faults dropped from simulation after first detection.
     FaultsDropped,
     /// Pattern blocks applied (up to 64 patterns each), including those
-    /// of sweeps with no live fault left, which evaluate nothing.
+    /// with no live fault left, which evaluate nothing.
     Blocks,
     /// Patterns consumed from the stream (lanes, not blocks).
     PatternsConsumed,
@@ -101,11 +101,6 @@ pub enum CounterId {
     /// shifts + one per pattern + reseed loads) — the denominator of the
     /// coverage-vs-clocks axis.
     SourceClocks,
-    /// Simulation lane width (64·words per sweep) of a wide-configured
-    /// engine. Recorded once at configuration, only when widened past the
-    /// 64-lane default — scalar runs never emit it, keeping their
-    /// telemetry byte-identical to pre-wide baselines.
-    Lanes,
     /// Faults a mid-run prover proved undetectable and the engine stopped
     /// simulating. Recorded only when nonzero, so runs that retire
     /// nothing keep their telemetry unchanged.
@@ -113,7 +108,7 @@ pub enum CounterId {
 }
 
 /// Number of counters — the fixed length of every [`Counters`] array.
-pub const COUNTER_COUNT: usize = 22;
+pub const COUNTER_COUNT: usize = 21;
 
 impl CounterId {
     /// Every counter, in export order.
@@ -138,7 +133,6 @@ impl CounterId {
         CounterId::LintFindings,
         CounterId::PatternsEmitted,
         CounterId::SourceClocks,
-        CounterId::Lanes,
         CounterId::FaultsRetired,
     ];
 
@@ -165,7 +159,6 @@ impl CounterId {
             CounterId::LintFindings => "lint_findings",
             CounterId::PatternsEmitted => "patterns_emitted",
             CounterId::SourceClocks => "source_clocks",
-            CounterId::Lanes => "lanes",
             CounterId::FaultsRetired => "faults_retired",
         }
     }

@@ -1,20 +1,25 @@
-//! Acceptance for wide-word (u64×N lane) evaluation: every lane width
-//! (64, 256, 512) and thread count (1/2/4/8) must reproduce a one-block-at-a-time run's `FaultSimReport` bit for bit on
-//! the same pattern stream — identical first-detection indices,
-//! identical `patterns_applied`, identical coverage. This is the
-//! contract behind `table2 --lanes` producing byte-identical JSON while
-//! sweeping more patterns per good-machine evaluation.
+//! The fault-simulation driver against a one-block-at-a-time stop
+//! oracle: the engine at every thread count (1/2/4/8) must reproduce the
+//! oracle's `FaultSimReport` bit for bit on the same pattern stream —
+//! identical first-detection indices, identical `patterns_applied`,
+//! identical coverage — and its source must account for exactly the
+//! blocks the oracle pulled.
 //!
-//! The baseline is an independent stop-decision oracle: the reference
-//! interpreter driven one 64-lane block at a time by the per-block stop
-//! loop (max-pattern truncation, coverage target, detection plateau)
-//! written out in this file. The one engine driver instead *replays*
-//! those decisions after each sweep, at every width including 64 lanes,
-//! so comparing it with itself across widths would not catch a replay
-//! bug that every width shares. The stop conditions get their own tests,
-//! and ragged streams (`StoredSeedReplay` reseeds mid-stream,
-//! `ExhaustiveSource` tails) must count only their masked lanes.
+//! The oracle is independent of the engine driver: the reference
+//! interpreter applies one 64-lane block at a time under the per-block
+//! stop loop (max-pattern truncation, coverage target, detection plateau)
+//! written out in this file. Each stop condition gets its own test, and
+//! ragged streams (`StoredSeedReplay` reseeds mid-stream,
+//! `ExhaustiveSource` tails) must count only their masked lanes. Stopped
+//! runs of the hardware sources (`LfsrSource`, the paper's
+//! `MinTpgSource`) must leave the source's clocks, pattern count and
+//! stream digest equal to the oracle's: a run pulls only the blocks it
+//! applies, so the paper's clock cost is the same on every engine and
+//! thread count.
 
+mod common;
+
+use bibs_bench::SourceSpec;
 use bibs_faultsim::fault::{Fault, FaultUniverse};
 use bibs_faultsim::par::ParFaultSimulator;
 use bibs_faultsim::reference::ReferenceSimulator;
@@ -22,10 +27,11 @@ use bibs_faultsim::sim::{BlockSim, FaultSimReport};
 use bibs_faultsim::source::{ExhaustiveSource, PatternSource, RandomWords, StoredSeedReplay};
 use bibs_netlist::builder::NetlistBuilder;
 use bibs_netlist::{GateKind, NetId, Netlist};
+use common::bibs_kernels;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::collections::HashSet;
 
-const LANE_WIDTHS: [usize; 3] = [64, 256, 512];
 const THREADS: [usize; 4] = [1, 2, 4, 8];
 
 fn assert_same(base: &FaultSimReport, got: &FaultSimReport, what: &str) {
@@ -48,12 +54,11 @@ fn assert_same(base: &FaultSimReport, got: &FaultSimReport, what: &str) {
 
 /// The stop-decision oracle: pulls one 64-lane block at a time, checks
 /// every stop condition before each block, truncates the block to the
-/// pattern budget, and applies it through the reference interpreter's
-/// one-block sweep and commit. Nothing is replayed.
+/// pattern budget, and applies it through the reference interpreter.
 fn one_block_at_a_time(
     nl: &Netlist,
     faults: &[Fault],
-    source: &mut impl PatternSource,
+    source: &mut (impl PatternSource + ?Sized),
     max_patterns: u64,
     plateau: u64,
     target: f64,
@@ -71,21 +76,18 @@ fn one_block_at_a_time(
         let lanes = block
             .lanes
             .min((max_patterns - sim.patterns_applied()) as usize);
-        let hits = sim.sweep(std::slice::from_ref(&block), &[lanes]);
-        sim.commit(sim.patterns_applied() + lanes as u64);
-        if hits[0] > 0 {
+        if sim.apply(&block, lanes) > 0 {
             last_detection_at = sim.patterns_applied();
         }
     }
     sim.report()
 }
 
-/// Runs the one-block oracle as the baseline, then every
-/// (lane width × thread count) combination of the engine
-/// on a fresh copy of the same stream and requires bit-identical
-/// reports. Returns the baseline report so callers can pin stop
-/// behavior.
-fn assert_lanes_invisible<S: PatternSource>(
+/// Runs the one-block oracle as the baseline, then the engine at every
+/// thread count on a fresh copy of the same stream, and requires
+/// bit-identical reports. Returns the baseline report so callers can pin
+/// stop behavior.
+fn assert_matches_oracle<S: PatternSource>(
     nl: &Netlist,
     mut make_source: impl FnMut() -> S,
     max_patterns: u64,
@@ -103,18 +105,15 @@ fn assert_lanes_invisible<S: PatternSource>(
         plateau,
         target,
     );
-    for lanes in LANE_WIDTHS {
-        for threads in THREADS {
-            let mut src = make_source();
-            let got = ParFaultSimulator::with_threads(&comb, faults.clone(), threads)
-                .with_lanes(lanes)
-                .run_source_with(&mut src, max_patterns, plateau, target);
-            assert_same(
-                &base,
-                &got,
-                &format!("{name}: {threads} thread(s) @ {lanes} lanes"),
-            );
-        }
+    for threads in THREADS {
+        let mut src = make_source();
+        let got = ParFaultSimulator::with_threads(&comb, faults.clone(), threads).run_source_with(
+            &mut src,
+            max_patterns,
+            plateau,
+            target,
+        );
+        assert_same(&base, &got, &format!("{name}: {threads} thread(s)"));
     }
     base
 }
@@ -186,12 +185,12 @@ fn random_dag(seed: u64, inputs: usize, ops: usize) -> Netlist {
 }
 
 #[test]
-fn random_streams_match_scalar_across_lane_widths() {
+fn random_streams_match_the_oracle_across_thread_counts() {
     for (nl, seed) in [
         (adder4(), 0x1A4E_0001u64),
         (redundant_circuit(), 0x1A4E_0002),
     ] {
-        assert_lanes_invisible(&nl, || RandomWords::seeded(seed), 512, 512, 1.0);
+        assert_matches_oracle(&nl, || RandomWords::seeded(seed), 512, 512, 1.0);
     }
     let mut b = NetlistBuilder::new("mul3");
     let x = b.input_word("x", 3);
@@ -199,18 +198,18 @@ fn random_streams_match_scalar_across_lane_widths() {
     let p = b.array_multiplier(&x, &y, 6);
     b.output_word("p", &p);
     let nl = b.finish().unwrap();
-    assert_lanes_invisible(&nl, || RandomWords::seeded(0x1A4E_0003), 512, 512, 1.0);
+    assert_matches_oracle(&nl, || RandomWords::seeded(0x1A4E_0003), 512, 512, 1.0);
 }
 
 #[test]
-fn fuzzed_dags_match_scalar_across_lane_widths() {
+fn fuzzed_dags_match_the_oracle_across_thread_counts() {
     for case in 0u64..6 {
         let nl = random_dag(
             (0x7A9E_0000 + case).wrapping_mul(0x9E37_79B9_7F4A_7C15),
             3 + (case as usize % 5),
             8 + (case as usize * 5) % 32,
         );
-        assert_lanes_invisible(
+        assert_matches_oracle(
             &nl,
             || RandomWords::seeded(0x1A4E_0100 + case),
             256,
@@ -222,12 +221,11 @@ fn fuzzed_dags_match_scalar_across_lane_widths() {
 
 #[test]
 fn plateau_stops_replay_identically() {
-    // The plateau fires mid-stream: wide sweeps must retract the
-    // sub-blocks a one-block run would never have applied.
+    // The plateau fires mid-stream, at a block boundary.
     let nl = redundant_circuit();
     for plateau in [64u64, 100, 130] {
         let base =
-            assert_lanes_invisible(&nl, || RandomWords::seeded(0x1A4E_0200), 4096, plateau, 1.0);
+            assert_matches_oracle(&nl, || RandomWords::seeded(0x1A4E_0200), 4096, plateau, 1.0);
         assert!(
             base.patterns_applied() < 4096,
             "plateau {plateau} never fired; the test is vacuous"
@@ -240,7 +238,7 @@ fn coverage_target_stops_replay_identically() {
     let nl = adder4();
     for target in [0.25f64, 0.5, 0.85] {
         let base =
-            assert_lanes_invisible(&nl, || RandomWords::seeded(0x1A4E_0300), 4096, 4096, target);
+            assert_matches_oracle(&nl, || RandomWords::seeded(0x1A4E_0300), 4096, 4096, target);
         assert!(
             base.coverage() >= target && base.patterns_applied() < 4096,
             "target {target} never fired; the test is vacuous"
@@ -250,11 +248,11 @@ fn coverage_target_stops_replay_identically() {
 
 #[test]
 fn max_pattern_truncation_counts_masked_lanes_only() {
-    // 100 is deliberately not a multiple of 64: the final wide sweep
-    // must truncate to a 36-lane sub-block, and only those masked lanes
-    // may count toward `patterns_applied`.
+    // 100 is deliberately not a multiple of 64: the final block must be
+    // truncated to 36 lanes, and only those masked lanes may count toward
+    // `patterns_applied`.
     let nl = redundant_circuit();
-    let base = assert_lanes_invisible(&nl, || RandomWords::seeded(0x1A4E_0400), 100, 100, 1.0);
+    let base = assert_matches_oracle(&nl, || RandomWords::seeded(0x1A4E_0400), 100, 100, 1.0);
     assert_eq!(base.patterns_applied(), 100);
     for d in base.detection().iter().flatten() {
         assert!(*d < 100, "detection index {d} past the pattern budget");
@@ -266,12 +264,12 @@ const REPLAY_SCHEDULE: &str = "0x2a 100\n7\n0x1 3\n";
 #[test]
 fn ragged_replay_schedule_matches_scalar() {
     // The schedule emits lane counts [64, 36, 64, 3]: ragged blocks at
-    // reseed boundaries *mid-stream*, not just at end-of-stream. The
-    // wide pull must stop a sweep at each ragged block so later
-    // sub-words never sit behind a partial one.
+    // reseed boundaries *mid-stream*, not just at end-of-stream, so the
+    // block after a ragged one starts at an offset that is not a
+    // multiple of 64.
     let nl = redundant_circuit();
     let make = || StoredSeedReplay::parse("sched", REPLAY_SCHEDULE).expect("schedule parses");
-    let base = assert_lanes_invisible(&nl, make, 1_000, 1_000, 1.0);
+    let base = assert_matches_oracle(&nl, make, 1_000, 1_000, 1.0);
     // Coverage never reaches 1.0 here, so the stream is fully drained:
     // 100 + 64 + 3 patterns, masked lanes only.
     assert_eq!(base.patterns_applied(), 167);
@@ -281,7 +279,7 @@ fn ragged_replay_schedule_matches_scalar() {
 
     // Truncating inside the second segment exercises budget masking on
     // top of the ragged stream.
-    let base = assert_lanes_invisible(&nl, make, 130, 130, 1.0);
+    let base = assert_matches_oracle(&nl, make, 130, 130, 1.0);
     assert_eq!(base.patterns_applied(), 130);
 }
 
@@ -300,11 +298,11 @@ fn exhaustive_tail_counts_masked_lanes_only() {
     b.output("x", x);
     let nl = b.finish().unwrap();
 
-    let base = assert_lanes_invisible(&nl, || ExhaustiveSource::new(5), 1 << 5, 1 << 5, 1.0);
+    let base = assert_matches_oracle(&nl, || ExhaustiveSource::new(5), 1 << 5, 1 << 5, 1.0);
     assert!(base.patterns_applied() <= 32);
     // And with a budget below the tail's lane count, only the masked
     // lanes count.
-    let base = assert_lanes_invisible(&nl, || ExhaustiveSource::new(5), 20, 20, 1.0);
+    let base = assert_matches_oracle(&nl, || ExhaustiveSource::new(5), 20, 20, 1.0);
     assert!(base.patterns_applied() <= 20);
     for d in base.detection().iter().flatten() {
         assert!(*d < 20);
@@ -312,10 +310,10 @@ fn exhaustive_tail_counts_masked_lanes_only() {
 }
 
 #[test]
-fn run_random_family_routes_through_wide_sweeps() {
+fn run_random_family_routes_through_the_driver() {
     // The `run_random*` wrappers share the `run_source_with` driver, so
-    // at every width they must reproduce the one-block oracle on the
-    // seeded stream they draw.
+    // they must reproduce the one-block oracle on the seeded stream they
+    // draw.
     let nl = adder4().combinational_equivalent();
     let faults = FaultUniverse::collapsed(&nl).faults().to_vec();
     let seed = 0x1A4E_0500u64;
@@ -323,60 +321,76 @@ fn run_random_family_routes_through_wide_sweeps() {
         let mut src = RandomWords::seeded(seed);
         one_block_at_a_time(&nl, &faults, &mut src, max_patterns, plateau, target)
     };
-    let base = oracle(512, 512, 1.0);
-    let plateau_base = oracle(4096, 96, 1.0);
-    let until_base = oracle(4096, 4096, 0.9);
 
-    for lanes in LANE_WIDTHS {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let wide = ParFaultSimulator::new(&nl, faults.clone())
-            .with_lanes(lanes)
-            .run_random(&mut rng, 512);
-        assert_same(&base, &wide, &format!("run_random @ {lanes} lanes"));
+    let mut rng = StdRng::seed_from_u64(seed);
+    let got = ParFaultSimulator::new(&nl, faults.clone()).run_random(&mut rng, 512);
+    assert_same(&oracle(512, 512, 1.0), &got, "run_random");
 
-        let mut rng = StdRng::seed_from_u64(seed);
-        let wide = ParFaultSimulator::with_threads(&nl, faults.clone(), 2)
-            .with_lanes(lanes)
-            .run_random_with_plateau(&mut rng, 4096, 96);
-        assert_same(
-            &plateau_base,
-            &wide,
-            &format!("run_random_with_plateau @ {lanes} lanes"),
-        );
+    let mut rng = StdRng::seed_from_u64(seed);
+    let got = ParFaultSimulator::with_threads(&nl, faults.clone(), 2)
+        .run_random_with_plateau(&mut rng, 4096, 96);
+    assert_same(&oracle(4096, 96, 1.0), &got, "run_random_with_plateau");
 
-        let mut rng = StdRng::seed_from_u64(seed);
-        let wide = ParFaultSimulator::new(&nl, faults.clone())
-            .with_lanes(lanes)
-            .run_random_until(&mut rng, 0.9, 4096);
-        assert_same(
-            &until_base,
-            &wide,
-            &format!("run_random_until @ {lanes} lanes"),
-        );
-    }
+    let mut rng = StdRng::seed_from_u64(seed);
+    let got = ParFaultSimulator::new(&nl, faults.clone()).run_random_until(&mut rng, 0.9, 4096);
+    assert_same(&oracle(4096, 4096, 0.9), &got, "run_random_until");
 }
 
 #[test]
-fn source_accounting_matches_scalar_on_non_stopping_runs() {
-    // On a run that only ever stops at `max_patterns` (no coverage or
-    // plateau exit), a sweep pulls exactly the blocks a one-block run
-    // would have, so the *source-side* accounting — patterns emitted,
-    // clocks, stream digest — must agree too. (Stopped runs may
-    // legitimately over-pull; that asymmetry is documented on
-    // `run_source_with`.)
-    let nl = redundant_circuit().combinational_equivalent();
-    let faults = FaultUniverse::collapsed(&nl).faults().to_vec();
-    let mut oracle_src = RandomWords::seeded(0x1A4E_0600);
-    let base = one_block_at_a_time(&nl, &faults, &mut oracle_src, 256, 256, 1.0);
-    assert_eq!(base.patterns_applied(), 256, "run must exhaust its budget");
-    for lanes in LANE_WIDTHS {
-        let mut wide_src = RandomWords::seeded(0x1A4E_0600);
-        let wide = ParFaultSimulator::new(&nl, faults.clone())
-            .with_lanes(lanes)
-            .run_source_with(&mut wide_src, 256, 256, 1.0);
-        assert_same(&base, &wide, &format!("accounting run @ {lanes} lanes"));
-        assert_eq!(wide_src.patterns_emitted(), oracle_src.patterns_emitted());
-        assert_eq!(wide_src.clocks_consumed(), oracle_src.clocks_consumed());
-        assert_eq!(wide_src.state_digest(), oracle_src.state_digest());
+fn stopped_runs_account_exactly_the_blocks_they_apply() {
+    // A plateau that fires after one block without a detection, and a
+    // budget that is not a multiple of 64: both stop the run before the
+    // stream is drained. The source behind the engine must then have
+    // emitted, clocked and digested exactly what the oracle's did.
+    let mut kinds = HashSet::new();
+    for spec in [SourceSpec::Lfsr, SourceSpec::MinTpg] {
+        for (k, (comb, faults, make)) in bibs_kernels("c5a2m", 4, &spec).iter().enumerate() {
+            kinds.insert(make().descriptor().kind().to_string());
+            let width = comb.input_width();
+            for (stop, max_patterns, plateau) in
+                [("plateau", 1 << 20, 64), ("budget", 100, 1 << 20)]
+            {
+                let what = format!("{spec} kernel {k}, {stop} stop");
+                let mut oracle_src = make();
+                let base =
+                    one_block_at_a_time(comb, faults, &mut *oracle_src, max_patterns, plateau, 1.0);
+                for threads in THREADS {
+                    let what = format!("{what}: {threads} thread(s)");
+                    let mut src = make();
+                    let got = ParFaultSimulator::with_threads(comb, faults.clone(), threads)
+                        .run_source_with(&mut *src, max_patterns, plateau, 1.0);
+                    assert_same(&base, &got, &what);
+                    assert_eq!(
+                        src.clocks_consumed(),
+                        oracle_src.clocks_consumed(),
+                        "{what}: clocks_consumed"
+                    );
+                    assert_eq!(
+                        src.patterns_emitted(),
+                        oracle_src.patterns_emitted(),
+                        "{what}: patterns_emitted"
+                    );
+                    assert_eq!(
+                        src.state_digest(),
+                        oracle_src.state_digest(),
+                        "{what}: state_digest"
+                    );
+                }
+                if stop == "budget" {
+                    assert_eq!(base.patterns_applied(), max_patterns, "{what}");
+                } else {
+                    assert!(base.coverage() < 1.0, "{what}: the coverage target fired");
+                }
+                assert!(
+                    oracle_src.next_block(width).is_some(),
+                    "{what}: the stream ran dry, so nothing stopped the run"
+                );
+            }
+        }
     }
+    assert!(
+        kinds.contains("mintpg"),
+        "no kernel ran the paper's TPG: {kinds:?}"
+    );
+    assert!(kinds.contains("lfsr"), "no kernel ran the LFSR: {kinds:?}");
 }

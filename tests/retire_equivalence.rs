@@ -5,8 +5,7 @@
 //! patterns without a detection. A redundant fault is never detected, so
 //! the run must reproduce the plain run exactly: every detection index,
 //! `patterns_applied`, and the source's clocks, patterns and digest. Each
-//! case here runs both at 64, 256 and 512 lanes and at 1 and 4 threads,
-//! over every pattern-source kind and the BIBS kernels of the three paper
+//! case here runs both at 1 and 4 threads, over every pattern-source kind and the BIBS kernels of the three paper
 //! datapaths, plus four hand-built circuits that pin the prover's rules:
 //! a `Test` verdict keeps its fault live, an `Aborted` one does too, an
 //! all-redundant live list still stops at the plain run's pattern, and a
@@ -15,12 +14,11 @@
 //! redundancy only case analysis on a reconvergent stem proves: PODEM
 //! retirement must leave its report equal to the reference engine's.
 
+mod common;
+
 use bibs_bench::{
-    apply_tdm, build_source, table2_column, table2_json, Engine, SourceSpec, Table2Column,
-    Table2Options, Tdm,
+    table2_column, table2_json, Engine, SourceSpec, Table2Column, Table2Options, Tdm,
 };
-use bibs_datapath::elab::elaborate_kernel;
-use bibs_datapath::filters::scaled;
 use bibs_faultsim::atpg::{AtpgResult, Verdicts};
 use bibs_faultsim::fault::{Fault, FaultUniverse};
 use bibs_faultsim::par::ParFaultSimulator;
@@ -31,10 +29,9 @@ use bibs_faultsim::source::{
 };
 use bibs_faultsim::stats::SimStats;
 use bibs_netlist::builder::NetlistBuilder;
-use bibs_netlist::{EvalProgram, GateKind, Netlist};
-use std::collections::HashSet;
+use bibs_netlist::{GateKind, Netlist};
+use common::bibs_kernels;
 
-const LANE_WIDTHS: [usize; 3] = [64, 256, 512];
 const THREADS: [usize; 2] = [1, 4];
 
 /// Table 2's PODEM backtrack limit.
@@ -50,18 +47,10 @@ struct Run {
     digest: u64,
 }
 
-fn run(
-    nl: &Netlist,
-    faults: &[Fault],
-    make: MakeSource,
-    lanes: usize,
-    threads: usize,
-    stop: Stop,
-) -> Run {
+fn run(nl: &Netlist, faults: &[Fault], make: MakeSource, threads: usize, stop: Stop) -> Run {
     let mut source = make();
-    let report = ParFaultSimulator::with_threads(nl, faults.to_vec(), threads)
-        .with_lanes(lanes)
-        .run(&mut *source, stop);
+    let report =
+        ParFaultSimulator::with_threads(nl, faults.to_vec(), threads).run(&mut *source, stop);
     Run {
         report,
         clocks: source.clocks_consumed(),
@@ -81,7 +70,7 @@ fn assert_same_run(plain: &Run, proving: &Run, what: &str) {
     assert_eq!(plain.clocks, proving.clocks, "{what}: clocks_consumed");
     assert_eq!(plain.emitted, proving.emitted, "{what}: patterns_emitted");
     assert_eq!(plain.digest, proving.digest, "{what}: state_digest");
-    // Retiring changes which faults a sweep evaluates, never which blocks
+    // Retiring changes which faults a block evaluates, never which blocks
     // it applies or which faults it drops.
     let (s, t) = (p.stats(), q.stats());
     assert_eq!(s.blocks, t.blocks, "{what}: blocks");
@@ -103,9 +92,9 @@ fn counters(s: &SimStats) -> [u64; 6] {
     ]
 }
 
-/// Runs the plain driver and the PODEM-proving one at every lane width
-/// and thread count and requires identical runs. Returns the one-thread
-/// plain and proving runs per lane width.
+/// Runs the plain driver and the PODEM-proving one at every thread count
+/// and requires identical runs. Returns the one-thread plain and proving
+/// runs.
 fn assert_prover_invisible(
     name: &str,
     nl: &Netlist,
@@ -114,45 +103,32 @@ fn assert_prover_invisible(
     max_patterns: u64,
     plateau: u64,
     verdicts: &mut Verdicts,
-) -> Vec<(Run, Run)> {
+) -> (Run, Run) {
     let stop = || Stop {
         plateau,
         ..Stop::after(max_patterns)
     };
-    let base = run(nl, faults, make, 64, 1, stop());
-    let mut out = Vec::new();
-    for lanes in LANE_WIDTHS {
-        for threads in THREADS {
-            let what = format!("{name}: {threads} thread(s) @ {lanes} lanes");
-            let plain = run(nl, faults, make, lanes, threads, stop());
-            let mut prove = |f| verdicts.proves_redundant(f);
-            let proving = run(
-                nl,
-                faults,
-                make,
-                lanes,
-                threads,
-                Stop {
-                    prover: Some(&mut prove),
-                    ..stop()
-                },
-            );
-            assert_same_run(&plain, &proving, &what);
-            assert_eq!(
-                base.report.detection(),
-                proving.report.detection(),
-                "{what}: detection differs from the 64-lane run"
-            );
-            assert_eq!(
-                base.report.patterns_applied(),
-                proving.report.patterns_applied(),
-                "{what}: patterns_applied differs from the 64-lane run"
-            );
-            if threads == 1 {
-                out.push((plain, proving));
-            } else {
-                // Thread count never changes a counter.
-                let (one, _) = out.last().expect("the one-thread run came first");
+    let mut one_thread: Option<(Run, Run)> = None;
+    for threads in THREADS {
+        let what = format!("{name}: {threads} thread(s)");
+        let plain = run(nl, faults, make, threads, stop());
+        let mut prove = |f| verdicts.proves_redundant(f);
+        let proving = run(
+            nl,
+            faults,
+            make,
+            threads,
+            Stop {
+                prover: Some(&mut prove),
+                ..stop()
+            },
+        );
+        assert_same_run(&plain, &proving, &what);
+        match &one_thread {
+            None => one_thread = Some((plain, proving)),
+            Some((one, _)) => {
+                // Thread count never changes a report or a counter.
+                assert_same_run(one, &proving, &what);
                 assert_eq!(
                     counters(one.report.stats()),
                     counters(plain.report.stats()),
@@ -161,42 +137,7 @@ fn assert_prover_invisible(
             }
         }
     }
-    out
-}
-
-/// A kernel's combinational equivalent, the faults Table 2 simulates on
-/// it, and a factory for its pattern source.
-type Kernel = (Netlist, Vec<Fault>, Box<dyn Fn() -> Box<dyn PatternSource>>);
-
-/// Every BIBS kernel of `name` at `width`, with its `spec` source. Like
-/// the Table 2 pipeline, the fault list leaves out the faults with no
-/// path to an output, which PODEM could only prove redundant by
-/// exhausting every assignment that activates them.
-fn bibs_kernels(name: &str, width: u32, spec: &SourceSpec) -> Vec<Kernel> {
-    let (circuit, design, ks) = apply_tdm(&scaled(name, width), Tdm::Bibs);
-    let cut: HashSet<_> = design.bilbo.iter().chain(&design.cbilbo).copied().collect();
-    ks.into_iter()
-        .map(|kernel| {
-            let set: HashSet<_> = kernel.vertices.iter().copied().collect();
-            let comb = elaborate_kernel(&circuit, &set, &cut)
-                .expect("kernel elaborates")
-                .netlist
-                .combinational_equivalent();
-            let program = EvalProgram::compile(&comb).expect("kernel equivalents are acyclic");
-            let (faults, _) = FaultUniverse::collapsed(&comb).split_by_observability(&program);
-            let (circuit, design, spec) = (circuit.clone(), design.clone(), spec.clone());
-            let input_width = comb.input_width();
-            let make = move || {
-                build_source(&spec, 0x51B5, input_width, &circuit, &design, &kernel)
-                    .expect("source builds")
-            };
-            (
-                comb,
-                faults,
-                Box::new(make) as Box<dyn Fn() -> Box<dyn PatternSource>>,
-            )
-        })
-        .collect()
+    one_thread.expect("THREADS is not empty")
 }
 
 #[test]
@@ -208,7 +149,7 @@ fn paper_datapath_kernels_run_identically_with_the_prover() {
             .enumerate()
         {
             let mut verdicts = Verdicts::new(comb, BACKTRACK_LIMIT);
-            let runs = assert_prover_invisible(
+            let (_, proving) = assert_prover_invisible(
                 &format!("{name}@{width} kernel {k}"),
                 comb,
                 faults,
@@ -217,7 +158,7 @@ fn paper_datapath_kernels_run_identically_with_the_prover() {
                 8_192,
                 &mut verdicts,
             );
-            retired += runs[0].1.report.stats().faults_retired;
+            retired += proving.report.stats().faults_retired;
         }
         assert!(retired > 0, "{name}@{width}: the prover retired nothing");
     }
@@ -252,11 +193,10 @@ fn every_source_kind_runs_identically_with_the_prover() {
         ("replay", &replay),
     ];
     for (kind, make) in sources {
-        let runs =
+        let (_, proving) =
             assert_prover_invisible(kind, &comb, &faults, make, 1_000_000, 4_096, &mut verdicts);
         assert!(
-            runs.iter()
-                .all(|(_, proving)| proving.report.stats().faults_retired > 0),
+            proving.report.stats().faults_retired > 0,
             "{kind}: the prover retired nothing"
         );
     }
@@ -297,7 +237,7 @@ fn a_random_resistant_testable_fault_stays_live() {
     let mut verdicts = Verdicts::new(&nl, BACKTRACK_LIMIT);
     assert!(matches!(verdicts.verdict(fault), AtpgResult::Test(_)));
     let make = || Box::new(RandomWords::seeded(16)) as Box<dyn PatternSource>;
-    let runs = assert_prover_invisible(
+    let (plain, proving) = assert_prover_invisible(
         "and16",
         &nl,
         &[fault],
@@ -306,18 +246,16 @@ fn a_random_resistant_testable_fault_stays_live() {
         1 << 22,
         &mut verdicts,
     );
-    for (plain, proving) in &runs {
-        let detected = proving.report.detection()[0].expect("the random stream finds it");
-        assert!(
-            detected > PROVE_AFTER,
-            "detected at {detected}, before the prover ran"
-        );
-        assert_eq!(proving.report.stats().faults_retired, 0);
-        assert_eq!(
-            counters(plain.report.stats()),
-            counters(proving.report.stats())
-        );
-    }
+    let detected = proving.report.detection()[0].expect("the random stream finds it");
+    assert!(
+        detected > PROVE_AFTER,
+        "detected at {detected}, before the prover ran"
+    );
+    assert_eq!(proving.report.stats().faults_retired, 0);
+    assert_eq!(
+        counters(plain.report.stats()),
+        counters(proving.report.stats())
+    );
 }
 
 /// `y = x AND NOT x` with `x = a AND b`: `y` is constant 0, and PODEM
@@ -339,7 +277,7 @@ fn two_backtrack_redundancy() -> (Netlist, Fault) {
 }
 
 /// (b) At a backtrack limit of 1 PODEM aborts on the redundant fault, so
-/// it stays live and every sweep still runs the good machine.
+/// it stays live and every block still runs the good machine.
 #[test]
 fn aborted_faults_stay_live() {
     let (nl, fault) = two_backtrack_redundancy();
@@ -352,7 +290,7 @@ fn aborted_faults_stay_live() {
     let mut verdicts = Verdicts::new(&nl, 1);
     assert_eq!(verdicts.verdict(fault), &AtpgResult::Aborted);
     let make = || Box::new(RandomWords::seeded(2)) as Box<dyn PatternSource>;
-    let runs = assert_prover_invisible(
+    let (plain, proving) = assert_prover_invisible(
         "limit 1",
         &nl,
         &faults,
@@ -361,21 +299,17 @@ fn aborted_faults_stay_live() {
         4_096,
         &mut verdicts,
     );
-    for (plain, proving) in &runs {
-        assert_eq!(
-            plain.report.stats().good_evals,
-            proving.report.stats().good_evals,
-            "an aborted fault keeps the good machine running"
-        );
-        assert!(
-            proving.report.detection()[faults.iter().position(|&f| f == fault).unwrap()].is_none()
-        );
-    }
+    assert_eq!(
+        plain.report.stats().good_evals,
+        proving.report.stats().good_evals,
+        "an aborted fault keeps the good machine running"
+    );
+    assert!(proving.report.detection()[faults.iter().position(|&f| f == fault).unwrap()].is_none());
 }
 
 /// (c) Once the detectable faults of `y = a AND NOT a`, `z = b XOR c` are
 /// detected, every live fault is redundant. The prover retires them all,
-/// the later sweeps skip the good machine, and the run still applies the
+/// the later blocks skip the good machine, and the run still applies the
 /// plain run's blocks and stops at the last detection plus the plateau.
 #[test]
 fn an_all_redundant_live_list_still_stops_at_the_plateau() {
@@ -393,7 +327,7 @@ fn an_all_redundant_live_list_still_stops_at_the_plateau() {
     let plateau = 4_096;
     let mut verdicts = Verdicts::new(&nl, BACKTRACK_LIMIT);
     let make = || Box::new(RandomWords::seeded(9)) as Box<dyn PatternSource>;
-    let runs = assert_prover_invisible(
+    let (plain, proving) = assert_prover_invisible(
         "a AND NOT a",
         &nl,
         &faults,
@@ -402,22 +336,20 @@ fn an_all_redundant_live_list_still_stops_at_the_plateau() {
         plateau,
         &mut verdicts,
     );
-    let live = runs[0].0.report.undetected().len() as u64;
+    let live = plain.report.undetected().len() as u64;
     assert!(live > 0, "the circuit must keep a redundant fault");
-    for (plain, proving) in &runs {
-        let last = plain.report.detection().iter().flatten().max().unwrap();
-        let (s, t) = (plain.report.stats(), proving.report.stats());
-        assert_eq!(
-            proving.report.patterns_applied(),
-            last / 64 * 64 + 64 + plateau,
-            "the run stops one plateau after the last detection's block"
-        );
-        assert_eq!(t.faults_retired, live);
-        assert!(
-            t.good_evals < s.good_evals,
-            "retiring every live fault must skip good-machine sweeps"
-        );
-    }
+    let last = plain.report.detection().iter().flatten().max().unwrap();
+    let (s, t) = (plain.report.stats(), proving.report.stats());
+    assert_eq!(
+        proving.report.patterns_applied(),
+        last / 64 * 64 + 64 + plateau,
+        "the run stops one plateau after the last detection's block"
+    );
+    assert_eq!(t.faults_retired, live);
+    assert!(
+        t.good_evals < s.good_evals,
+        "retiring every live fault must skip good-machine evaluations"
+    );
 
     // The reference engine honours a prover too, with the same report.
     let plain = ReferenceSimulator::new(&nl, faults.clone()).run(
@@ -453,43 +385,40 @@ fn a_short_plateau_never_calls_the_prover() {
         .next()
         .expect("a BIBS kernel");
     for plateau in [64, 1000, PROVE_AFTER] {
-        for lanes in LANE_WIDTHS {
-            for threads in THREADS {
-                let stop = || Stop {
-                    plateau,
-                    ..Stop::after(1_000_000)
-                };
-                let make = || Box::new(RandomWords::seeded(4)) as Box<dyn PatternSource>;
-                let plain = run(&comb, &faults, &make, lanes, threads, stop());
-                let mut calls = 0;
-                let mut retire_all = |_| {
-                    calls += 1;
-                    true
-                };
-                let proving = run(
-                    &comb,
-                    &faults,
-                    &make,
-                    lanes,
-                    threads,
-                    Stop {
-                        prover: Some(&mut retire_all),
-                        ..stop()
-                    },
-                );
-                let what = format!("plateau {plateau}: {threads} thread(s) @ {lanes} lanes");
-                assert_eq!(calls, 0, "{what}: the prover was called");
-                assert_same_run(&plain, &proving, &what);
-                assert_eq!(
-                    counters(plain.report.stats()),
-                    counters(proving.report.stats()),
-                    "{what}"
-                );
-                assert!(
-                    !plain.report.undetected().is_empty(),
-                    "{what}: nothing was left for a prover"
-                );
-            }
+        for threads in THREADS {
+            let stop = || Stop {
+                plateau,
+                ..Stop::after(1_000_000)
+            };
+            let make = || Box::new(RandomWords::seeded(4)) as Box<dyn PatternSource>;
+            let plain = run(&comb, &faults, &make, threads, stop());
+            let mut calls = 0;
+            let mut retire_all = |_| {
+                calls += 1;
+                true
+            };
+            let proving = run(
+                &comb,
+                &faults,
+                &make,
+                threads,
+                Stop {
+                    prover: Some(&mut retire_all),
+                    ..stop()
+                },
+            );
+            let what = format!("plateau {plateau}: {threads} thread(s)");
+            assert_eq!(calls, 0, "{what}: the prover was called");
+            assert_same_run(&plain, &proving, &what);
+            assert_eq!(
+                counters(plain.report.stats()),
+                counters(proving.report.stats()),
+                "{what}"
+            );
+            assert!(
+                !plain.report.undetected().is_empty(),
+                "{what}: nothing was left for a prover"
+            );
         }
     }
 }
