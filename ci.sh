@@ -4,7 +4,8 @@
 # works offline (the compat/ crates stand in for crates.io).
 #
 # Usage: ./ci.sh            (full gate)
-#        BIBS_JOBS=4 ./ci.sh  (pin the fault-sim worker count)
+#        BIBS_JOBS=4 ./ci.sh  (pin the worker count of cone verification
+#                              and bibs-lint --batch)
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -81,7 +82,7 @@ grep -q "B043" /tmp/bibs-lint-redundant.txt
 
 step "table2 smoke run (width 3, small pattern budget)"
 # Width 3 keeps each kernel tiny; the bin prints the engine stats line,
-# which doubles as a check that the parallel fault simulator ran.
+# which doubles as a check that the compiled fault simulator ran.
 cargo run --release -p bibs-bench --bin table2 -- 3 | tee /tmp/bibs-table2-smoke.txt
 grep -q "fault-sim engine:" /tmp/bibs-table2-smoke.txt
 grep -q "Maximal delay" /tmp/bibs-table2-smoke.txt
@@ -98,23 +99,14 @@ cargo run --release -p bibs-bench --bin table2 -- --only c5a2m --json \
 diff /tmp/bibs-table2-compiled.json /tmp/bibs-table2-reference.json
 grep -q '"detection_indices"' /tmp/bibs-table2-compiled.json
 
-step "telemetry determinism (table2 c5a2m: 1 vs 8 worker threads, wall-stripped)"
-# The exported counters are detection-deterministic: two runs under
-# different thread counts must emit identical span trees and counter
-# values (only wall_ns may differ, so diff after stripping it).
-BIBS_JOBS=1 cargo run --release -p bibs-bench --bin table2 -- --only c5a2m \
-  --telemetry /tmp/bibs-telemetry-j1.json > /dev/null
-BIBS_JOBS=8 cargo run --release -p bibs-bench --bin table2 -- --only c5a2m \
-  --telemetry /tmp/bibs-telemetry-j8.json > /dev/null
-strip_wall() { sed 's/"wall_ns":[0-9]*,//g' "$1"; }
-diff <(strip_wall /tmp/bibs-telemetry-j1.json) <(strip_wall /tmp/bibs-telemetry-j8.json)
-
 step "telemetry perf-regression gate (perfdiff vs committed BENCH_table2.json)"
 # The baseline predates the PatternSource refactor, and perfdiff compares
 # counter maps with hard equality — passing proves the refactored driver
 # added no recorder traffic or extra work to the default hot path.
+cargo run --release -p bibs-bench --bin table2 -- --only c5a2m \
+  --telemetry /tmp/bibs-telemetry.json > /dev/null
 cargo run --release -p bibs-bench --bin perfdiff -- \
-  BENCH_table2.json /tmp/bibs-telemetry-j8.json
+  BENCH_table2.json /tmp/bibs-telemetry.json
 
 step "retired faults: c5a2m's BIBS kernel stops sweeping the good machine once PODEM retires its survivors"
 # PODEM proves the kernel's two survivors redundant 1,024 patterns after
@@ -123,7 +115,7 @@ step "retired faults: c5a2m's BIBS kernel stops sweeping the good machine once P
 # nothing would leave good_evals equal to blocks. The BIBS column comes
 # first, so the first fault-sim span is its one kernel's.
 sim_span=$(grep -o '"label":"fault-sim\[par\]","wall_ns":[0-9]*,"counters":{[^}]*}' \
-  /tmp/bibs-telemetry-j8.json | head -1)
+  /tmp/bibs-telemetry.json | head -1)
 span_counter() { printf '%s' "$sim_span" | grep -o "\"$1\":[0-9]*" | grep -o '[0-9]*$'; }
 good=$(span_counter good_evals)
 blocks=$(span_counter blocks)
@@ -139,22 +131,13 @@ cargo run --release -p bibs-bench --bin table2 -- --only c5a2m --json \
   --source random > /tmp/bibs-table2-srcrandom.json
 diff /tmp/bibs-table2-compiled.json /tmp/bibs-table2-srcrandom.json
 
-step "pattern sources: --source lfsr is thread-count deterministic (1 vs 8, wall-stripped)"
-# Blocks are pulled serially, so the LFSR stream — and every counter in
-# its source[lfsr] span (patterns_emitted, source_clocks) — must be
-# bit-identical for any worker count.
-BIBS_JOBS=1 cargo run --release -p bibs-bench --bin table2 -- --only c5a2m \
-  --source lfsr --telemetry /tmp/bibs-telemetry-lfsr-j1.json > /dev/null
-BIBS_JOBS=8 cargo run --release -p bibs-bench --bin table2 -- --only c5a2m \
-  --source lfsr --telemetry /tmp/bibs-telemetry-lfsr-j8.json > /dev/null
-diff <(strip_wall /tmp/bibs-telemetry-lfsr-j1.json) \
-     <(strip_wall /tmp/bibs-telemetry-lfsr-j8.json)
-grep -q 'source\[lfsr\]' /tmp/bibs-telemetry-lfsr-j8.json
-grep -q '"source_clocks"' /tmp/bibs-telemetry-lfsr-j8.json
-
-step "pattern sources: perf gate vs committed BENCH_table2_lfsr.json"
+step "pattern sources: --source lfsr telemetry carries its source span, perf gate vs committed BENCH_table2_lfsr.json"
+cargo run --release -p bibs-bench --bin table2 -- --only c5a2m \
+  --source lfsr --telemetry /tmp/bibs-telemetry-lfsr.json > /dev/null
+grep -q 'source\[lfsr\]' /tmp/bibs-telemetry-lfsr.json
+grep -q '"source_clocks"' /tmp/bibs-telemetry-lfsr.json
 cargo run --release -p bibs-bench --bin perfdiff -- \
-  BENCH_table2_lfsr.json /tmp/bibs-telemetry-lfsr-j8.json
+  BENCH_table2_lfsr.json /tmp/bibs-telemetry-lfsr.json
 
 step "pattern sources: the source layer adds no measurable hot-path cost"
 # Same machine, back to back: the --source random run (dyn-dispatched
@@ -166,9 +149,9 @@ wall_of() { grep -o '"wall_ns":[0-9]*' "$1" | head -1 | grep -o '[0-9]*'; }
 median() { printf '%s\n' "$@" | sort -n | sed -n "$(( ($# + 1) / 2 ))p"; }
 legacy_walls=() source_walls=()
 for _ in 1 2 3 4 5; do
-  BIBS_JOBS=8 cargo run --release -p bibs-bench --bin table2 -- --only c5a2m \
+  cargo run --release -p bibs-bench --bin table2 -- --only c5a2m \
     --telemetry /tmp/bibs-telemetry-legacy.json > /dev/null
-  BIBS_JOBS=8 cargo run --release -p bibs-bench --bin table2 -- --only c5a2m \
+  cargo run --release -p bibs-bench --bin table2 -- --only c5a2m \
     --source random --telemetry /tmp/bibs-telemetry-srcrandom.json > /dev/null
   legacy_walls+=("$(wall_of /tmp/bibs-telemetry-legacy.json)")
   source_walls+=("$(wall_of /tmp/bibs-telemetry-srcrandom.json)")
@@ -178,17 +161,14 @@ source_med=$(median "${source_walls[@]}")
 echo "root wall medians of 5: legacy ${legacy_med} ns, --source random ${source_med} ns"
 test "$source_med" -lt $(( legacy_med * 3 / 2 ))
 
-step "pattern sources: --source mintpg is thread-count deterministic and really runs the TPG"
+step "pattern sources: --source mintpg really runs the TPG"
 # Width 7 is the tpg-stream benchmark configuration: the BIBS kernels fit
-# the TPG's degree cap. The JSON must be byte-identical at 1 and 8
-# workers, and at least one kernel must report the mintpg descriptor, so
-# a silent fallback to the plain LFSR cannot hide the TPG source.
-BIBS_JOBS=1 cargo run --release -p bibs-bench --bin table2 -- 7 --source mintpg \
-  --json > /tmp/bibs-table2-mintpg-j1.json
-BIBS_JOBS=8 cargo run --release -p bibs-bench --bin table2 -- 7 --source mintpg \
-  --json > /tmp/bibs-table2-mintpg-j8.json
-diff /tmp/bibs-table2-mintpg-j1.json /tmp/bibs-table2-mintpg-j8.json
-grep -q '"kind":"mintpg"' /tmp/bibs-table2-mintpg-j8.json
+# the TPG's degree cap. At least one kernel must report the mintpg
+# descriptor, so a silent fallback to the plain LFSR cannot hide the TPG
+# source.
+cargo run --release -p bibs-bench --bin table2 -- 7 --source mintpg \
+  --json > /tmp/bibs-table2-mintpg.json
+grep -q '"kind":"mintpg"' /tmp/bibs-table2-mintpg.json
 
 step "all three datapaths: table2 JSON is byte-identical under --engine reference"
 # The c5a2m diffs above never reach c4a4m's 1,520-instruction BIBS
@@ -259,6 +239,30 @@ for bad in "table2 0" "table2 --opt" "table2 --collapse dominance" \
   test "$status" -eq 2
   no_panic /tmp/bibs-bad-input.txt
 done
+# Malformed circuit files are rejected with each binary's status for a
+# file it cannot load: 2 for table2 (a usage error), 1 for bits, convert
+# and bibs-lint (deny[B000]). A non-ASCII character inside a .bench
+# keyword, and a .ckt register of width 0, once panicked (exit 101).
+printf 'INPUT(a)\nINP\342\202\254T(b)\nOUTPUT(a)\n' > /tmp/bibs-non-ascii.bench
+sed 's/reg Ra width [0-9]*/reg Ra width 0/' circuits/mac.ckt > /tmp/bibs-zero-width.ckt
+grep -q 'reg Ra width 0 ' /tmp/bibs-zero-width.ckt
+for bad in "2 table2 --circuit /tmp/bibs-non-ascii.bench" \
+  "1 convert /tmp/bibs-non-ascii.bench -:bench" \
+  "1 bibs-lint /tmp/bibs-non-ascii.bench" \
+  "2 table2 --circuit /tmp/bibs-zero-width.ckt" \
+  "1 convert /tmp/bibs-zero-width.ckt -:bench" \
+  "1 bits /tmp/bibs-zero-width.ckt" \
+  "1 bibs-lint /tmp/bibs-zero-width.ckt"; do
+  read -ra cmd <<< "$bad"
+  package=bibs-bench
+  test "${cmd[1]}" = bibs-lint && package=bibs-lint
+  status=0
+  cargo run --release -q -p "$package" --bin "${cmd[1]}" -- "${cmd[@]:2}" \
+    > /tmp/bibs-bad-input.txt 2>&1 || status=$?
+  echo "${cmd[*]:1}: exit $status"
+  test "$status" -eq "${cmd[0]}"
+  no_panic /tmp/bibs-bad-input.txt
+done
 
 step "circuit formats: committed c5a2m fixtures are byte-stable"
 # The committed .ckt/.bench fixtures must regenerate byte-identically
@@ -289,13 +293,13 @@ for f in /tmp/bibs-fuzz-seeds/seq/*.bench; do
   diff "$f" "corpus/seq/$(basename "$f")"
 done
 
-step "fuzz smoke (200 seeded cases through the six differential oracles)"
+step "fuzz smoke (200 seeded cases through the four differential oracles)"
 # Time-boxed; a divergence writes a minimized fixture to
-# corpus/regressions/ and fails the run. Oracle 5 (podem) checks every
+# corpus/regressions/ and fails the run. Oracle 3 (podem) checks every
 # PODEM verdict against exhaustive simulation in release, where PODEM's
-# debug-build implication check is compiled out. Oracle 6 (retire)
-# requires runs that retire PODEM-proved faults mid-run to reproduce the
-# plain run at 1 and 2 threads.
+# debug-build implication check is compiled out. Oracle 4 (retire)
+# requires a run that retires PODEM-proved faults mid-run to reproduce
+# the plain run.
 timeout 300 cargo run --release -p bibs-corpus --bin bibs-fuzz -- --smoke \
   --cases 200 | tee /tmp/bibs-fuzz-smoke.txt
 grep -q "0 divergence(s)" /tmp/bibs-fuzz-smoke.txt

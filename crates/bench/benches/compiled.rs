@@ -1,9 +1,8 @@
 //! Criterion benches for the compiled evaluation IR: the interpreted
-//! reference engine vs the [`EvalProgram`]-based engine (at 1, 2 and 4
-//! threads) on the paper's array-multiplier cell — the workload that
-//! dominates every Table 2 circuit. The reports are bit-identical across
-//! all of them, so the only thing measured is wall clock; EXPERIMENTS.md
-//! records the resulting speedups.
+//! reference engine vs the [`EvalProgram`]-based engine on the paper's
+//! array-multiplier cell — the workload that dominates every Table 2
+//! circuit. The reports are bit-identical, so the only thing measured is
+//! wall clock; EXPERIMENTS.md records the resulting speedups.
 
 use bibs_faultsim::fault::FaultUniverse;
 use bibs_faultsim::par::ParFaultSimulator;
@@ -11,7 +10,7 @@ use bibs_faultsim::reference::ReferenceSimulator;
 use bibs_faultsim::sim::BlockSim;
 use bibs_netlist::builder::NetlistBuilder;
 use bibs_netlist::{EvalProgram, Netlist};
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::hint::black_box;
@@ -60,7 +59,7 @@ fn bench_good_eval(c: &mut Criterion) {
 }
 
 /// Full good+faulty block throughput (the table2 inner loop): interpreted
-/// reference vs the compiled engine at 1, 2 and 4 threads.
+/// reference vs the compiled engine.
 fn bench_engines(c: &mut Criterion) {
     let nl = multiplier(8);
     let universe = FaultUniverse::collapsed(&nl);
@@ -80,24 +79,18 @@ fn bench_engines(c: &mut Criterion) {
             criterion::BatchSize::SmallInput,
         )
     });
-    for threads in [1usize, 2, 4] {
-        group.bench_with_input(
-            BenchmarkId::new("compiled", threads),
-            &threads,
-            |b, &threads| {
-                b.iter_batched(
-                    || {
-                        (
-                            ParFaultSimulator::with_threads(&nl, observable.clone(), threads),
-                            StdRng::seed_from_u64(3),
-                        )
-                    },
-                    |(mut sim, mut rng)| black_box(sim.run_random(&mut rng, 256).detected_count()),
-                    criterion::BatchSize::SmallInput,
+    group.bench_function("compiled", |b| {
+        b.iter_batched(
+            || {
+                (
+                    ParFaultSimulator::new(&nl, observable.clone()),
+                    StdRng::seed_from_u64(3),
                 )
             },
-        );
-    }
+            |(mut sim, mut rng)| black_box(sim.run_random(&mut rng, 256).detected_count()),
+            criterion::BatchSize::SmallInput,
+        )
+    });
     group.finish();
 }
 

@@ -46,38 +46,6 @@ fn bench_fault_sim_block(c: &mut Criterion) {
     group.finish();
 }
 
-/// The engine at 1, 2, 4 and 8 threads on the same 256-pattern random
-/// stream over the 8-bit array multiplier (the c4a4m-scale workload):
-/// identical reports by construction, so the only thing measured is wall
-/// clock.
-fn bench_engines(c: &mut Criterion) {
-    let nl = multiplier(8);
-    let universe = FaultUniverse::collapsed(&nl);
-    let program = bibs_netlist::EvalProgram::compile(&nl).unwrap();
-    let (observable, _) = universe.split_by_observability(&program);
-    let mut group = c.benchmark_group("fault_sim_engine_mul8_256pat");
-    group.sample_size(10);
-    for threads in [1usize, 2, 4, 8] {
-        group.bench_with_input(
-            BenchmarkId::new("threads", threads),
-            &threads,
-            |b, &threads| {
-                b.iter_batched(
-                    || {
-                        (
-                            ParFaultSimulator::with_threads(&nl, observable.clone(), threads),
-                            StdRng::seed_from_u64(3),
-                        )
-                    },
-                    |(mut sim, mut rng)| black_box(sim.run_random(&mut rng, 256).detected_count()),
-                    criterion::BatchSize::SmallInput,
-                )
-            },
-        );
-    }
-    group.finish();
-}
-
 fn bench_podem(c: &mut Criterion) {
     let nl = multiplier(8);
     let universe = FaultUniverse::collapsed(&nl);
@@ -97,11 +65,5 @@ fn bench_collapse(c: &mut Criterion) {
     });
 }
 
-criterion_group!(
-    benches,
-    bench_fault_sim_block,
-    bench_engines,
-    bench_podem,
-    bench_collapse
-);
+criterion_group!(benches, bench_fault_sim_block, bench_podem, bench_collapse);
 criterion_main!(benches);

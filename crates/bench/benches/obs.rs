@@ -8,7 +8,7 @@ use bibs_faultsim::par::ParFaultSimulator;
 use bibs_faultsim::sim::BlockSim;
 use bibs_netlist::builder::NetlistBuilder;
 use bibs_netlist::{EvalProgram, Netlist};
-use bibs_obs::{CounterId, Recorder, ShardCounters};
+use bibs_obs::{CounterId, Recorder};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -23,8 +23,7 @@ fn multiplier(width: usize) -> Netlist {
     b.finish().expect("multiplier is well-formed")
 }
 
-/// Raw recorder ops: a span round-trip with two counter adds, and the
-/// plain-u64 shard-counter add used inside worker hot loops.
+/// Raw recorder ops: a span round-trip with two counter adds.
 fn bench_recorder_ops(c: &mut Criterion) {
     c.bench_function("obs_span_enter_exit_add", |b| {
         let mut rec = Recorder::new("bench");
@@ -35,19 +34,12 @@ fn bench_recorder_ops(c: &mut Criterion) {
             rec.exit(black_box(s));
         })
     });
-    c.bench_function("obs_shard_counter_add", |b| {
-        let mut shard = ShardCounters::new();
-        b.iter(|| {
-            shard.add(CounterId::GateEvals, black_box(97));
-        });
-        black_box(&shard);
-    });
 }
 
 /// The overhead budget check: the same 256-pattern random fault-sim run
 /// on the 8-bit array multiplier with telemetry on vs off. The engine
-/// fills stack-local `ShardCounters` in the hot loop and attaches them
-/// once per block, so "on" must stay within a few percent of "off".
+/// sums a block's counters in locals and adds them to its span once per
+/// block, so "on" must stay within a few percent of "off".
 fn bench_recorder_overhead(c: &mut Criterion) {
     let nl = multiplier(8);
     let universe = FaultUniverse::collapsed(&nl);
@@ -69,7 +61,6 @@ fn bench_recorder_overhead(c: &mut Criterion) {
                             &nl,
                             program.clone(),
                             observable.clone(),
-                            1,
                             rec,
                         ),
                         StdRng::seed_from_u64(3),

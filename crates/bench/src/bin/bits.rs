@@ -43,8 +43,7 @@ use bibs_core::mintpg::minimize_degree;
 use bibs_core::schedule::schedule_traced;
 use bibs_core::structure::GeneralizedStructure;
 use bibs_core::tpg::mc_tpg;
-use bibs_core::verify::verify_exhaustive_traced;
-use bibs_faultsim::par::default_jobs;
+use bibs_core::verify::{default_jobs, verify_exhaustive_traced};
 use bibs_lfsr::bilbo::AreaModel;
 use bibs_lint::{lint_circuit, lint_design, LintConfig, Severity};
 use bibs_obs::Recorder;

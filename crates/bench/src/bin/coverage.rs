@@ -15,9 +15,8 @@
 //! the per-kernel clock budget goes to stderr); a source that cannot
 //! drive a kernel (an LFSR past 64 inputs, a replay schedule recorded for
 //! another width) is a usage error too. Per-kernel engine stats — including the collapse
-//! ratio and analysis wall — go to stderr; `BIBS_JOBS` sets the
-//! worker-thread count; `BIBS_TRACE=spans|counters` prints the telemetry
-//! tree or aggregate counters to stderr.
+//! ratio and analysis wall — go to stderr; `BIBS_TRACE=spans|counters`
+//! prints the telemetry tree or aggregate counters to stderr.
 
 use bibs_bench::{apply_tdm, kernel_fault_stats, SourceSpec, Table2Options, Tdm, Telemetry};
 use bibs_datapath::filters::try_scaled;

@@ -10,7 +10,7 @@
 //!
 //! * **Hard equality** on everything detection-deterministic: the schema
 //!   string, the span-tree shape (labels, child order) and every exported
-//!   counter value. These are bit-identical across thread counts by
+//!   counter value. These are bit-identical from run to run by
 //!   construction, so *any* drift is a behavioural regression and fails
 //!   the gate.
 //! * **Tolerance** on wall clocks: a span whose baseline wall is at least

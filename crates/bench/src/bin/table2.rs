@@ -34,9 +34,8 @@
 //!   to a file. Set `BIBS_TRACE=spans|counters` to additionally print the
 //!   tree or the aggregate counters to stderr.
 //!
-//! Fault simulation runs on `BIBS_JOBS` worker threads (default: all
-//! cores); the results — and every exported telemetry counter — are
-//! bit-identical for any thread count and engine. Without `--json` the
+//! The results — and every exported telemetry counter — are
+//! bit-identical for either engine. Without `--json` the
 //! table is followed by the fault accounting, the engine's counters and a
 //! `static analysis:` line (faults simulated after the observability
 //! split, and the compile-plus-split wall).
@@ -147,10 +146,8 @@ fn main() {
             .collect()
     };
     eprintln!(
-        "fault-simulating with the {} engine on {} worker thread(s) (set BIBS_JOBS to override), \
-         source {}",
+        "fault-simulating with the {} engine, source {}",
         options.engine,
-        options.jobs,
         options
             .source
             .as_ref()
@@ -233,7 +230,7 @@ fn main() {
     println!(
         "fault-sim engine: {evals} faulty-machine evals over {blocks} blocks \
          ({sweeps} good-machine sweeps, {retired} faults retired by PODEM) in {:.2} s \
-         ({:.0}/s, {:.2e} gate evals/s, {:.1} ms compile, {} thread(s), {} engine)",
+         ({:.0}/s, {:.2e} gate evals/s, {:.1} ms compile, {} engine)",
         secs,
         if secs > 0.0 { evals as f64 / secs } else { 0.0 },
         if secs > 0.0 {
@@ -242,7 +239,6 @@ fn main() {
             0.0
         },
         compile.as_secs_f64() * 1e3,
-        options.jobs,
         options.engine
     );
     println!(

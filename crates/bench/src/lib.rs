@@ -27,7 +27,7 @@ use bibs_core::tpg::sc_tpg;
 use bibs_datapath::elab::elaborate_kernel;
 use bibs_faultsim::atpg::Verdicts;
 use bibs_faultsim::fault::{Fault, FaultUniverse};
-use bibs_faultsim::par::{default_jobs, ParFaultSimulator};
+use bibs_faultsim::par::ParFaultSimulator;
 use bibs_faultsim::reference::ReferenceSimulator;
 use bibs_faultsim::sim::{BlockSim, Stop};
 use bibs_faultsim::source::{
@@ -67,12 +67,12 @@ impl std::fmt::Display for Tdm {
 /// equivalence oracle in CI.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Engine {
-    /// Compiled [`bibs_netlist::EvalProgram`] IR on `jobs` worker threads
-    /// (the default production path).
+    /// Compiled [`bibs_netlist::EvalProgram`] IR (the default production
+    /// path).
     #[default]
     Compiled,
     /// The original gate-walking interpreter
-    /// ([`bibs_faultsim::reference`]), single-threaded.
+    /// ([`bibs_faultsim::reference`]).
     Reference,
 }
 
@@ -288,8 +288,8 @@ impl PatternSource for TimedSource<'_> {
 
 /// The coverage-vs-clocks record of a non-uniform pattern source's run on
 /// one kernel (carried in [`KernelFaultStats::source`] and emitted in the
-/// JSON). All three fields are detection-deterministic: blocks are pulled
-/// serially, so thread count and engine cannot change them.
+/// JSON). All three fields are detection-deterministic: the driver pulls a
+/// block only to apply it, so the engine cannot change them.
 #[derive(Debug, Clone)]
 pub struct SourceRun {
     /// The source's self-describing descriptor, already rendered as a JSON
@@ -320,8 +320,8 @@ pub struct KernelFaultStats {
     pub detected: usize,
     /// Sorted first-detection pattern indices.
     pub detection_indices: Vec<u64>,
-    /// Fault-simulation engine counters for the random phase (threads,
-    /// evaluations, per-shard balance, wall time).
+    /// Fault-simulation engine counters for the random phase (blocks,
+    /// evaluations, drops, wall time).
     pub sim: SimStats,
     /// Coverage-vs-clocks record when a non-uniform [`SourceSpec`] drove
     /// the random phase (`None` for the legacy path and
@@ -394,10 +394,13 @@ pub struct Table2Options {
     pub plateau: u64,
     /// PODEM backtrack limit.
     pub backtrack_limit: usize,
-    /// Worker threads for fault simulation (default: `BIBS_JOBS` or the
-    /// machine's available parallelism — see
-    /// [`bibs_faultsim::par::default_jobs`]). The results are
-    /// bit-identical for any value; this only trades wall-clock time.
+    /// Not a setting: always 1, because fault simulation runs on the
+    /// calling thread. The field remains only because the benchmark crate
+    /// (`benchmark/src/trace.rs` and `benchmark/src/workload.rs`) reads
+    /// it; the next change to the benchmark deletes it. With
+    /// [`Engine::Compiled`], [`kernel_fault_stats`] still passes it to
+    /// [`ParFaultSimulator::with_program`], so any other value panics
+    /// instead of being ignored; [`Engine::Reference`] ignores it.
     pub jobs: usize,
     /// Fault-simulation engine for the random phase. The results are
     /// bit-identical across engines (see [`Engine`]).
@@ -433,7 +436,7 @@ impl Default for Table2Options {
             max_patterns: 1_000_000,
             plateau: 100_000,
             backtrack_limit: 100_000,
-            jobs: default_jobs(),
+            jobs: 1,
             engine: Engine::Compiled,
             collapse: (),
             source: None,
@@ -497,7 +500,7 @@ pub fn apply_tdm(circuit: &Circuit, tdm: Tdm) -> (Circuit, BilboDesign, Vec<Kern
 ///   `universe_faults` counter (the kernel's span carries
 ///   `simulated_faults`);
 /// * the engine's own `fault-sim[...]` tree, grafted verbatim (per-block
-///   counters on its root, one detail child per worker shard);
+///   counters on its root);
 /// * `"source[SPEC]"` — with a pattern source, its `patterns_emitted` and
 ///   `source_clocks` counters and the wall time of its pulls;
 /// * `"atpg"` — all of the kernel's PODEM work, Phase 1's included (its
@@ -506,8 +509,8 @@ pub fn apply_tdm(circuit: &Circuit, tdm: Tdm) -> (Circuit, BilboDesign, Vec<Kern
 ///   counters. The engine's span carries `faults_retired` when Phase 1
 ///   retired any; its wall is block-evaluation time only.
 ///
-/// Every exported counter is detection-deterministic: identical for any
-/// thread count.
+/// Every exported counter is detection-deterministic: identical on every
+/// run with the same options, whatever the machine.
 ///
 /// # Errors
 ///
@@ -808,11 +811,11 @@ pub fn render_table2(columns: &[(Table2Column, Table2Column)]) -> String {
 /// detection-deterministic fields** — everything here is a pure function
 /// of `(circuit, TDM, options.seed, options.max_patterns,
 /// options.plateau, options.backtrack_limit, options.source)` and
-/// independent of the engine, thread count, and wall clock. CI diffs the
-/// output of the compiled and reference engines byte-for-byte, and the
-/// legacy path against `--source random`. Non-uniform sources add three
-/// per-kernel fields (`source`, `source_clocks`, `source_patterns`) —
-/// blocks are pulled serially, so these too are thread-count independent.
+/// independent of the engine and wall clock. CI diffs the output of the
+/// compiled and reference engines byte-for-byte, and the legacy path
+/// against `--source random`. Non-uniform sources add three per-kernel
+/// fields (`source`, `source_clocks`, `source_patterns`); the driver
+/// pulls a block only to apply it, so these too are engine-independent.
 pub fn table2_json(columns: &[(Table2Column, Table2Column)]) -> String {
     fn u64s(xs: &[u64]) -> String {
         let body: Vec<String> = xs.iter().map(|x| x.to_string()).collect();

@@ -119,78 +119,35 @@ pub fn session_detects(
     comb: &Netlist,
     fault: Fault,
 ) -> bool {
-    session_detects_batch(design, structure, comb, &[fault], 1)[0]
+    session_detects_batch(design, structure, comb, &[fault])[0]
 }
 
 /// Signature-detection verdicts for a whole fault list, aligned with
-/// `faults`, computed on `jobs` worker threads (0 and 1 both mean
-/// inline; pass [`bibs_faultsim::par::default_jobs`] to honor the
-/// `BIBS_JOBS` knob).
-///
-/// The golden signature and the pattern stream are computed once and
-/// shared; each fault's verdict is a pure function of
-/// `(design, kernel, fault)`, so the result is identical for any `jobs`.
+/// `faults`. The golden signature, the pattern stream and the compiled
+/// faulty-machine simulator are built once and shared by every fault.
 pub fn session_detects_batch(
     design: &TpgDesign,
     structure: &GeneralizedStructure,
     comb: &Netlist,
     faults: &[Fault],
-    jobs: usize,
 ) -> Vec<bool> {
     let golden = golden_signature(design, structure, comb);
     let patterns = session_patterns(design, structure);
     let sig_poly = primitive_polynomial(comb.output_width() as u32)
         .expect("signature register width within table");
-    let n = faults.len();
-
-    // Replays the stream through the faulty machine and compresses.
-    let verdict = |fsim: &SequentialFaultSim, fault: Fault| -> bool {
-        let mut misr = Misr::new(&sig_poly);
-        for pattern in &patterns {
-            let faulty_outs = fsim.faulty_output_vector(pattern, fault);
-            misr.absorb(&BitVec::from_bits(&faulty_outs));
-        }
-        misr.signature() != &golden.signature
-    };
-
-    // One compiled simulator serves every worker: `SequentialFaultSim` is
-    // `Sync` (all methods take `&self`), so the netlist is compiled to an
-    // `EvalProgram` exactly once per batch instead of once per thread.
     let fsim = SequentialFaultSim::new(comb);
-    let jobs = jobs.clamp(1, n.max(1));
-    if jobs <= 1 {
-        return faults.iter().map(|&f| verdict(&fsim, f)).collect();
-    }
-    let cursor = std::sync::atomic::AtomicUsize::new(0);
-    let cursor = &cursor;
-    let verdict = &verdict;
-    let fsim = &fsim;
-    let collected: Vec<Vec<(usize, bool)>> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..jobs)
-            .map(|_| {
-                s.spawn(move || {
-                    let mut out = Vec::new();
-                    loop {
-                        let i = cursor.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                        if i >= n {
-                            break;
-                        }
-                        out.push((i, verdict(fsim, faults[i])));
-                    }
-                    out
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("session-detect worker panicked"))
-            .collect()
-    });
-    let mut verdicts = vec![false; n];
-    for (i, v) in collected.into_iter().flatten() {
-        verdicts[i] = v;
-    }
-    verdicts
+    faults
+        .iter()
+        .map(|&fault| {
+            // Replays the stream through the faulty machine and compresses.
+            let mut misr = Misr::new(&sig_poly);
+            for pattern in &patterns {
+                let faulty_outs = fsim.faulty_output_vector(pattern, fault);
+                misr.absorb(&BitVec::from_bits(&faulty_outs));
+            }
+            misr.signature() != &golden.signature
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -265,9 +222,9 @@ mod tests {
                 .any(|(p, g)| fsim.faulty_output_vector(p, fault) != *g);
             assert!(responds, "{fault} must corrupt some response");
         }
-        // Batch verdicts on worker threads; spot-check the single-fault
-        // entry point agrees on the first fault.
-        let verdicts = session_detects_batch(&design, &s, &comb, &observable, 4);
+        // Batch verdicts; spot-check the single-fault entry point agrees
+        // on the first fault.
+        let verdicts = session_detects_batch(&design, &s, &comb, &observable);
         assert_eq!(
             verdicts[0],
             session_detects(&design, &s, &comb, observable[0])

@@ -10,7 +10,6 @@
 //! LFSR, ref \[15\]).
 
 use crate::tpg::{TpgDesign, TpgSimulator};
-use bibs_faultsim::par::default_jobs;
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -338,12 +337,46 @@ pub fn cone_coverage(design: &TpgDesign, cone: usize) -> ConeCoverage {
     }
 }
 
+/// Resolves a `BIBS_JOBS`-style value to a worker-thread count: a positive
+/// integer wins, anything else (unset, empty, garbage, zero) falls back to
+/// [`std::thread::available_parallelism`] (1 if that is unavailable).
+///
+/// This is the **pure** core of [`default_jobs`]: it takes the variable's
+/// value as a parameter instead of reading the process environment, so
+/// tests can cover the parse table without `set_var`/`remove_var` races
+/// against concurrently running tests (mutating the environment from a
+/// multi-threaded test harness is UB-adjacent on POSIX and was the source
+/// of a real flake).
+pub fn default_jobs_from(value: Option<&str>) -> usize {
+    if let Some(v) = value {
+        if let Ok(n) = v.trim().parse::<usize>() {
+            if n >= 1 {
+                return n;
+            }
+        }
+    }
+    std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1)
+}
+
+/// The worker-thread count to use by default: the `BIBS_JOBS` environment
+/// variable if set to a positive integer, otherwise
+/// [`std::thread::available_parallelism`] (1 if that is unavailable).
+/// Parsing lives in [`default_jobs_from`].
+///
+/// It sizes work that splits into independent pieces: cone verification
+/// ([`verify_exhaustive`]) and `bibs-lint --batch`.
+pub fn default_jobs() -> usize {
+    default_jobs_from(std::env::var("BIBS_JOBS").ok().as_deref())
+}
+
 /// Verifies every cone of the design; returns the coverages in cone
 /// order.
 ///
-/// Cones are independent, so they are verified on
-/// [`bibs_faultsim::par::default_jobs`] worker threads (the `BIBS_JOBS`
-/// knob applies); use [`verify_exhaustive_jobs`] for an explicit count.
+/// Cones are independent, so they are verified on [`default_jobs`]
+/// worker threads (the `BIBS_JOBS` knob applies); use
+/// [`verify_exhaustive_jobs`] for an explicit count.
 pub fn verify_exhaustive(design: &TpgDesign) -> Vec<ConeCoverage> {
     verify_exhaustive_jobs(design, default_jobs())
 }
@@ -535,5 +568,38 @@ mod tests {
         let cov = cone_coverage(&design, 0);
         assert_eq!(cov.observed, cov.total - 1);
         assert!(!cov.saw_all_zero);
+    }
+
+    #[test]
+    fn jobs_parse_table() {
+        // Pure-function coverage of the BIBS_JOBS parse rules; no
+        // process-environment mutation (set_var/remove_var from a
+        // multi-threaded test harness races other tests reading env).
+        assert_eq!(default_jobs_from(Some("3")), 3);
+        assert_eq!(default_jobs_from(Some(" 4 ")), 4);
+        assert_eq!(default_jobs_from(Some("1")), 1);
+        // Unset / garbage / zero / empty all fall back to a positive count.
+        assert!(default_jobs_from(None) >= 1);
+        assert!(default_jobs_from(Some("not-a-number")) >= 1);
+        assert!(default_jobs_from(Some("0")) >= 1);
+        assert!(default_jobs_from(Some("")) >= 1);
+        assert!(default_jobs_from(Some("-2")) >= 1);
+        // The fallback is the same for every non-positive spelling.
+        let fallback = default_jobs_from(None);
+        assert_eq!(default_jobs_from(Some("0")), fallback);
+        assert_eq!(default_jobs_from(Some("garbage")), fallback);
+    }
+
+    /// End-to-end check that [`default_jobs`] really reads `BIBS_JOBS`.
+    /// Ignored by default: it mutates the process environment, which is
+    /// only safe when no other test thread is running. Run explicitly with
+    /// `cargo test -p bibs-core -- --ignored --test-threads=1`.
+    #[test]
+    #[ignore = "mutates process env; run single-threaded via --ignored --test-threads=1"]
+    fn jobs_env_integration() {
+        std::env::set_var("BIBS_JOBS", "3");
+        assert_eq!(default_jobs(), 3);
+        std::env::remove_var("BIBS_JOBS");
+        assert!(default_jobs() >= 1);
     }
 }

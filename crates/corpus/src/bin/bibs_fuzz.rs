@@ -1,7 +1,7 @@
 //! Differential fuzzer over the synthetic corpus.
 //!
 //! `bibs-fuzz --smoke` runs N seeded circuits (on-disk `corpus/*.bench`
-//! seeds first, then generated family instances) through the six
+//! seeds first, then generated family instances) through the four
 //! differential oracles; any divergence is minimized and committed to
 //! `corpus/regressions/` as a `.bench` fixture, and the run exits
 //! nonzero. `bibs-fuzz --regressions` replays every committed fixture —

@@ -7,12 +7,11 @@
 //!   multipliers up to 64 bits, the paper's filter datapaths, deep DFF
 //!   pipelines, multi-kernel register chains, random gate DAGs) with
 //!   [`gen::SizeReport`] records for scaling curves;
-//! * [`oracle`] — the six differential oracles every corpus circuit is
-//!   pushed through (compiled vs reference evaluation, one-thread vs
-//!   sharded reports, static untestability vs exhaustive ground truth,
-//!   pattern sources across thread counts,
-//!   PODEM verdicts vs exhaustive ground truth, runs that retire
-//!   PODEM-proved faults vs plain runs);
+//! * [`oracle`] — the four differential oracles every corpus circuit is
+//!   pushed through (compiled vs reference evaluation and reports,
+//!   static untestability vs exhaustive ground truth, PODEM verdicts vs
+//!   exhaustive ground truth, runs that retire PODEM-proved faults vs
+//!   plain runs);
 //! * [`minimize`] — a greedy structural shrinker that reduces a
 //!   diverging circuit to a local-minimum witness before it is committed
 //!   as a regression fixture.
@@ -134,7 +133,7 @@ mod tests {
         }
         .build();
         let d = Divergence {
-            oracle: Oracle::Parallel,
+            oracle: Oracle::Retire,
             detail: "synthetic".into(),
         };
         let path = write_regression(&dir, "dag_3", 99, &nl, &[d]).unwrap();

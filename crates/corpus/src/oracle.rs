@@ -1,37 +1,32 @@
-//! The six differential oracles the fuzzer cross-checks per circuit.
+//! The four differential oracles the fuzzer cross-checks per circuit.
 //!
 //! Each oracle pits two implementations (or one implementation and a
 //! ground truth) against each other on the same circuit and reports a
 //! [`Divergence`] when they disagree:
 //!
 //! 1. **Eval** — the compiled [`EvalProgram`]'s good-machine words vs the
-//!    gate-walking reference interpreter, on random 64-pattern blocks.
-//! 2. **Parallel** — the one-thread [`ParFaultSimulator`] report vs the
-//!    same engine at 2 and 4 threads on the same seeded stream
-//!    (bit-identical `detection()` and `patterns_applied()`).
-//! 3. **Prover** — every fault the [`StaticFaultAnalysis`] rules
+//!    gate-walking reference interpreter, on random 64-pattern blocks;
+//!    then the compiled [`ParFaultSimulator`]'s report vs the
+//!    [`ReferenceSimulator`]'s on one seeded stream (bit-identical
+//!    `detection()` and `patterns_applied()`).
+//! 2. **Prover** — every fault the [`StaticFaultAnalysis`] rules
 //!    statically untestable must stay undetected under exhaustive
 //!    simulation.
-//! 4. **Source** — every [`PatternSource`] kind (seeded random, weighted,
-//!    LFSR where the width permits) produces a bit-identical report at
-//!    1, 2 and 4 threads, and the
-//!    source's own stream digest matches across the runs — the pulled
-//!    streams themselves were identical, not just the verdicts.
-//! 5. **Podem** — every PODEM verdict on the collapsed fault universe
+//! 3. **Podem** — every PODEM verdict on the collapsed fault universe
 //!    must hold under exhaustive simulation: a test detects its fault
 //!    when replayed, a redundant fault is never detected, and no search
 //!    aborts under Table 2's backtrack limit — the check behind the
 //!    100 %-coverage rows, run in release where PODEM's debug-build
 //!    implication check is off.
-//! 6. **Retire** — a run whose driver hands its live faults to PODEM
+//! 4. **Retire** — a run whose driver hands its live faults to PODEM
 //!    after [`PROVE_AFTER`](bibs_faultsim::sim::PROVE_AFTER) patterns
 //!    without a detection, and stops simulating the ones proved
-//!    redundant, must reproduce the plain run's report bit for bit at 1
-//!    and 2 threads — the check behind `table2`'s mid-run retirement.
+//!    redundant, must reproduce the plain run's report bit for bit — the
+//!    check behind `table2`'s mid-run retirement.
 //!
-//! Oracles 3 and 5 need exhaustive simulation and only run when the
-//! circuit has at most [`EXHAUSTIVE_PI_LIMIT`] primary-input bits; 1, 2,
-//! 4 and 6 run on everything. Sequential circuits are checked on their
+//! Oracles 2 and 3 need exhaustive simulation and only run when the
+//! circuit has at most [`EXHAUSTIVE_PI_LIMIT`] primary-input bits; 1 and
+//! 4 run on everything. Sequential circuits are checked on their
 //! [`combinational_equivalent`](Netlist::combinational_equivalent).
 
 use bibs_faultsim::atpg::{Atpg, AtpgResult, Verdicts};
@@ -39,25 +34,22 @@ use bibs_faultsim::fault::{FaultUniverse, StaticFaultAnalysis};
 use bibs_faultsim::par::ParFaultSimulator;
 use bibs_faultsim::reference::ReferenceSimulator;
 use bibs_faultsim::sim::{BlockSim, Stop};
-use bibs_faultsim::source::{LfsrSource, PatternSource, RandomWords, WeightedRandomSource};
+use bibs_faultsim::source::RandomWords;
 use bibs_netlist::{EvalProgram, Netlist};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::fmt;
 
-/// Largest primary-input width the exhaustive oracles (3 and 5) accept.
+/// Largest primary-input width the exhaustive oracles (2 and 3) accept.
 pub const EXHAUSTIVE_PI_LIMIT: usize = 16;
 
-/// PODEM's backtrack limit for oracles 5 and 6: Table 2's default. A complete
+/// PODEM's backtrack limit for oracles 3 and 4: Table 2's default. A complete
 /// search over at most [`EXHAUSTIVE_PI_LIMIT`] inputs takes at most
 /// `2^16 - 1` backtracks, so an abort under it is a divergence.
 const PODEM_BACKTRACK_LIMIT: usize = 100_000;
 
-/// Random patterns per stream for the non-exhaustive oracles.
+/// Random patterns in the eval oracle's fault-simulation stream.
 const RANDOM_PATTERNS: u64 = 1_024;
-
-/// Pattern budget per source kind for the source oracle.
-const SOURCE_PATTERNS: u64 = 256;
 
 /// Pattern budget and detection plateau of the retire oracle's runs. The
 /// plateau is longer than
@@ -69,14 +61,10 @@ const RETIRE_PLATEAU: u64 = 2_048;
 /// Which oracle flagged a disagreement.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Oracle {
-    /// Compiled vs reference good-machine evaluation.
+    /// Compiled vs reference evaluation and fault-simulation reports.
     Eval,
-    /// Serial vs parallel fault-simulation reports.
-    Parallel,
     /// Static untestability prover vs exhaustive simulation.
     Prover,
-    /// Pattern-source streams across thread counts.
-    Source,
     /// PODEM verdicts vs exhaustive simulation.
     Podem,
     /// Runs that retire PODEM-proved faults vs plain runs.
@@ -87,9 +75,7 @@ impl fmt::Display for Oracle {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(match self {
             Oracle::Eval => "eval",
-            Oracle::Parallel => "parallel",
             Oracle::Prover => "prover",
-            Oracle::Source => "source",
             Oracle::Podem => "podem",
             Oracle::Retire => "retire",
         })
@@ -129,8 +115,6 @@ pub fn check_all(netlist: &Netlist, seed: u64) -> Vec<Divergence> {
         }
     };
     out.extend(check_eval(&nl, &program, seed));
-    out.extend(check_parallel(&nl, seed));
-    out.extend(check_source(&nl, seed));
     out.extend(check_retire(&nl, &program, seed));
     if nl.input_width() <= EXHAUSTIVE_PI_LIMIT {
         out.extend(check_prover(&nl, &program));
@@ -139,7 +123,9 @@ pub fn check_all(netlist: &Netlist, seed: u64) -> Vec<Divergence> {
     out
 }
 
-/// Oracle 1: compiled vs reference interpreter on random blocks.
+/// Oracle 1: compiled vs reference interpreter — the good machine's net
+/// words on random blocks, then the fault-simulation reports on one
+/// seeded stream.
 pub fn check_eval(nl: &Netlist, program: &EvalProgram, seed: u64) -> Vec<Divergence> {
     let order = match nl.levelize() {
         Ok(o) => o,
@@ -172,118 +158,29 @@ pub fn check_eval(nl: &Netlist, program: &EvalProgram, seed: u64) -> Vec<Diverge
             }
         }
     }
+    let faults = FaultUniverse::collapsed(nl).faults().to_vec();
+    if faults.is_empty() {
+        return Vec::new();
+    }
+    let mut rng = StdRng::seed_from_u64(seed ^ 0x9A7A);
+    let compiled = ParFaultSimulator::new(nl, faults.clone()).run_random(&mut rng, RANDOM_PATTERNS);
+    let mut rng = StdRng::seed_from_u64(seed ^ 0x9A7A);
+    let reference = ReferenceSimulator::new(nl, faults).run_random(&mut rng, RANDOM_PATTERNS);
+    if compiled.detection() != reference.detection()
+        || compiled.patterns_applied() != reference.patterns_applied()
+    {
+        return vec![Divergence {
+            oracle: Oracle::Eval,
+            detail: "compiled report differs from the reference interpreter".into(),
+        }];
+    }
     Vec::new()
 }
 
-/// Oracle 2: one-thread vs sharded reports on the same seeded stream,
-/// plus the reference interpreter on the same stream as ground truth.
-pub fn check_parallel(nl: &Netlist, seed: u64) -> Vec<Divergence> {
-    let faults = FaultUniverse::collapsed(nl).faults().to_vec();
-    if faults.is_empty() {
-        return Vec::new();
-    }
-    let mut rng = StdRng::seed_from_u64(seed ^ 0x9A7A);
-    let inline = ParFaultSimulator::new(nl, faults.clone()).run_random(&mut rng, RANDOM_PATTERNS);
-    let mut rng = StdRng::seed_from_u64(seed ^ 0x9A7A);
-    let reference =
-        ReferenceSimulator::new(nl, faults.clone()).run_random(&mut rng, RANDOM_PATTERNS);
-    let mut out = Vec::new();
-    if inline.detection() != reference.detection()
-        || inline.patterns_applied() != reference.patterns_applied()
-    {
-        out.push(Divergence {
-            oracle: Oracle::Eval,
-            detail: "compiled report differs from the reference interpreter".into(),
-        });
-    }
-    for threads in [2usize, 4] {
-        let mut rng = StdRng::seed_from_u64(seed ^ 0x9A7A);
-        let par = ParFaultSimulator::with_threads(nl, faults.clone(), threads)
-            .run_random(&mut rng, RANDOM_PATTERNS);
-        if par.detection() != inline.detection() {
-            out.push(Divergence {
-                oracle: Oracle::Parallel,
-                detail: format!("detection vector differs at {threads} thread(s)"),
-            });
-        } else if par.patterns_applied() != inline.patterns_applied() {
-            out.push(Divergence {
-                oracle: Oracle::Parallel,
-                detail: format!("patterns_applied differs at {threads} thread(s)"),
-            });
-        }
-    }
-    out
-}
-
-/// Oracle 4: every pattern-source kind is thread-count independent — the
-/// one-thread report and the 2- and 4-thread reports are bit-identical,
-/// and the freshly built sources end each run with the same stream
-/// digest (every run pulled the identical stream). The comparisons are
-/// explicit checks, so the fuzzer catches regressions in release builds
-/// too.
-pub fn check_source(nl: &Netlist, seed: u64) -> Vec<Divergence> {
-    let faults = FaultUniverse::collapsed(nl).faults().to_vec();
-    if faults.is_empty() {
-        return Vec::new();
-    }
-    let width = nl.input_width();
-    let source_seed = seed ^ 0x50C5;
-    type MakeSource<'a> = (&'static str, Box<dyn Fn() -> Box<dyn PatternSource> + 'a>);
-    let mut kinds: Vec<MakeSource> = vec![
-        (
-            "random",
-            Box::new(move || Box::new(RandomWords::seeded(source_seed))),
-        ),
-        (
-            "weighted",
-            Box::new(move || {
-                Box::new(
-                    WeightedRandomSource::new(source_seed, vec![0.75; width])
-                        .expect("0.75 is a valid bias"),
-                )
-            }),
-        ),
-    ];
-    if width <= 64 {
-        kinds.push((
-            "lfsr",
-            Box::new(move || {
-                Box::new(LfsrSource::new(width, source_seed | 1).expect("width fits an LFSR"))
-            }),
-        ));
-    }
-    let mut out = Vec::new();
-    for (kind, make) in kinds {
-        let mut inline_source = make();
-        let inline = ParFaultSimulator::new(nl, faults.clone())
-            .run_source(&mut *inline_source, SOURCE_PATTERNS);
-        for threads in [2usize, 4] {
-            let mut par_source = make();
-            let par = ParFaultSimulator::with_threads(nl, faults.clone(), threads)
-                .run_source(&mut *par_source, SOURCE_PATTERNS);
-            if par.detection() != inline.detection()
-                || par.patterns_applied() != inline.patterns_applied()
-            {
-                out.push(Divergence {
-                    oracle: Oracle::Source,
-                    detail: format!("{kind}: report differs at {threads} thread(s)"),
-                });
-            }
-            if par_source.state_digest() != inline_source.state_digest() {
-                out.push(Divergence {
-                    oracle: Oracle::Source,
-                    detail: format!("{kind}: stream digest differs at {threads} thread(s)"),
-                });
-            }
-        }
-    }
-    out
-}
-
-/// Oracle 6: retiring PODEM-proved faults mid-run is report-invisible.
-/// A plain run and runs whose prover is PODEM at Table 2's backtrack
-/// limit, at 1 and 2 threads, draw the same seeded stream and must agree
-/// on detection and `patterns_applied`.
+/// Oracle 4: retiring PODEM-proved faults mid-run is report-invisible.
+/// A plain run and a run whose prover is PODEM at Table 2's backtrack
+/// limit draw the same seeded stream and must agree on detection and
+/// `patterns_applied`.
 /// Like Table 2, the runs simulate only the faults with a path to an
 /// output: PODEM can prove an unobservable fault redundant only by
 /// exhausting every assignment that activates it.
@@ -299,34 +196,30 @@ pub fn check_retire(nl: &Netlist, program: &EvalProgram, seed: u64) -> Vec<Diver
     };
     let plain = ParFaultSimulator::new(nl, faults.clone())
         .run(&mut RandomWords::seeded(source_seed), stop());
-    // One verdict per fault, shared by the two runs.
     let mut verdicts = Verdicts::new(nl, PODEM_BACKTRACK_LIMIT);
-    let mut out = Vec::new();
-    for threads in [1usize, 2] {
-        let mut prove = |f| verdicts.proves_redundant(f);
-        let proving = ParFaultSimulator::with_threads(nl, faults.clone(), threads).run(
-            &mut RandomWords::seeded(source_seed),
-            Stop {
-                prover: Some(&mut prove),
-                ..stop()
-            },
-        );
-        if proving.detection() != plain.detection()
-            || proving.patterns_applied() != plain.patterns_applied()
-        {
-            out.push(Divergence {
-                oracle: Oracle::Retire,
-                detail: format!(
-                    "report differs at {threads} thread(s) ({} fault(s) retired)",
-                    proving.stats().faults_retired
-                ),
-            });
-        }
+    let mut prove = |f| verdicts.proves_redundant(f);
+    let proving = ParFaultSimulator::new(nl, faults).run(
+        &mut RandomWords::seeded(source_seed),
+        Stop {
+            prover: Some(&mut prove),
+            ..stop()
+        },
+    );
+    if proving.detection() != plain.detection()
+        || proving.patterns_applied() != plain.patterns_applied()
+    {
+        return vec![Divergence {
+            oracle: Oracle::Retire,
+            detail: format!(
+                "report differs ({} fault(s) retired)",
+                proving.stats().faults_retired
+            ),
+        }];
     }
-    out
+    Vec::new()
 }
 
-/// Oracle 3: statically-proven-untestable faults are never detected
+/// Oracle 2: statically-proven-untestable faults are never detected
 /// exhaustively.
 pub fn check_prover(nl: &Netlist, program: &EvalProgram) -> Vec<Divergence> {
     let universe = FaultUniverse::full(nl);
@@ -354,7 +247,7 @@ pub fn check_prover(nl: &Netlist, program: &EvalProgram) -> Vec<Divergence> {
     Vec::new()
 }
 
-/// Oracle 5: PODEM's verdict on every collapsed fault holds under
+/// Oracle 3: PODEM's verdict on every collapsed fault holds under
 /// exhaustive simulation. A test must detect its fault when replayed with
 /// its don't-cares filled either way; a redundant fault must stay
 /// undetected over all `2^PI` patterns; an abort under Table 2's limit of

@@ -1,7 +1,6 @@
 //! Compiled-evaluation helpers for the fault simulator.
 //!
-//! Every engine and thread count *must* compute per-fault detection
-//! identically — the engine's determinism guarantee (bit-identical
+//! Every engine *must* compute per-fault detection identically — the engine's determinism guarantee (bit-identical
 //! [`crate::sim::FaultSimReport`]s) rests on there being exactly one
 //! mapping from faults to [`Patch`]es and one detection rule.
 //! Since the compiled-IR refactor the evaluation itself lives in

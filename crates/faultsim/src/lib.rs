@@ -9,11 +9,10 @@
 //! * a parallel-pattern **fault simulator** with fault dropping: one
 //!   engine ([`par::ParFaultSimulator`]) on the compiled
 //!   [`bibs_netlist::EvalProgram`] IR, one 64-pattern block per
-//!   good-machine evaluation on any number of threads (via `BIBS_JOBS` or
-//!   [`par::default_jobs`]), driven through the [`sim::BlockSim`]
-//!   interface. Reports are bit-identical for every thread count, and the
-//!   original gate-walking interpreter is preserved as a reference
-//!   oracle ([`mod@reference`]);
+//!   good-machine evaluation on the calling thread, driven through the
+//!   [`sim::BlockSim`] interface. The original gate-walking interpreter
+//!   is preserved as a reference oracle ([`mod@reference`]), and its
+//!   reports are bit-identical;
 //! * pluggable **pattern sources** ([`source`]): the stream an engine
 //!   consumes — pseudorandom words, hardware-faithful LFSRs, weighted
 //!   random, exhaustive counters, stored-seed replays — behind one
@@ -40,6 +39,7 @@
 //! use bibs_netlist::builder::NetlistBuilder;
 //! use bibs_faultsim::fault::FaultUniverse;
 //! use bibs_faultsim::par::ParFaultSimulator;
+//! use bibs_faultsim::reference::ReferenceSimulator;
 //! use bibs_faultsim::sim::BlockSim;
 //!
 //! # fn main() -> Result<(), bibs_netlist::NetlistError> {
@@ -55,11 +55,11 @@
 //! let report = ParFaultSimulator::new(&nl, faults.clone()).run_exhaustive();
 //! assert_eq!(report.undetected().len(), 0, "an adder has no redundancy");
 //!
-//! // Sharding the fault list across threads never changes the report:
-//! // each fault's detection depends only on the program, the patterns
-//! // and its own patch, and the one driver applies the same blocks.
-//! let sharded = ParFaultSimulator::with_threads(&nl, faults, 4).run_exhaustive();
-//! assert_eq!(report.detection(), sharded.detection());
+//! // The seed interpreter agrees on every first-detection index: each
+//! // fault's detection depends only on the circuit, the patterns and the
+//! // fault, and the one driver applies the same blocks.
+//! let reference = ReferenceSimulator::new(&nl, faults).run_exhaustive();
+//! assert_eq!(report.detection(), reference.detection());
 //! # Ok(())
 //! # }
 //! ```
@@ -76,7 +76,7 @@ pub mod source;
 pub mod stats;
 
 pub use fault::{Fault, FaultSite, FaultUniverse, StaticFaultAnalysis};
-pub use par::{default_jobs, ParFaultSimulator};
+pub use par::ParFaultSimulator;
 pub use reference::ReferenceSimulator;
 pub use sim::{BlockSim, FaultSimReport};
 pub use source::{

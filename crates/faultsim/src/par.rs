@@ -1,22 +1,18 @@
 //! The compiled fault-simulation engine.
 //!
 //! [`ParFaultSimulator`] applies every block of the shared [`BlockSim`]
-//! driver as:
+//! driver on the calling thread as:
 //!
 //! 1. **one** good-machine run of the compiled [`EvalProgram`] over the
-//!    block's 64-lane input words into a buffer every shard reads;
-//! 2. the *undetected* fault list evaluated against it, recording
-//!    `(position, lane)` hits. Each shard copies the good values into its
-//!    private `faulty` buffer once per block, then propagates each
-//!    fault's pre-compiled [`bibs_netlist::Patch`] event-driven
-//!    ([`EvalProgram::eval_events`]): only the instructions
-//!    whose inputs differ from the good machine's are evaluated, and the
-//!    buffer is restored after each fault. At one thread (or a short
-//!    list) one shard runs inline on the calling thread; otherwise
-//!    `std::thread::scope` workers steal fixed-size chunks of the list off
-//!    an `AtomicUsize` cursor. Both run the same shard body;
-//! 3. the calling thread merges the hits and drops the detected faults
-//!    from the list.
+//!    block's 64-lane input words;
+//! 2. one event-driven propagation per *undetected* fault: the engine
+//!    copies the good values into its `faulty` buffer once per block,
+//!    then propagates each fault's pre-compiled [`bibs_netlist::Patch`]
+//!    ([`EvalProgram::eval_events`]), evaluating only the instructions
+//!    whose inputs differ from the good machine's, and the buffer is
+//!    restored after each fault;
+//! 3. each detected fault records `patterns_applied + lane` and leaves
+//!    the list.
 //!
 //! A driver prover's verdicts take faults off the list too
 //! ([`BlockSim::retire`]); once the list is empty a block is only
@@ -24,24 +20,22 @@
 //!
 //! # Determinism
 //!
-//! The report is **bit-identical** for any thread count, because:
+//! The report is a pure function of the netlist, the fault list and the
+//! pattern stream:
 //!
 //! * the pattern stream is formed by the shared [`BlockSim`] driver, so
-//!   every run draws the same source words and applies the same blocks;
-//! * per-fault detection is a pure function of `(program, block, patch)`
-//!   — one immutable [`EvalProgram`] is shared by every shard, so *which*
-//!   shard evaluates a fault cannot change the answer;
-//! * shards touch disjoint positions of the undetected list, so merging
-//!   their hit lists is order-independent: fault *i*'s first-detection
-//!   index is `patterns_applied + lane` regardless of join order;
-//! * fault dropping is block-granular (a fault detected in block *b* is
-//!   evaluated by nobody else in block *b* and by no one after).
+//!   every engine draws the same source words and applies the same
+//!   blocks;
+//! * per-fault detection is a pure function of `(program, block, patch)`,
+//!   and each propagation starts from, and restores, the good machine's
+//!   values, so the order the faults run in cannot change an answer;
+//! * fault dropping is block-granular: a fault detected in block *b*
+//!   keeps its first lane in *b* and is evaluated by no later block.
 //!
-//! Work stealing only redistributes *throughput* between shards (visible
-//! in [`SimStats::per_shard_fault_evals`]); it never changes the report.
-//! `tests/par_equivalence.rs` pins this across circuits, seeds and thread
-//! counts, and `tests/lanes_equivalence.rs` against a one-block-at-a-time
-//! stop oracle.
+//! Every counter the engine records is detection-deterministic too.
+//! `tests/compiled_equivalence.rs` pins the reports against the reference
+//! interpreter, and `tests/lanes_equivalence.rs` the driver against a
+//! one-block-at-a-time stop oracle.
 
 use crate::eval;
 use crate::fault::Fault;
@@ -49,55 +43,11 @@ use crate::sim::{BlockSim, FaultSimReport};
 use crate::source::PatternBlock;
 use crate::stats::SimStats;
 use bibs_netlist::{EvalProgram, EventQueue, Netlist, Patch};
-use bibs_obs::{CounterId, Recorder, ShardCounters};
-use std::ops::Range;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use bibs_obs::{CounterId, Recorder};
 use std::time::Instant;
 
-/// Faults a worker grabs per steal; small enough to balance dropped-fault
-/// skew, large enough to keep cursor contention negligible.
-const STEAL_CHUNK: usize = 32;
-
-/// Below this many undetected faults a block is simulated inline on the
-/// calling thread — spawning would cost more than the work.
-const SERIAL_CUTOFF: usize = 48;
-
-/// One detection: `(undetected-list position, lane within the block)`.
-type Hit = (usize, u64);
-
-/// Resolves a `BIBS_JOBS`-style value to a worker-thread count: a positive
-/// integer wins, anything else (unset, empty, garbage, zero) falls back to
-/// [`std::thread::available_parallelism`] (1 if that is unavailable).
-///
-/// This is the **pure** core of [`default_jobs`]: it takes the variable's
-/// value as a parameter instead of reading the process environment, so
-/// tests can cover the parse table without `set_var`/`remove_var` races
-/// against concurrently running tests (mutating the environment from a
-/// multi-threaded test harness is UB-adjacent on POSIX and was the source
-/// of a real flake).
-pub fn default_jobs_from(value: Option<&str>) -> usize {
-    if let Some(v) = value {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            if n >= 1 {
-                return n;
-            }
-        }
-    }
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-}
-
-/// The worker-thread count to use by default: the `BIBS_JOBS` environment
-/// variable if set to a positive integer, otherwise
-/// [`std::thread::available_parallelism`] (1 if that is unavailable).
-/// Parsing lives in [`default_jobs_from`].
-pub fn default_jobs() -> usize {
-    default_jobs_from(std::env::var("BIBS_JOBS").ok().as_deref())
-}
-
 /// The compiled fault simulator bound to one (combinational) netlist and
-/// one fault list, at any thread count.
+/// one fault list.
 ///
 /// Construction compiles the netlist once (or adopts a caller-supplied
 /// program via [`ParFaultSimulator::with_program`]) and pre-compiles
@@ -112,9 +62,7 @@ pub fn default_jobs() -> usize {
 /// ([`crate::reference::ReferenceSimulator`]), pinned by
 /// `tests/compiled_equivalence.rs`.
 ///
-/// [`ParFaultSimulator::new`] runs on the calling thread and never spawns;
-/// [`ParFaultSimulator::with_threads`] shards the fault list across
-/// workers. Drive either through the [`BlockSim`] trait:
+/// Drive it through the [`BlockSim`] trait:
 ///
 /// ```
 /// use bibs_netlist::builder::NetlistBuilder;
@@ -132,7 +80,7 @@ pub fn default_jobs() -> usize {
 /// let nl = b.finish()?;
 ///
 /// let faults = FaultUniverse::collapsed(&nl);
-/// let mut sim = ParFaultSimulator::with_threads(&nl, faults.faults().to_vec(), 4);
+/// let mut sim = ParFaultSimulator::new(&nl, faults.faults().to_vec());
 /// let report = sim.run_exhaustive();
 /// assert_eq!(report.undetected().len(), 0);
 /// # Ok(())
@@ -141,28 +89,29 @@ pub fn default_jobs() -> usize {
 #[derive(Debug)]
 pub struct ParFaultSimulator<'a> {
     netlist: &'a Netlist,
-    /// The compiled program, shared read-only by every shard.
     program: EvalProgram,
     faults: Vec<Fault>,
     /// `patches[i]` = compiled patch-point of fault *i*.
     patches: Vec<Patch>,
     detection: Vec<Option<u64>>,
-    /// Indices (into `faults`) of the faults still undetected — the work
-    /// list the shards split. Compacted by every block that detects.
+    /// Indices (into `faults`) of the faults still undetected — each
+    /// block's work list. Compacted by every block that detects.
     undetected: Vec<u32>,
     /// The good machine's values for the current block.
     good: Vec<u64>,
-    /// One faulty-machine buffer and event queue per worker, reused
-    /// across blocks.
-    workers: Vec<Worker>,
+    /// The faulty machine's values: the good machine's between faults.
+    faulty: Vec<u64>,
+    /// The event queue the propagations work in, reused across blocks.
+    queue: EventQueue,
     patterns_applied: u64,
-    threads: usize,
     rec: Recorder,
 }
 
 impl<'a> ParFaultSimulator<'a> {
-    /// Creates a one-thread simulator: every block runs inline on the
-    /// calling thread, nothing is spawned.
+    /// Creates a simulator, compiling the netlist to an [`EvalProgram`].
+    /// The compile time is recorded as a `"compile"` child span, surfaced
+    /// through [`SimStats::compile_wall`]. Use
+    /// [`ParFaultSimulator::with_program`] to reuse a compiled program.
     ///
     /// # Panics
     ///
@@ -170,49 +119,34 @@ impl<'a> ParFaultSimulator<'a> {
     /// equivalent — see the crate docs) or combinationally cyclic, or if
     /// the fault list exceeds `u32::MAX` entries.
     pub fn new(netlist: &'a Netlist, faults: Vec<Fault>) -> Self {
-        Self::with_threads(netlist, faults, 1)
-    }
-
-    /// Creates a simulator with an explicit worker-thread count (clamped
-    /// to at least 1); reports are identical for every count.
-    ///
-    /// The netlist is compiled to an [`EvalProgram`] here; the compile
-    /// time is recorded as a `"compile"` child span, surfaced through
-    /// [`SimStats::compile_wall`]. Use [`ParFaultSimulator::with_program`]
-    /// to reuse a compiled program.
-    ///
-    /// # Panics
-    ///
-    /// Same conditions as [`ParFaultSimulator::new`].
-    pub fn with_threads(netlist: &'a Netlist, faults: Vec<Fault>, threads: usize) -> Self {
         let mut rec = Recorder::new("fault-sim[par]");
         let program =
             EvalProgram::compile_traced(netlist, &mut rec).expect("acyclic combinational netlist");
-        Self::with_program_recorder(netlist, program, faults, threads, rec)
+        Self::with_program_recorder(netlist, program, faults, rec)
     }
 
     /// Creates a simulator around an already-compiled program for the
     /// same netlist, so callers running many sessions on one circuit pay
     /// the compile cost once.
     ///
+    /// `threads` is not a setting: the engine runs on the calling thread,
+    /// so it must be 1. The parameter remains only because the benchmark
+    /// crate (`benchmark/src/trace.rs`) passes its pinned job count; the
+    /// next change to the benchmark deletes it.
+    ///
     /// # Panics
     ///
-    /// Panics if the netlist is sequential, `program` was not compiled
-    /// from `netlist` (slot count is the cheap proxy checked), or the
-    /// fault list exceeds `u32::MAX` entries.
+    /// Panics if `threads` is not 1, the netlist is sequential, `program`
+    /// was not compiled from `netlist` (slot count is the cheap proxy
+    /// checked), or the fault list exceeds `u32::MAX` entries.
     pub fn with_program(
         netlist: &'a Netlist,
         program: EvalProgram,
         faults: Vec<Fault>,
         threads: usize,
     ) -> Self {
-        Self::with_program_recorder(
-            netlist,
-            program,
-            faults,
-            threads,
-            Recorder::new("fault-sim[par]"),
-        )
+        assert_eq!(threads, 1, "the engine runs on the calling thread");
+        Self::with_program_recorder(netlist, program, faults, Recorder::new("fault-sim[par]"))
     }
 
     /// [`ParFaultSimulator::with_program`] with a caller-supplied
@@ -223,7 +157,6 @@ impl<'a> ParFaultSimulator<'a> {
         netlist: &'a Netlist,
         program: EvalProgram,
         faults: Vec<Fault>,
-        threads: usize,
         rec: Recorder,
     ) -> Self {
         assert_eq!(
@@ -240,7 +173,6 @@ impl<'a> ParFaultSimulator<'a> {
             faults.len() <= u32::MAX as usize,
             "fault list exceeds u32 index space"
         );
-        let threads = threads.max(1);
         let patches = faults
             .iter()
             .map(|&f| eval::compile_patch(&program, f))
@@ -254,10 +186,10 @@ impl<'a> ParFaultSimulator<'a> {
             patches,
             detection: vec![None; n],
             undetected: (0..n as u32).collect(),
-            workers: vec![Worker::new(&good); threads],
+            faulty: good.clone(),
             good,
+            queue: EventQueue::default(),
             patterns_applied: 0,
-            threads,
             rec,
         }
     }
@@ -276,158 +208,56 @@ impl<'a> ParFaultSimulator<'a> {
         self
     }
 
-    /// The configured worker-thread count.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// The compiled program shared by the shards.
+    /// The compiled program.
     pub fn program(&self) -> &EvalProgram {
         &self.program
     }
 
     /// The engine's telemetry span tree (root `"fault-sim[par]"`):
-    /// per-block counters on the root, the compile cost as a `"compile"`
-    /// child, one detail child per worker shard. Graft it into a
-    /// pipeline-level recorder with [`Recorder::graft`].
+    /// per-block counters on the root and, for an engine built with
+    /// [`ParFaultSimulator::new`], the compile cost as a `"compile"`
+    /// child. Graft it into a pipeline-level recorder with
+    /// [`Recorder::graft`].
     pub fn recorder(&self) -> &Recorder {
         &self.rec
     }
 
-    /// Evaluates the good machine once on `block`, then shards the
-    /// undetected list against it; each detected fault gets its index
+    /// Evaluates the good machine once on `block`, then propagates every
+    /// undetected fault against it; each detected fault gets its index
     /// (`patterns_applied + lane`, only lanes under `mask` count) and
     /// leaves the list. Returns how many were detected.
     fn simulate_block(&mut self, block: &PatternBlock, mask: u64) -> usize {
         let started = Instant::now();
-        let root = self.rec.root();
-        let good_gate_evals = self.program.eval_good(&mut self.good, &block.words);
-
-        let shard = Shard {
-            program: &self.program,
-            patches: &self.patches,
-            undetected: &self.undetected,
-            good: &self.good,
-            mask,
-        };
-        let live = self.undetected.len();
-        // Per-shard hits plus the shard's private telemetry counters.
-        // Shards never touch the recorder — each fills its own
-        // ShardCounters (plain u64 adds), merged below once per block.
-        let shard_results: Vec<(Vec<Hit>, ShardCounters)> =
-            if self.threads <= 1 || live <= SERIAL_CUTOFF {
-                let mut all = Some(0..live);
-                vec![shard.run(&mut self.workers[0], |_| all.take())]
-            } else {
-                let cursor = AtomicUsize::new(0);
-                let steal = |counters: &mut ShardCounters| {
-                    let start = cursor.fetch_add(STEAL_CHUNK, Ordering::Relaxed);
-                    (start < live).then(|| {
-                        counters.add(CounterId::QueuePops, 1);
-                        start..(start + STEAL_CHUNK).min(live)
-                    })
-                };
-                let (shard, steal) = (&shard, &steal);
-                std::thread::scope(|s| {
-                    let handles: Vec<_> = self
-                        .workers
-                        .iter_mut()
-                        .map(|worker| s.spawn(move || shard.run(worker, steal)))
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| h.join().expect("fault-sim worker panicked"))
-                        .collect()
-                })
-            };
-
-        // Deterministic merge: shards own disjoint positions, and each
-        // hit's detection index depends only on (fault, block). Shard
-        // counters merge into the root span plus one detail child per
-        // shard index — the root totals are thread-count-independent.
+        let mut gate_evals = self.program.eval_good(&mut self.good, &block.words);
+        self.faulty.copy_from_slice(&self.good);
         let mut detected = 0;
-        for (shard_idx, (hits, counters)) in shard_results.into_iter().enumerate() {
-            self.rec.attach_shard(root, shard_idx as u32, &counters);
-            for (pos, lane) in hits {
-                let fi = self.undetected[pos] as usize;
-                debug_assert!(self.detection[fi].is_none());
-                self.detection[fi] = Some(self.patterns_applied + lane);
+        for &fi in &self.undetected {
+            let (diff, evals) = self.program.eval_events(
+                &self.good,
+                &mut self.faulty,
+                self.patches[fi as usize],
+                &mut self.queue,
+            );
+            gate_evals += evals;
+            if let Some(lane) = eval::first_detection(diff, mask) {
+                self.detection[fi as usize] = Some(self.patterns_applied + lane);
                 detected += 1;
             }
         }
+        let fault_evals = self.undetected.len() as u64;
         if detected > 0 {
             let detection = &self.detection;
             self.undetected
                 .retain(|&fi| detection[fi as usize].is_none());
         }
-        self.rec.add_to(root, CounterId::GateEvals, good_gate_evals);
+        let root = self.rec.root();
+        self.rec.add_to(root, CounterId::GateEvals, gate_evals);
+        self.rec.add_to(root, CounterId::FaultEvals, fault_evals);
         self.rec.add_to(root, CounterId::GoodEvals, 1);
         self.rec
             .add_to(root, CounterId::FaultsDropped, detected as u64);
         self.rec.add_wall(root, started.elapsed());
         detected
-    }
-}
-
-/// One worker's private state: a faulty-machine buffer and the event
-/// queue its propagations work in.
-#[derive(Debug, Clone)]
-struct Worker {
-    faulty: Vec<u64>,
-    queue: EventQueue,
-}
-
-impl Worker {
-    fn new(good: &[u64]) -> Worker {
-        Worker {
-            faulty: good.to_vec(),
-            queue: EventQueue::default(),
-        }
-    }
-}
-
-/// What every shard of one block reads: the program, the patches, the
-/// undetected list, the good machine's values and the valid lanes.
-struct Shard<'s> {
-    program: &'s EvalProgram,
-    patches: &'s [Patch],
-    undetected: &'s [u32],
-    good: &'s [u64],
-    /// Valid-lane mask of the block.
-    mask: u64,
-}
-
-impl Shard<'_> {
-    /// The shard body: syncs the worker's faulty buffer from the good
-    /// machine, evaluates the faults at every range of undetected-list
-    /// positions `next` hands out (until it returns `None`), and returns a
-    /// hit per detected fault plus the shard's counters.
-    fn run(
-        &self,
-        worker: &mut Worker,
-        mut next: impl FnMut(&mut ShardCounters) -> Option<Range<usize>>,
-    ) -> (Vec<Hit>, ShardCounters) {
-        let started = Instant::now();
-        let mut hits = Vec::new();
-        let mut counters = ShardCounters::new();
-        worker.faulty.copy_from_slice(self.good);
-        while let Some(positions) = next(&mut counters) {
-            for pos in positions {
-                let (diff, gate_evals) = self.program.eval_events(
-                    self.good,
-                    &mut worker.faulty,
-                    self.patches[self.undetected[pos] as usize],
-                    &mut worker.queue,
-                );
-                counters.add(CounterId::GateEvals, gate_evals);
-                counters.add(CounterId::FaultEvals, 1);
-                if let Some(lane) = eval::first_detection(diff, self.mask) {
-                    hits.push((pos, lane));
-                }
-            }
-        }
-        counters.wall = started.elapsed();
-        (hits, counters)
     }
 }
 
@@ -449,7 +279,7 @@ impl BlockSim for ParFaultSimulator<'_> {
             self.faults.clone(),
             self.detection.clone(),
             self.patterns_applied,
-            SimStats::from_recorder(&self.rec, self.threads),
+            SimStats::from_recorder(&self.rec),
         )
     }
 
@@ -487,10 +317,7 @@ impl BlockSim for ParFaultSimulator<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fault::FaultUniverse;
     use bibs_netlist::builder::NetlistBuilder;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     fn adder4() -> Netlist {
         let mut b = NetlistBuilder::new("add4");
@@ -503,76 +330,10 @@ mod tests {
     }
 
     #[test]
-    fn thread_counts_agree_exhaustively() {
+    #[should_panic(expected = "calling thread")]
+    fn with_program_accepts_only_one_thread() {
         let nl = adder4();
-        let faults = FaultUniverse::collapsed(&nl).faults().to_vec();
-        let inline = ParFaultSimulator::new(&nl, faults.clone()).run_exhaustive();
-        for threads in [2, 4, 8] {
-            let sharded =
-                ParFaultSimulator::with_threads(&nl, faults.clone(), threads).run_exhaustive();
-            assert_eq!(inline.detection(), sharded.detection());
-            assert_eq!(inline.patterns_applied(), sharded.patterns_applied());
-        }
-    }
-
-    #[test]
-    fn thread_counts_agree_on_a_random_stream() {
-        let nl = adder4();
-        let faults = FaultUniverse::collapsed(&nl).faults().to_vec();
-        let mut rng = StdRng::seed_from_u64(7);
-        let inline = ParFaultSimulator::new(&nl, faults.clone()).run_random(&mut rng, 10_000);
-        let mut rng = StdRng::seed_from_u64(7);
-        let sharded = ParFaultSimulator::with_threads(&nl, faults, 3).run_random(&mut rng, 10_000);
-        assert_eq!(inline.detection(), sharded.detection());
-        assert_eq!(inline.patterns_applied(), sharded.patterns_applied());
-    }
-
-    #[test]
-    fn stats_account_every_shard() {
-        let nl = adder4();
-        let faults = FaultUniverse::collapsed(&nl).faults().to_vec();
-        let mut sim = ParFaultSimulator::with_threads(&nl, faults, 4);
-        let report = sim.run_exhaustive();
-        let stats = report.stats();
-        assert_eq!(stats.threads, 4);
-        assert_eq!(stats.per_shard_fault_evals.len(), 4);
-        assert_eq!(
-            stats.per_shard_fault_evals.iter().sum::<u64>(),
-            stats.fault_evals
-        );
-        assert_eq!(stats.faults_dropped, report.detected_count() as u64);
-    }
-
-    #[test]
-    fn jobs_parse_table() {
-        // Pure-function coverage of the BIBS_JOBS parse rules; no
-        // process-environment mutation (set_var/remove_var from a
-        // multi-threaded test harness races other tests reading env).
-        assert_eq!(default_jobs_from(Some("3")), 3);
-        assert_eq!(default_jobs_from(Some(" 4 ")), 4);
-        assert_eq!(default_jobs_from(Some("1")), 1);
-        // Unset / garbage / zero / empty all fall back to a positive count.
-        assert!(default_jobs_from(None) >= 1);
-        assert!(default_jobs_from(Some("not-a-number")) >= 1);
-        assert!(default_jobs_from(Some("0")) >= 1);
-        assert!(default_jobs_from(Some("")) >= 1);
-        assert!(default_jobs_from(Some("-2")) >= 1);
-        // The fallback is the same for every non-positive spelling.
-        let fallback = default_jobs_from(None);
-        assert_eq!(default_jobs_from(Some("0")), fallback);
-        assert_eq!(default_jobs_from(Some("garbage")), fallback);
-    }
-
-    /// End-to-end check that [`default_jobs`] really reads `BIBS_JOBS`.
-    /// Ignored by default: it mutates the process environment, which is
-    /// only safe when no other test thread is running. Run explicitly with
-    /// `cargo test -p bibs-faultsim -- --ignored --test-threads=1`.
-    #[test]
-    #[ignore = "mutates process env; run single-threaded via --ignored --test-threads=1"]
-    fn jobs_env_integration() {
-        std::env::set_var("BIBS_JOBS", "3");
-        assert_eq!(default_jobs(), 3);
-        std::env::remove_var("BIBS_JOBS");
-        assert!(default_jobs() >= 1);
+        let program = EvalProgram::compile(&nl).unwrap();
+        let _ = ParFaultSimulator::with_program(&nl, program, Vec::new(), 2);
     }
 }

@@ -11,8 +11,8 @@
 //!
 //! * **oracle**: `tests/compiled_equivalence.rs` asserts the compiled
 //!   engine's [`FaultSimReport`]s are bit-identical to
-//!   [`ReferenceSimulator`]'s across paper kernels, random DAGs, seeds and
-//!   thread counts, and `tests/lanes_equivalence.rs` drives it one block
+//!   [`ReferenceSimulator`]'s across paper kernels, random DAGs and
+//!   seeds, and `tests/lanes_equivalence.rs` drives it one block
 //!   at a time as the independent check of the driver's stop decisions;
 //! * **benchmark baseline**: the criterion benches measure the compiled
 //!   speedup against this implementation;
@@ -28,7 +28,7 @@ use crate::sim::{BlockSim, FaultSimReport};
 use crate::source::PatternBlock;
 use crate::stats::SimStats;
 use bibs_netlist::{GateId, NetDriver, Netlist};
-use bibs_obs::{CounterId, Recorder, ShardCounters};
+use bibs_obs::{CounterId, Recorder};
 use std::time::Instant;
 
 /// Evaluates the fault-free machine into `values` (one word per net, one
@@ -162,8 +162,8 @@ impl<'a> ReferenceSimulator<'a> {
     }
 
     /// The engine's telemetry span tree (root `"fault-sim[reference]"`).
-    /// The interpreter has no compile phase, so the tree is just the root
-    /// plus the single shard-0 detail child.
+    /// The interpreter has no compile phase, so the tree is just the root,
+    /// which carries every counter.
     pub fn recorder(&self) -> &Recorder {
         &self.rec
     }
@@ -199,7 +199,7 @@ impl BlockSim for ReferenceSimulator<'_> {
             &mut self.good,
             &mut scratch,
         );
-        let good_gate_evals = self.netlist.gate_count() as u64;
+        let mut gate_evals = self.netlist.gate_count() as u64;
 
         let outputs: Vec<u32> = self
             .netlist
@@ -208,8 +208,7 @@ impl BlockSim for ReferenceSimulator<'_> {
             .map(|o| o.index() as u32)
             .collect();
         let mut detected = 0;
-        let mut shard = ShardCounters::new();
-        let shard_started = Instant::now();
+        let mut fault_evals = 0;
         for fi in 0..self.faults.len() {
             if self.detection[fi].is_some() || self.retired[fi] {
                 continue;
@@ -222,17 +221,16 @@ impl BlockSim for ReferenceSimulator<'_> {
                 &mut self.faulty,
                 &mut scratch,
             );
-            shard.add(CounterId::GateEvals, self.netlist.gate_count() as u64);
-            shard.add(CounterId::FaultEvals, 1);
+            gate_evals += self.netlist.gate_count() as u64;
+            fault_evals += 1;
             let diff = output_diff(&outputs, &self.good, &self.faulty);
             if let Some(lane) = first_detection(diff, mask) {
                 self.detection[fi] = Some(base + lane);
                 detected += 1;
             }
         }
-        shard.wall = shard_started.elapsed();
-        self.rec.attach_shard(root, 0, &shard);
-        self.rec.add_to(root, CounterId::GateEvals, good_gate_evals);
+        self.rec.add_to(root, CounterId::GateEvals, gate_evals);
+        self.rec.add_to(root, CounterId::FaultEvals, fault_evals);
         self.rec.add_to(root, CounterId::GoodEvals, 1);
         self.rec
             .add_to(root, CounterId::FaultsDropped, detected as u64);
@@ -269,7 +267,7 @@ impl BlockSim for ReferenceSimulator<'_> {
             self.faults.clone(),
             self.detection.clone(),
             self.patterns_applied,
-            SimStats::from_recorder(&self.rec, 1),
+            SimStats::from_recorder(&self.rec),
         )
     }
 }

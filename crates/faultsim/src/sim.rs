@@ -8,10 +8,9 @@
 //! pattern-stream driver, [`BlockSim::run`], is provided here **once**,
 //! and every entry point ([`BlockSim::run_source_with`],
 //! [`BlockSim::run_random`], [`BlockSim::run_exhaustive`], …) reduces to
-//! it, so every engine and thread count draws the same blocks and stops
-//! at the same pattern by construction. The engines are
-//! [`crate::par::ParFaultSimulator`] (the compiled engine, any thread
-//! count) and [`crate::reference::ReferenceSimulator`] (the seed
+//! it, so every engine draws the same blocks and stops at the same
+//! pattern by construction. The engines are
+//! [`crate::par::ParFaultSimulator`] (the compiled engine) and [`crate::reference::ReferenceSimulator`] (the seed
 //! interpreter). The streams themselves are pluggable [`PatternSource`]s
 //! ([`crate::source`]); the `run_random*` family wraps a [`RandomWords`]
 //! source and draws exactly the words it always drew.
@@ -72,11 +71,11 @@ impl FaultSimReport {
         self.patterns_applied
     }
 
-    /// Engine counters for this run (throughput, shard balance, drops).
+    /// Engine counters for this run (throughput, evaluations, drops).
     ///
     /// Purely observational: two runs that are bit-identical in
-    /// [`FaultSimReport::detection`] may still differ here (wall time,
-    /// shard split).
+    /// [`FaultSimReport::detection`] may still differ here (wall time;
+    /// the engines count gate evaluations differently).
     pub fn stats(&self) -> &SimStats {
         &self.stats
     }
@@ -176,7 +175,7 @@ impl Stop<'_> {
 /// Implementors supply [`BlockSim::apply`] and [`BlockSim::retire`]; the
 /// pattern-stream driver is provided here **once** so that every engine
 /// draws the same source blocks and stops at the same pattern — the
-/// foundation of the thread-count and engine equivalence guarantee.
+/// foundation of the engine equivalence guarantee.
 pub trait BlockSim {
     /// The simulated netlist.
     fn netlist(&self) -> &Netlist;
@@ -267,9 +266,8 @@ pub trait BlockSim {
     /// This is the engine-side half of the coverage-vs-clocks axis: the
     /// source tracks its own clock budget
     /// ([`PatternSource::clocks_consumed`]) while the engine tracks
-    /// detection indices, and the two stay aligned because blocks are
-    /// pulled serially — which also makes any source bit-identical
-    /// across thread counts (`tests/source_equivalence.rs`).
+    /// detection indices, and the two stay aligned because the driver
+    /// pulls a block only to apply it.
     fn run_source(
         &mut self,
         source: &mut (impl PatternSource + ?Sized),
@@ -513,15 +511,12 @@ mod tests {
         let mut sim = ParFaultSimulator::new(&nl, faults.faults().to_vec());
         let report = sim.run_exhaustive();
         let stats = report.stats();
-        assert_eq!(stats.threads, 1);
         assert!(stats.blocks >= 1);
         assert_eq!(stats.good_evals, stats.blocks);
         // Every fault is evaluated at least once, and fault dropping keeps
         // the total at most faults × blocks.
         assert!(stats.fault_evals >= n);
         assert!(stats.fault_evals <= n * stats.blocks);
-        assert_eq!(stats.per_shard_fault_evals.len(), 1);
-        assert_eq!(stats.per_shard_fault_evals[0], stats.fault_evals);
         assert_eq!(stats.faults_dropped, report.detected_count() as u64);
     }
 

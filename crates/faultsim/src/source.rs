@@ -27,9 +27,11 @@
 //!   the accounting covers exactly the blocks the run applied.
 //! * **Determinism pinning**: [`PatternSource::state_digest`] folds every
 //!   emitted `(words, lanes)` pair into a 64-bit digest. Two consumers
-//!   that pulled the same blocks hold equal digests, so runs at any
-//!   thread count can assert they saw the same stream —
-//!   `tests/source_equivalence.rs` pins this for every shipped source.
+//!   that pulled the same blocks hold equal digests, so two runs can
+//!   assert they saw the same stream — `tests/lanes_equivalence.rs` pins
+//!   this for a stopped run against its one-block oracle, and
+//!   `tests/retire_equivalence.rs` for a proving run against the plain
+//!   one.
 //! * **Self-description**: [`PatternSource::descriptor`] serializes the
 //!   generator's identity (kind, polynomial, seed, RNG family, …) for
 //!   telemetry and JSON exports, so a replay needs no out-of-band notes.

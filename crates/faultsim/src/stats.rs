@@ -4,20 +4,15 @@
 //! Since the telemetry-spine refactor these counters are **derived from**
 //! an engine's [`bibs_obs::Recorder`] span tree
 //! ([`SimStats::from_recorder`]) rather than hand-maintained: the engines
-//! record into span counters ([`bibs_obs::CounterId`]) and per-shard
-//! detail spans, and `SimStats` is the flattened read-model the bins
-//! print. The two views can never drift because only one is written.
+//! record into span counters ([`bibs_obs::CounterId`]), and `SimStats` is
+//! the flattened read-model the bins print. The two views can never
+//! drift because only one is written.
 
 use bibs_obs::{CounterId, Recorder};
 use std::fmt;
 use std::time::Duration;
 
 /// Counters collected by a fault-simulation engine over one run.
-///
-/// A one-thread engine reports itself as a single shard; a sharded
-/// engine reports one entry per worker in
-/// [`SimStats::per_shard_fault_evals`], which makes load imbalance (e.g.
-/// from fault dropping) directly visible.
 ///
 /// Since the compiled-IR refactor the stats also expose the
 /// compile-vs-run split: [`SimStats::compile_wall`] is the one-time cost
@@ -26,20 +21,14 @@ use std::time::Duration;
 /// hardware-meaningful unit of work).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SimStats {
-    /// Worker threads the engine was configured with (1 for an engine
-    /// built with `ParFaultSimulator::new` and for the reference
-    /// interpreter).
-    pub threads: usize,
     /// Pattern blocks applied (each block carries up to 64 patterns),
     /// including those with no live fault left.
     pub blocks: u64,
     /// Good-machine evaluations: one per block that still has a live
     /// fault (the evaluation is shared across all faults of the block).
     pub good_evals: u64,
-    /// Total faulty-machine evaluations across all shards.
+    /// Faulty-machine evaluations: one per live fault per block.
     pub fault_evals: u64,
-    /// Faulty-machine evaluations per worker shard.
-    pub per_shard_fault_evals: Vec<u64>,
     /// Faults dropped from simulation after their first detection.
     pub faults_dropped: u64,
     /// Faults a mid-run prover proved undetectable and the engine
@@ -75,15 +64,6 @@ pub struct SimStats {
 }
 
 impl SimStats {
-    /// Fresh counters for an engine with `threads` workers.
-    pub fn new(threads: usize) -> Self {
-        SimStats {
-            threads,
-            per_shard_fault_evals: vec![0; threads],
-            ..SimStats::default()
-        }
-    }
-
     /// Derives the flat counter view from an engine's span tree.
     ///
     /// Mapping (all read from the recorder's **root** span):
@@ -94,9 +74,6 @@ impl SimStats {
     ///   [`CounterId::FaultsRetired`],
     ///   [`CounterId::UniverseFaults`],
     ///   [`CounterId::SimulatedFaults`]);
-    /// * [`SimStats::per_shard_fault_evals`] — the per-shard *detail*
-    ///   children under the root ([`Recorder::shard_counter`]), one entry
-    ///   per configured worker (0 for shards that never reported);
     /// * [`SimStats::wall`] — the root span's accumulated wall clock (the
     ///   engines add each block's elapsed time explicitly);
     /// * [`SimStats::compile_wall`] / [`SimStats::analysis_wall`] — the
@@ -104,17 +81,13 @@ impl SimStats {
     ///   when absent.
     ///
     /// A [`Recorder::disabled`] recorder yields all-zero stats.
-    pub fn from_recorder(rec: &Recorder, threads: usize) -> SimStats {
+    pub fn from_recorder(rec: &Recorder) -> SimStats {
         let root = rec.root();
         let c = rec.span_counters(root);
         SimStats {
-            threads,
             blocks: c.get(CounterId::Blocks),
             good_evals: c.get(CounterId::GoodEvals),
             fault_evals: c.get(CounterId::FaultEvals),
-            per_shard_fault_evals: (0..threads)
-                .map(|i| rec.shard_counter(root, i as u32, CounterId::FaultEvals))
-                .collect(),
             faults_dropped: c.get(CounterId::FaultsDropped),
             faults_retired: c.get(CounterId::FaultsRetired),
             wall: rec.span_wall(root),
@@ -181,49 +154,18 @@ impl SimStats {
             1.0
         }
     }
-
-    /// Ratio of the busiest shard's evaluation count to the mean — 1.0 is
-    /// perfect balance.
-    ///
-    /// Always finite and `>= 1.0`: an empty shard list (zero-thread
-    /// stats), a run where nothing was evaluated, or any division that
-    /// would produce `NaN`/`∞` all report the neutral 1.0. Pinned by the
-    /// degenerate-case tests below.
-    pub fn shard_imbalance(&self) -> f64 {
-        let n = self.per_shard_fault_evals.len();
-        if n == 0 || self.fault_evals == 0 {
-            return 1.0;
-        }
-        let max = *self
-            .per_shard_fault_evals
-            .iter()
-            .max()
-            .expect("non-empty shard list") as f64;
-        let mean = self.fault_evals as f64 / n as f64;
-        if mean <= 0.0 {
-            return 1.0;
-        }
-        let r = max / mean;
-        if r.is_finite() {
-            r.max(1.0)
-        } else {
-            1.0
-        }
-    }
 }
 
 impl fmt::Display for SimStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{} thread(s), {} block(s), {} fault evals ({:.0}/s, imbalance {:.2}), \
+            "{} block(s), {} fault evals ({:.0}/s), \
              {:.2e} gate evals ({:.2e}/s), {} dropped, {:.1} ms \
              (+{:.2} ms compile)",
-            self.threads,
             self.blocks,
             self.fault_evals,
             self.fault_evals_per_second(),
-            self.shard_imbalance(),
             self.gate_evals as f64,
             self.gate_evals_per_second(),
             self.faults_dropped,
@@ -249,41 +191,27 @@ mod tests {
     use super::*;
 
     #[test]
-    fn imbalance_of_even_shards_is_one() {
-        let mut s = SimStats::new(4);
-        s.per_shard_fault_evals = vec![10, 10, 10, 10];
-        s.fault_evals = 40;
-        assert!((s.shard_imbalance() - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn imbalance_detects_skew() {
-        let mut s = SimStats::new(2);
-        s.per_shard_fault_evals = vec![30, 10];
-        s.fault_evals = 40;
-        assert!((s.shard_imbalance() - 1.5).abs() < 1e-9);
-    }
-
-    #[test]
     fn zero_wall_time_gives_zero_throughput() {
-        let s = SimStats::new(1);
+        let s = SimStats::default();
         assert_eq!(s.fault_evals_per_second(), 0.0);
         assert_eq!(s.gate_evals_per_second(), 0.0);
     }
 
     #[test]
     fn gate_throughput_counts_instructions() {
-        let mut s = SimStats::new(1);
-        s.gate_evals = 1_000;
-        s.wall = Duration::from_millis(500);
+        let s = SimStats {
+            gate_evals: 1_000,
+            wall: Duration::from_millis(500),
+            ..SimStats::default()
+        };
         assert!((s.gate_evals_per_second() - 2_000.0).abs() < 1e-6);
     }
 
     #[test]
     fn display_renders() {
-        let s = SimStats::new(2);
+        let s = SimStats::default();
         let line = s.to_string();
-        assert!(line.contains("2 thread(s)"));
+        assert!(line.starts_with("0 block(s), 0 fault evals (0/s)"));
         assert!(line.contains("gate evals"));
         assert!(line.contains("compile"));
         assert!(
@@ -293,35 +221,9 @@ mod tests {
     }
 
     #[test]
-    fn degenerate_shard_lists_clamp_to_one() {
-        // Zero threads: empty shard list must not divide by zero.
-        let mut s = SimStats::new(0);
-        assert_eq!(s.shard_imbalance(), 1.0);
-        assert!(s.shard_imbalance().is_finite());
-        // Evaluations recorded but no shard entries (a hand-built stats
-        // value a careless caller could produce): still defined.
-        s.fault_evals = 10;
-        assert_eq!(s.shard_imbalance(), 1.0);
-        // Shards present but nothing evaluated.
-        let s = SimStats::new(4);
-        assert_eq!(s.shard_imbalance(), 1.0);
-        // Inconsistent totals (fault_evals == 0 but shards nonzero).
-        let mut s = SimStats::new(2);
-        s.per_shard_fault_evals = vec![5, 0];
-        assert_eq!(s.shard_imbalance(), 1.0, "fault_evals=0 short-circuits");
-        // The result is never below 1.0 even with an inconsistent max.
-        let mut s = SimStats::new(2);
-        s.per_shard_fault_evals = vec![1, 1];
-        s.fault_evals = 100;
-        assert!(s.shard_imbalance() >= 1.0);
-    }
-
-    #[test]
     fn degenerate_universes_clamp_collapse_ratio() {
         // Zero-fault universe: defined, not NaN.
-        let mut s = SimStats::new(1);
-        s.universe_faults = 0;
-        s.simulated_faults = 0;
+        let mut s = SimStats::default();
         assert_eq!(s.collapse_ratio(), 1.0);
         assert!(s.collapse_ratio().is_finite());
         // Simulated > universe (inconsistent caller): clamped to 1.0.
@@ -332,13 +234,13 @@ mod tests {
         s.simulated_faults = 5;
         assert!((s.collapse_ratio() - 0.5).abs() < 1e-12);
         // Display of a fully degenerate stats value never panics.
-        let line = SimStats::new(0).to_string();
-        assert!(line.contains("0 thread(s)"));
+        let line = SimStats::default().to_string();
+        assert!(line.contains("0 block(s)"));
     }
 
     #[test]
     fn from_recorder_derives_the_flat_view() {
-        use bibs_obs::{CounterId as C, Recorder, ShardCounters};
+        use bibs_obs::{CounterId as C, Recorder};
         let mut rec = Recorder::new("fault-sim[par]");
         let c = rec.enter("compile");
         rec.add(C::Instructions, 10);
@@ -346,41 +248,30 @@ mod tests {
         let root = rec.root();
         rec.add_to(root, C::Blocks, 3);
         rec.add_to(root, C::GoodEvals, 3);
-        rec.add_to(root, C::GateEvals, 30);
+        rec.add_to(root, C::GateEvals, 150);
+        rec.add_to(root, C::FaultEvals, 12);
         rec.add_to(root, C::FaultsDropped, 2);
-        let mut s0 = ShardCounters::new();
-        s0.add(C::FaultEvals, 8);
-        s0.add(C::GateEvals, 80);
-        let mut s1 = ShardCounters::new();
-        s1.add(C::FaultEvals, 4);
-        s1.add(C::GateEvals, 40);
-        rec.attach_shard(root, 0, &s0);
-        rec.attach_shard(root, 1, &s1);
         rec.add_wall(root, Duration::from_millis(5));
 
-        let stats = SimStats::from_recorder(&rec, 2);
-        assert_eq!(stats.threads, 2);
+        let stats = SimStats::from_recorder(&rec);
         assert_eq!(stats.blocks, 3);
         assert_eq!(stats.good_evals, 3);
         assert_eq!(stats.fault_evals, 12);
-        assert_eq!(stats.per_shard_fault_evals, vec![8, 4]);
         assert_eq!(stats.gate_evals, 150);
         assert_eq!(stats.faults_dropped, 2);
         assert_eq!(stats.wall, Duration::from_millis(5));
         assert!(stats.compile_wall <= stats.wall.max(Duration::from_secs(1)));
         assert_eq!(stats.analysis_wall, Duration::ZERO);
-        // Shards that never reported read as zero.
-        let wide = SimStats::from_recorder(&rec, 4);
-        assert_eq!(wide.per_shard_fault_evals, vec![8, 4, 0, 0]);
         // A disabled recorder derives all-zero stats.
-        let empty = SimStats::from_recorder(&Recorder::disabled(), 1);
-        assert_eq!(empty.fault_evals, 0);
-        assert_eq!(empty.per_shard_fault_evals, vec![0]);
+        assert_eq!(
+            SimStats::from_recorder(&Recorder::disabled()),
+            SimStats::default()
+        );
     }
 
     #[test]
     fn collapse_ratio_and_display_with_universe() {
-        let mut s = SimStats::new(1);
+        let mut s = SimStats::default();
         assert_eq!(s.collapse_ratio(), 1.0, "no pre-analysis");
         s.universe_faults = 200;
         s.simulated_faults = 120;

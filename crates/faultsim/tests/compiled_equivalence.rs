@@ -1,6 +1,5 @@
 //! Compiled-IR/interpreter equivalence: the [`EvalProgram`]-based
-//! [`ParFaultSimulator`] at 1/2/4/8 threads must produce reports
-//! **bit-identical** to the
+//! [`ParFaultSimulator`] must produce reports **bit-identical** to the
 //! original gate-walking interpreter preserved as
 //! [`bibs_faultsim::reference::ReferenceSimulator`] — same `detection()`
 //! vector (every first-detection pattern index), same
@@ -31,29 +30,24 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashSet;
 
-const THREADS: [usize; 4] = [1, 2, 4, 8];
 const SEEDS: [u64; 3] = [1, 0xB1B5, 0x51B5_1994];
 
-/// Asserts that the reference interpreter and the compiled engine at every
-/// `THREADS` count produce bit-identical reports on every `SEEDS` random
-/// stream.
+/// Asserts that the reference interpreter and the compiled engine produce
+/// bit-identical reports on every `SEEDS` random stream.
 fn assert_compiled_matches_reference(netlist: &Netlist, faults: &[Fault], max_patterns: u64) {
     for &seed in &SEEDS {
         let mut rng = StdRng::seed_from_u64(seed);
         let reference =
             ReferenceSimulator::new(netlist, faults.to_vec()).run_random(&mut rng, max_patterns);
-
-        for &threads in &THREADS {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let par = ParFaultSimulator::with_threads(netlist, faults.to_vec(), threads)
-                .run_random(&mut rng, max_patterns);
-            assert_eq!(
-                reference.detection(),
-                par.detection(),
-                "compiled engine diverges at {threads} thread(s), seed {seed:#x}"
-            );
-            assert_eq!(reference.patterns_applied(), par.patterns_applied());
-        }
+        let mut rng = StdRng::seed_from_u64(seed);
+        let par =
+            ParFaultSimulator::new(netlist, faults.to_vec()).run_random(&mut rng, max_patterns);
+        assert_eq!(
+            reference.detection(),
+            par.detection(),
+            "compiled engine diverges at seed {seed:#x}"
+        );
+        assert_eq!(reference.patterns_applied(), par.patterns_applied());
     }
 }
 
@@ -204,13 +198,12 @@ fn netlist_strategy() -> impl Strategy<Value = Netlist> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Any random netlist, any seed, any thread count: the compiled
-    /// engine must match the interpreter on net words and full reports.
+    /// Any random netlist, any seed: the compiled engine must match the
+    /// interpreter on net words and full reports.
     #[test]
     fn random_netlists_compile_to_equivalent_engines(
         nl in netlist_strategy(),
         seed: u64,
-        threads in 1usize..6,
     ) {
         assert_good_machine_matches(&nl, seed);
         let faults = FaultUniverse::collapsed(&nl).faults().to_vec();
@@ -220,8 +213,7 @@ proptest! {
             .run_random(&mut rng, 2_000);
 
         let mut rng = StdRng::seed_from_u64(seed);
-        let par = ParFaultSimulator::with_threads(&nl, faults.clone(), threads)
-            .run_random(&mut rng, 2_000);
+        let par = ParFaultSimulator::new(&nl, faults.clone()).run_random(&mut rng, 2_000);
         prop_assert_eq!(reference.detection(), par.detection());
         prop_assert_eq!(reference.patterns_applied(), par.patterns_applied());
     }

@@ -57,31 +57,27 @@ fn fraction_above_one_acts_like_full_coverage() {
 #[test]
 fn empty_fault_list_has_full_coverage_and_no_pattern_count() {
     let nl = adder4();
-    for threads in [1usize, 4] {
-        let report = ParFaultSimulator::with_threads(&nl, Vec::new(), threads).run_exhaustive();
-        assert_eq!(report.faults().len(), 0);
-        assert_eq!(report.detected_count(), 0);
-        // Vacuous coverage is complete…
-        assert!((report.coverage() - 1.0).abs() < f64::EPSILON);
-        // …but there is no pattern count that "achieves" it.
-        assert_eq!(report.patterns_for_detectable_coverage(0.0), None);
-        assert_eq!(report.patterns_for_detectable_coverage(0.995), None);
-        assert_eq!(report.patterns_for_detectable_coverage(1.0), None);
-    }
+    let report = ParFaultSimulator::new(&nl, Vec::new()).run_exhaustive();
+    assert_eq!(report.faults().len(), 0);
+    assert_eq!(report.detected_count(), 0);
+    // Vacuous coverage is complete…
+    assert!((report.coverage() - 1.0).abs() < f64::EPSILON);
+    // …but there is no pattern count that "achieves" it.
+    assert_eq!(report.patterns_for_detectable_coverage(0.0), None);
+    assert_eq!(report.patterns_for_detectable_coverage(0.995), None);
+    assert_eq!(report.patterns_for_detectable_coverage(1.0), None);
 }
 
 #[test]
 fn all_undetectable_list_reports_none_for_every_fraction() {
     let nl = redundant_netlist();
     let faults = vec![Fault::net_sa0(nl.outputs()[0])];
-    for threads in [1usize, 3] {
-        let report = ParFaultSimulator::with_threads(&nl, faults.clone(), threads).run_exhaustive();
-        assert_eq!(report.detected_count(), 0);
-        assert_eq!(report.undetected().len(), 1);
-        assert_eq!(report.coverage(), 0.0);
-        for fraction in [0.0, 0.5, 0.995, 1.0, 2.0] {
-            assert_eq!(report.patterns_for_detectable_coverage(fraction), None);
-        }
+    let report = ParFaultSimulator::new(&nl, faults).run_exhaustive();
+    assert_eq!(report.detected_count(), 0);
+    assert_eq!(report.undetected().len(), 1);
+    assert_eq!(report.coverage(), 0.0);
+    for fraction in [0.0, 0.5, 0.995, 1.0, 2.0] {
+        assert_eq!(report.patterns_for_detectable_coverage(fraction), None);
     }
 }
 

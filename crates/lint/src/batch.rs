@@ -5,7 +5,7 @@
 //! it finds — directories recursively, globs by a single `*` in the
 //! final path component. Files are linted in parallel by scoped worker
 //! threads (count from `BIBS_JOBS` via
-//! [`bibs_faultsim::par::default_jobs`]), each compiling its own program;
+//! [`bibs_core::verify::default_jobs`]), each compiling its own program;
 //! results land in per-file slots indexed by the sorted target order, so
 //! the merged report is **byte-identical for every job count** — workers
 //! only decide *when* a file is linted, never *where* its findings go.

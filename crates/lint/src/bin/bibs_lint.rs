@@ -283,7 +283,7 @@ fn main() -> ExitCode {
             result,
         });
     }
-    let jobs = jobs.unwrap_or_else(bibs_faultsim::par::default_jobs);
+    let jobs = jobs.unwrap_or_else(bibs_core::verify::default_jobs);
     for pattern in &batch_patterns {
         let paths = match collect_targets(pattern) {
             Ok(paths) => paths,

@@ -254,7 +254,9 @@ pub fn to_text(netlist: &Netlist) -> String {
 /// parenthesized payload if `s` is `kw(...)` (keyword case-insensitive).
 fn keyword_payload<'a>(s: &'a str, kw: &str) -> Option<&'a str> {
     let rest = s.trim();
-    if rest.len() < kw.len() || !rest[..kw.len()].eq_ignore_ascii_case(kw) {
+    // `get` rather than slicing: the line may hold a multi-byte character
+    // where the keyword would end.
+    if !rest.get(..kw.len())?.eq_ignore_ascii_case(kw) {
         return None;
     }
     let rest = rest[kw.len()..].trim_start();
@@ -556,6 +558,20 @@ nq = NOT(q1)
         assert!(matches!(
             from_text("INPUT(a)\nx = AND(a, y)\ny = AND(a, x)\nOUTPUT(y)\n"),
             Err(ParseError::Invalid(NetlistError::CombinationalCycle { .. }))
+        ));
+    }
+
+    #[test]
+    fn non_ascii_keyword_is_a_syntax_error_not_a_panic() {
+        // '€' is three bytes, so byte 5 — where "INPUT" would end — falls
+        // inside it.
+        assert!(matches!(
+            from_text("INPUT(a)\nINP€T(b)\nOUTPUT(a)\n"),
+            Err(ParseError::Syntax { line: 2, .. })
+        ));
+        assert!(matches!(
+            from_text("INPUT(a)\nOUTP€T(a)\n"),
+            Err(ParseError::Syntax { line: 2, .. })
         ));
     }
 

@@ -1,7 +1,7 @@
 //! Compiled flat evaluation IR: [`EvalProgram`] and fault [`Patch`]es.
 //!
 //! Every hot loop in the workspace — Table 2 coverage runs, exhaustive
-//! `2^M - 1 + d` verification, parallel fault sharding — evaluates the same
+//! `2^M - 1 + d` verification, fault simulation — evaluates the same
 //! combinational netlists over and over. Walking the [`Netlist`] object
 //! graph per evaluation (re-scanning every net's [`NetDriver`], refilling a
 //! per-gate scratch buffer, chasing `Vec<NetId>` indirections) pays a steep
@@ -40,8 +40,8 @@
 //! gate id), and evaluation is pure dataflow over that schedule, so every
 //! net word computed by [`EvalProgram::run`] is bit-identical to the
 //! classic interpreted walk for *any* valid topological order. The fault
-//! simulator's thread-count equivalence contract therefore carries over
-//! unchanged.
+//! simulator's equivalence with the reference interpreter therefore
+//! carries over unchanged.
 //!
 //! # Example
 //!
@@ -575,7 +575,7 @@ impl EvalProgram {
     ///
     /// Panics if a buffer is shorter than `slot_count()` words.
     // Deliberately not `#[inline]`: with the hint LLVM inlines this body
-    // into the fault simulator's shard loop, and the `topoff` benchmark
+    // into the fault simulator's per-fault loop, and the `topoff` benchmark
     // workload ran ~8% slower per eval.
     pub fn eval_events(
         &self,

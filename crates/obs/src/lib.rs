@@ -2,33 +2,28 @@
 //! plus monotonic **counters**, collected per pipeline stage and exported
 //! as machine-readable JSON.
 //!
-//! Every stage of the pipeline — `compile → analyze → fault-sim[shard k]
-//! → atpg → schedule → verify` — records into a [`Recorder`]: a small
+//! Every stage of the pipeline — `compile → analyze → fault-sim → atpg →
+//! schedule → verify` — records into a [`Recorder`]: a small
 //! arena of [`Span`]s, each carrying a label, an accumulated wall-clock
 //! duration and a fixed-size [`Counters`] array.
 //! The design goals, in order:
 //!
 //! 1. **Allocation-free hot loops.** A counter bump is a single add into a
-//!    fixed `[u64; N]` array ([`Counters::add`]); worker threads own
-//!    private [`ShardCounters`] that are merged lock-free when
-//!    `std::thread::scope` joins ([`Recorder::attach_shard`]) — no atomics,
-//!    no locks, no allocation on the simulation path.
-//! 2. **Determinism.** Counters marked [`CounterId::is_deterministic`] are
-//!    pure functions of the workload (seed, circuit, options) and
-//!    independent of thread count, engine and wall clock; the JSON export
-//!    carries *only* those, so two runs on different machines produce
-//!    byte-identical files once wall-clock fields are stripped. Per-shard
-//!    decomposition spans are flagged [`Span::detail`] and excluded from
-//!    both aggregation and export.
+//!    fixed `[u64; N]` array ([`Counters::add`]); the fault-sim engine
+//!    sums a block's work in locals and adds it to its span once per
+//!    block — no allocation on the simulation path.
+//! 2. **Determinism.** Every counter is a pure function of the workload
+//!    (seed, circuit, options), independent of engine and wall clock, so
+//!    two runs on different machines export byte-identical JSON once the
+//!    wall-clock fields are stripped.
 //! 3. **Zero dependencies.** Std-only, like the rest of the workspace; the
 //!    [`json`] module provides the minimal parser the `perfdiff`
 //!    regression gate needs to read exports back.
 //!
 //! `SimStats` in `bibs-faultsim` is *derived from* a recorder's span tree
-//! ([`Recorder::span_counters`], [`Recorder::shard_counter`]) rather than
-//! hand-maintained; the bench bins expose the tree via `--telemetry
-//! <out.json>` and the `BIBS_TRACE=spans|counters|off` environment knob
-//! ([`TraceMode`]).
+//! ([`Recorder::span_counters`]) rather than hand-maintained; the bench
+//! bins expose the tree via `--telemetry <out.json>` and the
+//! `BIBS_TRACE=spans|counters|off` environment knob ([`TraceMode`]).
 #![warn(missing_docs)]
 
 pub mod json;
@@ -39,10 +34,10 @@ use std::time::{Duration, Instant};
 /// The counter vocabulary. One slot per variant in every [`Counters`]
 /// array; the order here is the (stable) export order.
 ///
-/// Counters are **monotonic** — stages only ever add. Most are
-/// *deterministic* (see [`CounterId::is_deterministic`]): independent of
-/// thread count, engine choice and wall clock, which is what lets the
-/// `perfdiff` gate demand hard equality on them across runs.
+/// Counters are **monotonic** — stages only ever add — and
+/// deterministic: independent of engine choice and wall clock, which is
+/// what lets the `perfdiff` gate demand hard equality on them across
+/// runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(usize)]
 pub enum CounterId {
@@ -56,7 +51,7 @@ pub enum CounterId {
     /// Good-machine evaluations: one per 64-lane pattern block that
     /// still has a live fault.
     GoodEvals,
-    /// Faulty-machine evaluations across all shards.
+    /// Faulty-machine evaluations: one per live fault per block.
     FaultEvals,
     /// Faults dropped from simulation after first detection.
     FaultsDropped,
@@ -65,9 +60,6 @@ pub enum CounterId {
     Blocks,
     /// Patterns consumed from the stream (lanes, not blocks).
     PatternsConsumed,
-    /// Work-queue pops (chunk steals off the shared cursor). **Not**
-    /// deterministic: the pop count depends on the worker count.
-    QueuePops,
     /// PODEM backtracks across all targeted faults.
     PodemBacktracks,
     /// Faults PODEM attempted.
@@ -108,7 +100,7 @@ pub enum CounterId {
 }
 
 /// Number of counters — the fixed length of every [`Counters`] array.
-pub const COUNTER_COUNT: usize = 21;
+pub const COUNTER_COUNT: usize = 20;
 
 impl CounterId {
     /// Every counter, in export order.
@@ -119,7 +111,6 @@ impl CounterId {
         CounterId::FaultsDropped,
         CounterId::Blocks,
         CounterId::PatternsConsumed,
-        CounterId::QueuePops,
         CounterId::PodemBacktracks,
         CounterId::PodemFaults,
         CounterId::PodemEvals,
@@ -145,7 +136,6 @@ impl CounterId {
             CounterId::FaultsDropped => "faults_dropped",
             CounterId::Blocks => "blocks",
             CounterId::PatternsConsumed => "patterns_consumed",
-            CounterId::QueuePops => "queue_pops",
             CounterId::PodemBacktracks => "podem_backtracks",
             CounterId::PodemFaults => "podem_faults",
             CounterId::PodemEvals => "podem_evals",
@@ -161,14 +151,6 @@ impl CounterId {
             CounterId::SourceClocks => "source_clocks",
             CounterId::FaultsRetired => "faults_retired",
         }
-    }
-
-    /// Whether the counter is a pure function of the workload —
-    /// independent of thread count, engine scheduling and wall clock.
-    /// Only deterministic counters appear in JSON exports; the rest are
-    /// trace-only diagnostics.
-    pub fn is_deterministic(self) -> bool {
-        !matches!(self, CounterId::QueuePops)
     }
 }
 
@@ -226,31 +208,6 @@ impl Counters {
     }
 }
 
-/// A worker-thread-private recorder: label-free counters plus the shard's
-/// own wall clock. Workers fill one of these inside `thread::scope` and
-/// hand it back through the join; the owner merges it with
-/// [`Recorder::attach_shard`] — no synchronization on the hot path.
-#[derive(Debug, Clone, Default)]
-pub struct ShardCounters {
-    /// The shard's counters (worker-private, merged at join).
-    pub counters: Counters,
-    /// Wall-clock time the shard spent working.
-    pub wall: Duration,
-}
-
-impl ShardCounters {
-    /// Fresh, all-zero shard counters.
-    pub fn new() -> Self {
-        ShardCounters::default()
-    }
-
-    /// Adds `n` to counter `id`.
-    #[inline(always)]
-    pub fn add(&mut self, id: CounterId, n: u64) {
-        self.counters.add(id, n);
-    }
-}
-
 /// Handle to a span inside a [`Recorder`]'s arena.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SpanId(u32);
@@ -259,7 +216,7 @@ pub struct SpanId(u32);
 #[derive(Debug, Clone)]
 pub struct Span {
     /// Human-readable stage label (`"compile"`, `"fault-sim[par]"`,
-    /// `"shard 3"`, …).
+    /// `"kernel 3"`, …).
     pub label: String,
     /// Accumulated wall-clock time attributed to this span.
     pub wall: Duration,
@@ -267,12 +224,6 @@ pub struct Span {
     pub counters: Counters,
     /// Child spans, in creation order.
     children: Vec<u32>,
-    /// Detail spans *decompose* their parent (per-shard breakdowns):
-    /// their counters are already accounted for on the parent, so
-    /// aggregation and JSON export skip them. Trace rendering shows them.
-    pub detail: bool,
-    /// For shard detail spans: the shard index.
-    pub shard: Option<u32>,
     /// Start time while the span is open on the stack.
     started: Option<Instant>,
 }
@@ -284,8 +235,6 @@ impl Span {
             wall: Duration::ZERO,
             counters: Counters::new(),
             children: Vec::new(),
-            detail: false,
-            shard: None,
             started: None,
         }
     }
@@ -413,38 +362,6 @@ impl Recorder {
         self.spans[id.0 as usize].wall += wall;
     }
 
-    /// Merges a worker shard's counters under span `parent`:
-    ///
-    /// * the shard's counters are added to `parent` itself (so aggregate
-    ///   totals are shard-independent), and
-    /// * a **detail** child labeled `shard <idx>` accumulates the
-    ///   per-shard breakdown (same shard across blocks merges into the
-    ///   same child).
-    ///
-    /// Lock-free by construction: each worker owns its [`ShardCounters`]
-    /// privately and the merge happens on the owning thread after
-    /// `thread::scope` joins.
-    pub fn attach_shard(&mut self, parent: SpanId, idx: u32, shard: &ShardCounters) {
-        if !self.enabled {
-            return;
-        }
-        self.spans[parent.0 as usize]
-            .counters
-            .merge(&shard.counters);
-        let child = self.find_shard(parent, idx).unwrap_or_else(|| {
-            let id = self.spans.len() as u32;
-            let mut span = Span::new(format!("shard {idx}"));
-            span.detail = true;
-            span.shard = Some(idx);
-            self.spans.push(span);
-            self.spans[parent.0 as usize].children.push(id);
-            SpanId(id)
-        });
-        let s = &mut self.spans[child.0 as usize];
-        s.counters.merge(&shard.counters);
-        s.wall += shard.wall;
-    }
-
     /// Copies another recorder's whole span tree as a child of `parent`.
     /// Used to graft a self-recording engine's tree into a pipeline-level
     /// recorder. Grafting a disabled recorder is a no-op.
@@ -461,8 +378,6 @@ impl Recorder {
         let mut span = Span::new(src.label.clone());
         span.wall = src.wall;
         span.counters = src.counters.clone();
-        span.detail = src.detail;
-        span.shard = src.shard;
         self.spans.push(span);
         self.spans[parent.0 as usize].children.push(id);
         let children = sub.spans[node as usize].children.clone();
@@ -487,63 +402,36 @@ impl Recorder {
         self.spans[id.0 as usize].wall
     }
 
-    /// The non-detail children of `id`, in creation order.
+    /// The children of `id`, in creation order.
     pub fn children(&self, id: SpanId) -> impl Iterator<Item = SpanId> + '_ {
         self.spans[id.0 as usize]
             .children
             .iter()
             .copied()
-            .filter(|&c| !self.spans[c as usize].detail)
             .map(SpanId)
     }
 
-    /// The first non-detail child of `id` labeled `label` (direct
-    /// children only).
+    /// The first child of `id` labeled `label` (direct children only).
     pub fn find(&self, id: SpanId, label: &str) -> Option<SpanId> {
         self.children(id)
             .find(|&c| self.spans[c.0 as usize].label == label)
     }
 
-    /// The detail child of `id` covering shard `idx`, if any.
-    pub fn find_shard(&self, id: SpanId, idx: u32) -> Option<SpanId> {
-        self.spans[id.0 as usize]
-            .children
-            .iter()
-            .copied()
-            .find(|&c| self.spans[c as usize].shard == Some(idx))
-            .map(SpanId)
-    }
-
-    /// Counter `c` of the detail child covering shard `idx` under `id`
-    /// (0 when the shard never reported).
-    pub fn shard_counter(&self, id: SpanId, idx: u32, c: CounterId) -> u64 {
-        self.find_shard(id, idx)
-            .map(|s| self.spans[s.0 as usize].counters.get(c))
-            .unwrap_or(0)
-    }
-
-    /// Sum of counter `c` over span `id` and its non-detail descendants.
-    /// Detail spans are a parallel decomposition of their parent, not
-    /// additional work, so they are excluded — the total is independent
-    /// of the worker-thread count.
+    /// Sum of counter `c` over span `id` and its descendants.
     pub fn subtree_total(&self, id: SpanId, c: CounterId) -> u64 {
         let span = &self.spans[id.0 as usize];
         let mut total = span.counters.get(c);
         for &child in &span.children {
-            if !self.spans[child as usize].detail {
-                total += self.subtree_total(SpanId(child), c);
-            }
+            total += self.subtree_total(SpanId(child), c);
         }
         total
     }
 
-    /// Aggregate counters over the whole tree (detail spans excluded).
+    /// Aggregate counters over the whole tree.
     pub fn aggregate(&self) -> Counters {
         let mut out = Counters::new();
         for span in &self.spans {
-            if !span.detail {
-                out.merge(&span.counters);
-            }
+            out.merge(&span.counters);
         }
         out
     }
@@ -563,11 +451,10 @@ impl Recorder {
 
     /// Serializes the span tree as deterministic JSON.
     ///
-    /// The export carries **only deterministic counters** and skips
-    /// detail (per-shard) spans, so the output is byte-identical across
-    /// thread counts and machines; `include_wall` additionally controls
-    /// whether `wall_ns` fields (the only nondeterministic content) are
-    /// emitted. Schema: `bibs-telemetry/1`.
+    /// Every counter is deterministic, so the output is byte-identical
+    /// across machines; `include_wall` controls whether `wall_ns` fields
+    /// (the only nondeterministic content) are emitted. Schema:
+    /// `bibs-telemetry/1`.
     pub fn to_json(&self, include_wall: bool) -> String {
         let mut out = String::from("{\"schema\":\"bibs-telemetry/1\",\"root\":");
         self.span_json(&mut out, 0, include_wall);
@@ -585,9 +472,6 @@ impl Recorder {
         out.push_str(",\"counters\":{");
         let mut first = true;
         for (id, v) in span.counters.iter_nonzero() {
-            if !id.is_deterministic() {
-                continue;
-            }
             if !first {
                 out.push(',');
             }
@@ -597,9 +481,6 @@ impl Recorder {
         out.push_str("},\"children\":[");
         let mut first = true;
         for &child in &span.children {
-            if self.spans[child as usize].detail {
-                continue;
-            }
             if !first {
                 out.push(',');
             }
@@ -610,8 +491,7 @@ impl Recorder {
     }
 
     /// Renders the span tree for humans (the `BIBS_TRACE=spans` output):
-    /// one indented line per span — including per-shard detail spans —
-    /// with wall time and nonzero counters.
+    /// one indented line per span with wall time and nonzero counters.
     pub fn render_spans(&self) -> String {
         let mut out = String::new();
         self.render_span(&mut out, 0, 0);
@@ -728,76 +608,39 @@ mod tests {
         rec.add(CounterId::Instructions, 100);
         rec.exit(a);
         let b = rec.enter("fault-sim");
-        rec.add(CounterId::FaultEvals, 40);
-        let mut s0 = ShardCounters::new();
-        s0.add(CounterId::FaultEvals, 30);
-        s0.add(CounterId::QueuePops, 3);
-        let mut s1 = ShardCounters::new();
-        s1.add(CounterId::FaultEvals, 10);
-        rec.attach_shard(b, 0, &s0);
-        rec.attach_shard(b, 1, &s1);
+        rec.add(CounterId::FaultEvals, 30);
+        rec.add_to(b, CounterId::FaultEvals, 10);
         rec.exit(b);
         rec.finish();
 
-        // Shard counters land on the parent and on detail children.
-        assert_eq!(rec.span_counters(b).get(CounterId::FaultEvals), 80);
-        assert_eq!(rec.shard_counter(b, 0, CounterId::FaultEvals), 30);
-        assert_eq!(rec.shard_counter(b, 1, CounterId::FaultEvals), 10);
-        assert_eq!(rec.shard_counter(b, 2, CounterId::FaultEvals), 0);
-        // Detail spans are excluded from aggregation.
-        assert_eq!(rec.subtree_total(rec.root(), CounterId::FaultEvals), 80);
+        assert_eq!(rec.span_counters(b).get(CounterId::FaultEvals), 40);
+        assert_eq!(rec.subtree_total(rec.root(), CounterId::FaultEvals), 40);
         assert_eq!(rec.subtree_total(rec.root(), CounterId::Instructions), 100);
-        assert_eq!(rec.aggregate().get(CounterId::FaultEvals), 80);
+        assert_eq!(rec.subtree_total(b, CounterId::Instructions), 0);
+        assert_eq!(rec.aggregate().get(CounterId::FaultEvals), 40);
+        assert_eq!(rec.aggregate().get(CounterId::Blocks), 1);
         assert_eq!(rec.find(rec.root(), "compile"), Some(a));
         assert_eq!(rec.find(rec.root(), "nope"), None);
-        // Non-detail children skip the shards.
+        assert_eq!(rec.children(rec.root()).collect::<Vec<_>>(), [a, b]);
         assert_eq!(rec.children(b).count(), 0);
     }
 
     #[test]
-    fn attach_shard_merges_same_index_across_blocks() {
-        let mut rec = Recorder::new("r");
-        let mut s = ShardCounters::new();
-        s.add(CounterId::FaultEvals, 5);
-        rec.attach_shard(rec.root(), 0, &s);
-        rec.attach_shard(rec.root(), 0, &s);
-        assert_eq!(rec.shard_counter(rec.root(), 0, CounterId::FaultEvals), 10);
-        // Only one detail child was created.
-        assert_eq!(rec.span(rec.root()).children.len(), 1);
-    }
-
-    #[test]
-    fn json_export_is_deterministic_and_skips_detail() {
-        let build = |shards: u32| {
-            let mut rec = Recorder::new("run");
-            rec.add(CounterId::Blocks, 7);
-            let f = rec.enter("fault-sim");
-            for i in 0..shards {
-                let mut s = ShardCounters::new();
-                s.add(CounterId::FaultEvals, 60 / shards as u64);
-                s.add(CounterId::QueuePops, i as u64 + 1);
-                rec.attach_shard(f, i, &s);
-            }
-            rec.exit(f);
-            rec.finish();
-            rec.to_json(false)
-        };
-        let j2 = build(2);
-        let j4 = build(4);
-        assert_eq!(
-            j2, j4,
-            "export must be identical across shard counts once walls are stripped"
-        );
-        assert!(
-            !j2.contains("queue_pops"),
-            "nondeterministic counter leaked"
-        );
-        assert!(!j2.contains("shard"), "detail span leaked");
-        assert!(!j2.contains("wall_ns"));
-        assert!(build(1).contains("\"fault_evals\":60"));
-        // With walls on, the field appears.
+    fn json_export_strips_walls_on_request() {
         let mut rec = Recorder::new("run");
+        rec.add(CounterId::Blocks, 7);
+        let f = rec.enter("fault-sim");
+        rec.add(CounterId::FaultEvals, 60);
+        rec.exit(f);
         rec.finish();
+        let json = rec.to_json(false);
+        assert_eq!(
+            json,
+            "{\"schema\":\"bibs-telemetry/1\",\"root\":{\"label\":\"run\",\
+             \"counters\":{\"blocks\":7},\"children\":[{\"label\":\"fault-sim\",\
+             \"counters\":{\"fault_evals\":60},\"children\":[]}]}}\n"
+        );
+        // With walls on, the field appears.
         assert!(rec.to_json(true).contains("\"wall_ns\":"));
     }
 
@@ -807,9 +650,7 @@ mod tests {
         let c = engine.enter("compile");
         engine.add(CounterId::Instructions, 9);
         engine.exit(c);
-        let mut s = ShardCounters::new();
-        s.add(CounterId::FaultEvals, 4);
-        engine.attach_shard(engine.root(), 0, &s);
+        engine.add_to(engine.root(), CounterId::FaultEvals, 4);
         engine.finish();
 
         let mut rec = Recorder::new("kernel 0");
@@ -818,7 +659,7 @@ mod tests {
         let grafted = rec.find(rec.root(), "fault-sim[par]").expect("grafted");
         assert_eq!(rec.span_counters(grafted).get(CounterId::FaultEvals), 4);
         assert_eq!(rec.subtree_total(rec.root(), CounterId::Instructions), 9);
-        assert_eq!(rec.shard_counter(grafted, 0, CounterId::FaultEvals), 4);
+        assert!(rec.find(grafted, "compile").is_some());
     }
 
     #[test]
@@ -826,7 +667,7 @@ mod tests {
         let mut rec = Recorder::disabled();
         let s = rec.enter("x");
         rec.add(CounterId::GateEvals, 100);
-        rec.attach_shard(s, 0, &ShardCounters::new());
+        rec.add_to(s, CounterId::FaultEvals, 1);
         rec.exit(s);
         rec.finish();
         assert!(!rec.is_enabled());
@@ -866,18 +707,15 @@ mod tests {
     }
 
     #[test]
-    fn render_shows_shards_and_counters() {
+    fn render_shows_spans_and_counters() {
         let mut rec = Recorder::new("run");
         let f = rec.enter("fault-sim");
-        let mut s = ShardCounters::new();
-        s.add(CounterId::FaultEvals, 8);
-        s.add(CounterId::QueuePops, 2);
-        rec.attach_shard(f, 0, &s);
+        rec.add(CounterId::FaultEvals, 8);
         rec.exit(f);
         rec.finish();
         let spans = rec.render_spans();
-        assert!(spans.contains("shard 0"));
-        assert!(spans.contains("queue_pops=2"));
+        assert!(spans.contains("\n  fault-sim — "));
+        assert!(spans.contains("fault_evals=8"));
         let counters = rec.render_counters();
         assert!(counters.contains("fault_evals = 8"));
         assert!(counters.contains("wall ="));

@@ -34,6 +34,9 @@ pub enum ParseError {
     },
     /// A statement referenced a vertex name that was never declared.
     UnknownVertex(String),
+    /// A register was declared with width 0; a register holds at least
+    /// one bit.
+    ZeroWidthRegister(String),
     /// The parsed structure failed circuit validation.
     Build(CircuitBuildError),
 }
@@ -43,6 +46,7 @@ impl fmt::Display for ParseError {
         match self {
             ParseError::Syntax { message } => write!(f, "syntax error: {message}"),
             ParseError::UnknownVertex(n) => write!(f, "unknown vertex {n:?}"),
+            ParseError::ZeroWidthRegister(n) => write!(f, "register {n:?} has width 0"),
             ParseError::Build(e) => write!(f, "invalid circuit: {e}"),
         }
     }
@@ -227,6 +231,9 @@ pub fn from_text(text: &str) -> Result<Circuit, ParseError> {
                 let width: u32 = wtok.parse().map_err(|_| ParseError::Syntax {
                     message: format!("invalid register width {wtok:?}"),
                 })?;
+                if width == 0 {
+                    return Err(ParseError::ZeroWidthRegister(rname));
+                }
                 expect(&mut pos, &tokens, "from")?;
                 let from = next(&mut pos, &tokens, "source vertex")?;
                 expect(&mut pos, &tokens, "to")?;

@@ -62,6 +62,18 @@ fn bad_register_width_is_a_syntax_error() {
 }
 
 #[test]
+fn zero_register_width_is_typed() {
+    let text = "circuit t {\n  input a;\n  output y;\n  reg Ra width 0 from a to y;\n}";
+    match from_text(text) {
+        Err(e @ ParseError::ZeroWidthRegister(_)) => {
+            assert_eq!(e, ParseError::ZeroWidthRegister("Ra".into()));
+            assert_eq!(e.to_string(), "register \"Ra\" has width 0");
+        }
+        other => panic!("expected ZeroWidthRegister, got {other:?}"),
+    }
+}
+
+#[test]
 fn undeclared_vertex_reference_is_typed() {
     let text = "circuit t {\n  input a;\n  output y;\n  reg R width 8 from a to ghost;\n}";
     match from_text(text) {

@@ -1,9 +1,8 @@
 //! The fault-simulation driver against a one-block-at-a-time stop
-//! oracle: the engine at every thread count (1/2/4/8) must reproduce the
-//! oracle's `FaultSimReport` bit for bit on the same pattern stream —
-//! identical first-detection indices, identical `patterns_applied`,
-//! identical coverage — and its source must account for exactly the
-//! blocks the oracle pulled.
+//! oracle: the engine must reproduce the oracle's `FaultSimReport` bit
+//! for bit on the same pattern stream — identical first-detection
+//! indices, identical `patterns_applied`, identical coverage — and its
+//! source must account for exactly the blocks the oracle pulled.
 //!
 //! The oracle is independent of the engine driver: the reference
 //! interpreter applies one 64-lane block at a time under the per-block
@@ -14,8 +13,7 @@
 //! runs of the hardware sources (`LfsrSource`, the paper's
 //! `MinTpgSource`) must leave the source's clocks, pattern count and
 //! stream digest equal to the oracle's: a run pulls only the blocks it
-//! applies, so the paper's clock cost is the same on every engine and
-//! thread count.
+//! applies, so the paper's clock cost is the same on every engine.
 
 mod common;
 
@@ -31,8 +29,6 @@ use common::bibs_kernels;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashSet;
-
-const THREADS: [usize; 4] = [1, 2, 4, 8];
 
 fn assert_same(base: &FaultSimReport, got: &FaultSimReport, what: &str) {
     assert_eq!(
@@ -83,10 +79,9 @@ fn one_block_at_a_time(
     sim.report()
 }
 
-/// Runs the one-block oracle as the baseline, then the engine at every
-/// thread count on a fresh copy of the same stream, and requires
-/// bit-identical reports. Returns the baseline report so callers can pin
-/// stop behavior.
+/// Runs the one-block oracle as the baseline, then the engine on a fresh
+/// copy of the same stream, and requires bit-identical reports. Returns
+/// the baseline report so callers can pin stop behavior.
 fn assert_matches_oracle<S: PatternSource>(
     nl: &Netlist,
     mut make_source: impl FnMut() -> S,
@@ -105,16 +100,13 @@ fn assert_matches_oracle<S: PatternSource>(
         plateau,
         target,
     );
-    for threads in THREADS {
-        let mut src = make_source();
-        let got = ParFaultSimulator::with_threads(&comb, faults.clone(), threads).run_source_with(
-            &mut src,
-            max_patterns,
-            plateau,
-            target,
-        );
-        assert_same(&base, &got, &format!("{name}: {threads} thread(s)"));
-    }
+    let got = ParFaultSimulator::new(&comb, faults).run_source_with(
+        &mut make_source(),
+        max_patterns,
+        plateau,
+        target,
+    );
+    assert_same(&base, &got, &name);
     base
 }
 
@@ -185,7 +177,7 @@ fn random_dag(seed: u64, inputs: usize, ops: usize) -> Netlist {
 }
 
 #[test]
-fn random_streams_match_the_oracle_across_thread_counts() {
+fn random_streams_match_the_oracle() {
     for (nl, seed) in [
         (adder4(), 0x1A4E_0001u64),
         (redundant_circuit(), 0x1A4E_0002),
@@ -202,7 +194,7 @@ fn random_streams_match_the_oracle_across_thread_counts() {
 }
 
 #[test]
-fn fuzzed_dags_match_the_oracle_across_thread_counts() {
+fn fuzzed_dags_match_the_oracle() {
     for case in 0u64..6 {
         let nl = random_dag(
             (0x7A9E_0000 + case).wrapping_mul(0x9E37_79B9_7F4A_7C15),
@@ -327,8 +319,8 @@ fn run_random_family_routes_through_the_driver() {
     assert_same(&oracle(512, 512, 1.0), &got, "run_random");
 
     let mut rng = StdRng::seed_from_u64(seed);
-    let got = ParFaultSimulator::with_threads(&nl, faults.clone(), 2)
-        .run_random_with_plateau(&mut rng, 4096, 96);
+    let got =
+        ParFaultSimulator::new(&nl, faults.clone()).run_random_with_plateau(&mut rng, 4096, 96);
     assert_same(&oracle(4096, 96, 1.0), &got, "run_random_with_plateau");
 
     let mut rng = StdRng::seed_from_u64(seed);
@@ -354,28 +346,29 @@ fn stopped_runs_account_exactly_the_blocks_they_apply() {
                 let mut oracle_src = make();
                 let base =
                     one_block_at_a_time(comb, faults, &mut *oracle_src, max_patterns, plateau, 1.0);
-                for threads in THREADS {
-                    let what = format!("{what}: {threads} thread(s)");
-                    let mut src = make();
-                    let got = ParFaultSimulator::with_threads(comb, faults.clone(), threads)
-                        .run_source_with(&mut *src, max_patterns, plateau, 1.0);
-                    assert_same(&base, &got, &what);
-                    assert_eq!(
-                        src.clocks_consumed(),
-                        oracle_src.clocks_consumed(),
-                        "{what}: clocks_consumed"
-                    );
-                    assert_eq!(
-                        src.patterns_emitted(),
-                        oracle_src.patterns_emitted(),
-                        "{what}: patterns_emitted"
-                    );
-                    assert_eq!(
-                        src.state_digest(),
-                        oracle_src.state_digest(),
-                        "{what}: state_digest"
-                    );
-                }
+                let mut src = make();
+                let got = ParFaultSimulator::new(comb, faults.clone()).run_source_with(
+                    &mut *src,
+                    max_patterns,
+                    plateau,
+                    1.0,
+                );
+                assert_same(&base, &got, &what);
+                assert_eq!(
+                    src.clocks_consumed(),
+                    oracle_src.clocks_consumed(),
+                    "{what}: clocks_consumed"
+                );
+                assert_eq!(
+                    src.patterns_emitted(),
+                    oracle_src.patterns_emitted(),
+                    "{what}: patterns_emitted"
+                );
+                assert_eq!(
+                    src.state_digest(),
+                    oracle_src.state_digest(),
+                    "{what}: state_digest"
+                );
                 if stop == "budget" {
                     assert_eq!(base.patterns_applied(), max_patterns, "{what}");
                 } else {

@@ -4,9 +4,10 @@
 //! PODEM proves redundant once the stream has gone [`PROVE_AFTER`]
 //! patterns without a detection. A redundant fault is never detected, so
 //! the run must reproduce the plain run exactly: every detection index,
-//! `patterns_applied`, and the source's clocks, patterns and digest. Each
-//! case here runs both at 1 and 4 threads, over every pattern-source kind and the BIBS kernels of the three paper
-//! datapaths, plus four hand-built circuits that pin the prover's rules:
+//! `patterns_applied`, and the source's clocks, patterns and digest. The
+//! cases cover every pattern-source kind and the BIBS kernels of the
+//! three paper datapaths, plus four hand-built circuits that pin the
+//! prover's rules:
 //! a `Test` verdict keeps its fault live, an `Aborted` one does too, an
 //! all-redundant live list still stops at the plain run's pattern, and a
 //! plateau no longer than [`PROVE_AFTER`] never calls the prover. Last,
@@ -32,8 +33,6 @@ use bibs_netlist::builder::NetlistBuilder;
 use bibs_netlist::{GateKind, Netlist};
 use common::bibs_kernels;
 
-const THREADS: [usize; 2] = [1, 4];
-
 /// Table 2's PODEM backtrack limit.
 const BACKTRACK_LIMIT: usize = 100_000;
 
@@ -47,10 +46,9 @@ struct Run {
     digest: u64,
 }
 
-fn run(nl: &Netlist, faults: &[Fault], make: MakeSource, threads: usize, stop: Stop) -> Run {
+fn run(nl: &Netlist, faults: &[Fault], make: MakeSource, stop: Stop) -> Run {
     let mut source = make();
-    let report =
-        ParFaultSimulator::with_threads(nl, faults.to_vec(), threads).run(&mut *source, stop);
+    let report = ParFaultSimulator::new(nl, faults.to_vec()).run(&mut *source, stop);
     Run {
         report,
         clocks: source.clocks_consumed(),
@@ -92,9 +90,8 @@ fn counters(s: &SimStats) -> [u64; 6] {
     ]
 }
 
-/// Runs the plain driver and the PODEM-proving one at every thread count
-/// and requires identical runs. Returns the one-thread plain and proving
-/// runs.
+/// Runs the plain driver and the PODEM-proving one and requires identical
+/// runs. Returns both.
 fn assert_prover_invisible(
     name: &str,
     nl: &Netlist,
@@ -108,36 +105,19 @@ fn assert_prover_invisible(
         plateau,
         ..Stop::after(max_patterns)
     };
-    let mut one_thread: Option<(Run, Run)> = None;
-    for threads in THREADS {
-        let what = format!("{name}: {threads} thread(s)");
-        let plain = run(nl, faults, make, threads, stop());
-        let mut prove = |f| verdicts.proves_redundant(f);
-        let proving = run(
-            nl,
-            faults,
-            make,
-            threads,
-            Stop {
-                prover: Some(&mut prove),
-                ..stop()
-            },
-        );
-        assert_same_run(&plain, &proving, &what);
-        match &one_thread {
-            None => one_thread = Some((plain, proving)),
-            Some((one, _)) => {
-                // Thread count never changes a report or a counter.
-                assert_same_run(one, &proving, &what);
-                assert_eq!(
-                    counters(one.report.stats()),
-                    counters(plain.report.stats()),
-                    "{what}: plain counters"
-                );
-            }
-        }
-    }
-    one_thread.expect("THREADS is not empty")
+    let plain = run(nl, faults, make, stop());
+    let mut prove = |f| verdicts.proves_redundant(f);
+    let proving = run(
+        nl,
+        faults,
+        make,
+        Stop {
+            prover: Some(&mut prove),
+            ..stop()
+        },
+    );
+    assert_same_run(&plain, &proving, name);
+    (plain, proving)
 }
 
 #[test]
@@ -385,41 +365,38 @@ fn a_short_plateau_never_calls_the_prover() {
         .next()
         .expect("a BIBS kernel");
     for plateau in [64, 1000, PROVE_AFTER] {
-        for threads in THREADS {
-            let stop = || Stop {
-                plateau,
-                ..Stop::after(1_000_000)
-            };
-            let make = || Box::new(RandomWords::seeded(4)) as Box<dyn PatternSource>;
-            let plain = run(&comb, &faults, &make, threads, stop());
-            let mut calls = 0;
-            let mut retire_all = |_| {
-                calls += 1;
-                true
-            };
-            let proving = run(
-                &comb,
-                &faults,
-                &make,
-                threads,
-                Stop {
-                    prover: Some(&mut retire_all),
-                    ..stop()
-                },
-            );
-            let what = format!("plateau {plateau}: {threads} thread(s)");
-            assert_eq!(calls, 0, "{what}: the prover was called");
-            assert_same_run(&plain, &proving, &what);
-            assert_eq!(
-                counters(plain.report.stats()),
-                counters(proving.report.stats()),
-                "{what}"
-            );
-            assert!(
-                !plain.report.undetected().is_empty(),
-                "{what}: nothing was left for a prover"
-            );
-        }
+        let stop = || Stop {
+            plateau,
+            ..Stop::after(1_000_000)
+        };
+        let make = || Box::new(RandomWords::seeded(4)) as Box<dyn PatternSource>;
+        let plain = run(&comb, &faults, &make, stop());
+        let mut calls = 0;
+        let mut retire_all = |_| {
+            calls += 1;
+            true
+        };
+        let proving = run(
+            &comb,
+            &faults,
+            &make,
+            Stop {
+                prover: Some(&mut retire_all),
+                ..stop()
+            },
+        );
+        let what = format!("plateau {plateau}");
+        assert_eq!(calls, 0, "{what}: the prover was called");
+        assert_same_run(&plain, &proving, &what);
+        assert_eq!(
+            counters(plain.report.stats()),
+            counters(proving.report.stats()),
+            "{what}"
+        );
+        assert!(
+            !plain.report.undetected().is_empty(),
+            "{what}: nothing was left for a prover"
+        );
     }
 }
 

@@ -5,8 +5,8 @@
 //! the session stream with `session_patterns` and push it through
 //! `run_patterns`. With sources, the same stream arrives through
 //! [`MinTpgSource`] and the generic `run_source` driver — and the two
-//! must agree on every first-detection index, at every thread count, all
-//! the way up to the `table2 --source mintpg` surface.
+//! must agree on every first-detection index, all the way up to the
+//! `table2 --source mintpg` surface.
 
 use bibs::session::session_patterns;
 use bibs::source::MinTpgSource;
@@ -75,15 +75,6 @@ fn mintpg_source_reproduces_the_session_path_exactly() {
     // cycle per pattern of the complete session.
     let warmup = tpg.flip_flop_count() as u64 + u64::from(structure.sequential_depth());
     assert_eq!(source.clocks_consumed(), warmup + (1 << tpg.lfsr_degree()));
-
-    // And the sharded engine agrees at every thread count.
-    for threads in [2usize, 4, 8] {
-        let mut source = MinTpgSource::new(&tpg, &structure).unwrap();
-        let par = ParFaultSimulator::with_threads(&comb, faults.clone(), threads)
-            .run_source(&mut source, 1 << 20);
-        assert_eq!(via_patterns.detection(), par.detection());
-        assert_eq!(via_patterns.patterns_applied(), par.patterns_applied());
-    }
 }
 
 #[test]
@@ -124,18 +115,4 @@ fn table2_mintpg_source_matches_the_session_path_end_to_end() {
     // is a block multiple within the session length.
     assert!(run.emitted > 0 && run.emitted <= patterns.len() as u64);
     assert_eq!(run.emitted % 64, 0, "sources emit full 64-lane blocks");
-
-    // Thread count is a pure wall-clock knob on the source path too.
-    let jobs1 = table2_column(
-        &circuit,
-        Tdm::Bibs,
-        &Table2Options {
-            jobs: 1,
-            ..opts.clone()
-        },
-    );
-    assert_eq!(
-        jobs1.kernel_stats[0].detection_indices,
-        stats.detection_indices
-    );
 }
