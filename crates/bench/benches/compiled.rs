@@ -7,7 +7,8 @@
 use bibs_faultsim::fault::FaultUniverse;
 use bibs_faultsim::par::ParFaultSimulator;
 use bibs_faultsim::reference::ReferenceSimulator;
-use bibs_faultsim::sim::BlockSim;
+use bibs_faultsim::sim::{BlockSim, Stop};
+use bibs_faultsim::source::RandomWords;
 use bibs_netlist::builder::NetlistBuilder;
 use bibs_netlist::{EvalProgram, Netlist};
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -72,10 +73,12 @@ fn bench_engines(c: &mut Criterion) {
             || {
                 (
                     ReferenceSimulator::new(&nl, observable.clone()),
-                    StdRng::seed_from_u64(3),
+                    RandomWords::seeded(3),
                 )
             },
-            |(mut sim, mut rng)| black_box(sim.run_random(&mut rng, 256).detected_count()),
+            |(mut sim, mut source)| {
+                black_box(sim.run(&mut source, Stop::after(256)).detected_count())
+            },
             criterion::BatchSize::SmallInput,
         )
     });
@@ -84,10 +87,12 @@ fn bench_engines(c: &mut Criterion) {
             || {
                 (
                     ParFaultSimulator::new(&nl, observable.clone()),
-                    StdRng::seed_from_u64(3),
+                    RandomWords::seeded(3),
                 )
             },
-            |(mut sim, mut rng)| black_box(sim.run_random(&mut rng, 256).detected_count()),
+            |(mut sim, mut source)| {
+                black_box(sim.run(&mut source, Stop::after(256)).detected_count())
+            },
             criterion::BatchSize::SmallInput,
         )
     });

@@ -5,13 +5,12 @@
 
 use bibs_faultsim::fault::FaultUniverse;
 use bibs_faultsim::par::ParFaultSimulator;
-use bibs_faultsim::sim::BlockSim;
+use bibs_faultsim::sim::{BlockSim, Stop};
+use bibs_faultsim::source::RandomWords;
 use bibs_netlist::builder::NetlistBuilder;
 use bibs_netlist::{EvalProgram, Netlist};
 use bibs_obs::{CounterId, Recorder};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use std::hint::black_box;
 
 fn multiplier(width: usize) -> Netlist {
@@ -63,10 +62,12 @@ fn bench_recorder_overhead(c: &mut Criterion) {
                             observable.clone(),
                             rec,
                         ),
-                        StdRng::seed_from_u64(3),
+                        RandomWords::seeded(3),
                     )
                 },
-                |(mut sim, mut rng)| black_box(sim.run_random(&mut rng, 256).detected_count()),
+                |(mut sim, mut source)| {
+                    black_box(sim.run(&mut source, Stop::after(256)).detected_count())
+                },
                 criterion::BatchSize::SmallInput,
             )
         });

@@ -43,7 +43,7 @@ use bibs_core::mintpg::minimize_degree;
 use bibs_core::schedule::schedule_traced;
 use bibs_core::structure::GeneralizedStructure;
 use bibs_core::tpg::mc_tpg;
-use bibs_core::verify::{default_jobs, verify_exhaustive_traced};
+use bibs_core::verify::verify_exhaustive_traced;
 use bibs_lfsr::bilbo::AreaModel;
 use bibs_lint::{lint_circuit, lint_design, LintConfig, Severity};
 use bibs_obs::Recorder;
@@ -227,16 +227,14 @@ fn run(
             min.design.extra_flip_flops(),
             min.design.test_time()
         );
-        // Brute-force check of functional exhaustiveness where feasible
-        // (cones are verified concurrently on BIBS_JOBS worker threads).
+        // Brute-force check of functional exhaustiveness where feasible.
         if min.design.lfsr_degree() <= 16 {
-            let covs = verify_exhaustive_traced(&min.design, default_jobs(), rec);
+            let covs = verify_exhaustive_traced(&min.design, rec);
             let ok = covs.iter().all(|c| c.is_exhaustive_modulo_zero());
             println!(
-                "  exhaustiveness: {} over {} cone(s) ({} thread(s))",
+                "  exhaustiveness: {} over {} cone(s)",
                 if ok { "verified" } else { "FAILED" },
-                covs.len(),
-                default_jobs()
+                covs.len()
             );
         }
         // The controller runs pseudo-random sessions; size them by the

@@ -277,10 +277,6 @@ impl PatternSource for TimedSource<'_> {
         self.inner.patterns_emitted()
     }
 
-    fn state_digest(&self) -> u64 {
-        self.inner.state_digest()
-    }
-
     fn descriptor(&self) -> SourceDescriptor {
         self.inner.descriptor()
     }
@@ -341,7 +337,12 @@ impl KernelFaultStats {
         self.faults - self.redundant - self.aborted
     }
 
-    /// Patterns needed to detect `fraction` of the detectable faults.
+    /// Patterns needed to detect `fraction` of the detectable faults: one
+    /// past the `ceil(fraction · n)`-th of the `n` sorted first-detection
+    /// indices. This is the paper's Table 2 metric ("# of patterns to
+    /// achieve 99.5 % (100 %) fault coverage", of detectable faults). A
+    /// `fraction` of 0 or less still demands one detection, a `fraction`
+    /// above 1 acts like 1, and with no detection the count is 0.
     pub fn patterns_for(&self, fraction: f64) -> u64 {
         if self.detection_indices.is_empty() {
             return 0;
@@ -975,6 +976,51 @@ impl Telemetry {
 mod tests {
     use super::*;
     use bibs_datapath::filters::scaled;
+
+    /// A kernel whose faults were all first detected at `detection_indices`.
+    fn detected_at(detection_indices: Vec<u64>) -> KernelFaultStats {
+        KernelFaultStats {
+            faults: detection_indices.len(),
+            redundant: 0,
+            aborted: 0,
+            unreached: 0,
+            detected: detection_indices.len(),
+            detection_indices,
+            sim: SimStats::default(),
+            source: None,
+            opt: None,
+        }
+    }
+
+    #[test]
+    fn patterns_for_picks_the_detection_that_reaches_the_fraction() {
+        // Four detections: a fraction needs the ceil(fraction · 4)-th.
+        let s = detected_at(vec![0, 2, 9, 40]);
+        assert_eq!(s.patterns_for(0.25), 1);
+        assert_eq!(s.patterns_for(0.5), 3);
+        assert_eq!(s.patterns_for(0.51), 10);
+        assert_eq!(s.patterns_for(0.995), 41);
+        assert_eq!(s.patterns_for(1.0), 41);
+    }
+
+    #[test]
+    fn patterns_for_clamps_fractions_outside_zero_to_one() {
+        let s = detected_at(vec![3, 7, 7, 12]);
+        // 0 or less still demands one detection, so the count is never 0.
+        assert_eq!(s.patterns_for(0.0), 4);
+        assert_eq!(s.patterns_for(-3.5), 4);
+        // Above 1 acts like 1.
+        assert_eq!(s.patterns_for(1.5), 13);
+        assert_eq!(s.patterns_for(f64::INFINITY), 13);
+    }
+
+    #[test]
+    fn patterns_for_without_detections_is_zero() {
+        let s = detected_at(Vec::new());
+        for fraction in [-1.0, 0.0, 0.5, 0.995, 1.0, 2.0] {
+            assert_eq!(s.patterns_for(fraction), 0, "fraction {fraction}");
+        }
+    }
 
     #[test]
     fn pipeline_on_scaled_c5a2m_reproduces_structural_rows() {

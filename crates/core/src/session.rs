@@ -42,7 +42,7 @@ pub struct GoldenSession {
 /// This is a materializing collector over
 /// [`crate::source::MinTpgSource`] — fault-simulation flows that don't
 /// need the whole stream in memory should drive the source directly
-/// through `BlockSim::run_source`.
+/// through `BlockSim::run`.
 ///
 /// # Panics
 ///

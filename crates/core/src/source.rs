@@ -107,10 +107,6 @@ impl PatternSource for MinTpgSource {
         self.lfsr.patterns_emitted()
     }
 
-    fn state_digest(&self) -> u64 {
-        self.lfsr.state_digest()
-    }
-
     fn descriptor(&self) -> SourceDescriptor {
         let lfsr = self.lfsr.descriptor();
         let field = |key| lfsr.get(key).unwrap_or_default().to_string();

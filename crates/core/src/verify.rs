@@ -11,7 +11,6 @@
 
 use crate::tpg::{TpgDesign, TpgSimulator};
 use std::collections::HashSet;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// A violated TPG precondition, as reported by [`precheck`].
 ///
@@ -337,106 +336,25 @@ pub fn cone_coverage(design: &TpgDesign, cone: usize) -> ConeCoverage {
     }
 }
 
-/// Resolves a `BIBS_JOBS`-style value to a worker-thread count: a positive
-/// integer wins, anything else (unset, empty, garbage, zero) falls back to
-/// [`std::thread::available_parallelism`] (1 if that is unavailable).
-///
-/// This is the **pure** core of [`default_jobs`]: it takes the variable's
-/// value as a parameter instead of reading the process environment, so
-/// tests can cover the parse table without `set_var`/`remove_var` races
-/// against concurrently running tests (mutating the environment from a
-/// multi-threaded test harness is UB-adjacent on POSIX and was the source
-/// of a real flake).
-pub fn default_jobs_from(value: Option<&str>) -> usize {
-    if let Some(v) = value {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            if n >= 1 {
-                return n;
-            }
-        }
-    }
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-}
-
-/// The worker-thread count to use by default: the `BIBS_JOBS` environment
-/// variable if set to a positive integer, otherwise
-/// [`std::thread::available_parallelism`] (1 if that is unavailable).
-/// Parsing lives in [`default_jobs_from`].
-///
-/// It sizes work that splits into independent pieces: cone verification
-/// ([`verify_exhaustive`]) and `bibs-lint --batch`.
-pub fn default_jobs() -> usize {
-    default_jobs_from(std::env::var("BIBS_JOBS").ok().as_deref())
-}
-
 /// Verifies every cone of the design; returns the coverages in cone
 /// order.
-///
-/// Cones are independent, so they are verified on [`default_jobs`]
-/// worker threads (the `BIBS_JOBS` knob applies); use
-/// [`verify_exhaustive_jobs`] for an explicit count.
 pub fn verify_exhaustive(design: &TpgDesign) -> Vec<ConeCoverage> {
-    verify_exhaustive_jobs(design, default_jobs())
+    (0..design.structure().cones.len())
+        .map(|x| cone_coverage(design, x))
+        .collect()
 }
 
-/// [`verify_exhaustive_jobs`] recorded as a `"verify"` telemetry span:
-/// the span's wall time plus one `cones_verified` count per cone. The
-/// counters are identical for any `jobs` (cone verification is pure), so
-/// the exported telemetry stays thread-count-independent.
+/// [`verify_exhaustive`] recorded as a `"verify"` telemetry span: the
+/// span's wall time plus one `cones_verified` count per cone.
 pub fn verify_exhaustive_traced(
     design: &TpgDesign,
-    jobs: usize,
     rec: &mut bibs_obs::Recorder,
 ) -> Vec<ConeCoverage> {
     let span = rec.enter("verify");
-    let coverages = verify_exhaustive_jobs(design, jobs);
+    let coverages = verify_exhaustive(design);
     rec.add(bibs_obs::CounterId::ConesVerified, coverages.len() as u64);
     rec.exit(span);
     coverages
-}
-
-/// [`verify_exhaustive`] with an explicit worker-thread count. The result
-/// is identical (and in cone order) for any `jobs` — each cone's coverage
-/// is a pure function of the design.
-pub fn verify_exhaustive_jobs(design: &TpgDesign, jobs: usize) -> Vec<ConeCoverage> {
-    let n = design.structure().cones.len();
-    let jobs = jobs.clamp(1, n.max(1));
-    if jobs <= 1 || n <= 1 {
-        return (0..n).map(|x| cone_coverage(design, x)).collect();
-    }
-    let cursor = AtomicUsize::new(0);
-    let cursor = &cursor;
-    let collected: Vec<Vec<(usize, ConeCoverage)>> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..jobs)
-            .map(|_| {
-                s.spawn(move || {
-                    let mut out = Vec::new();
-                    loop {
-                        let x = cursor.fetch_add(1, Ordering::Relaxed);
-                        if x >= n {
-                            break;
-                        }
-                        out.push((x, cone_coverage(design, x)));
-                    }
-                    out
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("cone-verify worker panicked"))
-            .collect()
-    });
-    let mut results: Vec<Option<ConeCoverage>> = vec![None; n];
-    for (x, cov) in collected.into_iter().flatten() {
-        results[x] = Some(cov);
-    }
-    results
-        .into_iter()
-        .map(|c| c.expect("every cone verified exactly once"))
-        .collect()
 }
 
 #[cfg(test)]
@@ -568,38 +486,5 @@ mod tests {
         let cov = cone_coverage(&design, 0);
         assert_eq!(cov.observed, cov.total - 1);
         assert!(!cov.saw_all_zero);
-    }
-
-    #[test]
-    fn jobs_parse_table() {
-        // Pure-function coverage of the BIBS_JOBS parse rules; no
-        // process-environment mutation (set_var/remove_var from a
-        // multi-threaded test harness races other tests reading env).
-        assert_eq!(default_jobs_from(Some("3")), 3);
-        assert_eq!(default_jobs_from(Some(" 4 ")), 4);
-        assert_eq!(default_jobs_from(Some("1")), 1);
-        // Unset / garbage / zero / empty all fall back to a positive count.
-        assert!(default_jobs_from(None) >= 1);
-        assert!(default_jobs_from(Some("not-a-number")) >= 1);
-        assert!(default_jobs_from(Some("0")) >= 1);
-        assert!(default_jobs_from(Some("")) >= 1);
-        assert!(default_jobs_from(Some("-2")) >= 1);
-        // The fallback is the same for every non-positive spelling.
-        let fallback = default_jobs_from(None);
-        assert_eq!(default_jobs_from(Some("0")), fallback);
-        assert_eq!(default_jobs_from(Some("garbage")), fallback);
-    }
-
-    /// End-to-end check that [`default_jobs`] really reads `BIBS_JOBS`.
-    /// Ignored by default: it mutates the process environment, which is
-    /// only safe when no other test thread is running. Run explicitly with
-    /// `cargo test -p bibs-core -- --ignored --test-threads=1`.
-    #[test]
-    #[ignore = "mutates process env; run single-threaded via --ignored --test-threads=1"]
-    fn jobs_env_integration() {
-        std::env::set_var("BIBS_JOBS", "3");
-        assert_eq!(default_jobs(), 3);
-        std::env::remove_var("BIBS_JOBS");
-        assert!(default_jobs() >= 1);
     }
 }

@@ -162,10 +162,15 @@ pub fn check_eval(nl: &Netlist, program: &EvalProgram, seed: u64) -> Vec<Diverge
     if faults.is_empty() {
         return Vec::new();
     }
-    let mut rng = StdRng::seed_from_u64(seed ^ 0x9A7A);
-    let compiled = ParFaultSimulator::new(nl, faults.clone()).run_random(&mut rng, RANDOM_PATTERNS);
-    let mut rng = StdRng::seed_from_u64(seed ^ 0x9A7A);
-    let reference = ReferenceSimulator::new(nl, faults).run_random(&mut rng, RANDOM_PATTERNS);
+    let source_seed = seed ^ 0x9A7A;
+    let compiled = ParFaultSimulator::new(nl, faults.clone()).run(
+        &mut RandomWords::seeded(source_seed),
+        Stop::after(RANDOM_PATTERNS),
+    );
+    let reference = ReferenceSimulator::new(nl, faults).run(
+        &mut RandomWords::seeded(source_seed),
+        Stop::after(RANDOM_PATTERNS),
+    );
     if compiled.detection() != reference.detection()
         || compiled.patterns_applied() != reference.patterns_applied()
     {

@@ -336,4 +336,16 @@ mod tests {
         let program = EvalProgram::compile(&nl).unwrap();
         let _ = ParFaultSimulator::with_program(&nl, program, Vec::new(), 2);
     }
+
+    #[test]
+    #[should_panic(expected = "coverage only at 1.0")]
+    fn run_source_with_accepts_only_full_coverage() {
+        let nl = adder4();
+        let _ = ParFaultSimulator::new(&nl, Vec::new()).run_source_with(
+            &mut crate::source::RandomWords::seeded(1),
+            64,
+            64,
+            0.5,
+        );
+    }
 }

@@ -277,9 +277,9 @@ mod tests {
     use super::*;
     use crate::fault::FaultUniverse;
     use crate::par::ParFaultSimulator;
+    use crate::sim::Stop;
+    use crate::source::RandomWords;
     use bibs_netlist::builder::NetlistBuilder;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     fn adder4() -> Netlist {
         let mut b = NetlistBuilder::new("add4");
@@ -304,10 +304,10 @@ mod tests {
     fn reference_matches_compiled_on_random_stream() {
         let nl = adder4();
         let faults = FaultUniverse::collapsed(&nl).faults().to_vec();
-        let mut rng = StdRng::seed_from_u64(17);
-        let reference = ReferenceSimulator::new(&nl, faults.clone()).run_random(&mut rng, 10_000);
-        let mut rng = StdRng::seed_from_u64(17);
-        let compiled = ParFaultSimulator::new(&nl, faults).run_random(&mut rng, 10_000);
+        let reference = ReferenceSimulator::new(&nl, faults.clone())
+            .run(&mut RandomWords::seeded(17), Stop::after(10_000));
+        let compiled = ParFaultSimulator::new(&nl, faults)
+            .run(&mut RandomWords::seeded(17), Stop::after(10_000));
         assert_eq!(reference.detection(), compiled.detection());
         assert_eq!(reference.patterns_applied(), compiled.patterns_applied());
     }

@@ -5,15 +5,14 @@
 //! one good-machine evaluation of a 64-lane block, then every live fault
 //! against it, dropping the faults it detects — and a *retire* that takes
 //! faults a prover has shown undetectable off the live list. The
-//! pattern-stream driver, [`BlockSim::run`], is provided here **once**,
-//! and every entry point ([`BlockSim::run_source_with`],
-//! [`BlockSim::run_random`], [`BlockSim::run_exhaustive`], …) reduces to
-//! it, so every engine draws the same blocks and stops at the same
-//! pattern by construction. The engines are
-//! [`crate::par::ParFaultSimulator`] (the compiled engine) and [`crate::reference::ReferenceSimulator`] (the seed
-//! interpreter). The streams themselves are pluggable [`PatternSource`]s
-//! ([`crate::source`]); the `run_random*` family wraps a [`RandomWords`]
-//! source and draws exactly the words it always drew.
+//! pattern-stream driver, [`BlockSim::run`], is provided here **once**:
+//! a caller hands it any [`PatternSource`] and a [`Stop`], so every
+//! engine draws the same blocks and stops at the same pattern by
+//! construction. [`BlockSim::run_exhaustive`] and
+//! [`BlockSim::run_patterns`] build the stream for the caller and call
+//! it. The engines are [`crate::par::ParFaultSimulator`] (the compiled
+//! engine) and [`crate::reference::ReferenceSimulator`] (the seed
+//! interpreter).
 //!
 //! A run's [`Stop`] may carry a prover. Once the run has gone
 //! [`PROVE_AFTER`] patterns without a detection, the driver hands the
@@ -102,28 +101,6 @@ impl FaultSimReport {
         }
         self.detected_count() as f64 / self.faults.len() as f64
     }
-
-    /// The number of patterns needed to detect at least
-    /// `ceil(fraction · detectable)` faults, where `detectable` is the
-    /// number of faults detected by the end of the run.
-    ///
-    /// This is the paper's Table 2 metric: "# of patterns to achieve
-    /// 99.5 % (100 %) fault coverage" — coverage of *detectable* faults.
-    ///
-    /// Edge cases (pinned by `tests/report_edges.rs`): any `fraction ≤ 0`
-    /// still demands at least one detection (the count is clamped to
-    /// `1..=detected`), `fraction > 1` behaves like `1.0`, and the result
-    /// is `None` whenever nothing was detected — including the empty fault
-    /// list and all-undetectable lists.
-    pub fn patterns_for_detectable_coverage(&self, fraction: f64) -> Option<u64> {
-        let mut hits: Vec<u64> = self.detection.iter().flatten().copied().collect();
-        if hits.is_empty() {
-            return None;
-        }
-        hits.sort_unstable();
-        let need = ((fraction * hits.len() as f64).ceil() as usize).clamp(1, hits.len());
-        Some(hits[need - 1] + 1)
-    }
 }
 
 /// Patterns a run goes without a detection before [`BlockSim::run`]
@@ -137,7 +114,7 @@ pub const PROVE_AFTER: u64 = 1024;
 /// When [`BlockSim::run`] stops, and the prover it may call on the way.
 ///
 /// The run stops when the source runs dry, `max_patterns` is reached,
-/// coverage of the simulated list reaches `target`, or no new fault has
+/// every fault of the simulated list is detected, or no new fault has
 /// been detected for `plateau` consecutive patterns.
 /// [`Stop::after`] sets only the pattern cap.
 pub struct Stop<'p> {
@@ -145,9 +122,6 @@ pub struct Stop<'p> {
     pub max_patterns: u64,
     /// Consecutive patterns without a new detection that end the run.
     pub plateau: u64,
-    /// Coverage of the simulated fault list (a fraction in `0..=1`) that
-    /// ends the run.
-    pub target: f64,
     /// Called at most once per run, with each live fault in turn,
     /// before the first block at which the run has gone [`PROVE_AFTER`]
     /// patterns without a detection; `true` means the fault is proved
@@ -164,7 +138,6 @@ impl Stop<'_> {
         Stop {
             max_patterns,
             plateau: max_patterns,
-            target: 1.0,
             prover: None,
         }
     }
@@ -203,29 +176,10 @@ pub trait BlockSim {
     /// undetected in every later report. Returns how many were retired.
     fn retire(&mut self, prover: &mut dyn FnMut(Fault) -> bool) -> usize;
 
-    /// Current coverage as a fraction of the simulated fault list (1.0
-    /// for an empty list).
-    fn coverage(&self) -> f64 {
-        let n = self.detection().len();
-        if n == 0 {
-            return 1.0;
-        }
-        self.detection().iter().filter(|d| d.is_some()).count() as f64 / n as f64
-    }
-
-    /// Applies uniformly random patterns in blocks of 64 until every
-    /// fault is detected or `max_patterns` is reached. Returns the report.
-    fn run_random(&mut self, rng: &mut impl Rng, max_patterns: u64) -> FaultSimReport
-    where
-        Self: Sized,
-    {
-        self.run(&mut RandomWords::from_rng(rng), Stop::after(max_patterns))
-    }
-
-    /// Like [`BlockSim::run_random`], but also stops once no new fault
-    /// has been detected for `plateau` consecutive patterns — the
-    /// practical convergence criterion for streams that still carry
-    /// undetectable faults.
+    /// [`BlockSim::run`] on [`RandomWords::from_rng`]`(rng)` with a
+    /// detection plateau and no prover. It remains only because the
+    /// benchmark crate (`benchmark/src/trace.rs`) calls it; the next
+    /// change to the benchmark deletes it.
     fn run_random_with_plateau(
         &mut self,
         rng: &mut impl Rng,
@@ -235,52 +189,24 @@ pub trait BlockSim {
     where
         Self: Sized,
     {
-        self.run_source_with(&mut RandomWords::from_rng(rng), max_patterns, plateau, 1.0)
-    }
-
-    /// Applies random patterns until coverage of the simulated fault list
-    /// reaches `coverage` (a fraction in `0..=1`) or `max_patterns` is
-    /// exhausted — the early-exit used by coverage-target experiments
-    /// ("patterns to 99.5 %"). Granularity is one 64-pattern block.
-    fn run_random_until(
-        &mut self,
-        rng: &mut impl Rng,
-        coverage: f64,
-        max_patterns: u64,
-    ) -> FaultSimReport
-    where
-        Self: Sized,
-    {
-        self.run_source_with(
+        self.run(
             &mut RandomWords::from_rng(rng),
-            max_patterns,
-            max_patterns,
-            coverage,
+            Stop {
+                plateau,
+                ..Stop::after(max_patterns)
+            },
         )
     }
 
-    /// Applies patterns from an arbitrary [`PatternSource`] until the
-    /// source is exhausted, every fault is detected, or `max_patterns`
-    /// is reached. Returns the report.
+    /// [`BlockSim::run`] with a detection plateau and no prover. `target`
+    /// is not a setting: a run stops on coverage only once every fault is
+    /// detected, so it must be 1.0. The method remains only because the
+    /// benchmark crate (`benchmark/src/trace.rs`) calls it; the next
+    /// change to the benchmark deletes it.
     ///
-    /// This is the engine-side half of the coverage-vs-clocks axis: the
-    /// source tracks its own clock budget
-    /// ([`PatternSource::clocks_consumed`]) while the engine tracks
-    /// detection indices, and the two stay aligned because the driver
-    /// pulls a block only to apply it.
-    fn run_source(
-        &mut self,
-        source: &mut (impl PatternSource + ?Sized),
-        max_patterns: u64,
-    ) -> FaultSimReport
-    where
-        Self: Sized,
-    {
-        self.run(source, Stop::after(max_patterns))
-    }
-
-    /// [`BlockSim::run`] with a detection plateau and a coverage target
-    /// and no prover.
+    /// # Panics
+    ///
+    /// Panics if `target` is not 1.0.
     fn run_source_with(
         &mut self,
         source: &mut (impl PatternSource + ?Sized),
@@ -291,27 +217,26 @@ pub trait BlockSim {
     where
         Self: Sized,
     {
+        assert_eq!(target, 1.0, "a run stops on coverage only at 1.0");
         self.run(
             source,
             Stop {
                 plateau,
-                target,
                 ..Stop::after(max_patterns)
             },
         )
     }
 
-    /// The one driver every stream entry point reduces to: pulls blocks
-    /// from `source` one at a time until `stop` says to stop, and returns
-    /// the report.
+    /// The stream driver: pulls blocks from `source` one at a time until
+    /// `stop` says to stop, and returns the report.
     ///
     /// The stop conditions are checked before every block, and a block
     /// is pulled only to be applied, so the source's
-    /// [`PatternSource::clocks_consumed`], `patterns_emitted` and
-    /// `state_digest` account for exactly the blocks the run applied. A
-    /// block whose lane count would overshoot `max_patterns` is truncated
-    /// (the source still accounts the full block's clocks, exactly like
-    /// the hardware it models would have).
+    /// [`PatternSource::clocks_consumed`] and `patterns_emitted` account
+    /// for exactly the blocks the run applied. A block whose lane count
+    /// would overshoot `max_patterns` is truncated (the source still
+    /// accounts the full block's clocks, exactly like the hardware it
+    /// models would have).
     ///
     /// With a [`Stop::prover`], the first block that starts
     /// [`PROVE_AFTER`] or more patterns after the last detection, while
@@ -330,7 +255,6 @@ pub trait BlockSim {
         let Stop {
             max_patterns,
             plateau,
-            target,
             mut prover,
         } = stop;
         let width = self.netlist().input_width();
@@ -339,16 +263,11 @@ pub trait BlockSim {
         let mut last_detection_at = 0u64;
         loop {
             let applied = self.patterns_applied();
-            let coverage = if n_faults == 0 {
-                1.0
-            } else {
-                detected as f64 / n_faults as f64
-            };
             let idle = applied.saturating_sub(last_detection_at);
-            if !(applied < max_patterns && coverage < target && idle < plateau) {
+            if !(applied < max_patterns && detected < n_faults && idle < plateau) {
                 break;
             }
-            if detected < n_faults && idle >= PROVE_AFTER {
+            if idle >= PROVE_AFTER {
                 if let Some(prover) = prover.take() {
                     self.retire(prover);
                 }
@@ -384,7 +303,7 @@ pub trait BlockSim {
     {
         let width = self.netlist().input_width();
         assert!(width <= 24, "exhaustive simulation capped at 24 inputs");
-        self.run_source(&mut ExhaustiveSource::new(width), u64::MAX)
+        self.run(&mut ExhaustiveSource::new(width), Stop::after(u64::MAX))
     }
 
     /// Applies an explicit pattern sequence (each pattern one `bool` per
@@ -398,7 +317,10 @@ pub trait BlockSim {
         Self: Sized,
     {
         let width = self.netlist().input_width();
-        self.run_source(&mut PatternList::new(patterns, width), u64::MAX)
+        self.run(
+            &mut PatternList::new(patterns, width),
+            Stop::after(u64::MAX),
+        )
     }
 }
 
@@ -408,8 +330,6 @@ mod tests {
     use crate::fault::FaultUniverse;
     use crate::par::ParFaultSimulator;
     use bibs_netlist::builder::NetlistBuilder;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     fn adder4() -> Netlist {
         let mut b = NetlistBuilder::new("add4");
@@ -436,8 +356,7 @@ mod tests {
         let nl = adder4();
         let faults = FaultUniverse::collapsed(&nl);
         let mut sim = ParFaultSimulator::new(&nl, faults.faults().to_vec());
-        let mut rng = StdRng::seed_from_u64(42);
-        let report = sim.run_random(&mut rng, 100_000);
+        let report = sim.run(&mut RandomWords::seeded(42), Stop::after(100_000));
         assert_eq!(report.undetected().len(), 0);
     }
 
@@ -450,10 +369,6 @@ mod tests {
         for d in report.detection().iter().flatten() {
             assert!(*d < report.patterns_applied());
         }
-        let p100 = report.patterns_for_detectable_coverage(1.0).unwrap();
-        let p995 = report.patterns_for_detectable_coverage(0.995).unwrap();
-        assert!(p995 <= p100);
-        assert!(p100 <= report.patterns_applied());
     }
 
     #[test]
@@ -469,7 +384,6 @@ mod tests {
         let mut sim = ParFaultSimulator::new(&nl, faults);
         let report = sim.run_exhaustive();
         assert_eq!(report.detected_count(), 0);
-        assert!(report.patterns_for_detectable_coverage(1.0).is_none());
     }
 
     #[test]
@@ -485,22 +399,6 @@ mod tests {
         // Only the pattern (1,1) detects y/sa0.
         let report = sim.run_patterns(&[vec![false, false], vec![true, false], vec![true, true]]);
         assert_eq!(report.detection()[0], Some(2));
-    }
-
-    #[test]
-    fn run_random_until_stops_at_coverage_target() {
-        let nl = adder4();
-        let faults = FaultUniverse::collapsed(&nl);
-        let total = faults.faults().len();
-        let mut sim = ParFaultSimulator::new(&nl, faults.faults().to_vec());
-        let mut rng = StdRng::seed_from_u64(9);
-        let report = sim.run_random_until(&mut rng, 0.5, 100_000);
-        // At least half detected, and the engine did not keep going to
-        // full coverage (an adder block detects most faults instantly, so
-        // allow equality but require the early exit to have triggered at
-        // block granularity).
-        assert!(report.detected_count() * 2 >= total);
-        assert!(report.patterns_applied() <= 64);
     }
 
     #[test]

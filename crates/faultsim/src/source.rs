@@ -5,9 +5,9 @@
 //! windows) and how many clock cycles that stream costs. This module
 //! lifts the stream out of the engines: a [`PatternSource`] produces
 //! 64-lane pattern blocks with explicit clock accounting, and the
-//! [`BlockSim`](crate::sim::BlockSim) driver consumes any source the same
-//! way — so coverage-vs-clocks becomes a first-class axis instead of a
-//! property baked into `run_random*`.
+//! [`BlockSim::run`](crate::sim::BlockSim::run) driver consumes any
+//! source the same way — so coverage-vs-clocks is a first-class axis
+//! instead of a property of one hard-wired stream.
 //!
 //! # Contract
 //!
@@ -23,23 +23,16 @@
 //!   and independent of how many lanes the consumer actually applied.
 //!   The [`BlockSim`](crate::sim::BlockSim) driver pulls a block only to
 //!   apply it, one block per good-machine evaluation, so after any run —
-//!   stopped by a plateau, a coverage target or a budget, or drained —
-//!   the accounting covers exactly the blocks the run applied.
-//! * **Determinism pinning**: [`PatternSource::state_digest`] folds every
-//!   emitted `(words, lanes)` pair into a 64-bit digest. Two consumers
-//!   that pulled the same blocks hold equal digests, so two runs can
-//!   assert they saw the same stream — `tests/lanes_equivalence.rs` pins
-//!   this for a stopped run against its one-block oracle, and
-//!   `tests/retire_equivalence.rs` for a proving run against the plain
-//!   one.
+//!   stopped by a plateau or a budget, or drained — the accounting covers
+//!   exactly the blocks the run applied.
 //! * **Self-description**: [`PatternSource::descriptor`] serializes the
 //!   generator's identity (kind, polynomial, seed, RNG family, …) for
 //!   telemetry and JSON exports, so a replay needs no out-of-band notes.
 //!
-//! The shipped sources: [`RandomWords`] (the legacy pseudorandom stream,
-//! bit-compatible with `run_random*`), [`ExhaustiveSource`],
-//! [`LfsrSource`] (a hardware-faithful maximal LFSR with the complete-LFSR
-//! all-zero remedy), [`WeightedRandomSource`] (per-PI bias vectors), and
+//! The shipped sources: [`RandomWords`] (the seeded pseudorandom stream
+//! Table 2 simulates by default), [`ExhaustiveSource`], [`LfsrSource`] (a
+//! hardware-faithful maximal LFSR with the complete-LFSR all-zero
+//! remedy), [`WeightedRandomSource`] (per-PI bias vectors), and
 //! [`StoredSeedReplay`] (committed reseeding schedules). The paper's own
 //! TPG lives in `bibs_core::source::MinTpgSource`, behind the same trait.
 //!
@@ -154,41 +147,6 @@ impl SourceDescriptor {
     }
 }
 
-/// Running digest over an emitted stream (splitmix64-style fold).
-///
-/// Every shipped source folds each emitted block through this, so
-/// [`PatternSource::state_digest`] values are comparable across source
-/// kinds and across engines: equal digests ⇔ the same blocks were
-/// pulled. Public so out-of-crate sources (e.g. the paper's TPG in
-/// `bibs_core::source`) stay digest-compatible.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct StreamDigest(u64);
-
-impl StreamDigest {
-    /// Folds one word into the digest.
-    pub fn absorb(&mut self, v: u64) {
-        let mut x = self.0 ^ v.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        x ^= x >> 30;
-        x = x.wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        x ^= x >> 27;
-        x = x.wrapping_mul(0x94D0_49BB_1331_11EB);
-        self.0 = x ^ (x >> 31);
-    }
-
-    /// Folds a block (lane count, then each input word) into the digest.
-    pub fn absorb_block(&mut self, block: &PatternBlock) {
-        self.absorb(block.lanes as u64);
-        for &w in &block.words {
-            self.absorb(w);
-        }
-    }
-
-    /// The current digest value.
-    pub fn value(&self) -> u64 {
-        self.0
-    }
-}
-
 /// A generator of 64-lane pattern blocks with clock accounting.
 ///
 /// See the [module docs](self) for the full contract. The trait is
@@ -212,20 +170,15 @@ pub trait PatternSource {
     /// Total patterns emitted so far (sum of `lanes` over all blocks).
     fn patterns_emitted(&self) -> u64;
 
-    /// Digest of every emitted block, for cross-engine determinism
-    /// pinning.
-    fn state_digest(&self) -> u64;
-
     /// The source's serializable identity.
     fn descriptor(&self) -> SourceDescriptor;
 }
 
-/// The legacy pseudorandom stream behind `run_random*`: one `u64` word
-/// per input per block, drawn in input order, 64 lanes per block.
-///
-/// Bit-compatible with the pre-trait drivers by construction — the
-/// `run_random*` family is now a thin wrapper over this source — so a
-/// seeded `RandomWords` reproduces any historical random run exactly.
+/// The pseudorandom stream Table 2 simulates by default: one `u64` word
+/// per input per block, drawn in input order, 64 lanes per block. A
+/// seeded `RandomWords` draws exactly the words of
+/// `StdRng::seed_from_u64(seed)`, so it reproduces any historical random
+/// run.
 ///
 /// The descriptor names the RNG family (`"rng":"xoshiro256**"`): the
 /// workspace's `compat/rand` `StdRng` is xoshiro256\*\* (not the
@@ -237,7 +190,6 @@ pub struct RandomWords<R: RngCore> {
     rng: R,
     seed: Option<u64>,
     emitted: u64,
-    digest: StreamDigest,
 }
 
 impl RandomWords<StdRng> {
@@ -248,32 +200,29 @@ impl RandomWords<StdRng> {
             rng: StdRng::seed_from_u64(seed),
             seed: Some(seed),
             emitted: 0,
-            digest: StreamDigest::default(),
         }
     }
 }
 
 impl<R: RngCore> RandomWords<R> {
     /// Wraps a caller-supplied RNG (the descriptor then reports the seed
-    /// as `"external"`). Used by the `run_random*` compatibility
-    /// wrappers, which receive a live `&mut impl Rng`.
+    /// as `"external"`). Used by
+    /// [`BlockSim::run_random_with_plateau`](crate::sim::BlockSim::run_random_with_plateau),
+    /// which receives a live `&mut impl Rng`.
     pub fn from_rng(rng: R) -> Self {
         RandomWords {
             rng,
             seed: None,
             emitted: 0,
-            digest: StreamDigest::default(),
         }
     }
 }
 
 impl<R: RngCore> PatternSource for RandomWords<R> {
     fn next_block(&mut self, width: usize) -> Option<PatternBlock> {
-        let words: Vec<u64> = (0..width).map(|_| self.rng.next_u64()).collect();
-        let block = PatternBlock { words, lanes: 64 };
+        let words = (0..width).map(|_| self.rng.next_u64()).collect();
         self.emitted += 64;
-        self.digest.absorb_block(&block);
-        Some(block)
+        Some(PatternBlock { words, lanes: 64 })
     }
 
     fn clocks_consumed(&self) -> u64 {
@@ -283,10 +232,6 @@ impl<R: RngCore> PatternSource for RandomWords<R> {
 
     fn patterns_emitted(&self) -> u64 {
         self.emitted
-    }
-
-    fn state_digest(&self) -> u64 {
-        self.digest.value()
     }
 
     fn descriptor(&self) -> SourceDescriptor {
@@ -309,7 +254,6 @@ pub struct ExhaustiveSource {
     width: usize,
     next: u64,
     total: u64,
-    digest: StreamDigest,
 }
 
 impl ExhaustiveSource {
@@ -324,7 +268,6 @@ impl ExhaustiveSource {
             width,
             next: 0,
             total: 1u64 << width,
-            digest: StreamDigest::default(),
         }
     }
 }
@@ -355,9 +298,7 @@ impl PatternSource for ExhaustiveSource {
             })
             .collect();
         self.next += lanes as u64;
-        let block = PatternBlock { words, lanes };
-        self.digest.absorb_block(&block);
-        Some(block)
+        Some(PatternBlock { words, lanes })
     }
 
     fn clocks_consumed(&self) -> u64 {
@@ -367,10 +308,6 @@ impl PatternSource for ExhaustiveSource {
 
     fn patterns_emitted(&self) -> u64 {
         self.next
-    }
-
-    fn state_digest(&self) -> u64 {
-        self.digest.value()
     }
 
     fn descriptor(&self) -> SourceDescriptor {
@@ -386,7 +323,6 @@ pub(crate) struct PatternList<'a> {
     chunks: std::slice::Chunks<'a, Vec<bool>>,
     width: usize,
     emitted: u64,
-    digest: StreamDigest,
 }
 
 impl<'a> PatternList<'a> {
@@ -396,7 +332,6 @@ impl<'a> PatternList<'a> {
             chunks: patterns.chunks(64),
             width,
             emitted: 0,
-            digest: StreamDigest::default(),
         }
     }
 }
@@ -406,7 +341,6 @@ impl PatternSource for PatternList<'_> {
         assert_eq!(width, self.width, "source width mismatch");
         let block = PatternBlock::from_patterns(self.chunks.next()?, width);
         self.emitted += block.lanes as u64;
-        self.digest.absorb_block(&block);
         Some(block)
     }
 
@@ -416,10 +350,6 @@ impl PatternSource for PatternList<'_> {
 
     fn patterns_emitted(&self) -> u64 {
         self.emitted
-    }
-
-    fn state_digest(&self) -> u64 {
-        self.digest.value()
     }
 
     fn descriptor(&self) -> SourceDescriptor {
@@ -449,7 +379,6 @@ pub struct LfsrSource {
     period_left: u64,
     emitted: u64,
     clocks: u64,
-    digest: StreamDigest,
 }
 
 impl LfsrSource {
@@ -525,7 +454,6 @@ impl LfsrSource {
             period_left,
             emitted: 0,
             clocks: 0,
-            digest: StreamDigest::default(),
         }
     }
 
@@ -567,7 +495,6 @@ impl PatternSource for LfsrSource {
             self.clocks += 1;
         }
         self.emitted += block.lanes as u64;
-        self.digest.absorb_block(&block);
         Some(block)
     }
 
@@ -577,10 +504,6 @@ impl PatternSource for LfsrSource {
 
     fn patterns_emitted(&self) -> u64 {
         self.emitted
-    }
-
-    fn state_digest(&self) -> u64 {
-        self.digest.value()
     }
 
     fn descriptor(&self) -> SourceDescriptor {
@@ -609,7 +532,6 @@ pub struct WeightedRandomSource {
     /// `P(bit = 1) = thresholds[i] / 2^64`, exact in fixed point.
     thresholds: Vec<u128>,
     emitted: u64,
-    digest: StreamDigest,
 }
 
 impl WeightedRandomSource {
@@ -636,7 +558,6 @@ impl WeightedRandomSource {
             biases,
             thresholds,
             emitted: 0,
-            digest: StreamDigest::default(),
         })
     }
 }
@@ -649,9 +570,8 @@ impl PatternSource for WeightedRandomSource {
             "source width mismatch: {} biases for width {width}",
             self.biases.len()
         );
-        // One draw per input per lane, input-major: lane order within an
-        // input matches the lane numbering so digests are reproducible.
-        let words: Vec<u64> = self
+        // One draw per input per lane, input-major, in lane order.
+        let words = self
             .thresholds
             .iter()
             .map(|&t| {
@@ -664,10 +584,8 @@ impl PatternSource for WeightedRandomSource {
                 w
             })
             .collect();
-        let block = PatternBlock { words, lanes: 64 };
         self.emitted += 64;
-        self.digest.absorb_block(&block);
-        Some(block)
+        Some(PatternBlock { words, lanes: 64 })
     }
 
     fn clocks_consumed(&self) -> u64 {
@@ -677,10 +595,6 @@ impl PatternSource for WeightedRandomSource {
 
     fn patterns_emitted(&self) -> u64 {
         self.emitted
-    }
-
-    fn state_digest(&self) -> u64 {
-        self.digest.value()
     }
 
     fn descriptor(&self) -> SourceDescriptor {
@@ -729,7 +643,6 @@ pub struct StoredSeedReplay {
     rng: Option<StdRng>,
     reseeds: u64,
     emitted: u64,
-    digest: StreamDigest,
 }
 
 impl StoredSeedReplay {
@@ -787,7 +700,6 @@ impl StoredSeedReplay {
             rng: None,
             reseeds: 0,
             emitted: 0,
-            digest: StreamDigest::default(),
         })
     }
 
@@ -841,10 +753,8 @@ impl PatternSource for StoredSeedReplay {
             self.seg_done = 0;
             self.rng = None;
         }
-        let block = PatternBlock { words, lanes };
         self.emitted += lanes as u64;
-        self.digest.absorb_block(&block);
-        Some(block)
+        Some(PatternBlock { words, lanes })
     }
 
     fn clocks_consumed(&self) -> u64 {
@@ -854,10 +764,6 @@ impl PatternSource for StoredSeedReplay {
 
     fn patterns_emitted(&self) -> u64 {
         self.emitted
-    }
-
-    fn state_digest(&self) -> u64 {
-        self.digest.value()
     }
 
     fn descriptor(&self) -> SourceDescriptor {
@@ -1084,18 +990,6 @@ mod tests {
         let bare = StoredSeedReplay::parse("x", "0x5 128").unwrap();
         assert_eq!(bare.declared_width(), None);
         assert!(!bare.descriptor().to_json().contains("width"));
-    }
-
-    #[test]
-    fn digests_depend_on_the_emitted_stream() {
-        let mut a = RandomWords::seeded(1);
-        let mut b = RandomWords::seeded(1);
-        let mut c = RandomWords::seeded(2);
-        a.next_block(3);
-        b.next_block(3);
-        c.next_block(3);
-        assert_eq!(a.state_digest(), b.state_digest());
-        assert_ne!(a.state_digest(), c.state_digest());
     }
 
     #[test]

@@ -20,7 +20,8 @@
 use bibs_faultsim::fault::{Fault, FaultSite, FaultUniverse};
 use bibs_faultsim::par::ParFaultSimulator;
 use bibs_faultsim::reference::ReferenceSimulator;
-use bibs_faultsim::sim::BlockSim;
+use bibs_faultsim::sim::{BlockSim, Stop};
+use bibs_faultsim::source::RandomWords;
 use bibs_netlist::builder::NetlistBuilder;
 use bibs_netlist::{EvalProgram, EventQueue, Netlist, Patch};
 use bibs_rtl::{Circuit, VertexKind};
@@ -36,12 +37,10 @@ const SEEDS: [u64; 3] = [1, 0xB1B5, 0x51B5_1994];
 /// bit-identical reports on every `SEEDS` random stream.
 fn assert_compiled_matches_reference(netlist: &Netlist, faults: &[Fault], max_patterns: u64) {
     for &seed in &SEEDS {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let reference =
-            ReferenceSimulator::new(netlist, faults.to_vec()).run_random(&mut rng, max_patterns);
-        let mut rng = StdRng::seed_from_u64(seed);
-        let par =
-            ParFaultSimulator::new(netlist, faults.to_vec()).run_random(&mut rng, max_patterns);
+        let reference = ReferenceSimulator::new(netlist, faults.to_vec())
+            .run(&mut RandomWords::seeded(seed), Stop::after(max_patterns));
+        let par = ParFaultSimulator::new(netlist, faults.to_vec())
+            .run(&mut RandomWords::seeded(seed), Stop::after(max_patterns));
         assert_eq!(
             reference.detection(),
             par.detection(),
@@ -208,12 +207,10 @@ proptest! {
         assert_good_machine_matches(&nl, seed);
         let faults = FaultUniverse::collapsed(&nl).faults().to_vec();
 
-        let mut rng = StdRng::seed_from_u64(seed);
         let reference = ReferenceSimulator::new(&nl, faults.clone())
-            .run_random(&mut rng, 2_000);
-
-        let mut rng = StdRng::seed_from_u64(seed);
-        let par = ParFaultSimulator::new(&nl, faults.clone()).run_random(&mut rng, 2_000);
+            .run(&mut RandomWords::seeded(seed), Stop::after(2_000));
+        let par = ParFaultSimulator::new(&nl, faults.clone())
+            .run(&mut RandomWords::seeded(seed), Stop::after(2_000));
         prop_assert_eq!(reference.detection(), par.detection());
         prop_assert_eq!(reference.patterns_applied(), par.patterns_applied());
     }

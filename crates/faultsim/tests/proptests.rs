@@ -4,11 +4,10 @@
 use bibs_faultsim::atpg::{Atpg, AtpgResult};
 use bibs_faultsim::fault::{Fault, FaultUniverse};
 use bibs_faultsim::par::ParFaultSimulator;
-use bibs_faultsim::sim::BlockSim;
+use bibs_faultsim::sim::{BlockSim, Stop};
+use bibs_faultsim::source::RandomWords;
 use bibs_netlist::Netlist;
 use proptest::prelude::*;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use std::collections::HashSet;
 
 /// Random combinational netlists from the shared generator; small DAGs so
@@ -23,7 +22,7 @@ fn detection_vectors(nl: &Netlist, faults: &[Fault]) -> Vec<Vec<Option<u64>>> {
     let mut vectors = vec![Vec::new(); faults.len()];
     for seed in 0..4 {
         let report = ParFaultSimulator::new(nl, faults.to_vec())
-            .run_random(&mut StdRng::seed_from_u64(seed), 2_048);
+            .run(&mut RandomWords::seeded(seed), Stop::after(2_048));
         for (v, &d) in vectors.iter_mut().zip(report.detection()) {
             v.push(d);
         }

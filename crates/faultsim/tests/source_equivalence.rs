@@ -1,48 +1,10 @@
-//! The source layer's own guarantees: [`RandomWords`] reproduces the
-//! legacy `run_random*` entry points exactly (and documents its
-//! xoshiro256** generator in the descriptor), and
+//! The source layer's own guarantees: [`RandomWords`] documents its
+//! xoshiro256** generator in the descriptor, and
 //! [`WeightedRandomSource`]'s bias math behaves at the extremes and at
 //! the unbiased midpoint.
 
-use bibs_faultsim::fault::FaultUniverse;
-use bibs_faultsim::par::ParFaultSimulator;
-use bibs_faultsim::sim::BlockSim;
 use bibs_faultsim::source::{PatternSource, RandomWords, WeightedRandomSource};
-use bibs_netlist::builder::NetlistBuilder;
-use bibs_netlist::Netlist;
 use proptest::prelude::*;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-
-const MAX_PATTERNS: u64 = 4_096;
-
-fn adder(width: usize) -> Netlist {
-    let mut b = NetlistBuilder::new("add");
-    let a = b.input_word("a", width);
-    let c = b.input_word("b", width);
-    let (s, co) = b.ripple_carry_adder(&a, &c, None);
-    b.output_word("s", &s);
-    b.output("co", co);
-    b.finish().unwrap()
-}
-
-/// Satellite: the legacy `run_random*` entry points are now thin wrappers
-/// over [`RandomWords`] — a seeded source must reproduce their reports
-/// exactly (the words drawn per block are bit-identical).
-#[test]
-fn random_words_source_reproduces_legacy_run_random() {
-    for seed in [1u64, 0xB1B5, 0x51B5_1994] {
-        let nl = adder(6);
-        let faults = FaultUniverse::collapsed(&nl).faults().to_vec();
-        let mut rng = StdRng::seed_from_u64(seed);
-        let legacy = ParFaultSimulator::new(&nl, faults.clone()).run_random(&mut rng, MAX_PATTERNS);
-        let mut source = RandomWords::seeded(seed);
-        let sourced =
-            ParFaultSimulator::new(&nl, faults.clone()).run_source(&mut source, MAX_PATTERNS);
-        assert_eq!(legacy.detection(), sourced.detection());
-        assert_eq!(legacy.patterns_applied(), sourced.patterns_applied());
-    }
-}
 
 /// Satellite: the RNG behind [`RandomWords`] is reachable (and named) via
 /// the serializable descriptor — the compat `StdRng` is xoshiro256**, and

@@ -1,16 +1,12 @@
-//! The whole-corpus batch driver: target collection, parallel linting
-//! and deterministic merging.
+//! The whole-corpus batch driver: target collection, linting and
+//! deterministic merging.
 //!
 //! `bibs-lint --batch <dir|glob>` lints every `.ckt`/`.bench`/`.v` file
 //! it finds — directories recursively, globs by a single `*` in the
-//! final path component. Files are linted in parallel by scoped worker
-//! threads (count from `BIBS_JOBS` via
-//! [`bibs_core::verify::default_jobs`]), each compiling its own program;
-//! results land in per-file slots indexed by the sorted target order, so
-//! the merged report is **byte-identical for every job count** — workers
-//! only decide *when* a file is linted, never *where* its findings go.
-//! [`Report::normalize`] does the rest (total order, duplicates
-//! collapsed).
+//! final path component — one after another in sorted target order.
+//! [`Report::normalize`] fixes the order of each report's findings
+//! (total order, duplicates collapsed), so the merged report depends only
+//! on the files.
 //!
 //! Inline suppressions are honored per file (see [`crate::suppress`])
 //! and every finding is stamped with its origin path before merging.
@@ -20,8 +16,6 @@ use crate::suppress::{apply_suppressions, scan_suppressions};
 use bibs_obs::{CounterId, Recorder};
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// Circuit file extensions the batch driver picks up (lower-cased match).
 pub const BATCH_EXTENSIONS: &[&str] = &["bench", "ckt", "v"];
@@ -64,9 +58,9 @@ fn walk(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
 /// * a pattern with a single `*` in its **final component** — matching
 ///   circuit files in the parent directory (non-recursive).
 ///
-/// The list is lexicographically sorted, which fixes the result indexing
-/// the parallel driver relies on. An empty result is not an error here —
-/// the binary treats it as a usage error.
+/// The list is lexicographically sorted, which fixes the order of the
+/// batch's reports. An empty result is not an error here — the binary
+/// treats it as a usage error.
 ///
 /// # Errors
 ///
@@ -138,46 +132,22 @@ pub fn lint_text(origin: &str, text: &str, config: &LintConfig) -> Report {
     report
 }
 
-/// Lints every path in parallel on `jobs` scoped worker threads (clamped
-/// to at least 1 and at most the target count). Outcomes are returned in
-/// input order whatever the thread count.
-pub fn lint_paths(paths: &[PathBuf], config: &LintConfig, jobs: usize) -> Vec<BatchOutcome> {
-    let jobs = jobs.clamp(1, paths.len().max(1));
-    let slots: Vec<Mutex<Option<Result<Report, String>>>> =
-        paths.iter().map(|_| Mutex::new(None)).collect();
-    let cursor = AtomicUsize::new(0);
-    std::thread::scope(|s| {
-        for _ in 0..jobs {
-            s.spawn(|| loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                if i >= paths.len() {
-                    break;
-                }
-                let result = match std::fs::read_to_string(&paths[i]) {
-                    Ok(text) => Ok(lint_text(&paths[i].display().to_string(), &text, config)),
-                    Err(e) => Err(format!("{}: {e}", paths[i].display())),
-                };
-                *slots[i].lock().unwrap() = Some(result);
-            });
-        }
-    });
+/// Lints every path and returns the outcomes in input order.
+pub fn lint_paths(paths: &[PathBuf], config: &LintConfig) -> Vec<BatchOutcome> {
     paths
         .iter()
-        .zip(slots)
-        .map(|(p, slot)| BatchOutcome {
-            path: p.clone(),
-            result: slot
-                .into_inner()
-                .unwrap()
-                .expect("every slot filled by the worker scope"),
+        .map(|path| BatchOutcome {
+            path: path.clone(),
+            result: match std::fs::read_to_string(path) {
+                Ok(text) => Ok(lint_text(&path.display().to_string(), &text, config)),
+                Err(e) => Err(format!("{}: {e}", path.display())),
+            },
         })
         .collect()
 }
 
 /// Records one telemetry span per file under the recorder's current span
-/// (label = path, `lint_findings` = finding count). Runs after the join,
-/// on the owning thread, so the span tree is deterministic for every job
-/// count.
+/// (label = path, `lint_findings` = finding count), in outcome order.
 pub fn record_batch(rec: &mut Recorder, outcomes: &[BatchOutcome]) {
     for o in outcomes {
         let id = rec.enter(o.path.display().to_string());
@@ -256,23 +226,9 @@ mod tests {
     }
 
     #[test]
-    fn batch_results_are_job_count_invariant() {
-        let dir = scratch_dir("jobs");
-        write_fixtures(&dir);
-        let cfg = LintConfig::new();
-        let targets = collect_targets(dir.to_str().unwrap()).unwrap();
-        let reference = merged_report(&lint_paths(&targets, &cfg, 1)).to_json();
-        for jobs in [2, 4, 8] {
-            let merged = merged_report(&lint_paths(&targets, &cfg, jobs)).to_json();
-            assert_eq!(reference, merged, "jobs={jobs} must be byte-identical");
-        }
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
     fn read_errors_surface_per_file() {
         let cfg = LintConfig::new();
-        let outcomes = lint_paths(&[PathBuf::from("/nonexistent/x.bench")], &cfg, 2);
+        let outcomes = lint_paths(&[PathBuf::from("/nonexistent/x.bench")], &cfg);
         assert!(outcomes[0].result.is_err());
         assert!(merged_report(&outcomes).diagnostics.is_empty());
     }
@@ -289,7 +245,7 @@ mod tests {
         )
         .unwrap();
         let targets = collect_targets(dir.join("stuck.bench").to_str().unwrap()).unwrap();
-        let outcomes = lint_paths(&targets, &cfg, 1);
+        let outcomes = lint_paths(&targets, &cfg);
         let report = outcomes[0].result.as_ref().unwrap();
         for d in report.with_code("B052") {
             assert_eq!(d.severity, crate::Severity::Allow, "{report}");
@@ -303,7 +259,7 @@ mod tests {
         write_fixtures(&dir);
         let cfg = LintConfig::new();
         let targets = collect_targets(dir.to_str().unwrap()).unwrap();
-        let outcomes = lint_paths(&targets, &cfg, 2);
+        let outcomes = lint_paths(&targets, &cfg);
         let mut rec = Recorder::new("lint-batch");
         record_batch(&mut rec, &outcomes);
         let json = rec.to_json(false);

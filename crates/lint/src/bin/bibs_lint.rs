@@ -6,7 +6,7 @@
 //! bibs-lint circuits/c5a2m.bench     # .bench netlists too (gate-level
 //!                                    # passes; full RTL via # rtl: sidecar)
 //! bibs-lint --batch corpus/          # lint every .ckt/.bench/.v under a
-//!                                    # directory (recursive) in parallel
+//!                                    # directory (recursive)
 //! bibs-lint --batch 'corpus/*.bench' # or by a final-component glob
 //! bibs-lint --deny warnings ...      # CI gate: warnings fail the run
 //! bibs-lint --semantic ...           # add the B04x semantic passes
@@ -31,9 +31,8 @@
 //! |      | warnings` promotion, suppressions and baseline application) |
 //! | 2    | usage error, unreadable target/baseline, or empty batch    |
 //!
-//! Batch output is byte-identical for every `--jobs`/`BIBS_JOBS` value:
-//! targets are sorted, results are indexed by target, and every report is
-//! normalized before rendering.
+//! Batch output depends only on the files: targets are sorted and linted
+//! in that order, and every report is normalized before rendering.
 
 use bibs_lint::batch::{collect_targets, lint_paths, lint_text, record_batch, BatchOutcome};
 use bibs_lint::fingerprint::fingerprint;
@@ -56,38 +55,36 @@ enum Format {
 
 fn usage() {
     eprintln!(
-        "usage: bibs-lint [options] [target...]\n\
-         \n\
-         targets: builtin circuit names ({}), .ckt file paths, .bench\n\
-         netlist paths, or .v Verilog paths; default: all builtins\n\
-         \n\
-         options:\n\
-           --batch DIR|GLOB     lint every .ckt/.bench/.v under a directory\n\
-                                (recursive) or matching a final-component\n\
-                                glob, in parallel; may be repeated\n\
-           --jobs N             worker threads for --batch (default: the\n\
-                                BIBS_JOBS environment variable, then the\n\
-                                available parallelism)\n\
-           --format text|json|sarif\n\
-                                output style (default text); json carries\n\
-                                the \"bibs-lint/2\" schema, sarif is a\n\
-                                SARIF 2.1.0 log\n\
-           --baseline FILE      demote findings fingerprinted in FILE to\n\
-                                allow severity\n\
-           --write-baseline FILE\n\
-                                record the run's warn+deny findings to FILE\n\
-                                and continue\n\
-           --check-sarif FILE   validate FILE against the vendored minimal\n\
-                                SARIF schema and exit (0 ok, 1 invalid)\n\
-           --telemetry FILE     write per-file lint spans as telemetry JSON\n\
-           --semantic           also run the semantic passes (B04x)\n\
-           --deny warnings      promote warn-level findings to deny\n\
-           --deny CODE          force CODE to deny severity\n\
-           --warn CODE          force CODE to warn severity\n\
-           --allow CODE         force CODE to allow severity\n\
-           --list-codes         print the diagnostic code registry and exit\n\
-         \n\
-         exit codes: 0 clean, 1 deny-level findings, 2 usage/read errors",
+        "\
+usage: bibs-lint [options] [target...]
+
+targets: builtin circuit names ({}), .ckt file paths, .bench
+netlist paths, or .v Verilog paths; default: all builtins
+
+options:
+  --batch DIR|GLOB     lint every .ckt/.bench/.v under a directory
+                       (recursive) or matching a final-component
+                       glob; may be repeated
+  --format text|json|sarif
+                       output style (default text); json carries
+                       the \"bibs-lint/2\" schema, sarif is a
+                       SARIF 2.1.0 log
+  --baseline FILE      demote findings fingerprinted in FILE to
+                       allow severity
+  --write-baseline FILE
+                       record the run's warn+deny findings to FILE
+                       and continue
+  --check-sarif FILE   validate FILE against the vendored minimal
+                       SARIF schema and exit (0 ok, 1 invalid)
+  --telemetry FILE     write per-file lint spans as telemetry JSON
+  --semantic           also run the semantic passes (B04x)
+  --deny warnings      promote warn-level findings to deny
+  --deny CODE          force CODE to deny severity
+  --warn CODE          force CODE to warn severity
+  --allow CODE         force CODE to allow severity
+  --list-codes         print the diagnostic code registry and exit
+
+exit codes: 0 clean, 1 deny-level findings, 2 usage/read errors",
         BUILTINS.join(", ")
     );
 }
@@ -140,7 +137,6 @@ fn main() -> ExitCode {
     let mut format = Format::Text;
     let mut targets: Vec<String> = Vec::new();
     let mut batch_patterns: Vec<String> = Vec::new();
-    let mut jobs: Option<usize> = None;
     let mut baseline_path: Option<String> = None;
     let mut write_baseline_path: Option<String> = None;
     let mut telemetry_path: Option<String> = None;
@@ -183,8 +179,7 @@ fn main() -> ExitCode {
                     }
                 };
             }
-            "--batch" | "--jobs" | "--baseline" | "--write-baseline" | "--telemetry"
-            | "--format" => {
+            "--batch" | "--baseline" | "--write-baseline" | "--telemetry" | "--format" => {
                 i += 1;
                 let Some(value) = args.get(i).cloned() else {
                     eprintln!("bibs-lint: {arg} needs an argument");
@@ -192,13 +187,6 @@ fn main() -> ExitCode {
                 };
                 match arg {
                     "--batch" => batch_patterns.push(value),
-                    "--jobs" => match value.parse::<usize>() {
-                        Ok(n) if n >= 1 => jobs = Some(n),
-                        _ => {
-                            eprintln!("bibs-lint: bad --jobs {value:?}");
-                            return ExitCode::from(2);
-                        }
-                    },
                     "--baseline" => baseline_path = Some(value),
                     "--write-baseline" => write_baseline_path = Some(value),
                     "--telemetry" => telemetry_path = Some(value),
@@ -283,7 +271,6 @@ fn main() -> ExitCode {
             result,
         });
     }
-    let jobs = jobs.unwrap_or_else(bibs_core::verify::default_jobs);
     for pattern in &batch_patterns {
         let paths = match collect_targets(pattern) {
             Ok(paths) => paths,
@@ -296,7 +283,7 @@ fn main() -> ExitCode {
             eprintln!("bibs-lint: --batch {pattern}: no .ckt/.bench/.v files found");
             return ExitCode::from(2);
         }
-        outcomes.extend(lint_paths(&paths, &config, jobs));
+        outcomes.extend(lint_paths(&paths, &config));
     }
 
     // Baseline writing sees the findings *before* an existing baseline

@@ -346,8 +346,8 @@ impl Report {
 
     /// Puts the report into its canonical form: findings sorted by
     /// `(code, origin, message, witness)` and exact duplicates removed.
-    /// Batch output is byte-stable across `BIBS_JOBS` values because every
-    /// merged report is normalized before rendering.
+    /// Every merged batch report is normalized before rendering, so its
+    /// output does not depend on the order the findings were produced in.
     pub fn normalize(&mut self) {
         self.diagnostics.sort_by(|a, b| {
             (a.code, &a.origin, &a.message, &a.witness)

@@ -34,8 +34,8 @@
 //! sequential-depth disagreement (B054).
 //!
 //! The `bibs-lint` binary wraps these for the command line: `--batch
-//! <dir|glob>` lints whole corpora in parallel with job-count-invariant
-//! output ([`lint_paths`]), `--format json|sarif` for machine consumers
+//! <dir|glob>` lints whole corpora in sorted target order
+//! ([`lint_paths`]), `--format json|sarif` for machine consumers
 //! ([`to_sarif`] validates against a vendored minimal schema), inline
 //! `# bibs-lint: allow(B0xx)` suppressions ([`apply_suppressions`]) and
 //! content-fingerprinted baselines ([`write_baseline`] /

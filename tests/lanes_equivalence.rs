@@ -6,14 +6,15 @@
 //!
 //! The oracle is independent of the engine driver: the reference
 //! interpreter applies one 64-lane block at a time under the per-block
-//! stop loop (max-pattern truncation, coverage target, detection plateau)
-//! written out in this file. Each stop condition gets its own test, and
-//! ragged streams (`StoredSeedReplay` reseeds mid-stream,
-//! `ExhaustiveSource` tails) must count only their masked lanes. Stopped
-//! runs of the hardware sources (`LfsrSource`, the paper's
-//! `MinTpgSource`) must leave the source's clocks, pattern count and
-//! stream digest equal to the oracle's: a run pulls only the blocks it
-//! applies, so the paper's clock cost is the same on every engine.
+//! stop loop (max-pattern truncation, every fault detected, detection
+//! plateau) written out in this file. The plateau and the pattern cap
+//! each get their own test, and ragged streams (`StoredSeedReplay`
+//! reseeds mid-stream, `ExhaustiveSource` tails) must count only their
+//! masked lanes. Stopped runs of the hardware sources (`LfsrSource`,
+//! the paper's `MinTpgSource`) must leave the source's clocks, pattern
+//! count and next block equal to the oracle's: a run pulls only the
+//! blocks it applies, so the paper's clock cost is the same on every
+//! engine.
 
 mod common;
 
@@ -21,7 +22,7 @@ use bibs_bench::SourceSpec;
 use bibs_faultsim::fault::{Fault, FaultUniverse};
 use bibs_faultsim::par::ParFaultSimulator;
 use bibs_faultsim::reference::ReferenceSimulator;
-use bibs_faultsim::sim::{BlockSim, FaultSimReport};
+use bibs_faultsim::sim::{BlockSim, FaultSimReport, Stop};
 use bibs_faultsim::source::{ExhaustiveSource, PatternSource, RandomWords, StoredSeedReplay};
 use bibs_netlist::builder::NetlistBuilder;
 use bibs_netlist::{GateKind, NetId, Netlist};
@@ -57,13 +58,12 @@ fn one_block_at_a_time(
     source: &mut (impl PatternSource + ?Sized),
     max_patterns: u64,
     plateau: u64,
-    target: f64,
 ) -> FaultSimReport {
     let mut sim = ReferenceSimulator::new(nl, faults.to_vec());
     let width = nl.input_width();
     let mut last_detection_at = 0u64;
     while sim.patterns_applied() < max_patterns
-        && sim.coverage() < target
+        && sim.detection().contains(&None)
         && sim.patterns_applied().saturating_sub(last_detection_at) < plateau
     {
         let Some(block) = source.next_block(width) else {
@@ -87,33 +87,26 @@ fn assert_matches_oracle<S: PatternSource>(
     mut make_source: impl FnMut() -> S,
     max_patterns: u64,
     plateau: u64,
-    target: f64,
 ) -> FaultSimReport {
     let comb = nl.combinational_equivalent();
     let name = comb.name().to_string();
     let faults = FaultUniverse::collapsed(&comb).faults().to_vec();
-    let base = one_block_at_a_time(
-        &comb,
-        &faults,
+    let base = one_block_at_a_time(&comb, &faults, &mut make_source(), max_patterns, plateau);
+    let got = ParFaultSimulator::new(&comb, faults).run(
         &mut make_source(),
-        max_patterns,
-        plateau,
-        target,
-    );
-    let got = ParFaultSimulator::new(&comb, faults).run_source_with(
-        &mut make_source(),
-        max_patterns,
-        plateau,
-        target,
+        Stop {
+            plateau,
+            ..Stop::after(max_patterns)
+        },
     );
     assert_same(&base, &got, &name);
     base
 }
 
 /// A redundancy-rich circuit: undetectable faults keep coverage below
-/// 1.0 forever, which makes it the right
-/// vehicle for plateau and max-pattern stop pinning (the run never ends
-/// early on the coverage side).
+/// 1.0 forever, which makes it the right vehicle for plateau and
+/// max-pattern stop pinning (the run never ends because every fault is
+/// detected).
 fn redundant_circuit() -> Netlist {
     let mut b = NetlistBuilder::new("redundant");
     let a = b.input("a");
@@ -182,7 +175,7 @@ fn random_streams_match_the_oracle() {
         (adder4(), 0x1A4E_0001u64),
         (redundant_circuit(), 0x1A4E_0002),
     ] {
-        assert_matches_oracle(&nl, || RandomWords::seeded(seed), 512, 512, 1.0);
+        assert_matches_oracle(&nl, || RandomWords::seeded(seed), 512, 512);
     }
     let mut b = NetlistBuilder::new("mul3");
     let x = b.input_word("x", 3);
@@ -190,7 +183,7 @@ fn random_streams_match_the_oracle() {
     let p = b.array_multiplier(&x, &y, 6);
     b.output_word("p", &p);
     let nl = b.finish().unwrap();
-    assert_matches_oracle(&nl, || RandomWords::seeded(0x1A4E_0003), 512, 512, 1.0);
+    assert_matches_oracle(&nl, || RandomWords::seeded(0x1A4E_0003), 512, 512);
 }
 
 #[test]
@@ -201,13 +194,7 @@ fn fuzzed_dags_match_the_oracle() {
             3 + (case as usize % 5),
             8 + (case as usize * 5) % 32,
         );
-        assert_matches_oracle(
-            &nl,
-            || RandomWords::seeded(0x1A4E_0100 + case),
-            256,
-            256,
-            1.0,
-        );
+        assert_matches_oracle(&nl, || RandomWords::seeded(0x1A4E_0100 + case), 256, 256);
     }
 }
 
@@ -216,24 +203,10 @@ fn plateau_stops_replay_identically() {
     // The plateau fires mid-stream, at a block boundary.
     let nl = redundant_circuit();
     for plateau in [64u64, 100, 130] {
-        let base =
-            assert_matches_oracle(&nl, || RandomWords::seeded(0x1A4E_0200), 4096, plateau, 1.0);
+        let base = assert_matches_oracle(&nl, || RandomWords::seeded(0x1A4E_0200), 4096, plateau);
         assert!(
             base.patterns_applied() < 4096,
             "plateau {plateau} never fired; the test is vacuous"
-        );
-    }
-}
-
-#[test]
-fn coverage_target_stops_replay_identically() {
-    let nl = adder4();
-    for target in [0.25f64, 0.5, 0.85] {
-        let base =
-            assert_matches_oracle(&nl, || RandomWords::seeded(0x1A4E_0300), 4096, 4096, target);
-        assert!(
-            base.coverage() >= target && base.patterns_applied() < 4096,
-            "target {target} never fired; the test is vacuous"
         );
     }
 }
@@ -244,7 +217,7 @@ fn max_pattern_truncation_counts_masked_lanes_only() {
     // truncated to 36 lanes, and only those masked lanes may count toward
     // `patterns_applied`.
     let nl = redundant_circuit();
-    let base = assert_matches_oracle(&nl, || RandomWords::seeded(0x1A4E_0400), 100, 100, 1.0);
+    let base = assert_matches_oracle(&nl, || RandomWords::seeded(0x1A4E_0400), 100, 100);
     assert_eq!(base.patterns_applied(), 100);
     for d in base.detection().iter().flatten() {
         assert!(*d < 100, "detection index {d} past the pattern budget");
@@ -261,7 +234,7 @@ fn ragged_replay_schedule_matches_scalar() {
     // multiple of 64.
     let nl = redundant_circuit();
     let make = || StoredSeedReplay::parse("sched", REPLAY_SCHEDULE).expect("schedule parses");
-    let base = assert_matches_oracle(&nl, make, 1_000, 1_000, 1.0);
+    let base = assert_matches_oracle(&nl, make, 1_000, 1_000);
     // Coverage never reaches 1.0 here, so the stream is fully drained:
     // 100 + 64 + 3 patterns, masked lanes only.
     assert_eq!(base.patterns_applied(), 167);
@@ -271,7 +244,7 @@ fn ragged_replay_schedule_matches_scalar() {
 
     // Truncating inside the second segment exercises budget masking on
     // top of the ragged stream.
-    let base = assert_matches_oracle(&nl, make, 130, 130, 1.0);
+    let base = assert_matches_oracle(&nl, make, 130, 130);
     assert_eq!(base.patterns_applied(), 130);
 }
 
@@ -290,11 +263,11 @@ fn exhaustive_tail_counts_masked_lanes_only() {
     b.output("x", x);
     let nl = b.finish().unwrap();
 
-    let base = assert_matches_oracle(&nl, || ExhaustiveSource::new(5), 1 << 5, 1 << 5, 1.0);
+    let base = assert_matches_oracle(&nl, || ExhaustiveSource::new(5), 1 << 5, 1 << 5);
     assert!(base.patterns_applied() <= 32);
     // And with a budget below the tail's lane count, only the masked
     // lanes count.
-    let base = assert_matches_oracle(&nl, || ExhaustiveSource::new(5), 20, 20, 1.0);
+    let base = assert_matches_oracle(&nl, || ExhaustiveSource::new(5), 20, 20);
     assert!(base.patterns_applied() <= 20);
     for d in base.detection().iter().flatten() {
         assert!(*d < 20);
@@ -303,29 +276,27 @@ fn exhaustive_tail_counts_masked_lanes_only() {
 
 #[test]
 fn run_random_family_routes_through_the_driver() {
-    // The `run_random*` wrappers share the `run_source_with` driver, so
+    // The two methods the benchmark crate still calls,
+    // `run_random_with_plateau` and `run_source_with`, reduce to `run`, so
     // they must reproduce the one-block oracle on the seeded stream they
     // draw.
     let nl = adder4().combinational_equivalent();
     let faults = FaultUniverse::collapsed(&nl).faults().to_vec();
     let seed = 0x1A4E_0500u64;
-    let oracle = |max_patterns, plateau, target| {
-        let mut src = RandomWords::seeded(seed);
-        one_block_at_a_time(&nl, &faults, &mut src, max_patterns, plateau, target)
-    };
-
-    let mut rng = StdRng::seed_from_u64(seed);
-    let got = ParFaultSimulator::new(&nl, faults.clone()).run_random(&mut rng, 512);
-    assert_same(&oracle(512, 512, 1.0), &got, "run_random");
+    let base = one_block_at_a_time(&nl, &faults, &mut RandomWords::seeded(seed), 4096, 96);
 
     let mut rng = StdRng::seed_from_u64(seed);
     let got =
         ParFaultSimulator::new(&nl, faults.clone()).run_random_with_plateau(&mut rng, 4096, 96);
-    assert_same(&oracle(4096, 96, 1.0), &got, "run_random_with_plateau");
+    assert_same(&base, &got, "run_random_with_plateau");
 
-    let mut rng = StdRng::seed_from_u64(seed);
-    let got = ParFaultSimulator::new(&nl, faults.clone()).run_random_until(&mut rng, 0.9, 4096);
-    assert_same(&oracle(4096, 4096, 0.9), &got, "run_random_until");
+    let got = ParFaultSimulator::new(&nl, faults.clone()).run_source_with(
+        &mut RandomWords::seeded(seed),
+        4096,
+        96,
+        1.0,
+    );
+    assert_same(&base, &got, "run_source_with");
 }
 
 #[test]
@@ -333,7 +304,10 @@ fn stopped_runs_account_exactly_the_blocks_they_apply() {
     // A plateau that fires after one block without a detection, and a
     // budget that is not a multiple of 64: both stop the run before the
     // stream is drained. The source behind the engine must then have
-    // emitted, clocked and digested exactly what the oracle's did.
+    // emitted and clocked exactly what the oracle's did, and must emit the
+    // same block next. Both sources come from one deterministic factory,
+    // so equal counts and an equal next block mean they pulled the same
+    // blocks.
     let mut kinds = HashSet::new();
     for spec in [SourceSpec::Lfsr, SourceSpec::MinTpg] {
         for (k, (comb, faults, make)) in bibs_kernels("c5a2m", 4, &spec).iter().enumerate() {
@@ -345,13 +319,14 @@ fn stopped_runs_account_exactly_the_blocks_they_apply() {
                 let what = format!("{spec} kernel {k}, {stop} stop");
                 let mut oracle_src = make();
                 let base =
-                    one_block_at_a_time(comb, faults, &mut *oracle_src, max_patterns, plateau, 1.0);
+                    one_block_at_a_time(comb, faults, &mut *oracle_src, max_patterns, plateau);
                 let mut src = make();
-                let got = ParFaultSimulator::new(comb, faults.clone()).run_source_with(
+                let got = ParFaultSimulator::new(comb, faults.clone()).run(
                     &mut *src,
-                    max_patterns,
-                    plateau,
-                    1.0,
+                    Stop {
+                        plateau,
+                        ..Stop::after(max_patterns)
+                    },
                 );
                 assert_same(&base, &got, &what);
                 assert_eq!(
@@ -364,18 +339,15 @@ fn stopped_runs_account_exactly_the_blocks_they_apply() {
                     oracle_src.patterns_emitted(),
                     "{what}: patterns_emitted"
                 );
-                assert_eq!(
-                    src.state_digest(),
-                    oracle_src.state_digest(),
-                    "{what}: state_digest"
-                );
+                let next = oracle_src.next_block(width);
+                assert_eq!(src.next_block(width), next, "{what}: next block");
                 if stop == "budget" {
                     assert_eq!(base.patterns_applied(), max_patterns, "{what}");
                 } else {
-                    assert!(base.coverage() < 1.0, "{what}: the coverage target fired");
+                    assert!(base.coverage() < 1.0, "{what}: every fault was detected");
                 }
                 assert!(
-                    oracle_src.next_block(width).is_some(),
+                    next.is_some(),
                     "{what}: the stream ran dry, so nothing stopped the run"
                 );
             }

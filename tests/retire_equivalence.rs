@@ -4,7 +4,7 @@
 //! PODEM proves redundant once the stream has gone [`PROVE_AFTER`]
 //! patterns without a detection. A redundant fault is never detected, so
 //! the run must reproduce the plain run exactly: every detection index,
-//! `patterns_applied`, and the source's clocks, patterns and digest. The
+//! `patterns_applied`, and the source's clocks, patterns and next block. The
 //! cases cover every pattern-source kind and the BIBS kernels of the
 //! three paper datapaths, plus four hand-built circuits that pin the
 //! prover's rules:
@@ -26,7 +26,7 @@ use bibs_faultsim::par::ParFaultSimulator;
 use bibs_faultsim::reference::ReferenceSimulator;
 use bibs_faultsim::sim::{BlockSim, FaultSimReport, Stop, PROVE_AFTER};
 use bibs_faultsim::source::{
-    LfsrSource, PatternSource, RandomWords, StoredSeedReplay, WeightedRandomSource,
+    LfsrSource, PatternBlock, PatternSource, RandomWords, StoredSeedReplay, WeightedRandomSource,
 };
 use bibs_faultsim::stats::SimStats;
 use bibs_netlist::builder::NetlistBuilder;
@@ -38,12 +38,14 @@ const BACKTRACK_LIMIT: usize = 100_000;
 
 type MakeSource<'a> = &'a dyn Fn() -> Box<dyn PatternSource>;
 
-/// A run's report and its source's accounting after it.
+/// A run's report, its source's accounting after it, and the block the
+/// source would emit next. Two sources from one factory with equal
+/// counts and an equal next block pulled the same blocks.
 struct Run {
     report: FaultSimReport,
     clocks: u64,
     emitted: u64,
-    digest: u64,
+    next: Option<PatternBlock>,
 }
 
 fn run(nl: &Netlist, faults: &[Fault], make: MakeSource, stop: Stop) -> Run {
@@ -53,7 +55,7 @@ fn run(nl: &Netlist, faults: &[Fault], make: MakeSource, stop: Stop) -> Run {
         report,
         clocks: source.clocks_consumed(),
         emitted: source.patterns_emitted(),
-        digest: source.state_digest(),
+        next: source.next_block(nl.input_width()),
     }
 }
 
@@ -67,7 +69,7 @@ fn assert_same_run(plain: &Run, proving: &Run, what: &str) {
     );
     assert_eq!(plain.clocks, proving.clocks, "{what}: clocks_consumed");
     assert_eq!(plain.emitted, proving.emitted, "{what}: patterns_emitted");
-    assert_eq!(plain.digest, proving.digest, "{what}: state_digest");
+    assert_eq!(plain.next, proving.next, "{what}: next block");
     // Retiring changes which faults a block evaluates, never which blocks
     // it applies or which faults it drops.
     let (s, t) = (p.stats(), q.stats());

@@ -4,7 +4,7 @@
 //! The pre-refactor way to fault-simulate the paper's TPG was to collect
 //! the session stream with `session_patterns` and push it through
 //! `run_patterns`. With sources, the same stream arrives through
-//! [`MinTpgSource`] and the generic `run_source` driver — and the two
+//! [`MinTpgSource`] and the generic `run` driver — and the two
 //! must agree on every first-detection index, all the way up to the
 //! `table2 --source mintpg` surface.
 
@@ -17,7 +17,7 @@ use bibs_datapath::elab::elaborate_kernel;
 use bibs_datapath::filters::scaled;
 use bibs_faultsim::fault::FaultUniverse;
 use bibs_faultsim::par::ParFaultSimulator;
-use bibs_faultsim::sim::BlockSim;
+use bibs_faultsim::sim::{BlockSim, Stop};
 use bibs_faultsim::source::PatternSource;
 use bibs_netlist::Netlist;
 use std::collections::HashSet;
@@ -59,7 +59,8 @@ fn mintpg_source_reproduces_the_session_path_exactly() {
 
     // Source path: the same hardware stream through the generic driver.
     let mut source = MinTpgSource::new(&tpg, &structure).expect("single-cone kernel");
-    let via_source = ParFaultSimulator::new(&comb, faults.clone()).run_source(&mut source, 1 << 20);
+    let via_source =
+        ParFaultSimulator::new(&comb, faults.clone()).run(&mut source, Stop::after(1 << 20));
 
     assert_eq!(
         via_patterns.detection(),
