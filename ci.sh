@@ -106,9 +106,9 @@ cargo run --release -p bibs-bench --bin table2 -- --only c5a2m \
 cargo run --release -p bibs-bench --bin perfdiff -- \
   BENCH_table2.json /tmp/bibs-telemetry.json
 
-step "retired faults: c5a2m's BIBS kernel stops sweeping the good machine once PODEM retires its survivors"
-# PODEM proves the kernel's two survivors redundant 1,024 patterns after
-# its last detection; the rest of the 100,000-pattern plateau still
+step "retired faults: c5a2m's BIBS kernel stops sweeping the good machine once the prover retires its survivors"
+# The implication check proves the kernel's two survivors redundant 1,024
+# patterns after its last detection; the rest of the 100,000-pattern plateau still
 # applies every block but evaluates nothing. A prover that retired
 # nothing would leave good_evals equal to blocks. The BIBS column comes
 # first, so the first fault-sim span is its one kernel's.
@@ -180,20 +180,30 @@ cargo run --release -p bibs-bench --bin table2 -- --json --engine reference \
 diff /tmp/bibs-table2-all.json /tmp/bibs-table2-all-alt.json
 grep -q '"c4a4m"' /tmp/bibs-table2-all.json
 
-step "redundant fixture: table2 JSON is byte-identical under --engine reference, and PODEM retires the provably redundant faults"
+step "redundant fixture: table2 JSON is byte-identical under --engine reference, and the prover retires the provably redundant faults"
 # circuits/redundant_mux.ckt computes a - a, which only case analysis on
 # a reconvergent stem proves constant. No static prover runs before
 # simulation, so its 103 provably untestable faults must leave the live
-# list through PODEM retirement, and the report must not change.
+# list through the prover's retirement, and the report must not change.
+# At width 8 the implication check proves every Table 2 survivor, so this
+# is the one end-to-end run where PODEM still searches: both must prove
+# some faults.
 cargo run --release -p bibs-bench --bin table2 -- --circuit circuits/redundant_mux.ckt \
   --json --telemetry /tmp/bibs-telemetry-redundant.json > /tmp/bibs-table2-redundant.json
 cargo run --release -p bibs-bench --bin table2 -- --circuit circuits/redundant_mux.ckt \
   --json --engine reference > /tmp/bibs-table2-redundant-alt.json
 diff /tmp/bibs-table2-redundant.json /tmp/bibs-table2-redundant-alt.json
-retired=$(grep -o '"faults_retired":[0-9]*' /tmp/bibs-telemetry-redundant.json \
-  | grep -o '[0-9]*$' | awk '{ s += $1 } END { print s + 0 }')
-echo "redundant_mux: ${retired} faults retired by PODEM"
+counter_sum() {
+  grep -o "\"$1\":[0-9]*" /tmp/bibs-telemetry-redundant.json \
+    | grep -o '[0-9]*$' | awk '{ s += $1 } END { print s + 0 }'
+}
+retired=$(counter_sum faults_retired)
+implied=$(counter_sum implied_redundant)
+backtracks=$(counter_sum podem_backtracks)
+echo "redundant_mux: ${retired} faults retired by the prover," \
+  "${implied} proved by implication, ${backtracks} PODEM backtracks"
 test "$retired" -ge 103
+test "$implied" -gt 0 && test "$backtracks" -gt 0
 
 step "bench bins exit nonzero on bad input (no panics)"
 # `set -e` ignores a failing `! cmd`, so the check is a function whose

@@ -229,7 +229,7 @@ fn main() {
     let secs = wall.as_secs_f64();
     println!(
         "fault-sim engine: {evals} faulty-machine evals over {blocks} blocks \
-         ({sweeps} good-machine sweeps, {retired} faults retired by PODEM) in {:.2} s \
+         ({sweeps} good-machine sweeps, {retired} faults retired by the prover) in {:.2} s \
          ({:.0}/s, {:.2e} gate evals/s, {:.1} ms compile, {} engine)",
         secs,
         if secs > 0.0 { evals as f64 / secs } else { 0.0 },

@@ -7,9 +7,9 @@
 //!    Krasniewski–Albicki criteria);
 //! 2. extract kernels, schedule test sessions, compute the maximal-delay
 //!    metric;
-//! 3. elaborate each kernel to gates, classify faults with PODEM (the
-//!    "detectable" universe), fault-simulate random patterns with fault
-//!    dropping;
+//! 3. elaborate each kernel to gates, classify faults by implication and
+//!    PODEM (the "detectable" universe), fault-simulate random patterns
+//!    with fault dropping;
 //! 4. per-kernel pattern counts at a coverage target combine into the
 //!    paper's two aggregates: **# of patterns** = Σ over kernels (kernels
 //!    tested in sequence) and **test time** = Σ over sessions of the
@@ -303,7 +303,8 @@ pub struct SourceRun {
 pub struct KernelFaultStats {
     /// Collapsed fault count.
     pub faults: usize,
-    /// Faults PODEM proved redundant.
+    /// Faults proved redundant: unobservable, or proved by implication or
+    /// by PODEM.
     pub redundant: usize,
     /// Faults PODEM aborted on. Aborted faults are excluded from the
     /// detectable universe (none were detected by the random stream and
@@ -388,10 +389,10 @@ pub struct Table2Options {
     /// Cap on random patterns per kernel.
     pub max_patterns: u64,
     /// Stop simulating a kernel once this many consecutive patterns bring
-    /// no new detection. The survivors go to PODEM; with a plateau longer
-    /// than [`PROVE_AFTER`](bibs_faultsim::sim::PROVE_AFTER), PODEM sees
-    /// them mid-run and the ones it proves redundant stop being
-    /// simulated.
+    /// no new detection. The survivors get verdicts (the implication
+    /// check, then PODEM); with a plateau longer than
+    /// [`PROVE_AFTER`](bibs_faultsim::sim::PROVE_AFTER), they get them
+    /// mid-run and the ones proved redundant stop being simulated.
     pub plateau: u64,
     /// PODEM backtrack limit.
     pub backtrack_limit: usize,
@@ -484,15 +485,19 @@ pub fn apply_tdm(circuit: &Circuit, tdm: Tdm) -> (Circuit, BilboDesign, Vec<Kern
 /// * **Phase 1 — random simulation** with fault dropping and a detection
 ///   plateau. Once the stream has gone
 ///   [`PROVE_AFTER`](bibs_faultsim::sim::PROVE_AFTER) patterns without a
-///   detection, the compiled engine hands its live faults to PODEM once
-///   and stops simulating the ones PODEM proves redundant; the rest of
-///   the plateau still pulls and applies every block, so the report and
-///   the source's accounting are the plain run's.
-/// * **Phase 2 — PODEM** rules on the survivors only — proving
-///   them redundant, finding a test (rare random-resistant faults,
-///   reported as `unreached`), or aborting (excluded and reported). A
-///   survivor PODEM already decided in Phase 1 keeps that verdict; the
-///   generator is built the first time either phase needs it.
+///   detection, the compiled engine hands its live faults to the prover
+///   ([`Verdicts`]) once and stops simulating the ones it proves
+///   redundant; the rest of the plateau still pulls and applies every
+///   block, so the report and the source's accounting are the plain
+///   run's.
+/// * **Phase 2 — verdicts** on the survivors only. The implication check
+///   proves a survivor redundant when its mandatory assignments conflict,
+///   reading the program Phase 0 compiled; PODEM searches the rest —
+///   proving them redundant, finding a test (rare random-resistant
+///   faults, reported as `unreached`), or aborting (excluded and
+///   reported). A survivor already decided in Phase 1 keeps that verdict;
+///   the check and the generator are each built the first time either
+///   phase needs them, so a kernel with no survivor builds neither.
 ///
 /// Spans recorded:
 ///
@@ -504,11 +509,12 @@ pub fn apply_tdm(circuit: &Circuit, tdm: Tdm) -> (Circuit, BilboDesign, Vec<Kern
 ///   counters on its root);
 /// * `"source[SPEC]"` — with a pattern source, its `patterns_emitted` and
 ///   `source_clocks` counters and the wall time of its pulls;
-/// * `"atpg"` — all of the kernel's PODEM work, Phase 1's included (its
-///   wall is added to the span's), with the `podem_faults` (each fault
-///   searched counted once), `podem_backtracks` and `podem_evals`
-///   counters. The engine's span carries `faults_retired` when Phase 1
-///   retired any; its wall is block-evaluation time only.
+/// * `"atpg"` — all of the kernel's verdicts, Phase 1's included (its
+///   wall is added to the span's), with the `implied_redundant` counter
+///   (faults the implication check proved) and PODEM's `podem_faults`
+///   (each fault searched counted once), `podem_backtracks` and
+///   `podem_evals` counters. The engine's span carries `faults_retired`
+///   when Phase 1 retired any; its wall is block-evaluation time only.
 ///
 /// Every exported counter is detection-deterministic: identical on every
 /// run with the same options, whatever the machine.
@@ -553,11 +559,11 @@ pub fn kernel_fault_stats(
     // accounting lands in a `source[...]` telemetry span and (for
     // non-uniform sources) in the JSON.
     //
-    // The compiled engine runs with PODEM as its prover: once the stream
-    // has gone `PROVE_AFTER` patterns without a detection, the faults
-    // PODEM proves redundant leave the live list, and once none is left
-    // the blocks stop evaluating the good machine. A redundant fault is
-    // never detected, so the report is the plain run's. The reference
+    // The compiled engine runs with the verdicts as its prover: once the
+    // stream has gone `PROVE_AFTER` patterns without a detection, the
+    // faults they prove redundant leave the live list, and once none is
+    // left the blocks stop evaluating the good machine. A redundant fault
+    // is never detected, so the report is the plain run's. The reference
     // engine, the oracle, runs the plain driver.
     let kernel_seed = options.seed ^ kernel.input_edges.len() as u64;
     let mut source: Box<dyn PatternSource> = match &options.source {
@@ -587,7 +593,7 @@ pub fn kernel_fault_stats(
         plateau: options.plateau,
         ..Stop::after(options.max_patterns)
     };
-    let mut verdicts = Verdicts::new(&comb, options.backtrack_limit);
+    let mut verdicts = Verdicts::new(&comb, &program, options.backtrack_limit);
     let report = match options.engine {
         Engine::Compiled => {
             let mut sim = ParFaultSimulator::with_program(
@@ -638,9 +644,9 @@ pub fn kernel_fault_stats(
         }
     }
 
-    // Phase 2: PODEM on the survivors, in universe order. A survivor the
-    // prover already searched keeps its verdict; the rest are searched
-    // now. The span holds all of the kernel's PODEM work, the prover's
+    // Phase 2: verdicts on the survivors, in universe order. A survivor
+    // the prover already decided keeps its verdict; the rest are decided
+    // now. The span holds all of the kernel's verdict work, the prover's
     // included.
     let detection = report.detection();
     let survivors: Vec<Fault> = to_sim

@@ -17,7 +17,9 @@
 //!    when replayed, a redundant fault is never detected, and no search
 //!    aborts under Table 2's backtrack limit — the check behind the
 //!    100 %-coverage rows, run in release where PODEM's debug-build
-//!    implication check is off.
+//!    implication check is off. Every fault the
+//!    [`ImplicationCheck`] proves redundant must stay undetected too,
+//!    and PODEM must find no test for it.
 //! 4. **Retire** — a run whose driver hands its live faults to PODEM
 //!    after [`PROVE_AFTER`](bibs_faultsim::sim::PROVE_AFTER) patterns
 //!    without a detection, and stops simulating the ones proved
@@ -31,6 +33,7 @@
 
 use bibs_faultsim::atpg::{Atpg, AtpgResult, Verdicts};
 use bibs_faultsim::fault::{FaultUniverse, StaticFaultAnalysis};
+use bibs_faultsim::implication::ImplicationCheck;
 use bibs_faultsim::par::ParFaultSimulator;
 use bibs_faultsim::reference::ReferenceSimulator;
 use bibs_faultsim::sim::{BlockSim, Stop};
@@ -118,7 +121,7 @@ pub fn check_all(netlist: &Netlist, seed: u64) -> Vec<Divergence> {
     out.extend(check_retire(&nl, &program, seed));
     if nl.input_width() <= EXHAUSTIVE_PI_LIMIT {
         out.extend(check_prover(&nl, &program));
-        out.extend(check_podem(&nl));
+        out.extend(check_podem(&nl, &program));
     }
     out
 }
@@ -201,7 +204,7 @@ pub fn check_retire(nl: &Netlist, program: &EvalProgram, seed: u64) -> Vec<Diver
     };
     let plain = ParFaultSimulator::new(nl, faults.clone())
         .run(&mut RandomWords::seeded(source_seed), stop());
-    let mut verdicts = Verdicts::new(nl, PODEM_BACKTRACK_LIMIT);
+    let mut verdicts = Verdicts::new(nl, program, PODEM_BACKTRACK_LIMIT);
     let mut prove = |f| verdicts.proves_redundant(f);
     let proving = ParFaultSimulator::new(nl, faults).run(
         &mut RandomWords::seeded(source_seed),
@@ -256,28 +259,41 @@ pub fn check_prover(nl: &Netlist, program: &EvalProgram) -> Vec<Divergence> {
 /// exhaustive simulation. A test must detect its fault when replayed with
 /// its don't-cares filled either way; a redundant fault must stay
 /// undetected over all `2^PI` patterns; an abort under Table 2's limit of
-/// 100,000 backtracks is itself a divergence.
-pub fn check_podem(nl: &Netlist) -> Vec<Divergence> {
+/// 100,000 backtracks is itself a divergence. A fault the implication
+/// check proves redundant must stay undetected and get no test from
+/// PODEM.
+pub fn check_podem(nl: &Netlist, program: &EvalProgram) -> Vec<Divergence> {
     let faults = FaultUniverse::collapsed(nl).faults().to_vec();
     if faults.is_empty() {
         return Vec::new();
     }
     let truth = ParFaultSimulator::new(nl, faults.clone()).run_exhaustive();
     let mut atpg = Atpg::new(nl);
+    let mut check = ImplicationCheck::new(program);
     for (&fault, detection) in faults.iter().zip(truth.detection()) {
-        let wrong = match atpg.generate(fault, PODEM_BACKTRACK_LIMIT) {
-            AtpgResult::Test(test) => [false, true].into_iter().find_map(|fill| {
-                let pattern: Vec<bool> = test.iter().map(|v| v.unwrap_or(fill)).collect();
-                let replay = ParFaultSimulator::new(nl, vec![fault]).run_patterns(&[pattern]);
-                (replay.detected_count() == 0)
-                    .then(|| format!("PODEM's test {test:?} misses it with don't-cares at {fill}"))
-            }),
-            AtpgResult::Redundant => detection.map(|pattern| {
-                format!("PODEM proved it redundant but pattern {pattern} detects it")
-            }),
-            AtpgResult::Aborted => Some(format!(
-                "PODEM aborted after {PODEM_BACKTRACK_LIMIT} backtracks"
+        let implied = check.proves_redundant(fault);
+        let wrong = match (implied, detection) {
+            (true, Some(pattern)) => Some(format!(
+                "the implication check proved it redundant but pattern {pattern} detects it"
             )),
+            _ => match atpg.generate(fault, PODEM_BACKTRACK_LIMIT) {
+                AtpgResult::Test(test) if implied => Some(format!(
+                    "the implication check proved it redundant but PODEM found test {test:?}"
+                )),
+                AtpgResult::Test(test) => [false, true].into_iter().find_map(|fill| {
+                    let pattern: Vec<bool> = test.iter().map(|v| v.unwrap_or(fill)).collect();
+                    let replay = ParFaultSimulator::new(nl, vec![fault]).run_patterns(&[pattern]);
+                    (replay.detected_count() == 0).then(|| {
+                        format!("PODEM's test {test:?} misses it with don't-cares at {fill}")
+                    })
+                }),
+                AtpgResult::Redundant => detection.map(|pattern| {
+                    format!("PODEM proved it redundant but pattern {pattern} detects it")
+                }),
+                AtpgResult::Aborted => Some(format!(
+                    "PODEM aborted after {PODEM_BACKTRACK_LIMIT} backtracks"
+                )),
+            },
         };
         if let Some(detail) = wrong {
             return vec![Divergence {

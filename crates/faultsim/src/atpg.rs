@@ -6,9 +6,13 @@
 //!
 //! * **redundancy identification** — the Table 2 "100 % fault coverage"
 //!   rows count *detectable* faults, so undetectable (redundant) faults
-//!   must be proven so and excluded. [`Verdicts`] keeps each fault's
-//!   verdict, so the proof can retire a fault from fault simulation
-//!   mid-run and still decide its Table 2 class afterwards;
+//!   must be proven so and excluded. [`Verdicts`] first runs the
+//!   implication check ([`crate::implication`]), which proves a fault
+//!   redundant without a search when its mandatory assignments conflict,
+//!   and searches with PODEM only the faults the check leaves undecided.
+//!   It keeps each fault's verdict, so the proof can retire a fault from
+//!   fault simulation mid-run and still decide its Table 2 class
+//!   afterwards;
 //! * deterministic test generation for individual faults, used by tests to
 //!   cross-check the fault simulator.
 //!
@@ -32,6 +36,7 @@
 //!   scan over every gate and require the same pick.
 
 use crate::fault::{Fault, FaultSite};
+use crate::implication::ImplicationCheck;
 use bibs_netlist::analysis::{eval_tv, Scoap, Tv};
 use bibs_netlist::{EvalProgram, NetDriver, NetId, Netlist};
 use bibs_obs::{CounterId, Recorder};
@@ -607,52 +612,72 @@ impl<'a> Atpg<'a> {
     }
 }
 
-/// PODEM at most once per fault: an [`Atpg`] built on first use, and
-/// every verdict it has returned, kept by fault.
+/// Every fault's verdict, decided at most once: by the implication
+/// check ([`ImplicationCheck`]) when it proves the fault redundant, and
+/// otherwise by a PODEM search. Both are built on first use.
 ///
 /// A fault-sim run's prover ([`crate::sim::Stop::prover`]) and the
 /// classification of the run's survivors share one of these, so a fault
-/// the prover decided is not searched again, and a run that never asks
-/// builds no generator. [`Atpg::generate`] reloads per fault, so a
-/// verdict and its backtrack and evaluation counts do not depend on the
-/// order faults are asked in.
+/// the prover decided is not decided again, and a run that never asks
+/// builds neither the check's post-dominators nor a generator. The check
+/// reads the program the engine simulates; PODEM compiles its own. Both
+/// start over per fault, so a verdict and its backtrack and evaluation
+/// counts do not depend on the order faults are asked in.
 #[derive(Debug)]
 pub struct Verdicts<'a> {
     netlist: &'a Netlist,
+    program: &'a EvalProgram,
     backtrack_limit: usize,
+    check: Option<ImplicationCheck<'a>>,
     atpg: Option<Atpg<'a>>,
     kept: HashMap<Fault, AtpgResult>,
+    /// How many kept verdicts the implication check decided.
+    implied: u64,
     wall: Duration,
 }
 
 impl<'a> Verdicts<'a> {
-    /// No verdicts yet; searches on `netlist` will use `backtrack_limit`.
-    pub fn new(netlist: &'a Netlist, backtrack_limit: usize) -> Self {
+    /// No verdicts yet. `program` is `netlist` compiled; searches use
+    /// `backtrack_limit`.
+    pub fn new(netlist: &'a Netlist, program: &'a EvalProgram, backtrack_limit: usize) -> Self {
         Verdicts {
             netlist,
+            program,
             backtrack_limit,
+            check: None,
             atpg: None,
             kept: HashMap::new(),
+            implied: 0,
             wall: Duration::ZERO,
         }
     }
 
-    /// PODEM's verdict on `fault`: the kept one, or a new search.
+    /// The verdict on `fault`: the kept one, or `Redundant` if the
+    /// implication check proves it, or a new PODEM search.
     pub fn verdict(&mut self, fault: Fault) -> &AtpgResult {
         match self.kept.entry(fault) {
             Entry::Occupied(kept) => kept.into_mut(),
             Entry::Vacant(slot) => {
                 let started = Instant::now();
-                let atpg = self.atpg.get_or_insert_with(|| Atpg::new(self.netlist));
-                let verdict = atpg.generate(fault, self.backtrack_limit);
+                let program = self.program;
+                let check = self
+                    .check
+                    .get_or_insert_with(|| ImplicationCheck::new(program));
+                let verdict = if check.proves_redundant(fault) {
+                    self.implied += 1;
+                    AtpgResult::Redundant
+                } else {
+                    let atpg = self.atpg.get_or_insert_with(|| Atpg::new(self.netlist));
+                    atpg.generate(fault, self.backtrack_limit)
+                };
                 self.wall += started.elapsed();
                 slot.insert(verdict)
             }
         }
     }
 
-    /// Whether PODEM proves `fault` redundant — the prover a fault-sim
-    /// run retires faults with.
+    /// Whether `fault` is proved redundant — the prover a fault-sim run
+    /// retires faults with.
     pub fn proves_redundant(&mut self, fault: Fault) -> bool {
         *self.verdict(fault) == AtpgResult::Redundant
     }
@@ -662,17 +687,23 @@ impl<'a> Verdicts<'a> {
         Classification::collect(faults.iter().map(|&f| (f, self.verdict(f).clone())))
     }
 
-    /// Wall time spent searching so far, building the generator included.
+    /// Wall time spent deciding so far, building the check and the
+    /// generator included.
     pub fn wall(&self) -> Duration {
         self.wall
     }
 
-    /// Adds every search so far to the current span of `rec`: the faults
-    /// searched as `podem_faults`, their backtracks as `podem_backtracks`
-    /// and the ternary instructions implication evaluated as
-    /// `podem_evals`.
+    /// Adds every verdict so far to the current span of `rec`: the faults
+    /// the implication check proved as `implied_redundant`; the faults
+    /// PODEM searched as `podem_faults`, their backtracks as
+    /// `podem_backtracks` and the ternary instructions its implication
+    /// evaluated as `podem_evals`.
     pub fn record(&self, rec: &mut Recorder) {
-        rec.add(CounterId::PodemFaults, self.kept.len() as u64);
+        rec.add(CounterId::ImpliedRedundant, self.implied);
+        rec.add(
+            CounterId::PodemFaults,
+            self.kept.len() as u64 - self.implied,
+        );
         if let Some(atpg) = &self.atpg {
             rec.add(CounterId::PodemBacktracks, atpg.backtracks_total);
             rec.add(CounterId::PodemEvals, atpg.evals_total);
@@ -734,6 +765,31 @@ mod tests {
         // But y/sa1 is detectable (any pattern works).
         let fault1 = Fault::net_sa1(nl.outputs()[0]);
         assert!(matches!(atpg.generate(fault1, 10_000), AtpgResult::Test(_)));
+    }
+
+    /// `y = x AND NOT x` with `x = a AND b`: activating `y` stuck-at-0
+    /// sets `x` and `NOT x` to 1, a conflict. The implication check
+    /// proves the fault, so no PODEM generator is built, although PODEM
+    /// alone aborts on it at a backtrack limit of 1.
+    #[test]
+    fn verdicts_prove_by_implication_before_podem() {
+        let mut b = NetlistBuilder::new("and_not");
+        let a = b.input("a");
+        let c = b.input("b");
+        let x = b.and2(a, c);
+        let nx = b.not(x);
+        let y = b.and2(x, nx);
+        let z = b.xor2(a, c);
+        b.output("y", y);
+        b.output("z", z);
+        let nl = b.finish().unwrap();
+        let program = EvalProgram::compile(&nl).unwrap();
+        let mut verdicts = Verdicts::new(&nl, &program, 1);
+        assert!(verdicts.proves_redundant(Fault::net_sa0(y)));
+        assert!(verdicts.atpg.is_none(), "PODEM was built");
+        assert_eq!(verdicts.implied, 1);
+        let mut atpg = Atpg::new(&nl);
+        assert_eq!(atpg.generate(Fault::net_sa0(y), 1), AtpgResult::Aborted);
     }
 
     #[test]

@@ -18,9 +18,10 @@
 //!   random, exhaustive counters, stored-seed replays — behind one
 //!   [`source::PatternSource`] trait with clock accounting, driven by the
 //!   one [`sim::BlockSim::run`] driver;
-//! * **PODEM** combinational ATPG ([`atpg`]) to prove faults undetectable —
+//! * **PODEM** combinational ATPG ([`atpg`]), after an implication check
+//!   that needs no search ([`implication`]), to prove faults undetectable —
 //!   which defines the "detectable" universe that the 100 % rows measure,
-//!   and, as the driver's mid-run prover, takes the faults it proves
+//!   and, as the driver's mid-run prover, takes the faults they prove
 //!   redundant out of fault simulation.
 //!   (The paper: "only an ATPG system for combinational logic is required",
 //!   thanks to balanced kernels being 1-step functionally testable.)
@@ -68,6 +69,7 @@
 pub mod atpg;
 mod eval;
 pub mod fault;
+pub mod implication;
 pub mod par;
 pub mod reference;
 pub mod seq;

@@ -1,8 +1,10 @@
-//! Property-based tests for the fault machinery: PODEM soundness against
-//! the fault simulator, collapsing soundness, observability filtering.
+//! Property-based tests for the fault machinery: PODEM and implication
+//! soundness against the fault simulator, collapsing soundness,
+//! observability filtering.
 
 use bibs_faultsim::atpg::{Atpg, AtpgResult};
 use bibs_faultsim::fault::{Fault, FaultUniverse};
+use bibs_faultsim::implication::ImplicationCheck;
 use bibs_faultsim::par::ParFaultSimulator;
 use bibs_faultsim::sim::{BlockSim, Stop};
 use bibs_faultsim::source::RandomWords;
@@ -55,6 +57,30 @@ proptest! {
                     prop_assert!(!truth, "PODEM called detectable {fault} redundant");
                 }
                 AtpgResult::Aborted => {} // inconclusive is allowed
+            }
+        }
+    }
+
+    /// The implication check is sound: every fault of the full universe it
+    /// proves redundant stays undetected under exhaustive simulation, and
+    /// PODEM finds no test for it.
+    #[test]
+    fn implication_proofs_hold_exhaustively(nl in netlist_strategy()) {
+        let faults = FaultUniverse::full(&nl).faults().to_vec();
+        let program = bibs_netlist::EvalProgram::compile(&nl).unwrap();
+        let truth = ParFaultSimulator::new(&nl, faults.clone()).run_exhaustive();
+        let mut check = ImplicationCheck::new(&program);
+        let mut atpg = Atpg::new(&nl);
+        for (&fault, detection) in faults.iter().zip(truth.detection()) {
+            if check.proves_redundant(fault) {
+                prop_assert!(
+                    detection.is_none(),
+                    "the check proved detectable {} redundant", fault
+                );
+                prop_assert!(
+                    !matches!(atpg.generate(fault, 50_000), AtpgResult::Test(_)),
+                    "PODEM found a test for {}, which the check proved redundant", fault
+                );
             }
         }
     }

@@ -62,7 +62,8 @@ pub enum CounterId {
     PatternsConsumed,
     /// PODEM backtracks across all targeted faults.
     PodemBacktracks,
-    /// Faults PODEM attempted.
+    /// Faults PODEM searched (not those the implication check proved
+    /// first; see [`CounterId::ImpliedRedundant`]).
     PodemFaults,
     /// Ternary instructions PODEM's implication evaluated, good and faulty
     /// machine together (the once-per-fault loading sweep included).
@@ -97,10 +98,13 @@ pub enum CounterId {
     /// simulating. Recorded only when nonzero, so runs that retire
     /// nothing keep their telemetry unchanged.
     FaultsRetired,
+    /// Faults the implication check proved redundant, with no PODEM
+    /// search.
+    ImpliedRedundant,
 }
 
 /// Number of counters — the fixed length of every [`Counters`] array.
-pub const COUNTER_COUNT: usize = 20;
+pub const COUNTER_COUNT: usize = 21;
 
 impl CounterId {
     /// Every counter, in export order.
@@ -125,6 +129,7 @@ impl CounterId {
         CounterId::PatternsEmitted,
         CounterId::SourceClocks,
         CounterId::FaultsRetired,
+        CounterId::ImpliedRedundant,
     ];
 
     /// The stable snake_case name used in JSON exports and trace output.
@@ -150,6 +155,7 @@ impl CounterId {
             CounterId::PatternsEmitted => "patterns_emitted",
             CounterId::SourceClocks => "source_clocks",
             CounterId::FaultsRetired => "faults_retired",
+            CounterId::ImpliedRedundant => "implied_redundant",
         }
     }
 }

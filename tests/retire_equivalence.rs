@@ -1,19 +1,20 @@
 //! The proving driver against the plain one.
 //!
-//! A run whose [`Stop`] carries PODEM as its prover retires the faults
-//! PODEM proves redundant once the stream has gone [`PROVE_AFTER`]
-//! patterns without a detection. A redundant fault is never detected, so
-//! the run must reproduce the plain run exactly: every detection index,
-//! `patterns_applied`, and the source's clocks, patterns and next block. The
-//! cases cover every pattern-source kind and the BIBS kernels of the
-//! three paper datapaths, plus four hand-built circuits that pin the
-//! prover's rules:
-//! a `Test` verdict keeps its fault live, an `Aborted` one does too, an
+//! A run whose [`Stop`] carries [`Verdicts`] as its prover retires the
+//! faults they prove redundant (by implication, else by PODEM) once the
+//! stream has gone [`PROVE_AFTER`] patterns without a detection. A
+//! redundant fault is never detected, so the run must reproduce the plain
+//! run exactly: every detection index, `patterns_applied`, and the
+//! source's clocks, patterns and next block. The cases cover every
+//! pattern-source kind and the BIBS kernels of the three paper datapaths,
+//! plus four hand-built circuits that pin the prover's rules: a `Test`
+//! verdict keeps its fault live, an `Aborted` one does too, an
 //! all-redundant live list still stops at the plain run's pattern, and a
 //! plateau no longer than [`PROVE_AFTER`] never calls the prover. Last,
 //! the whole Table 2 pipeline runs on `circuits/redundant_mux.ckt`, whose
-//! redundancy only case analysis on a reconvergent stem proves: PODEM
-//! retirement must leave its report equal to the reference engine's.
+//! redundancy only case analysis on a reconvergent stem proves: retiring
+//! its proved faults must leave its report equal to the reference
+//! engine's.
 
 mod common;
 
@@ -30,11 +31,16 @@ use bibs_faultsim::source::{
 };
 use bibs_faultsim::stats::SimStats;
 use bibs_netlist::builder::NetlistBuilder;
-use bibs_netlist::{GateKind, Netlist};
+use bibs_netlist::{EvalProgram, GateKind, Netlist};
 use common::bibs_kernels;
 
 /// Table 2's PODEM backtrack limit.
 const BACKTRACK_LIMIT: usize = 100_000;
+
+/// The program a [`Verdicts`] on `nl` reads.
+fn compiled(nl: &Netlist) -> EvalProgram {
+    EvalProgram::compile(nl).expect("combinational netlists compile")
+}
 
 type MakeSource<'a> = &'a dyn Fn() -> Box<dyn PatternSource>;
 
@@ -92,7 +98,7 @@ fn counters(s: &SimStats) -> [u64; 6] {
     ]
 }
 
-/// Runs the plain driver and the PODEM-proving one and requires identical
+/// Runs the plain driver and the proving one and requires identical
 /// runs. Returns both.
 fn assert_prover_invisible(
     name: &str,
@@ -130,7 +136,8 @@ fn paper_datapath_kernels_run_identically_with_the_prover() {
             .iter()
             .enumerate()
         {
-            let mut verdicts = Verdicts::new(comb, BACKTRACK_LIMIT);
+            let program = compiled(comb);
+            let mut verdicts = Verdicts::new(comb, &program, BACKTRACK_LIMIT);
             let (_, proving) = assert_prover_invisible(
                 &format!("{name}@{width} kernel {k}"),
                 comb,
@@ -153,7 +160,8 @@ fn every_source_kind_runs_identically_with_the_prover() {
         .next()
         .expect("a BIBS kernel");
     let width = comb.input_width();
-    let mut verdicts = Verdicts::new(&comb, BACKTRACK_LIMIT);
+    let program = compiled(&comb);
+    let mut verdicts = Verdicts::new(&comb, &program, BACKTRACK_LIMIT);
     let random = || Box::new(RandomWords::seeded(11)) as Box<dyn PatternSource>;
     let lfsr =
         || Box::new(LfsrSource::new(width, 5).expect("fits an LFSR")) as Box<dyn PatternSource>;
@@ -193,7 +201,8 @@ fn mintpg_source_runs_identically_with_the_prover() {
         "mintpg",
         "the width-7 BIBS kernel must get the TPG, not the LFSR fallback"
     );
-    let mut verdicts = Verdicts::new(comb, BACKTRACK_LIMIT);
+    let program = compiled(comb);
+    let mut verdicts = Verdicts::new(comb, &program, BACKTRACK_LIMIT);
     assert_prover_invisible(
         "mintpg",
         comb,
@@ -216,7 +225,8 @@ fn a_random_resistant_testable_fault_stays_live() {
     b.output("y", y);
     let nl = b.finish().unwrap();
     let fault = Fault::net_sa0(nl.outputs()[0]);
-    let mut verdicts = Verdicts::new(&nl, BACKTRACK_LIMIT);
+    let program = compiled(&nl);
+    let mut verdicts = Verdicts::new(&nl, &program, BACKTRACK_LIMIT);
     assert!(matches!(verdicts.verdict(fault), AtpgResult::Test(_)));
     let make = || Box::new(RandomWords::seeded(16)) as Box<dyn PatternSource>;
     let (plain, proving) = assert_prover_invisible(
@@ -240,16 +250,18 @@ fn a_random_resistant_testable_fault_stays_live() {
     );
 }
 
-/// `y = x AND NOT x` with `x = a AND b`: `y` is constant 0, and PODEM
-/// needs two backtracks to prove `y` stuck-at-0 redundant. `z = a XOR b`
-/// gives the list faults the stream detects at once.
-fn two_backtrack_redundancy() -> (Netlist, Fault) {
-    let mut b = NetlistBuilder::new("redundant2");
+/// `y = (a XOR b) AND (a XNOR b)` is constant 0, but implication does
+/// not show it: activating `y` stuck-at-0 sets both gates to 1, and a 1
+/// on a two-input parity gate decides neither input. PODEM needs three
+/// backtracks to prove `y` stuck-at-0 redundant. `z = a XOR b` gives the
+/// list faults the stream detects at once.
+fn case_analysis_redundancy() -> (Netlist, Fault) {
+    let mut b = NetlistBuilder::new("xor_and_xnor");
     let a = b.input("a");
     let c = b.input("b");
-    let x = b.and2(a, c);
-    let nx = b.not(x);
-    let y = b.and2(x, nx);
+    let x = b.xor2(a, c);
+    let xn = b.gate(GateKind::Xnor, &[a, c]);
+    let y = b.and2(x, xn);
     let z = b.xor2(a, c);
     b.output("y", y);
     b.output("z", z);
@@ -262,14 +274,15 @@ fn two_backtrack_redundancy() -> (Netlist, Fault) {
 /// it stays live and every block still runs the good machine.
 #[test]
 fn aborted_faults_stay_live() {
-    let (nl, fault) = two_backtrack_redundancy();
+    let (nl, fault) = case_analysis_redundancy();
     let faults = FaultUniverse::collapsed(&nl).faults().to_vec();
     assert!(faults.contains(&fault));
+    let program = compiled(&nl);
     assert_eq!(
-        Verdicts::new(&nl, BACKTRACK_LIMIT).verdict(fault),
+        Verdicts::new(&nl, &program, BACKTRACK_LIMIT).verdict(fault),
         &AtpgResult::Redundant
     );
-    let mut verdicts = Verdicts::new(&nl, 1);
+    let mut verdicts = Verdicts::new(&nl, &program, 1);
     assert_eq!(verdicts.verdict(fault), &AtpgResult::Aborted);
     let make = || Box::new(RandomWords::seeded(2)) as Box<dyn PatternSource>;
     let (plain, proving) = assert_prover_invisible(
@@ -307,7 +320,8 @@ fn an_all_redundant_live_list_still_stops_at_the_plateau() {
     let nl = b.finish().unwrap();
     let faults = FaultUniverse::collapsed(&nl).faults().to_vec();
     let plateau = 4_096;
-    let mut verdicts = Verdicts::new(&nl, BACKTRACK_LIMIT);
+    let program = compiled(&nl);
+    let mut verdicts = Verdicts::new(&nl, &program, BACKTRACK_LIMIT);
     let make = || Box::new(RandomWords::seeded(9)) as Box<dyn PatternSource>;
     let (plain, proving) = assert_prover_invisible(
         "a AND NOT a",
@@ -404,8 +418,8 @@ fn a_short_plateau_never_calls_the_prover() {
 
 /// (e) The Table 2 pipeline on the one shipped circuit with redundancy
 /// beyond the observability split: `SUB` computes `a - a`. No static
-/// prover runs, so those faults are simulated until PODEM proves them
-/// redundant and retires them. The fault accounting and the JSON must
+/// prover runs, so those faults are simulated until the prover proves
+/// them redundant and retires them. The fault accounting and the JSON must
 /// equal the reference engine's, which never retires anything.
 #[test]
 fn table2_on_the_redundant_fixture_matches_the_reference_engine() {
@@ -448,6 +462,6 @@ fn table2_on_the_redundant_fixture_matches_the_reference_engine() {
     assert_eq!(
         table2_json(&[compiled]),
         table2_json(&[columns(Engine::Reference)]),
-        "retiring PODEM-proved faults must not change the report"
+        "retiring proved faults must not change the report"
     );
 }
