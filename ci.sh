@@ -98,29 +98,39 @@ diff /tmp/bibs-table2-compiled.json /tmp/bibs-table2-reference.json
 grep -q '"detection_indices"' /tmp/bibs-table2-compiled.json
 
 step "telemetry perf-regression gate (perfdiff vs committed BENCH_table2.json)"
-# The baseline predates the PatternSource refactor, and perfdiff compares
-# counter maps with hard equality — passing proves the refactored driver
-# added no recorder traffic or extra work to the default hot path.
+# perfdiff compares the span shape and every counter with hard equality,
+# and walls within a wide band. The counters were last re-recorded when
+# fault simulation moved to critical-path tracing in fanout-free regions
+# (gate_evals, stem_evals, and the elaborate and collapse spans); the
+# walls are older. A mismatch means the default hot path does other work.
 cargo run --release -p bibs-bench --bin table2 -- --only c5a2m \
   --telemetry /tmp/bibs-telemetry.json > /dev/null
 cargo run --release -p bibs-bench --bin perfdiff -- \
   BENCH_table2.json /tmp/bibs-telemetry.json
 
-step "retired faults: c5a2m's BIBS kernel stops sweeping the good machine once the prover retires its survivors"
+step "retired faults and shared stems: c5a2m's BIBS kernel stops sweeping the good machine once the prover retires its survivors, and propagates fewer stems than it checks faults"
 # The implication check proves the kernel's two survivors redundant 1,024
 # patterns after its last detection; the rest of the 100,000-pattern plateau still
 # applies every block but evaluates nothing. A prover that retired
 # nothing would leave good_evals equal to blocks. The BIBS column comes
-# first, so the first fault-sim span is its one kernel's.
+# first, so the first fault-sim span is its one kernel's. The engine
+# propagates each fanout-free region's stem once per block for all of
+# the region's faults; an engine that propagated once per fault would
+# record as many stem_evals as fault_evals, whatever the baseline says.
 sim_span=$(grep -o '"label":"fault-sim\[par\]","wall_ns":[0-9]*,"counters":{[^}]*}' \
   /tmp/bibs-telemetry.json | head -1)
 span_counter() { printf '%s' "$sim_span" | grep -o "\"$1\":[0-9]*" | grep -o '[0-9]*$'; }
 good=$(span_counter good_evals)
 blocks=$(span_counter blocks)
 retired=$(span_counter faults_retired || true)
+faults=$(span_counter fault_evals)
+stems=$(span_counter stem_evals || true)
 echo "BIBS c5a2m kernel 0: ${good} good-machine sweeps over ${blocks} blocks, ${retired:-0} faults retired"
+echo "BIBS c5a2m kernel 0: ${stems} stem propagations for ${faults} live-fault checks"
 test -n "$good" && test -n "$blocks" && test -n "$retired"
 test "$good" -lt "$blocks" && test "$retired" -gt 0
+test -n "$faults" && test -n "$stems"
+test "$stems" -lt "$faults"
 
 step "pattern sources: --source random JSON is byte-identical to the legacy path"
 # The same seeded stream drawn through the PatternSource layer must not

@@ -501,6 +501,10 @@ pub fn apply_tdm(circuit: &Circuit, tdm: Tdm) -> (Circuit, BilboDesign, Vec<Kern
 ///
 /// Spans recorded:
 ///
+/// * `"elaborate"` — the kernel's gate-level elaboration and its
+///   combinational equivalent;
+/// * `"collapse"` — the structural fault collapsing that builds the
+///   universe;
 /// * `"compile"` — the netlist→IR compile (instruction/slot counters);
 /// * `"analyze"` — the observability split, carrying the
 ///   `universe_faults` counter (the kernel's span carries
@@ -533,9 +537,13 @@ pub fn kernel_fault_stats(
 ) -> Result<KernelFaultStats, String> {
     let cut: HashSet<_> = design.bilbo.iter().chain(&design.cbilbo).copied().collect();
     let kernel_set: HashSet<_> = kernel.vertices.iter().copied().collect();
-    let elab = elaborate_kernel(circuit, &kernel_set, &cut).expect("kernel elaborates");
-    let comb = elab.netlist.combinational_equivalent();
-    let universe = FaultUniverse::collapsed(&comb);
+    let comb = rec.scope("elaborate", |_| {
+        elaborate_kernel(circuit, &kernel_set, &cut)
+            .expect("kernel elaborates")
+            .netlist
+            .combinational_equivalent()
+    });
+    let universe = rec.scope("collapse", |_| FaultUniverse::collapsed(&comb));
 
     // Phase 0: compile, then drop the faults with no net path to a PO
     // (the truncated multipliers' upper halves): they are redundant

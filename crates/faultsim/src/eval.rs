@@ -1,12 +1,16 @@
-//! Compiled-evaluation helpers for the fault simulator.
+//! Compiled-evaluation helpers for the fault simulators.
 //!
-//! Every engine *must* compute per-fault detection identically — the engine's determinism guarantee (bit-identical
-//! [`crate::sim::FaultSimReport`]s) rests on there being exactly one
-//! mapping from faults to [`Patch`]es and one detection rule.
-//! Since the compiled-IR refactor the evaluation itself lives in
-//! [`bibs_netlist::EvalProgram`]; this module supplies the fault-model
-//! glue. The seed AST-walking interpreter survives in
-//! [`crate::reference`] as the equivalence oracle.
+//! Every engine *must* compute per-fault detection identically — the
+//! engines' determinism guarantee (bit-identical
+//! [`crate::sim::FaultSimReport`]s) rests on one detection rule (the
+//! lowest valid lane of the output difference) and, where a fault is
+//! run as a whole faulty machine, one mapping from faults to
+//! [`Patch`]es. Since the compiled-IR refactor the evaluation itself
+//! lives in [`bibs_netlist::EvalProgram`]; this module supplies the
+//! fault-model glue. The compiled engine ([`crate::par`]) traces faults
+//! to their fanout-free regions' stems instead of patching each one. The
+//! seed AST-walking interpreter survives in [`crate::reference`] as the
+//! equivalence oracle.
 
 use crate::fault::{Fault, FaultSite};
 use bibs_netlist::{EvalProgram, Patch};

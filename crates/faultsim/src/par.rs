@@ -1,18 +1,33 @@
 //! The compiled fault-simulation engine.
 //!
 //! [`ParFaultSimulator`] applies every block of the shared [`BlockSim`]
-//! driver on the calling thread as:
+//! driver on the calling thread, tracing critical paths inside
+//! fanout-free regions as FSIM does (Lee & Ha, 1991). A fanout-free
+//! region (FFR) is a maximal tree whose inner nets each have exactly one
+//! gate reader and are not primary outputs; its root net is the region's
+//! *stem*. At construction the engine maps every fault to its site and
+//! its region's stem. Each block then runs:
 //!
 //! 1. **one** good-machine run of the compiled [`EvalProgram`] over the
 //!    block's 64-lane input words;
-//! 2. one event-driven propagation per *undetected* fault: the engine
-//!    copies the good values into its `faulty` buffer once per block,
-//!    then propagates each fault's pre-compiled [`bibs_netlist::Patch`]
-//!    ([`EvalProgram::eval_events`]), evaluating only the instructions
-//!    whose inputs differ from the good machine's, and the buffer is
-//!    restored after each fault;
-//! 3. each detected fault records `patterns_applied + lane` and leaves
-//!    the list.
+//! 2. per live fault, its *local word*: the activation word (`good ^
+//!    stuck` at the site) ANDed with the sensitization word
+//!    ([`EvalProgram::sensitization`]) of every gate on its one path to
+//!    the stem. These are the lanes in which the fault flips the stem;
+//! 3. only for a nonzero local word, the stem's observability word: one
+//!    event-driven propagation of the stem's complement per stem and
+//!    block ([`EvalProgram::eval_events`]), cached for the block's other
+//!    faults of the region. The engine copies the good values into its
+//!    `faulty` buffer once per block, and each propagation restores it;
+//! 4. each fault whose local word ANDed with its stem's observability
+//!    word is nonzero records `patterns_applied + lane` and leaves the
+//!    list.
+//!
+//! The trace is exact. Inside a tree a fault's effect travels one path,
+//! so each gate on it sees exactly one changed operand; past the stem the
+//! faulty machine is the good one with the stem flipped in the lanes the
+//! fault reaches. Every report equals one event-driven propagation per
+//! fault, bit for bit.
 //!
 //! A driver prover's verdicts take faults off the list too
 //! ([`BlockSim::retire`]); once the list is empty a block is only
@@ -26,19 +41,21 @@
 //! * the pattern stream is formed by the shared [`BlockSim`] driver, so
 //!   every engine draws the same source words and applies the same
 //!   blocks;
-//! * per-fault detection is a pure function of `(program, block, patch)`,
-//!   and each propagation starts from, and restores, the good machine's
-//!   values, so the order the faults run in cannot change an answer;
+//! * per-fault detection is a pure function of `(program, block, fault)`,
+//!   and each stem propagation starts from, and restores, the good
+//!   machine's values, so the order the faults run in cannot change an
+//!   answer;
 //! * fault dropping is block-granular: a fault detected in block *b*
 //!   keeps its first lane in *b* and is evaluated by no later block.
 //!
 //! Every counter the engine records is detection-deterministic too.
 //! `tests/compiled_equivalence.rs` pins the reports against the reference
-//! interpreter, and `tests/lanes_equivalence.rs` the driver against a
-//! one-block-at-a-time stop oracle.
+//! interpreter, which propagates each fault on its own, and
+//! `tests/lanes_equivalence.rs` the driver against a one-block-at-a-time
+//! stop oracle.
 
 use crate::eval;
-use crate::fault::Fault;
+use crate::fault::{Fault, FaultSite};
 use crate::sim::{BlockSim, FaultSimReport};
 use crate::source::PatternBlock;
 use crate::stats::SimStats;
@@ -50,15 +67,17 @@ use std::time::Instant;
 /// one fault list.
 ///
 /// Construction compiles the netlist once (or adopts a caller-supplied
-/// program via [`ParFaultSimulator::with_program`]) and pre-compiles
-/// every fault to its one patch-point; each block is then one program
-/// run for the good machine plus one event-driven propagation per
-/// undetected fault, which evaluates only the instructions the fault's
-/// effect reaches (PPSFP: parallel patterns, single-fault
-/// propagation). Detected faults are dropped from later blocks; the per-fault
-/// first-detection pattern index is recorded so coverage-vs-pattern-count
-/// curves (the paper's Table 2 rows 5–8) can be reconstructed exactly.
-/// Reports are bit-identical to the seed interpreter's
+/// program via [`ParFaultSimulator::with_program`]) and resolves every
+/// fault to its site and the stem of its fanout-free region. Each block
+/// is then one program run for the good machine, a trace of each
+/// undetected fault's path to its stem, and one event-driven propagation
+/// per stem that some fault flips, which evaluates only the instructions
+/// the stem's change reaches (PPSFP, parallel patterns and single-fault
+/// propagation, with the propagation shared per region). Detected faults
+/// are dropped from later blocks; the per-fault first-detection pattern
+/// index is recorded so coverage-vs-pattern-count curves (the paper's
+/// Table 2 rows 5–8) can be reconstructed exactly. Reports are
+/// bit-identical to the seed interpreter's
 /// ([`crate::reference::ReferenceSimulator`]), pinned by
 /// `tests/compiled_equivalence.rs`.
 ///
@@ -91,20 +110,103 @@ pub struct ParFaultSimulator<'a> {
     netlist: &'a Netlist,
     program: EvalProgram,
     faults: Vec<Fault>,
-    /// `patches[i]` = compiled patch-point of fault *i*.
-    patches: Vec<Patch>,
+    /// `sites[i]` = where fault *i* acts in the program.
+    sites: Vec<Site>,
     detection: Vec<Option<u64>>,
     /// Indices (into `faults`) of the faults still undetected — each
     /// block's work list. Compacted by every block that detects.
     undetected: Vec<u32>,
     /// The good machine's values for the current block.
     good: Vec<u64>,
-    /// The faulty machine's values: the good machine's between faults.
+    /// The faulty machine's values: the good machine's between stem
+    /// propagations.
     faulty: Vec<u64>,
+    /// `observed[s] = (block, word)`: the primary-output difference of
+    /// flipping stem `s`, valid while `block` is the current block's first
+    /// pattern index (`u64::MAX` before any propagation).
+    observed: Vec<(u64, u64)>,
     /// The event queue the propagations work in, reused across blocks.
     queue: EventQueue,
     patterns_applied: u64,
     rec: Recorder,
+}
+
+/// Where one fault acts in the program, resolved at construction.
+#[derive(Debug, Clone, Copy)]
+struct Site {
+    /// The slot whose good word the fault inverts in its active lanes:
+    /// the faulted net, or the operand a pin fault forces.
+    slot: u32,
+    /// For a pin fault, the instruction and operand position it forces.
+    pin: Option<(u32, u32)>,
+    /// The stem of the fanout-free region holding the fault.
+    stem: u32,
+    /// The stuck value: `true` = stuck-at-1.
+    stuck_at: bool,
+}
+
+impl Site {
+    fn new(program: &EvalProgram, stems: &[u32], fault: Fault) -> Site {
+        let (slot, pin, net) = match fault.site {
+            FaultSite::Net(n) => (n.index() as u32, None, n.index() as u32),
+            FaultSite::GatePin { gate, pin } => {
+                let instr = program.instr_of_gate(gate);
+                let ins = program.instr(instr);
+                let at = Some((instr as u32, pin as u32));
+                (ins.operands[pin], at, ins.out)
+            }
+        };
+        Site {
+            slot,
+            pin,
+            stem: stems[net as usize],
+            stuck_at: fault.stuck_at,
+        }
+    }
+
+    /// The lanes in which the fault flips its stem: its activation word
+    /// ANDed with the sensitization word of every gate on its one path
+    /// to the stem, over the good machine's `good` values.
+    #[inline]
+    fn local_word(&self, program: &EvalProgram, good: &[u64]) -> u64 {
+        let stuck = if self.stuck_at { !0 } else { 0 };
+        let mut word = good[self.slot as usize] ^ stuck;
+        let mut net = self.slot as usize;
+        if let Some((instr, pin)) = self.pin {
+            word &= program.sensitization(good, instr as usize, pin as usize);
+            net = program.instr(instr as usize).out as usize;
+        }
+        while net != self.stem as usize && word != 0 {
+            // Below its stem a net has exactly one reader.
+            let (reader, pin) = program.readers(net)[0];
+            word &= program.sensitization(good, reader as usize, pin as usize);
+            net = program.instr(reader as usize).out as usize;
+        }
+        word
+    }
+}
+
+/// Maps every slot to the stem of its fanout-free region: the net
+/// reached by following nets that have exactly one gate reader and are
+/// not primary outputs. A net with no reader, several reader pins (one
+/// gate reading it twice included) or an output role is its own stem.
+fn stems(program: &EvalProgram) -> Vec<u32> {
+    let slots = program.slot_count();
+    let mut stem: Vec<u32> = (0..slots as u32).collect();
+    // A net's sole reader writes a net later in the schedule, so the gate
+    // outputs settle from the last instruction back, then the sources.
+    let outputs = (0..program.instr_count())
+        .rev()
+        .map(|i| program.instr(i).out as usize);
+    let sources = (0..slots).filter(|&s| program.instr_of_slot(s).is_none());
+    for s in outputs.chain(sources) {
+        if let [(reader, _)] = *program.readers(s) {
+            if !program.is_output(s) {
+                stem[s] = stem[program.instr(reader as usize).out as usize];
+            }
+        }
+    }
+    stem
 }
 
 impl<'a> ParFaultSimulator<'a> {
@@ -173,9 +275,10 @@ impl<'a> ParFaultSimulator<'a> {
             faults.len() <= u32::MAX as usize,
             "fault list exceeds u32 index space"
         );
-        let patches = faults
+        let stems = stems(&program);
+        let sites = faults
             .iter()
-            .map(|&f| eval::compile_patch(&program, f))
+            .map(|&f| Site::new(&program, &stems, f))
             .collect();
         let n = faults.len();
         let good = program.new_values();
@@ -183,10 +286,11 @@ impl<'a> ParFaultSimulator<'a> {
             netlist,
             program,
             faults,
-            patches,
+            sites,
             detection: vec![None; n],
             undetected: (0..n as u32).collect(),
             faulty: good.clone(),
+            observed: vec![(u64::MAX, 0); good.len()],
             good,
             queue: EventQueue::default(),
             patterns_applied: 0,
@@ -222,24 +326,45 @@ impl<'a> ParFaultSimulator<'a> {
         &self.rec
     }
 
-    /// Evaluates the good machine once on `block`, then propagates every
-    /// undetected fault against it; each detected fault gets its index
+    /// Evaluates the good machine once on `block`, then traces every
+    /// undetected fault to its stem and propagates each stem a fault
+    /// flips once; each detected fault gets its index
     /// (`patterns_applied + lane`, only lanes under `mask` count) and
     /// leaves the list. Returns how many were detected.
     fn simulate_block(&mut self, block: &PatternBlock, mask: u64) -> usize {
         let started = Instant::now();
         let mut gate_evals = self.program.eval_good(&mut self.good, &block.words);
         self.faulty.copy_from_slice(&self.good);
-        let mut detected = 0;
+        let stamp = self.patterns_applied;
+        let (mut detected, mut stem_evals) = (0, 0);
         for &fi in &self.undetected {
-            let (diff, evals) = self.program.eval_events(
-                &self.good,
-                &mut self.faulty,
-                self.patches[fi as usize],
-                &mut self.queue,
-            );
-            gate_evals += evals;
-            if let Some(lane) = eval::first_detection(diff, mask) {
+            let site = self.sites[fi as usize];
+            let local = site.local_word(&self.program, &self.good);
+            if local & mask == 0 {
+                continue;
+            }
+            let stem = site.stem as usize;
+            let (seen, observed) = &mut self.observed[stem];
+            if *seen != stamp {
+                let word = !self.good[stem];
+                let patch = match self.program.instr_of_slot(stem) {
+                    Some(instr) => Patch::InstrOutput {
+                        instr: instr as u32,
+                        word,
+                    },
+                    None => Patch::Slot {
+                        slot: site.stem,
+                        word,
+                    },
+                };
+                let (diff, evals) =
+                    self.program
+                        .eval_events(&self.good, &mut self.faulty, patch, &mut self.queue);
+                gate_evals += evals;
+                stem_evals += 1;
+                (*seen, *observed) = (stamp, diff);
+            }
+            if let Some(lane) = eval::first_detection(local & *observed, mask) {
                 self.detection[fi as usize] = Some(self.patterns_applied + lane);
                 detected += 1;
             }
@@ -253,6 +378,7 @@ impl<'a> ParFaultSimulator<'a> {
         let root = self.rec.root();
         self.rec.add_to(root, CounterId::GateEvals, gate_evals);
         self.rec.add_to(root, CounterId::FaultEvals, fault_evals);
+        self.rec.add_to(root, CounterId::StemEvals, stem_evals);
         self.rec.add_to(root, CounterId::GoodEvals, 1);
         self.rec
             .add_to(root, CounterId::FaultsDropped, detected as u64);
@@ -327,6 +453,57 @@ mod tests {
         b.output_word("s", &s);
         b.output("co", co);
         b.finish().unwrap()
+    }
+
+    #[test]
+    fn stems_follow_single_reader_non_output_nets() {
+        use bibs_netlist::GateKind;
+        let mut b = NetlistBuilder::new("ffr");
+        let a = b.input("a");
+        let c = b.input("b");
+        let d = b.input("d");
+        let g1 = b.and2(c, d); // sole reader g2: inner
+        let g2 = b.or2(g1, a); // an output that g3 also reads: a stem
+        let g3 = b.not(g2); // sole reader g4: inner
+        let g4 = b.and2(g3, a); // read twice by g5: a stem
+        let g5 = b.gate(GateKind::Xor, &[g4, g4, a]);
+        let dead = b.not(c); // no reader: a stem
+        b.output("g2", g2);
+        b.output("g5", g5);
+        b.output("d", d);
+        let nl = b.finish().unwrap();
+        let program = EvalProgram::compile(&nl).unwrap();
+        let stem = stems(&program);
+        let of = |n: bibs_netlist::NetId| stem[n.index()] as usize;
+        assert_eq!(of(g1), g2.index());
+        assert_eq!(of(c), c.index(), "read by g1 and the dead NOT");
+        assert_eq!(of(d), d.index(), "a primary input that is an output");
+        assert_eq!(of(a), a.index());
+        assert_eq!(of(g2), g2.index());
+        assert_eq!(of(g3), g4.index());
+        assert_eq!(of(g4), g4.index());
+        assert_eq!(of(g5), g5.index());
+        assert_eq!(of(dead), dead.index());
+
+        // Against a step-by-step walk on a multi-region circuit.
+        let mut b = NetlistBuilder::new("mul4");
+        let x = b.input_word("a", 4);
+        let y = b.input_word("b", 4);
+        let p = b.array_multiplier(&x, &y, 8);
+        b.output_word("p", &p);
+        let nl = b.finish().unwrap();
+        let program = EvalProgram::compile(&nl).unwrap();
+        let stem = stems(&program);
+        for (slot, &got) in stem.iter().enumerate() {
+            let mut net = slot;
+            while let [(reader, _)] = *program.readers(net) {
+                if program.is_output(net) {
+                    break;
+                }
+                net = program.instr(reader as usize).out as usize;
+            }
+            assert_eq!(got as usize, net, "slot {slot}");
+        }
     }
 
     #[test]

@@ -18,7 +18,8 @@ use std::time::Duration;
 /// compile-vs-run split: [`SimStats::compile_wall`] is the one-time cost
 /// of building the [`EvalProgram`](bibs_netlist::EvalProgram),
 /// [`SimStats::gate_evals`] counts instructions actually evaluated (the
-/// hardware-meaningful unit of work).
+/// hardware-meaningful unit of work) and [`SimStats::stem_evals`] the
+/// compiled engine's stem propagations.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SimStats {
     /// Pattern blocks applied (each block carries up to 64 patterns),
@@ -27,8 +28,15 @@ pub struct SimStats {
     /// Good-machine evaluations: one per block that still has a live
     /// fault (the evaluation is shared across all faults of the block).
     pub good_evals: u64,
-    /// Faulty-machine evaluations: one per live fault per block.
+    /// Live faults examined: one per live fault per block. The compiled
+    /// engine traces each one to its fanout-free region's stem; the
+    /// reference interpreter runs its whole faulty machine.
     pub fault_evals: u64,
+    /// Stem propagations of the compiled engine: per block, one
+    /// event-driven run for each fanout-free region's stem that a live
+    /// fault flips, shared by the region's faults. Zero for the
+    /// reference interpreter.
+    pub stem_evals: u64,
     /// Faults dropped from simulation after their first detection.
     pub faults_dropped: u64,
     /// Faults a mid-run prover proved undetectable and the engine
@@ -43,11 +51,14 @@ pub struct SimStats {
     pub compile_wall: Duration,
     /// Total gate evaluations (compiled instructions actually evaluated,
     /// or interpreted gate visits) across good and faulty machines. The
-    /// compiled engine runs the whole program per good-machine block but
-    /// only the instructions a fault's effect reaches per faulty machine
-    /// ([`EvalProgram::eval_events`](bibs_netlist::EvalProgram::eval_events)),
-    /// so the reference interpreter, which runs whole programs, counts
-    /// several times more for the same report.
+    /// compiled engine runs the whole program per good-machine block and,
+    /// per stem propagation, only the instructions the flipped stem
+    /// reaches
+    /// ([`EvalProgram::eval_events`](bibs_netlist::EvalProgram::eval_events));
+    /// the sensitization words of its in-region trace are not instruction
+    /// evaluations and are not counted. The reference interpreter runs
+    /// one whole program per fault and block, so it counts many times
+    /// more for the same report.
     pub gate_evals: u64,
     /// Size of the fault universe the run accounts for (before the
     /// observability split). Zero when the caller did not run the
@@ -70,7 +81,8 @@ impl SimStats {
     ///
     /// * totals — root counters ([`CounterId::Blocks`],
     ///   [`CounterId::GoodEvals`], [`CounterId::FaultEvals`],
-    ///   [`CounterId::GateEvals`], [`CounterId::FaultsDropped`],
+    ///   [`CounterId::StemEvals`], [`CounterId::GateEvals`],
+    ///   [`CounterId::FaultsDropped`],
     ///   [`CounterId::FaultsRetired`],
     ///   [`CounterId::UniverseFaults`],
     ///   [`CounterId::SimulatedFaults`]);
@@ -88,6 +100,7 @@ impl SimStats {
             blocks: c.get(CounterId::Blocks),
             good_evals: c.get(CounterId::GoodEvals),
             fault_evals: c.get(CounterId::FaultEvals),
+            stem_evals: c.get(CounterId::StemEvals),
             faults_dropped: c.get(CounterId::FaultsDropped),
             faults_retired: c.get(CounterId::FaultsRetired),
             wall: rec.span_wall(root),
@@ -105,8 +118,8 @@ impl SimStats {
         }
     }
 
-    /// Faulty-machine evaluations per wall-clock second (the engine's
-    /// primary throughput figure); 0.0 before any time has elapsed.
+    /// Live faults examined per wall-clock second (the engine's primary
+    /// throughput figure); 0.0 before any time has elapsed.
     pub fn fault_evals_per_second(&self) -> f64 {
         let secs = self.wall.as_secs_f64();
         if secs <= 0.0 {
@@ -120,8 +133,8 @@ impl SimStats {
     ///
     /// Each of the 64 lanes carries an independent pattern, so the
     /// per-pattern gate throughput is 64× this number. This is a rate of
-    /// work, not of results: a faulty machine evaluates only the
-    /// instructions its fault's effect reaches, and each costs a bitset
+    /// work, not of results: a stem propagation evaluates only the
+    /// instructions the flipped stem reaches, and each costs a bitset
     /// pop, a comparison with the good value and reader scheduling on
     /// top of the gate itself, so a run that finishes sooner can show a
     /// lower rate. Compare runs by wall time or
@@ -160,12 +173,13 @@ impl fmt::Display for SimStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{} block(s), {} fault evals ({:.0}/s), \
+            "{} block(s), {} fault evals ({:.0}/s), {} stem propagations, \
              {:.2e} gate evals ({:.2e}/s), {} dropped, {:.1} ms \
              (+{:.2} ms compile)",
             self.blocks,
             self.fault_evals,
             self.fault_evals_per_second(),
+            self.stem_evals,
             self.gate_evals as f64,
             self.gate_evals_per_second(),
             self.faults_dropped,
@@ -250,6 +264,7 @@ mod tests {
         rec.add_to(root, C::GoodEvals, 3);
         rec.add_to(root, C::GateEvals, 150);
         rec.add_to(root, C::FaultEvals, 12);
+        rec.add_to(root, C::StemEvals, 4);
         rec.add_to(root, C::FaultsDropped, 2);
         rec.add_wall(root, Duration::from_millis(5));
 
@@ -257,6 +272,7 @@ mod tests {
         assert_eq!(stats.blocks, 3);
         assert_eq!(stats.good_evals, 3);
         assert_eq!(stats.fault_evals, 12);
+        assert_eq!(stats.stem_evals, 4);
         assert_eq!(stats.gate_evals, 150);
         assert_eq!(stats.faults_dropped, 2);
         assert_eq!(stats.wall, Duration::from_millis(5));

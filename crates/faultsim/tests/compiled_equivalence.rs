@@ -10,10 +10,12 @@
 //! `FaultSimReport` equality on adders/multipliers, the kernels the BIBS
 //! TDM extracts from `circuits/fig4.ckt` and from the paper's Figure 9
 //! datapath, scaled versions of the three Table 2 circuits
-//! (c5a2m/c3a2m/c4a4m), and a proptest over random gate DAGs.
+//! (c5a2m/c3a2m/c4a4m), a hand-built fixture of the fanout-free-region
+//! corner cases run exhaustively on its full fault universe, and a
+//! proptest over random gate DAGs on the collapsed and full universes.
 //!
-//! The last proptest pins the per-fault kernel the engine runs on:
-//! [`EvalProgram::eval_events`] must give the same primary-output
+//! The last proptest pins the propagation kernel the engine runs once
+//! per stem: [`EvalProgram::eval_events`] must give the same primary-output
 //! difference as a whole-program patched run, for every single patch,
 //! and leave the faulty buffer clean.
 
@@ -23,7 +25,7 @@ use bibs_faultsim::reference::ReferenceSimulator;
 use bibs_faultsim::sim::{BlockSim, Stop};
 use bibs_faultsim::source::RandomWords;
 use bibs_netlist::builder::NetlistBuilder;
-use bibs_netlist::{EvalProgram, EventQueue, Netlist, Patch};
+use bibs_netlist::{EvalProgram, EventQueue, GateKind, Netlist, Patch};
 use bibs_rtl::{Circuit, VertexKind};
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
@@ -188,6 +190,57 @@ fn table2_circuit_kernels_match_reference() {
     }
 }
 
+/// The fanout-free-region corner cases that random DAGs rarely build:
+/// 3-input AND/OR/XOR gates, a BUF, a constant-0 operand like the
+/// multipliers' tied-zero padding, a net whose one reader reads it on
+/// both pins, a primary output that also feeds a gate, a primary input
+/// that is directly an output, and reconvergent fanout.
+fn ffr_corners() -> Netlist {
+    let mut b = NetlistBuilder::new("ffr-corners");
+    let a = b.input("a");
+    let c = b.input("b");
+    let d = b.input("d");
+    let e = b.input("e");
+    let f = b.input("f");
+    let zero = b.const0();
+    let and3 = b.gate(GateKind::And, &[f, c, d]);
+    let or3 = b.gate(GateKind::Or, &[c, d, zero]);
+    // `b` and `d` fan out to both 3-input gates and reconverge here.
+    let xor3 = b.gate(GateKind::Xor, &[and3, or3, e]);
+    let buf = b.gate(GateKind::Buf, &[xor3]);
+    // `a` has no other reader: two pins of one gate still make it a stem.
+    let twice = b.gate(GateKind::And, &[a, a]);
+    let nor = b.gate(GateKind::Nor, &[buf, twice]);
+    let nand = b.gate(GateKind::Nand, &[nor, zero]);
+    let not = b.not(nor);
+    let xnor = b.gate(GateKind::Xnor, &[not, d]);
+    b.output("buf", buf);
+    b.output("y", xnor);
+    b.output("e", e);
+    b.output("k", nand);
+    b.finish().unwrap()
+}
+
+/// Every fault of the full universe, plus both stuck-at faults on the
+/// shared constant (a source stem the full universe leaves out), meets
+/// the reference engine over every input pattern.
+#[test]
+fn ffr_corner_cases_match_reference_exhaustively() {
+    let nl = ffr_corners();
+    let zero = nl
+        .net_ids()
+        .find(|&n| matches!(nl.driver(n), bibs_netlist::NetDriver::Const(false)))
+        .expect("the fixture has a constant 0");
+    let mut faults = FaultUniverse::full(&nl).faults().to_vec();
+    faults.extend([Fault::net_sa0(zero), Fault::net_sa1(zero)]);
+    let reference = ReferenceSimulator::new(&nl, faults.clone()).run_exhaustive();
+    let par = ParFaultSimulator::new(&nl, faults).run_exhaustive();
+    assert_eq!(reference.detection(), par.detection());
+    assert_eq!(reference.patterns_applied(), par.patterns_applied());
+    assert!(par.detected_count() > 0 && !par.undetected().is_empty());
+    assert!(par.stats().stem_evals < par.stats().fault_evals);
+}
+
 // --- proptest over random netlists --------------------------------------
 
 fn netlist_strategy() -> impl Strategy<Value = Netlist> {
@@ -198,21 +251,25 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Any random netlist, any seed: the compiled engine must match the
-    /// interpreter on net words and full reports.
+    /// interpreter on net words and full reports, over the collapsed
+    /// universe and the full one (pin faults on fanout-free nets and
+    /// every net fault inside a fanout-free region).
     #[test]
     fn random_netlists_compile_to_equivalent_engines(
         nl in netlist_strategy(),
         seed: u64,
     ) {
         assert_good_machine_matches(&nl, seed);
-        let faults = FaultUniverse::collapsed(&nl).faults().to_vec();
+        for universe in [FaultUniverse::collapsed(&nl), FaultUniverse::full(&nl)] {
+            let faults = universe.faults().to_vec();
 
-        let reference = ReferenceSimulator::new(&nl, faults.clone())
-            .run(&mut RandomWords::seeded(seed), Stop::after(2_000));
-        let par = ParFaultSimulator::new(&nl, faults.clone())
-            .run(&mut RandomWords::seeded(seed), Stop::after(2_000));
-        prop_assert_eq!(reference.detection(), par.detection());
-        prop_assert_eq!(reference.patterns_applied(), par.patterns_applied());
+            let reference = ReferenceSimulator::new(&nl, faults.clone())
+                .run(&mut RandomWords::seeded(seed), Stop::after(2_000));
+            let par = ParFaultSimulator::new(&nl, faults.clone())
+                .run(&mut RandomWords::seeded(seed), Stop::after(2_000));
+            prop_assert_eq!(reference.detection(), par.detection());
+            prop_assert_eq!(reference.patterns_applied(), par.patterns_applied());
+        }
     }
 }
 

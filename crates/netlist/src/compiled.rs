@@ -26,7 +26,10 @@
 //!   program with the patch applied", not a second bespoke interpreter —
 //!   either the whole program ([`EvalProgram::eval_patched`]) or, from a
 //!   buffer holding the good machine's values, only the instructions the
-//!   fault's effect reaches ([`EvalProgram::eval_events`]).
+//!   fault's effect reaches ([`EvalProgram::eval_events`]). Beside the
+//!   evaluation body sits the gate rule of critical-path tracing
+//!   ([`EvalProgram::sensitization`]): the lanes in which one flipped
+//!   operand flips an instruction's output.
 //!
 //! *Slots* are net indices: slot `i` of a value buffer holds the 64-lane
 //! word of net `NetId::from_index(i)`. This keeps the compiled engine
@@ -524,8 +527,8 @@ impl EvalProgram {
     /// self-healing: a previous [`Patch::Slot`] on a constant slot is
     /// undone here, so one persistent faulty buffer serves every
     /// whole-program faulty run (the sequential simulator, the test
-    /// oracles). The fault simulator's per-fault path is
-    /// [`EvalProgram::eval_events`]. Returns the executed count.
+    /// oracles). The fault simulator propagates its stems with
+    /// [`EvalProgram::eval_events`] instead. Returns the executed count.
     #[inline]
     pub fn eval_patched(&self, values: &mut [u64], inputs: &[u64], patch: Patch) -> u64 {
         self.apply_consts(values);
@@ -574,9 +577,9 @@ impl EvalProgram {
     /// # Panics
     ///
     /// Panics if a buffer is shorter than `slot_count()` words.
-    // Deliberately not `#[inline]`: with the hint LLVM inlines this body
-    // into the fault simulator's per-fault loop, and the `topoff` benchmark
-    // workload ran ~8% slower per eval.
+    // Deliberately not `#[inline]`: when the fault simulator still
+    // propagated each fault, the hint made LLVM inline this body into that
+    // loop, and the `topoff` benchmark workload ran ~8% slower per eval.
     pub fn eval_events(
         &self,
         good: &[u64],
@@ -777,6 +780,40 @@ impl EvalProgram {
             GateKind::Xnor => !fold(span, &operand, 0, |a, b| a ^ b),
             GateKind::Not => !operand(0, span[0]),
             GateKind::Buf => operand(0, span[0]),
+        }
+    }
+
+    /// The lanes in which flipping operand `pin` of instruction `i` alone
+    /// flips its output, the other operands holding their words in
+    /// `values`: the AND of the other operands for AND/NAND, their NOR for
+    /// OR/NOR, and all ones for XOR/XNOR/NOT/BUF. A slot read on two pins
+    /// is two operands, and only pin `pin` flips. This is the gate rule of
+    /// critical-path tracing: a fault whose effect reaches a gate on one
+    /// operand only passes it exactly in these lanes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i >= instr_count()` or a buffer is shorter than
+    /// `slot_count()` words.
+    #[inline]
+    pub fn sensitization(&self, values: &[u64], i: usize, pin: usize) -> u64 {
+        let span =
+            &self.operands[self.operand_start[i] as usize..self.operand_start[i + 1] as usize];
+        // Folds `op` over the operands other than `pin`; binary gates read
+        // the one other operand directly.
+        let others = |init: u64, op: fn(u64, u64) -> u64| {
+            if let [x, y] = *span {
+                return values[if pin == 0 { y } else { x } as usize];
+            }
+            span.iter()
+                .enumerate()
+                .filter(|&(p, _)| p != pin)
+                .fold(init, |acc, (_, &s)| op(acc, values[s as usize]))
+        };
+        match self.ops[i] {
+            GateKind::And | GateKind::Nand => others(!0, |a, b| a & b),
+            GateKind::Or | GateKind::Nor => !others(0, |a, b| a | b),
+            GateKind::Xor | GateKind::Xnor | GateKind::Not | GateKind::Buf => !0,
         }
     }
 
@@ -1145,6 +1182,58 @@ mod tests {
         let quiet = prog.patch_net(y, false);
         let (diff, evals) = prog.eval_events(&good, &mut faulty, quiet, &mut queue);
         assert_eq!((diff, evals), (0, 0));
+    }
+
+    #[test]
+    fn sensitization_is_the_lanes_where_one_flipped_operand_flips_the_output() {
+        // Every gate kind, a 3-input AND/OR/XOR, a repeated operand and a
+        // constant operand, beside the multi-word multiplier.
+        let mut b = NetlistBuilder::new("sens");
+        let a = b.input("a");
+        let c = b.input("b");
+        let d = b.input("d");
+        let zero = b.const0();
+        let mut outs = vec![
+            b.gate(GateKind::And, &[a, a]),
+            b.gate(GateKind::Or, &[a, zero]),
+        ];
+        for kind in [GateKind::And, GateKind::Or, GateKind::Xor] {
+            outs.push(b.gate(kind, &[a, c, d]));
+        }
+        for kind in [GateKind::Nand, GateKind::Nor, GateKind::Xnor] {
+            outs.push(b.gate(kind, &[c, d]));
+        }
+        for kind in [GateKind::Not, GateKind::Buf] {
+            outs.push(b.gate(kind, &[d]));
+        }
+        b.output_word("y", &outs);
+        for nl in [b.finish().unwrap(), shared_fanout(), multiplier5()] {
+            let prog = EvalProgram::compile(&nl).unwrap();
+            let inputs: Vec<u64> = (0..prog.input_slots().len() as u64)
+                .map(pattern_word)
+                .collect();
+            let mut values = prog.new_values();
+            prog.eval_good(&mut values, &inputs);
+            for i in 0..prog.instr_count() {
+                let good = prog.eval_instr(i, |_, s| values[s as usize]);
+                for pin in 0..prog.instr(i).operands.len() {
+                    let flipped = prog.eval_instr(i, |p, s| {
+                        let v = values[s as usize];
+                        if p == pin {
+                            !v
+                        } else {
+                            v
+                        }
+                    });
+                    assert_eq!(
+                        prog.sensitization(&values, i, pin),
+                        good ^ flipped,
+                        "{} instruction {i} pin {pin}",
+                        nl.name()
+                    );
+                }
+            }
+        }
     }
 
     #[test]

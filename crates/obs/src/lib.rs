@@ -13,9 +13,11 @@
 //!    sums a block's work in locals and adds it to its span once per
 //!    block — no allocation on the simulation path.
 //! 2. **Determinism.** Every counter is a pure function of the workload
-//!    (seed, circuit, options), independent of engine and wall clock, so
-//!    two runs on different machines export byte-identical JSON once the
-//!    wall-clock fields are stripped.
+//!    (seed, circuit, options, the fault-sim engine among them),
+//!    independent of the machine and wall clock, so two runs on different
+//!    machines export byte-identical JSON once the wall-clock fields are
+//!    stripped. The engines count their work differently (`gate_evals`,
+//!    `stem_evals`), so only runs of one engine compare.
 //! 3. **Zero dependencies.** Std-only, like the rest of the workspace; the
 //!    [`json`] module provides the minimal parser the `perfdiff`
 //!    regression gate needs to read exports back.
@@ -35,23 +37,24 @@ use std::time::{Duration, Instant};
 /// array; the order here is the (stable) export order.
 ///
 /// Counters are **monotonic** — stages only ever add — and
-/// deterministic: independent of engine choice and wall clock, which is
-/// what lets the `perfdiff` gate demand hard equality on them across
-/// runs.
+/// deterministic: a pure function of the workload and the engine,
+/// independent of wall clock, which is what lets the `perfdiff` gate
+/// demand hard equality on them across runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(usize)]
 pub enum CounterId {
     /// Compiled instructions actually evaluated (or interpreted gate
     /// visits) across good and faulty machines, one per 64-lane word —
     /// the hardware-meaningful unit of work. The compiled engine evaluates
-    /// the whole program once per 64-lane block but only each
-    /// fault's event-driven cone per faulty machine, so this counts the
-    /// work done, not program size × evaluations.
+    /// the whole program once per 64-lane block, but per stem
+    /// propagation (see [`CounterId::StemEvals`]) only the instructions
+    /// the flipped stem reaches, so this counts the work done, not
+    /// program size × evaluations.
     GateEvals,
     /// Good-machine evaluations: one per 64-lane pattern block that
     /// still has a live fault.
     GoodEvals,
-    /// Faulty-machine evaluations: one per live fault per block.
+    /// Live faults examined: one per live fault per block.
     FaultEvals,
     /// Faults dropped from simulation after first detection.
     FaultsDropped,
@@ -101,10 +104,15 @@ pub enum CounterId {
     /// Faults the implication check proved redundant, with no PODEM
     /// search.
     ImpliedRedundant,
+    /// Stem propagations: event-driven runs of a fanout-free region's
+    /// flipped stem, at most one per region per block, shared by every
+    /// live fault of the region whose effect reaches the stem. The
+    /// reference interpreter runs whole faulty machines and records none.
+    StemEvals,
 }
 
 /// Number of counters — the fixed length of every [`Counters`] array.
-pub const COUNTER_COUNT: usize = 21;
+pub const COUNTER_COUNT: usize = 22;
 
 impl CounterId {
     /// Every counter, in export order.
@@ -130,6 +138,7 @@ impl CounterId {
         CounterId::SourceClocks,
         CounterId::FaultsRetired,
         CounterId::ImpliedRedundant,
+        CounterId::StemEvals,
     ];
 
     /// The stable snake_case name used in JSON exports and trace output.
@@ -156,6 +165,7 @@ impl CounterId {
             CounterId::SourceClocks => "source_clocks",
             CounterId::FaultsRetired => "faults_retired",
             CounterId::ImpliedRedundant => "implied_redundant",
+            CounterId::StemEvals => "stem_evals",
         }
     }
 }
