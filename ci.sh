@@ -108,29 +108,41 @@ cargo run --release -p bibs-bench --bin table2 -- --only c5a2m \
 cargo run --release -p bibs-bench --bin perfdiff -- \
   BENCH_table2.json /tmp/bibs-telemetry.json
 
-step "retired faults and shared stems: c5a2m's BIBS kernel stops sweeping the good machine once the prover retires its survivors, and propagates fewer stems than it checks faults"
+step "retired faults, skipped blocks and shared stems: c5a2m's BIBS kernel stops sweeping the good machine once the prover retires its survivors, counts the rest of the plateau without pulling it, and propagates fewer stems than it checks faults"
 # The implication check proves the kernel's two survivors redundant 1,024
-# patterns after its last detection; the rest of the 100,000-pattern plateau still
-# applies every block but evaluates nothing. A prover that retired
-# nothing would leave good_evals equal to blocks. The BIBS column comes
+# patterns after its last detection. A prover that retired nothing would
+# leave good_evals equal to blocks. Once no fault is live, the driver
+# skips the source to the stop point and the engine counts the skipped
+# blocks: every block is either evaluated or skipped, so good_evals plus
+# blocks_skipped is blocks, under the default source and under the LFSR.
+# A driver that went back to pulling the dead blocks one by one would
+# break that sum whatever the baseline says. The BIBS column comes
 # first, so the first fault-sim span is its one kernel's. The engine
 # propagates each fanout-free region's stem once per block for all of
 # the region's faults; an engine that propagated once per fault would
 # record as many stem_evals as fault_evals, whatever the baseline says.
-sim_span=$(grep -o '"label":"fault-sim\[par\]","wall_ns":[0-9]*,"counters":{[^}]*}' \
-  /tmp/bibs-telemetry.json | head -1)
+cargo run --release -p bibs-bench --bin table2 -- --only c5a2m \
+  --source lfsr --telemetry /tmp/bibs-telemetry-lfsr.json > /dev/null
 span_counter() { printf '%s' "$sim_span" | grep -o "\"$1\":[0-9]*" | grep -o '[0-9]*$'; }
-good=$(span_counter good_evals)
-blocks=$(span_counter blocks)
-retired=$(span_counter faults_retired || true)
-faults=$(span_counter fault_evals)
-stems=$(span_counter stem_evals || true)
-echo "BIBS c5a2m kernel 0: ${good} good-machine sweeps over ${blocks} blocks, ${retired:-0} faults retired"
-echo "BIBS c5a2m kernel 0: ${stems} stem propagations for ${faults} live-fault checks"
-test -n "$good" && test -n "$blocks" && test -n "$retired"
-test "$good" -lt "$blocks" && test "$retired" -gt 0
-test -n "$faults" && test -n "$stems"
-test "$stems" -lt "$faults"
+for telemetry in /tmp/bibs-telemetry.json /tmp/bibs-telemetry-lfsr.json; do
+  sim_span=$(grep -o '"label":"fault-sim\[par\]","wall_ns":[0-9]*,"counters":{[^}]*}' \
+    "$telemetry" | head -1)
+  good=$(span_counter good_evals)
+  blocks=$(span_counter blocks)
+  retired=$(span_counter faults_retired || true)
+  skipped=$(span_counter blocks_skipped || true)
+  faults=$(span_counter fault_evals)
+  stems=$(span_counter stem_evals || true)
+  echo "$telemetry, BIBS c5a2m kernel 0: ${good} good-machine sweeps and" \
+    "${skipped:-0} skipped blocks of ${blocks} blocks, ${retired:-0} faults retired"
+  echo "$telemetry, BIBS c5a2m kernel 0: ${stems} stem propagations for" \
+    "${faults} live-fault checks"
+  test -n "$good" && test -n "$blocks" && test -n "$retired"
+  test "$good" -lt "$blocks" && test "$retired" -gt 0
+  test $(( good + ${skipped:-0} )) -eq "$blocks"
+  test -n "$faults" && test -n "$stems"
+  test "$stems" -lt "$faults"
+done
 
 step "pattern sources: --source random JSON is byte-identical to the legacy path"
 # The same seeded stream drawn through the PatternSource layer must not
@@ -140,8 +152,7 @@ cargo run --release -p bibs-bench --bin table2 -- --only c5a2m --json \
 diff /tmp/bibs-table2-compiled.json /tmp/bibs-table2-srcrandom.json
 
 step "pattern sources: --source lfsr telemetry carries its source span, perf gate vs committed BENCH_table2_lfsr.json"
-cargo run --release -p bibs-bench --bin table2 -- --only c5a2m \
-  --source lfsr --telemetry /tmp/bibs-telemetry-lfsr.json > /dev/null
+# The telemetry is the --source lfsr run of the retired-faults step.
 grep -q 'source\[lfsr\]' /tmp/bibs-telemetry-lfsr.json
 grep -q '"source_clocks"' /tmp/bibs-telemetry-lfsr.json
 cargo run --release -p bibs-bench --bin perfdiff -- \

@@ -31,17 +31,19 @@
 //! * `--only NAME` — restrict to one circuit (`c5a2m`, `c3a2m`, `c4a4m`);
 //! * `--telemetry OUT.json` — write the hierarchical span tree (stage
 //!   wall clocks plus deterministic counters, schema `bibs-telemetry/1`)
-//!   to a file. Set `BIBS_TRACE=spans|counters` to additionally print the
-//!   tree or the aggregate counters to stderr.
+//!   to a file: per circuit, a `lint[NAME]` span for the lint gate that
+//!   runs before simulation, then its two columns. Set
+//!   `BIBS_TRACE=spans|counters` to additionally print the tree or the
+//!   aggregate counters to stderr.
 //!
 //! The results are bit-identical for either engine. The exported
 //! telemetry counters are deterministic per engine but not shared: the
 //! engines count their work differently (`gate_evals`, `stem_evals`), and
-//! only the compiled engine runs the prover, so `good_evals` and
-//! `faults_retired` differ too. Without `--json` the table is followed by
-//! the fault accounting, the engine's counters and a `static analysis:`
-//! line (faults simulated after the observability split, and the
-//! compile-plus-split wall).
+//! only the compiled engine runs the prover, so `good_evals`,
+//! `faults_retired` and `blocks_skipped` differ too. Without `--json` the
+//! table is followed by the fault accounting, the engine's counters and
+//! wall in milliseconds, and a `static analysis:` line (faults simulated
+//! after the observability split, and the compile-plus-split wall).
 
 use bibs_bench::{
     render_table2, table2_column_traced, table2_json, Engine, SourceSpec, Table2Options, Tdm,
@@ -163,7 +165,9 @@ fn main() {
         let name = circuit.name().to_string();
         // Static lint gate: a datapath that violates the paper conditions
         // would fault-simulate to garbage — refuse up front.
-        let report = bibs_lint::lint_full(circuit, &bibs_lint::LintConfig::new());
+        let report = rec.scope(format!("lint[{name}]"), |_| {
+            bibs_lint::lint_full(circuit, &bibs_lint::LintConfig::new())
+        });
         if !report.is_clean() {
             eprintln!("{name} fails lint:\n{report}");
             std::process::exit(1);
@@ -213,7 +217,7 @@ fn main() {
     let all = columns
         .iter()
         .flat_map(|(b, k)| b.kernel_stats.iter().chain(&k.kernel_stats));
-    let (mut evals, mut stems, mut gate_evals, mut blocks) = (0u64, 0, 0, 0);
+    let (mut evals, mut stems, mut gate_evals, mut blocks, mut skipped) = (0u64, 0, 0, 0, 0);
     let (mut sweeps, mut retired) = (0u64, 0);
     let mut wall = std::time::Duration::ZERO;
     let (mut universe, mut simulated) = (0u64, 0u64);
@@ -223,6 +227,7 @@ fn main() {
         stems += s.sim.stem_evals;
         gate_evals += s.sim.gate_evals;
         blocks += s.sim.blocks;
+        skipped += s.sim.blocks_skipped;
         sweeps += s.sim.good_evals;
         retired += s.sim.faults_retired;
         wall += s.sim.wall;
@@ -234,9 +239,10 @@ fn main() {
     println!(
         "fault-sim engine: {evals} live-fault checks over {blocks} blocks \
          ({stems} stem propagations, {sweeps} good-machine sweeps, \
-         {retired} faults retired by the prover) in {:.2} s \
-         ({:.0}/s, {:.2e} gate evals/s, {} engine)",
-        secs,
+         {retired} faults retired by the prover, {skipped} blocks skipped \
+         with no fault live) in {:.1} ms ({:.0}/s, {:.2e} gate evals/s, \
+         {} engine)",
+        secs * 1e3,
         if secs > 0.0 { evals as f64 / secs } else { 0.0 },
         if secs > 0.0 {
             gate_evals as f64 / secs

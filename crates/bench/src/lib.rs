@@ -253,9 +253,10 @@ pub fn build_source(
     }
 }
 
-/// A source whose pulls are timed. [`BlockSim::run`] pulls
-/// blocks between applies, outside the engine's `fault-sim[...]` span, so
-/// a traced run charges this time to the `source[...]` span instead.
+/// A source whose pulls and skips are timed. [`BlockSim::run`] pulls
+/// blocks between applies and skips the blocks after the last live fault,
+/// both outside the engine's `fault-sim[...]` span, so a traced run
+/// charges this time to the `source[...]` span instead.
 struct TimedSource<'a> {
     inner: &'a mut dyn PatternSource,
     wall: Duration,
@@ -280,12 +281,20 @@ impl PatternSource for TimedSource<'_> {
     fn descriptor(&self) -> SourceDescriptor {
         self.inner.descriptor()
     }
+
+    fn skip(&mut self, width: usize, patterns: u64) -> (u64, u64) {
+        let start = Instant::now();
+        let skipped = self.inner.skip(width, patterns);
+        self.wall += start.elapsed();
+        skipped
+    }
 }
 
 /// The coverage-vs-clocks record of a non-uniform pattern source's run on
 /// one kernel (carried in [`KernelFaultStats::source`] and emitted in the
 /// JSON). All three fields are detection-deterministic: the driver pulls a
-/// block only to apply it, so the engine cannot change them.
+/// block only to apply it, and skips the blocks after the last live fault
+/// to the same stop point, so the engine cannot change them.
 #[derive(Debug, Clone)]
 pub struct SourceRun {
     /// The source's self-describing descriptor, already rendered as a JSON
@@ -294,7 +303,8 @@ pub struct SourceRun {
     /// Hardware clock cycles the source accounts for (warm-up + one per
     /// pattern + reseed loads) — the denominator of coverage-vs-clocks.
     pub clocks: u64,
-    /// Patterns the source emitted (lanes across all pulled blocks).
+    /// Patterns the source emitted (lanes across all pulled or skipped
+    /// blocks).
     pub emitted: u64,
 }
 
@@ -487,9 +497,10 @@ pub fn apply_tdm(circuit: &Circuit, tdm: Tdm) -> (Circuit, BilboDesign, Vec<Kern
 ///   [`PROVE_AFTER`](bibs_faultsim::sim::PROVE_AFTER) patterns without a
 ///   detection, the compiled engine hands its live faults to the prover
 ///   ([`Verdicts`]) once and stops simulating the ones it proves
-///   redundant; the rest of the plateau still pulls and applies every
-///   block, so the report and the source's accounting are the plain
-///   run's.
+///   redundant. Once none is live, the driver skips the source to the
+///   stop point in one call and the engine counts the skipped blocks, so
+///   the report, the block count and the source's accounting are the
+///   plain run's.
 /// * **Phase 2 — verdicts** on the survivors only. The implication check
 ///   proves a survivor redundant when its mandatory assignments conflict,
 ///   reading the program Phase 0 compiled; PODEM searches the rest —
@@ -512,7 +523,8 @@ pub fn apply_tdm(circuit: &Circuit, tdm: Tdm) -> (Circuit, BilboDesign, Vec<Kern
 /// * the engine's own `fault-sim[...]` tree, grafted verbatim (per-block
 ///   counters on its root);
 /// * `"source[SPEC]"` — with a pattern source, its `patterns_emitted` and
-///   `source_clocks` counters and the wall time of its pulls;
+///   `source_clocks` counters and the wall time of its pulls and its
+///   skip;
 /// * `"atpg"` — all of the kernel's verdicts, Phase 1's included (its
 ///   wall is added to the span's), with the `implied_redundant` counter
 ///   (faults the implication check proved) and PODEM's `podem_faults`
@@ -570,9 +582,9 @@ pub fn kernel_fault_stats(
     // The compiled engine runs with the verdicts as its prover: once the
     // stream has gone `PROVE_AFTER` patterns without a detection, the
     // faults they prove redundant leave the live list, and once none is
-    // left the blocks stop evaluating the good machine. A redundant fault
-    // is never detected, so the report is the plain run's. The reference
-    // engine, the oracle, runs the plain driver.
+    // left the driver skips the rest of the plateau without pulling it. A
+    // redundant fault is never detected, so the report is the plain
+    // run's. The reference engine, the oracle, runs the plain driver.
     let kernel_seed = options.seed ^ kernel.input_edges.len() as u64;
     let mut source: Box<dyn PatternSource> = match &options.source {
         None => Box::new(RandomWords::seeded(kernel_seed)),
@@ -586,8 +598,8 @@ pub fn kernel_fault_stats(
         )
         .map_err(|e| format!("cannot build pattern source '{spec}': {e}"))?,
     };
-    // Only a traced run with a `--source` times its pulls; every other
-    // run pulls from the source directly.
+    // Only a traced run with a `--source` times its pulls and its skip;
+    // every other run calls the source directly.
     let mut timed = TimedSource {
         inner: &mut *source,
         wall: Duration::ZERO,
@@ -830,7 +842,8 @@ pub fn render_table2(columns: &[(Table2Column, Table2Column)]) -> String {
 /// compiled and reference engines byte-for-byte, and the legacy path
 /// against `--source random`. Non-uniform sources add three per-kernel
 /// fields (`source`, `source_clocks`, `source_patterns`); the driver
-/// pulls a block only to apply it, so these too are engine-independent.
+/// pulls a block only to apply it and skips to the same stop point, so
+/// these too are engine-independent.
 pub fn table2_json(columns: &[(Table2Column, Table2Column)]) -> String {
     fn u64s(xs: &[u64]) -> String {
         let body: Vec<String> = xs.iter().map(|x| x.to_string()).collect();

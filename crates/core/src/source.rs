@@ -107,6 +107,10 @@ impl PatternSource for MinTpgSource {
         self.lfsr.patterns_emitted()
     }
 
+    fn skip(&mut self, width: usize, patterns: u64) -> (u64, u64) {
+        self.lfsr.skip(width, patterns)
+    }
+
     fn descriptor(&self) -> SourceDescriptor {
         let lfsr = self.lfsr.descriptor();
         let field = |key| lfsr.get(key).unwrap_or_default().to_string();

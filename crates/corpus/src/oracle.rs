@@ -23,8 +23,9 @@
 //! 4. **Retire** — a run whose driver hands its live faults to PODEM
 //!    after [`PROVE_AFTER`](bibs_faultsim::sim::PROVE_AFTER) patterns
 //!    without a detection, and stops simulating the ones proved
-//!    redundant, must reproduce the plain run's report bit for bit — the
-//!    check behind `table2`'s mid-run retirement.
+//!    redundant, must reproduce the plain run's report bit for bit and
+//!    count its blocks, the ones it skips once no fault is live included
+//!    — the check behind `table2`'s mid-run retirement.
 //!
 //! Oracles 2 and 3 need exhaustive simulation and only run when the
 //! circuit has at most [`EXHAUSTIVE_PI_LIMIT`] primary-input bits; 1 and
@@ -187,8 +188,9 @@ pub fn check_eval(nl: &Netlist, program: &EvalProgram, seed: u64) -> Vec<Diverge
 
 /// Oracle 4: retiring PODEM-proved faults mid-run is report-invisible.
 /// A plain run and a run whose prover is PODEM at Table 2's backtrack
-/// limit draw the same seeded stream and must agree on detection and
-/// `patterns_applied`.
+/// limit draw the same seeded stream and must agree on detection,
+/// `patterns_applied` and the blocks counted, the blocks the proving run
+/// skipped once no fault was live included.
 /// Like Table 2, the runs simulate only the faults with a path to an
 /// output: PODEM can prove an unobservable fault redundant only by
 /// exhausting every assignment that activates it.
@@ -215,6 +217,7 @@ pub fn check_retire(nl: &Netlist, program: &EvalProgram, seed: u64) -> Vec<Diver
     );
     if proving.detection() != plain.detection()
         || proving.patterns_applied() != plain.patterns_applied()
+        || proving.stats().blocks != plain.stats().blocks
     {
         return vec![Divergence {
             oracle: Oracle::Retire,

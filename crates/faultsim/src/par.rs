@@ -30,8 +30,9 @@
 //! fault, bit for bit.
 //!
 //! A driver prover's verdicts take faults off the list too
-//! ([`BlockSim::retire`]); once the list is empty a block is only
-//! counted, with no good-machine run.
+//! ([`BlockSim::retire`]); once the list is empty the driver skips the
+//! rest of the run, and the engine only counts the skipped blocks
+//! ([`BlockSim::skip`]).
 //!
 //! # Determinism
 //!
@@ -437,6 +438,20 @@ impl BlockSim for ParFaultSimulator<'_> {
                 .add_to(root, CounterId::FaultsRetired, retired as u64);
         }
         retired
+    }
+
+    fn skip(&mut self, blocks: u64, patterns: u64) {
+        assert!(
+            self.undetected.is_empty(),
+            "skipped a block with a live fault"
+        );
+        if blocks > 0 {
+            let root = self.rec.root();
+            self.rec.add_to(root, CounterId::Blocks, blocks);
+            self.rec.add_to(root, CounterId::BlocksSkipped, blocks);
+            self.rec.add_to(root, CounterId::PatternsConsumed, patterns);
+        }
+        self.patterns_applied += patterns;
     }
 }
 

@@ -254,6 +254,20 @@ impl BlockSim for ReferenceSimulator<'_> {
         retired
     }
 
+    fn skip(&mut self, blocks: u64, patterns: u64) {
+        assert!(
+            (0..self.faults.len()).all(|fi| self.detection[fi].is_some() || self.retired[fi]),
+            "skipped a block with a live fault"
+        );
+        if blocks > 0 {
+            let root = self.rec.root();
+            self.rec.add_to(root, CounterId::Blocks, blocks);
+            self.rec.add_to(root, CounterId::BlocksSkipped, blocks);
+            self.rec.add_to(root, CounterId::PatternsConsumed, patterns);
+        }
+        self.patterns_applied += patterns;
+    }
+
     fn detection(&self) -> &[Option<u64>] {
         &self.detection
     }

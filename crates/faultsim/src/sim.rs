@@ -17,10 +17,12 @@
 //! A run's [`Stop`] may carry a prover. Once the run has gone
 //! [`PROVE_AFTER`] patterns without a detection, the driver hands the
 //! live faults to it once and the engine retires the ones it proves
-//! undetectable; a block with no live fault left skips the good machine.
-//! A proved-undetectable fault is never detected, so the report, the
-//! stop and the source's accounting stay exactly those of a run without
-//! the prover.
+//! undetectable. Once no fault is live, no later block can detect one,
+//! so the driver moves the source to the run's stop point with one
+//! [`PatternSource::skip`] and the engine counts the skipped blocks
+//! ([`BlockSim::skip`]). A proved-undetectable fault is never detected,
+//! so the report, the stop, the block count and the source's accounting
+//! stay exactly those of a run without the prover.
 
 use crate::fault::Fault;
 use crate::source::{ExhaustiveSource, PatternBlock, PatternList, PatternSource, RandomWords};
@@ -176,6 +178,17 @@ pub trait BlockSim {
     /// undetected in every later report. Returns how many were retired.
     fn retire(&mut self, prover: &mut dyn FnMut(Fault) -> bool) -> usize;
 
+    /// Counts `blocks` blocks carrying `patterns` patterns that the
+    /// driver skipped rather than applied, as applying them would count
+    /// them: the pattern counter advances by `patterns`, and the blocks
+    /// add to the `blocks` and `blocks_skipped` counters.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a fault is still live: only a block with no live fault
+    /// can go unapplied without changing the report.
+    fn skip(&mut self, blocks: u64, patterns: u64);
+
     /// [`BlockSim::run`] on [`RandomWords::from_rng`]`(rng)` with a
     /// detection plateau and no prover. It remains only because the
     /// benchmark crate (`benchmark/src/trace.rs`) calls it; the next
@@ -230,19 +243,24 @@ pub trait BlockSim {
     /// The stream driver: pulls blocks from `source` one at a time until
     /// `stop` says to stop, and returns the report.
     ///
-    /// The stop conditions are checked before every block, and a block
-    /// is pulled only to be applied, so the source's
-    /// [`PatternSource::clocks_consumed`] and `patterns_emitted` account
-    /// for exactly the blocks the run applied. A block whose lane count
-    /// would overshoot `max_patterns` is truncated (the source still
-    /// accounts the full block's clocks, exactly like the hardware it
-    /// models would have).
+    /// The stop conditions are checked before every block, a block is
+    /// pulled only to be applied, and blocks are skipped only once no
+    /// fault is live, so the source's [`PatternSource::clocks_consumed`]
+    /// and `patterns_emitted` account for exactly the blocks the run
+    /// counted. A block whose lane count would overshoot `max_patterns`
+    /// is truncated (the source still accounts the full block's clocks,
+    /// exactly like the hardware it models would have).
     ///
     /// With a [`Stop::prover`], the first block that starts
     /// [`PROVE_AFTER`] or more patterns after the last detection, while
     /// some fault is undetected, is preceded by one [`BlockSim::retire`].
-    /// Retiring changes which faults a block evaluates, never which
-    /// blocks are pulled or where the run stops.
+    /// If that leaves no fault live, the run's stop point is already
+    /// known: `max_patterns`, or the last detection plus `plateau` if
+    /// that comes first. One [`PatternSource::skip`] moves the source
+    /// there, and [`BlockSim::skip`] counts its blocks and patterns (cut
+    /// at `max_patterns`) instead of applying them. Retiring changes which
+    /// faults a block evaluates, never which blocks the source emits,
+    /// how many blocks the run counts or where it stops.
     ///
     /// # Panics
     ///
@@ -260,6 +278,7 @@ pub trait BlockSim {
         let width = self.netlist().input_width();
         let n_faults = self.detection().len();
         let mut detected = self.detection().iter().filter(|d| d.is_some()).count();
+        let mut retired = 0;
         let mut last_detection_at = 0u64;
         loop {
             let applied = self.patterns_applied();
@@ -269,8 +288,15 @@ pub trait BlockSim {
             }
             if idle >= PROVE_AFTER {
                 if let Some(prover) = prover.take() {
-                    self.retire(prover);
+                    retired = self.retire(prover);
                 }
+            }
+            if detected + retired == n_faults {
+                // No fault is live, so no later block detects one.
+                let stop_at = max_patterns.min(last_detection_at.saturating_add(plateau));
+                let (blocks, patterns) = source.skip(width, stop_at - applied);
+                self.skip(blocks, patterns.min(max_patterns - applied));
+                break;
             }
             let Some(block) = source.next_block(width) else {
                 break;

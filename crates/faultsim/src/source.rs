@@ -21,10 +21,17 @@
 //!   producing everything emitted so far — warm-up shifts, one cycle per
 //!   pattern, reseed loads. It is monotone in the number of blocks pulled
 //!   and independent of how many lanes the consumer actually applied.
-//!   The [`BlockSim`](crate::sim::BlockSim) driver pulls a block only to
-//!   apply it, one block per good-machine evaluation, so after any run —
-//!   stopped by a plateau or a budget, or drained — the accounting covers
-//!   exactly the blocks the run applied.
+//! * **Skipping**: [`PatternSource::skip`] moves the source on by the
+//!   blocks that pulling a number of patterns would emit, and reports how
+//!   many blocks and patterns those were; the accounting and the next
+//!   block are then those of a source that pulled them. The default pulls;
+//!   [`RandomWords`] and [`LfsrSource`] get there without building blocks.
+//!   The [`BlockSim`](crate::sim::BlockSim) driver pulls a block to apply
+//!   it while some fault is live, and once none is, it skips to its stop
+//!   point in one call. So after any run — stopped by a plateau or a
+//!   budget, or drained — the accounting covers exactly the blocks the run
+//!   counted, and the paper's clock cost is the same as if every block had
+//!   been applied.
 //! * **Self-description**: [`PatternSource::descriptor`] serializes the
 //!   generator's identity (kind, polynomial, seed, RNG family, …) for
 //!   telemetry and JSON exports, so a replay needs no out-of-band notes.
@@ -172,6 +179,32 @@ pub trait PatternSource {
 
     /// The source's serializable identity.
     fn descriptor(&self) -> SourceDescriptor;
+
+    /// Moves the source on by the blocks that pulling until `patterns`
+    /// patterns are taken, or until the source runs dry, would emit, and
+    /// returns `(blocks, patterns)` for them. The last block counts all
+    /// its lanes, so the patterns returned may exceed `patterns`.
+    /// Afterwards the source's accounting and its next block are those of
+    /// a source that pulled the blocks one by one.
+    ///
+    /// The default pulls them with [`PatternSource::next_block`], which is
+    /// right for every source; a source that can reach the same state
+    /// without building the blocks overrides it.
+    ///
+    /// # Panics
+    ///
+    /// As [`PatternSource::next_block`] on a `width` the source rejects.
+    fn skip(&mut self, width: usize, patterns: u64) -> (u64, u64) {
+        let (mut blocks, mut taken) = (0, 0);
+        while taken < patterns {
+            let Some(block) = self.next_block(width) else {
+                break;
+            };
+            blocks += 1;
+            taken += block.lanes as u64;
+        }
+        (blocks, taken)
+    }
 }
 
 /// The pseudorandom stream Table 2 simulates by default: one `u64` word
@@ -232,6 +265,16 @@ impl<R: RngCore> PatternSource for RandomWords<R> {
 
     fn patterns_emitted(&self) -> u64 {
         self.emitted
+    }
+
+    /// Draws the skipped blocks' words without building the blocks.
+    fn skip(&mut self, width: usize, patterns: u64) -> (u64, u64) {
+        let blocks = patterns.div_ceil(64);
+        for _ in 0..blocks * width as u64 {
+            self.rng.next_u64();
+        }
+        self.emitted += 64 * blocks;
+        (blocks, 64 * blocks)
     }
 
     fn descriptor(&self) -> SourceDescriptor {
@@ -504,6 +547,30 @@ impl PatternSource for LfsrSource {
 
     fn patterns_emitted(&self) -> u64 {
         self.emitted
+    }
+
+    /// Counts the skipped blocks from `period_left` and jumps the
+    /// sequence by the clocks they take
+    /// ([`SequenceWindows::jump`]), so a skip costs no block builds.
+    fn skip(&mut self, width: usize, patterns: u64) -> (u64, u64) {
+        assert_eq!(width, self.width, "source width mismatch");
+        let blocks_left = self.period_left.div_ceil(64);
+        let blocks = patterns.div_ceil(64).min(blocks_left);
+        if blocks == 0 {
+            return (0, 0);
+        }
+        let (clocks, taken) = if blocks < blocks_left {
+            (64 * blocks, 64 * blocks)
+        } else {
+            // The ragged last block: the rest of the period, then the
+            // all-zero pattern's clock.
+            (self.period_left, self.period_left + 1)
+        };
+        self.windows.jump(clocks);
+        self.period_left -= clocks;
+        self.clocks += taken;
+        self.emitted += taken;
+        (blocks, taken)
     }
 
     fn descriptor(&self) -> SourceDescriptor {
@@ -990,6 +1057,113 @@ mod tests {
         let bare = StoredSeedReplay::parse("x", "0x5 128").unwrap();
         assert_eq!(bare.declared_width(), None);
         assert!(!bare.descriptor().to_json().contains("width"));
+    }
+
+    /// Pulls blocks until `patterns` are taken or `source` runs dry, as
+    /// the trait's default `skip` is documented to.
+    fn pull(source: &mut dyn PatternSource, width: usize, patterns: u64) -> (u64, u64) {
+        let (mut blocks, mut taken) = (0, 0);
+        while taken < patterns {
+            let Some(block) = source.next_block(width) else {
+                break;
+            };
+            blocks += 1;
+            taken += block.lanes as u64;
+        }
+        (blocks, taken)
+    }
+
+    /// A skip of each of `counts` patterns, after `before` pulled patterns,
+    /// must leave `make()` where pulling leaves it: the same blocks and
+    /// patterns, accounting and next block.
+    fn assert_skip_is_pulling(
+        what: &str,
+        make: &dyn Fn() -> Box<dyn PatternSource>,
+        width: usize,
+        before: u64,
+        counts: &[u64],
+    ) {
+        for &n in counts {
+            let (mut skipped, mut pulled) = (make(), make());
+            pull(&mut *skipped, width, before);
+            pull(&mut *pulled, width, before);
+            let what = format!("{what}, {n} patterns after {before}");
+            assert_eq!(
+                skipped.skip(width, n),
+                pull(&mut *pulled, width, n),
+                "{what}"
+            );
+            assert_eq!(
+                skipped.clocks_consumed(),
+                pulled.clocks_consumed(),
+                "{what}"
+            );
+            assert_eq!(
+                skipped.patterns_emitted(),
+                pulled.patterns_emitted(),
+                "{what}"
+            );
+            assert_eq!(
+                skipped.next_block(width),
+                pulled.next_block(width),
+                "{what}"
+            );
+        }
+    }
+
+    const COUNTS: [u64; 9] = [0, 1, 63, 64, 65, 1000, 1024, 4097, 100_000];
+
+    #[test]
+    fn random_words_skip_draws_what_pulling_draws() {
+        let make = || Box::new(RandomWords::seeded(0xB1B5)) as Box<dyn PatternSource>;
+        for before in [0, 64] {
+            assert_skip_is_pulling("random", &make, 5, before, &COUNTS);
+        }
+    }
+
+    #[test]
+    fn lfsr_skip_jumps_where_pulling_goes() {
+        // Degree 4 runs dry after one block, degree 10 after 16; degree 20
+        // and the offsets past the register do not within the counts.
+        for (degree, offsets, warmup) in [
+            (4, vec![0, 1, 2, 3], 0),
+            (10, vec![0, 3, 9, 10, 70], 7),
+            (20, vec![0, 5, 19, 130], 200),
+        ] {
+            let poly = primitive_polynomial(degree).unwrap();
+            let width = offsets.len();
+            let make = || {
+                Box::new(LfsrSource::with_offsets(&poly, offsets.clone(), 0x51B5).warmed_up(warmup))
+                    as Box<dyn PatternSource>
+            };
+            for before in [0, 64, 1000] {
+                assert_skip_is_pulling(
+                    &format!("lfsr degree {degree}"),
+                    &make,
+                    width,
+                    before,
+                    &COUNTS,
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn default_skip_pulls_ragged_and_finite_sources() {
+        let replay = || {
+            Box::new(StoredSeedReplay::parse("inline", "0x2a 100\n7\n0x1 3\n").unwrap())
+                as Box<dyn PatternSource>
+        };
+        let exhaustive = || Box::new(ExhaustiveSource::new(9)) as Box<dyn PatternSource>;
+        let weighted = || {
+            Box::new(WeightedRandomSource::new(3, vec![0.25, 0.5, 0.75]).unwrap())
+                as Box<dyn PatternSource>
+        };
+        for before in [0, 1, 100] {
+            assert_skip_is_pulling("replay", &replay, 2, before, &COUNTS);
+            assert_skip_is_pulling("exhaustive", &exhaustive, 9, before, &COUNTS);
+            assert_skip_is_pulling("weighted", &weighted, 3, before, &COUNTS[..7]);
+        }
     }
 
     #[test]

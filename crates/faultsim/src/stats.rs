@@ -22,11 +22,15 @@ use std::time::Duration;
 /// compiled engine's stem propagations.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SimStats {
-    /// Pattern blocks applied (each block carries up to 64 patterns),
-    /// including those with no live fault left.
+    /// Pattern blocks the run counted (each block carries up to 64
+    /// patterns): the blocks applied plus [`SimStats::blocks_skipped`].
     pub blocks: u64,
-    /// Good-machine evaluations: one per block that still has a live
-    /// fault (the evaluation is shared across all faults of the block).
+    /// Blocks counted without being pulled or applied: once no fault is
+    /// live, the driver skips the source to the run's stop point
+    /// ([`crate::sim::BlockSim::skip`]).
+    pub blocks_skipped: u64,
+    /// Good-machine evaluations: one per block applied while a fault is
+    /// live (the evaluation is shared across all faults of the block).
     pub good_evals: u64,
     /// Live faults examined: one per live fault per block. The compiled
     /// engine traces each one to its fanout-free region's stem; the
@@ -80,7 +84,7 @@ impl SimStats {
     /// Mapping (all read from the recorder's **root** span):
     ///
     /// * totals — root counters ([`CounterId::Blocks`],
-    ///   [`CounterId::GoodEvals`], [`CounterId::FaultEvals`],
+    ///   [`CounterId::BlocksSkipped`], [`CounterId::GoodEvals`], [`CounterId::FaultEvals`],
     ///   [`CounterId::StemEvals`], [`CounterId::GateEvals`],
     ///   [`CounterId::FaultsDropped`],
     ///   [`CounterId::FaultsRetired`],
@@ -98,6 +102,7 @@ impl SimStats {
         let c = rec.span_counters(root);
         SimStats {
             blocks: c.get(CounterId::Blocks),
+            blocks_skipped: c.get(CounterId::BlocksSkipped),
             good_evals: c.get(CounterId::GoodEvals),
             fault_evals: c.get(CounterId::FaultEvals),
             stem_evals: c.get(CounterId::StemEvals),
@@ -282,6 +287,21 @@ mod tests {
         assert_eq!(
             SimStats::from_recorder(&Recorder::disabled()),
             SimStats::default()
+        );
+    }
+
+    #[test]
+    fn from_recorder_reads_the_skipped_blocks() {
+        use bibs_obs::{CounterId as C, Recorder};
+        let mut rec = Recorder::new("fault-sim[par]");
+        let root = rec.root();
+        rec.add_to(root, C::Blocks, 5);
+        rec.add_to(root, C::GoodEvals, 2);
+        rec.add_to(root, C::BlocksSkipped, 3);
+        let stats = SimStats::from_recorder(&rec);
+        assert_eq!(
+            (stats.blocks, stats.good_evals, stats.blocks_skipped),
+            (5, 2, 3)
         );
     }
 

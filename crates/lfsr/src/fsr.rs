@@ -246,7 +246,7 @@ impl Iterator for Lfsr {
 ///     lfsr.step();
 /// }
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SequenceWindows {
     /// Stage *i* at bit *i − 1*, so bit *i* holds `a_{t−i}`.
     state: u64,
@@ -302,6 +302,46 @@ impl SequenceWindows {
             self.shift_in(seq, n);
             clocks -= n as u64;
         }
+    }
+
+    /// [`SequenceWindows::advance`] in time logarithmic in `clocks`.
+    ///
+    /// The output sequence obeys `a_{n+M} = Σ_{s ∈ taps} a_{n+M−s}`, whose
+    /// polynomial is `p(x) = x^M + Σ_{s ∈ taps} x^{M−s}`. If
+    /// `x^{k+j} mod p = Σ_i c_i x^i`, then `a_{n+k+j} = Σ_i c_i a_{n+i}`, so
+    /// each value `k` clocks on is a fixed parity of the `M` values the
+    /// register holds now. The jump takes `x^k mod p` from
+    /// [`gf2::powmod`](crate::gf2::powmod), moves the register all but the
+    /// last `64 · depth` clocks that way, and clocks those with `advance`,
+    /// which rebuilds the history.
+    pub fn jump(&mut self, clocks: u64) {
+        let tail = 64 * self.history.len() as u64;
+        if clocks > tail {
+            self.state = self.register_after(clocks - tail);
+        }
+        self.advance(clocks.min(tail));
+    }
+
+    /// The register `k` clocks on.
+    fn register_after(&self, k: u64) -> u64 {
+        let degree = self.stages.count_ones();
+        let p = (0..degree)
+            .filter(|b| self.taps >> b & 1 == 1)
+            .fold(1u128 << degree, |p, b| p | 1 << (degree - 1 - b));
+        // Bit i of `window` is a_{n+i}, for the register's oldest value a_n.
+        let window = self.state.reverse_bits() >> (64 - degree);
+        let mut c = crate::gf2::powmod(0b10, u128::from(k), p);
+        let mut state = 0u64;
+        for j in 0..degree {
+            // Stage M − j holds a_{n+k+j} = parity(c & window), c = x^{k+j} mod p.
+            let bit = (c as u64 & window).count_ones() & 1;
+            state |= u64::from(bit) << (degree - 1 - j);
+            c <<= 1;
+            if c >> degree & 1 == 1 {
+                c ^= p;
+            }
+        }
+        state
     }
 
     /// Clocks the register `lanes` times and returns one word per offset:
@@ -616,6 +656,41 @@ mod tests {
             }
             if lanes < 64 {
                 assert!(words.iter().all(|&w| w >> lanes == 0), "lanes past {lanes}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_jump_lands_where_advancing_does() {
+        for degree in 2..=64 {
+            let p = primitive_polynomial(degree).unwrap();
+            let d = degree as usize;
+            // Offsets inside the register, one past it, and past one and
+            // two history words.
+            let offsets = vec![0, d - 1, d, 64 + d, 2 * 64 + 3];
+            let depth = 3u64;
+            let start = SequenceWindows::new(&p, 0x9E37_79B9_7F4A_7C15, offsets);
+            for k in [
+                0,
+                1,
+                63,
+                64,
+                65,
+                64 * depth - 1,
+                64 * depth,
+                64 * depth + 1,
+                100_000,
+                1 << 20,
+            ] {
+                let (mut jumped, mut advanced) = (start.clone(), start.clone());
+                jumped.jump(k);
+                advanced.advance(k);
+                assert_eq!(jumped, advanced, "degree {degree}, {k} clocks");
+                assert_eq!(
+                    jumped.next_block(64),
+                    advanced.next_block(64),
+                    "degree {degree}, {k} clocks"
+                );
             }
         }
     }

@@ -51,17 +51,19 @@ pub enum CounterId {
     /// the flipped stem reaches, so this counts the work done, not
     /// program size × evaluations.
     GateEvals,
-    /// Good-machine evaluations: one per 64-lane pattern block that
-    /// still has a live fault.
+    /// Good-machine evaluations: one per 64-lane pattern block applied
+    /// while a fault is live.
     GoodEvals,
     /// Live faults examined: one per live fault per block.
     FaultEvals,
     /// Faults dropped from simulation after first detection.
     FaultsDropped,
-    /// Pattern blocks applied (up to 64 patterns each), including those
-    /// with no live fault left, which evaluate nothing.
+    /// Pattern blocks a run counts (up to 64 patterns each): the blocks
+    /// applied, and the blocks skipped once no fault is live (see
+    /// [`CounterId::BlocksSkipped`]).
     Blocks,
-    /// Patterns consumed from the stream (lanes, not blocks).
+    /// Patterns consumed from the stream (lanes, not blocks), skipped
+    /// blocks' lanes included.
     PatternsConsumed,
     /// PODEM backtracks across all targeted faults.
     PodemBacktracks,
@@ -91,7 +93,7 @@ pub enum CounterId {
     /// per linted file carrying this counter).
     LintFindings,
     /// Patterns emitted by a pattern source (lanes across all blocks
-    /// pulled, whether or not the engine applied every lane).
+    /// pulled or skipped, whether or not the engine applied every lane).
     PatternsEmitted,
     /// Hardware clock cycles a pattern source accounts for (warm-up
     /// shifts + one per pattern + reseed loads) — the denominator of the
@@ -109,10 +111,15 @@ pub enum CounterId {
     /// live fault of the region whose effect reaches the stem. The
     /// reference interpreter runs whole faulty machines and records none.
     StemEvals,
+    /// Blocks an engine counted without pulling them: once no fault is
+    /// live, the driver skips the source to the run's stop point and the
+    /// engine counts the blocks the skip stood for. Recorded only when
+    /// nonzero, so runs that skip nothing keep their telemetry unchanged.
+    BlocksSkipped,
 }
 
 /// Number of counters — the fixed length of every [`Counters`] array.
-pub const COUNTER_COUNT: usize = 22;
+pub const COUNTER_COUNT: usize = 23;
 
 impl CounterId {
     /// Every counter, in export order.
@@ -139,6 +146,7 @@ impl CounterId {
         CounterId::FaultsRetired,
         CounterId::ImpliedRedundant,
         CounterId::StemEvals,
+        CounterId::BlocksSkipped,
     ];
 
     /// The stable snake_case name used in JSON exports and trace output.
@@ -166,6 +174,7 @@ impl CounterId {
             CounterId::FaultsRetired => "faults_retired",
             CounterId::ImpliedRedundant => "implied_redundant",
             CounterId::StemEvals => "stem_evals",
+            CounterId::BlocksSkipped => "blocks_skipped",
         }
     }
 }

@@ -15,6 +15,14 @@
 //! redundancy only case analysis on a reconvergent stem proves: retiring
 //! its proved faults must leave its report equal to the reference
 //! engine's.
+//!
+//! Once the prover leaves no fault live, the driver skips the source to
+//! the run's stop point instead of pulling the rest of the plateau. The
+//! skip tests wrap the source to count its calls: a proving run pulls
+//! exactly the blocks that evaluate the good machine and skips at most
+//! once, and a source whose `skip` is the trait's default (it pulls)
+//! gives the same run. They cover a cut at the pattern cap, an LFSR whose
+//! period ends inside the skip, and a ragged replay schedule.
 
 mod common;
 
@@ -30,9 +38,12 @@ use bibs_faultsim::source::{
     LfsrSource, PatternBlock, PatternSource, RandomWords, StoredSeedReplay, WeightedRandomSource,
 };
 use bibs_faultsim::stats::SimStats;
+use bibs_lfsr::poly::primitive_polynomial;
 use bibs_netlist::builder::NetlistBuilder;
 use bibs_netlist::{EvalProgram, GateKind, Netlist};
 use common::bibs_kernels;
+use std::cell::Cell;
+use std::rc::Rc;
 
 /// Table 2's PODEM backtrack limit.
 const BACKTRACK_LIMIT: usize = 100_000;
@@ -464,4 +475,270 @@ fn table2_on_the_redundant_fixture_matches_the_reference_engine() {
         table2_json(&[columns(Engine::Reference)]),
         "retiring proved faults must not change the report"
     );
+}
+
+/// Counts a source's `next_block` and `skip` calls and forwards both.
+struct Counted {
+    inner: Box<dyn PatternSource>,
+    pulls: Rc<Cell<u64>>,
+    skips: Rc<Cell<u64>>,
+}
+
+impl PatternSource for Counted {
+    fn next_block(&mut self, width: usize) -> Option<PatternBlock> {
+        self.pulls.set(self.pulls.get() + 1);
+        self.inner.next_block(width)
+    }
+
+    fn clocks_consumed(&self) -> u64 {
+        self.inner.clocks_consumed()
+    }
+
+    fn patterns_emitted(&self) -> u64 {
+        self.inner.patterns_emitted()
+    }
+
+    fn descriptor(&self) -> bibs_faultsim::source::SourceDescriptor {
+        self.inner.descriptor()
+    }
+
+    fn skip(&mut self, width: usize, patterns: u64) -> (u64, u64) {
+        self.skips.set(self.skips.get() + 1);
+        self.inner.skip(width, patterns)
+    }
+}
+
+/// Forwards everything but `skip`, which is the trait's default: it
+/// pulls the skipped blocks.
+struct Pulling(Box<dyn PatternSource>);
+
+impl PatternSource for Pulling {
+    fn next_block(&mut self, width: usize) -> Option<PatternBlock> {
+        self.0.next_block(width)
+    }
+
+    fn clocks_consumed(&self) -> u64 {
+        self.0.clocks_consumed()
+    }
+
+    fn patterns_emitted(&self) -> u64 {
+        self.0.patterns_emitted()
+    }
+
+    fn descriptor(&self) -> bibs_faultsim::source::SourceDescriptor {
+        self.0.descriptor()
+    }
+}
+
+/// A proving run through [`Counted`] pulls one block per good-machine
+/// evaluation and skips at most once, and equals the proving run through
+/// [`Pulling`] and the plain run. Returns the counted run and its skip
+/// calls.
+fn assert_skip_is_pulling(
+    what: &str,
+    nl: &Netlist,
+    faults: &[Fault],
+    make: MakeSource,
+    max_patterns: u64,
+    plateau: u64,
+    verdicts: &mut Verdicts,
+) -> (Run, u64) {
+    let stop = || Stop {
+        plateau,
+        ..Stop::after(max_patterns)
+    };
+    let (pulls, skips) = (Rc::new(Cell::new(0)), Rc::new(Cell::new(0)));
+    let counted = {
+        let (pulls, skips) = (pulls.clone(), skips.clone());
+        move || {
+            Box::new(Counted {
+                inner: make(),
+                pulls: pulls.clone(),
+                skips: skips.clone(),
+            }) as Box<dyn PatternSource>
+        }
+    };
+    let pulling = || Box::new(Pulling(make())) as Box<dyn PatternSource>;
+    let mut prove = |f| verdicts.proves_redundant(f);
+    let skipped = run(
+        nl,
+        faults,
+        &counted,
+        Stop {
+            prover: Some(&mut prove),
+            ..stop()
+        },
+    );
+    // `run` pulls one more block after the run, to compare the next block.
+    let (pulls, skips) = (pulls.get() - 1, skips.get());
+    let stats = skipped.report.stats();
+    assert_eq!(pulls, stats.good_evals, "{what}: pulls");
+    assert!(skips <= 1, "{what}: {skips} skips");
+    assert_eq!(
+        stats.good_evals + stats.blocks_skipped,
+        stats.blocks,
+        "{what}: every block is evaluated or skipped"
+    );
+    assert_eq!(
+        stats.blocks_skipped > 0,
+        skips == 1 && stats.blocks > pulls,
+        "{what}"
+    );
+    let mut prove = |f| verdicts.proves_redundant(f);
+    let pulled = run(
+        nl,
+        faults,
+        &pulling,
+        Stop {
+            prover: Some(&mut prove),
+            ..stop()
+        },
+    );
+    let (p, q) = (&pulled.report, &skipped.report);
+    assert_eq!(p.detection(), q.detection(), "{what}: detection");
+    assert_eq!(p.patterns_applied(), q.patterns_applied(), "{what}");
+    assert_eq!(
+        (pulled.clocks, pulled.emitted, &pulled.next),
+        (skipped.clocks, skipped.emitted, &skipped.next),
+        "{what}: a pulling skip leaves the source elsewhere"
+    );
+    assert_eq!(
+        (counters(p.stats()), p.stats().blocks_skipped),
+        (counters(q.stats()), q.stats().blocks_skipped),
+        "{what}: a pulling skip counts other work"
+    );
+    let plain = run(nl, faults, make, stop());
+    assert_same_run(&plain, &skipped, what);
+    (skipped, skips)
+}
+
+/// `y = a AND NOT a` keeps two redundant faults; `z = b XOR c` gives the
+/// list faults the stream detects at once.
+fn and_not() -> Netlist {
+    let mut b = NetlistBuilder::new("and_not");
+    let a = b.input("a");
+    let na = b.not(a);
+    let y = b.and2(a, na);
+    let c = b.input("b");
+    let d = b.input("c");
+    let z = b.xor2(c, d);
+    b.output("y", y);
+    b.output("z", z);
+    b.finish().unwrap()
+}
+
+#[test]
+fn a_skip_cut_at_the_pattern_cap_counts_the_capped_lanes() {
+    let nl = and_not();
+    let faults = FaultUniverse::collapsed(&nl).faults().to_vec();
+    let program = compiled(&nl);
+    let mut verdicts = Verdicts::new(&nl, &program, BACKTRACK_LIMIT);
+    let make = || Box::new(RandomWords::seeded(9)) as Box<dyn PatternSource>;
+    // The cap ends 41 lanes into a block, long before the plateau would.
+    let max_patterns = 140 * 64 + 41;
+    let (run, skips) = assert_skip_is_pulling(
+        "cut",
+        &nl,
+        &faults,
+        &make,
+        max_patterns,
+        1 << 20,
+        &mut verdicts,
+    );
+    assert_eq!(skips, 1);
+    assert_eq!(run.report.patterns_applied(), max_patterns);
+    assert_eq!(run.emitted, 141 * 64, "the source accounts the whole block");
+
+    // The reference engine counts the skipped blocks the same way.
+    let mut prove = |f| verdicts.proves_redundant(f);
+    let reference = ReferenceSimulator::new(&nl, faults.clone()).run(
+        &mut RandomWords::seeded(9),
+        Stop {
+            plateau: 1 << 20,
+            prover: Some(&mut prove),
+            ..Stop::after(max_patterns)
+        },
+    );
+    assert_eq!(reference.detection(), run.report.detection());
+    assert_eq!(reference.patterns_applied(), max_patterns);
+    let (r, c) = (reference.stats(), run.report.stats());
+    assert_eq!(
+        (r.blocks, r.good_evals, r.blocks_skipped),
+        (c.blocks, c.good_evals, c.blocks_skipped)
+    );
+}
+
+#[test]
+fn an_lfsr_period_that_ends_inside_the_skip_stops_the_run() {
+    // A degree-11 LFSR read at three stages: 2,047 patterns and the
+    // all-zero one, so the source runs dry inside the plateau's skip.
+    let nl = and_not();
+    let faults = FaultUniverse::collapsed(&nl).faults().to_vec();
+    let program = compiled(&nl);
+    let mut verdicts = Verdicts::new(&nl, &program, BACKTRACK_LIMIT);
+    let poly = primitive_polynomial(11).unwrap();
+    let make = || {
+        Box::new(LfsrSource::with_polynomial(&poly, 3, 0x51B5).warmed_up(5))
+            as Box<dyn PatternSource>
+    };
+    let (run, skips) =
+        assert_skip_is_pulling("lfsr", &nl, &faults, &make, 1_000_000, 4_096, &mut verdicts);
+    assert_eq!(skips, 1);
+    assert_eq!(run.report.patterns_applied(), 2_048);
+    assert_eq!(run.clocks, 5 + 2_048);
+    assert_eq!(run.next, None);
+    assert!(run.report.stats().blocks_skipped > 0);
+}
+
+#[test]
+fn a_ragged_replay_skips_like_it_pulls() {
+    let nl = and_not();
+    let faults = FaultUniverse::collapsed(&nl).faults().to_vec();
+    let program = compiled(&nl);
+    let mut verdicts = Verdicts::new(&nl, &program, BACKTRACK_LIMIT);
+    // Ragged blocks at each reseed. The 4,096-pattern plateau stops inside
+    // the third segment; the 8,192 one outlasts the schedule.
+    let make = || {
+        Box::new(
+            StoredSeedReplay::parse("sched", "0x51B51994 2100\n0xB1B5 1500\n7 1030\n")
+                .expect("schedule parses"),
+        ) as Box<dyn PatternSource>
+    };
+    for (plateau, dry) in [(4_096, false), (8_192, true)] {
+        let (run, skips) = assert_skip_is_pulling(
+            &format!("replay, plateau {plateau}"),
+            &nl,
+            &faults,
+            &make,
+            1_000_000,
+            plateau,
+            &mut verdicts,
+        );
+        assert_eq!(skips, 1);
+        assert_eq!(run.next.is_none(), dry, "plateau {plateau}");
+        assert!(run.report.stats().blocks_skipped > 0);
+    }
+}
+
+#[test]
+fn paper_kernels_pull_only_the_blocks_they_evaluate() {
+    let (comb, faults, _) = bibs_kernels("c5a2m", 4, &SourceSpec::Random)
+        .into_iter()
+        .next()
+        .expect("a BIBS kernel");
+    let width = comb.input_width();
+    let program = compiled(&comb);
+    let mut verdicts = Verdicts::new(&comb, &program, BACKTRACK_LIMIT);
+    let random = || Box::new(RandomWords::seeded(11)) as Box<dyn PatternSource>;
+    let lfsr =
+        || Box::new(LfsrSource::new(width, 5).expect("fits an LFSR")) as Box<dyn PatternSource>;
+    for (kind, make) in [("random", &random as MakeSource), ("lfsr", &lfsr)] {
+        let (run, skips) =
+            assert_skip_is_pulling(kind, &comb, &faults, make, 1_000_000, 4_096, &mut verdicts);
+        assert_eq!(skips, 1, "{kind}");
+        assert!(run.report.stats().faults_retired > 0, "{kind}");
+    }
+    // With no prover nothing is skipped, and every pull is applied.
+    let plain = run(&comb, &faults, &random, Stop::after(4_096));
+    assert_eq!(plain.report.stats().blocks_skipped, 0);
 }
