@@ -100,15 +100,16 @@ grep -q '"detection_indices"' /tmp/bibs-table2-compiled.json
 step "telemetry perf-regression gate (perfdiff vs committed BENCH_table2.json)"
 # perfdiff compares the span shape and every counter with hard equality,
 # and walls within a wide band. The counters were last re-recorded when
-# fault simulation moved to critical-path tracing in fanout-free regions
-# (gate_evals, stem_evals, and the elaborate and collapse spans); the
-# walls are older. A mismatch means the default hot path does other work.
+# each stem propagation began to stop at its faults' earliest lanes
+# (gate_evals, stem_stops, and the build span around each engine's
+# construction); the walls of the older spans are older. A mismatch
+# means the default hot path does other work.
 cargo run --release -p bibs-bench --bin table2 -- --only c5a2m \
   --telemetry /tmp/bibs-telemetry.json > /dev/null
 cargo run --release -p bibs-bench --bin perfdiff -- \
   BENCH_table2.json /tmp/bibs-telemetry.json
 
-step "retired faults, skipped blocks and shared stems: c5a2m's BIBS kernel stops sweeping the good machine once the prover retires its survivors, counts the rest of the plateau without pulling it, and propagates fewer stems than it checks faults"
+step "retired faults, skipped blocks and shared stems: c5a2m's BIBS kernel stops sweeping the good machine once the prover retires its survivors, counts the rest of the plateau without pulling it, propagates fewer stems than it checks faults, and stops stem propagations early"
 # The implication check proves the kernel's two survivors redundant 1,024
 # patterns after its last detection. A prover that retired nothing would
 # leave good_evals equal to blocks. Once no fault is live, the driver
@@ -121,6 +122,9 @@ step "retired faults, skipped blocks and shared stems: c5a2m's BIBS kernel stops
 # propagates each fanout-free region's stem once per block for all of
 # the region's faults; an engine that propagated once per fault would
 # record as many stem_evals as fault_evals, whatever the baseline says.
+# A propagation returns once each of its faults has its lowest flipped
+# lane at an output; an engine that always ran them to the end would
+# record no stem_stops.
 cargo run --release -p bibs-bench --bin table2 -- --only c5a2m \
   --source lfsr --telemetry /tmp/bibs-telemetry-lfsr.json > /dev/null
 span_counter() { printf '%s' "$sim_span" | grep -o "\"$1\":[0-9]*" | grep -o '[0-9]*$'; }
@@ -133,15 +137,17 @@ for telemetry in /tmp/bibs-telemetry.json /tmp/bibs-telemetry-lfsr.json; do
   skipped=$(span_counter blocks_skipped || true)
   faults=$(span_counter fault_evals)
   stems=$(span_counter stem_evals || true)
+  stops=$(span_counter stem_stops || true)
   echo "$telemetry, BIBS c5a2m kernel 0: ${good} good-machine sweeps and" \
     "${skipped:-0} skipped blocks of ${blocks} blocks, ${retired:-0} faults retired"
   echo "$telemetry, BIBS c5a2m kernel 0: ${stems} stem propagations for" \
-    "${faults} live-fault checks"
+    "${faults} live-fault checks, ${stops:-0} stopped early"
   test -n "$good" && test -n "$blocks" && test -n "$retired"
   test "$good" -lt "$blocks" && test "$retired" -gt 0
   test $(( good + ${skipped:-0} )) -eq "$blocks"
   test -n "$faults" && test -n "$stems"
   test "$stems" -lt "$faults"
+  test "${stops:-0}" -gt 0
 done
 
 step "pattern sources: --source random JSON is byte-identical to the legacy path"

@@ -38,7 +38,8 @@
 //!
 //! The results are bit-identical for either engine. The exported
 //! telemetry counters are deterministic per engine but not shared: the
-//! engines count their work differently (`gate_evals`, `stem_evals`), and
+//! engines count their work differently (`gate_evals`, `stem_evals`,
+//! `stem_stops`), and
 //! only the compiled engine runs the prover, so `good_evals`,
 //! `faults_retired` and `blocks_skipped` differ too. Without `--json` the
 //! table is followed by the fault accounting, the engine's counters and

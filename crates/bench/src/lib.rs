@@ -520,6 +520,9 @@ pub fn apply_tdm(circuit: &Circuit, tdm: Tdm) -> (Circuit, BilboDesign, Vec<Kern
 /// * `"analyze"` — the observability split, carrying the
 ///   `universe_faults` counter (the kernel's span carries
 ///   `simulated_faults`);
+/// * `"build"` — the engine's construction: its copies of the program
+///   and the fault list and, for the compiled engine, the stem map, the
+///   fault sites and the stem-order sort of its live list;
 /// * the engine's own `fault-sim[...]` tree, grafted verbatim (per-block
 ///   counters on its root);
 /// * `"source[SPEC]"` — with a pattern source, its `patterns_emitted` and
@@ -616,13 +619,15 @@ pub fn kernel_fault_stats(
     let mut verdicts = Verdicts::new(&comb, &program, options.backtrack_limit);
     let report = match options.engine {
         Engine::Compiled => {
-            let mut sim = ParFaultSimulator::with_program(
-                &comb,
-                program.clone(),
-                to_sim.clone(),
-                options.jobs,
-            )
-            .with_lanes(options.lanes);
+            let mut sim = rec.scope("build", |_| {
+                ParFaultSimulator::with_program(
+                    &comb,
+                    program.clone(),
+                    to_sim.clone(),
+                    options.jobs,
+                )
+                .with_lanes(options.lanes)
+            });
             let mut prove = |f| verdicts.proves_redundant(f);
             let report = sim.run(
                 &mut *pulled,
@@ -636,7 +641,7 @@ pub fn kernel_fault_stats(
             report
         }
         Engine::Reference => {
-            let mut sim = ReferenceSimulator::new(&comb, to_sim.clone());
+            let mut sim = rec.scope("build", |_| ReferenceSimulator::new(&comb, to_sim.clone()));
             let report = sim.run(&mut *pulled, stop);
             let cur = rec.current();
             rec.graft(cur, sim.recorder());

@@ -6,28 +6,44 @@
 //! region (FFR) is a maximal tree whose inner nets each have exactly one
 //! gate reader and are not primary outputs; its root net is the region's
 //! *stem*. At construction the engine maps every fault to its site and
-//! its region's stem. Each block then runs:
+//! its region's stem, and sorts the live list by stem (then fault
+//! index), so each region's faults sit together for the whole run. Each
+//! block then runs:
 //!
 //! 1. **one** good-machine run of the compiled [`EvalProgram`] over the
 //!    block's 64-lane input words;
-//! 2. per live fault, its *local word*: the activation word (`good ^
-//!    stuck` at the site) ANDed with the sensitization word
-//!    ([`EvalProgram::sensitization`]) of every gate on its one path to
-//!    the stem. These are the lanes in which the fault flips the stem;
-//! 3. only for a nonzero local word, the stem's observability word: one
-//!    event-driven propagation of the stem's complement per stem and
-//!    block ([`EvalProgram::eval_events`]), cached for the block's other
-//!    faults of the region. The engine copies the good values into its
-//!    `faulty` buffer once per block, and each propagation restores it;
-//! 4. each fault whose local word ANDed with its stem's observability
-//!    word is nonzero records `patterns_applied + lane` and leaves the
-//!    list.
+//! 2. one region at a time, each live fault's *local word*: the
+//!    activation word (`good ^ stuck` at the site) ANDed with the
+//!    sensitization word ([`EvalProgram::sensitization`]) of every gate
+//!    on its one path to the stem, and with the block's lane mask. These
+//!    are the valid lanes in which the fault flips the stem;
+//! 3. if any local word of the region is nonzero, one event-driven
+//!    propagation ([`EvalProgram::eval_events`]) of the stem flipped in
+//!    the union of the local words only, which stops once the output
+//!    difference covers each fault's lowest local lane (the
+//!    `stem_stops` counter counts the propagations that stop with
+//!    instructions still pending). The engine copies the good values
+//!    into its `faulty` buffer once per block, and each propagation
+//!    restores it;
+//! 4. each fault whose local word ANDed with that difference is nonzero
+//!    records `patterns_applied + lane`, the lowest such lane, and
+//!    leaves the list.
 //!
 //! The trace is exact. Inside a tree a fault's effect travels one path,
 //! so each gate on it sees exactly one changed operand; past the stem the
 //! faulty machine is the good one with the stem flipped in the lanes the
-//! fault reaches. Every report equals one event-driven propagation per
-//! fault, bit for bit.
+//! fault reaches. Lanes are independent, so flipping the stem in the
+//! union of the region's local words gives every fault's lanes the
+//! difference a flip of its own lanes would. The early stop is exact too:
+//! each output settles once, in schedule order, so a partial difference
+//! holds only real differences. Once it covers a fault's lowest local
+//! lane, that lane is the earliest the fault could be detected at, and a
+//! propagation that never covers the stop word runs to the end. Every
+//! report equals one event-driven propagation per fault, bit for bit.
+//!
+//! The grouped walk needs no per-stem cache of observability words: a
+//! region's faults are adjacent in the list, so its one propagation
+//! serves them all before the walk moves on.
 //!
 //! A driver prover's verdicts take faults off the list too
 //! ([`BlockSim::retire`]); once the list is empty the driver skips the
@@ -73,7 +89,8 @@ use std::time::Instant;
 /// is then one program run for the good machine, a trace of each
 /// undetected fault's path to its stem, and one event-driven propagation
 /// per stem that some fault flips, which evaluates only the instructions
-/// the stem's change reaches (PPSFP, parallel patterns and single-fault
+/// the stem's change reaches until each of its faults has its earliest
+/// lane at an output (PPSFP, parallel patterns and single-fault
 /// propagation, with the propagation shared per region). Detected faults
 /// are dropped from later blocks; the per-fault first-detection pattern
 /// index is recorded so coverage-vs-pattern-count curves (the paper's
@@ -115,17 +132,18 @@ pub struct ParFaultSimulator<'a> {
     sites: Vec<Site>,
     detection: Vec<Option<u64>>,
     /// Indices (into `faults`) of the faults still undetected — each
-    /// block's work list. Compacted by every block that detects.
+    /// block's work list, sorted by stem and then index, so that each
+    /// region's faults are adjacent. Compacted by every block that
+    /// detects.
     undetected: Vec<u32>,
     /// The good machine's values for the current block.
     good: Vec<u64>,
     /// The faulty machine's values: the good machine's between stem
     /// propagations.
     faulty: Vec<u64>,
-    /// `observed[s] = (block, word)`: the primary-output difference of
-    /// flipping stem `s`, valid while `block` is the current block's first
-    /// pattern index (`u64::MAX` before any propagation).
-    observed: Vec<(u64, u64)>,
+    /// The local words of the region being simulated, one per live fault
+    /// of the region, reused across regions and blocks.
+    locals: Vec<u64>,
     /// The event queue the propagations work in, reused across blocks.
     queue: EventQueue,
     patterns_applied: u64,
@@ -210,6 +228,26 @@ fn stems(program: &EvalProgram) -> Vec<u32> {
     stem
 }
 
+/// Every fault index, grouped by stem in slot order and in index order
+/// within a stem. A counting sort over the slots: at width 8 it took a
+/// fifth of the time a comparison sort of the same keys did.
+fn stem_order(sites: &[Site], slots: usize) -> Vec<u32> {
+    let mut next = vec![0u32; slots + 1];
+    for site in sites {
+        next[site.stem as usize + 1] += 1;
+    }
+    for s in 1..=slots {
+        next[s] += next[s - 1];
+    }
+    let mut order = vec![0u32; sites.len()];
+    for (fi, site) in sites.iter().enumerate() {
+        let at = &mut next[site.stem as usize];
+        order[*at as usize] = fi as u32;
+        *at += 1;
+    }
+    order
+}
+
 impl<'a> ParFaultSimulator<'a> {
     /// Creates a simulator, compiling the netlist to an [`EvalProgram`].
     /// The compile time is recorded as a `"compile"` child span, surfaced
@@ -277,11 +315,12 @@ impl<'a> ParFaultSimulator<'a> {
             "fault list exceeds u32 index space"
         );
         let stems = stems(&program);
-        let sites = faults
+        let sites: Vec<Site> = faults
             .iter()
             .map(|&f| Site::new(&program, &stems, f))
             .collect();
         let n = faults.len();
+        let undetected = stem_order(&sites, program.slot_count());
         let good = program.new_values();
         ParFaultSimulator {
             netlist,
@@ -289,10 +328,10 @@ impl<'a> ParFaultSimulator<'a> {
             faults,
             sites,
             detection: vec![None; n],
-            undetected: (0..n as u32).collect(),
+            undetected,
             faulty: good.clone(),
-            observed: vec![(u64::MAX, 0); good.len()],
             good,
+            locals: Vec::new(),
             queue: EventQueue::default(),
             patterns_applied: 0,
             rec,
@@ -327,47 +366,58 @@ impl<'a> ParFaultSimulator<'a> {
         &self.rec
     }
 
-    /// Evaluates the good machine once on `block`, then traces every
-    /// undetected fault to its stem and propagates each stem a fault
-    /// flips once; each detected fault gets its index
-    /// (`patterns_applied + lane`, only lanes under `mask` count) and
-    /// leaves the list. Returns how many were detected.
+    /// Evaluates the good machine once on `block`, then walks the
+    /// undetected faults one fanout-free region at a time: it traces each
+    /// to its stem and propagates the stem once, flipped in the lanes the
+    /// region's faults flip, until each fault's lowest such lane has
+    /// reached an output or the propagation ends. Each detected fault gets
+    /// its index (`patterns_applied + lane`, only lanes under `mask`
+    /// count) and leaves the list. Returns how many were detected.
     fn simulate_block(&mut self, block: &PatternBlock, mask: u64) -> usize {
         let started = Instant::now();
         let mut gate_evals = self.program.eval_good(&mut self.good, &block.words);
         self.faulty.copy_from_slice(&self.good);
-        let stamp = self.patterns_applied;
-        let (mut detected, mut stem_evals) = (0, 0);
-        for &fi in &self.undetected {
-            let site = self.sites[fi as usize];
-            let local = site.local_word(&self.program, &self.good);
-            if local & mask == 0 {
+        let (mut detected, mut stem_evals, mut stem_stops) = (0, 0, 0);
+        let sites = &self.sites;
+        let same_stem = |&a: &u32, &b: &u32| sites[a as usize].stem == sites[b as usize].stem;
+        for region in self.undetected.chunk_by(same_stem) {
+            // `flip`: the lanes in which some fault flips the stem;
+            // `first`: each fault's lowest one, the stop word.
+            let (mut flip, mut first) = (0u64, 0u64);
+            self.locals.clear();
+            for &fi in region {
+                let local = sites[fi as usize].local_word(&self.program, &self.good) & mask;
+                flip |= local;
+                first |= local & local.wrapping_neg();
+                self.locals.push(local);
+            }
+            if flip == 0 {
                 continue;
             }
-            let stem = site.stem as usize;
-            let (seen, observed) = &mut self.observed[stem];
-            if *seen != stamp {
-                let word = !self.good[stem];
-                let patch = match self.program.instr_of_slot(stem) {
-                    Some(instr) => Patch::InstrOutput {
-                        instr: instr as u32,
-                        word,
-                    },
-                    None => Patch::Slot {
-                        slot: site.stem,
-                        word,
-                    },
-                };
-                let (diff, evals) =
-                    self.program
-                        .eval_events(&self.good, &mut self.faulty, patch, &mut self.queue);
-                gate_evals += evals;
-                stem_evals += 1;
-                (*seen, *observed) = (stamp, diff);
-            }
-            if let Some(lane) = eval::first_detection(local & *observed, mask) {
-                self.detection[fi as usize] = Some(self.patterns_applied + lane);
-                detected += 1;
+            let stem = sites[region[0] as usize].stem;
+            let word = self.good[stem as usize] ^ flip;
+            let patch = match self.program.instr_of_slot(stem as usize) {
+                Some(instr) => Patch::InstrOutput {
+                    instr: instr as u32,
+                    word,
+                },
+                None => Patch::Slot { slot: stem, word },
+            };
+            let (diff, evals, stopped) = self.program.eval_events(
+                &self.good,
+                &mut self.faulty,
+                patch,
+                first,
+                &mut self.queue,
+            );
+            gate_evals += evals;
+            stem_evals += 1;
+            stem_stops += u64::from(stopped);
+            for (&fi, &local) in region.iter().zip(&self.locals) {
+                if let Some(lane) = eval::first_detection(local & diff, mask) {
+                    self.detection[fi as usize] = Some(self.patterns_applied + lane);
+                    detected += 1;
+                }
             }
         }
         let fault_evals = self.undetected.len() as u64;
@@ -380,6 +430,7 @@ impl<'a> ParFaultSimulator<'a> {
         self.rec.add_to(root, CounterId::GateEvals, gate_evals);
         self.rec.add_to(root, CounterId::FaultEvals, fault_evals);
         self.rec.add_to(root, CounterId::StemEvals, stem_evals);
+        self.rec.add_to(root, CounterId::StemStops, stem_stops);
         self.rec.add_to(root, CounterId::GoodEvals, 1);
         self.rec
             .add_to(root, CounterId::FaultsDropped, detected as u64);
@@ -426,7 +477,8 @@ impl BlockSim for ParFaultSimulator<'_> {
     }
 
     /// Drops the faults `prover` proves undetectable from the undetected
-    /// list, asking it in fault-list order.
+    /// list, asking it in the list's stem order. A verdict depends only
+    /// on the fault, so the order cannot change which faults retire.
     fn retire(&mut self, prover: &mut dyn FnMut(Fault) -> bool) -> usize {
         let live = self.undetected.len();
         let faults = &self.faults;
@@ -519,6 +571,16 @@ mod tests {
             }
             assert_eq!(got as usize, net, "slot {slot}");
         }
+    }
+
+    #[test]
+    fn the_live_list_starts_grouped_by_stem_then_index() {
+        let nl = adder4();
+        let faults = crate::fault::FaultUniverse::full(&nl).faults().to_vec();
+        let sim = ParFaultSimulator::new(&nl, faults);
+        let key = |fi: u32| (sim.sites[fi as usize].stem, fi);
+        assert_eq!(sim.undetected.len(), sim.faults.len());
+        assert!(sim.undetected.windows(2).all(|w| key(w[0]) < key(w[1])));
     }
 
     #[test]

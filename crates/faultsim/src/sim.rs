@@ -176,6 +176,8 @@ pub trait BlockSim {
     /// Hands each live fault to `prover` and stops simulating the ones it
     /// returns `true` for. Records no detection: a retired fault stays
     /// undetected in every later report. Returns how many were retired.
+    /// Each engine asks in its own list order (the compiled engine in
+    /// stem order), so a prover's verdict must depend only on the fault.
     fn retire(&mut self, prover: &mut dyn FnMut(Fault) -> bool) -> usize;
 
     /// Counts `blocks` blocks carrying `patterns` patterns that the

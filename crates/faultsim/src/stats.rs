@@ -41,6 +41,10 @@ pub struct SimStats {
     /// fault flips, shared by the region's faults. Zero for the
     /// reference interpreter.
     pub stem_evals: u64,
+    /// Stem propagations that returned early, with instructions still
+    /// pending, once each of the region's faults saw its lowest flipped
+    /// lane at an output.
+    pub stem_stops: u64,
     /// Faults dropped from simulation after their first detection.
     pub faults_dropped: u64,
     /// Faults a mid-run prover proved undetectable and the engine
@@ -56,8 +60,9 @@ pub struct SimStats {
     /// Total gate evaluations (compiled instructions actually evaluated,
     /// or interpreted gate visits) across good and faulty machines. The
     /// compiled engine runs the whole program per good-machine block and,
-    /// per stem propagation, only the instructions the flipped stem
-    /// reaches
+    /// per stem propagation, only the instructions the stem's flipped
+    /// lanes reach before each of the region's faults has its lowest
+    /// flipped lane at an output
     /// ([`EvalProgram::eval_events`](bibs_netlist::EvalProgram::eval_events));
     /// the sensitization words of its in-region trace are not instruction
     /// evaluations and are not counted. The reference interpreter runs
@@ -85,7 +90,7 @@ impl SimStats {
     ///
     /// * totals — root counters ([`CounterId::Blocks`],
     ///   [`CounterId::BlocksSkipped`], [`CounterId::GoodEvals`], [`CounterId::FaultEvals`],
-    ///   [`CounterId::StemEvals`], [`CounterId::GateEvals`],
+    ///   [`CounterId::StemEvals`], [`CounterId::StemStops`], [`CounterId::GateEvals`],
     ///   [`CounterId::FaultsDropped`],
     ///   [`CounterId::FaultsRetired`],
     ///   [`CounterId::UniverseFaults`],
@@ -106,6 +111,7 @@ impl SimStats {
             good_evals: c.get(CounterId::GoodEvals),
             fault_evals: c.get(CounterId::FaultEvals),
             stem_evals: c.get(CounterId::StemEvals),
+            stem_stops: c.get(CounterId::StemStops),
             faults_dropped: c.get(CounterId::FaultsDropped),
             faults_retired: c.get(CounterId::FaultsRetired),
             wall: rec.span_wall(root),
@@ -270,6 +276,7 @@ mod tests {
         rec.add_to(root, C::GateEvals, 150);
         rec.add_to(root, C::FaultEvals, 12);
         rec.add_to(root, C::StemEvals, 4);
+        rec.add_to(root, C::StemStops, 3);
         rec.add_to(root, C::FaultsDropped, 2);
         rec.add_wall(root, Duration::from_millis(5));
 
@@ -278,6 +285,7 @@ mod tests {
         assert_eq!(stats.good_evals, 3);
         assert_eq!(stats.fault_evals, 12);
         assert_eq!(stats.stem_evals, 4);
+        assert_eq!(stats.stem_stops, 3);
         assert_eq!(stats.gate_evals, 150);
         assert_eq!(stats.faults_dropped, 2);
         assert_eq!(stats.wall, Duration::from_millis(5));

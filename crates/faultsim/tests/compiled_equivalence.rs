@@ -14,6 +14,12 @@
 //! corner cases run exhaustively on its full fault universe, and a
 //! proptest over random gate DAGs on the collapsed and full universes.
 //!
+//! Three hand-built blocks pin the engine's early stop: a stem
+//! propagation returns once each fault of the region has its lowest
+//! flipped lane at an output, so a fault whose lowest lane is never
+//! observed must keep the propagation running, and only lanes under the
+//! block's mask may flip the stem or join the stop word.
+//!
 //! The last proptest pins the propagation kernel the engine runs once
 //! per stem: [`EvalProgram::eval_events`] must give the same primary-output
 //! difference as a whole-program patched run, for every single patch,
@@ -23,7 +29,7 @@ use bibs_faultsim::fault::{Fault, FaultSite, FaultUniverse};
 use bibs_faultsim::par::ParFaultSimulator;
 use bibs_faultsim::reference::ReferenceSimulator;
 use bibs_faultsim::sim::{BlockSim, Stop};
-use bibs_faultsim::source::RandomWords;
+use bibs_faultsim::source::{PatternBlock, RandomWords};
 use bibs_netlist::builder::NetlistBuilder;
 use bibs_netlist::{EvalProgram, EventQueue, GateKind, Netlist, Patch};
 use bibs_rtl::{Circuit, VertexKind};
@@ -241,6 +247,87 @@ fn ffr_corner_cases_match_reference_exhaustively() {
     assert!(par.stats().stem_evals < par.stats().fault_evals);
 }
 
+// --- the early stop of a stem propagation --------------------------------
+
+/// One fanout-free region read early and late: the stem `s = a AND b`
+/// feeds the output `y = s AND c` and, through `s AND d` and two
+/// inverters, the output `z`, which the schedule reaches last. The two
+/// faults share the stem: `a` stuck-at-1 flips it where `a = 0, b = 1`,
+/// `b` stuck-at-1 where `a = 1, b = 0`. A flipped lane reaches `y` where
+/// `c = 1` and `z` where `d = 1`.
+fn early_and_late() -> (Netlist, Vec<Fault>) {
+    let mut b = NetlistBuilder::new("early-late");
+    let a = b.input("a");
+    let c = b.input("b");
+    let early = b.input("c");
+    let late = b.input("d");
+    let s = b.and2(a, c);
+    let y = b.and2(s, early);
+    let n1 = b.and2(s, late);
+    let n2 = b.not(n1);
+    let z = b.not(n2);
+    b.output("y", y);
+    b.output("z", z);
+    (
+        b.finish().unwrap(),
+        vec![Fault::net_sa1(a), Fault::net_sa1(c)],
+    )
+}
+
+/// Applies one block of `early_and_late` patterns, given per lane as
+/// the string of its `a b c d` bits, to both engines with only the first
+/// `lanes` lanes valid. Checks that the detections agree and returns
+/// them with the compiled engine's stem propagations and early stops.
+fn apply_to_both(patterns: &[&str], lanes: usize) -> (Vec<Option<u64>>, u64, u64) {
+    let (nl, faults) = early_and_late();
+    let mut words = vec![0u64; 4];
+    for (lane, bits) in patterns.iter().enumerate() {
+        for (input, bit) in bits.bytes().enumerate() {
+            words[input] |= u64::from(bit == b'1') << lane;
+        }
+    }
+    let block = PatternBlock { words, lanes: 64 };
+    let mut par = ParFaultSimulator::new(&nl, faults.clone());
+    let mut reference = ReferenceSimulator::new(&nl, faults);
+    par.apply(&block, lanes);
+    reference.apply(&block, lanes);
+    assert_eq!(par.detection(), reference.detection());
+    let stats = par.report().stats().clone();
+    (par.detection().to_vec(), stats.stem_evals, stats.stem_stops)
+}
+
+#[test]
+fn a_fault_unobserved_in_its_lowest_lane_is_detected_in_a_later_one() {
+    // `a` stuck-at-1 flips the stem in lanes 0 and 1; only lane 1 reaches
+    // an output. Its lowest lane never differs, so the propagation runs
+    // to the end and the detection is lane 1.
+    let got = apply_to_both(&["0100", "0110"], 64);
+    assert_eq!(got, (vec![Some(1), None], 1, 0));
+}
+
+#[test]
+fn a_shared_stem_runs_on_until_every_faults_lowest_lane_is_observed() {
+    // `a` stuck-at-1 flips lane 0, which `y` observes first. `b`
+    // stuck-at-1 flips lanes 1 and 2: lane 1 reaches no output and lane
+    // 2 only `z`, at the end of the schedule. A propagation that stopped
+    // once `a`'s lane was observed would miss `b`'s detection.
+    let got = apply_to_both(&["0110", "1000", "1001"], 64);
+    assert_eq!(got, (vec![Some(0), Some(2)], 1, 0));
+}
+
+#[test]
+fn a_ragged_block_flips_and_stops_on_valid_lanes_only() {
+    // Four valid lanes. `a` stuck-at-1 flips lanes 0 and 1 and lane 5
+    // above the mask; `b` stuck-at-1 flips only lane 6, above the mask.
+    // Lane 0 reaches `y` while the `z` path is still pending: the stop
+    // word is lane 0 alone, so the propagation stops there. A stop word
+    // that held every flipped lane (lane 1 never reaches an output) or a
+    // lane above the mask would run it to the end.
+    let patterns = ["0110", "0100", "0000", "0000", "0000", "0111", "1011"];
+    let got = apply_to_both(&patterns, 4);
+    assert_eq!(got, (vec![Some(0), None], 1, 1));
+}
+
 // --- proptest over random netlists --------------------------------------
 
 fn netlist_strategy() -> impl Strategy<Value = Netlist> {
@@ -319,9 +406,9 @@ fn assert_events_match(
     let mut faulty = good.clone();
     let mut queue = EventQueue::default();
     for &patch in patches {
-        let want = whole_program_oracle(program, &good, &inputs, patch);
-        let got = program.eval_events(&good, &mut faulty, patch, &mut queue);
-        prop_assert_eq!(got, want, "{:?}", patch);
+        let (diff, evals) = whole_program_oracle(program, &good, &inputs, patch);
+        let got = program.eval_events(&good, &mut faulty, patch, !0, &mut queue);
+        prop_assert_eq!(got, (diff, evals, false), "{:?}", patch);
         prop_assert!(faulty == good, "{:?} left the faulty buffer dirty", patch);
     }
     Ok(())

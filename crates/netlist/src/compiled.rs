@@ -556,7 +556,7 @@ impl EvalProgram {
 
     /// Event-driven faulty-machine evaluation: runs the faulty machine of
     /// `patch` only where it differs from the good machine, and returns
-    /// its primary-output difference.
+    /// its primary-output difference, or as much of it as covers `stop`.
     ///
     /// `good` holds the good machine's values for the current inputs
     /// ([`EvalProgram::eval_good`]); `faulty` must equal `good` on entry,
@@ -567,12 +567,22 @@ impl EvalProgram {
     /// operands' writers) and the call stops when nothing is pending. It
     /// then restores every slot it wrote from `good`.
     ///
-    /// Returns `(diff, gate_evals)`: `diff` is the OR of `good ^ faulty`
-    /// over the primary outputs, equal to what
+    /// `stop` lets a caller that needs only some lanes return early:
+    /// before it evaluates a pending instruction, the call stops once
+    /// every lane of `stop` differs at some output. Each output settles
+    /// once, so the difference found so far is final in every lane it
+    /// holds; the rest of the run could add lanes, never remove one. A
+    /// `stop` of `!0` never stops early: callers that need the whole
+    /// difference, and the exact work of finding it, pass `!0`.
+    ///
+    /// Returns `(diff, gate_evals, stopped)`: `diff` is the OR of
+    /// `good ^ faulty` over the primary outputs, equal to what
     /// [`EvalProgram::eval_patched`] followed by a comparison of every
-    /// output would give; `gate_evals` is the count of instructions
-    /// actually evaluated (a forced output is not evaluated). `queue` is
-    /// scratch and is empty again on return.
+    /// output would give, or a subset of it that covers `stop`;
+    /// `gate_evals` is the count of instructions actually evaluated (a
+    /// forced output is not evaluated); `stopped` is whether the call
+    /// returned at the stop test with instructions still pending. `queue`
+    /// is scratch and is empty again on return.
     ///
     /// # Panics
     ///
@@ -585,8 +595,9 @@ impl EvalProgram {
         good: &[u64],
         faulty: &mut [u64],
         patch: Patch,
+        stop: u64,
         queue: &mut EventQueue,
-    ) -> (u64, u64) {
+    ) -> (u64, u64, bool) {
         let words = self.ops.len().div_ceil(64);
         if queue.pending.len() < words {
             queue.pending.resize(words, 0);
@@ -610,13 +621,22 @@ impl EvalProgram {
                 instr as usize
             }
         };
+        let stops = stop != !0;
+        let mut stopped = false;
         let mut evaluated = 0usize;
         let mut w = 0usize;
-        while w < queue.end {
+        'scan: while w < queue.end {
             // The word being scanned stays in a register: readers that
             // fall in it (always at higher bits) join `bits` directly.
             let mut bits = std::mem::take(&mut queue.pending[w]);
             while bits != 0 {
+                if stops && diff & stop == stop {
+                    // Readers follow their writers, so every word before
+                    // `w` is already clear and `bits` dies here.
+                    queue.pending[w + 1..queue.end].fill(0);
+                    stopped = true;
+                    break 'scan;
+                }
                 let i = w * 64 + bits.trailing_zeros() as usize;
                 bits &= bits - 1;
                 let word = if i == patched {
@@ -645,7 +665,7 @@ impl EvalProgram {
         }
         queue.touched.clear();
         queue.end = 0;
-        (diff, evaluated as u64)
+        (diff, evaluated as u64, stopped)
     }
 
     /// Settles `slot` at `word` during [`EvalProgram::eval_events`]: a
@@ -1071,10 +1091,10 @@ mod tests {
         (diff, evaluated as u64)
     }
 
-    /// Checks every patch in `patches` through `eval_events` against the
-    /// whole-program oracle — the difference word and the exact work —
-    /// and that the faulty buffer is back to the good values after each
-    /// call.
+    /// Checks every patch in `patches` through `eval_events` with a stop
+    /// word of `!0` against the whole-program oracle — the difference
+    /// word and the exact work — and that the faulty buffer is back to
+    /// the good values after each call.
     fn assert_events_match(prog: &EvalProgram, patches: &[Patch]) {
         let width = prog.input_slots().len();
         let inputs: Vec<u64> = (0..width as u64).map(pattern_word).collect();
@@ -1083,11 +1103,16 @@ mod tests {
         let mut faulty = good.clone();
         let mut queue = EventQueue::default();
         for &patch in patches {
-            let want = whole_program_oracle(prog, &good, &inputs, patch);
-            let got = prog.eval_events(&good, &mut faulty, patch, &mut queue);
-            assert_eq!(got, want, "{patch:?}");
+            let (diff, evals) = whole_program_oracle(prog, &good, &inputs, patch);
+            let got = prog.eval_events(&good, &mut faulty, patch, !0, &mut queue);
+            assert_eq!(got, (diff, evals, false), "{patch:?}");
             assert!(faulty == good, "{patch:?} left the faulty buffer dirty");
         }
+    }
+
+    /// Whether `queue` holds nothing between calls.
+    fn queue_is_empty(queue: &EventQueue) -> bool {
+        queue.pending.iter().all(|&p| p == 0) && queue.end == 0 && queue.touched.is_empty()
     }
 
     /// Every single stuck-at patch of `nl`: both polarities of every
@@ -1167,21 +1192,101 @@ mod tests {
         let mut good = prog.new_values();
         prog.eval_good(&mut good, &[0, 0]);
         let mut faulty = good.clone();
-        let (diff, evals) = prog.eval_events(&good, &mut faulty, patch, &mut queue);
-        assert_eq!((diff, evals), (0, 1), "masked at the AND");
+        let got = prog.eval_events(&good, &mut faulty, patch, !0, &mut queue);
+        assert_eq!(got, (0, 1, false), "masked at the AND");
         assert_eq!(faulty, good);
 
         // With a = 1 in the low 8 lanes the difference runs the chain.
         prog.eval_good(&mut good, &[0xFF, 0]);
         faulty.copy_from_slice(&good);
-        let (diff, evals) = prog.eval_events(&good, &mut faulty, patch, &mut queue);
-        assert_eq!((diff, evals), (0xFF, 4));
+        let got = prog.eval_events(&good, &mut faulty, patch, !0, &mut queue);
+        assert_eq!(got, (0xFF, 4, false));
         assert_eq!(faulty, good);
 
         // A forced output equal to the good value evaluates nothing.
         let quiet = prog.patch_net(y, false);
-        let (diff, evals) = prog.eval_events(&good, &mut faulty, quiet, &mut queue);
-        assert_eq!((diff, evals), (0, 0));
+        let got = prog.eval_events(&good, &mut faulty, quiet, !0, &mut queue);
+        assert_eq!(got, (0, 0, false));
+    }
+
+    #[test]
+    fn eval_events_stops_once_the_difference_covers_the_stop_word() {
+        // Two outputs on one flipped input: `y` right behind it, `z` at
+        // the end of an inverter chain. A stop word that `y` covers
+        // returns before the chain; one that no output covers does not.
+        let mut b = NetlistBuilder::new("two-depths");
+        let a = b.input("a");
+        let c = b.input("b");
+        let y = b.gate(GateKind::Xor, &[a, c]);
+        let n1 = b.not(a);
+        let n2 = b.not(n1);
+        let z = b.and2(n2, c);
+        b.output("y", y);
+        b.output("z", z);
+        let nl = b.finish().unwrap();
+        let prog = EvalProgram::compile(&nl).unwrap();
+        let mut good = prog.new_values();
+        prog.eval_good(&mut good, &[0, 0xF0]);
+        let mut faulty = good.clone();
+        let mut queue = EventQueue::default();
+        // `a` flipped in the low byte: `y` differs there, `z` only where
+        // `b` is 1 as well.
+        let patch = Patch::Slot {
+            slot: a.index() as u32,
+            word: 0xFF,
+        };
+        let whole = prog.eval_events(&good, &mut faulty, patch, !0, &mut queue);
+        assert_eq!(whole, (0xFF, 4, false));
+        let early = prog.eval_events(&good, &mut faulty, patch, 0x01, &mut queue);
+        assert_eq!(early, (0xFF, 1, true), "stops after the XOR");
+        assert!(faulty == good && queue_is_empty(&queue));
+        // Lane 8 never differs: the call runs to the end.
+        let never = prog.eval_events(&good, &mut faulty, patch, 0x100, &mut queue);
+        assert_eq!(never, whole);
+    }
+
+    #[test]
+    fn an_early_stop_returns_a_covering_subset_and_leaves_nothing_behind() {
+        for nl in [adder4(), shared_fanout(), multiplier5()] {
+            let prog = EvalProgram::compile(&nl).unwrap();
+            let width = prog.input_slots().len();
+            let inputs: Vec<u64> = (0..width as u64).map(pattern_word).collect();
+            let mut good = prog.new_values();
+            prog.eval_good(&mut good, &inputs);
+            let mut faulty = good.clone();
+            let mut queue = EventQueue::default();
+            let mut stops = 0;
+            for patch in all_single_patches(&nl, &prog) {
+                // A full propagation right after the previous patch's
+                // early stop: a pending bit that stop left behind would
+                // show as extra work here.
+                let (diff, evals) = whole_program_oracle(&prog, &good, &inputs, patch);
+                let full = prog.eval_events(&good, &mut faulty, patch, !0, &mut queue);
+                assert_eq!(full, (diff, evals, false), "{patch:?}");
+                if diff == 0 {
+                    continue;
+                }
+                // A stop word the difference never covers runs to the end.
+                if diff != !0 {
+                    let never = prog.eval_events(&good, &mut faulty, patch, !diff, &mut queue);
+                    assert_eq!(never, (diff, evals, false), "{patch:?}");
+                }
+                let lowest = diff & diff.wrapping_neg();
+                let (got, work, stopped) =
+                    prog.eval_events(&good, &mut faulty, patch, lowest, &mut queue);
+                assert_eq!(got & lowest, lowest, "{patch:?} stopped short");
+                assert_eq!(
+                    got & !diff,
+                    0,
+                    "{patch:?} reported a lane that never differs"
+                );
+                assert!(work <= evals, "{patch:?}");
+                assert!(faulty == good, "{patch:?} left the faulty buffer dirty");
+                assert!(queue_is_empty(&queue), "{patch:?} left the queue dirty");
+                stops += usize::from(stopped);
+            }
+            assert!(stops > 0, "{}: no propagation stopped early", nl.name());
+        }
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //!    independent of the machine and wall clock, so two runs on different
 //!    machines export byte-identical JSON once the wall-clock fields are
 //!    stripped. The engines count their work differently (`gate_evals`,
-//!    `stem_evals`), so only runs of one engine compare.
+//!    `stem_evals`, `stem_stops`), so only runs of one engine compare.
 //! 3. **Zero dependencies.** Std-only, like the rest of the workspace; the
 //!    [`json`] module provides the minimal parser the `perfdiff`
 //!    regression gate needs to read exports back.
@@ -48,7 +48,8 @@ pub enum CounterId {
     /// the hardware-meaningful unit of work. The compiled engine evaluates
     /// the whole program once per 64-lane block, but per stem
     /// propagation (see [`CounterId::StemEvals`]) only the instructions
-    /// the flipped stem reaches, so this counts the work done, not
+    /// the flipped stem reaches before the propagation stops (see
+    /// [`CounterId::StemStops`]), so this counts the work done, not
     /// program size × evaluations.
     GateEvals,
     /// Good-machine evaluations: one per 64-lane pattern block applied
@@ -116,10 +117,15 @@ pub enum CounterId {
     /// engine counts the blocks the skip stood for. Recorded only when
     /// nonzero, so runs that skip nothing keep their telemetry unchanged.
     BlocksSkipped,
+    /// Stem propagations (see [`CounterId::StemEvals`]) that returned
+    /// early with instructions still pending: every fault of the region
+    /// already saw its lowest flipped lane at an output, so no later
+    /// event could move a detection.
+    StemStops,
 }
 
 /// Number of counters — the fixed length of every [`Counters`] array.
-pub const COUNTER_COUNT: usize = 23;
+pub const COUNTER_COUNT: usize = 24;
 
 impl CounterId {
     /// Every counter, in export order.
@@ -147,6 +153,7 @@ impl CounterId {
         CounterId::ImpliedRedundant,
         CounterId::StemEvals,
         CounterId::BlocksSkipped,
+        CounterId::StemStops,
     ];
 
     /// The stable snake_case name used in JSON exports and trace output.
@@ -175,6 +182,7 @@ impl CounterId {
             CounterId::ImpliedRedundant => "implied_redundant",
             CounterId::StemEvals => "stem_evals",
             CounterId::BlocksSkipped => "blocks_skipped",
+            CounterId::StemStops => "stem_stops",
         }
     }
 }
