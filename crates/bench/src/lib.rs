@@ -523,8 +523,9 @@ pub fn apply_tdm(circuit: &Circuit, tdm: Tdm) -> (Circuit, BilboDesign, Vec<Kern
 /// * `"build"` — the engine's construction: its copies of the program
 ///   and the fault list and, for the compiled engine, the stem map, the
 ///   fault sites and the stem-order sort of its live list;
-/// * the engine's own `fault-sim[...]` tree, grafted verbatim (per-block
-///   counters on its root);
+/// * `"fault-sim[par]"` or `"fault-sim[reference]"` — the engine's
+///   [`SimStats`], recorded once after the run ([`SimStats::record`]):
+///   its counters, and its block-evaluation time as the span's wall;
 /// * `"source[SPEC]"` — with a pattern source, its `patterns_emitted` and
 ///   `source_clocks` counters and the wall time of its pulls and its
 ///   skip;
@@ -564,7 +565,11 @@ pub fn kernel_fault_stats(
     // (the truncated multipliers' upper halves): they are redundant
     // outright. Timed as a unit.
     let analysis_start = Instant::now();
-    let program = EvalProgram::compile_traced(&comb, rec).expect("kernel equivalents are acyclic");
+    let compile = rec.enter("compile");
+    let program = EvalProgram::compile(&comb).expect("kernel equivalents are acyclic");
+    rec.add(CounterId::Instructions, program.instr_count() as u64);
+    rec.add(CounterId::Slots, program.slot_count() as u64);
+    rec.exit(compile);
     let analyze = rec.enter("analyze");
     let (to_sim, unobservable) = universe.split_by_observability(&program);
     rec.add(CounterId::UniverseFaults, universe.len() as u64);
@@ -575,8 +580,8 @@ pub fn kernel_fault_stats(
 
     // Phase 1: pattern simulation with fault dropping and a detection
     // plateau. Engines are interchangeable: the report is bit-identical
-    // either way. The engine records itself; its whole span tree is
-    // grafted under the kernel's span afterwards. With no `--source` the
+    // either way. The engine counts into its report's stats, recorded as
+    // one span under the kernel's after the run. With no `--source` the
     // seeded-RNG stream runs recorder-silent; with one, the chosen
     // [`PatternSource`] drives the same driver and its coverage-vs-clocks
     // accounting lands in a `source[...]` telemetry span and (for
@@ -617,7 +622,7 @@ pub fn kernel_fault_stats(
         ..Stop::after(options.max_patterns)
     };
     let mut verdicts = Verdicts::new(&comb, &program, options.backtrack_limit);
-    let report = match options.engine {
+    let (report, label) = match options.engine {
         Engine::Compiled => {
             let mut sim = rec.scope("build", |_| {
                 ParFaultSimulator::with_program(
@@ -636,18 +641,14 @@ pub fn kernel_fault_stats(
                     ..stop
                 },
             );
-            let cur = rec.current();
-            rec.graft(cur, sim.recorder());
-            report
+            (report, "fault-sim[par]")
         }
         Engine::Reference => {
             let mut sim = rec.scope("build", |_| ReferenceSimulator::new(&comb, to_sim.clone()));
-            let report = sim.run(&mut *pulled, stop);
-            let cur = rec.current();
-            rec.graft(cur, sim.recorder());
-            report
+            (sim.run(&mut *pulled, stop), "fault-sim[reference]")
         }
     };
+    report.stats().record(label, report.patterns_applied(), rec);
     let pull_wall = timed.wall;
     let mut source_run = None;
     if let Some(spec) = &options.source {

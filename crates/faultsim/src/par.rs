@@ -77,7 +77,6 @@ use crate::sim::{BlockSim, FaultSimReport};
 use crate::source::PatternBlock;
 use crate::stats::SimStats;
 use bibs_netlist::{EvalProgram, EventQueue, Netlist, Patch};
-use bibs_obs::{CounterId, Recorder};
 use std::time::Instant;
 
 /// The compiled fault simulator bound to one (combinational) netlist and
@@ -147,7 +146,7 @@ pub struct ParFaultSimulator<'a> {
     /// The event queue the propagations work in, reused across blocks.
     queue: EventQueue,
     patterns_applied: u64,
-    rec: Recorder,
+    stats: SimStats,
 }
 
 /// Where one fault acts in the program, resolved at construction.
@@ -249,10 +248,9 @@ fn stem_order(sites: &[Site], slots: usize) -> Vec<u32> {
 }
 
 impl<'a> ParFaultSimulator<'a> {
-    /// Creates a simulator, compiling the netlist to an [`EvalProgram`].
-    /// The compile time is recorded as a `"compile"` child span, surfaced
-    /// through [`SimStats::compile_wall`]. Use
-    /// [`ParFaultSimulator::with_program`] to reuse a compiled program.
+    /// Creates a simulator, compiling the netlist to an [`EvalProgram`]:
+    /// [`ParFaultSimulator::with_program`] over [`EvalProgram::compile`].
+    /// Pass a compiled program to `with_program` to reuse it.
     ///
     /// # Panics
     ///
@@ -260,10 +258,8 @@ impl<'a> ParFaultSimulator<'a> {
     /// equivalent — see the crate docs) or combinationally cyclic, or if
     /// the fault list exceeds `u32::MAX` entries.
     pub fn new(netlist: &'a Netlist, faults: Vec<Fault>) -> Self {
-        let mut rec = Recorder::new("fault-sim[par]");
-        let program =
-            EvalProgram::compile_traced(netlist, &mut rec).expect("acyclic combinational netlist");
-        Self::with_program_recorder(netlist, program, faults, rec)
+        let program = EvalProgram::compile(netlist).expect("acyclic combinational netlist");
+        Self::with_program(netlist, program, faults, 1)
     }
 
     /// Creates a simulator around an already-compiled program for the
@@ -287,19 +283,6 @@ impl<'a> ParFaultSimulator<'a> {
         threads: usize,
     ) -> Self {
         assert_eq!(threads, 1, "the engine runs on the calling thread");
-        Self::with_program_recorder(netlist, program, faults, Recorder::new("fault-sim[par]"))
-    }
-
-    /// [`ParFaultSimulator::with_program`] with a caller-supplied
-    /// telemetry recorder. Pass [`Recorder::disabled`] to measure the
-    /// recorder's own hot-loop overhead; stats derived from a disabled
-    /// recorder are all-zero.
-    pub fn with_program_recorder(
-        netlist: &'a Netlist,
-        program: EvalProgram,
-        faults: Vec<Fault>,
-        rec: Recorder,
-    ) -> Self {
         assert_eq!(
             netlist.dff_count(),
             0,
@@ -334,7 +317,7 @@ impl<'a> ParFaultSimulator<'a> {
             locals: Vec::new(),
             queue: EventQueue::default(),
             patterns_applied: 0,
-            rec,
+            stats: SimStats::default(),
         }
     }
 
@@ -355,15 +338,6 @@ impl<'a> ParFaultSimulator<'a> {
     /// The compiled program.
     pub fn program(&self) -> &EvalProgram {
         &self.program
-    }
-
-    /// The engine's telemetry span tree (root `"fault-sim[par]"`):
-    /// per-block counters on the root and, for an engine built with
-    /// [`ParFaultSimulator::new`], the compile cost as a `"compile"`
-    /// child. Graft it into a pipeline-level recorder with
-    /// [`Recorder::graft`].
-    pub fn recorder(&self) -> &Recorder {
-        &self.rec
     }
 
     /// Evaluates the good machine once on `block`, then walks the
@@ -426,15 +400,14 @@ impl<'a> ParFaultSimulator<'a> {
             self.undetected
                 .retain(|&fi| detection[fi as usize].is_none());
         }
-        let root = self.rec.root();
-        self.rec.add_to(root, CounterId::GateEvals, gate_evals);
-        self.rec.add_to(root, CounterId::FaultEvals, fault_evals);
-        self.rec.add_to(root, CounterId::StemEvals, stem_evals);
-        self.rec.add_to(root, CounterId::StemStops, stem_stops);
-        self.rec.add_to(root, CounterId::GoodEvals, 1);
-        self.rec
-            .add_to(root, CounterId::FaultsDropped, detected as u64);
-        self.rec.add_wall(root, started.elapsed());
+        let stats = &mut self.stats;
+        stats.gate_evals += gate_evals;
+        stats.fault_evals += fault_evals;
+        stats.stem_evals += stem_evals;
+        stats.stem_stops += stem_stops;
+        stats.good_evals += 1;
+        stats.faults_dropped += detected as u64;
+        stats.wall += started.elapsed();
         detected
     }
 }
@@ -457,15 +430,12 @@ impl BlockSim for ParFaultSimulator<'_> {
             self.faults.clone(),
             self.detection.clone(),
             self.patterns_applied,
-            SimStats::from_recorder(&self.rec),
+            self.stats.clone(),
         )
     }
 
     fn apply(&mut self, block: &PatternBlock, lanes: usize) -> usize {
-        let root = self.rec.root();
-        self.rec.add_to(root, CounterId::Blocks, 1);
-        self.rec
-            .add_to(root, CounterId::PatternsConsumed, lanes as u64);
+        self.stats.blocks += 1;
         let detected = if self.undetected.is_empty() {
             // Every fault is detected or retired: nothing to evaluate.
             0
@@ -484,11 +454,7 @@ impl BlockSim for ParFaultSimulator<'_> {
         let faults = &self.faults;
         self.undetected.retain(|&fi| !prover(faults[fi as usize]));
         let retired = live - self.undetected.len();
-        if retired > 0 {
-            let root = self.rec.root();
-            self.rec
-                .add_to(root, CounterId::FaultsRetired, retired as u64);
-        }
+        self.stats.faults_retired += retired as u64;
         retired
     }
 
@@ -497,12 +463,8 @@ impl BlockSim for ParFaultSimulator<'_> {
             self.undetected.is_empty(),
             "skipped a block with a live fault"
         );
-        if blocks > 0 {
-            let root = self.rec.root();
-            self.rec.add_to(root, CounterId::Blocks, blocks);
-            self.rec.add_to(root, CounterId::BlocksSkipped, blocks);
-            self.rec.add_to(root, CounterId::PatternsConsumed, patterns);
-        }
+        self.stats.blocks += blocks;
+        self.stats.blocks_skipped += blocks;
         self.patterns_applied += patterns;
     }
 }

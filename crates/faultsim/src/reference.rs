@@ -28,7 +28,6 @@ use crate::sim::{BlockSim, FaultSimReport};
 use crate::source::PatternBlock;
 use crate::stats::SimStats;
 use bibs_netlist::{GateId, NetDriver, Netlist};
-use bibs_obs::{CounterId, Recorder};
 use std::time::Instant;
 
 /// Evaluates the fault-free machine into `values` (one word per net, one
@@ -129,7 +128,7 @@ pub struct ReferenceSimulator<'a> {
     good: Vec<u64>,
     faulty: Vec<u64>,
     patterns_applied: u64,
-    rec: Recorder,
+    stats: SimStats,
 }
 
 impl<'a> ReferenceSimulator<'a> {
@@ -157,15 +156,8 @@ impl<'a> ReferenceSimulator<'a> {
             good: vec![0u64; netlist.net_count()],
             faulty: vec![0u64; netlist.net_count()],
             patterns_applied: 0,
-            rec: Recorder::new("fault-sim[reference]"),
+            stats: SimStats::default(),
         }
-    }
-
-    /// The engine's telemetry span tree (root `"fault-sim[reference]"`).
-    /// The interpreter has no compile phase, so the tree is just the root,
-    /// which carries every counter.
-    pub fn recorder(&self) -> &Recorder {
-        &self.rec
     }
 }
 
@@ -181,10 +173,7 @@ impl BlockSim for ReferenceSimulator<'_> {
         let mask = lane_mask(lanes);
         let base = self.patterns_applied;
         self.patterns_applied += lanes as u64;
-        let root = self.rec.root();
-        self.rec.add_to(root, CounterId::Blocks, 1);
-        self.rec
-            .add_to(root, CounterId::PatternsConsumed, lanes as u64);
+        self.stats.blocks += 1;
         let live = |fi: usize| self.detection[fi].is_none() && !self.retired[fi];
         if !(0..self.faults.len()).any(live) {
             return 0;
@@ -229,12 +218,12 @@ impl BlockSim for ReferenceSimulator<'_> {
                 detected += 1;
             }
         }
-        self.rec.add_to(root, CounterId::GateEvals, gate_evals);
-        self.rec.add_to(root, CounterId::FaultEvals, fault_evals);
-        self.rec.add_to(root, CounterId::GoodEvals, 1);
-        self.rec
-            .add_to(root, CounterId::FaultsDropped, detected as u64);
-        self.rec.add_wall(root, started.elapsed());
+        let stats = &mut self.stats;
+        stats.gate_evals += gate_evals;
+        stats.fault_evals += fault_evals;
+        stats.good_evals += 1;
+        stats.faults_dropped += detected as u64;
+        stats.wall += started.elapsed();
         detected
     }
 
@@ -246,11 +235,7 @@ impl BlockSim for ReferenceSimulator<'_> {
                 retired += 1;
             }
         }
-        if retired > 0 {
-            let root = self.rec.root();
-            self.rec
-                .add_to(root, CounterId::FaultsRetired, retired as u64);
-        }
+        self.stats.faults_retired += retired as u64;
         retired
     }
 
@@ -259,12 +244,8 @@ impl BlockSim for ReferenceSimulator<'_> {
             (0..self.faults.len()).all(|fi| self.detection[fi].is_some() || self.retired[fi]),
             "skipped a block with a live fault"
         );
-        if blocks > 0 {
-            let root = self.rec.root();
-            self.rec.add_to(root, CounterId::Blocks, blocks);
-            self.rec.add_to(root, CounterId::BlocksSkipped, blocks);
-            self.rec.add_to(root, CounterId::PatternsConsumed, patterns);
-        }
+        self.stats.blocks += blocks;
+        self.stats.blocks_skipped += blocks;
         self.patterns_applied += patterns;
     }
 
@@ -281,7 +262,7 @@ impl BlockSim for ReferenceSimulator<'_> {
             self.faults.clone(),
             self.detection.clone(),
             self.patterns_applied,
-            SimStats::from_recorder(&self.rec),
+            self.stats.clone(),
         )
     }
 }

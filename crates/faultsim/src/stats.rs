@@ -1,12 +1,12 @@
 //! Fault-simulation observability: per-run counters exposed through
 //! [`crate::sim::FaultSimReport::stats`] and printed by the bench bins.
 //!
-//! Since the telemetry-spine refactor these counters are **derived from**
-//! an engine's [`bibs_obs::Recorder`] span tree
-//! ([`SimStats::from_recorder`]) rather than hand-maintained: the engines
-//! record into span counters ([`bibs_obs::CounterId`]), and `SimStats` is
-//! the flattened read-model the bins print. The two views can never
-//! drift because only one is written.
+//! A `SimStats` is an engine's only set of books: each engine adds to its
+//! own as it applies, retires and skips blocks, and its report clones it.
+//! A pipeline that keeps a telemetry span tree writes the finished stats
+//! into it once, as one span ([`SimStats::record`]), so the counters a
+//! bin prints and the counters a `--telemetry` export carries are the same
+//! numbers.
 
 use bibs_obs::{CounterId, Recorder};
 use std::fmt;
@@ -14,9 +14,6 @@ use std::time::Duration;
 
 /// Counters collected by a fault-simulation engine over one run.
 ///
-/// Since the compiled-IR refactor the stats also expose the
-/// compile-vs-run split: [`SimStats::compile_wall`] is the one-time cost
-/// of building the [`EvalProgram`](bibs_netlist::EvalProgram),
 /// [`SimStats::gate_evals`] counts instructions actually evaluated (the
 /// hardware-meaningful unit of work) and [`SimStats::stem_evals`] the
 /// compiled engine's stem propagations.
@@ -52,11 +49,6 @@ pub struct SimStats {
     pub faults_retired: u64,
     /// Wall-clock time spent evaluating blocks inside the engine.
     pub wall: Duration,
-    /// One-time wall-clock cost of compiling the netlist to an
-    /// [`EvalProgram`](bibs_netlist::EvalProgram) (zero for engines that
-    /// reuse a caller-supplied program, and for the reference
-    /// interpreter).
-    pub compile_wall: Duration,
     /// Total gate evaluations (compiled instructions actually evaluated,
     /// or interpreted gate visits) across good and faulty machines. The
     /// compiled engine runs the whole program per good-machine block and,
@@ -76,57 +68,41 @@ pub struct SimStats {
     /// Faults actually handed to the simulation engine (the observable
     /// ones). Equals `universe_faults` when no pre-analysis ran.
     pub simulated_faults: u64,
-    /// Wall-clock time spent before simulation. The Table 2 pipeline
+    /// Wall-clock time spent before simulation: the Table 2 pipeline
     /// times the compile to the evaluation IR plus the observability
-    /// split; [`SimStats::from_recorder`] reads the `"analyze"` span.
-    /// Zero when no pre-analysis ran.
+    /// split. Zero when no pre-analysis ran.
     pub analysis_wall: Duration,
 }
 
 impl SimStats {
-    /// Derives the flat counter view from an engine's span tree.
-    ///
-    /// Mapping (all read from the recorder's **root** span):
-    ///
-    /// * totals — root counters ([`CounterId::Blocks`],
-    ///   [`CounterId::BlocksSkipped`], [`CounterId::GoodEvals`], [`CounterId::FaultEvals`],
-    ///   [`CounterId::StemEvals`], [`CounterId::StemStops`], [`CounterId::GateEvals`],
-    ///   [`CounterId::FaultsDropped`],
-    ///   [`CounterId::FaultsRetired`],
-    ///   [`CounterId::UniverseFaults`],
-    ///   [`CounterId::SimulatedFaults`]);
-    /// * [`SimStats::wall`] — the root span's accumulated wall clock (the
-    ///   engines add each block's elapsed time explicitly);
-    /// * [`SimStats::compile_wall`] / [`SimStats::analysis_wall`] — the
-    ///   wall clocks of the `"compile"` / `"analyze"` child spans, zero
-    ///   when absent.
-    ///
-    /// A [`Recorder::disabled`] recorder yields all-zero stats.
-    pub fn from_recorder(rec: &Recorder) -> SimStats {
-        let root = rec.root();
-        let c = rec.span_counters(root);
-        SimStats {
-            blocks: c.get(CounterId::Blocks),
-            blocks_skipped: c.get(CounterId::BlocksSkipped),
-            good_evals: c.get(CounterId::GoodEvals),
-            fault_evals: c.get(CounterId::FaultEvals),
-            stem_evals: c.get(CounterId::StemEvals),
-            stem_stops: c.get(CounterId::StemStops),
-            faults_dropped: c.get(CounterId::FaultsDropped),
-            faults_retired: c.get(CounterId::FaultsRetired),
-            wall: rec.span_wall(root),
-            compile_wall: rec
-                .find(root, "compile")
-                .map(|s| rec.span_wall(s))
-                .unwrap_or(Duration::ZERO),
-            gate_evals: c.get(CounterId::GateEvals),
-            universe_faults: c.get(CounterId::UniverseFaults),
-            simulated_faults: c.get(CounterId::SimulatedFaults),
-            analysis_wall: rec
-                .find(root, "analyze")
-                .map(|s| rec.span_wall(s))
-                .unwrap_or(Duration::ZERO),
+    /// Records the engine's counters as one closed child span `label` of
+    /// `rec`'s current span. The span's wall clock is [`SimStats::wall`],
+    /// the block-evaluation time, plus the moment the recording itself
+    /// takes. `patterns` is the run's
+    /// [`patterns_applied`](crate::sim::FaultSimReport::patterns_applied),
+    /// recorded as [`CounterId::PatternsConsumed`]. The pre-analysis
+    /// fields ([`SimStats::universe_faults`],
+    /// [`SimStats::simulated_faults`], [`SimStats::analysis_wall`])
+    /// belong to the pipeline's own spans and are not recorded here. A
+    /// [`Recorder::disabled`] recorder records nothing.
+    pub fn record(&self, label: &str, patterns: u64, rec: &mut Recorder) {
+        let span = rec.enter(label);
+        for (id, n) in [
+            (CounterId::GateEvals, self.gate_evals),
+            (CounterId::GoodEvals, self.good_evals),
+            (CounterId::FaultEvals, self.fault_evals),
+            (CounterId::FaultsDropped, self.faults_dropped),
+            (CounterId::Blocks, self.blocks),
+            (CounterId::PatternsConsumed, patterns),
+            (CounterId::FaultsRetired, self.faults_retired),
+            (CounterId::StemEvals, self.stem_evals),
+            (CounterId::BlocksSkipped, self.blocks_skipped),
+            (CounterId::StemStops, self.stem_stops),
+        ] {
+            rec.add(id, n);
         }
+        rec.exit(span);
+        rec.add_wall(span, self.wall);
     }
 
     /// Live faults examined per wall-clock second (the engine's primary
@@ -185,8 +161,7 @@ impl fmt::Display for SimStats {
         write!(
             f,
             "{} block(s), {} fault evals ({:.0}/s), {} stem propagations, \
-             {:.2e} gate evals ({:.2e}/s), {} dropped, {:.1} ms \
-             (+{:.2} ms compile)",
+             {:.2e} gate evals ({:.2e}/s), {} dropped, {:.1} ms",
             self.blocks,
             self.fault_evals,
             self.fault_evals_per_second(),
@@ -194,8 +169,7 @@ impl fmt::Display for SimStats {
             self.gate_evals as f64,
             self.gate_evals_per_second(),
             self.faults_dropped,
-            self.wall.as_secs_f64() * 1e3,
-            self.compile_wall.as_secs_f64() * 1e3
+            self.wall.as_secs_f64() * 1e3
         )?;
         if self.universe_faults > 0 {
             write!(
@@ -238,7 +212,6 @@ mod tests {
         let line = s.to_string();
         assert!(line.starts_with("0 block(s), 0 fault evals (0/s)"));
         assert!(line.contains("gate evals"));
-        assert!(line.contains("compile"));
         assert!(
             !line.contains("collapse"),
             "analysis block hidden without a universe"
@@ -264,53 +237,45 @@ mod tests {
     }
 
     #[test]
-    fn from_recorder_derives_the_flat_view() {
-        use bibs_obs::{CounterId as C, Recorder};
-        let mut rec = Recorder::new("fault-sim[par]");
-        let c = rec.enter("compile");
-        rec.add(C::Instructions, 10);
-        rec.exit(c);
-        let root = rec.root();
-        rec.add_to(root, C::Blocks, 3);
-        rec.add_to(root, C::GoodEvals, 3);
-        rec.add_to(root, C::GateEvals, 150);
-        rec.add_to(root, C::FaultEvals, 12);
-        rec.add_to(root, C::StemEvals, 4);
-        rec.add_to(root, C::StemStops, 3);
-        rec.add_to(root, C::FaultsDropped, 2);
-        rec.add_wall(root, Duration::from_millis(5));
-
-        let stats = SimStats::from_recorder(&rec);
-        assert_eq!(stats.blocks, 3);
-        assert_eq!(stats.good_evals, 3);
-        assert_eq!(stats.fault_evals, 12);
-        assert_eq!(stats.stem_evals, 4);
-        assert_eq!(stats.stem_stops, 3);
-        assert_eq!(stats.gate_evals, 150);
-        assert_eq!(stats.faults_dropped, 2);
-        assert_eq!(stats.wall, Duration::from_millis(5));
-        assert!(stats.compile_wall <= stats.wall.max(Duration::from_secs(1)));
-        assert_eq!(stats.analysis_wall, Duration::ZERO);
-        // A disabled recorder derives all-zero stats.
+    fn record_exports_one_span_of_the_engine_counters() {
+        let stats = SimStats {
+            blocks: 5,
+            blocks_skipped: 3,
+            good_evals: 2,
+            fault_evals: 12,
+            stem_evals: 4,
+            stem_stops: 3,
+            faults_dropped: 7,
+            faults_retired: 1,
+            wall: Duration::from_millis(5),
+            gate_evals: 150,
+            universe_faults: 40,
+            simulated_faults: 30,
+            analysis_wall: Duration::from_millis(2),
+        };
+        let mut rec = Recorder::new("kernel 0");
+        stats.record("fault-sim[par]", 320, &mut rec);
+        rec.finish();
         assert_eq!(
-            SimStats::from_recorder(&Recorder::disabled()),
-            SimStats::default()
+            rec.to_json(false),
+            "{\"schema\":\"bibs-telemetry/1\",\"root\":{\"label\":\"kernel 0\",\
+             \"counters\":{},\"children\":[{\"label\":\"fault-sim[par]\",\"counters\":{\
+             \"gate_evals\":150,\"good_evals\":2,\"fault_evals\":12,\"faults_dropped\":7,\
+             \"blocks\":5,\"patterns_consumed\":320,\"faults_retired\":1,\
+             \"stem_evals\":4,\"blocks_skipped\":3,\"stem_stops\":3},\"children\":[]}]}}\n"
         );
-    }
-
-    #[test]
-    fn from_recorder_reads_the_skipped_blocks() {
-        use bibs_obs::{CounterId as C, Recorder};
-        let mut rec = Recorder::new("fault-sim[par]");
-        let root = rec.root();
-        rec.add_to(root, C::Blocks, 5);
-        rec.add_to(root, C::GoodEvals, 2);
-        rec.add_to(root, C::BlocksSkipped, 3);
-        let stats = SimStats::from_recorder(&rec);
-        assert_eq!(
-            (stats.blocks, stats.good_evals, stats.blocks_skipped),
-            (5, 2, 3)
-        );
+        let span = rec.find(rec.root(), "fault-sim[par]").expect("recorded");
+        assert!(rec.span_wall(span) >= stats.wall);
+        // Zero counters are not exported, and a disabled recorder
+        // records nothing.
+        let mut rec = Recorder::new("kernel 1");
+        SimStats::default().record("fault-sim[reference]", 0, &mut rec);
+        assert!(rec
+            .to_json(false)
+            .contains("{\"label\":\"fault-sim[reference]\",\"counters\":{},\"children\":[]}"));
+        let mut off = Recorder::disabled();
+        stats.record("fault-sim[par]", 320, &mut off);
+        assert!(off.aggregate().is_zero());
     }
 
     #[test]

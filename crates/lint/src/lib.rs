@@ -27,11 +27,11 @@
 //! [`lint_full`] chains them end to end (running the BIBS selection
 //! itself), and [`lint_ckt_text`] starts from `.ckt` source, turning parse
 //! and selection failures into `B000` diagnostics instead of panics.
-//! Sequential X-safety (`B05x`, [`lint_netlist_seq`] / [`lint_seq_depth`])
-//! grades every flip-flop by ternary time-frame fixpoints: stuck (B052),
-//! never-initialized (B051), unobservable (B053), power-up X reaching an
-//! observed output with a replayable witness (B050), and RTL-vs-gate
-//! sequential-depth disagreement (B054).
+//! Sequential X-safety (`B05x`, [`lint_seq`]) grades every flip-flop by
+//! ternary time-frame fixpoints: stuck (B052), never-initialized (B051),
+//! unobservable (B053), power-up X reaching an observed output with a
+//! replayable witness (B050), and RTL-vs-gate sequential-depth
+//! disagreement (B054).
 //!
 //! The `bibs-lint` binary wraps these for the command line: `--batch
 //! <dir|glob>` lints whole corpora in sorted target order
@@ -63,7 +63,7 @@ pub use netlist_pass::lint_netlist;
 pub use rtl_pass::lint_circuit;
 pub use sarif::{check_sarif, to_sarif};
 pub use semantic_pass::{lint_netlist_semantic, lint_semantic};
-pub use seq_pass::{lint_netlist_seq, lint_seq_depth};
+pub use seq_pass::lint_seq;
 pub use source_pass::lint_source_width;
 pub use suppress::{apply_suppressions, scan_suppressions};
 
@@ -97,9 +97,8 @@ pub fn lint_full(circuit: &Circuit, config: &LintConfig) -> Report {
     // failures are not re-reported — the kernel-level passes already
     // surface them as B031.
     if let Ok(elab) = bibs_datapath::elab::elaborate_whole(circuit) {
-        report.merge(lint_netlist_seq(&elab.netlist, circuit.name(), config));
-        report.merge(lint_seq_depth(
-            circuit,
+        report.merge(lint_seq(
+            Some(circuit),
             &elab.netlist,
             circuit.name(),
             config,
@@ -146,8 +145,7 @@ pub fn lint_bench_text(origin: &str, text: &str, config: &LintConfig) -> Report 
                 // Cross-check the sidecar's RTL view against the file's
                 // own gate-level netlist (B054) and run the sequential
                 // passes on what the file actually carries.
-                report.merge(lint_netlist_seq(loaded.netlist(), origin, config));
-                report.merge(lint_seq_depth(circuit, loaded.netlist(), origin, config));
+                report.merge(lint_seq(Some(circuit), loaded.netlist(), origin, config));
                 report
             }
             None => {
@@ -155,7 +153,7 @@ pub fn lint_bench_text(origin: &str, text: &str, config: &LintConfig) -> Report 
                 if config.semantic {
                     report.merge(lint_netlist_semantic(loaded.netlist(), origin, config));
                 }
-                report.merge(lint_netlist_seq(loaded.netlist(), origin, config));
+                report.merge(lint_seq(None, loaded.netlist(), origin, config));
                 report
             }
         },
@@ -184,7 +182,7 @@ pub fn lint_verilog_text(origin: &str, text: &str, config: &LintConfig) -> Repor
             if config.semantic {
                 report.merge(lint_netlist_semantic(loaded.netlist(), origin, config));
             }
-            report.merge(lint_netlist_seq(loaded.netlist(), origin, config));
+            report.merge(lint_seq(None, loaded.netlist(), origin, config));
             report
         }
         Err(e) => {

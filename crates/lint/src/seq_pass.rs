@@ -44,12 +44,26 @@ fn dff_desc(nl: &Netlist, f: usize) -> String {
 }
 
 /// Runs the sequential passes on one netlist (`what` names it in
-/// messages). Netlists without flip-flops, invalid netlists and netlists
-/// whose combinational part does not levelize are skipped silently — the
-/// structural passes own those findings.
-pub fn lint_netlist_seq(netlist: &Netlist, what: &str, config: &LintConfig) -> Report {
+/// messages): it compiles the netlist and analyzes it once, grades every
+/// flip-flop (B050–B053), then, given the circuit the netlist was
+/// elaborated from, cross-checks the two sequential depths (B054).
+///
+/// Each half has its own skips. Netlists without flip-flops and invalid
+/// netlists get no B050–B053; the structural passes own an invalid
+/// netlist's findings. B054 needs a circuit with fully registered I/O, an
+/// RTL depth of at least 2 and a gate-level depth the analysis can
+/// define. A netlist whose combinational part does not levelize gets
+/// neither, silently.
+pub fn lint_seq(
+    circuit: Option<&Circuit>,
+    netlist: &Netlist,
+    what: &str,
+    config: &LintConfig,
+) -> Report {
     let mut report = Report::new();
-    if netlist.dff_count() == 0 || netlist.validate().is_err() {
+    let grade_flops = netlist.dff_count() > 0 && netlist.validate().is_ok();
+    let rtl_depth = circuit.and_then(rtl_depth_to_check);
+    if !grade_flops && rtl_depth.is_none() {
         return report;
     }
     let Ok(program) = EvalProgram::compile(netlist) else {
@@ -57,99 +71,113 @@ pub fn lint_netlist_seq(netlist: &Netlist, what: &str, config: &LintConfig) -> R
     };
     let opts = SeqOptions::default();
     let analysis = SeqAnalysis::analyze(&program, &opts);
-
-    for f in 0..netlist.dff_count() {
-        let desc = dff_desc(netlist, f);
-        match analysis.init[f] {
-            InitStatus::Constant(v) => {
-                let v = u8::from(v);
-                report.emit(
-                    config,
-                    "B052",
-                    format!(
-                        "{what}: flop {desc} is stuck at {v} after {} frame(s) for \
-                         every input sequence and power-up state — a wasted register",
-                        analysis.frames_to_fix
-                    ),
-                    format!("all-X state fixpoint: {desc} = {v}"),
-                );
-            }
-            InitStatus::NeverInitialized => {
-                let observed_witness = if analysis.observable[f] {
-                    find_x_witness(&program, f, &opts)
-                } else {
-                    None
-                };
-                if let Some(w) = observed_witness {
-                    let out = net_desc(netlist, netlist.outputs()[w.output]);
+    if grade_flops {
+        for f in 0..netlist.dff_count() {
+            let desc = dff_desc(netlist, f);
+            match analysis.init[f] {
+                InitStatus::Constant(v) => {
+                    let v = u8::from(v);
                     report.emit(
                         config,
-                        "B050",
+                        "B052",
                         format!(
-                            "{what}: power-up X of flop {desc} reaches observed \
-                             output {out} — the MISR signature depends on an \
-                             uninitialized register",
+                            "{what}: flop {desc} is stuck at {v} after {} frame(s) for \
+                             every input sequence and power-up state — a wasted register",
+                            analysis.frames_to_fix
                         ),
-                        format!(
-                            "paired runs (seed {:#018x}, power-up differing only in \
-                             {desc}) diverge at output {out} in frame {}",
-                            w.seed, w.frame
-                        ),
-                    );
-                } else {
-                    report.emit(
-                        config,
-                        "B051",
-                        format!(
-                            "{what}: flop {desc} is never initialized by any input \
-                             sequence — its power-up X is permanent under ternary \
-                             semantics",
-                        ),
-                        format!(
-                            "no input assignment makes the D cone of {desc} \
-                             ternary-known in any frame (achievable-value fixpoint \
-                             is empty)"
-                        ),
+                        format!("all-X state fixpoint: {desc} = {v}"),
                     );
                 }
+                InitStatus::NeverInitialized => {
+                    let observed_witness = if analysis.observable[f] {
+                        find_x_witness(&program, f, &opts)
+                    } else {
+                        None
+                    };
+                    if let Some(w) = observed_witness {
+                        let out = net_desc(netlist, netlist.outputs()[w.output]);
+                        report.emit(
+                            config,
+                            "B050",
+                            format!(
+                                "{what}: power-up X of flop {desc} reaches observed \
+                                 output {out} — the MISR signature depends on an \
+                                 uninitialized register",
+                            ),
+                            format!(
+                                "paired runs (seed {:#018x}, power-up differing only in \
+                                 {desc}) diverge at output {out} in frame {}",
+                                w.seed, w.frame
+                            ),
+                        );
+                    } else {
+                        report.emit(
+                            config,
+                            "B051",
+                            format!(
+                                "{what}: flop {desc} is never initialized by any input \
+                                 sequence — its power-up X is permanent under ternary \
+                                 semantics",
+                            ),
+                            format!(
+                                "no input assignment makes the D cone of {desc} \
+                                 ternary-known in any frame (achievable-value fixpoint \
+                                 is empty)"
+                            ),
+                        );
+                    }
+                }
+                InitStatus::Initializable => {}
             }
-            InitStatus::Initializable => {}
+            if !analysis.observable[f] {
+                report.emit(
+                    config,
+                    "B053",
+                    format!(
+                        "{what}: flop {desc} is unobservable — no structural path from \
+                         its Q to any primary output, even through other flops",
+                    ),
+                    format!("backward reachability from the outputs never visits {desc}"),
+                );
+            }
         }
-        if !analysis.observable[f] {
+    }
+    if let Some(rtl_depth) = rtl_depth.filter(|_| !analysis.depth_cyclic) {
+        let gate_depth = analysis.output_depths.iter().copied().max().unwrap_or(0);
+        if gate_depth != rtl_depth - 2 {
             report.emit(
                 config,
-                "B053",
+                "B054",
                 format!(
-                    "{what}: flop {desc} is unobservable — no structural path from \
-                     its Q to any primary output, even through other flops",
+                    "{what}: RTL sequential depth {rtl_depth} disagrees with the \
+                     gate-level unrolled depth {gate_depth} (expected {} after the \
+                     BILBO boundary cut) — the two views describe different \
+                     pipelines",
+                    rtl_depth - 2
                 ),
-                format!("backward reachability from the outputs never visits {desc}"),
+                format!(
+                    "rtl sequential_depth() = {rtl_depth}; max over per-output \
+                     flip-flop counts of the compiled netlist = {gate_depth}; the \
+                     elaboration cuts one input and one output register stage"
+                ),
             );
         }
     }
     report
 }
 
-/// Cross-checks the RTL sequential depth of `circuit` against the
-/// gate-level unrolled depth of its elaborated `netlist` (B054).
+/// The RTL sequential depth of `circuit` that B054 checks, or `None` when
+/// the check does not apply.
 ///
 /// The elaboration ([`bibs_datapath::elab::elaborate_whole`]) cuts the
 /// PI-adjacent and PO-adjacent register edges out of the netlist — they
 /// become the BILBO boundary — so for a datapath with fully registered
-/// I/O the gate-level depth must equal `rtl_depth - 2`. Skipped when the
-/// I/O is not fully registered (the offset is then path-dependent), when
-/// either side cannot define a depth (cyclic on that layer), or when the
-/// netlist does not compile.
-pub fn lint_seq_depth(
-    circuit: &Circuit,
-    netlist: &Netlist,
-    what: &str,
-    config: &LintConfig,
-) -> Report {
-    let mut report = Report::new();
-    let Some(rtl_depth) = circuit.sequential_depth() else {
-        return report;
-    };
+/// I/O the gate-level depth must equal `rtl_depth - 2`. The check does not
+/// apply when the I/O is not fully registered (the offset is then
+/// path-dependent), when the RTL layer cannot define a depth (cyclic), or
+/// when the depth is below 2.
+fn rtl_depth_to_check(circuit: &Circuit) -> Option<u32> {
+    let rtl_depth = circuit.sequential_depth()?;
     // Every PI-adjacent and PO-adjacent edge must be a register edge,
     // mirroring the boundary cut of `elaborate_whole`.
     use bibs_rtl::VertexKind;
@@ -159,36 +187,7 @@ pub fn lint_seq_depth(
             || circuit.vertex(edge.to).kind == VertexKind::Output;
         !boundary || edge.is_register()
     });
-    if !registered_io || rtl_depth < 2 {
-        return report;
-    }
-    let Ok(program) = EvalProgram::compile(netlist) else {
-        return report;
-    };
-    let analysis = SeqAnalysis::analyze(&program, &SeqOptions::default());
-    if analysis.depth_cyclic {
-        return report;
-    }
-    let gate_depth = analysis.output_depths.iter().copied().max().unwrap_or(0);
-    if gate_depth != rtl_depth - 2 {
-        report.emit(
-            config,
-            "B054",
-            format!(
-                "{what}: RTL sequential depth {rtl_depth} disagrees with the \
-                 gate-level unrolled depth {gate_depth} (expected {} after the \
-                 BILBO boundary cut) — the two views describe different \
-                 pipelines",
-                rtl_depth - 2
-            ),
-            format!(
-                "rtl sequential_depth() = {rtl_depth}; max over per-output \
-                 flip-flop counts of the compiled netlist = {gate_depth}; the \
-                 elaboration cuts one input and one output register stage"
-            ),
-        );
-    }
-    report
+    (registered_io && rtl_depth >= 2).then_some(rtl_depth)
 }
 
 #[cfg(test)]
@@ -213,7 +212,7 @@ mod tests {
         let y = b.or2(q, x);
         b.output("y", y);
         let nl = b.finish().unwrap();
-        let report = lint_netlist_seq(&nl, "t", &cfg());
+        let report = lint_seq(None, &nl, "t", &cfg());
         assert!(report.has_code("B050"), "{report}");
         assert!(!report.has_code("B051"), "B050 subsumes B051: {report}");
         assert!(!report.is_clean(), "{report}");
@@ -233,13 +232,13 @@ mod tests {
         let y = b.gate(GateKind::Xor, &[q, q]);
         b.output("y", y);
         let nl = b.finish().unwrap();
-        let report = lint_netlist_seq(&nl, "t", &cfg());
+        let report = lint_seq(None, &nl, "t", &cfg());
         assert!(report.has_code("B051"), "{report}");
         assert!(!report.has_code("B050"), "{report}");
         assert!(report.is_clean(), "warn-level by default: {report}");
         let mut strict = cfg();
         strict.deny_warnings = true;
-        assert!(!lint_netlist_seq(&nl, "t", &strict).is_clean());
+        assert!(!lint_seq(None, &nl, "t", &strict).is_clean());
     }
 
     /// A flop fed by a tied constant is a stuck register: B052.
@@ -252,7 +251,7 @@ mod tests {
         let y = b.and2(x, r[0]);
         b.output("y", y);
         let nl = b.finish().unwrap();
-        let report = lint_netlist_seq(&nl, "t", &cfg());
+        let report = lint_seq(None, &nl, "t", &cfg());
         assert!(report.has_code("B052"), "{report}");
         let d = report.with_code("B052").next().unwrap();
         assert!(d.message.contains("stuck at 1"), "{}", d.message);
@@ -270,7 +269,7 @@ mod tests {
         let y = b.not(x);
         b.output("y", y);
         let nl = b.finish().unwrap();
-        let report = lint_netlist_seq(&nl, "t", &cfg());
+        let report = lint_seq(None, &nl, "t", &cfg());
         assert!(report.has_code("B053"), "{report}");
         assert!(report.has_code("B051"), "{report}");
         assert!(!report.has_code("B050"), "{report}");
@@ -285,7 +284,7 @@ mod tests {
         let r1 = b.register(&r0);
         b.output_word("y", &r1);
         let nl = b.finish().unwrap();
-        let report = lint_netlist_seq(&nl, "t", &cfg());
+        let report = lint_seq(None, &nl, "t", &cfg());
         assert!(report.diagnostics.is_empty(), "{report}");
     }
 
@@ -297,7 +296,7 @@ mod tests {
         let y = b.not(x);
         b.output("y", y);
         let nl = b.finish().unwrap();
-        assert!(lint_netlist_seq(&nl, "t", &cfg()).diagnostics.is_empty());
+        assert!(lint_seq(None, &nl, "t", &cfg()).diagnostics.is_empty());
     }
 
     /// B054 stays silent when RTL and gate-level agree, and fires when the
@@ -308,7 +307,7 @@ mod tests {
         let nl = bibs_datapath::elab::elaborate_whole(&circuit)
             .unwrap()
             .netlist;
-        let report = lint_seq_depth(&circuit, &nl, "t", &cfg());
+        let report = lint_seq(Some(&circuit), &nl, "t", &cfg());
         assert!(report.diagnostics.is_empty(), "{report}");
 
         // A netlist one register stage deeper than the RTL view claims
@@ -320,8 +319,19 @@ mod tests {
         let r2 = b.register(&r1);
         b.output("y", r2[0]);
         let deeper = b.finish().unwrap();
-        let report = lint_seq_depth(&circuit, &deeper, "t", &cfg());
+        let report = lint_seq(Some(&circuit), &deeper, "t", &cfg());
         assert!(report.has_code("B054"), "{report}");
         assert!(!report.is_clean(), "B054 denies by default: {report}");
+
+        // A netlist without flip-flops skips only the flop grading: its
+        // gate-level depth 0 still disagrees with the expected 2.
+        let mut b = NetlistBuilder::new("flat");
+        let x = b.input("x");
+        let y = b.not(x);
+        b.output("y", y);
+        let flat = b.finish().unwrap();
+        let report = lint_seq(Some(&circuit), &flat, "t", &cfg());
+        assert_eq!(report.diagnostics.len(), 1, "{report}");
+        assert!(report.has_code("B054"), "{report}");
     }
 }

@@ -432,7 +432,7 @@ fn b054_depth_crosscheck_via_seq_pass() {
     let r2 = b.register(&r1);
     b.output("y", r2[0]);
     let deeper = b.finish().unwrap();
-    let report = bibs_lint::lint_seq_depth(&circuit, &deeper, "t", &cfg());
+    let report = bibs_lint::lint_seq(Some(&circuit), &deeper, "t", &cfg());
     assert!(report.has_code("B054"), "{report}");
     assert_eq!(
         report.with_code("B054").next().unwrap().severity,

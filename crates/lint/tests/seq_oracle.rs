@@ -16,7 +16,7 @@
 //! "never initialized" flop, or moves a "stuck" one — fails the test.
 
 use bibs_corpus::gen::Family;
-use bibs_lint::{lint_netlist_seq, LintConfig};
+use bibs_lint::{lint_seq, LintConfig};
 use bibs_netlist::analysis::Tv;
 use bibs_netlist::builder::NetlistBuilder;
 use bibs_netlist::seqanalysis::{
@@ -184,7 +184,7 @@ fn stuck_and_unsafe_fixtures_yield_no_false_claims() {
 fn lint_codes_match_the_analysis_verdicts() {
     for variant in 0..3 {
         let nl = Family::SeqUnsafe { variant }.build();
-        let report = lint_netlist_seq(&nl, "oracle", &LintConfig::new());
+        let report = lint_seq(None, &nl, "oracle", &LintConfig::new());
         let program = EvalProgram::compile(&nl).unwrap();
         let analysis = SeqAnalysis::analyze(&program, &SeqOptions::default());
         let never: usize = analysis

@@ -13,8 +13,6 @@
 //!   ([`GateKind`]), a dense operand span into a single shared operand
 //!   arena, and an output slot per instruction — scheduled in levelized
 //!   topological order;
-//! * a per-level schedule ([`EvalProgram::level_ranges`]) recording which
-//!   instruction ranges are mutually independent;
 //! * pre-resolved initialization lists: primary-input slots in declaration
 //!   order ([`EvalProgram::input_slots`]) and constant prologue words
 //!   ([`EvalProgram::const_inits`]) — evaluation never scans drivers;
@@ -135,8 +133,7 @@ pub struct Instr<'a> {
 /// Built once per [`Netlist`] by [`EvalProgram::compile`]; evaluated many
 /// times over caller-owned value buffers (`&mut [u64]`, one 64-lane word
 /// per slot) created by [`EvalProgram::new_values`]. The program itself is
-/// immutable and [`Sync`]: one compiled program is shared by every worker
-/// thread of the parallel fault simulator.
+/// immutable.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EvalProgram {
     /// Opcode per instruction.
@@ -148,9 +145,6 @@ pub struct EvalProgram {
     operands: Vec<u32>,
     /// Output slot per instruction.
     out_slot: Vec<u32>,
-    /// Instruction ranges per level: all instructions inside one range
-    /// depend only on earlier levels.
-    levels: Vec<(u32, u32)>,
     /// Gate → instruction position.
     instr_of_gate: Vec<u32>,
     /// Instruction position → source gate.
@@ -234,14 +228,6 @@ impl EvalProgram {
         // Deterministic levelized schedule: (level, gate id).
         let mut sched: Vec<u32> = (0..gate_count as u32).collect();
         sched.sort_unstable_by_key(|&g| (level[g as usize], g));
-        let mut start = 0u32;
-        let levels = sched
-            .chunk_by(|&a, &b| level[a as usize] == level[b as usize])
-            .map(|run| {
-                start += run.len() as u32;
-                (start - run.len() as u32, start)
-            })
-            .collect();
 
         let mut ops = Vec::with_capacity(gate_count);
         let mut operand_start = Vec::with_capacity(gate_count + 1);
@@ -298,7 +284,6 @@ impl EvalProgram {
             operand_start,
             operands,
             out_slot,
-            levels,
             instr_of_gate,
             gate_of_instr,
             instr_of_slot,
@@ -317,30 +302,6 @@ impl EvalProgram {
         })
     }
 
-    /// [`EvalProgram::compile`] wrapped in a telemetry span: records a
-    /// `compile` child span on `rec` whose wall clock is the compile time
-    /// and whose counters carry the program's
-    /// [`Instructions`](bibs_obs::CounterId::Instructions) and
-    /// [`Slots`](bibs_obs::CounterId::Slots). A disabled recorder makes
-    /// this identical to the plain entry point.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`EvalProgram::compile`].
-    pub fn compile_traced(
-        netlist: &Netlist,
-        rec: &mut bibs_obs::Recorder,
-    ) -> Result<EvalProgram, NetlistError> {
-        let span = rec.enter("compile");
-        let result = Self::compile(netlist);
-        if let Ok(p) = &result {
-            rec.add(bibs_obs::CounterId::Instructions, p.instr_count() as u64);
-            rec.add(bibs_obs::CounterId::Slots, p.slot_count() as u64);
-        }
-        rec.exit(span);
-        result
-    }
-
     /// Number of value-buffer slots (equals the source netlist's net
     /// count; slot `i` carries net `i`).
     pub fn slot_count(&self) -> usize {
@@ -350,12 +311,6 @@ impl EvalProgram {
     /// Number of instructions (equals the source netlist's gate count).
     pub fn instr_count(&self) -> usize {
         self.ops.len()
-    }
-
-    /// The levelized schedule: instruction ranges `(start, end)` per
-    /// level. Instructions within one range are mutually independent.
-    pub fn level_ranges(&self) -> &[(u32, u32)] {
-        &self.levels
     }
 
     /// Primary-input slots in [`Netlist::inputs`] order.
@@ -910,14 +865,6 @@ mod tests {
                 assert!(p == usize::MAX || p < pos, "operand produced late");
             }
             produced_at[instr.out as usize] = pos;
-        }
-        // Level ranges tile the instruction stream.
-        let ranges = prog.level_ranges();
-        assert_eq!(ranges.first().map(|r| r.0), Some(0));
-        assert_eq!(ranges.last().map(|r| r.1), Some(prog.instr_count() as u32));
-        for w in ranges.windows(2) {
-            assert_eq!(w[0].1, w[1].0, "ranges must be contiguous");
-            assert!(w[0].0 < w[0].1, "ranges must be non-empty");
         }
     }
 

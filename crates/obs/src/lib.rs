@@ -8,10 +8,10 @@
 //! duration and a fixed-size [`Counters`] array.
 //! The design goals, in order:
 //!
-//! 1. **Allocation-free hot loops.** A counter bump is a single add into a
-//!    fixed `[u64; N]` array ([`Counters::add`]); the fault-sim engine
-//!    sums a block's work in locals and adds it to its span once per
-//!    block — no allocation on the simulation path.
+//! 1. **Nothing on the hot path.** A counter bump is a single add into a
+//!    fixed `[u64; N]` array ([`Counters::add`]), and the fault-sim
+//!    engines do not touch a recorder at all: they count into their own
+//!    `SimStats`, which the pipeline records as one span per run.
 //! 2. **Determinism.** Every counter is a pure function of the workload
 //!    (seed, circuit, options, the fault-sim engine among them),
 //!    independent of the machine and wall clock, so two runs on different
@@ -22,10 +22,10 @@
 //!    [`json`] module provides the minimal parser the `perfdiff`
 //!    regression gate needs to read exports back.
 //!
-//! `SimStats` in `bibs-faultsim` is *derived from* a recorder's span tree
-//! ([`Recorder::span_counters`]) rather than hand-maintained; the bench
-//! bins expose the tree via `--telemetry <out.json>` and the
-//! `BIBS_TRACE=spans|counters|off` environment knob ([`TraceMode`]).
+//! `SimStats::record` in `bibs-faultsim` maps an engine's counters to
+//! [`CounterId`]s in one place; the bench bins expose the tree via
+//! `--telemetry <out.json>` and the `BIBS_TRACE=spans|counters|off`
+//! environment knob ([`TraceMode`]).
 #![warn(missing_docs)]
 
 pub mod json;
@@ -395,30 +395,6 @@ impl Recorder {
         self.spans[id.0 as usize].wall += wall;
     }
 
-    /// Copies another recorder's whole span tree as a child of `parent`.
-    /// Used to graft a self-recording engine's tree into a pipeline-level
-    /// recorder. Grafting a disabled recorder is a no-op.
-    pub fn graft(&mut self, parent: SpanId, sub: &Recorder) {
-        if !self.enabled || !sub.enabled {
-            return;
-        }
-        self.graft_node(parent, sub, 0);
-    }
-
-    fn graft_node(&mut self, parent: SpanId, sub: &Recorder, node: u32) {
-        let src = &sub.spans[node as usize];
-        let id = self.spans.len() as u32;
-        let mut span = Span::new(src.label.clone());
-        span.wall = src.wall;
-        span.counters = src.counters.clone();
-        self.spans.push(span);
-        self.spans[parent.0 as usize].children.push(id);
-        let children = sub.spans[node as usize].children.clone();
-        for c in children {
-            self.graft_node(SpanId(id), sub, c);
-        }
-    }
-
     /// The span behind an id.
     pub fn span(&self, id: SpanId) -> &Span {
         &self.spans[id.0 as usize]
@@ -675,24 +651,6 @@ mod tests {
         );
         // With walls on, the field appears.
         assert!(rec.to_json(true).contains("\"wall_ns\":"));
-    }
-
-    #[test]
-    fn graft_copies_subtree() {
-        let mut engine = Recorder::new("fault-sim[par]");
-        let c = engine.enter("compile");
-        engine.add(CounterId::Instructions, 9);
-        engine.exit(c);
-        engine.add_to(engine.root(), CounterId::FaultEvals, 4);
-        engine.finish();
-
-        let mut rec = Recorder::new("kernel 0");
-        rec.graft(rec.root(), &engine);
-        rec.finish();
-        let grafted = rec.find(rec.root(), "fault-sim[par]").expect("grafted");
-        assert_eq!(rec.span_counters(grafted).get(CounterId::FaultEvals), 4);
-        assert_eq!(rec.subtree_total(rec.root(), CounterId::Instructions), 9);
-        assert!(rec.find(grafted, "compile").is_some());
     }
 
     #[test]
