@@ -99,17 +99,18 @@ grep -q '"detection_indices"' /tmp/bibs-table2-compiled.json
 
 step "telemetry perf-regression gate (perfdiff vs committed BENCH_table2.json)"
 # perfdiff compares the span shape and every counter with hard equality,
-# and walls within a wide band. The counters were last re-recorded when
-# each stem propagation began to stop at its faults' earliest lanes
-# (gate_evals, stem_stops, and the build span around each engine's
-# construction); the walls of the older spans are older. A mismatch
-# means the default hot path does other work.
+# and walls within a wide band. gate_evals was last re-recorded when each
+# stem propagation became a sweep of the stem's precomputed fanout cone,
+# which evaluates every cone instruction up to its early stop instead of
+# only those a difference reaches; every other counter stayed the same,
+# and the walls are older. A mismatch means the default hot path does
+# other work.
 cargo run --release -p bibs-bench --bin table2 -- --only c5a2m \
   --telemetry /tmp/bibs-telemetry.json > /dev/null
 cargo run --release -p bibs-bench --bin perfdiff -- \
   BENCH_table2.json /tmp/bibs-telemetry.json
 
-step "retired faults, skipped blocks and shared stems: c5a2m's BIBS kernel stops sweeping the good machine once the prover retires its survivors, counts the rest of the plateau without pulling it, propagates fewer stems than it checks faults, and stops stem propagations early"
+step "retired faults, skipped blocks and shared stems: c5a2m's BIBS kernel stops sweeping the good machine once the prover retires its survivors, counts the rest of the plateau without pulling it, sweeps fewer stem cones than it checks faults, and stops cone sweeps early"
 # The implication check proves the kernel's two survivors redundant 1,024
 # patterns after its last detection. A prover that retired nothing would
 # leave good_evals equal to blocks. Once no fault is live, the driver
@@ -119,12 +120,12 @@ step "retired faults, skipped blocks and shared stems: c5a2m's BIBS kernel stops
 # A driver that went back to pulling the dead blocks one by one would
 # break that sum whatever the baseline says. The BIBS column comes
 # first, so the first fault-sim span is its one kernel's. The engine
-# propagates each fanout-free region's stem once per block for all of
-# the region's faults; an engine that propagated once per fault would
-# record as many stem_evals as fault_evals, whatever the baseline says.
-# A propagation returns once each of its faults has its lowest flipped
-# lane at an output; an engine that always ran them to the end would
-# record no stem_stops.
+# sweeps each fanout-free region's stem cone once per block for all of
+# the region's faults; an engine that swept once per fault would record
+# as many stem_evals as fault_evals, whatever the baseline says. A sweep
+# returns, with cone instructions left, once each of its faults has its
+# lowest flipped lane at an output; an engine that always swept whole
+# cones would record no stem_stops.
 cargo run --release -p bibs-bench --bin table2 -- --only c5a2m \
   --source lfsr --telemetry /tmp/bibs-telemetry-lfsr.json > /dev/null
 span_counter() { printf '%s' "$sim_span" | grep -o "\"$1\":[0-9]*" | grep -o '[0-9]*$'; }
@@ -199,8 +200,8 @@ grep -q '"kind":"mintpg"' /tmp/bibs-table2-mintpg.json
 step "all three datapaths: table2 JSON is byte-identical under --engine reference"
 # The c5a2m diffs above never reach c4a4m's 1,520-instruction BIBS
 # kernel, where fault cones are smallest (8% of the program on average)
-# and a bug in the event-driven faulty evaluation's early exit would most
-# likely hide. Each run takes well under a second.
+# and a bug in the cone sweep's early stop would most likely hide. Each
+# run takes well under a second.
 cargo run --release -p bibs-bench --bin table2 -- --json > /tmp/bibs-table2-all.json
 cargo run --release -p bibs-bench --bin table2 -- --json --engine reference \
   > /tmp/bibs-table2-all-alt.json

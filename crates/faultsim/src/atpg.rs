@@ -403,8 +403,8 @@ impl<'a> Atpg<'a> {
         }
         let (mut w, mut evaluated) = (lo, 0);
         while w < hi {
-            // As in `EvalProgram::eval_events`, the scanned word stays in
-            // a register and readers that fall in it join it directly.
+            // The scanned word stays in a register, and readers that fall
+            // in it join it directly.
             let mut bits = std::mem::take(&mut self.pending[w]);
             while bits != 0 {
                 let i = w * 64 + bits.trailing_zeros() as usize;

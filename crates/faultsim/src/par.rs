@@ -6,9 +6,10 @@
 //! region (FFR) is a maximal tree whose inner nets each have exactly one
 //! gate reader and are not primary outputs; its root net is the region's
 //! *stem*. At construction the engine maps every fault to its site and
-//! its region's stem, and sorts the live list by stem (then fault
-//! index), so each region's faults sit together for the whole run. Each
-//! block then runs:
+//! its region's stem, sorts the live list by stem (then fault index), so
+//! each region's faults sit together for the whole run, and builds each
+//! stem's fanout cone: the instructions the stem's value reaches, as a
+//! bitset trimmed to the words it spans. Each block then runs:
 //!
 //! 1. **one** good-machine run of the compiled [`EvalProgram`] over the
 //!    block's 64-lane input words;
@@ -17,13 +18,14 @@
 //!    sensitization word ([`EvalProgram::sensitization`]) of every gate
 //!    on its one path to the stem, and with the block's lane mask. These
 //!    are the valid lanes in which the fault flips the stem;
-//! 3. if any local word of the region is nonzero, one event-driven
-//!    propagation ([`EvalProgram::eval_events`]) of the stem flipped in
-//!    the union of the local words only, which stops once the output
-//!    difference covers each fault's lowest local lane (the
-//!    `stem_stops` counter counts the propagations that stop with
-//!    instructions still pending). The engine copies the good values
-//!    into its `faulty` buffer once per block, and each propagation
+//! 3. if any local word of the region is nonzero, one sweep of the
+//!    stem's cone ([`EvalProgram::sweep`]) with the stem flipped in the
+//!    union of the local words only: it evaluates the cone's
+//!    instructions in schedule order, comparing nothing and scheduling
+//!    nothing, and stops once the output difference covers each fault's
+//!    lowest local lane (the `stem_stops` counter counts the sweeps that
+//!    stop with cone instructions left). The engine copies the good
+//!    values into its `faulty` buffer once per block, and each sweep
 //!    restores it;
 //! 4. each fault whose local word ANDed with that difference is nonzero
 //!    records `patterns_applied + lane`, the lowest such lane, and
@@ -34,12 +36,15 @@
 //! faulty machine is the good one with the stem flipped in the lanes the
 //! fault reaches. Lanes are independent, so flipping the stem in the
 //! union of the region's local words gives every fault's lanes the
-//! difference a flip of its own lanes would. The early stop is exact too:
-//! each output settles once, in schedule order, so a partial difference
-//! holds only real differences. Once it covers a fault's lowest local
-//! lane, that lane is the earliest the fault could be detected at, and a
-//! propagation that never covers the stop word runs to the end. Every
-//! report equals one event-driven propagation per fault, bit for bit.
+//! difference a flip of its own lanes would. A cone instruction that no
+//! difference reaches recomputes its good value, so sweeping the whole
+//! cone gives what evaluating only the changed instructions would. The
+//! early stop is exact too: each output is written once, in schedule
+//! order, so a partial difference holds only real differences. Once it
+//! covers a fault's lowest local lane, that lane is the earliest the
+//! fault could be detected at, and a sweep that never covers the stop
+//! word runs to the end of the cone. Every report equals one
+//! propagation per fault, bit for bit.
 //!
 //! The grouped walk needs no per-stem cache of observability words: a
 //! region's faults are adjacent in the list, so its one propagation
@@ -76,21 +81,21 @@ use crate::fault::{Fault, FaultSite};
 use crate::sim::{BlockSim, FaultSimReport};
 use crate::source::PatternBlock;
 use crate::stats::SimStats;
-use bibs_netlist::{EvalProgram, EventQueue, Netlist, Patch};
+use bibs_netlist::{Cone, EvalProgram, Netlist};
 use std::time::Instant;
 
 /// The compiled fault simulator bound to one (combinational) netlist and
 /// one fault list.
 ///
 /// Construction compiles the netlist once (or adopts a caller-supplied
-/// program via [`ParFaultSimulator::with_program`]) and resolves every
-/// fault to its site and the stem of its fanout-free region. Each block
-/// is then one program run for the good machine, a trace of each
-/// undetected fault's path to its stem, and one event-driven propagation
-/// per stem that some fault flips, which evaluates only the instructions
-/// the stem's change reaches until each of its faults has its earliest
-/// lane at an output (PPSFP, parallel patterns and single-fault
-/// propagation, with the propagation shared per region). Detected faults
+/// program via [`ParFaultSimulator::with_program`]), resolves every
+/// fault to its site and the stem of its fanout-free region, and builds
+/// every stem's fanout cone. Each block is then one program run for the
+/// good machine, a trace of each undetected fault's path to its stem,
+/// and one sweep of the cone of each stem that some fault flips, until
+/// each of its faults has its earliest lane at an output (PPSFP,
+/// parallel patterns and single-fault propagation, with the
+/// propagation shared per region). Detected faults
 /// are dropped from later blocks; the per-fault first-detection pattern
 /// index is recorded so coverage-vs-pattern-count curves (the paper's
 /// Table 2 rows 5–8) can be reconstructed exactly. Reports are
@@ -140,11 +145,11 @@ pub struct ParFaultSimulator<'a> {
     /// The faulty machine's values: the good machine's between stem
     /// propagations.
     faulty: Vec<u64>,
+    /// The fanout cone of every stem, which each propagation sweeps.
+    cones: Cones,
     /// The local words of the region being simulated, one per live fault
     /// of the region, reused across regions and blocks.
     locals: Vec<u64>,
-    /// The event queue the propagations work in, reused across blocks.
-    queue: EventQueue,
     patterns_applied: u64,
     stats: SimStats,
 }
@@ -204,20 +209,25 @@ impl Site {
     }
 }
 
+/// Every slot, each after every slot its value reaches: the gate
+/// outputs from the last instruction back, then the sources. A slot's
+/// readers write slots later in the schedule, so a walk in this order
+/// finds its readers' outputs settled.
+fn readers_first(program: &EvalProgram) -> impl Iterator<Item = usize> + '_ {
+    let outputs = (0..program.instr_count())
+        .rev()
+        .map(|i| program.instr(i).out as usize);
+    let sources = (0..program.slot_count()).filter(|&s| program.instr_of_slot(s).is_none());
+    outputs.chain(sources)
+}
+
 /// Maps every slot to the stem of its fanout-free region: the net
 /// reached by following nets that have exactly one gate reader and are
 /// not primary outputs. A net with no reader, several reader pins (one
 /// gate reading it twice included) or an output role is its own stem.
 fn stems(program: &EvalProgram) -> Vec<u32> {
-    let slots = program.slot_count();
-    let mut stem: Vec<u32> = (0..slots as u32).collect();
-    // A net's sole reader writes a net later in the schedule, so the gate
-    // outputs settle from the last instruction back, then the sources.
-    let outputs = (0..program.instr_count())
-        .rev()
-        .map(|i| program.instr(i).out as usize);
-    let sources = (0..slots).filter(|&s| program.instr_of_slot(s).is_none());
-    for s in outputs.chain(sources) {
+    let mut stem: Vec<u32> = (0..program.slot_count() as u32).collect();
+    for s in readers_first(program) {
         if let [(reader, _)] = *program.readers(s) {
             if !program.is_output(s) {
                 stem[s] = stem[program.instr(reader as usize).out as usize];
@@ -225,6 +235,85 @@ fn stems(program: &EvalProgram) -> Vec<u32> {
         }
     }
     stem
+}
+
+/// The fanout cone of every stem: the instructions the stem's value
+/// reaches, as a [`Cone`] bitset trimmed to the words it spans, all in
+/// one arena.
+#[derive(Debug)]
+struct Cones {
+    /// Per slot, `(first_word, start, end)`: a stem's cone is the bitset
+    /// `words[start..end]`, whose word 0 covers the schedule's word
+    /// `first_word`. Empty for a slot that is no stem or has no reader.
+    spans: Vec<(u32, u32, u32)>,
+    words: Vec<u64>,
+}
+
+impl Cones {
+    /// Builds every stem's cone in [`readers_first`] order: a stem's cone
+    /// is, for each of its readers, the single-reader chain from the
+    /// reader to the writer of the next stem, ORed with that stem's cone,
+    /// which the order has already built. A first pass sizes each cone,
+    /// so the arena is allocated once.
+    fn build(program: &EvalProgram, stems: &[u32]) -> Cones {
+        let out = |i: usize| program.instr(i).out as usize;
+        let order: Vec<usize> = readers_first(program)
+            .filter(|&s| stems[s] as usize == s && !program.readers(s).is_empty())
+            .collect();
+        // Readers are in schedule order: the first one opens the cone, and
+        // the furthest next stem's writer or cone closes it.
+        let mut spans = vec![(0u32, 0u32, 0u32); program.slot_count()];
+        let mut len = 0;
+        for &s in &order {
+            let readers = program.readers(s);
+            let first = readers[0].0 as usize / 64;
+            let mut end_word = first + 1;
+            for &(r, _) in readers {
+                let next = stems[out(r as usize)] as usize;
+                let (at, start, end) = spans[next];
+                let writer = program.instr_of_slot(next).expect("a gate output");
+                end_word = end_word
+                    .max(writer / 64 + 1)
+                    .max((at + end - start) as usize);
+            }
+            spans[s] = (first as u32, len, len + (end_word - first) as u32);
+            len += (end_word - first) as u32;
+        }
+        let mut words = vec![0u64; len as usize];
+        for &s in &order {
+            let (first, start, _) = spans[s];
+            let (built, cone) = words.split_at_mut(start as usize);
+            for &(r, _) in program.readers(s) {
+                let mut i = r as usize;
+                let next = loop {
+                    cone[i / 64 - first as usize] |= 1 << (i % 64);
+                    let o = out(i);
+                    if stems[o] as usize == o {
+                        break o;
+                    }
+                    i = program.readers(o)[0].0 as usize;
+                };
+                let (at, from, to) = spans[next];
+                if from < to {
+                    let tail = &mut cone[(at - first) as usize..];
+                    for (w, &b) in tail.iter_mut().zip(&built[from as usize..to as usize]) {
+                        *w |= b;
+                    }
+                }
+            }
+        }
+        Cones { spans, words }
+    }
+
+    /// The cone of stem `stem`.
+    #[inline]
+    fn of(&self, stem: u32) -> Cone<'_> {
+        let (first_word, start, end) = self.spans[stem as usize];
+        Cone {
+            first_word: first_word as usize,
+            words: &self.words[start as usize..end as usize],
+        }
+    }
 }
 
 /// Every fault index, grouped by stem in slot order and in index order
@@ -304,6 +393,7 @@ impl<'a> ParFaultSimulator<'a> {
             .collect();
         let n = faults.len();
         let undetected = stem_order(&sites, program.slot_count());
+        let cones = Cones::build(&program, &stems);
         let good = program.new_values();
         ParFaultSimulator {
             netlist,
@@ -314,8 +404,8 @@ impl<'a> ParFaultSimulator<'a> {
             undetected,
             faulty: good.clone(),
             good,
+            cones,
             locals: Vec::new(),
-            queue: EventQueue::default(),
             patterns_applied: 0,
             stats: SimStats::default(),
         }
@@ -342,9 +432,9 @@ impl<'a> ParFaultSimulator<'a> {
 
     /// Evaluates the good machine once on `block`, then walks the
     /// undetected faults one fanout-free region at a time: it traces each
-    /// to its stem and propagates the stem once, flipped in the lanes the
-    /// region's faults flip, until each fault's lowest such lane has
-    /// reached an output or the propagation ends. Each detected fault gets
+    /// to its stem and sweeps the stem's cone once, the stem flipped in
+    /// the lanes the region's faults flip, until each fault's lowest such
+    /// lane has reached an output or the cone ends. Each detected fault gets
     /// its index (`patterns_applied + lane`, only lanes under `mask`
     /// count) and leaves the list. Returns how many were detected.
     fn simulate_block(&mut self, block: &PatternBlock, mask: u64) -> usize {
@@ -369,20 +459,13 @@ impl<'a> ParFaultSimulator<'a> {
                 continue;
             }
             let stem = sites[region[0] as usize].stem;
-            let word = self.good[stem as usize] ^ flip;
-            let patch = match self.program.instr_of_slot(stem as usize) {
-                Some(instr) => Patch::InstrOutput {
-                    instr: instr as u32,
-                    word,
-                },
-                None => Patch::Slot { slot: stem, word },
-            };
-            let (diff, evals, stopped) = self.program.eval_events(
+            let (diff, evals, stopped) = self.program.sweep(
                 &self.good,
                 &mut self.faulty,
-                patch,
+                stem as usize,
+                self.good[stem as usize] ^ flip,
+                self.cones.of(stem),
                 first,
-                &mut self.queue,
             );
             gate_evals += evals;
             stem_evals += 1;
@@ -532,6 +615,74 @@ mod tests {
                 net = program.instr(reader as usize).out as usize;
             }
             assert_eq!(got as usize, net, "slot {slot}");
+        }
+    }
+
+    /// Shared fanout, a constant, reconvergence, a primary output that a
+    /// gate also reads, and a stem with no reader.
+    fn shared_fanout() -> Netlist {
+        use bibs_netlist::GateKind;
+        let mut b = NetlistBuilder::new("events");
+        let a = b.input("a");
+        let c = b.input("b");
+        let d = b.input("d");
+        let one = b.const1();
+        let y0 = b.and2(a, c);
+        let y1 = b.or2(a, one);
+        let y2 = b.gate(GateKind::Xor, &[y0, y1]);
+        let y3 = b.gate(GateKind::Nand, &[y2, d, a]);
+        let y4 = b.not(y0);
+        b.output("y2", y2);
+        b.output("y0", y0);
+        b.output("y3", y3);
+        b.output("y4", y4);
+        b.finish().unwrap()
+    }
+
+    /// A 5×5 array multiplier: over 64 instructions, so cones span
+    /// several words.
+    fn multiplier5() -> Netlist {
+        let mut b = NetlistBuilder::new("mul5");
+        let a = b.input_word("a", 5);
+        let c = b.input_word("b", 5);
+        let p = b.array_multiplier(&a, &c, 10);
+        b.output_word("p", &p);
+        b.finish().unwrap()
+    }
+
+    #[test]
+    fn each_stem_cone_is_the_closure_of_its_readers_trimmed_to_its_words() {
+        for nl in [adder4(), shared_fanout(), multiplier5()] {
+            let program = EvalProgram::compile(&nl).unwrap();
+            let stem = stems(&program);
+            let cones = Cones::build(&program, &stem);
+            let mut spanned = 0;
+            for s in (0..program.slot_count()).filter(|&s| stem[s] as usize == s) {
+                // The transitive closure of the readers, breadth first, as
+                // a bitset trimmed to the words it spans.
+                let mut reach = vec![0u64; program.instr_count().div_ceil(64)];
+                let mut queue = std::collections::VecDeque::from([s]);
+                while let Some(slot) = queue.pop_front() {
+                    for &(r, _) in program.readers(slot) {
+                        let (w, bit) = (r as usize / 64, 1u64 << (r % 64));
+                        if reach[w] & bit == 0 {
+                            reach[w] |= bit;
+                            queue.push_back(program.instr(r as usize).out as usize);
+                        }
+                    }
+                }
+                let first = reach.iter().position(|&w| w != 0).unwrap_or(0);
+                let end = reach.iter().rposition(|&w| w != 0).map_or(0, |w| w + 1);
+                let want = Cone {
+                    first_word: first,
+                    words: &reach[first..end],
+                };
+                assert_eq!(cones.of(s as u32), want, "{} stem {s}", nl.name());
+                spanned = spanned.max(want.words.len());
+            }
+            if nl.name() == "mul5" {
+                assert!(spanned > 1, "no cone spans several words");
+            }
         }
     }
 

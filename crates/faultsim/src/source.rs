@@ -218,11 +218,18 @@ pub trait PatternSource {
 /// crates.io ChaCha12), and this descriptor is the *only* place that
 /// fact surfaces in machine-readable form, which makes JSON exports
 /// self-describing for replays.
+///
+/// A [`PatternSource::skip`] draws nothing: it owes the skipped blocks'
+/// words, and the next [`PatternSource::next_block`] draws and discards
+/// them before it draws its own. A run that ends right after its skip
+/// never draws them.
 #[derive(Debug)]
 pub struct RandomWords<R: RngCore> {
     rng: R,
     seed: Option<u64>,
     emitted: u64,
+    /// Words that skipped blocks would have drawn, not drawn yet.
+    owed: u64,
 }
 
 impl RandomWords<StdRng> {
@@ -233,6 +240,7 @@ impl RandomWords<StdRng> {
             rng: StdRng::seed_from_u64(seed),
             seed: Some(seed),
             emitted: 0,
+            owed: 0,
         }
     }
 }
@@ -241,18 +249,24 @@ impl<R: RngCore> RandomWords<R> {
     /// Wraps a caller-supplied RNG (the descriptor then reports the seed
     /// as `"external"`). Used by
     /// [`BlockSim::run_random_with_plateau`](crate::sim::BlockSim::run_random_with_plateau),
-    /// which receives a live `&mut impl Rng`.
+    /// which receives a live `&mut impl Rng`. A skip draws nothing, so a
+    /// borrowed generator advances past skipped blocks only on the next
+    /// pull; that caller runs without a prover and never skips.
     pub fn from_rng(rng: R) -> Self {
         RandomWords {
             rng,
             seed: None,
             emitted: 0,
+            owed: 0,
         }
     }
 }
 
 impl<R: RngCore> PatternSource for RandomWords<R> {
     fn next_block(&mut self, width: usize) -> Option<PatternBlock> {
+        for _ in 0..std::mem::take(&mut self.owed) {
+            self.rng.next_u64();
+        }
         let words = (0..width).map(|_| self.rng.next_u64()).collect();
         self.emitted += 64;
         Some(PatternBlock { words, lanes: 64 })
@@ -267,12 +281,11 @@ impl<R: RngCore> PatternSource for RandomWords<R> {
         self.emitted
     }
 
-    /// Draws the skipped blocks' words without building the blocks.
+    /// Owes the skipped blocks' words to the next pull instead of drawing
+    /// them; the accounting moves on at once.
     fn skip(&mut self, width: usize, patterns: u64) -> (u64, u64) {
         let blocks = patterns.div_ceil(64);
-        for _ in 0..blocks * width as u64 {
-            self.rng.next_u64();
-        }
+        self.owed += blocks * width as u64;
         self.emitted += 64 * blocks;
         (blocks, 64 * blocks)
     }
@@ -1073,9 +1086,9 @@ mod tests {
         (blocks, taken)
     }
 
-    /// A skip of each of `counts` patterns, after `before` pulled patterns,
-    /// must leave `make()` where pulling leaves it: the same blocks and
-    /// patterns, accounting and next block.
+    /// One skip, and two back to back, of each of `counts` patterns, after
+    /// `before` pulled patterns, must leave `make()` where pulling leaves
+    /// it: the same blocks and patterns, accounting and next block.
     fn assert_skip_is_pulling(
         what: &str,
         make: &dyn Fn() -> Box<dyn PatternSource>,
@@ -1083,16 +1096,18 @@ mod tests {
         before: u64,
         counts: &[u64],
     ) {
-        for &n in counts {
+        for (&n, skips) in counts.iter().flat_map(|n| [(n, 1), (n, 2)]) {
             let (mut skipped, mut pulled) = (make(), make());
             pull(&mut *skipped, width, before);
             pull(&mut *pulled, width, before);
-            let what = format!("{what}, {n} patterns after {before}");
-            assert_eq!(
-                skipped.skip(width, n),
-                pull(&mut *pulled, width, n),
-                "{what}"
-            );
+            let what = format!("{what}, {skips} x {n} patterns after {before}");
+            for _ in 0..skips {
+                assert_eq!(
+                    skipped.skip(width, n),
+                    pull(&mut *pulled, width, n),
+                    "{what}"
+                );
+            }
             assert_eq!(
                 skipped.clocks_consumed(),
                 pulled.clocks_consumed(),

@@ -38,9 +38,9 @@ pub struct SimStats {
     /// fault flips, shared by the region's faults. Zero for the
     /// reference interpreter.
     pub stem_evals: u64,
-    /// Stem propagations that returned early, with instructions still
-    /// pending, once each of the region's faults saw its lowest flipped
-    /// lane at an output.
+    /// Stem propagations that returned early, with cone instructions
+    /// left, once each of the region's faults saw its lowest flipped lane
+    /// at an output.
     pub stem_stops: u64,
     /// Faults dropped from simulation after their first detection.
     pub faults_dropped: u64,
@@ -52,10 +52,10 @@ pub struct SimStats {
     /// Total gate evaluations (compiled instructions actually evaluated,
     /// or interpreted gate visits) across good and faulty machines. The
     /// compiled engine runs the whole program per good-machine block and,
-    /// per stem propagation, only the instructions the stem's flipped
-    /// lanes reach before each of the region's faults has its lowest
-    /// flipped lane at an output
-    /// ([`EvalProgram::eval_events`](bibs_netlist::EvalProgram::eval_events));
+    /// per stem propagation, the stem's fanout cone in schedule order until
+    /// each of the region's faults has its lowest flipped lane at an
+    /// output ([`EvalProgram::sweep`](bibs_netlist::EvalProgram::sweep)),
+    /// whether or not a difference reaches each instruction;
     /// the sensitization words of its in-region trace are not instruction
     /// evaluations and are not counted. The reference interpreter runs
     /// one whole program per fault and block, so it counts many times

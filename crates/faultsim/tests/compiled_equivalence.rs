@@ -21,17 +21,17 @@
 //! block's mask may flip the stem or join the stop word.
 //!
 //! The last proptest pins the propagation kernel the engine runs once
-//! per stem: [`EvalProgram::eval_events`] must give the same primary-output
-//! difference as a whole-program patched run, for every single patch,
-//! and leave the faulty buffer clean.
+//! per stem: [`EvalProgram::sweep`] of a slot's fanout cone must give the
+//! same primary-output difference as a whole-program patched run, or a
+//! subset that covers its stop word, and leave the faulty buffer clean.
 
-use bibs_faultsim::fault::{Fault, FaultSite, FaultUniverse};
+use bibs_faultsim::fault::{Fault, FaultUniverse};
 use bibs_faultsim::par::ParFaultSimulator;
 use bibs_faultsim::reference::ReferenceSimulator;
 use bibs_faultsim::sim::{BlockSim, Stop};
 use bibs_faultsim::source::{PatternBlock, RandomWords};
 use bibs_netlist::builder::NetlistBuilder;
-use bibs_netlist::{EvalProgram, EventQueue, GateKind, Netlist, Patch};
+use bibs_netlist::{Cone, EvalProgram, GateKind, Netlist, Patch};
 use bibs_rtl::{Circuit, VertexKind};
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
@@ -360,43 +360,57 @@ proptest! {
     }
 }
 
-/// The whole-program oracle: after [`EvalProgram::eval_patched`], the
-/// OR of `good ^ faulty` over the primary outputs, and the count of
-/// instructions an event-driven run must evaluate — every one not
-/// output-forced that is pin-patched or reads a slot whose faulty value
-/// differs from the good one.
+/// The whole-program oracle: after [`EvalProgram::eval_patched`] with
+/// `slot` forced to `word`, the OR of `good ^ faulty` over the primary
+/// outputs.
 fn whole_program_oracle(
     program: &EvalProgram,
     good: &[u64],
     inputs: &[u64],
-    patch: Patch,
-) -> (u64, u64) {
+    slot: usize,
+    word: u64,
+) -> u64 {
+    let patch = match program.instr_of_slot(slot) {
+        Some(instr) => Patch::InstrOutput {
+            instr: instr as u32,
+            word,
+        },
+        None => Patch::Slot {
+            slot: slot as u32,
+            word,
+        },
+    };
     let mut faulty = program.new_values();
     program.eval_patched(&mut faulty, inputs, patch);
-    let differs = |s: u32| good[s as usize] != faulty[s as usize];
-    let diff = program
+    program
         .output_slots()
         .iter()
-        .fold(0, |d, &o| d | (good[o as usize] ^ faulty[o as usize]));
-    let forced =
-        |i: usize| matches!(patch, Patch::InstrOutput { instr, .. } if instr as usize == i);
-    let pinned = |i: usize| matches!(patch, Patch::InstrPin { instr, .. } if instr as usize == i);
-    let evaluated = (0..program.instr_count())
-        .filter(|&i| {
-            !forced(i) && (pinned(i) || program.instr(i).operands.iter().any(|&s| differs(s)))
-        })
-        .count();
-    (diff, evaluated as u64)
+        .fold(0, |d, &o| d | (good[o as usize] ^ faulty[o as usize]))
 }
 
-/// Runs every patch through [`EvalProgram::eval_events`] on one random
-/// block and compares the difference word and the exact work with the
-/// whole-program oracle.
-fn assert_events_match(
-    program: &EvalProgram,
-    patches: &[Patch],
-    seed: u64,
-) -> Result<(), TestCaseError> {
+/// The instructions `slot`'s value reaches, by a breadth-first walk of the
+/// readers, as a bitset over the whole schedule.
+fn bfs_cone(program: &EvalProgram, slot: usize) -> Vec<u64> {
+    let mut words = vec![0u64; program.instr_count().div_ceil(64)];
+    let mut queue = std::collections::VecDeque::from([slot]);
+    while let Some(s) = queue.pop_front() {
+        for &(r, _) in program.readers(s) {
+            let (w, bit) = (r as usize / 64, 1u64 << (r % 64));
+            if words[w] & bit == 0 {
+                words[w] |= bit;
+                queue.push_back(program.instr(r as usize).out as usize);
+            }
+        }
+    }
+    words
+}
+
+/// Sweeps every slot's cone on one random block, the slot flipped in
+/// every lane and in a random word: with a stop word of `!0` the
+/// difference must be the whole-program one and the work the cone's size;
+/// with the difference's lowest lane as the stop word, a subset of it that
+/// covers the lane. The faulty buffer must be clean after every sweep.
+fn assert_sweeps_match(program: &EvalProgram, seed: u64) -> Result<(), TestCaseError> {
     let mut rng = StdRng::seed_from_u64(seed);
     let inputs: Vec<u64> = (0..program.input_slots().len())
         .map(|_| rng.gen())
@@ -404,12 +418,28 @@ fn assert_events_match(
     let mut good = program.new_values();
     program.eval_good(&mut good, &inputs);
     let mut faulty = good.clone();
-    let mut queue = EventQueue::default();
-    for &patch in patches {
-        let (diff, evals) = whole_program_oracle(program, &good, &inputs, patch);
-        let got = program.eval_events(&good, &mut faulty, patch, !0, &mut queue);
-        prop_assert_eq!(got, (diff, evals, false), "{:?}", patch);
-        prop_assert!(faulty == good, "{:?} left the faulty buffer dirty", patch);
+    for slot in 0..program.slot_count() {
+        let words = bfs_cone(program, slot);
+        let cone = Cone {
+            first_word: 0,
+            words: &words,
+        };
+        let size = words.iter().map(|w| u64::from(w.count_ones())).sum();
+        for word in [!good[slot], good[slot] ^ rng.gen::<u64>()] {
+            let diff = whole_program_oracle(program, &good, &inputs, slot, word);
+            let got = program.sweep(&good, &mut faulty, slot, word, cone, !0);
+            prop_assert_eq!(got, (diff, size, false), "slot {}", slot);
+            prop_assert!(faulty == good, "slot {} left the faulty buffer dirty", slot);
+            if diff == 0 {
+                continue;
+            }
+            let lowest = diff & diff.wrapping_neg();
+            let (early, work, _) = program.sweep(&good, &mut faulty, slot, word, cone, lowest);
+            prop_assert_eq!(early & lowest, lowest, "slot {} stopped short", slot);
+            prop_assert_eq!(early & !diff, 0, "slot {}", slot);
+            prop_assert!(work <= size, "slot {}", slot);
+            prop_assert!(faulty == good, "slot {} left the faulty buffer dirty", slot);
+        }
     }
     Ok(())
 }
@@ -417,19 +447,10 @@ fn assert_events_match(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Every fault of the full (uncollapsed) universe, as a single patch
-    /// on the compiled program.
+    /// Every slot of a random netlist, so every stem the engine sweeps.
     #[test]
-    fn event_driven_eval_matches_whole_program(nl in netlist_strategy(), seed: u64) {
+    fn cone_sweep_matches_whole_program(nl in netlist_strategy(), seed: u64) {
         let program = EvalProgram::compile(&nl).unwrap();
-        let patches: Vec<Patch> = FaultUniverse::full(&nl)
-            .faults()
-            .iter()
-            .map(|fault| match fault.site {
-                FaultSite::Net(n) => program.patch_net(n, fault.stuck_at),
-                FaultSite::GatePin { gate, pin } => program.patch_pin(gate, pin, fault.stuck_at),
-            })
-            .collect();
-        assert_events_match(&program, &patches, seed)?;
+        assert_sweeps_match(&program, seed)?;
     }
 }

@@ -23,9 +23,9 @@
 //!   operand to a stuck value. Faulty-machine evaluation is "run the same
 //!   program with the patch applied", not a second bespoke interpreter —
 //!   either the whole program ([`EvalProgram::eval_patched`]) or, from a
-//!   buffer holding the good machine's values, only the instructions the
-//!   fault's effect reaches ([`EvalProgram::eval_events`]). Beside the
-//!   evaluation body sits the gate rule of critical-path tracing
+//!   buffer holding the good machine's values with one slot forced, a
+//!   sweep of that slot's fanout [`Cone`] ([`EvalProgram::sweep`]).
+//!   Beside the evaluation body sits the gate rule of critical-path tracing
 //!   ([`EvalProgram::sensitization`]): the lanes in which one flipped
 //!   operand flips an instruction's output.
 //!
@@ -171,26 +171,16 @@ pub struct EvalProgram {
     is_output: Vec<bool>,
 }
 
-/// Reusable scratch for [`EvalProgram::eval_events`]: the pending
-/// instructions (one bit each, scanned in schedule order) and the slots
-/// the current evaluation wrote. Empty between calls; one queue serves
-/// any program and grows on first use.
-#[derive(Debug, Clone, Default)]
-pub struct EventQueue {
-    pending: Vec<u64>,
-    /// One past the highest `pending` word ever set in this evaluation.
-    end: usize,
-    touched: Vec<u32>,
-}
-
-impl EventQueue {
-    /// Marks instruction `instr` pending (idempotent).
-    #[inline]
-    fn schedule(&mut self, instr: u32) {
-        let w = instr as usize / 64;
-        self.pending[w] |= 1u64 << (instr % 64);
-        self.end = self.end.max(w + 1);
-    }
+/// A set of instructions as a bitset over schedule positions, trimmed to
+/// the words it spans: bit `b` of `words[k]` is instruction
+/// `64 * (first_word + k) + b`. [`EvalProgram::sweep`] evaluates one in
+/// schedule order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Cone<'a> {
+    /// The word of the schedule that `words[0]` covers.
+    pub first_word: usize,
+    /// The bitset's words.
+    pub words: &'a [u64],
 }
 
 impl EvalProgram {
@@ -387,9 +377,9 @@ impl EvalProgram {
     /// This is the reader-side dual of [`EvalProgram::instr_of_slot`],
     /// compiled once per program (one entry per operand): analysis passes
     /// use it to count fanout branches and to enumerate a net's
-    /// observation paths without re-walking the [`Netlist`], and
-    /// [`EvalProgram::eval_events`] to schedule the instructions a changed
-    /// value reaches. Primary-output and flip-flop-D reads are *not*
+    /// observation paths without re-walking the [`Netlist`], and the fault
+    /// simulator to build the fanout [`Cone`]s it sweeps. Primary-output
+    /// and flip-flop-D reads are *not*
     /// included — see [`EvalProgram::output_slots`] /
     /// [`EvalProgram::dff_slots`].
     ///
@@ -482,8 +472,8 @@ impl EvalProgram {
     /// self-healing: a previous [`Patch::Slot`] on a constant slot is
     /// undone here, so one persistent faulty buffer serves every
     /// whole-program faulty run (the sequential simulator, the test
-    /// oracles). The fault simulator propagates its stems with
-    /// [`EvalProgram::eval_events`] instead. Returns the executed count.
+    /// oracles). The fault simulator sweeps its stems' cones with
+    /// [`EvalProgram::sweep`] instead. Returns the executed count.
     #[inline]
     pub fn eval_patched(&self, values: &mut [u64], inputs: &[u64], patch: Patch) -> u64 {
         self.apply_consts(values);
@@ -509,145 +499,99 @@ impl EvalProgram {
         (n - 1 + usize::from(evaluated)) as u64
     }
 
-    /// Event-driven faulty-machine evaluation: runs the faulty machine of
-    /// `patch` only where it differs from the good machine, and returns
-    /// its primary-output difference, or as much of it as covers `stop`.
+    /// Faulty-machine evaluation of one forced slot by a sweep of its
+    /// fanout cone: forces `slot` to `word`, then evaluates the
+    /// instructions of `cone` in schedule order over `faulty`, and returns
+    /// the primary-output difference, or as much of it as covers `stop`.
     ///
-    /// `good` holds the good machine's values for the current inputs
-    /// ([`EvalProgram::eval_good`]); `faulty` must equal `good` on entry,
-    /// and equals it again on return. The call forces the patch site, then
-    /// evaluates pending instructions in schedule order. An instruction is
-    /// pending when it is patched or reads a slot whose value differs from
-    /// the good machine's, so each runs at most once (readers follow their
-    /// operands' writers) and the call stops when nothing is pending. It
-    /// then restores every slot it wrote from `good`.
+    /// `cone` must hold every instruction that `slot`'s value reaches
+    /// (the transitive closure of [`EvalProgram::readers`]) and nothing
+    /// that writes `slot`. `good` holds the good machine's values for the
+    /// current inputs ([`EvalProgram::eval_good`]); `faulty` must equal
+    /// `good` on entry, and equals it again on return: the call restores
+    /// `slot` and every output it wrote from `good`. No value is compared
+    /// and nothing is scheduled: a cone instruction that no difference
+    /// reaches recomputes its good value.
     ///
     /// `stop` lets a caller that needs only some lanes return early:
-    /// before it evaluates a pending instruction, the call stops once
-    /// every lane of `stop` differs at some output. Each output settles
+    /// before it evaluates the next cone instruction, the call stops once
+    /// every lane of `stop` differs at some output. Each output is written
     /// once, so the difference found so far is final in every lane it
-    /// holds; the rest of the run could add lanes, never remove one. A
+    /// holds; the rest of the sweep could add lanes, never remove one. A
     /// `stop` of `!0` never stops early: callers that need the whole
-    /// difference, and the exact work of finding it, pass `!0`.
+    /// difference pass `!0`.
     ///
     /// Returns `(diff, gate_evals, stopped)`: `diff` is the OR of
-    /// `good ^ faulty` over the primary outputs, equal to what
-    /// [`EvalProgram::eval_patched`] followed by a comparison of every
-    /// output would give, or a subset of it that covers `stop`;
-    /// `gate_evals` is the count of instructions actually evaluated (a
-    /// forced output is not evaluated); `stopped` is whether the call
-    /// returned at the stop test with instructions still pending. `queue`
-    /// is scratch and is empty again on return.
+    /// `good ^ faulty` over the primary outputs (`slot` included), equal
+    /// to what [`EvalProgram::eval_patched`] with `slot` forced to `word`
+    /// followed by a comparison of every output would give, or a subset of
+    /// it that covers `stop`; `gate_evals` is the count of cone
+    /// instructions evaluated; `stopped` is whether the call returned at
+    /// the stop test with cone instructions left.
     ///
     /// # Panics
     ///
-    /// Panics if a buffer is shorter than `slot_count()` words.
-    // Deliberately not `#[inline]`: when the fault simulator still
-    // propagated each fault, the hint made LLVM inline this body into that
-    // loop, and the `topoff` benchmark workload ran ~8% slower per eval.
-    pub fn eval_events(
+    /// Panics if a buffer is shorter than `slot_count()` words or `cone`
+    /// names an instruction past `instr_count()`.
+    pub fn sweep(
         &self,
         good: &[u64],
         faulty: &mut [u64],
-        patch: Patch,
+        slot: usize,
+        word: u64,
+        cone: Cone<'_>,
         stop: u64,
-        queue: &mut EventQueue,
     ) -> (u64, u64, bool) {
-        let words = self.ops.len().div_ceil(64);
-        if queue.pending.len() < words {
-            queue.pending.resize(words, 0);
-        }
-        let mut diff = 0u64;
-        // The instruction the patch overrides; a source-slot patch is
-        // forced here and overrides none.
-        let patched = match patch {
-            Patch::Slot { slot, word } => {
-                debug_assert_eq!(self.instr_of_slot[slot as usize], NO_INSTR);
-                let s = slot as usize;
-                if self.settle(s, word, good, faulty, queue, &mut diff) {
-                    for &(r, _) in self.readers(s) {
-                        queue.schedule(r);
-                    }
-                }
-                usize::MAX
-            }
-            Patch::InstrOutput { instr, .. } | Patch::InstrPin { instr, .. } => {
-                queue.schedule(instr);
-                instr as usize
-            }
-        };
         let stops = stop != !0;
-        let mut stopped = false;
+        faulty[slot] = word;
+        let mut diff = 0;
+        if self.is_output[slot] {
+            diff = good[slot] ^ word;
+        }
         let mut evaluated = 0usize;
-        let mut w = 0usize;
-        'scan: while w < queue.end {
-            // The word being scanned stays in a register: readers that
-            // fall in it (always at higher bits) join `bits` directly.
-            let mut bits = std::mem::take(&mut queue.pending[w]);
-            while bits != 0 {
-                if stops && diff & stop == stop {
-                    // Readers follow their writers, so every word before
-                    // `w` is already clear and `bits` dies here.
-                    queue.pending[w + 1..queue.end].fill(0);
-                    stopped = true;
-                    break 'scan;
-                }
-                let i = w * 64 + bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                let word = if i == patched {
-                    let (word, ran) = self.patched_word(faulty, i, patch);
-                    evaluated += usize::from(ran);
-                    word
-                } else {
+        let mut covered = stops && diff & stop == stop;
+        if !covered {
+            'sweep: for (k, &bits) in cone.words.iter().enumerate() {
+                let base = (cone.first_word + k) * 64;
+                let mut bits = bits;
+                while bits != 0 {
+                    let i = base + bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
                     evaluated += 1;
-                    self.eval_instr(i, |_, s| faulty[s as usize])
-                };
-                let out = self.out_slot[i] as usize;
-                if self.settle(out, word, good, faulty, queue, &mut diff) {
-                    for &(r, _) in self.readers(out) {
-                        if r as usize / 64 == w {
-                            bits |= 1 << (r % 64);
-                        } else {
-                            queue.schedule(r);
+                    let value = self.eval_instr(i, |_, s| faulty[s as usize]);
+                    let out = self.out_slot[i] as usize;
+                    faulty[out] = value;
+                    if self.is_output[out] {
+                        diff |= good[out] ^ value;
+                        if stops && diff & stop == stop {
+                            covered = true;
+                            break 'sweep;
                         }
                     }
                 }
             }
-            w += 1;
         }
-        for &s in &queue.touched {
-            faulty[s as usize] = good[s as usize];
+        // Restore the slot and the outputs of the `evaluated` cone
+        // instructions swept; a cone instruction after them means the
+        // sweep stopped early.
+        faulty[slot] = good[slot];
+        let mut left = evaluated;
+        let mut stopped = false;
+        'restore: for (k, &bits) in cone.words.iter().enumerate() {
+            let base = (cone.first_word + k) * 64;
+            let mut bits = bits;
+            while bits != 0 {
+                if left == 0 {
+                    stopped = covered;
+                    break 'restore;
+                }
+                let out = self.out_slot[base + bits.trailing_zeros() as usize] as usize;
+                bits &= bits - 1;
+                faulty[out] = good[out];
+                left -= 1;
+            }
         }
-        queue.touched.clear();
-        queue.end = 0;
         (diff, evaluated as u64, stopped)
-    }
-
-    /// Settles `slot` at `word` during [`EvalProgram::eval_events`]: a
-    /// value equal to the good machine's is dropped; a differing one is
-    /// written, recorded for restoration and folded into `diff` if the
-    /// slot is a primary output. Returns whether the value differs, i.e.
-    /// whether the slot's readers must be scheduled.
-    #[inline(always)]
-    fn settle(
-        &self,
-        slot: usize,
-        word: u64,
-        good: &[u64],
-        faulty: &mut [u64],
-        queue: &mut EventQueue,
-        diff: &mut u64,
-    ) -> bool {
-        let g = good[slot];
-        if g == word {
-            return false;
-        }
-        faulty[slot] = word;
-        queue.touched.push(slot as u32);
-        if self.is_output[slot] {
-            *diff |= g ^ word;
-        }
-        true
     }
 
     /// Builds the patch-point for a stuck-at fault on `net`.
@@ -1005,78 +949,61 @@ mod tests {
         i.wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(17) ^ 0xA5A5
     }
 
-    /// The whole-program oracle for [`EvalProgram::eval_events`] on
-    /// `good`'s inputs: the primary-output difference of
-    /// [`EvalProgram::eval_patched`], and the count of instructions an
-    /// event-driven run must evaluate — every one not output-forced that
-    /// is pin-patched or reads a slot whose faulty value differs from the
-    /// good one.
+    /// The patch that forces `slot` to `word`: an output patch on its
+    /// writer, or a slot patch on a source.
+    fn force(prog: &EvalProgram, slot: usize, word: u64) -> Patch {
+        match prog.instr_of_slot(slot) {
+            Some(instr) => Patch::InstrOutput {
+                instr: instr as u32,
+                word,
+            },
+            None => Patch::Slot {
+                slot: slot as u32,
+                word,
+            },
+        }
+    }
+
+    /// The whole-program oracle for [`EvalProgram::sweep`] on `good`'s
+    /// inputs: the primary-output difference of
+    /// [`EvalProgram::eval_patched`] with `slot` forced to `word`.
     fn whole_program_oracle(
         prog: &EvalProgram,
         good: &[u64],
         inputs: &[u64],
-        patch: Patch,
-    ) -> (u64, u64) {
+        slot: usize,
+        word: u64,
+    ) -> u64 {
         let mut whole = prog.new_values();
-        prog.eval_patched(&mut whole, inputs, patch);
-        let differs = |s: u32| good[s as usize] != whole[s as usize];
-        let diff = prog
-            .output_slots()
+        prog.eval_patched(&mut whole, inputs, force(prog, slot, word));
+        prog.output_slots()
             .iter()
-            .fold(0, |d, &o| d | (good[o as usize] ^ whole[o as usize]));
-        let patched = |i: usize, forced: bool| match patch {
-            Patch::InstrOutput { instr, .. } => forced && instr as usize == i,
-            Patch::InstrPin { instr, .. } => !forced && instr as usize == i,
-            Patch::Slot { .. } => false,
-        };
-        let evaluated = (0..prog.instr_count())
-            .filter(|&i| {
-                !patched(i, true)
-                    && (patched(i, false) || prog.instr(i).operands.iter().any(|&s| differs(s)))
-            })
-            .count();
-        (diff, evaluated as u64)
+            .fold(0, |d, &o| d | (good[o as usize] ^ whole[o as usize]))
     }
 
-    /// Checks every patch in `patches` through `eval_events` with a stop
-    /// word of `!0` against the whole-program oracle — the difference
-    /// word and the exact work — and that the faulty buffer is back to
-    /// the good values after each call.
-    fn assert_events_match(prog: &EvalProgram, patches: &[Patch]) {
-        let width = prog.input_slots().len();
-        let inputs: Vec<u64> = (0..width as u64).map(pattern_word).collect();
-        let mut good = prog.new_values();
-        prog.eval_good(&mut good, &inputs);
-        let mut faulty = good.clone();
-        let mut queue = EventQueue::default();
-        for &patch in patches {
-            let (diff, evals) = whole_program_oracle(prog, &good, &inputs, patch);
-            let got = prog.eval_events(&good, &mut faulty, patch, !0, &mut queue);
-            assert_eq!(got, (diff, evals, false), "{patch:?}");
-            assert!(faulty == good, "{patch:?} left the faulty buffer dirty");
-        }
-    }
-
-    /// Whether `queue` holds nothing between calls.
-    fn queue_is_empty(queue: &EventQueue) -> bool {
-        queue.pending.iter().all(|&p| p == 0) && queue.end == 0 && queue.touched.is_empty()
-    }
-
-    /// Every single stuck-at patch of `nl`: both polarities of every
-    /// net stem and every gate pin.
-    fn all_single_patches(nl: &Netlist, prog: &EvalProgram) -> Vec<Patch> {
-        let mut patches = Vec::new();
-        for stuck in [false, true] {
-            for net in nl.net_ids() {
-                patches.push(prog.patch_net(net, stuck));
-            }
-            for g in nl.gate_ids() {
-                for pin in 0..nl.gate(g).inputs.len() {
-                    patches.push(prog.patch_pin(g, pin, stuck));
+    /// The fanout cone of `slot`, found by a breadth-first walk of the
+    /// readers, as `(first_word, words)` trimmed to the words it spans.
+    fn bfs_cone(prog: &EvalProgram, slot: usize) -> (usize, Vec<u64>) {
+        let mut words = vec![0u64; prog.instr_count().div_ceil(64)];
+        let mut queue = std::collections::VecDeque::from([slot]);
+        while let Some(s) = queue.pop_front() {
+            for &(r, _) in prog.readers(s) {
+                let (w, bit) = (r as usize / 64, 1u64 << (r % 64));
+                if words[w] & bit == 0 {
+                    words[w] |= bit;
+                    queue.push_back(prog.instr(r as usize).out as usize);
                 }
             }
         }
-        patches
+        let first = words.iter().position(|&w| w != 0).unwrap_or(0);
+        let end = words.iter().rposition(|&w| w != 0).map_or(first, |w| w + 1);
+        (first, words[first..end].to_vec())
+    }
+
+    /// The words each test forces a slot to: its good word flipped in
+    /// every lane, stuck at 0, stuck at 1, and flipped in a pattern.
+    fn forced_words(good: u64) -> [u64; 4] {
+        [!good, 0, !0, good ^ pattern_word(good)]
     }
 
     fn shared_fanout() -> Netlist {
@@ -1099,8 +1026,8 @@ mod tests {
         b.finish().unwrap()
     }
 
-    /// A 5×5 array multiplier: over 64 instructions, so the pending
-    /// bitset spans several words.
+    /// A 5×5 array multiplier: over 64 instructions, so cones span
+    /// several words.
     fn multiplier5() -> Netlist {
         let mut b = NetlistBuilder::new("mul5");
         let a = b.input_word("a", 5);
@@ -1110,19 +1037,62 @@ mod tests {
         b.finish().unwrap()
     }
 
-    #[test]
-    fn eval_events_matches_whole_program_for_every_single_fault() {
-        for nl in [adder4(), shared_fanout(), multiplier5()] {
-            let prog = EvalProgram::compile(&nl).unwrap();
-            let patches = all_single_patches(&nl, &prog);
-            assert_events_match(&prog, &patches);
+    /// A sweep of one slot forced to one word, run with a stop word.
+    type Sweep<'a> = dyn FnMut(u64) -> (u64, u64, bool) + 'a;
+
+    /// The fixtures every sweep test runs: they hold slots with no
+    /// reader, a primary output that a gate also reads, and cones that
+    /// span several words.
+    fn sweep_fixtures() -> [Netlist; 3] {
+        [adder4(), shared_fanout(), multiplier5()]
+    }
+
+    /// Sweeps every slot of `nl`, forced to each of [`forced_words`],
+    /// through `check`, which gets the sweep to run with stop words of its
+    /// choice, the oracle's difference and the cone's size. The faulty
+    /// buffer must be back to the good values after each sweep.
+    fn for_every_sweep(nl: &Netlist, mut check: impl FnMut(&str, &mut Sweep<'_>, u64, u64)) {
+        let prog = EvalProgram::compile(nl).unwrap();
+        let inputs: Vec<u64> = (0..prog.input_slots().len() as u64)
+            .map(pattern_word)
+            .collect();
+        let mut good = prog.new_values();
+        prog.eval_good(&mut good, &inputs);
+        let mut faulty = good.clone();
+        for slot in 0..prog.slot_count() {
+            let (first_word, words) = bfs_cone(&prog, slot);
+            let cone = Cone {
+                first_word,
+                words: &words,
+            };
+            let size = words.iter().map(|w| u64::from(w.count_ones())).sum();
+            for word in forced_words(good[slot]) {
+                let what = format!("{} slot {slot} forced to {word:#x}", nl.name());
+                let diff = whole_program_oracle(&prog, &good, &inputs, slot, word);
+                let mut sweep = |stop| {
+                    let got = prog.sweep(&good, &mut faulty, slot, word, cone, stop);
+                    assert!(faulty == good, "{what}: left the faulty buffer dirty");
+                    got
+                };
+                check(&what, &mut sweep, diff, size);
+            }
         }
     }
 
     #[test]
-    fn eval_events_stops_where_the_difference_dies() {
+    fn sweep_matches_whole_program_from_every_slot() {
+        for nl in sweep_fixtures() {
+            for_every_sweep(&nl, |what, sweep, diff, size| {
+                assert_eq!(sweep(!0), (diff, size, false), "{what}");
+            });
+        }
+    }
+
+    #[test]
+    fn a_sweep_evaluates_its_whole_cone_where_the_difference_dies() {
         // y = a AND b feeds a chain of three inverters; b stuck-at-1
-        // changes nothing while a = 0, so only the AND is evaluated.
+        // changes nothing while a = 0, yet no value is compared, so the
+        // sweep evaluates all four instructions of b's cone.
         let mut b = NetlistBuilder::new("masked");
         let a = b.input("a");
         let c = b.input("b");
@@ -1133,31 +1103,39 @@ mod tests {
         b.output("z", n3);
         let nl = b.finish().unwrap();
         let prog = EvalProgram::compile(&nl).unwrap();
-        let mut queue = EventQueue::default();
-        let patch = prog.patch_net(c, true);
+        let (first_word, words) = bfs_cone(&prog, c.index());
+        let cone = Cone {
+            first_word,
+            words: &words,
+        };
 
         let mut good = prog.new_values();
         prog.eval_good(&mut good, &[0, 0]);
         let mut faulty = good.clone();
-        let got = prog.eval_events(&good, &mut faulty, patch, !0, &mut queue);
-        assert_eq!(got, (0, 1, false), "masked at the AND");
+        let got = prog.sweep(&good, &mut faulty, c.index(), !0, cone, !0);
+        assert_eq!(got, (0, 4, false), "masked at the AND");
         assert_eq!(faulty, good);
 
         // With a = 1 in the low 8 lanes the difference runs the chain.
         prog.eval_good(&mut good, &[0xFF, 0]);
         faulty.copy_from_slice(&good);
-        let got = prog.eval_events(&good, &mut faulty, patch, !0, &mut queue);
+        let got = prog.sweep(&good, &mut faulty, c.index(), !0, cone, !0);
         assert_eq!(got, (0xFF, 4, false));
         assert_eq!(faulty, good);
 
-        // A forced output equal to the good value evaluates nothing.
-        let quiet = prog.patch_net(y, false);
-        let got = prog.eval_events(&good, &mut faulty, quiet, !0, &mut queue);
-        assert_eq!(got, (0, 0, false));
+        // A forced word equal to the good one still sweeps the cone.
+        let (first_word, words) = bfs_cone(&prog, y.index());
+        let cone = Cone {
+            first_word,
+            words: &words,
+        };
+        let got = prog.sweep(&good, &mut faulty, y.index(), good[y.index()], cone, !0);
+        assert_eq!(got, (0, 3, false));
+        assert_eq!(faulty, good);
     }
 
     #[test]
-    fn eval_events_stops_once_the_difference_covers_the_stop_word() {
+    fn sweep_stops_once_the_difference_covers_the_stop_word() {
         // Two outputs on one flipped input: `y` right behind it, `z` at
         // the end of an inverter chain. A stop word that `y` covers
         // returns before the chain; one that no output covers does not.
@@ -1175,64 +1153,46 @@ mod tests {
         let mut good = prog.new_values();
         prog.eval_good(&mut good, &[0, 0xF0]);
         let mut faulty = good.clone();
-        let mut queue = EventQueue::default();
+        let (first_word, words) = bfs_cone(&prog, a.index());
+        let cone = Cone {
+            first_word,
+            words: &words,
+        };
         // `a` flipped in the low byte: `y` differs there, `z` only where
         // `b` is 1 as well.
-        let patch = Patch::Slot {
-            slot: a.index() as u32,
-            word: 0xFF,
-        };
-        let whole = prog.eval_events(&good, &mut faulty, patch, !0, &mut queue);
+        let mut sweep = |stop| prog.sweep(&good, &mut faulty, a.index(), 0xFF, cone, stop);
+        let whole = sweep(!0);
         assert_eq!(whole, (0xFF, 4, false));
-        let early = prog.eval_events(&good, &mut faulty, patch, 0x01, &mut queue);
-        assert_eq!(early, (0xFF, 1, true), "stops after the XOR");
-        assert!(faulty == good && queue_is_empty(&queue));
+        assert_eq!(sweep(0x01), (0xFF, 1, true), "stops after the XOR");
         // Lane 8 never differs: the call runs to the end.
-        let never = prog.eval_events(&good, &mut faulty, patch, 0x100, &mut queue);
-        assert_eq!(never, whole);
+        assert_eq!(sweep(0x100), whole);
+        assert_eq!(faulty, good);
     }
 
     #[test]
     fn an_early_stop_returns_a_covering_subset_and_leaves_nothing_behind() {
-        for nl in [adder4(), shared_fanout(), multiplier5()] {
-            let prog = EvalProgram::compile(&nl).unwrap();
-            let width = prog.input_slots().len();
-            let inputs: Vec<u64> = (0..width as u64).map(pattern_word).collect();
-            let mut good = prog.new_values();
-            prog.eval_good(&mut good, &inputs);
-            let mut faulty = good.clone();
-            let mut queue = EventQueue::default();
+        for nl in sweep_fixtures() {
             let mut stops = 0;
-            for patch in all_single_patches(&nl, &prog) {
-                // A full propagation right after the previous patch's
-                // early stop: a pending bit that stop left behind would
-                // show as extra work here.
-                let (diff, evals) = whole_program_oracle(&prog, &good, &inputs, patch);
-                let full = prog.eval_events(&good, &mut faulty, patch, !0, &mut queue);
-                assert_eq!(full, (diff, evals, false), "{patch:?}");
+            for_every_sweep(&nl, |what, sweep, diff, size| {
+                // A full sweep right after the previous slot's early stop:
+                // a slot that stop left unrestored would show here.
+                assert_eq!(sweep(!0), (diff, size, false), "{what}");
                 if diff == 0 {
-                    continue;
+                    return;
                 }
                 // A stop word the difference never covers runs to the end.
                 if diff != !0 {
-                    let never = prog.eval_events(&good, &mut faulty, patch, !diff, &mut queue);
-                    assert_eq!(never, (diff, evals, false), "{patch:?}");
+                    assert_eq!(sweep(!diff), (diff, size, false), "{what}");
                 }
                 let lowest = diff & diff.wrapping_neg();
-                let (got, work, stopped) =
-                    prog.eval_events(&good, &mut faulty, patch, lowest, &mut queue);
-                assert_eq!(got & lowest, lowest, "{patch:?} stopped short");
-                assert_eq!(
-                    got & !diff,
-                    0,
-                    "{patch:?} reported a lane that never differs"
-                );
-                assert!(work <= evals, "{patch:?}");
-                assert!(faulty == good, "{patch:?} left the faulty buffer dirty");
-                assert!(queue_is_empty(&queue), "{patch:?} left the queue dirty");
+                let (got, work, stopped) = sweep(lowest);
+                assert_eq!(got & lowest, lowest, "{what} stopped short");
+                assert_eq!(got & !diff, 0, "{what} reported a lane that never differs");
+                assert!(work <= size, "{what}");
+                assert_eq!(stopped, work < size, "{what}");
                 stops += usize::from(stopped);
-            }
-            assert!(stops > 0, "{}: no propagation stopped early", nl.name());
+            });
+            assert!(stops > 0, "{}: no sweep stopped early", nl.name());
         }
     }
 
