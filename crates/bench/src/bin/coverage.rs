@@ -14,9 +14,12 @@
 //! hardware-faithful source (the curve's x-axis stays pattern counts;
 //! the per-kernel clock budget goes to stderr); a source that cannot
 //! drive a kernel (an LFSR past 64 inputs, a replay schedule recorded for
-//! another width) is a usage error too. Per-kernel engine stats — including the collapse
-//! ratio and analysis wall — go to stderr; `BIBS_TRACE=spans|counters`
-//! prints the telemetry tree or aggregate counters to stderr.
+//! another width) is a usage error too. Per-kernel engine stats go to
+//! stderr; `BIBS_TRACE=spans|counters` prints the telemetry tree or
+//! aggregate counters to stderr, among them how many faults the
+//! observability split left to simulate (`universe_faults` on each
+//! `analyze` span, `simulated_faults` on each kernel's) and the
+//! `compile` and `analyze` walls.
 
 use bibs_bench::{apply_tdm, kernel_fault_stats, SourceSpec, Table2Options, Tdm, Telemetry};
 use bibs_datapath::filters::try_scaled;

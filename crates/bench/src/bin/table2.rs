@@ -42,9 +42,12 @@
 //! `stem_stops`), and
 //! only the compiled engine runs the prover, so `good_evals`,
 //! `faults_retired` and `blocks_skipped` differ too. Without `--json` the
-//! table is followed by the fault accounting, the engine's counters and
-//! wall in milliseconds, and a `static analysis:` line (faults simulated
-//! after the observability split, and the compile-plus-split wall).
+//! table is followed by the fault accounting and the engine's counters
+//! and wall in milliseconds. How many faults the observability split
+//! left to simulate, and what the compile and the split cost, are in
+//! the telemetry (`--telemetry`, `BIBS_TRACE=counters`): the
+//! `universe_faults` counter on each `analyze` span, `simulated_faults`
+//! on each `kernel N` span, and the `compile` and `analyze` walls.
 
 use bibs_bench::{
     render_table2, table2_column_traced, table2_json, Engine, SourceSpec, Table2Options, Tdm,
@@ -221,8 +224,6 @@ fn main() {
     let (mut evals, mut stems, mut gate_evals, mut blocks, mut skipped) = (0u64, 0, 0, 0, 0);
     let (mut sweeps, mut retired) = (0u64, 0);
     let mut wall = std::time::Duration::ZERO;
-    let (mut universe, mut simulated) = (0u64, 0u64);
-    let mut analysis = std::time::Duration::ZERO;
     for s in all {
         evals += s.sim.fault_evals;
         stems += s.sim.stem_evals;
@@ -232,9 +233,6 @@ fn main() {
         sweeps += s.sim.good_evals;
         retired += s.sim.faults_retired;
         wall += s.sim.wall;
-        universe += s.sim.universe_faults;
-        simulated += s.sim.simulated_faults;
-        analysis += s.sim.analysis_wall;
     }
     let secs = wall.as_secs_f64();
     println!(
@@ -251,15 +249,5 @@ fn main() {
             0.0
         },
         options.engine
-    );
-    println!(
-        "static analysis: {simulated}/{universe} faults simulated \
-         (collapse {:.3}), {:.1} ms analysis",
-        if universe > 0 {
-            simulated as f64 / universe as f64
-        } else {
-            1.0
-        },
-        analysis.as_secs_f64() * 1e3
     );
 }

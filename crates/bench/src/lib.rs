@@ -489,9 +489,8 @@ pub fn apply_tdm(circuit: &Circuit, tdm: Tdm) -> (Circuit, BilboDesign, Vec<Kern
 /// Three-phase flow over one fault list, the kernel's
 /// [`FaultUniverse::collapsed`] universe:
 ///
-/// * **Phase 0 — observability split** (timed with the compile into
-///   [`SimStats::analysis_wall`]): the backward observability sweep drops
-///   faults with no path to an output. They are redundant outright.
+/// * **Phase 0 — observability split**: the backward observability sweep
+///   drops faults with no path to an output. They are redundant outright.
 /// * **Phase 1 — random simulation** with fault dropping and a detection
 ///   plateau. Once the stream has gone
 ///   [`PROVE_AFTER`](bibs_faultsim::sim::PROVE_AFTER) patterns without a
@@ -521,8 +520,10 @@ pub fn apply_tdm(circuit: &Circuit, tdm: Tdm) -> (Circuit, BilboDesign, Vec<Kern
 ///   `universe_faults` counter (the kernel's span carries
 ///   `simulated_faults`);
 /// * `"build"` — the engine's construction: its copies of the program
-///   and the fault list and, for the compiled engine, the stem map, the
-///   fault sites and the stem-order sort of its live list;
+///   and the fault list and, for the compiled engine, the fanout-free
+///   regions ([`EvalProgram::fanout_regions`]: each slot's stem and each
+///   stem's cone), the fault sites and the stem-order sort of its live
+///   list;
 /// * `"fault-sim[par]"` or `"fault-sim[reference]"` — the engine's
 ///   [`SimStats`], recorded once after the run ([`SimStats::record`]):
 ///   its counters, and its block-evaluation time as the span's wall;
@@ -563,8 +564,7 @@ pub fn kernel_fault_stats(
 
     // Phase 0: compile, then drop the faults with no net path to a PO
     // (the truncated multipliers' upper halves): they are redundant
-    // outright. Timed as a unit.
-    let analysis_start = Instant::now();
+    // outright.
     let compile = rec.enter("compile");
     let program = EvalProgram::compile(&comb).expect("kernel equivalents are acyclic");
     rec.add(CounterId::Instructions, program.instr_count() as u64);
@@ -574,9 +574,7 @@ pub fn kernel_fault_stats(
     let (to_sim, unobservable) = universe.split_by_observability(&program);
     rec.add(CounterId::UniverseFaults, universe.len() as u64);
     rec.exit(analyze);
-    let analysis_wall = analysis_start.elapsed();
-    let simulated_faults = to_sim.len() as u64;
-    rec.add(CounterId::SimulatedFaults, simulated_faults);
+    rec.add(CounterId::SimulatedFaults, to_sim.len() as u64);
 
     // Phase 1: pattern simulation with fault dropping and a detection
     // plateau. Engines are interchangeable: the report is bit-identical
@@ -692,11 +690,6 @@ pub fn kernel_fault_stats(
     detection_indices.sort_unstable();
     let detected = detection_indices.len();
 
-    let mut sim = report.stats().clone();
-    sim.universe_faults = universe.len() as u64;
-    sim.simulated_faults = simulated_faults;
-    sim.analysis_wall = analysis_wall;
-
     Ok(KernelFaultStats {
         faults: universe.len(),
         redundant: unobservable.len() + class.redundant.len(),
@@ -704,7 +697,7 @@ pub fn kernel_fault_stats(
         unreached: class.detectable.len(),
         detected,
         detection_indices,
-        sim,
+        sim: report.stats().clone(),
         source: source_run,
         opt: None,
     })

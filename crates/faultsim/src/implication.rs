@@ -251,19 +251,14 @@ impl<'p> ImplicationCheck<'p> {
     }
 }
 
-/// Every slot's immediate post-dominator, in one reverse-topological pass
-/// over [`EvalProgram::readers`]: a slot's is the meet of its readers
-/// and, for a primary output, of the virtual sink. Instruction outputs
-/// come in reverse schedule order and the source slots last, so every
-/// reader's output is done before the slots it reads.
+/// Every slot's immediate post-dominator, in one pass over the slots in
+/// [`EvalProgram::readers_first`] order, so every reader's output is
+/// done before the slots it reads: a slot's is the meet of its readers
+/// and, for a primary output, of the virtual sink.
 fn post_dominators(program: &EvalProgram) -> Vec<u32> {
     let sink = program.instr_count() as u32;
     let mut ipdom = vec![UNOBSERVABLE; program.slot_count()];
-    let outs = (0..program.instr_count())
-        .rev()
-        .map(|i| program.instr(i).out as usize);
-    let sources = (0..program.slot_count()).filter(|&s| program.instr_of_slot(s).is_none());
-    for s in outs.chain(sources) {
+    for s in program.readers_first() {
         let mut d = if program.is_output(s) {
             sink
         } else {

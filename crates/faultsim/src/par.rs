@@ -5,11 +5,13 @@
 //! fanout-free regions as FSIM does (Lee & Ha, 1991). A fanout-free
 //! region (FFR) is a maximal tree whose inner nets each have exactly one
 //! gate reader and are not primary outputs; its root net is the region's
-//! *stem*. At construction the engine maps every fault to its site and
-//! its region's stem, sorts the live list by stem (then fault index), so
-//! each region's faults sit together for the whole run, and builds each
-//! stem's fanout cone: the instructions the stem's value reaches, as a
-//! bitset trimmed to the words it spans. Each block then runs:
+//! *stem*. At construction the engine takes the program's regions from
+//! [`EvalProgram::fanout_regions`]: each slot's stem, and each stem's
+//! fanout cone, the instructions the stem's value reaches as a bitset
+//! trimmed to the words it spans. It maps every fault to its site and
+//! its region's stem and sorts the live list by stem (then fault index),
+//! so each region's faults sit together for the whole run. Each block
+//! then runs:
 //!
 //! 1. **one** good-machine run of the compiled [`EvalProgram`] over the
 //!    block's 64-lane input words;
@@ -81,16 +83,17 @@ use crate::fault::{Fault, FaultSite};
 use crate::sim::{BlockSim, FaultSimReport};
 use crate::source::PatternBlock;
 use crate::stats::SimStats;
-use bibs_netlist::{Cone, EvalProgram, Netlist};
+use bibs_netlist::{EvalProgram, FanoutRegions, Netlist};
 use std::time::Instant;
 
 /// The compiled fault simulator bound to one (combinational) netlist and
 /// one fault list.
 ///
 /// Construction compiles the netlist once (or adopts a caller-supplied
-/// program via [`ParFaultSimulator::with_program`]), resolves every
-/// fault to its site and the stem of its fanout-free region, and builds
-/// every stem's fanout cone. Each block is then one program run for the
+/// program via [`ParFaultSimulator::with_program`]), takes the program's
+/// fanout-free regions ([`EvalProgram::fanout_regions`]: every slot's
+/// stem and every stem's fanout cone), and resolves every fault to its
+/// site and its region's stem. Each block is then one program run for the
 /// good machine, a trace of each undetected fault's path to its stem,
 /// and one sweep of the cone of each stem that some fault flips, until
 /// each of its faults has its earliest lane at an output (PPSFP,
@@ -145,8 +148,9 @@ pub struct ParFaultSimulator<'a> {
     /// The faulty machine's values: the good machine's between stem
     /// propagations.
     faulty: Vec<u64>,
-    /// The fanout cone of every stem, which each propagation sweeps.
-    cones: Cones,
+    /// Every slot's stem and every stem's fanout cone, which each
+    /// propagation sweeps.
+    regions: FanoutRegions,
     /// The local words of the region being simulated, one per live fault
     /// of the region, reused across regions and blocks.
     locals: Vec<u64>,
@@ -169,7 +173,7 @@ struct Site {
 }
 
 impl Site {
-    fn new(program: &EvalProgram, stems: &[u32], fault: Fault) -> Site {
+    fn new(program: &EvalProgram, regions: &FanoutRegions, fault: Fault) -> Site {
         let (slot, pin, net) = match fault.site {
             FaultSite::Net(n) => (n.index() as u32, None, n.index() as u32),
             FaultSite::GatePin { gate, pin } => {
@@ -182,7 +186,7 @@ impl Site {
         Site {
             slot,
             pin,
-            stem: stems[net as usize],
+            stem: regions.stem(net as usize) as u32,
             stuck_at: fault.stuck_at,
         }
     }
@@ -206,113 +210,6 @@ impl Site {
             net = program.instr(reader as usize).out as usize;
         }
         word
-    }
-}
-
-/// Every slot, each after every slot its value reaches: the gate
-/// outputs from the last instruction back, then the sources. A slot's
-/// readers write slots later in the schedule, so a walk in this order
-/// finds its readers' outputs settled.
-fn readers_first(program: &EvalProgram) -> impl Iterator<Item = usize> + '_ {
-    let outputs = (0..program.instr_count())
-        .rev()
-        .map(|i| program.instr(i).out as usize);
-    let sources = (0..program.slot_count()).filter(|&s| program.instr_of_slot(s).is_none());
-    outputs.chain(sources)
-}
-
-/// Maps every slot to the stem of its fanout-free region: the net
-/// reached by following nets that have exactly one gate reader and are
-/// not primary outputs. A net with no reader, several reader pins (one
-/// gate reading it twice included) or an output role is its own stem.
-fn stems(program: &EvalProgram) -> Vec<u32> {
-    let mut stem: Vec<u32> = (0..program.slot_count() as u32).collect();
-    for s in readers_first(program) {
-        if let [(reader, _)] = *program.readers(s) {
-            if !program.is_output(s) {
-                stem[s] = stem[program.instr(reader as usize).out as usize];
-            }
-        }
-    }
-    stem
-}
-
-/// The fanout cone of every stem: the instructions the stem's value
-/// reaches, as a [`Cone`] bitset trimmed to the words it spans, all in
-/// one arena.
-#[derive(Debug)]
-struct Cones {
-    /// Per slot, `(first_word, start, end)`: a stem's cone is the bitset
-    /// `words[start..end]`, whose word 0 covers the schedule's word
-    /// `first_word`. Empty for a slot that is no stem or has no reader.
-    spans: Vec<(u32, u32, u32)>,
-    words: Vec<u64>,
-}
-
-impl Cones {
-    /// Builds every stem's cone in [`readers_first`] order: a stem's cone
-    /// is, for each of its readers, the single-reader chain from the
-    /// reader to the writer of the next stem, ORed with that stem's cone,
-    /// which the order has already built. A first pass sizes each cone,
-    /// so the arena is allocated once.
-    fn build(program: &EvalProgram, stems: &[u32]) -> Cones {
-        let out = |i: usize| program.instr(i).out as usize;
-        let order: Vec<usize> = readers_first(program)
-            .filter(|&s| stems[s] as usize == s && !program.readers(s).is_empty())
-            .collect();
-        // Readers are in schedule order: the first one opens the cone, and
-        // the furthest next stem's writer or cone closes it.
-        let mut spans = vec![(0u32, 0u32, 0u32); program.slot_count()];
-        let mut len = 0;
-        for &s in &order {
-            let readers = program.readers(s);
-            let first = readers[0].0 as usize / 64;
-            let mut end_word = first + 1;
-            for &(r, _) in readers {
-                let next = stems[out(r as usize)] as usize;
-                let (at, start, end) = spans[next];
-                let writer = program.instr_of_slot(next).expect("a gate output");
-                end_word = end_word
-                    .max(writer / 64 + 1)
-                    .max((at + end - start) as usize);
-            }
-            spans[s] = (first as u32, len, len + (end_word - first) as u32);
-            len += (end_word - first) as u32;
-        }
-        let mut words = vec![0u64; len as usize];
-        for &s in &order {
-            let (first, start, _) = spans[s];
-            let (built, cone) = words.split_at_mut(start as usize);
-            for &(r, _) in program.readers(s) {
-                let mut i = r as usize;
-                let next = loop {
-                    cone[i / 64 - first as usize] |= 1 << (i % 64);
-                    let o = out(i);
-                    if stems[o] as usize == o {
-                        break o;
-                    }
-                    i = program.readers(o)[0].0 as usize;
-                };
-                let (at, from, to) = spans[next];
-                if from < to {
-                    let tail = &mut cone[(at - first) as usize..];
-                    for (w, &b) in tail.iter_mut().zip(&built[from as usize..to as usize]) {
-                        *w |= b;
-                    }
-                }
-            }
-        }
-        Cones { spans, words }
-    }
-
-    /// The cone of stem `stem`.
-    #[inline]
-    fn of(&self, stem: u32) -> Cone<'_> {
-        let (first_word, start, end) = self.spans[stem as usize];
-        Cone {
-            first_word: first_word as usize,
-            words: &self.words[start as usize..end as usize],
-        }
     }
 }
 
@@ -386,14 +283,13 @@ impl<'a> ParFaultSimulator<'a> {
             faults.len() <= u32::MAX as usize,
             "fault list exceeds u32 index space"
         );
-        let stems = stems(&program);
+        let regions = program.fanout_regions();
         let sites: Vec<Site> = faults
             .iter()
-            .map(|&f| Site::new(&program, &stems, f))
+            .map(|&f| Site::new(&program, &regions, f))
             .collect();
         let n = faults.len();
         let undetected = stem_order(&sites, program.slot_count());
-        let cones = Cones::build(&program, &stems);
         let good = program.new_values();
         ParFaultSimulator {
             netlist,
@@ -404,7 +300,7 @@ impl<'a> ParFaultSimulator<'a> {
             undetected,
             faulty: good.clone(),
             good,
-            cones,
+            regions,
             locals: Vec::new(),
             patterns_applied: 0,
             stats: SimStats::default(),
@@ -464,7 +360,7 @@ impl<'a> ParFaultSimulator<'a> {
                 &mut self.faulty,
                 stem as usize,
                 self.good[stem as usize] ^ flip,
-                self.cones.of(stem),
+                self.regions.cone(stem as usize),
                 first,
             );
             gate_evals += evals;
@@ -565,125 +461,6 @@ mod tests {
         b.output_word("s", &s);
         b.output("co", co);
         b.finish().unwrap()
-    }
-
-    #[test]
-    fn stems_follow_single_reader_non_output_nets() {
-        use bibs_netlist::GateKind;
-        let mut b = NetlistBuilder::new("ffr");
-        let a = b.input("a");
-        let c = b.input("b");
-        let d = b.input("d");
-        let g1 = b.and2(c, d); // sole reader g2: inner
-        let g2 = b.or2(g1, a); // an output that g3 also reads: a stem
-        let g3 = b.not(g2); // sole reader g4: inner
-        let g4 = b.and2(g3, a); // read twice by g5: a stem
-        let g5 = b.gate(GateKind::Xor, &[g4, g4, a]);
-        let dead = b.not(c); // no reader: a stem
-        b.output("g2", g2);
-        b.output("g5", g5);
-        b.output("d", d);
-        let nl = b.finish().unwrap();
-        let program = EvalProgram::compile(&nl).unwrap();
-        let stem = stems(&program);
-        let of = |n: bibs_netlist::NetId| stem[n.index()] as usize;
-        assert_eq!(of(g1), g2.index());
-        assert_eq!(of(c), c.index(), "read by g1 and the dead NOT");
-        assert_eq!(of(d), d.index(), "a primary input that is an output");
-        assert_eq!(of(a), a.index());
-        assert_eq!(of(g2), g2.index());
-        assert_eq!(of(g3), g4.index());
-        assert_eq!(of(g4), g4.index());
-        assert_eq!(of(g5), g5.index());
-        assert_eq!(of(dead), dead.index());
-
-        // Against a step-by-step walk on a multi-region circuit.
-        let mut b = NetlistBuilder::new("mul4");
-        let x = b.input_word("a", 4);
-        let y = b.input_word("b", 4);
-        let p = b.array_multiplier(&x, &y, 8);
-        b.output_word("p", &p);
-        let nl = b.finish().unwrap();
-        let program = EvalProgram::compile(&nl).unwrap();
-        let stem = stems(&program);
-        for (slot, &got) in stem.iter().enumerate() {
-            let mut net = slot;
-            while let [(reader, _)] = *program.readers(net) {
-                if program.is_output(net) {
-                    break;
-                }
-                net = program.instr(reader as usize).out as usize;
-            }
-            assert_eq!(got as usize, net, "slot {slot}");
-        }
-    }
-
-    /// Shared fanout, a constant, reconvergence, a primary output that a
-    /// gate also reads, and a stem with no reader.
-    fn shared_fanout() -> Netlist {
-        use bibs_netlist::GateKind;
-        let mut b = NetlistBuilder::new("events");
-        let a = b.input("a");
-        let c = b.input("b");
-        let d = b.input("d");
-        let one = b.const1();
-        let y0 = b.and2(a, c);
-        let y1 = b.or2(a, one);
-        let y2 = b.gate(GateKind::Xor, &[y0, y1]);
-        let y3 = b.gate(GateKind::Nand, &[y2, d, a]);
-        let y4 = b.not(y0);
-        b.output("y2", y2);
-        b.output("y0", y0);
-        b.output("y3", y3);
-        b.output("y4", y4);
-        b.finish().unwrap()
-    }
-
-    /// A 5×5 array multiplier: over 64 instructions, so cones span
-    /// several words.
-    fn multiplier5() -> Netlist {
-        let mut b = NetlistBuilder::new("mul5");
-        let a = b.input_word("a", 5);
-        let c = b.input_word("b", 5);
-        let p = b.array_multiplier(&a, &c, 10);
-        b.output_word("p", &p);
-        b.finish().unwrap()
-    }
-
-    #[test]
-    fn each_stem_cone_is_the_closure_of_its_readers_trimmed_to_its_words() {
-        for nl in [adder4(), shared_fanout(), multiplier5()] {
-            let program = EvalProgram::compile(&nl).unwrap();
-            let stem = stems(&program);
-            let cones = Cones::build(&program, &stem);
-            let mut spanned = 0;
-            for s in (0..program.slot_count()).filter(|&s| stem[s] as usize == s) {
-                // The transitive closure of the readers, breadth first, as
-                // a bitset trimmed to the words it spans.
-                let mut reach = vec![0u64; program.instr_count().div_ceil(64)];
-                let mut queue = std::collections::VecDeque::from([s]);
-                while let Some(slot) = queue.pop_front() {
-                    for &(r, _) in program.readers(slot) {
-                        let (w, bit) = (r as usize / 64, 1u64 << (r % 64));
-                        if reach[w] & bit == 0 {
-                            reach[w] |= bit;
-                            queue.push_back(program.instr(r as usize).out as usize);
-                        }
-                    }
-                }
-                let first = reach.iter().position(|&w| w != 0).unwrap_or(0);
-                let end = reach.iter().rposition(|&w| w != 0).map_or(0, |w| w + 1);
-                let want = Cone {
-                    first_word: first,
-                    words: &reach[first..end],
-                };
-                assert_eq!(cones.of(s as u32), want, "{} stem {s}", nl.name());
-                spanned = spanned.max(want.words.len());
-            }
-            if nl.name() == "mul5" {
-                assert!(spanned > 1, "no cone spans several words");
-            }
-        }
     }
 
     #[test]

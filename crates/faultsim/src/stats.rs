@@ -33,8 +33,8 @@ pub struct SimStats {
     /// engine traces each one to its fanout-free region's stem; the
     /// reference interpreter runs its whole faulty machine.
     pub fault_evals: u64,
-    /// Stem propagations of the compiled engine: per block, one
-    /// event-driven run for each fanout-free region's stem that a live
+    /// Stem propagations of the compiled engine: per block, one sweep
+    /// of the fanout cone of each fanout-free region's stem that a live
     /// fault flips, shared by the region's faults. Zero for the
     /// reference interpreter.
     pub stem_evals: u64,
@@ -61,17 +61,6 @@ pub struct SimStats {
     /// one whole program per fault and block, so it counts many times
     /// more for the same report.
     pub gate_evals: u64,
-    /// Size of the fault universe the run accounts for (before the
-    /// observability split). Zero when the caller did not run the
-    /// pre-analysis pipeline.
-    pub universe_faults: u64,
-    /// Faults actually handed to the simulation engine (the observable
-    /// ones). Equals `universe_faults` when no pre-analysis ran.
-    pub simulated_faults: u64,
-    /// Wall-clock time spent before simulation: the Table 2 pipeline
-    /// times the compile to the evaluation IR plus the observability
-    /// split. Zero when no pre-analysis ran.
-    pub analysis_wall: Duration,
 }
 
 impl SimStats {
@@ -80,10 +69,7 @@ impl SimStats {
     /// the block-evaluation time, plus the moment the recording itself
     /// takes. `patterns` is the run's
     /// [`patterns_applied`](crate::sim::FaultSimReport::patterns_applied),
-    /// recorded as [`CounterId::PatternsConsumed`]. The pre-analysis
-    /// fields ([`SimStats::universe_faults`],
-    /// [`SimStats::simulated_faults`], [`SimStats::analysis_wall`])
-    /// belong to the pipeline's own spans and are not recorded here. A
+    /// recorded as [`CounterId::PatternsConsumed`]. A
     /// [`Recorder::disabled`] recorder records nothing.
     pub fn record(&self, label: &str, patterns: u64, rec: &mut Recorder) {
         let span = rec.enter(label);
@@ -120,11 +106,10 @@ impl SimStats {
     ///
     /// Each of the 64 lanes carries an independent pattern, so the
     /// per-pattern gate throughput is 64× this number. This is a rate of
-    /// work, not of results: a stem propagation evaluates only the
-    /// instructions the flipped stem reaches, and each costs a bitset
-    /// pop, a comparison with the good value and reader scheduling on
-    /// top of the gate itself, so a run that finishes sooner can show a
-    /// lower rate. Compare runs by wall time or
+    /// work, not of results: a stem propagation sweeps the instructions
+    /// of the stem's fanout cone, whether or not a difference reaches
+    /// each, so a run that evaluates fewer instructions for the same
+    /// report can show a lower rate. Compare runs by wall time or
     /// [`SimStats::fault_evals_per_second`], not by this rate.
     pub fn gate_evals_per_second(&self) -> f64 {
         let secs = self.wall.as_secs_f64();
@@ -132,27 +117,6 @@ impl SimStats {
             return 0.0;
         }
         self.gate_evals as f64 / secs
-    }
-
-    /// Fraction of the fault universe that was actually simulated
-    /// (`simulated_faults / universe_faults`) — the end-to-end shrink from
-    /// the observability split plus static-untestability skipping.
-    ///
-    /// Always a finite value in `0.0..=1.0`: a zero-fault universe (no
-    /// pre-analysis, or a kernel with literally nothing to test) reports
-    /// 1.0 rather than `NaN`/`∞`, and an inconsistent
-    /// `simulated > universe` pair is clamped to 1.0. Pinned by the
-    /// degenerate-case tests below.
-    pub fn collapse_ratio(&self) -> f64 {
-        if self.universe_faults == 0 {
-            return 1.0;
-        }
-        let r = self.simulated_faults as f64 / self.universe_faults as f64;
-        if r.is_finite() {
-            r.min(1.0)
-        } else {
-            1.0
-        }
     }
 }
 
@@ -170,18 +134,7 @@ impl fmt::Display for SimStats {
             self.gate_evals_per_second(),
             self.faults_dropped,
             self.wall.as_secs_f64() * 1e3
-        )?;
-        if self.universe_faults > 0 {
-            write!(
-                f,
-                "; {}/{} faults simulated (collapse {:.3}, analysis {:.2} ms)",
-                self.simulated_faults,
-                self.universe_faults,
-                self.collapse_ratio(),
-                self.analysis_wall.as_secs_f64() * 1e3
-            )?;
-        }
-        Ok(())
+        )
     }
 }
 
@@ -212,28 +165,6 @@ mod tests {
         let line = s.to_string();
         assert!(line.starts_with("0 block(s), 0 fault evals (0/s)"));
         assert!(line.contains("gate evals"));
-        assert!(
-            !line.contains("collapse"),
-            "analysis block hidden without a universe"
-        );
-    }
-
-    #[test]
-    fn degenerate_universes_clamp_collapse_ratio() {
-        // Zero-fault universe: defined, not NaN.
-        let mut s = SimStats::default();
-        assert_eq!(s.collapse_ratio(), 1.0);
-        assert!(s.collapse_ratio().is_finite());
-        // Simulated > universe (inconsistent caller): clamped to 1.0.
-        s.universe_faults = 10;
-        s.simulated_faults = 20;
-        assert_eq!(s.collapse_ratio(), 1.0);
-        // Normal case untouched.
-        s.simulated_faults = 5;
-        assert!((s.collapse_ratio() - 0.5).abs() < 1e-12);
-        // Display of a fully degenerate stats value never panics.
-        let line = SimStats::default().to_string();
-        assert!(line.contains("0 block(s)"));
     }
 
     #[test]
@@ -249,9 +180,6 @@ mod tests {
             faults_retired: 1,
             wall: Duration::from_millis(5),
             gate_evals: 150,
-            universe_faults: 40,
-            simulated_faults: 30,
-            analysis_wall: Duration::from_millis(2),
         };
         let mut rec = Recorder::new("kernel 0");
         stats.record("fault-sim[par]", 320, &mut rec);
@@ -276,19 +204,5 @@ mod tests {
         let mut off = Recorder::disabled();
         stats.record("fault-sim[par]", 320, &mut off);
         assert!(off.aggregate().is_zero());
-    }
-
-    #[test]
-    fn collapse_ratio_and_display_with_universe() {
-        let mut s = SimStats::default();
-        assert_eq!(s.collapse_ratio(), 1.0, "no pre-analysis");
-        s.universe_faults = 200;
-        s.simulated_faults = 120;
-        s.analysis_wall = Duration::from_millis(2);
-        assert!((s.collapse_ratio() - 0.6).abs() < 1e-9);
-        let line = s.to_string();
-        assert!(line.contains("120/200 faults simulated"));
-        assert!(line.contains("collapse 0.600"));
-        assert!(line.contains("analysis 2.00 ms"));
     }
 }

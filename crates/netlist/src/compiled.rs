@@ -27,7 +27,11 @@
 //!   sweep of that slot's fanout [`Cone`] ([`EvalProgram::sweep`]).
 //!   Beside the evaluation body sits the gate rule of critical-path tracing
 //!   ([`EvalProgram::sensitization`]): the lanes in which one flipped
-//!   operand flips an instruction's output.
+//!   operand flips an instruction's output;
+//! * the **fanout-free regions** that tracing rests on
+//!   ([`EvalProgram::fanout_regions`]): every slot's stem and every stem's
+//!   fanout [`Cone`], built in one walk of the slots readers first
+//!   ([`EvalProgram::readers_first`]).
 //!
 //! *Slots* are net indices: slot `i` of a value buffer holds the 64-lane
 //! word of net `NetId::from_index(i)`. This keeps the compiled engine
@@ -181,6 +185,55 @@ pub struct Cone<'a> {
     pub first_word: usize,
     /// The bitset's words.
     pub words: &'a [u64],
+}
+
+/// The fanout-free regions of an [`EvalProgram`], built by
+/// [`EvalProgram::fanout_regions`]: every slot's stem and every stem's
+/// fanout [`Cone`], all cones in one arena.
+///
+/// A fanout-free region is a maximal tree whose inner nets each have
+/// exactly one gate reader and are not primary outputs; its root net is
+/// the region's *stem*. A net with no reader, several reader pins (one
+/// gate reading it twice included) or an output role is its own stem.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct FanoutRegions {
+    /// Per slot, the stem of its region.
+    stem: Vec<u32>,
+    /// Per slot, `(first_word, start, end)`: a stem's cone is the bitset
+    /// `words[start..end]`, whose word 0 covers the schedule's word
+    /// `first_word`. Empty for a slot that is no stem or has no reader.
+    spans: Vec<(u32, u32, u32)>,
+    /// Every cone, each after the cones of the stems its readers reach.
+    words: Vec<u64>,
+}
+
+impl FanoutRegions {
+    /// The stem of `slot`'s region: the net reached by following nets
+    /// that have exactly one gate reader and are not primary outputs.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `slot` is not a slot of the program.
+    #[inline]
+    pub fn stem(&self, slot: usize) -> usize {
+        self.stem[slot] as usize
+    }
+
+    /// The fanout cone of `stem`: every instruction its value reaches, so
+    /// [`EvalProgram::sweep`] may force `stem` over it. Empty for a stem
+    /// with no reader, and for a slot that is no stem.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `stem` is not a slot of the program.
+    #[inline]
+    pub fn cone(&self, stem: usize) -> Cone<'_> {
+        let (first_word, start, end) = self.spans[stem];
+        Cone {
+            first_word: first_word as usize,
+            words: &self.words[start as usize..end as usize],
+        }
+    }
 }
 
 impl EvalProgram {
@@ -377,10 +430,10 @@ impl EvalProgram {
     /// This is the reader-side dual of [`EvalProgram::instr_of_slot`],
     /// compiled once per program (one entry per operand): analysis passes
     /// use it to count fanout branches and to enumerate a net's
-    /// observation paths without re-walking the [`Netlist`], and the fault
-    /// simulator to build the fanout [`Cone`]s it sweeps. Primary-output
-    /// and flip-flop-D reads are *not*
-    /// included — see [`EvalProgram::output_slots`] /
+    /// observation paths without re-walking the [`Netlist`], and
+    /// [`EvalProgram::fanout_regions`] to build the fanout [`Cone`]s the
+    /// fault simulator sweeps. Primary-output and flip-flop-D reads are
+    /// *not* included — see [`EvalProgram::output_slots`] /
     /// [`EvalProgram::dff_slots`].
     ///
     /// # Panics
@@ -592,6 +645,85 @@ impl EvalProgram {
             }
         }
         (diff, evaluated as u64, stopped)
+    }
+
+    /// Every slot once, each after the output slot of every instruction
+    /// that reads it: the gate outputs from the last instruction back,
+    /// then the sources. A slot's readers write slots later in the
+    /// schedule, so a walk in this order finds its readers' outputs
+    /// settled.
+    pub fn readers_first(&self) -> impl Iterator<Item = usize> + '_ {
+        let outputs = self.out_slot.iter().rev().map(|&s| s as usize);
+        let sources = (0..self.slot_count).filter(|&s| self.instr_of_slot[s] == NO_INSTR);
+        outputs.chain(sources)
+    }
+
+    /// The program's fanout-free regions: every slot's stem and every
+    /// stem's fanout cone, each cone exactly what [`EvalProgram::sweep`]
+    /// needs to force its stem.
+    ///
+    /// One walk in [`EvalProgram::readers_first`] order settles each
+    /// slot's stem: a slot with one reader pin that is no primary output
+    /// takes the stem of its reader's output. The same walk sizes the cone
+    /// of each stem with readers and lists those stems. Readers are in
+    /// schedule order, so the cone opens at the first one's word and
+    /// closes at the furthest next stem's writer or cone, already sized.
+    /// The arena is then allocated once, at its summed size, and filled
+    /// in the listed order: for each reader, the single-reader chain to
+    /// the next stem, ORed with that stem's cone, which is already filled.
+    pub fn fanout_regions(&self) -> FanoutRegions {
+        let mut stem: Vec<u32> = (0..self.slot_count as u32).collect();
+        let mut spans = vec![(0u32, 0u32, 0u32); self.slot_count];
+        let mut listed = Vec::new();
+        let mut len = 0;
+        for s in self.readers_first() {
+            let readers = self.readers(s);
+            if let [(reader, _)] = *readers {
+                if !self.is_output[s] {
+                    stem[s] = stem[self.out_slot[reader as usize] as usize];
+                    continue;
+                }
+            }
+            let Some(&(first, _)) = readers.first() else {
+                continue;
+            };
+            let first = first / 64;
+            let mut end = first + 1;
+            for &(r, _) in readers {
+                let next = stem[self.out_slot[r as usize] as usize] as usize;
+                let (at, from, to) = spans[next];
+                end = end
+                    .max(self.instr_of_slot[next] / 64 + 1)
+                    .max(at + to - from);
+            }
+            spans[s] = (first, len, len + end - first);
+            len += end - first;
+            listed.push(s);
+        }
+        let mut words = vec![0u64; len as usize];
+        for &s in &listed {
+            let (first, start, _) = spans[s];
+            let (filled, cone) = words.split_at_mut(start as usize);
+            for &(r, _) in self.readers(s) {
+                let mut i = r as usize;
+                let next = loop {
+                    cone[i / 64 - first as usize] |= 1 << (i % 64);
+                    let out = self.out_slot[i] as usize;
+                    if stem[out] as usize == out {
+                        break out;
+                    }
+                    i = self.readers(out)[0].0 as usize;
+                };
+                let (at, from, to) = spans[next];
+                if from < to {
+                    let tail = &mut cone[(at - first) as usize..];
+                    for (w, &b) in tail.iter_mut().zip(&filled[from as usize..to as usize]) {
+                        *w |= b;
+                    }
+                }
+            }
+        }
+        FanoutRegions { stem, spans, words }
     }
 
     /// Builds the patch-point for a stuck-at fault on `net`.
@@ -1260,6 +1392,107 @@ mod tests {
         }
         for (slot, want) in expect.iter().enumerate() {
             assert_eq!(prog.readers(slot), &want[..], "slot {slot}");
+        }
+    }
+
+    #[test]
+    fn readers_first_lists_every_slot_once_after_its_readers() {
+        // An unread input and a constant beside the sweep fixtures.
+        let mut b = NetlistBuilder::new("unread");
+        let a = b.input("a");
+        b.input("u");
+        let one = b.const1();
+        let y = b.and2(a, one);
+        b.output("y", y);
+        let unread = b.finish().unwrap();
+        for nl in sweep_fixtures().into_iter().chain([unread]) {
+            let prog = EvalProgram::compile(&nl).unwrap();
+            let mut at = vec![None; prog.slot_count()];
+            for (k, s) in prog.readers_first().enumerate() {
+                assert!(at[s].is_none(), "{} lists slot {s} twice", nl.name());
+                at[s] = Some(k);
+            }
+            for (s, &k) in at.iter().enumerate() {
+                let k = k.unwrap_or_else(|| panic!("{} omits slot {s}", nl.name()));
+                for &(r, _) in prog.readers(s) {
+                    let out = prog.instr(r as usize).out as usize;
+                    assert!(
+                        at[out] < Some(k),
+                        "{} lists slot {s} before its reader's output {out}",
+                        nl.name()
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn stems_follow_single_reader_non_output_nets() {
+        let mut b = NetlistBuilder::new("ffr");
+        let a = b.input("a");
+        let c = b.input("b");
+        let d = b.input("d");
+        let g1 = b.and2(c, d); // sole reader g2: inner
+        let g2 = b.or2(g1, a); // an output that g3 also reads: a stem
+        let g3 = b.not(g2); // sole reader g4: inner
+        let g4 = b.and2(g3, a); // read twice by g5: a stem
+        let g5 = b.gate(GateKind::Xor, &[g4, g4, a]);
+        let dead = b.not(c); // no reader: a stem
+        b.output("g2", g2);
+        b.output("g5", g5);
+        b.output("d", d);
+        let nl = b.finish().unwrap();
+        let regions = EvalProgram::compile(&nl).unwrap().fanout_regions();
+        let of = |n: NetId| regions.stem(n.index());
+        assert_eq!(of(g1), g2.index());
+        assert_eq!(of(c), c.index(), "read by g1 and the dead NOT");
+        assert_eq!(of(d), d.index(), "a primary input that is an output");
+        assert_eq!(of(a), a.index());
+        assert_eq!(of(g2), g2.index());
+        assert_eq!(of(g3), g4.index());
+        assert_eq!(of(g4), g4.index());
+        assert_eq!(of(g5), g5.index());
+        assert_eq!(of(dead), dead.index());
+
+        // Against a step-by-step walk on a multi-region circuit.
+        let mut b = NetlistBuilder::new("mul4");
+        let x = b.input_word("a", 4);
+        let y = b.input_word("b", 4);
+        let p = b.array_multiplier(&x, &y, 8);
+        b.output_word("p", &p);
+        let nl = b.finish().unwrap();
+        let prog = EvalProgram::compile(&nl).unwrap();
+        let regions = prog.fanout_regions();
+        for slot in 0..prog.slot_count() {
+            let mut net = slot;
+            while let [(reader, _)] = *prog.readers(net) {
+                if prog.is_output(net) {
+                    break;
+                }
+                net = prog.instr(reader as usize).out as usize;
+            }
+            assert_eq!(regions.stem(slot), net, "slot {slot}");
+        }
+    }
+
+    #[test]
+    fn each_stem_cone_is_the_closure_of_its_readers_trimmed_to_its_words() {
+        for nl in sweep_fixtures() {
+            let prog = EvalProgram::compile(&nl).unwrap();
+            let regions = prog.fanout_regions();
+            let mut spanned = 0;
+            for s in (0..prog.slot_count()).filter(|&s| regions.stem(s) == s) {
+                let (first_word, words) = bfs_cone(&prog, s);
+                let want = Cone {
+                    first_word,
+                    words: &words,
+                };
+                assert_eq!(regions.cone(s), want, "{} stem {s}", nl.name());
+                spanned = spanned.max(words.len());
+            }
+            if nl.name() == "mul5" {
+                assert!(spanned > 1, "no cone spans several words");
+            }
         }
     }
 

@@ -44,7 +44,7 @@ pub mod verilog;
 
 mod netlist;
 
-pub use compiled::{Cone, EvalProgram, Instr, Patch};
+pub use compiled::{Cone, EvalProgram, FanoutRegions, Instr, Patch};
 pub use netlist::{
     Dff, DffId, Gate, GateId, GateKind, Net, NetDriver, NetId, Netlist, NetlistError,
 };

@@ -107,9 +107,9 @@ pub enum CounterId {
     /// Faults the implication check proved redundant, with no PODEM
     /// search.
     ImpliedRedundant,
-    /// Stem propagations: event-driven runs of a fanout-free region's
-    /// flipped stem, at most one per region per block, shared by every
-    /// live fault of the region whose effect reaches the stem. The
+    /// Stem propagations: sweeps of the fanout cone of a fanout-free
+    /// region's flipped stem, at most one per region per block, shared by
+    /// every live fault of the region whose effect reaches the stem. The
     /// reference interpreter runs whole faulty machines and records none.
     StemEvals,
     /// Blocks an engine counted without pulling them: once no fault is
@@ -118,9 +118,9 @@ pub enum CounterId {
     /// nonzero, so runs that skip nothing keep their telemetry unchanged.
     BlocksSkipped,
     /// Stem propagations (see [`CounterId::StemEvals`]) that returned
-    /// early with instructions still pending: every fault of the region
+    /// early with cone instructions left: every fault of the region
     /// already saw its lowest flipped lane at an output, so no later
-    /// event could move a detection.
+    /// instruction could move a detection.
     StemStops,
 }
 
