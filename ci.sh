@@ -337,8 +337,9 @@ step "fuzz smoke (200 seeded cases through the four differential oracles)"
 # corpus/regressions/ and fails the run. Oracle 3 (podem) checks every
 # PODEM verdict against exhaustive simulation in release, where PODEM's
 # debug-build implication check is compiled out. Oracle 4 (retire)
-# requires a run that retires PODEM-proved faults mid-run to reproduce
-# the plain run.
+# requires a run that retires the faults Table 2's prover proves
+# redundant mid-run (the implication check, then PODEM for what it
+# leaves undecided) to reproduce the plain run.
 timeout 300 cargo run --release -p bibs-corpus --bin bibs-fuzz -- --smoke \
   --cases 200 | tee /tmp/bibs-fuzz-smoke.txt
 grep -q "0 divergence(s)" /tmp/bibs-fuzz-smoke.txt

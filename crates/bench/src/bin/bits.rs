@@ -47,7 +47,7 @@ use bibs_core::verify::verify_exhaustive_traced;
 use bibs_lfsr::bilbo::AreaModel;
 use bibs_lint::{lint_circuit, lint_design, LintConfig, Severity};
 use bibs_obs::Recorder;
-use bibs_rtl::{Circuit, VertexKind};
+use bibs_rtl::Circuit;
 use std::process::ExitCode;
 
 /// Prints a one-line usage error and exits with status 2.
@@ -199,11 +199,7 @@ fn run(
     // 2. Kernels and schedule.
     let ks: Vec<_> = kernels(&circuit, &design)
         .into_iter()
-        .filter(|k| {
-            k.vertices
-                .iter()
-                .any(|&v| circuit.vertex(v).kind == VertexKind::Logic)
-        })
+        .filter(|k| k.has_logic(&circuit))
         .collect();
     let sessions = schedule_traced(&design, &ks, rec);
     println!(

@@ -10,7 +10,6 @@ use bibs_core::delay::maximal_delay;
 use bibs_core::design::kernels;
 use bibs_core::schedule::schedule;
 use bibs_datapath::filters::c5a2m;
-use bibs_rtl::VertexKind;
 
 fn main() {
     let circuit = c5a2m();
@@ -30,11 +29,7 @@ fn main() {
         let r = select(&circuit, &options).expect("selectable");
         let ks: Vec<_> = kernels(&r.circuit, &r.design)
             .into_iter()
-            .filter(|k| {
-                k.vertices
-                    .iter()
-                    .any(|&v| r.circuit.vertex(v).kind == VertexKind::Logic)
-            })
+            .filter(|k| k.has_logic(&r.circuit))
             .collect();
         let sessions = schedule(&r.design, &ks);
         // Exhaustive test time: sessions run serially, kernels of a

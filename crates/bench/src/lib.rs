@@ -37,7 +37,7 @@ use bibs_faultsim::source::{
 use bibs_faultsim::stats::SimStats;
 use bibs_netlist::EvalProgram;
 use bibs_obs::{CounterId, Recorder, TraceMode};
-use bibs_rtl::{Circuit, VertexKind};
+use bibs_rtl::Circuit;
 use std::collections::HashSet;
 use std::time::{Duration, Instant};
 
@@ -473,11 +473,7 @@ pub fn apply_tdm(circuit: &Circuit, tdm: Tdm) -> (Circuit, BilboDesign, Vec<Kern
     };
     let ks: Vec<Kernel> = kernels(&circuit, &design)
         .into_iter()
-        .filter(|k| {
-            k.vertices
-                .iter()
-                .any(|&v| circuit.vertex(v).kind == VertexKind::Logic)
-        })
+        .filter(|k| k.has_logic(&circuit))
         .collect();
     (circuit, design, ks)
 }

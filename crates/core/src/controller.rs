@@ -128,7 +128,6 @@ mod tests {
     use crate::ka85;
     use crate::schedule::schedule;
     use bibs_datapath::filters::c5a2m;
-    use bibs_rtl::VertexKind;
 
     #[test]
     fn controller_covers_all_sessions() {
@@ -136,11 +135,7 @@ mod tests {
         let design = ka85::select(&c).unwrap();
         let ks: Vec<_> = kernels(&c, &design)
             .into_iter()
-            .filter(|k| {
-                k.vertices
-                    .iter()
-                    .any(|&v| c.vertex(v).kind == VertexKind::Logic)
-            })
+            .filter(|k| k.has_logic(&c))
             .collect();
         let sessions = schedule(&design, &ks);
         let patterns: Vec<u64> = ks.iter().map(|_| 100).collect();

@@ -84,6 +84,15 @@ pub struct Kernel {
 }
 
 impl Kernel {
+    /// Whether the kernel holds a logic block: the kernels a test session
+    /// covers. A kernel of fanout and vacuous vertices only has nothing
+    /// to test.
+    pub fn has_logic(&self, circuit: &Circuit) -> bool {
+        self.vertices
+            .iter()
+            .any(|&v| circuit.vertex(v).kind == VertexKind::Logic)
+    }
+
     /// Total input width (sum of input register widths) — the `M` of the
     /// paper's test-time formula `2^M − 1 + d`.
     pub fn input_width(&self, circuit: &Circuit) -> u32 {

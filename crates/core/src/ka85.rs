@@ -214,11 +214,7 @@ mod tests {
         // One kernel per adder/multiplier: 7.
         let ks: Vec<_> = kernels(&c, &design)
             .into_iter()
-            .filter(|k| {
-                k.vertices
-                    .iter()
-                    .any(|&v| c.vertex(v).kind == VertexKind::Logic)
-            })
+            .filter(|k| k.has_logic(&c))
             .collect();
         assert_eq!(ks.len(), 7, "Table 2 row 1 for [3]");
     }
@@ -230,11 +226,7 @@ mod tests {
         assert_eq!(design.register_count(), 15, "Table 2 row 3 for [3]");
         let ks: Vec<_> = kernels(&c, &design)
             .into_iter()
-            .filter(|k| {
-                k.vertices
-                    .iter()
-                    .any(|&v| c.vertex(v).kind == VertexKind::Logic)
-            })
+            .filter(|k| k.has_logic(&c))
             .collect();
         assert_eq!(ks.len(), 5, "Table 2 row 1 for [3]");
     }
@@ -246,11 +238,7 @@ mod tests {
         assert_eq!(design.register_count(), 20, "Table 2 row 3 for [3]");
         let ks: Vec<_> = kernels(&c, &design)
             .into_iter()
-            .filter(|k| {
-                k.vertices
-                    .iter()
-                    .any(|&v| c.vertex(v).kind == VertexKind::Logic)
-            })
+            .filter(|k| k.has_logic(&c))
             .collect();
         // The paper reports 7 kernels; our reconstruction yields 6 because
         // each adder-output register feeds two multipliers through a

@@ -181,11 +181,7 @@ mod tests {
         let design = ka85::select(&c).unwrap();
         let ks: Vec<_> = kernels(&c, &design)
             .into_iter()
-            .filter(|k| {
-                k.vertices
-                    .iter()
-                    .any(|&v| c.vertex(v).kind == VertexKind::Logic)
-            })
+            .filter(|k| k.has_logic(&c))
             .collect();
         assert_eq!(ks.len(), 7);
         let sessions = schedule(&design, &ks);

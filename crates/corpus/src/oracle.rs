@@ -20,12 +20,14 @@
 //!    implication check is off. Every fault the
 //!    [`ImplicationCheck`] proves redundant must stay undetected too,
 //!    and PODEM must find no test for it.
-//! 4. **Retire** — a run whose driver hands its live faults to PODEM
-//!    after [`PROVE_AFTER`](bibs_faultsim::sim::PROVE_AFTER) patterns
-//!    without a detection, and stops simulating the ones proved
-//!    redundant, must reproduce the plain run's report bit for bit and
-//!    count its blocks, the ones it skips once no fault is live included
-//!    — the check behind `table2`'s mid-run retirement.
+//! 4. **Retire** — a run whose driver hands its live faults to Table 2's
+//!    prover ([`Verdicts`]: the implication check first, then PODEM for
+//!    the faults it leaves undecided) after
+//!    [`PROVE_AFTER`](bibs_faultsim::sim::PROVE_AFTER) patterns without a
+//!    detection, and stops simulating the ones proved redundant, must
+//!    reproduce the plain run's report bit for bit and count its blocks,
+//!    the ones it skips once no fault is live included — the check
+//!    behind `table2`'s mid-run retirement.
 //!
 //! Oracles 2 and 3 need exhaustive simulation and only run when the
 //! circuit has at most [`EXHAUSTIVE_PI_LIMIT`] primary-input bits; 1 and
@@ -71,7 +73,8 @@ pub enum Oracle {
     Prover,
     /// PODEM verdicts vs exhaustive simulation.
     Podem,
-    /// Runs that retire PODEM-proved faults vs plain runs.
+    /// Runs that retire the faults the implication check or PODEM proves
+    /// redundant vs plain runs.
     Retire,
 }
 
@@ -186,14 +189,14 @@ pub fn check_eval(nl: &Netlist, program: &EvalProgram, seed: u64) -> Vec<Diverge
     Vec::new()
 }
 
-/// Oracle 4: retiring PODEM-proved faults mid-run is report-invisible.
-/// A plain run and a run whose prover is PODEM at Table 2's backtrack
-/// limit draw the same seeded stream and must agree on detection,
-/// `patterns_applied` and the blocks counted, the blocks the proving run
-/// skipped once no fault was live included.
-/// Like Table 2, the runs simulate only the faults with a path to an
-/// output: PODEM can prove an unobservable fault redundant only by
-/// exhausting every assignment that activates it.
+/// Oracle 4: retiring proved-redundant faults mid-run is
+/// report-invisible. A plain run and a run whose prover is Table 2's
+/// ([`Verdicts`]: the implication check, then PODEM at Table 2's
+/// backtrack limit for the faults the check leaves undecided) draw the
+/// same seeded stream and must agree on detection, `patterns_applied` and
+/// the blocks counted, the blocks the proving run skipped once no fault
+/// was live included. Like Table 2, the runs simulate only the faults
+/// with a path to an output.
 pub fn check_retire(nl: &Netlist, program: &EvalProgram, seed: u64) -> Vec<Divergence> {
     let (faults, _) = FaultUniverse::collapsed(nl).split_by_observability(program);
     if faults.is_empty() {

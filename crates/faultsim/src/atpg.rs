@@ -35,7 +35,7 @@
 //!   and test vector, the same as that scan's. Debug builds repeat the
 //!   scan over every gate and require the same pick.
 
-use crate::fault::{Fault, FaultSite};
+use crate::fault::{Fault, Location};
 use crate::implication::ImplicationCheck;
 use bibs_netlist::analysis::{eval_tv, Scoap, Tv};
 use bibs_netlist::{EvalProgram, NetDriver, NetId, Netlist};
@@ -90,15 +90,6 @@ impl Classification {
     }
 }
 
-/// Where the loaded fault forces the faulty machine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Forced {
-    /// A net fault: the faulty machine holds the stuck value in this slot.
-    Slot(usize),
-    /// A pin fault: only this operand of this instruction reads it.
-    Pin { instr: usize, pin: usize },
-}
-
 /// A PODEM test generator bound to one combinational netlist.
 ///
 /// [`Atpg::generate`] loads a fault with one whole-program ternary sweep
@@ -119,10 +110,12 @@ pub struct Atpg<'a> {
     scoap: Scoap,
     good: Vec<Tv>,
     faulty: Vec<Tv>,
-    /// The loaded fault's stuck value and site (placeholders until
-    /// [`Atpg::generate`] loads one).
+    /// The loaded fault's stuck value and where it acts (placeholders
+    /// until [`Atpg::generate`] loads one). A net fault holds `at.slot`
+    /// at the stuck value in the faulty machine; a pin fault forces only
+    /// its operand of its instruction.
     stuck: Tv,
-    forced: Forced,
+    at: Location,
     /// The assignment `good` and `faulty` are the implication of.
     implied: Vec<Option<bool>>,
     /// Instructions awaiting re-evaluation, one bit each; all clear
@@ -163,7 +156,11 @@ impl<'a> Atpg<'a> {
             good: vec![Tv::X; slots],
             faulty: vec![Tv::X; slots],
             stuck: Tv::X,
-            forced: Forced::Slot(usize::MAX),
+            at: Location {
+                slot: usize::MAX,
+                pin: None,
+                out: usize::MAX,
+            },
             implied: vec![None; netlist.input_width()],
             pending: vec![0; program.instr_count().div_ceil(64)],
             cone: Vec::new(),
@@ -266,23 +263,15 @@ impl<'a> Atpg<'a> {
         }
     }
 
-    /// Loads `fault`: resolves its site, implies the empty assignment with
-    /// one whole-program sweep and collects the fault's fanout cone — the
-    /// readers reachable from the faulty net, or from the faulted gate's
-    /// output for a pin fault.
+    /// Loads `fault`: locates it ([`Fault::locate`]), implies the empty
+    /// assignment with one whole-program sweep and collects the fault's
+    /// fanout cone — the readers reachable from the slot its effect
+    /// leaves from: the faulty net, or the faulted gate's output for a
+    /// pin fault.
     fn load(&mut self, fault: Fault) {
         self.stuck = Tv::from_bool(fault.stuck_at);
-        let start = match fault.site {
-            FaultSite::Net(n) => {
-                self.forced = Forced::Slot(n.index());
-                n.index()
-            }
-            FaultSite::GatePin { gate, pin } => {
-                let instr = self.program.instr_of_gate(gate);
-                self.forced = Forced::Pin { instr, pin };
-                self.program.instr(instr).out as usize
-            }
-        };
+        self.at = fault.locate(&self.program);
+        let start = self.at.out;
         self.implied.fill(None);
         self.sweep();
         self.evals_total += self.program.instr_count() as u64;
@@ -319,7 +308,7 @@ impl<'a> Atpg<'a> {
     /// The faulty machine's value of source slot `s` whose good value is
     /// `v`.
     fn source_faulty(&self, s: usize, v: Tv) -> Tv {
-        if self.forced == Forced::Slot(s) {
+        if self.at.pin.is_none() && self.at.slot == s {
             self.stuck
         } else {
             v
@@ -336,9 +325,9 @@ impl<'a> Atpg<'a> {
             instr.kind,
             instr.operands.iter().map(|&s| self.good[s as usize]),
         );
-        let faulty = match self.forced {
-            Forced::Slot(s) if s == out => self.stuck,
-            Forced::Pin { instr: fi, pin } if fi == i => eval_tv(
+        let faulty = match self.at.pin {
+            None if self.at.slot == out => self.stuck,
+            Some((fi, pin)) if fi == i => eval_tv(
                 instr.kind,
                 instr.operands.iter().enumerate().map(|(p, &s)| {
                     if p == pin {
@@ -467,17 +456,13 @@ impl<'a> Atpg<'a> {
             .any(|&o| self.error_at(o as usize))
     }
 
-    /// The slot whose good value activates the fault, and the activation
-    /// state: `Ok(true)` activated, `Ok(false)` impossible, `Err(slot)`
-    /// still unknown.
+    /// The activation state of the loaded fault at the slot whose good
+    /// value activates it: `Ok(true)` activated, `Ok(false)` impossible,
+    /// `Err(slot)` still unknown.
     fn activation(&self, fault: Fault) -> Result<bool, usize> {
-        let site = match fault.site {
-            FaultSite::Net(n) => n,
-            FaultSite::GatePin { gate, pin } => self.netlist.gate(gate).inputs[pin],
-        };
-        match self.good[site.index()].constant() {
+        match self.good[self.at.slot].constant() {
             Some(v) => Ok(v != fault.stuck_at),
-            None => Err(site.index()),
+            None => Err(self.at.slot),
         }
     }
 
@@ -496,9 +481,8 @@ impl<'a> Atpg<'a> {
         // the cone's gates whose output is unknown and that read an
         // error, in gate-id order.
         let mut target = None;
-        if let Forced::Pin { instr, .. } = self.forced {
-            let out = self.program.instr(instr).out as usize;
-            if self.unknown_at(out) && self.x_path(out) {
+        if let Some((instr, _)) = self.at.pin {
+            if self.unknown_at(self.at.out) && self.x_path(self.at.out) {
                 target = Some(instr);
             }
         }

@@ -65,6 +65,48 @@ impl Fault {
             stuck_at,
         }
     }
+
+    /// Where the fault acts in `program`, compiled from the fault's
+    /// netlist: every reader of the compiled program (the fault
+    /// simulators, the implication check, PODEM, the observability split,
+    /// the static analysis and lint B042) loads a fault through this.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the fault's net, gate or pin is out of range.
+    pub fn locate(&self, program: &EvalProgram) -> Location {
+        match self.site {
+            FaultSite::Net(n) => Location {
+                slot: n.index(),
+                pin: None,
+                out: n.index(),
+            },
+            FaultSite::GatePin { gate, pin } => {
+                let instr = program.instr_of_gate(gate);
+                let ins = program.instr(instr);
+                Location {
+                    slot: ins.operands[pin] as usize,
+                    pin: Some((instr, pin)),
+                    out: ins.out as usize,
+                }
+            }
+        }
+    }
+}
+
+/// Where a [`Fault`] acts in an [`EvalProgram`]: what [`Fault::locate`]
+/// returns.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Location {
+    /// The slot whose good value activates the fault: the faulted net, or
+    /// the operand slot a pin fault reads.
+    pub slot: usize,
+    /// For a pin fault, the instruction and the operand position (gate
+    /// pin) it forces; `None` for a net fault, which forces `slot`.
+    pub pin: Option<(usize, usize)>,
+    /// The slot the fault's effect leaves from: the faulted net itself,
+    /// or the faulted gate's output.
+    pub out: usize,
 }
 
 impl fmt::Display for Fault {
@@ -218,16 +260,14 @@ impl FaultUniverse {
     ///
     /// The reachability sweep is
     /// [`bibs_netlist::analysis::observable_mask`] — one backward pass over
-    /// the compiled instruction stream (a gate-pin fault is observable iff
-    /// its gate's output slot is).
+    /// the compiled instruction stream. A fault is observable iff the slot
+    /// its effect leaves from ([`Location::out`]) is: a gate-pin fault's
+    /// is its gate's output.
     pub fn split_by_observability(&self, program: &EvalProgram) -> (Vec<Fault>, Vec<Fault>) {
         let mask = observable_mask(program);
-        self.faults.iter().partition(|f| match f.site {
-            FaultSite::Net(n) => mask[n.index()],
-            FaultSite::GatePin { gate, .. } => {
-                mask[program.instr(program.instr_of_gate(gate)).out as usize]
-            }
-        })
+        self.faults
+            .iter()
+            .partition(|f| mask[f.locate(program).out])
     }
 }
 
@@ -273,11 +313,10 @@ impl StaticFaultAnalysis {
     /// for ATPG or exhaustive simulation to find out).
     pub fn verdict(&self, program: &EvalProgram, fault: Fault) -> Option<SiteVerdict> {
         let prover = Prover::new(program, &self.abs, &self.scoap);
-        match fault.site {
-            FaultSite::Net(n) => prover.prove_stem(n.index(), fault.stuck_at),
-            FaultSite::GatePin { gate, pin } => {
-                prover.prove_pin(program.instr_of_gate(gate), pin, fault.stuck_at)
-            }
+        let at = fault.locate(program);
+        match at.pin {
+            None => prover.prove_stem(at.slot, fault.stuck_at),
+            Some((instr, pin)) => prover.prove_pin(instr, pin, fault.stuck_at),
         }
     }
 
@@ -370,6 +409,33 @@ mod tests {
         // XOR has no controlling value; only the fanout-free rule fires,
         // collapsing pin faults into PI stems: a,b,y stems ×2 = 6.
         assert_eq!(u.len(), 6);
+    }
+
+    #[test]
+    fn locate_reads_where_a_fault_acts_in_the_program() {
+        // y = a AND b: a net fault acts on and leaves from its own slot; a
+        // pin fault is activated on its operand's slot, forces that one
+        // operand of the gate's instruction and leaves from the output.
+        let nl = small_and();
+        let prog = EvalProgram::compile(&nl).unwrap();
+        let (b, y) = (nl.inputs()[1], nl.outputs()[0]);
+        let gate = nl.gate_ids().next().unwrap();
+        assert_eq!(
+            Fault::net_sa0(y).locate(&prog),
+            Location {
+                slot: y.index(),
+                pin: None,
+                out: y.index()
+            }
+        );
+        assert_eq!(
+            Fault::pin(gate, 1, true).locate(&prog),
+            Location {
+                slot: b.index(),
+                pin: Some((prog.instr_of_gate(gate), 1)),
+                out: y.index()
+            }
+        );
     }
 
     #[test]

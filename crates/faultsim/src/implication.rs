@@ -22,7 +22,7 @@
 //! incomplete: a redundancy that needs case analysis, such as `a - a`,
 //! implies no conflict and is left to PODEM ([`crate::atpg`]).
 
-use crate::fault::{Fault, FaultSite};
+use crate::fault::Fault;
 use bibs_netlist::analysis::{eval_tv, Tv};
 use bibs_netlist::EvalProgram;
 
@@ -115,31 +115,24 @@ impl<'p> ImplicationCheck<'p> {
     /// primary output is a conflict too.
     fn assign_mandatory(&mut self, fault: Fault) -> Result<(), Conflict> {
         let p = self.program;
-        let active = Tv::from_bool(!fault.stuck_at);
-        let start = match fault.site {
-            FaultSite::Net(n) => {
-                self.assign(n.index(), active)?;
-                n.index()
-            }
-            FaultSite::GatePin { gate, pin } => {
-                let instr = p.instr(p.instr_of_gate(gate));
-                self.assign(instr.operands[pin] as usize, active)?;
-                if let Some(c) = instr.kind.controlling_value() {
-                    for (q, &s) in instr.operands.iter().enumerate() {
-                        if q != pin {
-                            self.assign(s as usize, Tv::from_bool(!c))?;
-                        }
+        let at = fault.locate(p);
+        self.assign(at.slot, Tv::from_bool(!fault.stuck_at))?;
+        if let Some((i, pin)) = at.pin {
+            let instr = p.instr(i);
+            if let Some(c) = instr.kind.controlling_value() {
+                for (q, &s) in instr.operands.iter().enumerate() {
+                    if q != pin {
+                        self.assign(s as usize, Tv::from_bool(!c))?;
                     }
                 }
-                instr.out as usize
             }
-        };
+        }
         let sink = p.instr_count() as u32;
-        let mut d = self.ipdom[start];
+        let mut d = self.ipdom[at.out];
         if d == UNOBSERVABLE {
             return Err(Conflict);
         }
-        self.mark_cone(start);
+        self.mark_cone(at.out);
         while d != sink {
             let instr = p.instr(d as usize);
             if let Some(c) = instr.kind.controlling_value() {

@@ -79,7 +79,7 @@
 //! stop oracle.
 
 use crate::eval;
-use crate::fault::{Fault, FaultSite};
+use crate::fault::Fault;
 use crate::sim::{BlockSim, FaultSimReport};
 use crate::source::PatternBlock;
 use crate::stats::SimStats;
@@ -158,7 +158,9 @@ pub struct ParFaultSimulator<'a> {
     stats: SimStats,
 }
 
-/// Where one fault acts in the program, resolved at construction.
+/// Where one fault acts in the program ([`Fault::locate`]), resolved at
+/// construction into the compact form each block reads, with the stem of
+/// the fault's fanout-free region.
 #[derive(Debug, Clone, Copy)]
 struct Site {
     /// The slot whose good word the fault inverts in its active lanes:
@@ -174,19 +176,11 @@ struct Site {
 
 impl Site {
     fn new(program: &EvalProgram, regions: &FanoutRegions, fault: Fault) -> Site {
-        let (slot, pin, net) = match fault.site {
-            FaultSite::Net(n) => (n.index() as u32, None, n.index() as u32),
-            FaultSite::GatePin { gate, pin } => {
-                let instr = program.instr_of_gate(gate);
-                let ins = program.instr(instr);
-                let at = Some((instr as u32, pin as u32));
-                (ins.operands[pin], at, ins.out)
-            }
-        };
+        let at = fault.locate(program);
         Site {
-            slot,
-            pin,
-            stem: regions.stem(net as usize) as u32,
+            slot: at.slot as u32,
+            pin: at.pin.map(|(instr, pin)| (instr as u32, pin as u32)),
+            stem: regions.stem(at.out) as u32,
             stuck_at: fault.stuck_at,
         }
     }

@@ -25,9 +25,10 @@ use bibs_netlist::{EvalProgram, Netlist, Patch};
 /// (flush cycles hold the last vector while data drains).
 ///
 /// Evaluation runs on one compiled [`EvalProgram`] for both machines; the
-/// faulty machine applies the fault's pre-compiled patch-point per time
-/// frame. The simulator is `Sync` (all methods take `&self`), so one
-/// instance can serve many worker threads.
+/// faulty machine applies the fault's patch-point, mapped from
+/// [`Fault::locate`], in every time frame. All methods take `&self` and
+/// start from fresh value buffers, so one instance serves any number of
+/// faults and sequences.
 #[derive(Debug)]
 pub struct SequentialFaultSim<'a> {
     netlist: &'a Netlist,

@@ -52,6 +52,7 @@
 
 use bibs_lfsr::fsr::SequenceWindows;
 use bibs_lfsr::poly::{primitive_polynomial, Polynomial};
+use bibs_netlist::sim::try_pack_patterns;
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 
@@ -65,7 +66,8 @@ pub struct PatternBlock {
 }
 
 impl PatternBlock {
-    /// Packs explicit patterns (each one `bool` per input) into a block.
+    /// Packs explicit patterns (each one `bool` per input) into a block,
+    /// one pattern per lane ([`try_pack_patterns`]).
     ///
     /// # Panics
     ///
@@ -76,15 +78,8 @@ impl PatternBlock {
             (1..=64).contains(&patterns.len()),
             "1..=64 patterns per block"
         );
-        let mut words = vec![0u64; width];
-        for (lane, pat) in patterns.iter().enumerate() {
-            assert_eq!(pat.len(), width, "pattern width mismatch");
-            for (i, &bit) in pat.iter().enumerate() {
-                if bit {
-                    words[i] |= 1u64 << lane;
-                }
-            }
-        }
+        let words = try_pack_patterns(patterns).expect("pattern width mismatch");
+        assert_eq!(words.len(), width, "pattern width mismatch");
         PatternBlock {
             words,
             lanes: patterns.len(),
@@ -876,6 +871,30 @@ mod tests {
         for (lane, pat) in pats.iter().enumerate() {
             assert_eq!(&block.pattern(lane), pat);
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "1..=64 patterns per block")]
+    fn from_patterns_rejects_an_empty_block() {
+        PatternBlock::from_patterns(&[], 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "1..=64 patterns per block")]
+    fn from_patterns_rejects_65_patterns() {
+        PatternBlock::from_patterns(&vec![vec![true; 3]; 65], 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "pattern width mismatch")]
+    fn from_patterns_rejects_a_ragged_block() {
+        PatternBlock::from_patterns(&[vec![true; 3], vec![true; 2]], 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "pattern width mismatch")]
+    fn from_patterns_rejects_patterns_of_another_width() {
+        PatternBlock::from_patterns(&[vec![true; 2], vec![false; 2]], 3);
     }
 
     #[test]

@@ -19,7 +19,6 @@ use bibs_faultsim::sim::BlockSim;
 use bibs_netlist::analysis::{ternary_analyze, PiAssumption};
 use bibs_netlist::builder::NetlistBuilder;
 use bibs_netlist::{EvalProgram, Netlist};
-use bibs_rtl::VertexKind;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -44,11 +43,7 @@ fn circuit_kernels(circuit: &bibs_rtl::Circuit) -> Vec<Netlist> {
     let cut: HashSet<_> = r.design.bilbo.union(&r.design.cbilbo).copied().collect();
     bibs_core::design::kernels(&r.circuit, &r.design)
         .into_iter()
-        .filter(|k| {
-            k.vertices
-                .iter()
-                .any(|&v| r.circuit.vertex(v).kind == VertexKind::Logic)
-        })
+        .filter(|k| k.has_logic(&r.circuit))
         .map(|k| {
             let kset: HashSet<_> = k.vertices.iter().copied().collect();
             bibs_datapath::elab::elaborate_kernel(&r.circuit, &kset, &cut)

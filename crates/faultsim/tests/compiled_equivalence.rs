@@ -31,8 +31,8 @@ use bibs_faultsim::reference::ReferenceSimulator;
 use bibs_faultsim::sim::{BlockSim, Stop};
 use bibs_faultsim::source::{PatternBlock, RandomWords};
 use bibs_netlist::builder::NetlistBuilder;
-use bibs_netlist::{Cone, EvalProgram, GateKind, Netlist, Patch};
-use bibs_rtl::{Circuit, VertexKind};
+use bibs_netlist::{Cone, EvalProgram, GateKind, Netlist};
+use bibs_rtl::Circuit;
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 use rand::rngs::StdRng;
@@ -140,11 +140,7 @@ fn bibs_kernels(circuit: &Circuit) -> Vec<Netlist> {
         .collect();
     bibs_core::design::kernels(&r.circuit, &r.design)
         .into_iter()
-        .filter(|k| {
-            k.vertices
-                .iter()
-                .any(|&v| r.circuit.vertex(v).kind == VertexKind::Logic)
-        })
+        .filter(|k| k.has_logic(&r.circuit))
         .map(|k| {
             let kset: HashSet<_> = k.vertices.iter().copied().collect();
             bibs_datapath::elab::elaborate_kernel(&r.circuit, &kset, &cut)
@@ -370,18 +366,8 @@ fn whole_program_oracle(
     slot: usize,
     word: u64,
 ) -> u64 {
-    let patch = match program.instr_of_slot(slot) {
-        Some(instr) => Patch::InstrOutput {
-            instr: instr as u32,
-            word,
-        },
-        None => Patch::Slot {
-            slot: slot as u32,
-            word,
-        },
-    };
     let mut faulty = program.new_values();
-    program.eval_patched(&mut faulty, inputs, patch);
+    program.eval_patched(&mut faulty, inputs, program.patch_slot(slot, word));
     program
         .output_slots()
         .iter()

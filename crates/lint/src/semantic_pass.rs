@@ -31,7 +31,7 @@
 use crate::diag::{LintConfig, Report};
 use bibs_core::design::{kernels, BilboDesign};
 use bibs_datapath::elab::elaborate_kernel;
-use bibs_faultsim::fault::{FaultSite, FaultUniverse, StaticFaultAnalysis};
+use bibs_faultsim::fault::{FaultUniverse, StaticFaultAnalysis};
 use bibs_netlist::analysis::independent_pins;
 use bibs_netlist::{EvalProgram, NetDriver, NetId, Netlist};
 use bibs_rtl::{Circuit, EdgeId};
@@ -155,15 +155,8 @@ pub fn lint_netlist_semantic(netlist: &Netlist, what: &str, config: &LintConfig)
     let (observable, _) = universe.split_by_observability(&program);
     let (_, untestable) = sfa.partition(&program, &observable);
     for (fault, verdict) in untestable {
-        let shadowed = match fault.site {
-            FaultSite::Net(n) => abs.constant(n.index()).is_some(),
-            FaultSite::GatePin { gate, pin } => {
-                let g = comb.gate(gate);
-                abs.constant(g.inputs[pin].index()).is_some()
-                    || abs.constant(g.output.index()).is_some()
-            }
-        };
-        if shadowed {
+        let at = fault.locate(&program);
+        if abs.constant(at.slot).is_some() || abs.constant(at.out).is_some() {
             continue;
         }
         report.emit(

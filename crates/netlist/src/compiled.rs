@@ -18,13 +18,17 @@
 //!   ([`EvalProgram::const_inits`]) — evaluation never scans drivers;
 //! * a fanout index ([`EvalProgram::readers`]): the `(instruction, pin)`
 //!   pairs that read each slot, one entry per operand;
-//! * **fault patch-points**: for any net or gate pin, a [`Patch`] that
-//!   forces the corresponding slot, instruction output, or instruction
-//!   operand to a stuck value. Faulty-machine evaluation is "run the same
-//!   program with the patch applied", not a second bespoke interpreter —
-//!   either the whole program ([`EvalProgram::eval_patched`]) or, from a
-//!   buffer holding the good machine's values with one slot forced, a
-//!   sweep of that slot's fanout [`Cone`] ([`EvalProgram::sweep`]).
+//! * **fault patch-points**: a [`Patch`] forces one slot to a stuck word
+//!   ([`EvalProgram::patch_slot`], the one rule for it: a source slot is
+//!   patched in place, a gate output is forced by skipping its
+//!   instruction) or overrides one operand of one instruction
+//!   ([`Patch::InstrPin`]). Which slot or operand a stuck-at fault forces
+//!   is the fault model's to say (`bibs_faultsim`'s `Fault::locate`).
+//!   Faulty-machine evaluation is "run the same program with the patch
+//!   applied", not a second bespoke interpreter — either the whole
+//!   program ([`EvalProgram::eval_patched`]) or, from a buffer holding
+//!   the good machine's values with one slot forced, a sweep of that
+//!   slot's fanout [`Cone`] ([`EvalProgram::sweep`]).
 //!   Beside the evaluation body sits the gate rule of critical-path tracing
 //!   ([`EvalProgram::sensitization`]): the lanes in which one flipped
 //!   operand flips an instruction's output;
@@ -69,14 +73,14 @@
 //! assert_eq!(values[nl.outputs()[0].index()] & 0b1111, 0b0001);
 //!
 //! // Faulty machine: force the AND output stuck-at-1 and re-run.
-//! let patch = prog.patch_net(nl.outputs()[0], true);
+//! let patch = prog.patch_slot(nl.outputs()[0].index(), !0);
 //! prog.eval_patched(&mut values, &[0b0011, 0b0101], patch);
 //! assert_eq!(values[nl.outputs()[0].index()] & 0b1111, 0b1111);
 //! # Ok(())
 //! # }
 //! ```
 
-use crate::netlist::{GateId, GateKind, NetDriver, NetId, Netlist, NetlistError};
+use crate::netlist::{GateId, GateKind, NetDriver, Netlist, NetlistError};
 
 /// Sentinel in [`EvalProgram`]'s slot-to-instruction map for slots that are
 /// sources (inputs, constants, flip-flop Q) rather than gate outputs.
@@ -85,10 +89,10 @@ const NO_INSTR: u32 = u32::MAX;
 /// A fault patch-point: the single edit that turns a good-machine program
 /// run into a faulty-machine run.
 ///
-/// Produced by [`EvalProgram::patch_net`] / [`EvalProgram::patch_pin`];
-/// consumed by [`EvalProgram::run_patched`] / [`EvalProgram::eval_patched`].
-/// `word` is the 64-lane stuck value (`!0` for stuck-at-1, `0` for
-/// stuck-at-0).
+/// [`EvalProgram::patch_slot`] builds the patch that forces a slot; a
+/// [`Patch::InstrPin`] is built directly. Consumed by
+/// [`EvalProgram::run_patched`] / [`EvalProgram::eval_patched`]. `word`
+/// is the 64-lane stuck value (`!0` for stuck-at-1, `0` for stuck-at-0).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Patch {
     /// Force a *source* slot (primary input, constant, or flip-flop Q)
@@ -726,36 +730,21 @@ impl EvalProgram {
         FanoutRegions { stem, spans, words }
     }
 
-    /// Builds the patch-point for a stuck-at fault on `net`.
-    ///
-    /// Gate-driven nets patch the driving instruction's output
-    /// ([`Patch::InstrOutput`]); source nets (inputs, constants, flip-flop
-    /// Q) patch the slot directly ([`Patch::Slot`]).
+    /// The patch that forces `slot` to `word` in every instruction that
+    /// reads it: a source slot (input, constant, flip-flop Q) is patched
+    /// in place ([`Patch::Slot`]), and a gate output is forced by skipping
+    /// its instruction ([`Patch::InstrOutput`]).
     ///
     /// # Panics
     ///
-    /// Panics if `net` is out of range.
-    pub fn patch_net(&self, net: NetId, stuck_at: bool) -> Patch {
-        let word = if stuck_at { !0u64 } else { 0 };
-        let slot = net.index() as u32;
-        match self.instr_of_slot[net.index()] {
-            NO_INSTR => Patch::Slot { slot, word },
+    /// Panics if `slot >= slot_count()`.
+    pub fn patch_slot(&self, slot: usize, word: u64) -> Patch {
+        match self.instr_of_slot[slot] {
+            NO_INSTR => Patch::Slot {
+                slot: slot as u32,
+                word,
+            },
             instr => Patch::InstrOutput { instr, word },
-        }
-    }
-
-    /// Builds the patch-point for a stuck-at fault on input pin `pin` of
-    /// `gate`: only that operand sees the stuck value; every other reader
-    /// of the same net sees the good value.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `gate` is out of range.
-    pub fn patch_pin(&self, gate: GateId, pin: usize, stuck_at: bool) -> Patch {
-        Patch::InstrPin {
-            instr: self.instr_of_gate[gate.index()],
-            pin: pin as u32,
-            word: if stuck_at { !0u64 } else { 0 },
         }
     }
 
@@ -894,6 +883,7 @@ impl EvalProgram {
 mod tests {
     use super::*;
     use crate::builder::NetlistBuilder;
+    use crate::netlist::NetId;
     use crate::sim::PatternSim;
 
     fn adder4() -> Netlist {
@@ -960,11 +950,11 @@ mod tests {
     }
 
     #[test]
-    fn patch_net_forces_gate_output() {
+    fn patch_slot_forces_gate_output() {
         let nl = adder4();
         let prog = EvalProgram::compile(&nl).unwrap();
         let out = nl.outputs()[0];
-        let patch = prog.patch_net(out, false);
+        let patch = prog.patch_slot(out.index(), 0);
         assert!(matches!(patch, Patch::InstrOutput { .. }));
         let words = vec![!0u64; nl.input_width()];
         let mut values = prog.new_values();
@@ -973,11 +963,11 @@ mod tests {
     }
 
     #[test]
-    fn patch_net_on_input_is_slot_patch() {
+    fn patch_slot_on_input_is_slot_patch() {
         let nl = adder4();
         let prog = EvalProgram::compile(&nl).unwrap();
         let pi = nl.inputs()[0];
-        let patch = prog.patch_net(pi, true);
+        let patch = prog.patch_slot(pi.index(), !0);
         assert_eq!(
             patch,
             Patch::Slot {
@@ -1005,7 +995,12 @@ mod tests {
             .gate_ids()
             .find(|&g| nl.gate(g).kind == GateKind::And)
             .unwrap();
-        let patch = prog.patch_pin(and_gate, 0, true); // pin a stuck-at-1
+        // Pin a stuck-at-1.
+        let patch = Patch::InstrPin {
+            instr: prog.instr_of_gate(and_gate) as u32,
+            pin: 0,
+            word: !0,
+        };
         let mut values = prog.new_values();
         // a=0, b=1 everywhere: good AND = 0, faulty AND = 1; OR stays 1.
         prog.eval_patched(&mut values, &[0, !0u64], patch);
@@ -1029,13 +1024,13 @@ mod tests {
             .net_ids()
             .find(|&n| matches!(nl.driver(n), NetDriver::Const(_)))
             .unwrap();
-        let patch = prog.patch_net(const_net, false); // const-1 stuck-at-0
+        let patch = prog.patch_slot(const_net.index(), 0); // const-1 stuck-at-0
         let mut values = prog.new_values();
         prog.eval_patched(&mut values, &[!0u64], patch);
         assert_eq!(values[nl.outputs()[0].index()], 0, "fault masks the AND");
         // The next faulty evaluation with a *different* patch must see the
         // healed constant.
-        let other = prog.patch_net(nl.outputs()[0], true);
+        let other = prog.patch_slot(nl.outputs()[0].index(), !0);
         prog.eval_patched(&mut values, &[0], other);
         assert_eq!(values[const_net.index()], !0u64, "prologue re-applied");
     }
@@ -1081,21 +1076,6 @@ mod tests {
         i.wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(17) ^ 0xA5A5
     }
 
-    /// The patch that forces `slot` to `word`: an output patch on its
-    /// writer, or a slot patch on a source.
-    fn force(prog: &EvalProgram, slot: usize, word: u64) -> Patch {
-        match prog.instr_of_slot(slot) {
-            Some(instr) => Patch::InstrOutput {
-                instr: instr as u32,
-                word,
-            },
-            None => Patch::Slot {
-                slot: slot as u32,
-                word,
-            },
-        }
-    }
-
     /// The whole-program oracle for [`EvalProgram::sweep`] on `good`'s
     /// inputs: the primary-output difference of
     /// [`EvalProgram::eval_patched`] with `slot` forced to `word`.
@@ -1107,7 +1087,7 @@ mod tests {
         word: u64,
     ) -> u64 {
         let mut whole = prog.new_values();
-        prog.eval_patched(&mut whole, inputs, force(prog, slot, word));
+        prog.eval_patched(&mut whole, inputs, prog.patch_slot(slot, word));
         prog.output_slots()
             .iter()
             .fold(0, |d, &o| d | (good[o as usize] ^ whole[o as usize]))

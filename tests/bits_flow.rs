@@ -9,7 +9,6 @@ use bibs::schedule::schedule;
 use bibs::structure::GeneralizedStructure;
 use bibs::tpg::mc_tpg;
 use bibs_rtl::fmt::{from_text, to_text};
-use bibs_rtl::VertexKind;
 
 fn run_flow(path: &str) -> (usize, usize, u64) {
     let text = std::fs::read_to_string(path).expect("sample circuit exists");
@@ -18,11 +17,7 @@ fn run_flow(path: &str) -> (usize, usize, u64) {
     assert!(is_bibs_testable(&r.circuit, &r.design), "{path}");
     let ks: Vec<_> = kernels(&r.circuit, &r.design)
         .into_iter()
-        .filter(|k| {
-            k.vertices
-                .iter()
-                .any(|&v| r.circuit.vertex(v).kind == VertexKind::Logic)
-        })
+        .filter(|k| k.has_logic(&r.circuit))
         .collect();
     let sessions = schedule(&r.design, &ks);
     let mut patterns = Vec::new();

@@ -7,7 +7,6 @@ use bibs::bibs::{select, BibsOptions};
 use bibs::design::{is_bibs_testable, kernels};
 use bibs::schedule::schedule;
 use bibs_datapath::filters::biquad_cascade;
-use bibs_rtl::VertexKind;
 
 #[test]
 fn cascade_of_three_sections_becomes_bibs_testable() {
@@ -38,11 +37,7 @@ fn cascade_of_three_sections_becomes_bibs_testable() {
     // The kernels schedule into a small number of sessions.
     let ks: Vec<_> = kernels(&result.circuit, &result.design)
         .into_iter()
-        .filter(|k| {
-            k.vertices
-                .iter()
-                .any(|&v| result.circuit.vertex(v).kind == VertexKind::Logic)
-        })
+        .filter(|k| k.has_logic(&result.circuit))
         .collect();
     assert!(!ks.is_empty());
     let sessions = schedule(&result.design, &ks);

@@ -13,7 +13,6 @@ use bibs::{ka85, rtl};
 use bibs_datapath::examples::{figure1, figure12a, figure2, figure4};
 use bibs_datapath::fig9;
 use bibs_datapath::filters::{c3a2m, c4a4m, c5a2m};
-use rtl::VertexKind;
 
 /// Section 2: Figure 1 is 2-step, Figure 2 is 1-step functionally
 /// testable.
@@ -143,11 +142,7 @@ fn table2_structural_rows() {
         let ka = ka85::select(&circuit).unwrap();
         let ka_ks: Vec<_> = kernels(&circuit, &ka)
             .into_iter()
-            .filter(|k| {
-                k.vertices
-                    .iter()
-                    .any(|&v| circuit.vertex(v).kind == VertexKind::Logic)
-            })
+            .filter(|k| k.has_logic(&circuit))
             .collect();
         assert_eq!(ka_ks.len(), ka_kernels, "{}", circuit.name());
         assert_eq!(ka.register_count(), ka_regs, "{}", circuit.name());
