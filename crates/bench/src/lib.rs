@@ -36,7 +36,7 @@ use bibs_faultsim::source::{
 };
 use bibs_faultsim::stats::SimStats;
 use bibs_netlist::EvalProgram;
-use bibs_obs::{CounterId, Recorder, TraceMode};
+use bibs_obs::{json, CounterId, Recorder, TraceMode};
 use bibs_rtl::Circuit;
 use std::collections::HashSet;
 use std::time::{Duration, Instant};
@@ -873,11 +873,11 @@ pub fn table2_json(columns: &[(Table2Column, Table2Column)]) -> String {
             })
             .collect();
         format!(
-            "{{\"tdm\":\"{}\",\"circuit\":\"{}\",\"kernels\":{},\"sessions\":{},\
+            "{{\"tdm\":\"{}\",\"circuit\":{},\"kernels\":{},\"sessions\":{},\
              \"bilbo_registers\":{},\"max_delay\":{},\"patterns_995\":{},\"time_995\":{},\
              \"patterns_100\":{},\"time_100\":{},\"kernel_stats\":[{}]}}",
             c.tdm,
-            c.circuit,
+            json::string(&c.circuit),
             c.kernel_count,
             c.session_count,
             c.bilbo_count,
@@ -1208,5 +1208,32 @@ mod tests {
         assert!(json.contains("\"source\":{\"kind\":\"lfsr\""));
         assert!(json.contains("\"source_clocks\":"));
         assert!(json.contains("\"source_patterns\":"));
+    }
+
+    /// A circuit's name comes from its file, so it is escaped like any
+    /// other JSON string: a quote in it must not end the string.
+    #[test]
+    fn table2_json_escapes_the_circuit_name() {
+        let column = Table2Column {
+            tdm: Tdm::Bibs,
+            circuit: "ma\"c".to_string(),
+            kernel_count: 1,
+            session_count: 1,
+            bilbo_count: 2,
+            max_delay: 0,
+            patterns_995: 0,
+            time_995: 0,
+            patterns_100: 0,
+            time_100: 0,
+            kernel_stats: vec![detected_at(vec![0, 3])],
+        };
+        let json = table2_json(&[(column.clone(), column)]);
+        let parsed = bibs_obs::json::parse(&json).expect("table2 JSON parses");
+        let columns = parsed.get("columns").and_then(|c| c.as_array()).unwrap();
+        assert_eq!(columns.len(), 2);
+        assert_eq!(
+            columns[0].get("circuit").and_then(|c| c.as_str()),
+            Some("ma\"c")
+        );
     }
 }

@@ -308,12 +308,7 @@ fn width_violation(
         }
         let internal: Vec<EdgeId> = circuit
             .edge_ids()
-            .filter(|&e| {
-                !design.is_cut(e)
-                    && circuit.edge(e).is_register()
-                    && kernel.vertices.contains(&circuit.edge(e).from)
-                    && kernel.vertices.contains(&circuit.edge(e).to)
-            })
+            .filter(|&e| circuit.edge(e).is_register() && kernel.holds(circuit, design, e))
             .collect();
         // A kernel with no internal register cannot be narrowed; skip it
         // (infeasible bound — the caller sees the width in the result).
@@ -330,7 +325,9 @@ fn width_violation(
 
 fn violation_candidates(v: &Violation) -> Vec<EdgeId> {
     match v {
-        Violation::KernelCycle { cycle_registers } => cycle_registers.clone(),
+        Violation::KernelCycle {
+            cycle_registers, ..
+        } => cycle_registers.clone(),
         Violation::KernelImbalance { path_registers, .. } => path_registers.clone(),
         Violation::KernelTooWide {
             internal_registers, ..

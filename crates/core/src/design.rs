@@ -1,8 +1,12 @@
 //! BILBO designations, kernel extraction and the balanced BISTable
 //! predicate (Definition 1 of the paper).
+//!
+//! [`Kernel::violations`] is the one place that decides Definition 1:
+//! register selection ([`crate::bibs::select`], through [`find_violation`])
+//! and lint B020–B022 both read its answer.
 
 use bibs_lfsr::bilbo::AreaModel;
-use bibs_rtl::{Circuit, EdgeId, VertexId, VertexKind};
+use bibs_rtl::{Circuit, EdgeId, PairImbalance, VertexId, VertexKind};
 use std::collections::BTreeSet;
 use std::fmt;
 
@@ -105,11 +109,7 @@ impl Kernel {
     /// The kernel's sequential depth `d`: the maximum number of internal
     /// register edges on any input-to-output path.
     pub fn sequential_depth(&self, circuit: &Circuit, design: &BilboDesign) -> u32 {
-        let keep = |e: EdgeId| {
-            !design.is_cut(e)
-                && self.vertices.contains(&circuit.edge(e).from)
-                && self.vertices.contains(&circuit.edge(e).to)
-        };
+        let keep = |e| self.holds(circuit, design, e);
         let mut depth = 0;
         for &ie in &self.input_edges {
             let src = circuit.edge(ie).to;
@@ -118,16 +118,81 @@ impl Kernel {
             }
             if let Some(lens) = circuit.seq_lengths_from_filtered(src, keep) {
                 for &oe in &self.output_edges {
-                    let dst = circuit.edge(oe).from;
-                    if let Some(d) = lens[dst.index()].exact() {
-                        depth = depth.max(d);
-                    } else if let bibs_rtl::SeqLen::Conflict { max, .. } = lens[dst.index()] {
+                    if let Some((_, max)) = lens[circuit.edge(oe).from.index()].range() {
                         depth = depth.max(max);
                     }
                 }
             }
         }
         depth
+    }
+
+    /// Whether `edge` lies inside the kernel under `design`: the design does
+    /// not convert it, and both its ends are kernel vertices. The kernel's
+    /// subgraph is the edges this accepts.
+    pub fn holds(&self, circuit: &Circuit, design: &BilboDesign, edge: EdgeId) -> bool {
+        let e = circuit.edge(edge);
+        !design.is_cut(edge) && self.vertices.contains(&e.from) && self.vertices.contains(&e.to)
+    }
+
+    /// The kernel's violations of Definition 1, in this order: its cycle,
+    /// if it has one (requirement 1); otherwise each imbalanced pair
+    /// (requirement 2); then each plain BILBO that both feeds and is fed by
+    /// the kernel (requirement 3).
+    ///
+    /// Lazy: nothing is computed until the first item is asked for, and
+    /// each item's repair candidates only when it is reached.
+    /// [`find_violation`] takes the first item, lint B020–B022 every one.
+    /// [`Violation::KernelTooWide`] is never yielded.
+    pub fn violations<'a>(
+        &'a self,
+        circuit: &'a Circuit,
+        design: &'a BilboDesign,
+    ) -> impl Iterator<Item = Violation> + 'a {
+        let keep = move |e| self.holds(circuit, design, e);
+        // Requirements 1 and 2 together say the kernel is balanced; its
+        // pairs are only compared once it is known to be acyclic.
+        let unbalanced = std::iter::once_with(move || match circuit.find_cycle_filtered(keep) {
+            Some(cycle) => (Some(cycle), Vec::new()),
+            None => (None, circuit.balance_report_filtered(keep).imbalances),
+        })
+        .flat_map(move |(cycle, pairs)| {
+            let cycle = cycle.map(|cycle| Violation::KernelCycle {
+                cycle_registers: cycle
+                    .iter()
+                    .copied()
+                    .filter(|&e| circuit.edge(e).is_register())
+                    .collect(),
+                cycle,
+            });
+            let pairs = pairs
+                .into_iter()
+                .map(move |pair| Violation::KernelImbalance {
+                    path_registers: registers_on_paths(circuit, pair.from, pair.to, keep),
+                    pair,
+                });
+            cycle.into_iter().chain(pairs)
+        });
+        // CBILBOs are exempt from requirement 3: that is their purpose.
+        let conflicts = self
+            .input_edges
+            .iter()
+            .filter(move |&&e| {
+                !design.cbilbo.contains(&e) && self.vertices.contains(&circuit.edge(e).from)
+            })
+            .map(move |&register| {
+                // The register's head and tail sit in the same kernel, so
+                // an undirected path of non-cut edges connects them.
+                // Separating the roles requires cutting a register edge on
+                // such a path (wire edges cannot be cut) — or making the
+                // register a CBILBO.
+                let edge = circuit.edge(register);
+                Violation::PortConflict {
+                    register,
+                    path_registers: registers_on_undirected_path(circuit, edge.to, edge.from, keep),
+                }
+            });
+        unbalanced.chain(conflicts)
     }
 }
 
@@ -137,18 +202,18 @@ pub enum Violation {
     /// A kernel's internal subgraph contains a directed cycle
     /// (Definition 1, requirement 1). Carries the edges of one such cycle.
     KernelCycle {
-        /// Register edges on the offending cycle (candidates for cutting).
+        /// The offending cycle's edges, in path order.
+        cycle: Vec<EdgeId>,
+        /// Register edges on the cycle (candidates for cutting).
         cycle_registers: Vec<EdgeId>,
     },
     /// A kernel contains vertices joined by paths of unequal sequential
     /// length (requirement 2 — an URFS survives inside a kernel). Carries
     /// candidate register edges whose conversion can remove the imbalance.
     KernelImbalance {
-        /// Path source vertex.
-        from: VertexId,
-        /// Path destination vertex.
-        to: VertexId,
-        /// Register edges lying on some `from → to` path.
+        /// The pair and its shortest and longest sequential lengths.
+        pair: PairImbalance,
+        /// Register edges lying on some `pair.from → pair.to` path.
         path_registers: Vec<EdgeId>,
     },
     /// A kernel's input width exceeds a caller-imposed bound (the paper's
@@ -178,15 +243,17 @@ pub enum Violation {
 impl fmt::Display for Violation {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Violation::KernelCycle { cycle_registers } => {
+            Violation::KernelCycle {
+                cycle_registers, ..
+            } => {
                 write!(
                     f,
                     "kernel cycle through {} register(s)",
                     cycle_registers.len()
                 )
             }
-            Violation::KernelImbalance { from, to, .. } => {
-                write!(f, "kernel imbalance between {from} and {to}")
+            Violation::KernelImbalance { pair, .. } => {
+                write!(f, "kernel imbalance between {} and {}", pair.from, pair.to)
             }
             Violation::KernelTooWide { width, limit, .. } => {
                 write!(f, "kernel input width {width} exceeds bound {limit}")
@@ -264,63 +331,13 @@ pub fn kernels(circuit: &Circuit, design: &BilboDesign) -> Vec<Kernel> {
     out
 }
 
-/// Checks Definition 1 on every kernel, returning the first violation
-/// found, or `None` if the design is BIBS-testable.
+/// The first violation of Definition 1: the first that
+/// [`Kernel::violations`] yields for the first kernel that has one, or
+/// `None` if the design is BIBS-testable.
 pub fn find_violation(circuit: &Circuit, design: &BilboDesign) -> Option<Violation> {
-    let keep_in = |kernel: &Kernel, e: EdgeId| {
-        !design.is_cut(e)
-            && kernel.vertices.contains(&circuit.edge(e).from)
-            && kernel.vertices.contains(&circuit.edge(e).to)
-    };
-    for kernel in kernels(circuit, design) {
-        // Requirement 1: acyclic.
-        if let Some(cycle) = circuit.find_cycle_filtered(|e| keep_in(&kernel, e)) {
-            let cycle_registers = cycle
-                .into_iter()
-                .filter(|&e| circuit.edge(e).is_register())
-                .collect();
-            return Some(Violation::KernelCycle { cycle_registers });
-        }
-        // Requirement 2: balanced.
-        let report = circuit.balance_report_filtered(|e| keep_in(&kernel, e));
-        if let Some(im) = report
-            .imbalances
-            .iter()
-            .find(|im| kernel.vertices.contains(&im.from) && kernel.vertices.contains(&im.to))
-        {
-            let path_registers =
-                registers_on_paths(circuit, im.from, im.to, |e| keep_in(&kernel, e));
-            return Some(Violation::KernelImbalance {
-                from: im.from,
-                to: im.to,
-                path_registers,
-            });
-        }
-        // Requirement 3: no plain BILBO both feeds and is fed by the
-        // kernel. (CBILBOs are exempt — that is their purpose.)
-        for &e in &kernel.input_edges {
-            if design.cbilbo.contains(&e) {
-                continue;
-            }
-            let edge = circuit.edge(e);
-            if kernel.vertices.contains(&edge.from) {
-                // The register's head and tail sit in the same kernel, so
-                // an undirected path of non-cut edges connects them.
-                // Separating the roles requires cutting a register edge on
-                // such a path (wire edges cannot be cut) — or making the
-                // register a CBILBO.
-                let path_registers =
-                    registers_on_undirected_path(circuit, edge.to, edge.from, |x| {
-                        keep_in(&kernel, x)
-                    });
-                return Some(Violation::PortConflict {
-                    register: e,
-                    path_registers,
-                });
-            }
-        }
-    }
-    None
+    kernels(circuit, design)
+        .iter()
+        .find_map(|kernel| kernel.violations(circuit, design).next())
 }
 
 /// Whether the design makes the circuit BIBS-testable.
@@ -475,7 +492,9 @@ mod tests {
         let rout = c.register_by_name("Rout").unwrap();
         let design = BilboDesign::from_bilbos([rin, rout]);
         match find_violation(&c, &design) {
-            Some(Violation::KernelCycle { cycle_registers }) => {
+            Some(Violation::KernelCycle {
+                cycle_registers, ..
+            }) => {
                 assert_eq!(cycle_registers.len(), 2);
             }
             other => panic!("expected cycle violation, got {other:?}"),

@@ -257,11 +257,7 @@ impl GeneralizedStructure {
         design: &BilboDesign,
         kernel: &Kernel,
     ) -> Result<Self, StructureError> {
-        let keep = |e: EdgeId| {
-            !design.is_cut(e)
-                && kernel.vertices.contains(&circuit.edge(e).from)
-                && kernel.vertices.contains(&circuit.edge(e).to)
-        };
+        let keep = |e| kernel.holds(circuit, design, e);
         let registers: Vec<TpgRegister> = kernel
             .input_edges
             .iter()

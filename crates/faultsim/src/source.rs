@@ -53,6 +53,7 @@
 use bibs_lfsr::fsr::SequenceWindows;
 use bibs_lfsr::poly::{primitive_polynomial, Polynomial};
 use bibs_netlist::sim::try_pack_patterns;
+use bibs_obs::json;
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 
@@ -137,12 +138,11 @@ impl SourceDescriptor {
 
     /// The descriptor as a JSON object, e.g.
     /// `{"kind":"random","rng":"xoshiro256**","seed":"0x2a"}`. Field
-    /// values are emitted as JSON strings with `"` and `\` escaped.
+    /// values are emitted as escaped JSON strings.
     pub fn to_json(&self) -> String {
-        let escape = |s: &str| s.replace('\\', "\\\\").replace('"', "\\\"");
-        let mut out = format!("{{\"kind\":\"{}\"", escape(self.kind));
+        let mut out = format!("{{\"kind\":{}", json::string(self.kind));
         for (k, v) in &self.fields {
-            out.push_str(&format!(",\"{}\":\"{}\"", escape(k), escape(v)));
+            out.push_str(&format!(",{}:{}", json::string(k), json::string(v)));
         }
         out.push('}');
         out
@@ -1204,5 +1204,16 @@ mod tests {
     fn descriptor_json_escapes_quotes_and_backslashes() {
         let d = SourceDescriptor::new("replay").field("file", r#"a"b\c"#);
         assert_eq!(d.to_json(), r#"{"kind":"replay","file":"a\"b\\c"}"#);
+        // Control characters, as a path may hold, are escaped too.
+        let d = SourceDescriptor::new("replay").field("file", "seeds/a\tb\n.seeds");
+        assert_eq!(
+            d.to_json(),
+            r#"{"kind":"replay","file":"seeds/a\tb\n.seeds"}"#
+        );
+        let parsed = bibs_obs::json::parse(&d.to_json()).expect("descriptor JSON parses");
+        assert_eq!(
+            parsed.get("file").and_then(|v| v.as_str()),
+            Some("seeds/a\tb\n.seeds")
+        );
     }
 }

@@ -101,12 +101,8 @@ fn builtin(name: &str) -> Option<bibs_rtl::Circuit> {
 
 /// Renders one target's entry of the `bibs-lint/2` JSON document.
 fn target_json(target: &str, report: &Report) -> String {
+    let s = bibs_obs::json::string;
     let mut out = String::new();
-    let s = |v: &str| {
-        let mut buf = String::new();
-        bibs_obs::json::write_string(&mut buf, v);
-        buf
-    };
     out.push_str(&format!(
         "{{\"target\":{},\"clean\":{},\"diagnostics\":[",
         s(target),

@@ -4,8 +4,10 @@
 //! check everything the paper demands of a finished BIBS design:
 //!
 //! * Definition 1 on every kernel — acyclic (B020), balanced (B021), no
-//!   TPG/SA port conflict (B022) — with *named* witnesses instead of the
-//!   bare ids [`bibs_core::design::find_violation`] returns;
+//!   TPG/SA port conflict (B022). [`Kernel::violations`] decides it, as it
+//!   does for BIBS register selection; this pass only names each violation
+//!   and renders its witness (the cycle, the shorter and longer path, the
+//!   register's ends);
 //! * the TPG built for each kernel — primitive polynomial of the right
 //!   degree (B023), legal SC_TPG/MC_TPG cell/offset placement (B024);
 //! * a cross-layer cone-support check: the **netlist** support of each
@@ -21,7 +23,7 @@
 
 use crate::diag::{LintConfig, Report};
 use crate::netlist_pass::lint_netlist;
-use bibs_core::design::{kernels, BilboDesign, Kernel};
+use bibs_core::design::{kernels, BilboDesign, Kernel, Violation};
 use bibs_core::fpet::dependency_matrix;
 use bibs_core::structure::GeneralizedStructure;
 use bibs_core::tpg::mc_tpg;
@@ -67,92 +69,78 @@ fn lint_kernel(
     config: &LintConfig,
     report: &mut Report,
 ) {
-    let keep = |e: EdgeId| {
-        !design.is_cut(e)
-            && kernel.vertices.contains(&circuit.edge(e).from)
-            && kernel.vertices.contains(&circuit.edge(e).to)
-    };
     let kd = kernel_desc(circuit, kernel, index);
 
-    // B020 — Definition 1, requirement 1: the kernel subgraph is acyclic.
+    // B020–B022: Definition 1, as `Kernel::violations` decides it.
     let mut structural_ok = true;
-    if let Some(cycle) = circuit.find_cycle_filtered(keep) {
-        let regs = cycle
-            .iter()
-            .filter(|&&e| circuit.edge(e).is_register())
-            .count();
-        report.emit(
-            config,
-            "B020",
-            format!(
-                "{kd} contains a directed cycle with {regs} internal register \
-                 edge(s); Definition 1 requires acyclic kernels (cut the cycle \
-                 with a second BILBO or a CBILBO)"
-            ),
-            circuit.describe_cycle(&cycle),
-        );
+    for violation in kernel.violations(circuit, design) {
         structural_ok = false;
-    }
-
-    // B021 — requirement 2: the kernel is balanced. Witness: the concrete
-    // shorter/longer register-to-register path pair.
-    if structural_ok {
-        let balance = circuit.balance_report_filtered(keep);
-        for im in balance
-            .imbalances
-            .iter()
-            .filter(|im| kernel.vertices.contains(&im.from) && kernel.vertices.contains(&im.to))
-        {
-            let witness = match circuit.witness_paths_filtered(im.from, im.to, keep) {
-                Some((short, long)) => format!(
-                    "shorter: {}; longer: {}",
-                    circuit.describe_path(&short),
-                    circuit.describe_path(&long)
-                ),
-                None => im.describe(circuit),
-            };
-            report.emit(
+        match violation {
+            // Requirement 1: the kernel subgraph is acyclic.
+            Violation::KernelCycle {
+                cycle,
+                cycle_registers,
+            } => report.emit(
                 config,
-                "B021",
+                "B020",
                 format!(
-                    "{kd} is unbalanced: paths of sequential length {} and {} \
-                     join {} to {} (an URFS survives inside the kernel)",
-                    im.min,
-                    im.max,
-                    circuit.vertex_name(im.from),
-                    circuit.vertex_name(im.to)
+                    "{kd} contains a directed cycle with {} internal register \
+                     edge(s); Definition 1 requires acyclic kernels (cut the cycle \
+                     with a second BILBO or a CBILBO)",
+                    cycle_registers.len()
                 ),
-                witness,
-            );
-            structural_ok = false;
-        }
-    }
-
-    // B022 — requirement 3: no plain BILBO both feeds and is fed by the
-    // same kernel (it would be TPG and SA simultaneously; CBILBOs exempt).
-    for &e in &kernel.input_edges {
-        if design.cbilbo.contains(&e) {
-            continue;
-        }
-        let edge = circuit.edge(e);
-        if kernel.vertices.contains(&edge.from) {
-            report.emit(
-                config,
-                "B022",
-                format!(
-                    "BILBO register {} both feeds and is fed by {kd}: it would \
-                     have to act as TPG and SA simultaneously (make it a \
-                     CBILBO or cut the return path)",
-                    circuit.edge_label(e)
-                ),
-                format!(
-                    "{} : {} -> {}",
-                    circuit.edge_label(e),
-                    circuit.vertex_name(edge.from),
-                    circuit.vertex_name(edge.to)
-                ),
-            );
-            structural_ok = false;
+                circuit.describe_cycle(&cycle),
+            ),
+            // Requirement 2: the kernel is balanced. Witness: the concrete
+            // shorter/longer register-to-register path pair.
+            Violation::KernelImbalance { pair, .. } => {
+                let keep = |e| kernel.holds(circuit, design, e);
+                let witness = match circuit.witness_paths_filtered(pair.from, pair.to, keep) {
+                    Some((short, long)) => format!(
+                        "shorter: {}; longer: {}",
+                        circuit.describe_path(&short),
+                        circuit.describe_path(&long)
+                    ),
+                    None => pair.describe(circuit),
+                };
+                report.emit(
+                    config,
+                    "B021",
+                    format!(
+                        "{kd} is unbalanced: paths of sequential length {} and {} \
+                         join {} to {} (an URFS survives inside the kernel)",
+                        pair.min,
+                        pair.max,
+                        circuit.vertex_name(pair.from),
+                        circuit.vertex_name(pair.to)
+                    ),
+                    witness,
+                );
+            }
+            // Requirement 3: no plain BILBO both feeds and is fed by the
+            // same kernel (it would be TPG and SA simultaneously).
+            Violation::PortConflict { register, .. } => {
+                let edge = circuit.edge(register);
+                report.emit(
+                    config,
+                    "B022",
+                    format!(
+                        "BILBO register {} both feeds and is fed by {kd}: it would \
+                         have to act as TPG and SA simultaneously (make it a \
+                         CBILBO or cut the return path)",
+                        circuit.edge_label(register)
+                    ),
+                    format!(
+                        "{} : {} -> {}",
+                        circuit.edge_label(register),
+                        circuit.vertex_name(edge.from),
+                        circuit.vertex_name(edge.to)
+                    ),
+                );
+            }
+            Violation::KernelTooWide { .. } => {
+                unreachable!("a width bound is not part of Definition 1")
+            }
         }
     }
 
@@ -458,6 +446,15 @@ mod tests {
         assert_eq!(report.deny_count(), 0, "{report}");
     }
 
+    /// Each finding as `(code, message, witness)`.
+    fn findings(report: &Report) -> Vec<(&str, &str, &str)> {
+        report
+            .diagnostics
+            .iter()
+            .map(|d| (d.code, d.message.as_str(), d.witness.as_str()))
+            .collect()
+    }
+
     #[test]
     fn kernel_imbalance_is_b021_with_path_pair() {
         let c = unbalanced();
@@ -467,10 +464,15 @@ mod tests {
             c.register_by_name("Rout").unwrap(),
         ]);
         let report = lint_design(&c, &design, &cfg());
-        assert!(report.has_code("B021"), "{report}");
-        let d = report.with_code("B021").next().unwrap();
-        assert!(d.witness.contains("shorter:"), "witness: {}", d.witness);
-        assert!(d.witness.contains("R[4]"), "witness: {}", d.witness);
+        assert_eq!(
+            findings(&report),
+            [(
+                "B021",
+                "kernel #0 (inputs Rin[4]) is unbalanced: paths of sequential length 0 \
+                 and 1 join F to C (an URFS survives inside the kernel)",
+                "shorter: F -> C; longer: F -R[4]-> C"
+            )]
+        );
     }
 
     #[test]
@@ -490,23 +492,30 @@ mod tests {
             c.register_by_name("Rout").unwrap(),
         ]);
         let report = lint_design(&c, &io, &cfg());
-        assert!(report.has_code("B020"), "{report}");
-        let d = report.with_code("B020").next().unwrap();
-        assert!(d.witness.contains("Rfh"), "witness: {}", d.witness);
+        assert_eq!(
+            findings(&report),
+            [(
+                "B020",
+                "kernel #0 (inputs Rin[4]) contains a directed cycle with 2 internal \
+                 register edge(s); Definition 1 requires acyclic kernels (cut the cycle \
+                 with a second BILBO or a CBILBO)",
+                "F -Rfh[4]-> H -Rhf[4]-> F"
+            )]
+        );
 
         // Cutting one cycle edge only: the TPG/SA conflict of Theorem 2.
         let mut one = io.clone();
         one.bilbo.insert(c.register_by_name("Rfh").unwrap());
         let report = lint_design(&c, &one, &cfg());
-        assert!(report.has_code("B022"), "{report}");
-        assert!(
-            report
-                .with_code("B022")
-                .next()
-                .unwrap()
-                .message
-                .contains("Rfh"),
-            "{report}"
+        assert_eq!(
+            findings(&report),
+            [(
+                "B022",
+                "BILBO register Rfh[4] both feeds and is fed by kernel #0 (inputs \
+                 Rin[4], Rfh[4]): it would have to act as TPG and SA simultaneously \
+                 (make it a CBILBO or cut the return path)",
+                "Rfh[4] : F -> H"
+            )]
         );
 
         // CBILBO exempts the register from B022.

@@ -1,6 +1,7 @@
 //! The diagnostics engine: severities, coded findings, reports and the
 //! severity configuration shared by every lint pass.
 
+use bibs_obs::json;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -400,11 +401,11 @@ impl Report {
             }
             out.push_str(&format!(
                 "{{\"code\":{},\"severity\":{},\"origin\":{},\"message\":{},\"witness\":{}}}",
-                json_string(d.code),
-                json_string(&d.severity.to_string()),
-                json_string(&d.origin),
-                json_string(&d.message),
-                json_string(&d.witness)
+                json::string(d.code),
+                json::string(&d.severity.to_string()),
+                json::string(&d.origin),
+                json::string(&d.message),
+                json::string(&d.witness)
             ));
         }
         out.push(']');
@@ -426,25 +427,6 @@ impl fmt::Display for Report {
             self.count(Severity::Allow)
         )
     }
-}
-
-/// Escapes `s` as a JSON string literal (quotes included).
-pub(crate) fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]

@@ -11,7 +11,8 @@
 //! invalidate its baseline entry); [`Report::normalize`] has already
 //! collapsed exact duplicates within a file.
 
-use crate::diag::{json_string, Diagnostic, Report, Severity};
+use crate::diag::{Diagnostic, Report, Severity};
+use bibs_obs::json;
 
 /// The baseline file's schema tag.
 pub const BASELINE_SCHEMA: &str = "bibs-lint-baseline/1";
@@ -49,7 +50,7 @@ pub fn write_baseline(report: &Report) -> String {
     out.push_str("{\n");
     out.push_str(&format!(
         "  \"schema\": {},\n",
-        json_string(BASELINE_SCHEMA)
+        json::string(BASELINE_SCHEMA)
     ));
     out.push_str("  \"fingerprints\": [\n");
     for (i, fp) in fps.iter().enumerate() {

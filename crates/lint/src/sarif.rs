@@ -11,7 +11,7 @@
 //! `type` / `required` / `properties` / `items` / `enum` are enough to
 //! pin the SARIF shape without an online schema fetch.
 
-use crate::diag::{json_string, Report, Severity, CODES};
+use crate::diag::{Report, Severity, CODES};
 use crate::fingerprint::fingerprint;
 use bibs_obs::json::{self, Value};
 
@@ -38,7 +38,7 @@ pub fn to_sarif(report: &Report) -> String {
     out.push_str("{\n");
     out.push_str(&format!(
         "  \"$schema\": {},\n",
-        json_string(SARIF_SCHEMA_URI)
+        json::string(SARIF_SCHEMA_URI)
     ));
     out.push_str("  \"version\": \"2.1.0\",\n");
     out.push_str("  \"runs\": [\n    {\n");
@@ -49,8 +49,8 @@ pub fn to_sarif(report: &Report) -> String {
         let comma = if i + 1 < CODES.len() { "," } else { "" };
         out.push_str(&format!(
             "            {{\"id\": {}, \"shortDescription\": {{\"text\": {}}}}}{comma}\n",
-            json_string(c.code),
-            json_string(c.summary)
+            json::string(c.code),
+            json::string(c.summary)
         ));
     }
     out.push_str("          ]\n        }\n      },\n");
@@ -69,18 +69,21 @@ pub fn to_sarif(report: &Report) -> String {
             &d.origin
         };
         out.push_str("        {\n");
-        out.push_str(&format!("          \"ruleId\": {},\n", json_string(d.code)));
+        out.push_str(&format!(
+            "          \"ruleId\": {},\n",
+            json::string(d.code)
+        ));
         out.push_str(&format!(
             "          \"level\": {},\n",
-            json_string(level(d.severity))
+            json::string(level(d.severity))
         ));
         out.push_str(&format!(
             "          \"message\": {{\"text\": {}}},\n",
-            json_string(&text)
+            json::string(&text)
         ));
         out.push_str(&format!(
             "          \"locations\": [{{\"physicalLocation\": {{\"artifactLocation\": {{\"uri\": {}}}}}}}],\n",
-            json_string(uri)
+            json::string(uri)
         ));
         out.push_str(&format!(
             "          \"partialFingerprints\": {{\"bibsLintContent/v1\": \"{:016x}\"}}\n",

@@ -113,6 +113,13 @@ pub fn parse(input: &str) -> Result<Value, ParseError> {
     Ok(v)
 }
 
+/// `s` as a JSON string literal with escapes, quotes included.
+pub fn string(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    write_string(&mut out, s);
+    out
+}
+
 /// Appends `s` to `out` as a JSON string literal with escapes.
 pub fn write_string(out: &mut String, s: &str) {
     out.push('"');

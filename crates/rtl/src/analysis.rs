@@ -22,17 +22,13 @@ pub enum SeqLen {
 }
 
 impl SeqLen {
-    /// The exact sequential length, if unique.
-    pub fn exact(self) -> Option<u32> {
+    /// The shortest and longest sequential length, if any path exists.
+    pub fn range(self) -> Option<(u32, u32)> {
         match self {
-            SeqLen::Exact(d) => Some(d),
-            _ => None,
+            SeqLen::Unreachable => None,
+            SeqLen::Exact(d) => Some((d, d)),
+            SeqLen::Conflict { min, max } => Some((min, max)),
         }
-    }
-
-    /// Whether any path exists.
-    pub fn is_reachable(self) -> bool {
-        !matches!(self, SeqLen::Unreachable)
     }
 }
 
@@ -211,17 +207,22 @@ impl Circuit {
         keep: impl Fn(EdgeId) -> bool,
     ) -> Option<Vec<SeqLen>> {
         let order = self.topo_order_filtered(&keep)?;
+        Some(self.seq_lengths_along(&order, src, keep))
+    }
+
+    /// Sequential lengths of paths from `src`, propagated over `order`, a
+    /// topological order of the subgraph of edges accepted by `keep`.
+    fn seq_lengths_along(
+        &self,
+        order: &[VertexId],
+        src: VertexId,
+        keep: impl Fn(EdgeId) -> bool,
+    ) -> Vec<SeqLen> {
         let mut result = vec![SeqLen::Unreachable; self.vertex_count()];
         result[src.index()] = SeqLen::Exact(0);
-        for &v in &order {
-            let cur = result[v.index()];
-            if !cur.is_reachable() {
+        for &v in order {
+            let Some((cmin, cmax)) = result[v.index()].range() else {
                 continue;
-            }
-            let (cmin, cmax) = match cur {
-                SeqLen::Exact(d) => (d, d),
-                SeqLen::Conflict { min, max } => (min, max),
-                SeqLen::Unreachable => unreachable!(),
             };
             for &eid in self.out_edges(v) {
                 if !keep(eid) {
@@ -229,36 +230,18 @@ impl Circuit {
                 }
                 let e = self.edge(eid);
                 let w = e.kind.seq_len();
-                let (nmin, nmax) = (cmin + w, cmax + w);
-                let entry = &mut result[e.to.index()];
-                *entry = match *entry {
-                    SeqLen::Unreachable => {
-                        if nmin == nmax {
-                            SeqLen::Exact(nmin)
-                        } else {
-                            SeqLen::Conflict {
-                                min: nmin,
-                                max: nmax,
-                            }
-                        }
-                    }
-                    SeqLen::Exact(d) => {
-                        let min = d.min(nmin);
-                        let max = d.max(nmax);
-                        if min == max {
-                            SeqLen::Exact(min)
-                        } else {
-                            SeqLen::Conflict { min, max }
-                        }
-                    }
-                    SeqLen::Conflict { min, max } => SeqLen::Conflict {
-                        min: min.min(nmin),
-                        max: max.max(nmax),
-                    },
+                let (min, max) = match result[e.to.index()].range() {
+                    None => (cmin + w, cmax + w),
+                    Some((min, max)) => (min.min(cmin + w), max.max(cmax + w)),
+                };
+                result[e.to.index()] = if min == max {
+                    SeqLen::Exact(min)
+                } else {
+                    SeqLen::Conflict { min, max }
                 };
             }
         }
-        Some(result)
+        result
     }
 
     /// Full balance analysis: acyclicity plus every imbalanced vertex pair.
@@ -267,20 +250,22 @@ impl Circuit {
     }
 
     /// Balance analysis restricted to the subgraph of edges accepted by
-    /// `keep`.
+    /// `keep`: one sort, then lengths from each vertex with a kept out-edge
+    /// (any other reaches only itself, so no imbalanced pair starts there).
     pub fn balance_report_filtered(&self, keep: impl Fn(EdgeId) -> bool) -> BalanceReport {
         let keep = &keep;
-        if self.topo_order_filtered(keep).is_none() {
+        let Some(order) = self.topo_order_filtered(keep) else {
             return BalanceReport {
                 acyclic: false,
                 imbalances: Vec::new(),
             };
-        }
+        };
         let mut imbalances = Vec::new();
         for src in self.vertex_ids() {
-            let lens = self
-                .seq_lengths_from_filtered(src, keep)
-                .expect("acyclicity checked above");
+            if !self.out_edges(src).iter().any(|&e| keep(e)) {
+                continue;
+            }
+            let lens = self.seq_lengths_along(&order, src, keep);
             for dst in self.vertex_ids() {
                 if let SeqLen::Conflict { min, max } = lens[dst.index()] {
                     imbalances.push(PairImbalance {
@@ -408,10 +393,8 @@ impl Circuit {
         for pi in self.inputs() {
             let lens = self.seq_lengths_from(pi)?;
             for po in self.outputs() {
-                match lens[po.index()] {
-                    SeqLen::Exact(d) => depth = depth.max(d),
-                    SeqLen::Conflict { max, .. } => depth = depth.max(max),
-                    SeqLen::Unreachable => {}
+                if let Some((_, max)) = lens[po.index()].range() {
+                    depth = depth.max(max);
                 }
             }
         }
